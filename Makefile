@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench-smoke bench-runtime bench-ir bench-exec bench-serve \
-	bench-telemetry serve-smoke fuzz-smoke fuzz-exec-smoke \
+	bench-telemetry bench-selftest serve-smoke fuzz-smoke fuzz-exec-smoke \
 	fuzz-analyze-smoke fuzz-runtime-smoke fuzz-runtime coverage \
 	docs-check examples lint all
 
@@ -20,6 +20,7 @@ test: lint
 	$(MAKE) bench-serve
 	$(MAKE) bench-telemetry
 	$(MAKE) serve-smoke
+	$(MAKE) bench-selftest
 
 # bench_*.py does not match pytest's default file glob; list explicitly.
 bench-smoke:
@@ -30,14 +31,16 @@ bench-smoke:
 # BENCH_runtime_engine.json.  The scale test runs at a reduced size by
 # default, asserting a wall-clock budget so scaling regressions fail
 # loudly; BENCH_SCALE_FULL=1 re-runs the headline 100k-task /
-# 1,000-node measurement (several minutes of baseline scan).
+# 1,000-node measurement (several minutes of baseline scan).  The scan
+# baseline is tools/oracles.py::ScanHEFT.
 bench-runtime:
 	$(PYTHON) -m pytest -x -q --benchmark-disable \
 		benchmarks/bench_runtime_engine.py \
 		benchmarks/bench_claim_runtime_scheduler.py
 	@echo "results recorded in BENCH_runtime_engine.json"
 
-# Worklist rewriter vs. the full-sweep driver on a >=2,000-op module;
+# Worklist rewriter vs. the full-sweep oracle
+# (tools/oracles.py::apply_patterns_sweep) on a >=2,000-op module;
 # records the speedup in BENCH_ir_canonicalize.json.
 bench-ir:
 	$(PYTHON) -m pytest -x -q --benchmark-disable \
@@ -69,6 +72,12 @@ bench-telemetry:
 	$(PYTHON) -m pytest -x -q --benchmark-disable \
 		benchmarks/bench_telemetry.py
 	@echo "results recorded in BENCH_telemetry.json"
+
+# The bench/ package's own tests (not collected by tier-1): a rename
+# that breaks what `python3 -m bench` imports or patches fails here,
+# locally, rather than in the benchmark run.
+bench-selftest:
+	$(PYTHON) -m pytest -q bench/tests
 
 # End-to-end daemon smoke through the real CLI entry point: boot
 # `basecamp serve` as a subprocess, fire concurrent clients, assert the

@@ -1,4 +1,5 @@
-"""BENCH-IR-CANONICALIZE: worklist rewriting vs. the full-sweep driver.
+"""BENCH-IR-CANONICALIZE: worklist rewriting vs. the full-sweep oracle
+(``tools/oracles.py::apply_patterns_sweep``).
 
 Builds one module of >= 2,000 ops mixing the shapes canonicalization
 meets in practice:
@@ -19,11 +20,11 @@ must be >= 5x faster.  Results land in ``BENCH_ir_canonicalize.json``
 """
 
 import json
+import sys
 import time
 from pathlib import Path
 
 from repro.ir import (
-    apply_patterns,
     apply_patterns_worklist,
     build_func,
     canonical_pattern_set,
@@ -32,6 +33,10 @@ from repro.ir import (
     verify,
 )
 from repro.ir.core import Module
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from oracles import apply_patterns_sweep  # noqa: E402
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent \
     / "BENCH_ir_canonicalize.json"
@@ -90,7 +95,8 @@ def test_worklist_beats_sweep_driver_on_2000_op_module():
 
     sweep_module = module.clone()
     t0 = time.perf_counter()
-    apply_patterns(sweep_module, patterns, max_iterations=_DEAD_CHAIN + 16)
+    apply_patterns_sweep(sweep_module, patterns,
+                         max_iterations=_DEAD_CHAIN + 16)
     sweep_seconds = time.perf_counter() - t0
 
     worklist_module = module.clone()

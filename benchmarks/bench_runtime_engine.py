@@ -14,9 +14,9 @@ Two records, written to ``BENCH_runtime_engine.json`` at the repo root
   workload;
 * ``scale`` / ``scale_smoke`` — incremental HEFT placement
   (:mod:`repro.runtime.placement`) against the exhaustive per-node scan
-  on a cluster-scale graph, with a wall-clock budget so scaling
-  regressions fail loudly.  The default run uses a reduced scale that
-  fits in ``make test``; set ``BENCH_SCALE_FULL=1`` for the full
+  (``tools/oracles.py::ScanHEFT``) on a cluster-scale graph, with a
+  wall-clock budget so scaling regressions fail loudly.  The default
+  run uses a reduced scale that fits in ``make test``; set ``BENCH_SCALE_FULL=1`` for the full
   100k-task / 1,000-node measurement (several minutes of baseline), or
   override ``BENCH_SCALE_TASKS`` / ``BENCH_SCALE_NODES`` /
   ``BENCH_SCALE_BUDGET`` individually.
@@ -24,6 +24,7 @@ Two records, written to ``BENCH_runtime_engine.json`` at the repo root
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 from typing import List, Tuple
@@ -37,6 +38,10 @@ from repro.runtime import (
     default_cluster,
 )
 from repro.runtime.engine import synthetic_workflow
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from oracles import ScanHEFT  # noqa: E402
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent \
     / "BENCH_runtime_engine.json"
@@ -114,9 +119,9 @@ def _record(section: str, payload: dict) -> None:
                             + "\n")
 
 
-def _timed_schedule(scheduler, graph, cluster):
+def _timed_schedule(scheduler, graph, cluster, timelines=None):
     t0 = time.perf_counter()
-    schedule = scheduler.schedule(graph, cluster)
+    schedule = scheduler.schedule(graph, cluster, timelines=timelines)
     return time.perf_counter() - t0, schedule
 
 
@@ -128,8 +133,9 @@ def test_timeline_index_speedup_on_2000_task_graph():
     cluster = default_cluster(_TIMELINE_NODES)
 
     seed_seconds, seed_schedule = _timed_schedule(
-        RoundRobinScheduler(timeline_factory=_SeedNodeTimeline),
-        graph, cluster,
+        RoundRobinScheduler(), graph, cluster,
+        timelines={node.name: _SeedNodeTimeline(node)
+                   for node in cluster.alive_nodes()},
     )
     indexed_seconds, indexed_schedule = _timed_schedule(
         RoundRobinScheduler(), graph, cluster,
@@ -197,7 +203,7 @@ def test_scale_incremental_heft():
         f"(budget {_SCALE_BUDGET:.0f}s)")
 
     base_seconds, base_schedule = _timed_schedule(
-        HEFTScheduler(incremental=False), graph, cluster)
+        ScanHEFT(), graph, cluster)
     identical = _same_schedule(inc_schedule, base_schedule)
     assert identical, "incremental HEFT diverged from the baseline scan"
     speedup = base_seconds / inc_seconds

@@ -76,16 +76,6 @@ def _session():
     return get_session()
 
 
-def _compile_to_affine(source_path: str):
-    """The pre-session compile helper, now a thin session wrapper.
-
-    No in-repo callers remain; kept one release as a stable shim for
-    out-of-tree scripts that drove the old CLI internals.
-    """
-    result = _session().lower(_read_source(source_path))
-    return result.kernel, result.module
-
-
 def cmd_compile(args) -> int:
     source = _read_source(args.source)
     if args.emit == "mlir":

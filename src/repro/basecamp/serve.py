@@ -53,7 +53,7 @@ import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import EverestError
 from repro.pipeline import PipelineSession
@@ -372,6 +372,12 @@ class _Handler(BaseHTTPRequestHandler):
     service: BasecampService
     quiet = True
     protocol_version = "HTTP/1.1"
+    # Buffer the reply so status line, headers and body leave in one
+    # send: written as two small segments, every reply on a keep-alive
+    # connection waits out Nagle plus the client's ~40 ms delayed ACK.
+    # 64 KiB holds every summary reply; a larger body fills whole
+    # segments on its own.
+    wbufsize = 1 << 16
 
     def log_message(self, fmt, *args):  # noqa: D102 (stdlib signature)
         # BaseHTTPRequestHandler writes straight to stderr; route the
@@ -381,25 +387,23 @@ class _Handler(BaseHTTPRequestHandler):
         _LOG.log(logging.DEBUG if self.quiet else logging.INFO,
                  "%s %s", self.address_string(), fmt % args)
 
-    def _reply(self, status: int, body: Dict[str, Any],
-               headers: Optional[Dict[str, str]] = None) -> None:
-        data = json.dumps(body).encode("utf-8")
+    def _reply(self, status: int, body: Union[Dict[str, Any], str],
+               headers: Optional[Dict[str, str]] = None,
+               content_type: str = "application/json") -> None:
+        """Send one reply; a dict body is JSON-encoded, a str goes out
+        verbatim under ``content_type``."""
+        text = body if isinstance(body, str) else json.dumps(body)
+        data = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
-
-    def _reply_text(self, status: int, text: str,
-                    content_type: str) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        # Flushed here rather than left to handle_one_request so a
+        # vanished client raises inside the caller's try block.
+        self.wfile.flush()
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
         if self.path == "/healthz":
@@ -407,8 +411,9 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/stats":
             self._reply(200, self.service.stats())
         elif self.path == "/metrics":
-            self._reply_text(200, self.service.metrics_text(),
-                             "text/plain; version=0.0.4; charset=utf-8")
+            self._reply(200, self.service.metrics_text(),
+                        content_type="text/plain; version=0.0.4; "
+                                     "charset=utf-8")
         else:
             self._reply(404, {"error": f"unknown path {self.path!r}; "
                                        "GET /healthz, /stats, /metrics, or "

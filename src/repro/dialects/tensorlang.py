@@ -28,7 +28,7 @@ from repro.ir.analysis import (
 )
 from repro.ir.core import Operation
 from repro.ir.dialect import VARIADIC, register_dialect
-from repro.ir.passes import PatternRewriter, RewritePattern
+from repro.ir.rewrite import PatternRewriter, RewritePattern
 from repro.ir.types import TensorType
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import FrontendError
 
@@ -77,8 +77,3 @@ def tokenize(source: str) -> List[Token]:
             tokens.append(Token(kind, text, line, column))
     tokens.append(Token("eof", "", line, 1))
     return tokens
-
-
-def strip_adjacent_newlines(tokens: List[Token]) -> Iterator[Token]:
-    """Collapse runs of newline tokens (already done by tokenize)."""
-    return iter(tokens)

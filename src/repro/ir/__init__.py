@@ -68,12 +68,14 @@ from repro.ir.passes import (
     LambdaPass,
     Pass,
     PassManager,
-    PatternRewriter,
-    RewritePattern,
-    apply_patterns,
 )
 from repro.ir.printer import print_module, print_op
-from repro.ir.rewrite import WorklistRewriter, apply_patterns_worklist, is_attached
+from repro.ir.rewrite import (
+    PatternRewriter,
+    RewritePattern,
+    apply_patterns_worklist,
+    is_attached,
+)
 from repro.ir.symbols import InlinePass, SymbolTable
 from repro.ir.verifier import verify, verify_typed
 
@@ -124,10 +126,8 @@ __all__ = [
     "PassManager",
     "RewritePattern",
     "PatternRewriter",
-    "apply_patterns",
     "apply_patterns_worklist",
     "is_attached",
-    "WorklistRewriter",
     "DeadCodeElimination",
     "CommonSubexpressionElimination",
     "CanonicalizePass",

@@ -269,19 +269,6 @@ def cast() -> TransferFn:
     return transfer
 
 
-def no_results() -> TransferFn:
-    """For side-effecting ops: nothing to infer (checks live elsewhere)."""
-
-    def transfer(
-        op: Operation,
-        operands: Sequence[AbstractValue],
-        analysis: "ModuleAnalysis",
-    ) -> Sequence[AbstractValue]:
-        return []
-
-    return transfer
-
-
 # ---------------------------------------------------------------------------
 # The fixpoint engine.
 # ---------------------------------------------------------------------------

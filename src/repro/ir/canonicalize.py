@@ -8,7 +8,7 @@ Three layers, mirroring MLIR's design:
   op's single result, or a constant (Attribute / int / float / bool) that
   the driver materializes as an ``arith.constant``.  Hooks never create or
   mutate IR themselves, which keeps them cheap and composable.
-* **canonical patterns** — :class:`~repro.ir.passes.RewritePattern`
+* **canonical patterns** — :class:`~repro.ir.rewrite.RewritePattern`
   instances registered per dialect (``Dialect.add_canonical_pattern``) for
   rewrites that must build new ops (e.g. collapsing ``transpose`` chains).
 * **CanonicalizePass** — composes fold + trivial-dead-op erasure +
@@ -34,10 +34,12 @@ from repro.ir.passes import (
     CommonSubexpressionElimination,
     DeadCodeElimination,
     Pass,
+)
+from repro.ir.rewrite import (
     PatternRewriter,
     RewritePattern,
+    apply_patterns_worklist,
 )
-from repro.ir.rewrite import apply_patterns_worklist
 
 
 def constant_value(value: Value):

@@ -14,7 +14,7 @@ call ``value.replace_all_uses_with`` safely.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
 from repro.ir.attributes import Attribute, AttrLike, attr
@@ -139,14 +139,6 @@ class Operation:
         old.uses.remove((self, idx))
         self._operands[idx] = value
         value.uses.append((self, idx))
-
-    def set_operands(self, values: Sequence[Value]) -> None:
-        """Replace the whole operand list."""
-        for idx, old in enumerate(self._operands):
-            old.uses.remove((self, idx))
-        self._operands = []
-        for value in values:
-            self._append_operand(value)
 
     # -- attribute helpers ---------------------------------------------------
 
@@ -376,12 +368,3 @@ class Module:
         from repro.ir.printer import print_module
 
         return print_module(self)
-
-
-def walk_filtered(
-    root: Operation, predicate: Callable[[Operation], bool]
-) -> Iterator[Operation]:
-    """Walk ``root`` yielding only ops for which ``predicate`` holds."""
-    for op in root.walk():
-        if predicate(op):
-            yield op

@@ -1,22 +1,19 @@
-"""Pass infrastructure: passes, pipelines and a greedy rewrite driver.
+"""Pass infrastructure: passes, pipelines and the stock DCE/CSE passes.
 
 Passes transform a :class:`~repro.ir.core.Module` in place.  The
 :class:`PassManager` runs a pipeline, optionally verifying between passes,
 and records per-pass wall time (surfaced by ``basecamp compile -v``).
 
-:class:`RewritePattern` plus :func:`apply_patterns` implement MLIR's greedy
-pattern-rewrite driver: patterns are applied to every op repeatedly until a
-fixpoint (or an iteration cap) is reached.
+Greedy pattern rewriting (:class:`~repro.ir.rewrite.RewritePattern` and
+its worklist driver) lives in :mod:`repro.ir.rewrite`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
-from repro.errors import IRError
-from repro.ir.builder import Builder
-from repro.ir.core import Module, Operation, Value
+from repro.ir.core import Module, Operation
 from repro.ir.dialect import REGISTRY
 
 
@@ -30,18 +27,6 @@ class Pass:
 
     def __repr__(self) -> str:
         return f"<Pass {self.name}>"
-
-
-class FunctionPass(Pass):
-    """Runs :meth:`run_on_func` on every ``*.func`` op in the module."""
-
-    def run(self, module: Module) -> None:
-        for op in list(module.body):
-            if op.opname == "func":
-                self.run_on_func(op)
-
-    def run_on_func(self, func: Operation) -> None:  # pragma: no cover
-        raise NotImplementedError
 
 
 class LambdaPass(Pass):
@@ -83,91 +68,6 @@ class PassManager:
         for name, seconds in self.timings:
             lines.append(f"  {name:<40s} {seconds * 1e3:8.3f} ms")
         return "\n".join(lines)
-
-
-# -- greedy pattern rewriting ---------------------------------------------------
-
-
-class PatternRewriter:
-    """Mutation interface handed to patterns; records whether IR changed."""
-
-    def __init__(self) -> None:
-        self.changed = False
-
-    def builder_before(self, op: Operation) -> Builder:
-        return Builder.before(op)
-
-    def replace_op(self, op: Operation, new_values: Sequence[Value]) -> None:
-        """Replace all results of ``op`` with ``new_values`` and erase it."""
-        if len(new_values) != len(op.results):
-            raise IRError(
-                f"replace_op: {len(new_values)} values for "
-                f"{len(op.results)} results"
-            )
-        for result, value in zip(op.results, new_values):
-            result.replace_all_uses_with(value)
-        op.erase()
-        self.changed = True
-
-    def erase_op(self, op: Operation) -> None:
-        op.erase()
-        self.changed = True
-
-    def notify_changed(self) -> None:
-        self.changed = True
-
-
-class RewritePattern:
-    """One rewrite; ``match_and_rewrite`` returns True when it fired."""
-
-    # Restrict to a specific op name, or None to try every op.
-    op_name: Optional[str] = None
-
-    def match_and_rewrite(
-        self, op: Operation, rewriter: PatternRewriter
-    ) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-def apply_patterns(
-    module: Module,
-    patterns: Iterable[RewritePattern],
-    max_iterations: int = 32,
-) -> bool:
-    """Greedy full-sweep driver: apply ``patterns`` until fixpoint.
-
-    Returns True when any pattern fired.  Patterns must be confluent enough
-    to converge within ``max_iterations`` sweeps; exceeding the cap raises.
-
-    Each sweep snapshots the op list up front, so an op can be visited
-    after an *ancestor* was erased; those ops have already been detached
-    from the def-use graph (empty operand lists) and must not be offered
-    to patterns.  A plain ``op.parent is None`` check only catches the
-    erased op itself — nested ops keep their block pointers — so the
-    whole ancestor chain is verified (see :func:`repro.ir.rewrite.is_attached`).
-
-    Prefer :func:`repro.ir.rewrite.apply_patterns_worklist` for anything
-    but tiny modules: this driver re-visits every op each sweep, which is
-    O(ops x iterations) (benchmarked in ``BENCH_ir_canonicalize.json``).
-    """
-    from repro.ir.rewrite import is_attached
-
-    patterns = list(patterns)
-    changed_ever = False
-    for _ in range(max_iterations):
-        rewriter = PatternRewriter()
-        for op in list(module.walk()):
-            if op is not module.op and not is_attached(op, module.op):
-                continue  # erased (or inside an erased ancestor) this sweep
-            for pattern in patterns:
-                if pattern.op_name is not None and op.name != pattern.op_name:
-                    continue
-                if pattern.match_and_rewrite(op, rewriter):
-                    break
-        if not rewriter.changed:
-            return changed_ever
-        changed_ever = True
-    raise IRError(f"pattern application did not converge in {max_iterations} sweeps")
 
 
 # -- stock passes ----------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Worklist-driven greedy pattern rewriting.
 
-The sweep driver in :mod:`repro.ir.passes` (``apply_patterns``) re-walks
-*every* operation in the module on every iteration until a fixpoint.  That
-is O(ops x iterations): a single rewrite chain of depth D in a module of N
-ops costs O(N * D) visits.  The worklist driver here is the production
-path (MLIR's ``applyPatternsAndFoldGreedily`` works the same way):
+A :class:`RewritePattern` matches one op and mutates the IR through the
+:class:`PatternRewriter` it is handed; :func:`apply_patterns_worklist`
+applies a pattern set until fixpoint (MLIR's
+``applyPatternsAndFoldGreedily`` works the same way):
 
 * every op is enqueued exactly once up front;
 * when a pattern fires, only the ops that could now match differently are
@@ -14,9 +13,11 @@ path (MLIR's ``applyPatternsAndFoldGreedily`` works the same way):
 * detached ops (erased themselves, or inside an erased ancestor) are
   skipped when popped.
 
-``benchmarks/bench_ir_canonicalize.py`` measures the two drivers against
-each other on the same module and pattern set and records the speedup in
-``BENCH_ir_canonicalize.json``.
+The full-sweep driver this replaced re-walked every op on every
+iteration (O(ops x iterations)); it survives only as a differential
+oracle, ``tools/oracles.py::apply_patterns_sweep``, which
+``benchmarks/bench_ir_canonicalize.py`` measures this driver against
+(``BENCH_ir_canonicalize.json``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.errors import IRError
 from repro.ir.builder import Builder
 from repro.ir.core import Module, Operation, Value
-from repro.ir.passes import PatternRewriter, RewritePattern
 
 
 def is_attached(op: Operation, root: Operation) -> bool:
@@ -60,15 +60,14 @@ class _TrackingBuilder(Builder):
         return op
 
 
-class WorklistRewriter(PatternRewriter):
-    """Rewriter handed to patterns by the worklist driver.
+class PatternRewriter:
+    """Mutation interface handed to patterns.
 
-    Collects the set of operations whose match state may have changed
+    Collects the operations whose match state may have changed
     (``affected``) so the driver re-enqueues exactly those.
     """
 
     def __init__(self) -> None:
-        super().__init__()
         self.affected: List[Operation] = []
 
     def builder_before(self, op: Operation) -> Builder:
@@ -87,12 +86,32 @@ class WorklistRewriter(PatternRewriter):
                 self.affected.append(producer)
 
     def replace_op(self, op: Operation, new_values: Sequence[Value]) -> None:
+        """Replace all results of ``op`` with ``new_values`` and erase it."""
+        if len(new_values) != len(op.results):
+            raise IRError(
+                f"replace_op: {len(new_values)} values for "
+                f"{len(op.results)} results"
+            )
         self._note_neighbours(op)
-        super().replace_op(op, new_values)
+        for result, value in zip(op.results, new_values):
+            result.replace_all_uses_with(value)
+        op.erase()
 
     def erase_op(self, op: Operation) -> None:
         self._note_neighbours(op)
-        super().erase_op(op)
+        op.erase()
+
+
+class RewritePattern:
+    """One rewrite; ``match_and_rewrite`` returns True when it fired."""
+
+    # Restrict to a specific op name, or None to try every op.
+    op_name: Optional[str] = None
+
+    def match_and_rewrite(
+        self, op: Operation, rewriter: PatternRewriter
+    ) -> bool:  # pragma: no cover - abstract
+        raise NotImplementedError
 
 
 def apply_patterns_worklist(
@@ -134,7 +153,7 @@ def apply_patterns_worklist(
         # and the parent op must be re-enqueued (its body just changed).
         parent_block = op.parent
         for pattern in candidates:
-            rewriter = WorklistRewriter()
+            rewriter = PatternRewriter()
             if not pattern.match_and_rewrite(op, rewriter):
                 continue
             changed_ever = True

@@ -7,7 +7,8 @@
 * :mod:`repro.runtime.timeline` — the event-sweep core-capacity index
   behind every placement query;
 * :mod:`repro.runtime.scheduler` — offline scheduling policies (HEFT,
-  round-robin), data transfers, failure rescheduling;
+  round-robin), data transfers, the replan subgraph the engine repairs
+  failures through;
 * :mod:`repro.runtime.engine` — the event-driven runtime engine: pluggable
   policies, streaming submission, in-loop monitoring and rescheduling;
 * :mod:`repro.runtime.monitor` — cluster monitoring;
@@ -29,7 +30,6 @@ from repro.runtime.scheduler import (
     Placement,
     RoundRobinScheduler,
     ScheduleResult,
-    reschedule_after_failure,
 )
 from repro.runtime.taskgraph import (
     EverestClient,
@@ -58,7 +58,6 @@ __all__ = [
     "NodeTimeline",
     "Placement",
     "ScheduleResult",
-    "reschedule_after_failure",
     "EverestClient",
     "Future",
     "ResourceRequest",

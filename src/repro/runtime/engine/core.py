@@ -25,8 +25,7 @@ executes real work:
 * **monitoring** is in-loop: node heartbeats are recorded as the event
   clock advances, and when the :class:`~repro.runtime.monitor.ClusterMonitor`
   reports a dead node the engine automatically re-places every placement
-  lost to the failure — no offline
-  :func:`~repro.runtime.scheduler.reschedule_after_failure` call needed.
+  lost to the failure.
 """
 
 from __future__ import annotations
@@ -395,8 +394,7 @@ class RuntimeEngine:
     def _handle_failure(self, name: str, now: float) -> None:
         """Re-place all work lost to a node failure, mid-run.
 
-        Mirrors :func:`~repro.runtime.scheduler.reschedule_after_failure`:
-        tasks finished on the node before ``now`` keep their results;
+        Tasks finished on the node before ``now`` keep their results;
         everything else on the node — and every not-yet-finished task
         transitively depending on a lost output — goes back to PENDING
         and is re-dispatched on the survivors.

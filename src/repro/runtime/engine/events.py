@@ -2,11 +2,10 @@
 
 The :class:`~repro.runtime.engine.RuntimeEngine` advances a simulated
 clock from event to event.  Ties at the same timestamp are broken by a
-fixed kind priority so the semantics match the offline resource manager:
+fixed kind priority:
 
-* a task *finishing* at ``t`` survives a node failure at ``t`` (the seed
-  :func:`~repro.runtime.scheduler.reschedule_after_failure` keeps
-  ``finish <= failure_time`` results);
+* a task *finishing* at ``t`` survives a node failure at ``t``
+  (``finish <= failure_time`` results are kept);
 * failures are detected before new work is dispatched or started;
 * heartbeats observe the state *after* everything else at ``t`` happened.
 

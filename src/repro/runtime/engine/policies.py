@@ -29,7 +29,7 @@ from typing import Callable, Dict, Optional, Protocol, Tuple, Union, \
     runtime_checkable
 
 from repro.errors import RuntimeSchedulingError
-from repro.runtime.cluster import Cluster, Node
+from repro.runtime.cluster import Cluster
 from repro.runtime.scheduler import (
     HEFTScheduler,
     Placement,
@@ -69,10 +69,6 @@ class MinLoadPolicy:
 
     name = "min-load"
     online = True
-
-    def __init__(self, timeline_factory: Callable[[Node], NodeTimeline]
-                 = NodeTimeline):
-        self.timeline_factory = timeline_factory
 
     def place(self, task: Task, graph: TaskGraph, cluster: Cluster,
               timelines: Dict[str, NodeTimeline],
@@ -117,7 +113,7 @@ class MinLoadPolicy:
         if not nodes:
             raise RuntimeSchedulingError("no alive nodes")
         if timelines is None:
-            timelines = {n.name: self.timeline_factory(n) for n in nodes}
+            timelines = {n.name: NodeTimeline(n) for n in nodes}
         result = ScheduleResult()
         for task in graph.topological_order():
             now = (ready_overrides or {}).get(task.task_id, 0.0)

@@ -23,12 +23,6 @@ class UtilizationReport:
     utilization: Dict[str, float]
     imbalance: float  # max/mean busy ratio
 
-    def overloaded_nodes(self, threshold: float = 0.9) -> List[str]:
-        return [n for n, u in self.utilization.items() if u > threshold]
-
-    def idle_nodes(self, threshold: float = 0.1) -> List[str]:
-        return [n for n, u in self.utilization.items() if u < threshold]
-
 
 class ClusterMonitor:
     """Watches a cluster and its schedules."""
@@ -70,10 +64,3 @@ class ClusterMonitor:
         mean = sum(values) / len(values) if values else 0.0
         imbalance = (max(values) / mean) if mean else 1.0
         return UtilizationReport(makespan, busy, utilization, imbalance)
-
-    def vf_pressure(self) -> Dict[str, int]:
-        """Free VFs per node (drives dynamic plugging decisions)."""
-        return {
-            name: node.libvirt.getInfo().free_vfs
-            for name, node in self.cluster.nodes.items()
-        }

@@ -209,10 +209,6 @@ class CandidateIndex:
                 self._pos[index] = pos
                 self._key_of[index] = key
 
-    @property
-    def class_keys(self) -> List[ClassKey]:
-        return list(self._class_members)
-
     def representative(self, key: ClassKey) -> Node:
         return self.nodes[self._class_members[key][0]]
 

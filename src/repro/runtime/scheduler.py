@@ -13,8 +13,7 @@ scheduling benchmark compares against).  Both implement the
 :class:`~repro.runtime.engine.SchedulingPolicy` protocol, so they plug
 directly into the event-driven :class:`~repro.runtime.engine.RuntimeEngine`,
 which executes duty (4) — monitoring and mid-run rescheduling — in its
-event loop.  :func:`reschedule_after_failure` remains as the offline
-repair helper for callers that hold a finished schedule.
+event loop, re-planning lost work through :func:`build_replan_subgraph`.
 
 Placement queries go through the event-sweep
 :class:`~repro.runtime.timeline.NodeTimeline` index; pass
@@ -73,14 +72,6 @@ class ScheduleResult:
                 + placement.duration
         return busy
 
-    def load_balance(self) -> float:
-        """Max/mean busy-time ratio (1.0 = perfectly balanced)."""
-        busy = list(self.node_busy_seconds().values())
-        if not busy:
-            return 1.0
-        mean = sum(busy) / len(busy)
-        return max(busy) / mean if mean else 1.0
-
 
 def _task_runtime(task: Task, node: Node) -> float:
     """Execution time of a task on a node, honouring resource requests."""
@@ -113,38 +104,21 @@ def _unplaceable(task: Task) -> RuntimeSchedulingError:
     )
 
 
-# Kept as the seed-compatible internal name; the engine and benchmarks
-# import the public class from repro.runtime.timeline.
-_NodeTimeline = NodeTimeline
-
-
 class HEFTScheduler:
     """Heterogeneous-Earliest-Finish-Time list scheduling.
 
-    Two placement engines share the same semantics (identical placements
-    on any graph, enforced differentially by ``tools/workloadfuzz.py``):
-
-    * ``incremental=True`` (the default) — the pruned candidate search
-      of :class:`~repro.runtime.placement.CandidateIndex`: per-class
-      cost models and cached first-fit bounds, invalidated only for
-      nodes a commit touched, so a task evaluates a handful of nodes
-      instead of all of them;
-    * ``incremental=False`` — the exhaustive per-task scan over every
-      alive node, kept as the differential baseline and measured against
-      the incremental engine by ``make bench-runtime``.
-
-    A custom ``timeline_factory`` whose product lacks the
-    ``first_fit``/``version`` bound interface silently falls back to the
-    exhaustive scan.
+    Placement is the pruned candidate search of
+    :class:`~repro.runtime.placement.CandidateIndex`: per-class cost
+    models and cached first-fit bounds, invalidated only for nodes a
+    commit touched, so a task evaluates a handful of nodes instead of
+    all of them.  The exhaustive per-task scan it replaced lives on as
+    the differential oracle ``tools/oracles.py::ScanHEFT`` (identical
+    placements on any graph, enforced by ``tools/workloadfuzz.py`` and
+    measured by ``make bench-runtime``).
     """
 
     name = "heft"
     online = False
-
-    def __init__(self, timeline_factory: Callable[[Node], NodeTimeline]
-                 = NodeTimeline, incremental: bool = True):
-        self.timeline_factory = timeline_factory
-        self.incremental = incremental
 
     def schedule(self, graph: TaskGraph, cluster: Cluster,
                  ready_overrides: Optional[Dict[int, float]] = None,
@@ -159,66 +133,20 @@ class HEFTScheduler:
         # Respect dependencies: stable-sort by rank but never before deps.
         order = self._dependency_respecting(order, graph)
         if timelines is None:
-            timelines = {n.name: self.timeline_factory(n) for n in nodes}
+            timelines = {n.name: NodeTimeline(n) for n in nodes}
         result = ScheduleResult()
-        incremental = self.incremental and all(
-            hasattr(timelines[n.name], "first_fit") for n in nodes)
-        if incremental:
-            self._place_incremental(order, graph, cluster, nodes,
-                                    timelines, ready_overrides, result)
-        else:
-            self._place_scan(order, graph, cluster, nodes, timelines,
-                             ready_overrides, result)
+        self._place(order, graph, cluster, nodes, timelines,
+                    ready_overrides, result)
         return result
 
-    def _place_scan(self, order: List[Task], graph: TaskGraph,
-                    cluster: Cluster, nodes: List[Node],
-                    timelines: Dict[str, NodeTimeline],
-                    ready_overrides: Optional[Dict[int, float]],
-                    result: ScheduleResult) -> None:
-        """The exhaustive baseline: evaluate every node for every task."""
-        for task in order:
-            best: Optional[Placement] = None
-            best_comm = 0.0
-            for node in nodes:
-                runtime = _task_runtime(task, node)
-                if runtime == float("inf") or not _can_host(task, node):
-                    continue
-                ready = (ready_overrides or {}).get(task.task_id, 0.0)
-                comm = 0.0
-                for dep in task.deps:
-                    dep_placement = result.placements[dep]
-                    transfer = cluster.transfer_seconds(
-                        dep_placement.node, node.name,
-                        graph.tasks[dep].output_bytes,
-                    )
-                    comm += transfer
-                    ready = max(ready, dep_placement.finish + transfer)
-                start = timelines[node.name].earliest_start(
-                    ready, runtime, task.resources.cores
-                )
-                candidate = Placement(task.task_id, node.name, start,
-                                      start + runtime,
-                                      task.resources.cores)
-                if best is None or candidate.finish < best.finish:
-                    best = candidate
-                    best_comm = comm
-            if best is None:
-                raise _unplaceable(task)
-            timelines[best.node].commit(best.start, best.duration,
-                                        task.resources.cores)
-            result.placements[task.task_id] = best
-            result.transfers_seconds += best_comm
-        return
+    def _place(self, order: List[Task], graph: TaskGraph,
+               cluster: Cluster, nodes: List[Node],
+               timelines: Dict[str, NodeTimeline],
+               ready_overrides: Optional[Dict[int, float]],
+               result: ScheduleResult) -> None:
+        """Pruned candidate search; placements identical to a full scan.
 
-    def _place_incremental(self, order: List[Task], graph: TaskGraph,
-                           cluster: Cluster, nodes: List[Node],
-                           timelines: Dict[str, NodeTimeline],
-                           ready_overrides: Optional[Dict[int, float]],
-                           result: ScheduleResult) -> None:
-        """Pruned candidate search; placements identical to the scan.
-
-        The exhaustive loop keeps the first node (in cluster order) with
+        An exhaustive loop keeps the first node (in cluster order) with
         the strictly smallest finish — the lexicographic minimum of
         ``(finish, cluster index)``.  Candidates arrive here ordered by
         a lower bound on exactly that key, so evaluation stops at the
@@ -327,7 +255,6 @@ class HEFTScheduler:
             placements[task.task_id] = Placement(
                 task.task_id, node.name, start, start + runtime, cores)
             result.transfers_seconds += comm
-        return
 
     def _upward_ranks(self, graph: TaskGraph, cluster: Cluster,
                       tasks: List[Task]) -> Dict[int, float]:
@@ -401,10 +328,6 @@ class RoundRobinScheduler:
     name = "round-robin"
     online = False
 
-    def __init__(self, timeline_factory: Callable[[Node], NodeTimeline]
-                 = NodeTimeline):
-        self.timeline_factory = timeline_factory
-
     def schedule(self, graph: TaskGraph, cluster: Cluster,
                  ready_overrides: Optional[Dict[int, float]] = None,
                  timelines: Optional[Dict[str, NodeTimeline]] = None
@@ -413,7 +336,7 @@ class RoundRobinScheduler:
         if not nodes:
             raise RuntimeSchedulingError("no alive nodes")
         if timelines is None:
-            timelines = {n.name: self.timeline_factory(n) for n in nodes}
+            timelines = {n.name: NodeTimeline(n) for n in nodes}
         result = ScheduleResult()
         index = 0
         for task in graph.topological_order():
@@ -453,14 +376,14 @@ def build_replan_subgraph(graph: TaskGraph, subset: set,
                           finish_of: Callable[[int], float]):
     """A planning subgraph for re-placing ``subset`` of ``graph``.
 
-    Shared by the offline repair helper and the engine's dispatcher.
-    Dependencies inside the subset become subgraph edges (so the policy
-    models their data transfers per candidate node); dependencies
-    outside it are folded into per-task ready times via ``finish_of``,
-    floored at ``ready_floor``.  Cross-boundary edges therefore bound
-    the start by the producer's *finish* only — the eventual placement
-    node isn't known while planning, so their transfer time is not
-    charged (the seed repair helper made the same approximation).
+    The engine's dispatcher plans through this, for first placement and
+    failure repair alike.  Dependencies inside the subset become
+    subgraph edges (so the policy models their data transfers per
+    candidate node); dependencies outside it are folded into per-task
+    ready times via ``finish_of``, floored at ``ready_floor``.
+    Cross-boundary edges therefore bound the start by the producer's
+    *finish* only — the eventual placement node isn't known while
+    planning, so their transfer time is not charged.
 
     Returns ``(subgraph, id_map, ready_overrides)`` with ``id_map``
     mapping original task ids to subgraph ids.
@@ -483,65 +406,3 @@ def build_replan_subgraph(graph: TaskGraph, subset: set,
                 ready_time = max(ready_time, finish_of(dep))
         ready[future.task_id] = ready_time
     return subgraph, id_map, ready
-
-
-def reschedule_after_failure(graph: TaskGraph, cluster: Cluster,
-                             schedule: ScheduleResult, failed_node: str,
-                             failure_time: float,
-                             scheduler: Optional[HEFTScheduler] = None
-                             ) -> ScheduleResult:
-    """Monitoring reaction (§VI-A item 4): re-place work lost to a failure.
-
-    Tasks that *finished* on the failed node before the failure keep their
-    results; unfinished or future tasks on that node — and everything
-    transitively depending on lost outputs — are rescheduled on the
-    surviving nodes, no earlier than the failure time.
-
-    This is the offline repair path for callers holding a finished
-    schedule.  The :class:`~repro.runtime.engine.RuntimeEngine` performs
-    the same repair automatically, mid-run, when its monitor detects a
-    failure.
-    """
-    scheduler = scheduler or HEFTScheduler()
-    cluster.fail_node(failed_node)
-    try:
-        lost: set = set()
-        for task_id, placement in schedule.placements.items():
-            if placement.node == failed_node \
-                    and placement.finish > failure_time:
-                lost.add(task_id)
-        # Anything depending on a lost task must rerun too.
-        changed = True
-        while changed:
-            changed = False
-            for task in graph.tasks.values():
-                if task.task_id in lost:
-                    continue
-                if any(dep in lost for dep in task.deps):
-                    lost.add(task.task_id)
-                    changed = True
-        survivors = {
-            tid: p for tid, p in schedule.placements.items()
-            if tid not in lost
-        }
-        subgraph, id_map, ready = build_replan_subgraph(
-            graph, lost, failure_time,
-            lambda dep: survivors[dep].finish,
-        )
-        repaired = scheduler.schedule(subgraph, cluster, ready)
-        merged = ScheduleResult(
-            placements=dict(survivors),
-            transfers_seconds=schedule.transfers_seconds
-            + repaired.transfers_seconds,
-            rescheduled_tasks=len(lost),
-        )
-        reverse = {v: k for k, v in id_map.items()}
-        for new_id, placement in repaired.placements.items():
-            original = reverse[new_id]
-            merged.placements[original] = Placement(
-                original, placement.node, placement.start, placement.finish,
-                placement.cores
-            )
-        return merged
-    finally:
-        cluster.restore_node(failed_node)

@@ -65,10 +65,6 @@ class NodeTimeline:
         self._levels.insert(i, level)
         return i
 
-    def usage_at(self, t: float) -> int:
-        i = bisect_right(self._times, t) - 1
-        return self._levels[i] if i >= 0 else 0
-
     def peak_usage(self, t0: float, t1: float) -> int:
         """Peak core usage over ``[t0, t1)``."""
         if not self._times:
@@ -194,7 +190,3 @@ class NodeTimeline:
         i = bisect_right(self._by_end, (now, math.inf, 0))
         return sum((e - max(s, now)) * c
                    for e, s, c in self._by_end[i:])
-
-    @property
-    def last_end(self) -> float:
-        return self._times[-1] if self._times else 0.0

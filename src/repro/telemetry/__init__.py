@@ -13,8 +13,7 @@ pieces, all stdlib-only and near-free when disabled:
   gauges and fixed-bucket histograms (Prometheus-style naming); the
   serve daemon's ``/stats`` and ``GET /metrics`` are both views of it.
 * :mod:`repro.telemetry.export` — Chrome trace-event JSON (loads in
-  Perfetto), Prometheus text exposition, and a
-  :class:`~repro.pipeline.report.PipelineReport`-compatible summary.
+  Perfetto) and Prometheus text exposition.
 
 See ``docs/observability.md`` for the span model and naming rules.
 """
@@ -47,7 +46,6 @@ from repro.telemetry.trace import (
 from repro.telemetry.export import (
     chrome_trace,
     prometheus_text,
-    report_from_spans,
     write_chrome_trace,
 )
 
@@ -72,7 +70,6 @@ __all__ = [
     "kv",
     "prometheus_text",
     "resolve_level",
-    "report_from_spans",
     "set_tracer",
     "write_chrome_trace",
 ]

@@ -1,6 +1,6 @@
-"""Telemetry exporters: Chrome trace-event JSON, Prometheus text, report.
+"""Telemetry exporters: Chrome trace-event JSON and Prometheus text.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event format (the ``{"traceEvents": [...]}`` JSON object);
@@ -13,16 +13,17 @@ Three consumers, three formats:
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` + samples); the serve daemon's
   ``GET /metrics`` body.
-* :func:`report_from_spans` — a
-  :class:`~repro.pipeline.report.PipelineReport` rebuilt from stage
-  spans, so report-consuming code works against a trace too.
+
+Stage timings are not rebuilt from spans: the always-on
+:class:`~repro.pipeline.report.PipelineReport` is the one stage timing
+record; the span tree is the tracing view of the same run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from repro.telemetry.metrics import (
     Counter,
@@ -31,9 +32,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.trace import VIRTUAL, Span, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.pipeline.report import PipelineReport
 
 #: Synthetic pid hosting virtual-clock spans in the Chrome trace; the
 #: real process uses pid 1 (trace files are self-contained, so the
@@ -198,30 +196,3 @@ def prometheus_text(*registries: MetricsRegistry) -> str:
                         f"{metric.name}_count{_labels_src(labels)} "
                         f"{metric.count(**labels)}")
     return "\n".join(lines) + "\n"
-
-
-# -- PipelineReport compatibility --------------------------------------------
-
-
-def report_from_spans(
-        spans: Union[Tracer, Iterable[Span]]) -> "PipelineReport":
-    """Rebuild a :class:`~repro.pipeline.report.PipelineReport` from
-    stage-category spans (the ``PipelineSession`` instrumentation), so
-    existing report consumers (``summary()``, ``as_dict()``, the CLI's
-    stage table) keep working against a trace."""
-    from repro.pipeline.report import PipelineReport
-
-    if isinstance(spans, Tracer):
-        spans = spans.spans()
-    report = PipelineReport()
-    for span in spans:
-        if span.category != "stage":
-            continue
-        name = span.name.split(":", 1)[1] if ":" in span.name else span.name
-        cached = bool(span.attrs.get("cached"))
-        report.record(name, 0.0 if cached else span.duration,
-                      cached=cached,
-                      parallel=bool(span.attrs.get("parallel")),
-                      detail=str(span.attrs.get("detail") or ""),
-                      aux=bool(span.attrs.get("aux")))
-    return report

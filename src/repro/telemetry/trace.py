@@ -279,9 +279,3 @@ def enable(tracer: Optional[Tracer] = None) -> Tracer:
 def disable() -> None:
     """Restore the no-op tracer."""
     set_tracer(NULL_TRACER)
-
-
-def _annotate(span: SpanLike, **attrs: AttrValue) -> None:
-    """Set several attributes at once (no-op on the null span)."""
-    for key, value in attrs.items():
-        span.set(key, value)

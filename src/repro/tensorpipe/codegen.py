@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -318,9 +318,7 @@ class AffineCompiler:
             sub = ", ".join(indices) if indices else "()"
             self._emit(f"{buffer}[{sub}] = {value}")
             return
-        template = self._compute_template(op, vector=False)
-        if template is None:
-            raise UnsupportedAffineOp(f"cannot compile op {name}")
+        template = self._compute_src(op, self._operand_src, vector=False)
         var = self._fresh()
         self._emit(f"{var} = {template}")
         self.expr[op.results[0]] = var
@@ -339,20 +337,22 @@ class AffineCompiler:
             self._emit_block_scalar(body)
         self.indent -= 1
 
-    def _operand_src(self, value: Value, vector: bool,
-                     ctx: Optional[Dict[Value, Tuple[str, str]]] = None) -> str:
-        if ctx is not None and value in ctx:
-            return ctx[value][0]
+    def _operand_src(self, value: Value) -> str:
+        """Scalar-context expression for an operand."""
         if value in self.expr:
             return self.expr[value]
         raise UnsupportedAffineOp("operand defined outside compiled scope")
 
-    def _compute_template(self, op: Operation, vector: bool,
-                          ctx: Optional[Dict[Value, Tuple[str, str]]] = None
-                          ) -> Optional[str]:
-        """Source expression for a pure compute op, or None if unknown."""
+    def _compute_src(self, op: Operation,
+                     resolve: Callable[[Value], str], vector: bool) -> str:
+        """Source expression for a pure compute op.
+
+        ``resolve`` maps an operand to its expression in the calling
+        context (scalar statement or vectorized nest body); ``vector``
+        picks the numpy-array form of the ops that have one.
+        """
         name = op.name
-        ops = [self._operand_src(o, vector, ctx) for o in op.operands]
+        ops = [resolve(o) for o in op.operands]
         if name in _BINOP_SRC:
             template = _BINOP_SRC[name][1 if vector else 0]
             return template.format(a=ops[0], b=ops[1])
@@ -385,7 +385,7 @@ class AffineCompiler:
             if vector:
                 return f"np.asarray({ops[0]}).astype({dtype})"
             return f"{dtype}({ops[0]})"
-        return None
+        raise UnsupportedAffineOp(f"cannot compile op {name}")
 
     # -- nest vectorization ---------------------------------------------------
 
@@ -636,7 +636,7 @@ class AffineCompiler:
                         emit_body(f"{buffer}[{', '.join(parts)}] "
                                   f"= {value_expr}")
                     continue
-                template = self._vector_compute(op, value_src)
+                template = self._compute_src(op, value_src, vector=True)
                 var = self._fresh()
                 emit_body(f"{var} = {template}")
                 ctx[op.results[0]] = (var, "vec")
@@ -662,34 +662,6 @@ class AffineCompiler:
         self.lines.extend(loop_lines)  # sequential reduction loops
         self.lines.extend(body_lines)  # vectorized body
         return True
-
-    def _vector_compute(self, op: Operation, resolve) -> str:
-        name = op.name
-        ops = [resolve(o) for o in op.operands]
-        if name in _BINOP_SRC:
-            return _BINOP_SRC[name][1].format(a=ops[0], b=ops[1])
-        if name in ("arith.cmpf", "arith.cmpi"):
-            cmp = _CMP_SRC.get(op.attr("predicate"))
-            if cmp is None:
-                raise UnsupportedAffineOp(
-                    f"unknown predicate {op.attr('predicate')!r}")
-            return f"({ops[0]} {cmp} {ops[1]})"
-        if name == "arith.select":
-            return f"np.where({ops[0]}, {ops[1]}, {ops[2]})"
-        if name == "arith.negf":
-            return f"(-{ops[0]})"
-        if name in _MATH_SRC:
-            return f"{_MATH_SRC[name]}({ops[0]})"
-        if name == "arith.index_cast":
-            return ops[0]
-        if name == "arith.sitofp":
-            return f"np.asarray({ops[0]}).astype(np.float64)"
-        if name == "arith.fptosi":
-            return f"np.asarray({ops[0]}).astype(np.int64)"
-        if name in ("arith.truncf", "arith.extf"):
-            dtype = _DTYPE_SRC.get(str(op.results[0].type), "np.float64")
-            return f"np.asarray({ops[0]}).astype({dtype})"
-        raise UnsupportedAffineOp(f"cannot vectorize op {name}")
 
 
 # -- FLOP accounting ---------------------------------------------------------
@@ -735,12 +707,6 @@ def compile_cache_stats() -> Tuple[int, int]:
 
 
 _CACHE_HITS = [0]
-
-
-def clear_compile_cache() -> None:
-    with _CACHE_LOCK:
-        _COMPILE_CACHE.clear()
-        _CACHE_HITS[0] = 0
 
 
 def _static_flops(func: Operation) -> int:

@@ -1,4 +1,7 @@
-"""Tests for the pass manager, DCE, CSE and the rewrite driver."""
+"""Tests for the pass manager, DCE, CSE and the rewrite drivers."""
+
+import os
+import sys
 
 import pytest
 
@@ -12,10 +15,16 @@ from repro.ir import (
     PassManager,
     PatternRewriter,
     RewritePattern,
-    apply_patterns,
+    apply_patterns_worklist,
     build_func,
     types as T,
 )
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "tools")
+)
+
+from oracles import apply_patterns_sweep  # noqa: E402
 
 
 def _func_with_body(op_count=0):
@@ -110,6 +119,11 @@ class _FoldDoubleNeg(RewritePattern):
 
 
 class TestRewriteDriver:
+    """Driver behaviour every greedy driver must show; runs against the
+    production worklist driver here and the sweep oracle below."""
+
+    driver = staticmethod(apply_patterns_worklist)
+
     def test_greedy_fixpoint(self):
         m = Module()
         b = Builder.at_end(m.body)
@@ -119,21 +133,21 @@ class TestRewriteDriver:
         n3 = b.create("test.neg", [n2], [T.f64]).result
         n4 = b.create("test.neg", [n3], [T.f64]).result
         use = b.create("test.use", [n4], [])
-        changed = apply_patterns(m, [_FoldDoubleNeg()])
+        changed = self.driver(m, [_FoldDoubleNeg()])
         assert changed
         # neg(neg(neg(neg(x)))) -> x
         assert use.operands[0] is x
 
     def test_no_match_returns_false(self):
         m = Module()
-        assert apply_patterns(m, [_FoldDoubleNeg()]) is False
+        assert self.driver(m, [_FoldDoubleNeg()]) is False
 
     def test_skips_ops_nested_in_erased_ancestor(self):
-        """Regression: erasing a region op mid-sweep must not offer its
-        (detached, operand-stripped) nested ops to later patterns.
+        """Regression: erasing a region op must not offer its (detached,
+        operand-stripped) nested ops to later patterns.
 
-        The old guard only checked ``op.parent is None``, which holds for
-        the erased op itself but not for ops inside its regions — those
+        A guard that only checks ``op.parent is None`` holds for the
+        erased op itself but not for ops inside its regions — those
         keep their block pointers while ``drop_all_references`` empties
         their operand lists, so a pattern touching ``op.operands[0]``
         blew up with an IndexError.
@@ -165,6 +179,10 @@ class TestRewriteDriver:
                 seen_inner.append(op.operands[0])  # IndexError if detached
                 return False
 
-        assert apply_patterns(m, [EraseWrapper(), TouchInner()])
+        assert self.driver(m, [EraseWrapper(), TouchInner()])
         assert seen_inner == []  # the nested op was never offered
         assert len(m.body) == 0
+
+
+class TestSweepOracleDriver(TestRewriteDriver):
+    driver = staticmethod(apply_patterns_sweep)

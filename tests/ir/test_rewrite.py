@@ -1,5 +1,8 @@
 """Tests for the worklist-driven rewrite driver (repro.ir.rewrite)."""
 
+import os
+import sys
+
 import pytest
 
 from repro.errors import IRError
@@ -8,7 +11,6 @@ from repro.ir import (
     Module,
     PatternRewriter,
     RewritePattern,
-    apply_patterns,
     apply_patterns_worklist,
     build_func,
     canonical_pattern_set,
@@ -16,6 +18,12 @@ from repro.ir import (
     print_module,
     types as T,
 )
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "tools")
+)
+
+from oracles import apply_patterns_sweep  # noqa: E402
 
 
 class _FoldDoubleNeg(RewritePattern):
@@ -86,7 +94,8 @@ class TestWorklistDriver:
         fb.create("func.return", [v])
 
         sweep, worklist = m.clone(), m.clone()
-        apply_patterns(sweep, canonical_pattern_set(), max_iterations=64)
+        apply_patterns_sweep(sweep, canonical_pattern_set(),
+                             max_iterations=64)
         apply_patterns_worklist(worklist, canonical_pattern_set())
         assert print_module(sweep) == print_module(worklist)
 

@@ -14,7 +14,6 @@ from repro.runtime import (
     ResourceRequest,
     RoundRobinScheduler,
     default_cluster,
-    reschedule_after_failure,
 )
 from repro.runtime.virtualization import (
     EMULATED_OVERHEAD,
@@ -124,20 +123,30 @@ class TestScheduling:
 
 class TestFailureRecovery:
     def test_lost_tasks_rescheduled_off_failed_node(self):
-        cluster = default_cluster(3)
-        client = EverestClient(cluster)
-        _diamond_graph(client)
-        schedule = client.compute()
+        """The engine's in-loop repair (§VI-A duty 4): a node failure
+        injected mid-run re-places the lost work on the survivors."""
+        baseline_client = EverestClient(default_cluster(3))
+        _diamond_graph(baseline_client)
+        schedule = baseline_client.compute()
         victim = next(iter(schedule.node_busy_seconds()))
         fail_time = schedule.makespan * 0.25
-        repaired = reschedule_after_failure(
-            client.graph, cluster, schedule, victim, fail_time
-        )
+
+        cluster = default_cluster(3)
+        client = EverestClient(cluster)
+        final = _diamond_graph(client)
+        client.engine.fail_node_at(fail_time, victim)
+        repaired = client.compute()
+        assert repaired.rescheduled_tasks > 0
         for placement in repaired.placements.values():
             if placement.node == victim:
                 assert placement.finish <= fail_time
         assert repaired.makespan >= schedule.makespan * 0.5
-        assert cluster.node(victim).alive  # restored afterwards
+        assert final.result() == 4  # (1 + 1) + (1 * 2), reruns included
+        # The failure is a real event, not a what-if: the node stays
+        # down until the operator restores it.
+        assert not cluster.node(victim).alive
+        cluster.restore_node(victim)
+        assert cluster.node(victim).alive
 
 
 class TestMonitor:

@@ -5,6 +5,9 @@ the policy protocol, streaming submission, in-loop monitoring, and the
 failure-handling edge cases of §VI-A duty 4.
 """
 
+import os
+import sys
+
 import pytest
 
 from repro.errors import RuntimeSchedulingError
@@ -24,6 +27,12 @@ from repro.runtime import (
     resolve_policy,
     synthetic_workflow,
 )
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+)
+
+from oracles import ScanHEFT  # noqa: E402
 
 
 def _assert_capacity_respected(schedule, cluster):
@@ -649,8 +658,7 @@ class TestIncrementalHEFTEquivalence:
         graph = self._graph(400, seed=2)
         cluster = default_cluster(24)
         self._assert_same(HEFTScheduler().schedule(graph, cluster),
-                          HEFTScheduler(incremental=False)
-                          .schedule(graph, cluster))
+                          ScanHEFT().schedule(graph, cluster))
 
     def test_identical_on_heterogeneous_cluster_with_fpga_tasks(self):
         nodes = [Node(name=f"n{i}", cores=[4, 8, 16, 32][i % 4],
@@ -660,8 +668,7 @@ class TestIncrementalHEFTEquivalence:
         cluster = Cluster(nodes)
         graph = self._graph(300, seed=4, fpga_fraction=0.3)
         self._assert_same(HEFTScheduler().schedule(graph, cluster),
-                          HEFTScheduler(incremental=False)
-                          .schedule(graph, cluster))
+                          ScanHEFT().schedule(graph, cluster))
 
     def test_identical_with_ready_overrides_and_warm_timelines(self):
         graph = self._graph(120, seed=6)
@@ -679,7 +686,6 @@ class TestIncrementalHEFTEquivalence:
             HEFTScheduler().schedule(graph, cluster,
                                      ready_overrides=ready,
                                      timelines=warm()),
-            HEFTScheduler(incremental=False)
-            .schedule(graph, cluster, ready_overrides=ready,
-                      timelines=warm()),
+            ScanHEFT().schedule(graph, cluster, ready_overrides=ready,
+                                timelines=warm()),
         )

@@ -7,7 +7,9 @@ in-flight compiles, and admission-control rejection (429 + Retry-After)
 when the executor saturates.
 """
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.basecamp.serve import (
+    MAX_BODY_BYTES,
     BasecampServer,
     BasecampService,
     ServiceSaturated,
@@ -202,6 +205,41 @@ class TestHTTP:
         assert second == first
         _, stats = get(server.url, "/stats")
         assert stats["cache"]["hits"] > 0
+
+    def test_keep_alive_replies_do_not_stall(self, server):
+        """Regression: headers and body left as two TCP segments, so
+        every reply on a persistent connection waited out Nagle plus
+        the client's ~40 ms delayed ACK."""
+        connection = http.client.HTTPConnection(*server.address, timeout=30)
+        body = json.dumps({"source": ADD})
+        latencies = []
+        try:
+            for _ in range(4):
+                for method, path, data in (("GET", "/healthz", None),
+                                           ("GET", "/metrics", None),
+                                           ("POST", "/compile", body)):
+                    started = time.perf_counter()
+                    connection.request(method, path, data)
+                    response = connection.getresponse()
+                    response.read()
+                    latencies.append(time.perf_counter() - started)
+                    assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.025
+
+    def test_oversized_body_413_closes_connection(self, server):
+        connection = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            connection.putrequest("POST", "/compile")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            assert "too large" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
 
     def test_single_flight_dedups_identical_inflight_compiles(self):
         session = PipelineSession()

@@ -38,7 +38,6 @@ from repro.telemetry.export import (
     WALL_PID,
     chrome_trace,
     prometheus_text,
-    report_from_spans,
     write_chrome_trace,
 )
 from repro.telemetry.log import (
@@ -352,20 +351,6 @@ class TestPrometheusText:
         text = prometheus_text(first, second)
         assert text.count("# TYPE shared_total counter") == 1
         assert "shared_total 1" in text  # first registry wins
-
-
-class TestReportFromSpans:
-    def test_stage_spans_rebuild_pipeline_report(self):
-        tracer = enable()
-        session = PipelineSession()
-        session.lower(ADD)
-        report = report_from_spans(tracer)
-        assert report.events  # stage spans became report events
-        stage_names = {event.stage for event in report.events}
-        assert stage_names <= {s.name.split(":", 1)[1]
-                               for s in tracer.spans()
-                               if s.category == "stage"}
-        assert "stage events" in report.summary()
 
 
 # -- integrations ------------------------------------------------------------

@@ -29,7 +29,8 @@ invariant suite of :func:`check_invariants`:
   :mod:`repro.runtime.engine.events`);
 * **incremental ≡ baseline HEFT** — the pruned placement index
   (:mod:`repro.runtime.placement`) and the exhaustive per-node scan
-  produce bitwise-identical schedules on the case's static graph;
+  (``oracles.ScanHEFT``, next to this file) produce bitwise-identical
+  schedules on the case's static graph;
 * **makespan monotonicity** — doubling the cluster (same node classes,
   so HEFT's rank order is unchanged) never makes the HEFT makespan
   worse by more than :data:`MONOTONICITY_SLACK` (list schedulers are
@@ -62,6 +63,8 @@ from repro.runtime.engine.policies import POLICIES
 from repro.runtime.scheduler import HEFTScheduler
 from repro.runtime.taskgraph import ResourceRequest, TaskGraph
 from repro.runtime.timeline import NodeTimeline
+
+from oracles import ScanHEFT  # tools/ is on sys.path (script dir or tests)
 
 # Allowed relative makespan regression when the cluster is doubled
 # (Graham anomaly headroom for HEFT's non-preemptive list scheduling).
@@ -339,8 +342,7 @@ def check_incremental_heft(case: WorkloadCase) -> None:
     tag = f"seed {case.seed}"
     graph = static_graph(case)
     incremental = HEFTScheduler().schedule(graph, build_cluster(case))
-    baseline = HEFTScheduler(incremental=False).schedule(
-        graph, build_cluster(case))
+    baseline = ScanHEFT().schedule(graph, build_cluster(case))
     assert set(incremental.placements) == set(baseline.placements), \
         f"{tag}: incremental HEFT placed a different task set"
     for index, placement in baseline.placements.items():
