@@ -137,9 +137,9 @@ coverage:
 
 # Ruff is non-blocking: warnings are reported but never fail the build,
 # and a missing ruff is tolerated (the container may not ship it).  The
-# mypy gate on the analysis + arena planner modules and the telemetry
-# package IS blocking when mypy is available: those files stay fully
-# annotated and clean.
+# mypy gate on the analysis, arena planner and nest plan modules and the
+# telemetry package IS blocking when mypy is available: those files stay
+# fully annotated and clean.
 lint:
 	-@$(PYTHON) -m ruff check src tests benchmarks tools examples \
 		2>/dev/null || echo "lint: ruff unavailable or reported" \
@@ -148,6 +148,7 @@ lint:
 		$(PYTHON) -m mypy --follow-imports=silent \
 			--ignore-missing-imports --strict-equality \
 			src/repro/ir/analysis.py src/repro/tensorpipe/arena.py \
+			src/repro/tensorpipe/nestplan.py \
 			src/repro/telemetry/trace.py \
 			src/repro/telemetry/metrics.py \
 			src/repro/telemetry/export.py \

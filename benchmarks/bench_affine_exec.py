@@ -14,8 +14,9 @@ claim on the CPU across the whole backend registry:
 * ``parallel`` — the same fused module through ``compiled-parallel``
   with >= 2 workers vs. serial ``compiled`` on a large kernel: tiling
   must win (cache-resident chunks + GIL-released numpy overlap);
-* ``cbackend`` — the generated-C backend: native speedup when a C
-  compiler exists, otherwise the recorded fallback reason;
+* ``cbackend`` — the generated-C backend: fused, buffer-contracted
+  native code (>= 5x over numpy on the chain) when a C compiler
+  exists, otherwise the recorded fallback reason;
 * ``arena`` — the statically planned ``compiled-arena`` backend: all
   intermediates live in one liveness-planned arena
   (:mod:`repro.tensorpipe.arena`), bitwise-identical to ``compiled``
@@ -260,10 +261,17 @@ def test_cbackend_runs_or_records_fallback(chain_case):
         "numpy_seconds": round(serial_seconds, 6),
         "c_seconds": round(native_seconds, 6),
         "speedup_vs_numpy": round(speedup, 2),
+        "fused_groups": native.fused_groups,
+        "contracted_buffers": native.contracted_buffers,
+        "arena_bytes": native.arena_bytes,
         "bitwise_identical": True,
     })
     print(f"\n  cbackend: numpy {serial_seconds * 1e3:.2f}ms, C "
           f"{native_seconds * 1e3:.2f}ms ({speedup:.2f}x)")
+    # Fused and contracted, the C no longer materialises the chain's
+    # intermediates (ROADMAP item 2 target; 2.64x before the nest plan).
+    assert speedup >= 5.0, \
+        f"generated C must beat numpy by 5x on the chain ({speedup:.2f}x)"
 
 
 def test_arena_backend_is_bitwise_with_planned_footprint(chain_case):

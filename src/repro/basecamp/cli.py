@@ -166,10 +166,13 @@ def _cmd_run(args) -> int:
     note = f" [fell back: {kernel.fallback}]" if kernel.fallback else ""
     arena = f", arena={kernel.arena_bytes}B/{kernel.arena_slots} slots" \
         if kernel.arena_bytes else ""
+    nests = (f"{kernel.fused_groups} fused group(s) / "
+             f"{kernel.contracted_buffers} contracted buffer(s)"
+             if kernel.backend == "cbackend" else
+             f"{kernel.vectorized_nests} vectorized / "
+             f"{kernel.scalar_nests} scalar nest(s)")
     print(f"kernel {kernel.func_name}: backend={kernel.backend} "
-          f"({kernel.vectorized_nests} vectorized / "
-          f"{kernel.scalar_nests} scalar nest(s), {kernel.flops} flops"
-          f"{arena}){note}")
+          f"({nests}, {kernel.flops} flops{arena}){note}")
     for name, value in result.outputs.items():
         value = np.asarray(value)
         flat = np.array2string(value.ravel()[:6], precision=6,

@@ -34,7 +34,7 @@ widths via ``element_bytes``) and the Olympus PLM-sharing solver
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -135,7 +135,7 @@ def _first_fit(placed: List[ArenaSlot], start: int, end: int,
 
 
 def _top_level_index(op: Operation,
-                     stmt_index: Dict[int, int]) -> Optional[int]:
+                     stmt_index: Mapping[int, int]) -> Optional[int]:
     """Entry-block statement index of the nest containing ``op``."""
     current: Optional[Operation] = op
     while current is not None:
@@ -153,6 +153,8 @@ def plan_arena(
     func: Operation,
     *,
     element_bytes: Optional[Callable[[T.Type], int]] = None,
+    order: Optional[Mapping[int, int]] = None,
+    skip: Collection[int] = (),
 ) -> ArenaPlan:
     """Plan one arena for the top-level ``memref.alloc`` ops of ``func``.
 
@@ -162,16 +164,25 @@ def plan_arena(
     active number format's widths.  Allocs with non-static shapes (or
     nested inside loops, whose lifetime is per-iteration) receive no
     slot and keep their private allocation.
+
+    An executor that does not run the entry block statement by statement
+    passes ``order``: ``id(statement) -> execution step``, statements
+    that run interleaved (one fused loop) sharing a step, so their
+    buffers are live together and never share bytes.  ``skip`` holds
+    the ``id`` of allocs that need no slot (contracted away).
     """
     width = element_bytes or default_element_bytes
     entry = func.regions[0].entry
     statements = list(entry.operations)
-    stmt_index = {id(op): i for i, op in enumerate(statements)}
+    stmt_index = order if order is not None else \
+        {id(op): i for i, op in enumerate(statements)}
 
     plan = ArenaPlan(func_name=str(func.attr("sym_name") or "<func>"))
     for index, op in enumerate(statements):
-        if op.name != "memref.alloc":
+        if op.name != "memref.alloc" or (skip and id(op) in skip):
             continue
+        if order is not None:
+            index = order[id(op)]
         ref = op.results[0].type
         if not isinstance(ref, T.MemRefType):
             continue

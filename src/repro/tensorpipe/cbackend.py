@@ -6,7 +6,11 @@ system C compiler into a shared object, and binds it through
 :mod:`ctypes`.  This is the SDK's "kernel library" rung (the hardware
 backends emit HLS C++ from the same affine module; sailfish-style
 Python-defined device kernels are the exemplar): zero numpy dispatch
-overhead, one fused pass over memory per nest.
+overhead, and the loop structure of :mod:`repro.tensorpipe.nestplan` —
+same-bounds loops fused, intermediates that live inside one fused loop
+contracted to per-iteration locals, everything else at offsets of one
+arena that ``repro_kernel`` allocates per call (it returns non-zero
+when that fails, and the run raises).
 
 Bitwise contract
 ----------------
@@ -28,15 +32,17 @@ contract as the numpy backends, which constrains the emitted C:
   NaN-propagating ``(a >= b || a != a) ? a : b``, and negative gather
   indices wrap once like numpy's.
 
-Cache poisoning guard
----------------------
-Artifacts live in a content-addressed on-disk cache (``key.so``).  The
-compiler writes source and object to dot-prefixed temporaries and
-installs with an atomic ``os.replace``; a ``cc`` crash mid-build leaves
-*nothing* under the final name, so a later process can never load a
-truncated artifact.  ``REPRO_CBACKEND_CACHE`` overrides the cache
-directory, ``REPRO_CC`` the compiler (both used by the regression
-tests); with no compiler on PATH every compile cleanly falls back.
+Artifact cache
+--------------
+Artifacts live in an on-disk cache keyed by what they are built from
+(C source, flags, compiler), so an emitter change can never load an
+object the old emitter built.  The compiler writes source and object
+to dot-prefixed temporaries and installs with an atomic ``os.replace``;
+a ``cc`` crash mid-build leaves *nothing* under the final name, so a
+later process can never load a truncated artifact.
+``REPRO_CBACKEND_CACHE`` overrides the cache directory, ``REPRO_CC``
+the compiler (both used by the regression tests); with no compiler on
+PATH every compile cleanly falls back.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +70,7 @@ from repro.tensorpipe.codegen import (
     _static_flops,
     compile_numpy,
 )
+from repro.tensorpipe.nestplan import Item, NestPlan, Stmt, plan_nests
 
 _CTYPE = {
     "f64": "double", "f32": "float", "i64": "int64_t", "i32": "int32_t",
@@ -130,15 +137,14 @@ class CEmitter:
         if self.func.attr("kernel_lang") != "affine":
             raise EverestError(f"{func_name} is not an affine-level function")
         self.supported = supported
+        self.plan: NestPlan = plan_nests(self.func)
         self.lines: List[str] = []
         self.indent = 1
         self.counter = 0
         self.expr: Dict[Value, str] = {}
         self.ctype: Dict[Value, str] = {}
-        # Value -> (var, shape tuple, element ctype) for memref buffers.
-        self.buffers: Dict[Value, Tuple[str, Tuple[int, ...], str]] = {}
+        self.buffers: Dict[Value, str] = {}    # memref -> C variable
         self.nonneg: set = set()       # values provably >= 0 (loop IVs)
-        self.allocs: List[str] = []
 
     def _fresh(self, prefix: str = "v") -> str:
         self.counter += 1
@@ -148,100 +154,119 @@ class CEmitter:
         self.lines.append("    " * self.indent + text)
 
     def _ct(self, value: Value) -> str:
-        ct = _CTYPE.get(str(value.type))
+        """The C type of a scalar value, or of a buffer's elements."""
+        ty = getattr(value.type, "element", value.type)
+        ct = _CTYPE.get(str(ty))
         if ct is None:
-            raise UnsupportedAffineOp(
-                f"no C type for {value.type}")
+            raise UnsupportedAffineOp(f"no C type for {ty}")
         return ct
 
     def generate(self) -> str:
         entry = self.func.regions[0].entry
-        self.lines = [_HELPERS, "void repro_kernel(void **args) {"]
+        plan = self.plan
+        self.lines = [_HELPERS, "int repro_kernel(void **args) {"]
         for i, arg in enumerate(entry.args):
-            ref = arg.type
-            ct = _CTYPE.get(str(ref.element))
-            if ct is None:
-                raise UnsupportedAffineOp(f"no C type for {ref.element}")
             var = f"a{i}"
+            ct = self._ct(arg)
             self._emit(f"{ct} *{var} = ({ct} *) args[{i}];")
-            self.buffers[arg] = (var, tuple(ref.shape), ct)
-        for op in entry.operations:
-            self._emit_op(op)
-        for var in self.allocs:
-            self._emit(f"free({var});")
+            self.buffers[arg] = var
+        # One allocation per call, never static: the daemon runs one
+        # cached kernel from several threads at once.
+        if plan.arena.slots:
+            self._emit(f"char *arena = (char *) "
+                       f"malloc({max(plan.arena.total_bytes, 1)});")
+            self._emit("if (!arena) return 1;")
+        for item in plan.items:
+            self._emit_item(item)
+        if plan.arena.slots:
+            self._emit("free(arena);")
+        self._emit("return 0;")
         self.lines.append("}")
         return "\n".join(self.lines) + "\n"
+
+    # -- plan items ------------------------------------------------------------
+
+    def _emit_item(self, item: Item) -> None:
+        if isinstance(item, Stmt):
+            self._emit_op(item.op)
+            return
+        lower, upper, step = item.bounds
+        if step is None or step <= 0:
+            raise UnsupportedAffineOp(f"non-positive loop step {step}")
+        var = self._fresh("i")
+        for iv in item.ivs:
+            self.expr[iv] = var
+            self.ctype[iv] = "int64_t"
+            self.nonneg.add(iv)
+        self._emit(f"for (int64_t {var} = {lower}; {var} < {upper}; "
+                   f"{var} += {step}) {{")
+        self.indent += 1
+        for buffer in item.locals:
+            self._emit_local(buffer)
+        for inner in item.body:
+            self._emit_item(inner)
+        self.indent -= 1
+        self._emit("}")
+
+    def _emit_local(self, buffer: Value) -> None:
+        """A contracted buffer: its per-iteration slice as a C local."""
+        kept = self.plan.kept_dims(buffer)
+        count = 1
+        for d in kept:
+            count *= buffer.type.shape[d]
+        var = self._fresh("t")
+        extent = f"[{max(count, 1)}]" if kept else ""
+        zero = "" if buffer not in self.plan.zeroed \
+            else " = {0}" if extent else " = 0"
+        self._emit(f"{self._ct(buffer)} {var}{extent}{zero};")
+        self.buffers[buffer] = var
 
     # -- per-op emission -----------------------------------------------------
 
     def _emit_op(self, op: Operation) -> None:
         name = op.name
-        if name in ("affine.yield", "func.return"):
-            return
-        if name == "affine.for":
-            lower, upper = op.attr("lower"), op.attr("upper")
-            step = op.attr("step")
-            if step is None or step <= 0:
-                raise UnsupportedAffineOp(f"non-positive loop step {step}")
-            iv = op.regions[0].entry.args[0]
-            var = self._fresh("i")
-            self.expr[iv] = var
-            self.ctype[iv] = "int64_t"
-            self.nonneg.add(iv)
-            self._emit(f"for (int64_t {var} = {lower}; {var} < {upper}; "
-                       f"{var} += {step}) {{")
-            self.indent += 1
-            for inner in op.regions[0].entry.operations:
-                self._emit_op(inner)
-            self.indent -= 1
-            self._emit("}")
-            return
         if name == "memref.alloc":
-            ref = op.results[0].type
-            ct = _CTYPE.get(str(ref.element))
-            if ct is None:
-                raise UnsupportedAffineOp(f"no C type for {ref.element}")
-            count = 1
-            for dim in ref.shape:
-                count *= dim
+            buffer = op.results[0]
+            if buffer in self.plan.contracted:
+                return      # declared inside its group
+            slot = self.plan.arena.op_slots.get(id(op))
+            if slot is None:
+                raise UnsupportedAffineOp(
+                    "memref.alloc outside the static arena plan")
+            ct = self._ct(buffer)
             var = self._fresh("buf")
-            # calloc zero-fills: identical to the np.zeros the numpy
-            # backends allocate (all-zero bits are +0.0 / 0 / false).
-            self._emit(f"{ct} *{var} = ({ct} *) calloc({max(count, 1)}, "
-                       f"sizeof({ct}));")
-            self.buffers[op.results[0]] = (var, tuple(ref.shape), ct)
-            self.allocs.append(var)
+            self._emit(f"{ct} *{var} = ({ct} *) (arena + {slot.offset});")
+            if buffer in self.plan.zeroed and slot.size:
+                self._emit(f"memset({var}, 0, {slot.size});")
+            self.buffers[buffer] = var
             return
         if name == "memref.copy":
             src, dst = op.operands[0], op.operands[1]
             if src not in self.buffers or dst not in self.buffers:
                 raise UnsupportedAffineOp("copy of unknown buffer")
-            svar, shape, ct = self.buffers[src]
-            dvar = self.buffers[dst][0]
-            count = 1
-            for dim in shape:
-                count *= dim
-            self._emit(f"memcpy({dvar}, {svar}, "
-                       f"{max(count, 1)} * sizeof({ct}));")
+            self._emit(f"memcpy({self.buffers[dst]}, {self.buffers[src]}, "
+                       f"{src.type.num_elements()} * "
+                       f"sizeof({self._ct(src)}));")
             return
         if name == "memref.load":
-            buffer = op.operands[0]
-            if buffer not in self.buffers:
-                raise UnsupportedAffineOp("load from unknown buffer")
+            result = op.results[0]
+            forwarded = self.plan.forwards.get(id(op))
+            if forwarded is not None:
+                self.expr[result] = self._operand(forwarded)
+                self.ctype[result] = self.ctype[forwarded]
+                return
             var = self._fresh()
-            ct = self._ct(op.results[0])
-            index = self._flat_index(buffer, list(op.operands[1:]))
-            self._emit(f"{ct} {var} = {self.buffers[buffer][0]}[{index}];")
-            self.expr[op.results[0]] = var
-            self.ctype[op.results[0]] = ct
+            ct = self._ct(result)
+            element = self._element(op.operands[0], op.operands[1:])
+            self._emit(f"{ct} {var} = {element};")
+            self.expr[result] = var
+            self.ctype[result] = ct
             return
         if name == "memref.store":
             value, buffer = op.operands[0], op.operands[1]
-            if buffer not in self.buffers:
-                raise UnsupportedAffineOp("store to unknown buffer")
-            bvar, _, ct = self.buffers[buffer]
-            index = self._flat_index(buffer, list(op.operands[2:]))
-            self._emit(f"{bvar}[{index}] = ({ct})({self._operand(value)});")
+            element = self._element(buffer, op.operands[2:])
+            self._emit(f"{element} = ({self._ct(buffer)})"
+                       f"({self._operand(value)});")
             return
         if name == "arith.constant":
             self._emit_constant(op)
@@ -278,26 +303,28 @@ class CEmitter:
             raise UnsupportedAffineOp("operand defined outside C scope")
         return expr
 
-    def _flat_index(self, buffer: Value, indices: List[Value]) -> str:
-        _, shape, _ = self.buffers[buffer]
+    def _element(self, buffer: Value, indices: Sequence[Value]) -> str:
+        """The C lvalue of one buffer element (row-major; a contracted
+        buffer is indexed by its kept dimensions only)."""
+        var = self.buffers.get(buffer)
+        if var is None:
+            raise UnsupportedAffineOp("access to unknown buffer")
+        shape = buffer.type.shape
         if len(indices) != len(shape):
             raise UnsupportedAffineOp("rank-mismatched memory access")
-        if not indices:
-            return "0"
-        strides = []
-        acc = 1
-        for dim in reversed(shape):
-            strides.append(acc)
-            acc *= dim
-        strides.reverse()
+        kept = self.plan.kept_dims(buffer)
+        if not kept and buffer in self.plan.contracted:
+            return var      # contracted to a scalar
         parts = []
-        for value, dim, stride in zip(indices, shape, strides):
-            expr = self._operand(value)
-            if value not in self.nonneg:
+        stride = 1
+        for d in reversed(kept):
+            expr = self._operand(indices[d])
+            if indices[d] not in self.nonneg:
                 # numpy wraps one negative step (gather indices).
-                expr = f"repro_wrap({expr}, {dim})"
+                expr = f"repro_wrap({expr}, {shape[d]})"
             parts.append(expr if stride == 1 else f"({expr}) * {stride}")
-        return " + ".join(parts)
+            stride *= shape[d]
+        return f"{var}[{' + '.join(reversed(parts)) or '0'}]"
 
     def _compute(self, op: Operation) -> str:
         name = op.name
@@ -389,16 +416,42 @@ _CC_RUNS = get_registry().counter(
     "C-backend shared-object builds by outcome", ("result",))
 
 
-def compile_shared_object(cc: str, source: str, key: str) -> str:
+#: Everything but the source and the compiler that decides what a
+#: shared object contains.  No ``-ffast-math`` / ``-march=native``:
+#: the bitwise contract with numpy rules them out.
+_CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _cc_identity(cc: str) -> str:
+    """The compiler binary behind ``cc``: its resolved path, size and
+    mtime (an upgraded compiler must not reuse the old one's objects)."""
+    path = os.path.realpath(shutil.which(cc) or cc)
+    try:
+        info = os.stat(path)
+    except OSError:
+        return path
+    return f"{path}:{info.st_size}:{info.st_mtime_ns}"
+
+
+def compile_shared_object(cc: str, source: str,
+                          attrs: Optional[Mapping[str, object]] = None
+                          ) -> str:
     """Compile ``source`` into ``<cache>/<key>.so``; atomic install.
+
+    ``key`` fingerprints what the object is built *from* (the C source,
+    the flags, the compiler), never the IR module it was generated for:
+    an emitter change yields a new source and so a new artifact, and a
+    warm cache directory cannot hand back a binary built by older code.
 
     Source and object are written to dot-prefixed temporaries and moved
     into place with ``os.replace`` only after ``cc`` succeeded, so a
     failed build can never leave a partial artifact under the final
     name (cache-poisoning guard).  Raises :class:`CCompileError` on
-    failure, with all temporaries removed.
+    failure, with all temporaries removed.  ``attrs`` are recorded on
+    the ``cbackend.cc`` span when tracing is on.
     """
     directory = cache_dir()
+    key = fingerprint("cbackend-so", source, _CC_FLAGS, _cc_identity(cc))
     so_path = os.path.join(directory, f"{key}.so")
     if os.path.exists(so_path):
         _CC_RUNS.inc(result="cached")
@@ -409,12 +462,11 @@ def compile_shared_object(cc: str, source: str, key: str) -> str:
     try:
         with open(tmp_c, "w") as handle:
             handle.write(source)
-        command = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-                   "-o", tmp_so, tmp_c, "-lm"]
+        command = [cc, *_CC_FLAGS, "-o", tmp_so, tmp_c, "-lm"]
         tracer = get_tracer()
         with tracer.span("cbackend.cc", category="compile") as span:
             if tracer.enabled:
-                span.attrs.update(cc=cc, key=key)
+                span.attrs.update(attrs or {}, cc=cc, key=key)
             try:
                 proc = subprocess.run(command, capture_output=True,
                                       text=True)
@@ -452,7 +504,7 @@ def _load_kernel(so_path: str):
             lib = ctypes.CDLL(so_path)
             fn = lib.repro_kernel
             fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-            fn.restype = None
+            fn.restype = ctypes.c_int       # non-zero: arena malloc failed
             _LOADED[so_path] = fn
         return fn
 
@@ -523,7 +575,7 @@ def probe_supported(cc: str) -> Optional[FrozenSet[str]]:
         f"        case {i}: {_PROBE_BODIES[name]} break;"
         for i, name in enumerate(names))
     source = (_HELPERS + f"""
-void repro_kernel(void **args) {{
+int repro_kernel(void **args) {{
     const double *a = (const double *) args[0];
     const double *b = (const double *) args[1];
     double *out = (double *) args[2];
@@ -532,12 +584,12 @@ void repro_kernel(void **args) {{
     for (int64_t i = 0; i < n; ++i) switch (op) {{
 {cases}
     }}
+    return 0;
 }}
 """)
-    key = fingerprint("cbackend-probe", source)
     supported: Optional[FrozenSet[str]]
     try:
-        so_path = compile_shared_object(cc, source, key)
+        so_path = compile_shared_object(cc, source)
         fn = _load_kernel(so_path)
         a, b = _probe_inputs()
         out = np.empty_like(a)
@@ -601,12 +653,18 @@ class CBackend:
             return self._fallback(module, func_name, cache,
                                   f"probe build failed under {cc!r}")
         try:
-            source = CEmitter(module, func_name, supported).generate()
+            emitter = CEmitter(module, func_name, supported)
+            source = emitter.generate()
         except UnsupportedAffineOp as error:
             return self._fallback(module, func_name, cache, str(error))
+        plan = emitter.plan
+        arena_bytes = plan.arena.total_bytes
+        facts = {"arena_bytes": arena_bytes,
+                 "arena_slots": len(plan.arena.slots),
+                 "fused_groups": plan.fused_groups,
+                 "contracted_buffers": len(plan.contracted)}
         try:
-            so_path = compile_shared_object(cc, source, key)
-            fn = _load_kernel(so_path)
+            fn = _load_kernel(compile_shared_object(cc, source, facts))
         except (CCompileError, OSError) as error:
             return self._fallback(module, func_name, cache, str(error))
         func = module.lookup(func_name)
@@ -614,12 +672,15 @@ class CBackend:
         def runner(buffers):
             ptrs = (ctypes.c_void_p * len(buffers))(
                 *[buffer.ctypes.data for buffer in buffers])
-            fn(ptrs)
+            if fn(ptrs):
+                raise EverestError(
+                    f"cbackend: {func_name} could not allocate its "
+                    f"{arena_bytes}-byte arena")
 
         return CompiledKernel(
             func_name=func_name, backend="cbackend", source=source,
             key=key, flops=_static_flops(func),
-            _func=func, _runner=runner,
+            _func=func, _runner=runner, **facts,
         )
 
     @staticmethod

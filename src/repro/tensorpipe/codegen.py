@@ -171,6 +171,8 @@ class CompiledKernel:
     tileable_nests: int = 0
     arena_bytes: int = 0
     arena_slots: int = 0
+    fused_groups: int = 0
+    contracted_buffers: int = 0
     fallback: str = ""
     _func: Optional[Operation] = field(default=None, repr=False)
     _fn: Optional[object] = field(default=None, repr=False)

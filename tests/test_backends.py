@@ -12,6 +12,7 @@ mid-build can never poison the on-disk artifact cache.
 import os
 import stat
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,8 +29,11 @@ from repro.tensorpipe.backends import (
     registered_backends,
     resolve_backend,
 )
+from repro.pipeline import PipelineSession
+from repro.telemetry.trace import disable, enable
 from repro.tensorpipe.cbackend import (
     CBackend,
+    CEmitter,
     clear_cbackend_cache,
     find_cc,
     probe_supported,
@@ -326,8 +330,6 @@ class TestParallel:
         assert sorted(out) == sorted(out2)
 
     def test_session_execute_accepts_jobs(self):
-        from repro.pipeline.session import PipelineSession
-
         session = PipelineSession()
         rng = np.random.default_rng(9)
         inputs = {"a": rng.normal(size=(23, 3)),
@@ -338,6 +340,27 @@ class TestParallel:
                               backend="interpreter")
         np.testing.assert_array_equal(got.outputs["out"],
                                       ref.outputs["out"])
+
+
+# Small inputs and output, one absurdly large intermediate: rows of t
+# are gathered from, so t stays in the arena (2**50 bytes, more than
+# the address space) and malloc must fail.
+ARENA_HOG = """
+kernel hog {
+  index i: 4, h: 35184372088832
+  input a[i]: i64
+  input idx[i]: i64
+  output out
+  t = a + h
+  out = t[i, idx]
+}
+"""
+ARENA_HOG_INPUTS = {"a": np.arange(4), "idx": np.array([3, 0, 2, 1])}
+
+
+def needs_working_cc():
+    if find_cc() is None or probe_supported(find_cc()) is None:
+        pytest.skip("no working C compiler on this host")
 
 
 @pytest.fixture
@@ -435,8 +458,7 @@ kernel k {
                                       expected["c"])
 
     def test_disk_cache_reused_across_instances(self, isolated_cbackend):
-        if find_cc() is None or probe_supported(find_cc()) is None:
-            pytest.skip("no working C compiler on this host")
+        needs_working_cc()
         func_name, module = lower_optimized(GOLDEN["elementwise"])
         first = CBackend().compile(module, func_name)
         assert first.backend == "cbackend"
@@ -447,6 +469,112 @@ kernel k {
         second = CBackend().compile(module.clone(), func_name)
         assert second.backend == "cbackend"
         assert second.key == first.key
+
+    def test_artifact_is_keyed_by_source_not_by_module(
+            self, isolated_cbackend, monkeypatch):
+        """Regression: ``<key>.so`` was keyed by the input module, so a
+        changed emitter kept loading what the old one had built."""
+        needs_working_cc()
+        func_name, module = lower_optimized(GOLDEN["elementwise"])
+        inputs = golden_inputs("elementwise")
+        first = CBackend().compile(module, func_name)
+        np.testing.assert_array_equal(
+            first.run(inputs)["c"], inputs["a"] * inputs["b"] + 2.0)
+        generate = CEmitter.generate
+        monkeypatch.setattr(
+            CEmitter, "generate",
+            lambda self: generate(self).replace("(2.0)", "(3.0)"))
+        clear_cbackend_cache()
+        second = CBackend().compile(module, func_name)
+        assert second.key == first.key and second.source != first.source
+        np.testing.assert_array_equal(
+            second.run(inputs)["c"], inputs["a"] * inputs["b"] + 3.0)
+        objects = [name for name in os.listdir(isolated_cbackend)
+                   if name.endswith(".so")]
+        assert len(objects) == 3    # the probe and one per source
+
+    def test_arena_allocation_failure_raises(self, isolated_cbackend):
+        needs_working_cc()
+        session = PipelineSession()
+        with pytest.raises(EverestError, match="could not allocate"):
+            session.execute(ARENA_HOG, ARENA_HOG_INPUTS, backend="cbackend")
+        # ... and the process is alive to run the next kernel.
+        inputs = golden_inputs("elementwise")
+        result = session.execute(GOLDEN["elementwise"], inputs,
+                                 backend="cbackend")
+        np.testing.assert_array_equal(
+            result.outputs["c"], inputs["a"] * inputs["b"] + 2.0)
+
+    def test_concurrent_runs_of_one_kernel_are_bitwise(self):
+        """The arena is per call: threads sharing one cached kernel (the
+        daemon) must not share scratch memory."""
+        needs_working_cc()
+        source = """
+kernel k {
+  index i: 20000, j: 8
+  input a[i, j]: f64
+  input b[i, j]: f64
+  output t
+  output out
+  t = a * b + a
+  out = sum[j](t * b - a)
+}
+"""
+        func_name, module = lower_optimized(source)
+        kernel = compile_affine(module, func_name, backend="cbackend")
+        assert kernel.backend == "cbackend" and kernel.arena_bytes > 0
+        rng = np.random.default_rng(5)
+        cases = [{"a": rng.normal(size=(20000, 8)),
+                  "b": rng.normal(size=(20000, 8))} for _ in range(4)]
+        reference = compile_affine(module, func_name, backend="compiled")
+        expected = [reference.run(case) for case in cases]
+        failures = []
+
+        def worker(index):
+            for _ in range(6):
+                got = kernel.run(cases[index % 4])
+                want = expected[index % 4]
+                if not all(np.array_equal(got[name], want[name])
+                           for name in want):
+                    failures.append(index)
+
+        threads = [threading.Thread(target=worker, args=(index,))
+                   for index in range(2 * (os.cpu_count() or 2) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_cc_span_carries_the_plan(self, isolated_cbackend):
+        needs_working_cc()
+        func_name, module = lower_optimized(GOLDEN["chain"])
+        tracer = enable()
+        try:
+            kernel = CBackend().compile(module, func_name, cache=False)
+        finally:
+            disable()
+        attrs = [span.attrs for span in tracer.spans()
+                 if span.name == "cbackend.cc"][-1]
+        assert kernel.backend == "cbackend" and kernel.fused_groups == 1
+        for fact in ("arena_bytes", "arena_slots", "fused_groups",
+                     "contracted_buffers"):
+            assert attrs[fact] == getattr(kernel, fact)
+
+    def test_fuzz_exec_200_seeds_through_cbackend(self):
+        """200 random kernels, generated C vs. interpreter, bit-for-bit
+        at opt levels 0/1/2 (a probe-rejected libm op is a recorded
+        fallback, still checked bitwise)."""
+        from irfuzz import check_executor
+
+        for seed in range(200):
+            check_executor(seed, backend="cbackend")
 
     def test_gather_wraps_negative_semantics(self, isolated_cbackend):
         # Golden gather uses in-range indices; the emitted C must match
@@ -471,6 +599,18 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "backend=compiled-parallel" in out
+
+    def test_run_cbackend_prints_the_plan(self, tmp_path, capsys):
+        needs_working_cc()
+        from repro.basecamp.cli import main
+
+        source = tmp_path / "k.ekl"
+        source.write_text(GOLDEN["contraction"])
+        assert main(["run", str(source), "--random-seed", "1",
+                     "--backend", "cbackend", "--time"]) == 0
+        out = capsys.readouterr().out
+        assert "backend=cbackend (1 fused group(s) / " in out
+        assert "contracted buffer(s), " in out and "arena=32B/1 slots" in out
 
     def test_run_unknown_backend_lists_available(self, tmp_path, capsys):
         from repro.basecamp.cli import main

@@ -197,6 +197,36 @@ class TestHTTP:
         assert status == 400
         assert "error" in body
 
+    def test_arena_allocation_failure_is_a_400_not_a_dead_worker(
+            self, server):
+        """A kernel whose arena cannot be allocated gets an error reply;
+        the C function reports failure instead of writing through NULL,
+        and the daemon goes on serving."""
+        from repro.tensorpipe.cbackend import find_cc, probe_supported
+
+        if find_cc() is None or probe_supported(find_cc()) is None:
+            pytest.skip("no working C compiler on this host")
+        hog = """
+kernel hog {
+  index i: 4, h: 35184372088832
+  input a[i]: i64
+  input idx[i]: i64
+  output out
+  t = a + h
+  out = t[i, idx]
+}
+"""
+        status, body, _ = post(server.url, "execute", {
+            "source": hog, "backend": "cbackend",
+            "inputs": {"a": [0, 1, 2, 3], "idx": [3, 0, 2, 1]}})
+        assert status == 400
+        assert "could not allocate" in body["error"]
+        status, body, _ = post(server.url, "execute", {
+            "source": ADD, "backend": "cbackend", "random_seed": 0})
+        assert status == 200 and body["backend"] == "cbackend"
+        _, stats = get(server.url, "/stats")
+        assert stats["server"]["errors"] == 1 and stats["server"]["ok"] == 1
+
     def test_cache_shared_across_requests(self, server):
         status, first, _ = post(server.url, "compile", {"source": ADD})
         assert status == 200
