@@ -3,10 +3,11 @@
 This is the static-analysis substrate behind the typed verifier and the
 arena memory planner (ROADMAP item 3).  It propagates :class:`AbstractValue`
 lattice elements — ``(shape, dtype, const)``, each component either a known
-fact or ``None`` for "unknown" — forward through a module until a fixpoint
-is reached, running each registered op's *transfer function* (the
-``transfer=`` hook on :class:`repro.ir.dialect.OpDef`) to compute result
-abstracts from operand abstracts.
+fact or ``None`` for "unknown" — forward through a module in one pass (see
+:func:`analyze_module` for when it repeats), running each registered op's
+*transfer function* (the ``transfer=`` hook on
+:class:`repro.ir.dialect.OpDef`) to compute result abstracts from operand
+abstracts.
 
 The lattice is deliberately simple:
 
@@ -27,8 +28,9 @@ whole module.  Ops without a registered transfer (e.g. the fuzzer's
 ``fuzz.*`` dialect) fall back to their declared result types unchecked.
 
 Entry points: :func:`analyze_module` (returns a :class:`ModuleAnalysis`
-mapping every SSA value to its abstract) and, layered on top in
-:mod:`repro.ir.verifier`, ``verify_typed``.
+mapping every SSA value to its abstract) and, in :mod:`repro.ir.verifier`,
+``verify_typed``, which calls :func:`transfer_op` from the structural
+verifier's own traversal.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import IRError
 from repro.ir import types as T
 from repro.ir.core import Module, Operation, Value
-from repro.ir.dialect import REGISTRY, DialectRegistry
+from repro.ir.dialect import REGISTRY, DialectRegistry, OpDef
 
 Shape = Tuple[Optional[int], ...]
 
@@ -52,9 +54,8 @@ Shape = Tuple[Optional[int], ...]
 #: alloc's definition so the reliance is explicit rather than implicit.
 MEMREF_ALLOC_ZERO_INIT: int = 0
 
-#: Fixpoint iteration bound.  The IR is structured (no loop-carried SSA
-#: values), so one pass normally suffices and the second confirms stability;
-#: the bound only guards against pathological future dialects.
+#: Bound on the passes :func:`analyze_module` repeats over IR that reads a
+#: value before its definition (def-before-use IR takes exactly one).
 _MAX_ITERATIONS: int = 8
 
 
@@ -73,10 +74,6 @@ class AbstractValue:
     @property
     def rank(self) -> Optional[int]:
         return None if self.shape is None else len(self.shape)
-
-    @property
-    def is_scalar(self) -> Optional[bool]:
-        return None if self.shape is None else self.shape == ()
 
     def join(self, other: "AbstractValue") -> "AbstractValue":
         """Least upper bound: keep only facts both sides agree on."""
@@ -163,7 +160,11 @@ class ModuleAnalysis:
     """Result of :func:`analyze_module`: abstracts for every SSA value."""
 
     values: Dict[Value, AbstractValue] = field(default_factory=dict)
-    iterations: int = 0
+    #: Passes made over the module (1 unless ``early_reads``).
+    iterations: int = 1
+    #: Ops whose transfer function was handed an operand no pass had
+    #: written yet (a use before its def); 0 on verified IR.
+    early_reads: int = 0
 
     def of(self, value: Value) -> AbstractValue:
         return self.values.get(value, TOP)
@@ -270,109 +271,103 @@ def cast() -> TransferFn:
 
 
 # ---------------------------------------------------------------------------
-# The fixpoint engine.
+# The forward engine.
 # ---------------------------------------------------------------------------
 
 
 def analyze_module(
-    module: Module,
-    registry: Optional[DialectRegistry] = None,
-    *,
-    check: bool = True,
+    module: Module, registry: Optional[DialectRegistry] = None
 ) -> ModuleAnalysis:
-    """Run the abstract interpreter over ``module`` to a fixpoint.
+    """Run the abstract interpreter over ``module``.
 
-    With ``check=True`` (the default) every inferred result abstract is
-    compared against the op's declared result type — mismatched ranks,
-    extents or dtypes raise :class:`AnalysisError` with the op's path.
-    This is the typed layer ``verify_typed`` adds on top of the structural
-    verifier.
+    One forward pass is the fixpoint whenever every operand is defined
+    before it is read (what the structural verifier proves): a transfer
+    function sees only the op and the operand abstracts it is handed, and
+    each value is written once per pass, so a second pass would recompute
+    the same facts from the same inputs.  Only when a pass read a value
+    before writing it (IR :func:`~repro.ir.verifier.verify` rejects) are
+    passes repeated until one changes nothing.
+
+    Every inferred result abstract is compared against the op's declared
+    result type — mismatched ranks, extents or dtypes raise
+    :class:`AnalysisError` with the op's path.
     """
-    reg = registry if registry is not None else REGISTRY
+    opdefs = (registry if registry is not None else REGISTRY).opdefs
     analysis = ModuleAnalysis()
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        analysis.iterations = iteration
-        if not _visit_op(module.op, reg, analysis, check):
+    _visit_op(module.op, opdefs, analysis)
+    while analysis.early_reads:
+        if analysis.iterations == _MAX_ITERATIONS:
+            raise AnalysisError(
+                f"analysis did not converge after {_MAX_ITERATIONS} iterations"
+            )
+        analysis.iterations += 1
+        before = dict(analysis.values)
+        _visit_op(module.op, opdefs, analysis)
+        if analysis.values == before:
             break
-    else:  # pragma: no cover - guarded by the structured-IR invariant
-        raise AnalysisError(
-            f"analysis did not converge after {_MAX_ITERATIONS} iterations"
-        )
     return analysis
 
 
 def _visit_op(
-    op: Operation,
-    registry: DialectRegistry,
-    analysis: ModuleAnalysis,
-    check: bool,
-) -> bool:
-    operands = [analysis.of(operand) for operand in op.operands]
-    opdef = registry.opdef_for(op)
+    op: Operation, opdefs: Dict[str, OpDef], analysis: ModuleAnalysis
+) -> None:
+    transfer_op(op, opdefs.get(op.name), analysis)
+    for region in op.regions:
+        for block in region.blocks:
+            for arg in block.args:
+                analysis.values[arg] = from_type(arg.type)
+            for inner in block.operations:
+                _visit_op(inner, opdefs, analysis)
+
+
+def transfer_op(
+    op: Operation, opdef: Optional[OpDef], analysis: ModuleAnalysis
+) -> None:
+    """Record the abstracts of ``op``'s results (not of its regions): the
+    registered transfer function applied to the operand abstracts, met
+    with the declared result types."""
+    values = analysis.values
     inferred: Optional[Sequence[AbstractValue]] = None
     if opdef is not None and opdef.transfer is not None:
+        operands = list(map(values.get, op._operands))
+        if None in operands:
+            analysis.early_reads += 1
+            operands = [TOP if a is None else a for a in operands]
         try:
             inferred = opdef.transfer(op, operands, analysis)
         except AnalysisError as err:
             raise AnalysisError(f"{op_path(op)}: {err}") from None
-    changed = False
     for idx, result in enumerate(op.results):
-        declared = from_type(result.type)
-        abstract = TOP
+        abstract = from_type(result.type)
         if inferred is not None and idx < len(inferred):
-            abstract = inferred[idx]
-        if check:
-            _check_declared(op, idx, abstract, declared)
-        refined = _refine(abstract, declared)
-        if analysis.values.get(result) != refined:
-            analysis.values[result] = refined
-            changed = True
-    for region in op.regions:
-        for block in region.blocks:
-            for arg in block.args:
-                seeded = from_type(arg.type)
-                if analysis.values.get(arg) != seeded:
-                    analysis.values[arg] = seeded
-                    changed = True
-            for inner in block.operations:
-                changed |= _visit_op(inner, registry, analysis, check)
-    return changed
+            abstract = _meet(op, idx, inferred[idx], abstract)
+        values[result] = abstract
 
 
-def _refine(inferred: AbstractValue, declared: AbstractValue) -> AbstractValue:
-    """Meet of inferred facts with the declared type (already checked)."""
-    if inferred.shape is None:
-        shape = declared.shape
-    elif declared.shape is None or len(declared.shape) != len(inferred.shape):
-        shape = inferred.shape
-    else:
-        shape = tuple(
-            i if i is not None else d
-            for i, d in zip(inferred.shape, declared.shape)
-        )
-    return AbstractValue(
-        shape, inferred.dtype or declared.dtype, inferred.const
-    )
-
-
-def _check_declared(
+def _meet(
     op: Operation, idx: int, inferred: AbstractValue, declared: AbstractValue
-) -> None:
-    if inferred.shape is not None and declared.shape is not None:
-        if len(inferred.shape) != len(declared.shape):
+) -> AbstractValue:
+    """Meet of the inferred facts with the declared type of result ``idx``;
+    a fact the two disagree on raises."""
+    shape = inferred.shape
+    if shape is None:
+        shape = declared.shape
+    elif declared.shape is not None:
+        if len(shape) != len(declared.shape):
             raise AnalysisError(
                 f"{op_path(op)}: result #{idx} declared rank "
                 f"{len(declared.shape)} but analysis inferred rank "
-                f"{len(inferred.shape)} ({inferred})"
+                f"{len(shape)} ({inferred})"
             )
-        for axis, (have, want) in enumerate(
-            zip(inferred.shape, declared.shape)
-        ):
+        for axis, (have, want) in enumerate(zip(shape, declared.shape)):
             if have is not None and want is not None and have != want:
                 raise AnalysisError(
                     f"{op_path(op)}: result #{idx} dimension {axis} declared "
                     f"{want} but analysis inferred {have}"
                 )
+        shape = tuple(
+            i if i is not None else d for i, d in zip(shape, declared.shape)
+        )
     if (
         inferred.dtype is not None
         and declared.dtype is not None
@@ -382,3 +377,6 @@ def _check_declared(
             f"{op_path(op)}: result #{idx} declared dtype {declared.dtype} "
             f"but analysis inferred {inferred.dtype}"
         )
+    return AbstractValue(
+        shape, inferred.dtype or declared.dtype, inferred.const
+    )

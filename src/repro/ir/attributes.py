@@ -21,6 +21,7 @@ Printing follows MLIR's style closely enough for round-tripping through
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
 
@@ -207,6 +208,13 @@ class DenseAttr(Attribute):
 AttrLike = Union[Attribute, int, float, bool, str, Type, Sequence, Mapping]
 
 
+#: Exact-class shortcut past the ``isinstance`` ladder of :func:`attr`
+#: (subclasses such as ``numpy.float64`` still take the ladder).
+_SCALAR_ATTRS = {bool: BoolAttr, int: IntAttr, float: FloatAttr, str: StrAttr}
+#: The attribute classes whose payload is their ``value`` field.
+_VALUE_ATTRS = frozenset({IntAttr, FloatAttr, BoolAttr, StrAttr, TypeAttr})
+
+
 def attr(value: AttrLike) -> Attribute:
     """Coerce a plain Python value into an :class:`Attribute`.
 
@@ -215,6 +223,9 @@ def attr(value: AttrLike) -> Attribute:
     :class:`TypeAttr`, sequences to :class:`ArrayAttr` and mappings to
     :class:`DictAttr`.  Existing attributes pass through unchanged.
     """
+    scalar = _SCALAR_ATTRS.get(value.__class__)
+    if scalar is not None:
+        return scalar(value)
     if isinstance(value, Attribute):
         return value
     if isinstance(value, bool):
@@ -227,21 +238,19 @@ def attr(value: AttrLike) -> Attribute:
         return StrAttr(value)
     if isinstance(value, Type):
         return TypeAttr(value)
-    if isinstance(value, Mapping):
-        return DictAttr({k: attr(v) for k, v in value.items()})
     if isinstance(value, (list, tuple)):
         return ArrayAttr([attr(v) for v in value])
+    if isinstance(value, Mapping):
+        return DictAttr({k: attr(v) for k, v in value.items()})
     raise IRError(f"cannot convert {value!r} to an attribute")
 
 
 def unwrap(attribute: Attribute):
     """Inverse of :func:`attr`: recover the plain Python value."""
-    if isinstance(attribute, (IntAttr, FloatAttr, BoolAttr, StrAttr)):
+    if attribute.__class__ in _VALUE_ATTRS:
         return attribute.value
     if isinstance(attribute, UnitAttr):
         return True
-    if isinstance(attribute, TypeAttr):
-        return attribute.value
     if isinstance(attribute, SymbolRefAttr):
         return attribute.name
     if isinstance(attribute, ArrayAttr):
@@ -251,3 +260,21 @@ def unwrap(attribute: Attribute):
     if isinstance(attribute, DenseAttr):
         return attribute.array
     raise IRError(f"cannot unwrap attribute {attribute!r}")
+
+
+def exact_key(attribute: Attribute) -> object:
+    """A hashable stand-in for ``attribute`` that compares floats by their
+    bits.  Attribute equality is Python equality of the payload, so
+    ``FloatAttr(0.0) == FloatAttr(-0.0)``: a CSE that merged those two
+    constants would flip the sign of an infinity downstream."""
+    kind = attribute.__class__
+    if kind is FloatAttr:
+        return (kind, attribute.type, struct.pack("<d", attribute.value))
+    if kind is ArrayAttr:
+        return (kind, *map(exact_key, attribute.elements))
+    if kind is DictAttr:
+        return (kind, *[(k, exact_key(v)) for k, v in attribute.entries])
+    if kind is DenseAttr:
+        array = attribute.array
+        return (kind, attribute.type, array.dtype.str, array.tobytes())
+    return attribute

@@ -31,10 +31,6 @@ class Builder:
         return cls(block, None)
 
     @classmethod
-    def at_start(cls, block: Block) -> "Builder":
-        return cls(block, 0)
-
-    @classmethod
     def before(cls, op: Operation) -> "Builder":
         if op.parent is None:
             raise IRError("op has no parent block")
@@ -45,10 +41,6 @@ class Builder:
         if op.parent is None:
             raise IRError("op has no parent block")
         return cls(op.parent, op.parent.operations.index(op) + 1)
-
-    def set_insertion_point_to_end(self, block: Block) -> None:
-        self.block = block
-        self.index = None
 
     @contextmanager
     def at(self, block: Block, index: Optional[int] = None):

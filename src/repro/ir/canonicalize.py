@@ -78,7 +78,7 @@ class FoldPatterns(RewritePattern):
         self.registry = registry or REGISTRY
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        opdef = self.registry.opdef_for(op)
+        opdef = self.registry.opdefs.get(op.name)
         if opdef is None or opdef.fold is None or len(op.results) != 1:
             return False
         folded = opdef.fold(op)
@@ -112,9 +112,10 @@ class EraseTriviallyDead(RewritePattern):
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         if op.regions or not op.results:
             return False
-        if any(result.has_uses for result in op.results):
-            return False
-        opdef = self.registry.opdef_for(op)
+        for result in op.results:
+            if result.uses:
+                return False
+        opdef = self.registry.opdefs.get(op.name)
         if opdef is None or "pure" not in opdef.traits:
             return False
         if "interface" in opdef.traits:
@@ -150,25 +151,20 @@ class CanonicalizePass(Pass):
         self.max_rounds = max_rounds
         self.timings: List[Tuple[str, float]] = []
 
-    def _timed(self, label: str, fn) -> object:
-        started = time.perf_counter()
-        result = fn()
-        self.timings.append((label, time.perf_counter() - started))
-        return result
-
     def run(self, module: Module) -> None:
         patterns = canonical_pattern_set(self.registry)
-        dce = DeadCodeElimination()
-        cse = CommonSubexpressionElimination()
+        steps = (
+            ("patterns", lambda m: apply_patterns_worklist(m, patterns)),
+            ("dce", DeadCodeElimination().run),
+            ("cse", CommonSubexpressionElimination().run),
+        )
         self.timings = []
         for _ in range(self.max_rounds):
-            changed = bool(self._timed(
-                "patterns", lambda: apply_patterns_worklist(module, patterns)
-            ))
-            before = sum(1 for _ in module.walk())
-            self._timed("dce", lambda: dce.run(module))
-            self._timed("cse", lambda: cse.run(module))
-            changed = changed or sum(1 for _ in module.walk()) != before
+            changed = False
+            for label, step in steps:
+                started = time.perf_counter()
+                changed |= step(module)
+                self.timings.append((label, time.perf_counter() - started))
             if not changed:
                 return
         raise IRError(

@@ -14,10 +14,12 @@ call ``value.replace_all_uses_with`` safely.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
-from repro.ir.attributes import Attribute, AttrLike, attr
+from repro.ir.attributes import Attribute, AttrLike, attr, unwrap
 from repro.ir.types import Type
 
 
@@ -55,7 +57,11 @@ class OpResult(Value):
     __slots__ = ("op", "index")
 
     def __init__(self, op: "Operation", index: int, type: Type):
-        super().__init__(type)
+        # Value.__init__ inlined: one frame less per op result built.
+        if not isinstance(type, Type):
+            raise IRError(f"value type must be a Type, got {type!r}")
+        self.type = type
+        self.uses = []
         self.op = op
         self.index = index
 
@@ -94,7 +100,7 @@ class Operation:
         if "." not in name:
             raise IRError(f"operation name must be 'dialect.op', got {name!r}")
         self.name = name
-        self._operands: List[Value] = []
+        self._operands: List[Value] = list(operands)
         self.results: List[OpResult] = [
             OpResult(self, i, t) for i, t in enumerate(result_types)
         ]
@@ -103,8 +109,10 @@ class Operation:
         for region in self.regions:
             region.parent_op = self
         self.parent: Optional[Block] = None
-        for value in operands:
-            self._append_operand(value)
+        for idx, value in enumerate(self._operands):
+            if not isinstance(value, Value):
+                raise IRError(f"operand must be a Value, got {value!r}")
+            value.uses.append((self, idx))
 
     # -- construction ------------------------------------------------------
 
@@ -118,7 +126,10 @@ class Operation:
         regions: Optional[Sequence["Region"]] = None,
     ) -> "Operation":
         """Create an operation, coercing plain attribute values."""
-        coerced = {k: attr(v) for k, v in (attributes or {}).items()}
+        coerced = dict(attributes) if attributes else {}
+        for key, value in coerced.items():
+            if not isinstance(value, Attribute):
+                coerced[key] = attr(value)
         return cls(name, operands, result_types, coerced, regions)
 
     # -- operand management ------------------------------------------------
@@ -126,13 +137,6 @@ class Operation:
     @property
     def operands(self) -> Tuple[Value, ...]:
         return tuple(self._operands)
-
-    def _append_operand(self, value: Value) -> None:
-        if not isinstance(value, Value):
-            raise IRError(f"operand must be a Value, got {value!r}")
-        idx = len(self._operands)
-        self._operands.append(value)
-        value.uses.append((self, idx))
 
     def _set_operand(self, idx: int, value: Value) -> None:
         old = self._operands[idx]
@@ -144,8 +148,6 @@ class Operation:
 
     def attr(self, key: str, default=None):
         """Fetch an attribute, unwrapped to a plain Python value."""
-        from repro.ir.attributes import unwrap
-
         if key not in self.attributes:
             return default
         return unwrap(self.attributes[key])
@@ -191,15 +193,29 @@ class Operation:
                     op.drop_all_references()
 
     def walk(self, pre_order: bool = True) -> Iterator["Operation"]:
-        """Iterate over this op and all nested ops."""
+        """Iterate over this op and all nested ops.
+
+        A block's operation list is copied when the walk enters it: ops
+        appended to it afterwards are not visited, ops erased from it
+        still are.  One generator frame, whatever the nesting depth.
+        """
         if pre_order:
             yield self
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.operations):
-                    yield from op.walk(pre_order)
-        if not pre_order:
-            yield self
+        stack = [(self, _children(self))]
+        while stack:
+            parent, children = stack[-1]
+            for op in children:
+                if pre_order:
+                    yield op
+                if op.regions:
+                    stack.append((op, _children(op)))
+                    break
+                if not pre_order:
+                    yield op
+            else:
+                stack.pop()
+                if not pre_order:
+                    yield parent
 
     def clone(self, value_map: Optional[Dict[Value, Value]] = None) -> "Operation":
         """Deep-copy this operation.
@@ -216,8 +232,7 @@ class Operation:
             self.name,
             operands,
             [r.type for r in self.results],
-            dict(self.attributes),
-            [],
+            self.attributes,
         )
         for old_res, new_res in zip(self.results, new_op.results):
             value_map[old_res] = new_res
@@ -243,6 +258,16 @@ class Operation:
 
     def __repr__(self) -> str:
         return f"<Operation {self.name} at {id(self):#x}>"
+
+
+_BLOCKS = attrgetter("blocks")
+_OPERATIONS = attrgetter("operations")
+
+
+def _children(op: Operation) -> Iterator[Operation]:
+    """``op``'s direct children; lazy, so a block is copied when reached."""
+    blocks = chain.from_iterable(map(_BLOCKS, op.regions))
+    return chain.from_iterable(map(list, map(_OPERATIONS, blocks)))
 
 
 class Block:

@@ -60,26 +60,17 @@ class OpDef:
 
     def check(self, op: Operation) -> None:
         """Structural check of ``op`` against this definition."""
-        if self.num_operands != VARIADIC and len(op.operands) != self.num_operands:
-            raise IRError(
-                f"{op.name}: expected {self.num_operands} operands, "
-                f"got {len(op.operands)}"
-            )
-        if self.num_results != VARIADIC and len(op.results) != self.num_results:
-            raise IRError(
-                f"{op.name}: expected {self.num_results} results, "
-                f"got {len(op.results)}"
-            )
-        if self.num_regions != VARIADIC and len(op.regions) != self.num_regions:
-            raise IRError(
-                f"{op.name}: expected {self.num_regions} regions, "
-                f"got {len(op.regions)}"
-            )
-        for attr_name, description in self.required_attrs.items():
+        for what, want, have in (("operands", self.num_operands, op._operands),
+                                 ("results", self.num_results, op.results),
+                                 ("regions", self.num_regions, op.regions)):
+            if want != VARIADIC and len(have) != want:
+                raise IRError(
+                    f"{op.name}: expected {want} {what}, got {len(have)}")
+        for attr_name in self.required_attrs:
             if attr_name not in op.attributes:
                 raise IRError(
                     f"{op.name}: missing required attribute "
-                    f"'{attr_name}' ({description})"
+                    f"'{attr_name}' ({self.required_attrs[attr_name]})"
                 )
         if self.verify is not None:
             self.verify(op)
@@ -95,6 +86,8 @@ class Dialect:
         # RewritePattern instances contributed to CanonicalizePass (for
         # rewrites that create ops and therefore cannot be fold hooks).
         self.canonical_patterns: list = []
+        # The ``opdefs`` tables of the registries holding this dialect.
+        self._opdef_tables: list = []
 
     def op(
         self,
@@ -126,6 +119,8 @@ class Dialect:
             transfer=transfer,
         )
         self.ops[opname] = opdef
+        for table in self._opdef_tables:
+            table[full] = opdef
         return opdef
 
     def add_canonical_pattern(self, pattern) -> None:
@@ -144,11 +139,17 @@ class DialectRegistry:
 
     def __init__(self) -> None:
         self.dialects: Dict[str, Dialect] = {}
+        #: Full op name -> OpDef over this registry's dialects; hot loops
+        #: read it directly.  ``Dialect.op`` adds late definitions.
+        self.opdefs: Dict[str, OpDef] = {}
 
     def register(self, dialect: Dialect) -> Dialect:
         if dialect.name in self.dialects:
             raise IRError(f"dialect already registered: {dialect.name}")
         self.dialects[dialect.name] = dialect
+        for opdef in dialect:
+            self.opdefs[opdef.name] = opdef
+        dialect._opdef_tables.append(self.opdefs)
         return dialect
 
     def get(self, name: str) -> Optional[Dialect]:
@@ -157,10 +158,7 @@ class DialectRegistry:
     def opdef_for(self, op: Operation) -> Optional[OpDef]:
         """Find the definition for ``op``, or None if its dialect/op is
         unregistered."""
-        dialect = self.dialects.get(op.dialect)
-        if dialect is None:
-            return None
-        return dialect.ops.get(op.opname)
+        return self.opdefs.get(op.name)
 
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.dialects))

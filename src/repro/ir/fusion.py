@@ -52,7 +52,7 @@ from repro.ir.passes import Pass
 
 
 def _is_pure(op: Operation) -> bool:
-    opdef = REGISTRY.opdef_for(op)
+    opdef = REGISTRY.opdefs.get(op.name)
     return opdef is not None and "pure" in opdef.traits
 
 

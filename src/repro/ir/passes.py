@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Tuple
 
-from repro.ir.core import Module, Operation
+from repro.ir.attributes import exact_key
+from repro.ir.core import Module
 from repro.ir.dialect import REGISTRY
 
 
@@ -71,37 +72,39 @@ class PassManager:
 
 
 # -- stock passes ----------------------------------------------------------------
-
-
-def _is_pure(op: Operation) -> bool:
-    opdef = REGISTRY.opdef_for(op)
-    return opdef is not None and "pure" in opdef.traits
-
-
-def _is_interface(op: Operation) -> bool:
-    """Ops carrying the ``interface`` trait (kernel arguments, declarations)
-    are part of a function's contract and survive even when unused."""
-    opdef = REGISTRY.opdef_for(op)
-    return opdef is not None and "interface" in opdef.traits
+#
+# DCE and CSE only ever erase; ``run`` returns whether anything was, so a
+# driver iterating them to a fixpoint need not re-count the module.
 
 
 class DeadCodeElimination(Pass):
-    """Erase pure ops whose results are all unused (iteratively)."""
+    """Erase pure ops whose results are all unused (iteratively).
+
+    Ops carrying the ``interface`` trait (kernel arguments, declarations)
+    are part of a function's contract and survive even when unused.
+    """
 
     name = "dce"
 
-    def run(self, module: Module) -> None:
-        changed = True
-        while changed:
-            changed = False
+    def run(self, module: Module) -> bool:
+        opdefs = REGISTRY.opdefs
+        changed = False
+        progress = True
+        while progress:
+            progress = False
             for op in list(module.walk()):
-                if op is module.op or op.parent is None:
+                if not op.results or op.parent is None:
                     continue
-                if not op.results or any(r.has_uses for r in op.results):
-                    continue
-                if _is_pure(op) and not _is_interface(op):
-                    op.erase()
-                    changed = True
+                for result in op.results:
+                    if result.uses:
+                        break
+                else:
+                    opdef = opdefs.get(op.name)
+                    if (opdef is not None and "pure" in opdef.traits
+                            and "interface" not in opdef.traits):
+                        op.erase()
+                        progress = changed = True
+        return changed
 
 
 class CommonSubexpressionElimination(Pass):
@@ -109,27 +112,36 @@ class CommonSubexpressionElimination(Pass):
 
     name = "cse"
 
-    def run(self, module: Module) -> None:
+    def run(self, module: Module) -> bool:
+        changed = False
         for op in module.walk():
             for region in op.regions:
                 for block in region.blocks:
-                    self._run_on_block(block)
+                    changed |= self._run_on_block(block)
+        return changed
 
-    def _run_on_block(self, block) -> None:
+    def _run_on_block(self, block) -> bool:
+        opdefs = REGISTRY.opdefs
+        changed = False
         seen = {}
         for op in list(block.operations):
-            if op.regions or not _is_pure(op):
+            if op.regions:
+                continue
+            opdef = opdefs.get(op.name)
+            if opdef is None or "pure" not in opdef.traits:
                 continue
             key = (
                 op.name,
-                tuple(id(v) for v in op.operands),
-                tuple(sorted((k, str(v)) for k, v in op.attributes.items())),
-                tuple(str(r.type) for r in op.results),
+                tuple(op._operands),
+                tuple(sorted([(k, exact_key(v))
+                              for k, v in op.attributes.items()]))
+                if op.attributes else (),
+                tuple([r.type for r in op.results]),
             )
-            if key in seen:
-                earlier = seen[key]
+            earlier = seen.setdefault(key, op)
+            if earlier is not op:
                 for old, new in zip(op.results, earlier.results):
                     old.replace_all_uses_with(new)
                 op.erase()
-            else:
-                seen[key] = op
+                changed = True
+        return changed

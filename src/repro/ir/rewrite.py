@@ -137,23 +137,23 @@ def apply_patterns_worklist(
     root = module.op
     # LIFO worklist seeded in reverse walk order: the first op in the
     # module is processed first, and cascades stay depth-first (cheap).
-    worklist: List[Operation] = [op for op in root.walk() if op is not root]
-    worklist.reverse()
-    queued = {id(op) for op in worklist}
+    worklist: List[Operation] = list(root.walk())[:0:-1]
+    queued = set(worklist)
 
     changed_ever = False
     rewrites = 0
     while worklist:
         op = worklist.pop()
-        queued.discard(id(op))
+        queued.discard(op)
         if not is_attached(op, root):
             continue
         candidates = by_name.get(op.name, []) + generic
         # Capture the parent up front: replace_op/erase_op null op.parent,
         # and the parent op must be re-enqueued (its body just changed).
         parent_block = op.parent
+        # One rewriter per op: a pattern that does not fire leaves it empty.
+        rewriter = PatternRewriter()
         for pattern in candidates:
-            rewriter = PatternRewriter()
             if not pattern.match_and_rewrite(op, rewriter):
                 continue
             changed_ever = True
@@ -175,8 +175,8 @@ def apply_patterns_worklist(
                 if parent_op is not None and parent_op is not root:
                     followups.append(parent_op)
             for follow in followups:
-                if id(follow) not in queued and follow is not root:
+                if follow not in queued and follow is not root:
                     worklist.append(follow)
-                    queued.add(id(follow))
+                    queued.add(follow)
             break
     return changed_ever

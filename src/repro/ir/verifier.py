@@ -15,31 +15,32 @@ Every error message carries the offending op's breadcrumb path
 (:func:`repro.ir.analysis.op_path`) so failures in deeply nested modules can
 be triaged without re-printing the whole module.
 
-:func:`verify_typed` layers the abstract interpreter on top: after the
-structural pass it runs :func:`repro.ir.analysis.analyze_module` with
-checking enabled, statically rejecting shape/dtype-inconsistent modules
-(e.g. lowering miscompiles) that are structurally well-formed.
+:func:`verify_typed` runs the abstract interpreter in the same traversal
+(:func:`repro.ir.analysis.transfer_op` after each op's structural checks),
+statically rejecting shape/dtype-inconsistent modules (e.g. lowering
+miscompiles) that are structurally well-formed.  The visibility check makes
+that single forward pass complete: no abstract is read before it is written.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.errors import IRError
 from repro.ir.analysis import (
     AnalysisError,
     ModuleAnalysis,
-    analyze_module,
+    from_type,
     op_path,
+    transfer_op,
 )
-from repro.ir.core import Module, Operation, Region, Value
-from repro.ir.dialect import REGISTRY, DialectRegistry
+from repro.ir.core import Module, Operation, Value
+from repro.ir.dialect import REGISTRY, DialectRegistry, OpDef
 
 
 def verify(module: Module, registry: Optional[DialectRegistry] = None) -> None:
     """Verify a module; raises :class:`IRError` on the first violation."""
-    registry = registry or REGISTRY
-    _verify_op(module.op, set(), registry)
+    _verify_op(module.op, set(), (registry or REGISTRY).opdefs, None)
 
 
 def verify_typed(
@@ -51,14 +52,21 @@ def verify_typed(
     reuse the inferred abstracts (e.g. for memory planning).  Raises
     :class:`IRError` on structural violations and
     :class:`~repro.ir.analysis.AnalysisError` (a subclass) on shape/dtype
-    inconsistencies the structural pass cannot see.
+    inconsistencies the structural checks cannot see; of two violations
+    the one on the earlier op (in walk order) is reported.
     """
-    verify(module, registry)
-    return analyze_module(module, registry, check=True)
+    analysis = ModuleAnalysis()
+    _verify_op(module.op, set(), (registry or REGISTRY).opdefs, analysis)
+    return analysis
 
 
-def _verify_op(op: Operation, visible: Set[Value], registry: DialectRegistry) -> None:
-    for idx, operand in enumerate(op.operands):
+def _verify_op(
+    op: Operation,
+    visible: Set[Value],
+    opdefs: Dict[str, OpDef],
+    analysis: Optional[ModuleAnalysis],
+) -> None:
+    for idx, operand in enumerate(op._operands):
         if operand not in visible:
             raise IRError(
                 f"{op.name}: operand #{idx} is not visible at its use "
@@ -70,7 +78,7 @@ def _verify_op(op: Operation, visible: Set[Value], registry: DialectRegistry) ->
                 f"{op.name}: def-use bookkeeping broken at operand #{idx} "
                 f"at {op_path(op)}"
             )
-    opdef = registry.opdef_for(op)
+    opdef = opdefs.get(op.name)
     if opdef is not None:
         try:
             opdef.check(op)
@@ -84,20 +92,19 @@ def _verify_op(op: Operation, visible: Set[Value], registry: DialectRegistry) ->
                     f"{op.name}: terminator is not last in its block "
                     f"at {op_path(op)}"
                 )
+    if analysis is not None:
+        transfer_op(op, opdef, analysis)
     for region in op.regions:
-        _verify_region(region, visible, registry)
-
-
-def _verify_region(
-    region: Region, outer_visible: Set[Value], registry: DialectRegistry
-) -> None:
-    # Values visible inside a region: everything from enclosing regions plus,
-    # conservatively, all defs in earlier blocks of this region (we use
-    # single-block regions nearly everywhere; full dominance analysis is out
-    # of scope).
-    visible = set(outer_visible)
-    for block in region.blocks:
-        visible.update(block.args)
-        for op in block.operations:
-            _verify_op(op, visible, registry)
-            visible.update(op.results)
+        # Values visible inside a region: everything from enclosing regions
+        # plus, conservatively, all defs in earlier blocks of this region
+        # (we use single-block regions nearly everywhere; full dominance
+        # analysis is out of scope).
+        inner = set(visible)
+        for block in region.blocks:
+            inner.update(block.args)
+            if analysis is not None:
+                for arg in block.args:
+                    analysis.values[arg] = from_type(arg.type)
+            for child in block.operations:
+                _verify_op(child, inner, opdefs, analysis)
+                inner.update(child.results)

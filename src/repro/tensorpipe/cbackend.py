@@ -630,8 +630,10 @@ class CBackend:
 
     def compile(self, module: Module, func_name: str, *,
                 cache: bool = True) -> CompiledKernel:
-        key = fingerprint("affine-cbackend", print_module(module), func_name)
+        key = ""
         if cache:
+            key = fingerprint("affine-cbackend", print_module(module),
+                              func_name)
             with _CBACKEND_LOCK:
                 hit = _CBACKEND_CACHE.get(key)
                 if hit is not None:

@@ -729,9 +729,10 @@ def compile_numpy(module: Module, func_name: str, *,
     ``compiled``, ``compiled-parallel`` and ``compiled-arena`` registry
     backends.
 
-    Results are cached by content hash of the printed module plus the
-    function name and backend, so repeated compiles of an identical
-    module are free.  Functions containing unsupported ops degrade to
+    With ``cache``, results are cached by content hash of the printed
+    module plus the function name and backend (``CompiledKernel.key``), so
+    repeated compiles of an identical module are free; ``cache=False``
+    skips the printing and leaves ``key`` empty.  Functions containing unsupported ops degrade to
     the interpreter backend (same results, interpreter speed);
     ``backend="interpreter"`` forces that path (baseline/differential
     runs).  ``tiled`` selects the sharded source variant executed
@@ -739,9 +740,10 @@ def compile_numpy(module: Module, func_name: str, *,
     planner of :mod:`repro.tensorpipe.arena` and emits local buffers as
     views into one preallocated per-run arena.
     """
-    key = fingerprint("affine-codegen", print_module(module), func_name,
-                      backend)
+    key = ""
     if cache:
+        key = fingerprint("affine-codegen", print_module(module), func_name,
+                          backend)
         with _CACHE_LOCK:
             hit = _COMPILE_CACHE.get(key)
             if hit is not None:

@@ -12,12 +12,16 @@ Three layers of coverage:
   — plus structural violations whose messages must carry the op path;
 * a 200-seed fuzz campaign (``tools/irfuzz.py --mode analyze``): the
   typed verifier accepts every valid lowering stage of every random
-  kernel (no false positives) and the inferred abstracts match the
-  executor's concrete arrays.
+  kernel (no false positives), the inferred abstracts match the
+  executor's concrete arrays, and the single forward pass holds the same
+  fact for every value as the run-to-fixpoint oracle
+  (``tools/oracles.py``) — also checked here on the golden modules and on
+  hand-built use-before-def modules, where the pass must repeat.
 """
 
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ sys.path.insert(
 )
 
 from irfuzz import check_analysis  # noqa: E402
+from oracles import analysis_mismatches, analyze_module_fixpoint  # noqa: E402
 
 from repro.errors import IRError  # noqa: E402
 from repro.ir import (  # noqa: E402
@@ -37,6 +42,7 @@ from repro.ir import (  # noqa: E402
     analyze_module,
     from_type,
     op_path,
+    parse_module,
     types as T,
     verify,
     verify_typed,
@@ -302,6 +308,71 @@ def test_terminator_mid_block_message_has_path():
     message = str(err.value)
     assert "terminator is not last in its block" in message
     assert f"at {op_path(yield_op)}" in message
+
+
+# -- one forward pass vs the run-to-fixpoint oracle --------------------------
+
+
+@pytest.mark.parametrize("golden", sorted(
+    path.name for path in (Path(__file__).parent / "golden").glob("*.mlir")))
+def test_single_pass_matches_fixpoint_oracle_on_goldens(golden):
+    module = parse_module(
+        (Path(__file__).parent / "golden" / golden).read_text())
+    typed = verify_typed(module)
+    standalone = analyze_module(module)
+    assert typed.iterations == standalone.iterations == 1
+    assert typed.early_reads == standalone.early_reads == 0
+    assert analyze_module_fixpoint(module).iterations == 2
+    assert analysis_mismatches(module, typed) == []
+    assert analysis_mismatches(module, standalone) == []
+    assert typed.values  # the comparison is not vacuous
+
+
+def _reversed_chain(extent_of_other=None):
+    """``a = b + b`` (or ``b + other``), ``b = c + c``, ``c``: each op reads
+    a value defined *after* it, so facts reach ``a`` one pass per link.
+    ``b`` and ``a`` are declared ``tensor<?xf64>``; only ``c`` is static."""
+    module = Module()
+    b = Builder.at_end(module.body)
+    dynamic = T.tensor_of(T.f64, None)
+    c = b.create("fuzz.source", [], [T.tensor_of(T.f64, 4)])
+    mid = b.create("arith.addf", [c.result, c.result], [dynamic])
+    rhs = mid.result
+    if extent_of_other is not None:
+        rhs = b.create("fuzz.source", [],
+                       [T.tensor_of(T.f64, extent_of_other)]).result
+        module.body.operations.insert(0, module.body.operations.pop())
+    top = b.create("arith.addf", [mid.result, rhs], [dynamic])
+    for op in (mid, c):  # reorder to: [other,] top, mid, c
+        module.body.operations.remove(op)
+        module.body.operations.append(op)
+    with pytest.raises(IRError, match="not visible at its use"):
+        verify(module)
+    return module, top, mid
+
+
+def test_use_before_def_still_converges_to_the_oracle_facts():
+    module, top, mid = _reversed_chain()
+    analysis = analyze_module(module)
+    assert analysis.early_reads == 2
+    assert analysis.iterations == analyze_module_fixpoint(module).iterations
+    assert analysis.iterations == 4  # three to propagate, one to confirm
+    assert analysis.of(mid.result).shape == (4,)
+    assert analysis.of(top.result).shape == (4,)
+    assert analysis_mismatches(module, analysis) == []
+
+
+def test_use_before_def_error_in_a_later_pass_matches_the_oracle():
+    # ``top = mid + other`` is consistent while ``mid`` is unknown (pass 1)
+    # and an extent conflict (4 vs 5) once pass 1 has written ``mid``.
+    module, top, _ = _reversed_chain(extent_of_other=5)
+    with pytest.raises(AnalysisError) as oracle:
+        analyze_module_fixpoint(module)
+    with pytest.raises(AnalysisError) as single:
+        analyze_module(module)
+    assert str(single.value) == str(oracle.value)
+    assert "disagree on extent of dimension 0: [4, 5]" in str(single.value)
+    assert str(single.value).startswith(op_path(top))
 
 
 # -- fuzz campaign -----------------------------------------------------------

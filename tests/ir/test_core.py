@@ -13,6 +13,7 @@ from repro.ir import (
     types as T,
     verify,
 )
+from repro.ir.dialect import REGISTRY, Dialect, DialectRegistry
 
 
 def _const(builder, value=1.0):
@@ -135,6 +136,138 @@ class TestModule:
         fb.create("func.return", [])
         names = [op.name for op in m.walk()]
         assert names == ["builtin.module", "func.func", "func.return"]
+
+
+def _recursive_walk(op, pre_order=True):
+    """The definition ``Operation.walk`` implements without recursion."""
+    if pre_order:
+        yield op
+    for region in op.regions:
+        for block in region.blocks:
+            for child in list(block.operations):
+                yield from _recursive_walk(child, pre_order)
+    if not pre_order:
+        yield op
+
+
+def _leaf(tag):
+    return Operation.create("test.leaf", attributes={"tag": tag})
+
+
+def _nest(tag, depth):
+    """An op with two regions (two blocks, one block) of leaves and, until
+    ``depth`` runs out, one deeper nest in each block."""
+    regions = []
+    for r, blocks in enumerate((2, 1)):
+        region = Region()
+        for b in range(blocks):
+            block = region.add_block(Block())
+            block.append(_leaf(f"{tag}.{r}{b}a"))
+            if depth > 1:
+                block.append(_nest(f"{tag}.{r}{b}", depth - 1))
+            block.append(_leaf(f"{tag}.{r}{b}z"))
+        regions.append(region)
+    return Operation.create("test.nest", attributes={"tag": tag},
+                            regions=regions)
+
+
+def _tags(ops):
+    return [op.attr("tag") for op in ops]
+
+
+class TestWalk:
+    def test_matches_recursive_definition_on_a_deep_nest(self):
+        root = _nest("n", 3)
+        for pre_order in (True, False):
+            got = list(root.walk(pre_order))
+            assert got == list(_recursive_walk(root, pre_order))
+            assert len(got) == len(set(map(id, got))) == 91
+        assert _tags(root.walk())[:4] == ["n", "n.00a", "n.00", "n.00.00a"]
+        assert _tags(root.walk(pre_order=False))[-1] == "n"
+        assert _tags(root.walk(pre_order=False))[0] == "n.00a"
+
+    def test_block_is_snapshotted_when_entered(self):
+        root = _nest("n", 2)
+        first, second = root.regions[0].blocks
+        seen = []
+        for op in root.walk():
+            seen.append(op.attr("tag"))
+            if op.attr("tag") == "n.00a":
+                # The next sibling is already in the snapshot: it is still
+                # visited, nested ops included, though it is detached now.
+                first.operations[1].erase()
+                # Appended to a block already entered: not visited.
+                first.append(_leaf("late"))
+                # Appended to a block not reached yet: visited.
+                second.append(_leaf("early"))
+        assert "late" not in seen
+        assert seen[:4] == ["n", "n.00a", "n.00", "n.00.00a"]
+        assert seen[seen.index("n.01z") + 1] == "early"
+        assert _tags(first.operations) == ["n.00a", "n.00z", "late"]
+
+    def test_list_then_erase(self):
+        m = Module()
+        _, entry, fb = build_func(m, "f", [T.f64], [T.f64])
+        dead = fb.create("arith.mulf", [entry.args[0], entry.args[0]],
+                         [T.f64])
+        fb.create("func.return", [entry.args[0]])
+        ops = list(m.walk())
+        for op in ops:
+            if op is dead:
+                op.erase()
+        assert [op.name for op in ops] == [
+            "builtin.module", "func.func", "arith.mulf", "func.return"]
+        assert [op.name for op in m.walk()] == [
+            "builtin.module", "func.func", "func.return"]
+
+
+class TestRegistry:
+    def test_op_registered_after_a_failed_lookup_is_found(self):
+        registry = DialectRegistry()
+        late = registry.register(Dialect("late"))
+        probe = Operation.create("late.op")
+        assert registry.opdef_for(probe) is None
+        opdef = late.op("op", num_operands=0)
+        assert registry.opdef_for(probe) is opdef
+        assert registry.opdefs["late.op"] is opdef
+
+    def test_ops_defined_before_registration_are_found(self):
+        early = Dialect("early")
+        opdef = early.op("op")
+        registry = DialectRegistry()
+        registry.register(early)
+        assert registry.opdef_for(Operation.create("early.op")) is opdef
+
+    def test_private_registry_never_sees_global_ops(self):
+        registry = DialectRegistry()
+        constant = Operation.create("arith.constant", [], [T.f64],
+                                    {"value": 1.0})
+        assert REGISTRY.opdef_for(constant) is not None
+        assert registry.opdef_for(constant) is None
+        private = registry.register(Dialect("arith"))
+        mine = private.op("constant")
+        assert registry.opdef_for(constant) is mine
+        assert REGISTRY.opdef_for(constant) is not mine
+
+    def test_one_dialect_in_two_registries(self):
+        shared = Dialect("shared")
+        first, second = DialectRegistry(), DialectRegistry()
+        first.register(shared)
+        second.register(shared)
+        opdef = shared.op("op")
+        probe = Operation.create("shared.op")
+        assert first.opdef_for(probe) is opdef
+        assert second.opdef_for(probe) is opdef
+
+    def test_duplicate_op_still_raises(self):
+        dialect = DialectRegistry().register(Dialect("dup"))
+        dialect.op("op")
+        with pytest.raises(IRError, match="duplicate op definition: dup.op"):
+            dialect.op("op")
+
+    def test_unregistered_dialect_and_op(self):
+        assert REGISTRY.opdef_for(Operation.create("ghost.op")) is None
+        assert REGISTRY.opdef_for(Operation.create("arith.ghost")) is None
 
 
 class TestVerifier:

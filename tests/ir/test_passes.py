@@ -3,11 +3,13 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from repro.errors import IRError
 from repro.ir import (
     Builder,
+    CanonicalizePass,
     CommonSubexpressionElimination,
     DeadCodeElimination,
     LambdaPass,
@@ -18,7 +20,10 @@ from repro.ir import (
     apply_patterns_worklist,
     build_func,
     types as T,
+    verify_typed,
 )
+from repro.ir.attributes import DenseAttr, FloatAttr
+from repro.tensorpipe.affine_interp import run_affine
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "tools")
@@ -83,6 +88,118 @@ class TestCSE:
         CommonSubexpressionElimination().run(m)
         consts = [op for op in m.body if op.name == "arith.constant"]
         assert len(consts) == 2
+
+
+def _quotients_kernel(*divisors):
+    """``out[k] = x[0] / divisors[k]``: one ``arith.constant`` (built from
+    the given attribute, typed by it) and one ``divf`` per divisor."""
+    buffers = [T.memref_of(T.f64, 1), T.memref_of(T.f64, len(divisors))]
+    m = Module()
+    func, entry, fb = build_func(m, "k", buffers, [])
+    func.set_attr("kernel_lang", "affine")
+    func.set_attr("arg_names", ["x", "out"])
+    func.set_attr("num_outputs", 1)
+    x, out = entry.args
+    zero = fb.create("arith.constant", [], [T.index], {"value": 0}).result
+    numerator = fb.create("memref.load", [x, zero], [T.f64]).result
+    for k, divisor in enumerate(divisors):
+        const = fb.create("arith.constant", [], [divisor.type],
+                          {"value": divisor}).result
+        if divisor.type != T.f64:
+            const = fb.create("arith.extf", [const], [T.f64]).result
+        quotient = fb.create("arith.divf", [numerator, const], [T.f64])
+        slot = fb.create("arith.constant", [], [T.index], {"value": k})
+        fb.create("memref.store", [quotient.result, out, slot.result], [])
+    fb.create("func.return", [], [])
+    verify_typed(m)
+    return m
+
+
+def _float_constants(m):
+    return [op.attributes["value"] for op in m.walk()
+            if op.name == "arith.constant"
+            and isinstance(op.attributes["value"], FloatAttr)]
+
+
+def _assert_same_bits(reference, optimized):
+    inputs = {"x": np.array([1.0])}
+    with np.errstate(divide="ignore"):
+        expected = run_affine(reference, "k", inputs)["out"]
+        got = run_affine(optimized, "k", inputs)["out"]
+    assert got.tobytes() == expected.tobytes()
+    return got
+
+
+class TestCSEKeepsDistinctConstantsApart:
+    """``FloatAttr(0.0) == FloatAttr(-0.0)`` (equal hashes too), so a CSE
+    key built on attribute equality would merge them."""
+
+    def test_signed_zeros_are_two_constants(self):
+        assert FloatAttr(0.0) == FloatAttr(-0.0)
+        reference = _quotients_kernel(FloatAttr(0.0), FloatAttr(-0.0))
+        optimized = reference.clone()
+        assert CommonSubexpressionElimination().run(optimized)  # the indices
+        CanonicalizePass().run(optimized)
+        verify_typed(optimized)
+        assert sorted(str(c) for c in _float_constants(optimized)) == \
+            ["-0.0 : f64", "0.0 : f64"]
+        got = _assert_same_bits(reference, optimized)
+        assert got[0] == np.inf and got[1] == -np.inf
+
+    def test_equal_value_different_element_type(self):
+        reference = _quotients_kernel(FloatAttr(3.0, T.f32),
+                                      FloatAttr(3.0, T.f64))
+        optimized = reference.clone()
+        CommonSubexpressionElimination().run(optimized)
+        CanonicalizePass().run(optimized)
+        verify_typed(optimized)
+        assert sorted(str(c) for c in _float_constants(optimized)) == \
+            ["3.0 : f32", "3.0 : f64"]
+        _assert_same_bits(reference, optimized)
+
+    def test_attribute_type_alone_separates_constants(self):
+        m = Module()
+        b = Builder.at_end(m.body)
+        narrow = b.create("arith.constant", [], [T.f64],
+                          {"value": FloatAttr(1.0, T.f32)})
+        wide = b.create("arith.constant", [], [T.f64],
+                        {"value": FloatAttr(1.0, T.f64)})
+        again = b.create("arith.constant", [], [T.f64],
+                         {"value": FloatAttr(1.0, T.f64)})
+        keep = b.create("test.keep",
+                        [narrow.result, wide.result, again.result], [])
+        assert CommonSubexpressionElimination().run(m)
+        assert keep.operands[0] is not keep.operands[1]
+        assert keep.operands[1] is keep.operands[2]
+
+    def test_signed_zeros_inside_arrays_and_dense_constants(self):
+        vec = T.tensor_of(T.f64, 1)
+        m = Module()
+        b = Builder.at_end(m.body)
+        values = [[0.0], [-0.0], [0.0],
+                  DenseAttr(np.array([0.0]), vec),
+                  DenseAttr(np.array([-0.0]), vec),
+                  DenseAttr(np.array([0.0]), vec)]
+        consts = [b.create("arith.constant", [], [vec], {"value": value})
+                  for value in values]
+        keep = b.create("test.keep", [c.result for c in consts], [])
+        assert CommonSubexpressionElimination().run(m)
+        kept = keep.operands
+        assert kept[0] is kept[2] and kept[3] is kept[5]
+        assert len({id(v) for v in kept}) == 4
+
+    def test_run_reports_whether_anything_was_erased(self):
+        m, entry, fb = _func_with_body()
+        live = fb.create("arith.addf", [entry.args[0], entry.args[0]],
+                         [T.f64])
+        fb.create("func.return", [live.result])
+        assert DeadCodeElimination().run(m) is False
+        assert CommonSubexpressionElimination().run(m) is False
+        fb = Builder.before(entry.operations[-1])
+        fb.create("arith.addf", [entry.args[0], entry.args[0]], [T.f64])
+        assert CommonSubexpressionElimination().run(m) is True
+        fb.create("arith.mulf", [entry.args[0], entry.args[0]], [T.f64])
+        assert DeadCodeElimination().run(m) is True
 
 
 class TestPassManager:

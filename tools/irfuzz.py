@@ -395,9 +395,12 @@ def check_analysis(seed: int) -> None:
     Lowers a random EKL kernel stage by stage and runs the typed verifier
     (:func:`repro.ir.verifier.verify_typed`) on every level — ekl, esn,
     teil and affine.  A raise at any level on generated-valid input is an
-    analysis false positive.  The affine-level abstracts are then checked
-    against ground truth: every function argument's inferred shape/dtype
-    must match its declared memref *and* the arrays the compiled executor
+    analysis false positive.  At every level the facts of the single
+    forward pass — through ``verify_typed`` and through standalone
+    ``analyze_module`` — must equal the run-to-fixpoint oracle's
+    (``tools/oracles.py``), value by value.  The affine-level abstracts
+    are then checked against ground truth: every function argument's
+    inferred shape/dtype must match its declared memref *and* the arrays the compiled executor
     actually consumed and produced, and every local ``memref.alloc`` must
     carry the zero-init constant
     (:data:`repro.ir.analysis.MEMREF_ALLOC_ZERO_INIT`).
@@ -409,7 +412,9 @@ def check_analysis(seed: int) -> None:
         lower_ekl_to_esn,
         lower_kernel_to_ekl,
     )
-    from repro.ir import verify_typed
+    from oracles import analysis_mismatches  # tools/ is on sys.path
+
+    from repro.ir import analyze_module, verify_typed
     from repro.ir.analysis import MEMREF_ALLOC_ZERO_INIT
     from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
     from repro.tensorpipe.affine_interp import _dtype_for
@@ -431,6 +436,15 @@ def check_analysis(seed: int) -> None:
                 f"seed {seed}: typed verifier rejected the valid {label} "
                 f"module (analysis false positive): {error}\n{source}"
             ) from error
+        for entry_point, facts in (("verify_typed", analysis),
+                                   ("analyze_module",
+                                    analyze_module(module))):
+            mismatches = analysis_mismatches(module, facts)
+            if mismatches:
+                raise AssertionError(
+                    f"seed {seed}: {entry_point} on the {label} module "
+                    "disagrees with the run-to-fixpoint oracle:\n"
+                    + "\n".join(mismatches) + f"\n{source}")
 
     func = affine.lookup(kernel.name)
     entry = func.regions[0].entry

@@ -9,6 +9,11 @@ or the daemon.
   that :func:`repro.ir.rewrite.apply_patterns_worklist` superseded
   (differential in ``tests/ir/test_rewrite.py``, speedup budget in
   ``benchmarks/bench_ir_canonicalize.py``);
+* :func:`analyze_module_fixpoint` — the run-to-fixpoint abstract
+  interpreter (every pass re-visits every op until one changes nothing)
+  that the single forward pass of :func:`repro.ir.analysis.analyze_module`
+  / :func:`repro.ir.verifier.verify_typed` superseded (value-by-value
+  differential in ``tests/ir/test_analysis.py``);
 * :class:`ScanHEFT` — HEFT with the exhaustive per-task node scan that
   :class:`repro.runtime.scheduler.HEFTScheduler`'s pruned candidate
   search superseded (``tools/workloadfuzz.py`` invariant 5,
@@ -17,10 +22,20 @@ or the daemon.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import IRError
-from repro.ir.core import Module
+from repro.ir.analysis import (
+    TOP,
+    AbstractValue,
+    AnalysisError,
+    ModuleAnalysis,
+    _meet,
+    from_type,
+    op_path,
+)
+from repro.ir.core import Module, Operation
+from repro.ir.dialect import REGISTRY, DialectRegistry
 from repro.ir.rewrite import PatternRewriter, RewritePattern, is_attached
 from repro.runtime.cluster import Cluster, Node
 from repro.runtime.scheduler import (
@@ -74,6 +89,75 @@ def apply_patterns_sweep(
         changed_ever = True
     raise IRError(
         f"pattern application did not converge in {max_iterations} sweeps")
+
+
+def analyze_module_fixpoint(
+    module: Module,
+    registry: Optional[DialectRegistry] = None,
+    max_iterations: int = 8,
+) -> ModuleAnalysis:
+    """Abstract interpretation by whole-module passes until one pass
+    changes no value (so at least two, the last only confirming)."""
+    reg = registry if registry is not None else REGISTRY
+    analysis = ModuleAnalysis()
+    for iteration in range(1, max_iterations + 1):
+        analysis.iterations = iteration
+        if not _fixpoint_visit(module.op, reg, analysis):
+            return analysis
+    raise AnalysisError(
+        f"analysis did not converge after {max_iterations} iterations")
+
+
+def _fixpoint_visit(op: Operation, registry: DialectRegistry,
+                    analysis: ModuleAnalysis) -> bool:
+    operands = [analysis.of(operand) for operand in op.operands]
+    opdef = registry.opdef_for(op)
+    inferred: Optional[Sequence[AbstractValue]] = None
+    if opdef is not None and opdef.transfer is not None:
+        try:
+            inferred = opdef.transfer(op, operands, analysis)
+        except AnalysisError as err:
+            raise AnalysisError(f"{op_path(op)}: {err}") from None
+    changed = False
+    for idx, result in enumerate(op.results):
+        declared = from_type(result.type)
+        abstract = TOP
+        if inferred is not None and idx < len(inferred):
+            abstract = inferred[idx]
+        refined = _meet(op, idx, abstract, declared)
+        if analysis.values.get(result) != refined:
+            analysis.values[result] = refined
+            changed = True
+    for region in op.regions:
+        for block in region.blocks:
+            for arg in block.args:
+                seeded = from_type(arg.type)
+                if analysis.values.get(arg) != seeded:
+                    analysis.values[arg] = seeded
+                    changed = True
+            for inner in block.operations:
+                changed |= _fixpoint_visit(inner, registry, analysis)
+    return changed
+
+
+def analysis_mismatches(module: Module, analysis: ModuleAnalysis) -> List[str]:
+    """Every SSA value on which ``analysis`` and
+    :func:`analyze_module_fixpoint` disagree, one line each (empty when
+    the two hold the same fact for the same set of values)."""
+    oracle = analyze_module_fixpoint(module).values
+    lines = [f"{len(analysis.values)} values, oracle has {len(oracle)}"] \
+        if len(analysis.values) != len(oracle) else []
+    for op in module.walk():
+        values = list(op.results)
+        for region in op.regions:
+            for block in region.blocks:
+                values.extend(block.args)
+        for value in values:
+            got, want = analysis.values.get(value), oracle.get(value)
+            if got != want:
+                lines.append(f"{op_path(op) or op.name}: a {value.type} "
+                             f"value is {got}, oracle says {want}")
+    return lines
 
 
 class ScanHEFT(HEFTScheduler):
