@@ -15,14 +15,12 @@ meets in practice:
 Both drivers run the same canonicalization pattern set
 (:func:`repro.ir.canonicalize.canonical_pattern_set`) on clones of the
 same module; the final IR must print identically and the worklist driver
-must be >= 5x faster.  Results land in ``BENCH_ir_canonicalize.json``
-(run via ``make bench-ir``).
+must be >= 5x faster.  Results land in
+``benchmarks/out/ir_canonicalize.json`` (run via ``make bench-ir``).
 """
 
-import json
-import sys
-import time
-from pathlib import Path
+from conftest import measure, record
+from oracles import apply_patterns_sweep
 
 from repro.ir import (
     apply_patterns_worklist,
@@ -33,13 +31,6 @@ from repro.ir import (
     verify,
 )
 from repro.ir.core import Module
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-
-from oracles import apply_patterns_sweep  # noqa: E402
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent \
-    / "BENCH_ir_canonicalize.json"
 
 _DEAD_CHAIN = 400
 _COLD_CHAIN = 900
@@ -81,28 +72,24 @@ def _build_module() -> Module:
     return module
 
 
-def _record(payload: dict) -> None:
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                            + "\n")
-
-
 def test_worklist_beats_sweep_driver_on_2000_op_module():
     module = _build_module()
     n_ops = sum(1 for _ in module.walk())
     assert n_ops >= 2000
 
     patterns = canonical_pattern_set()
+    # Both drivers rewrite in place: one fresh clone per call, made
+    # outside the timed region (1 warm-up + 5 timed calls a side).
+    clones = [module.clone() for _ in range(12)]
 
-    sweep_module = module.clone()
-    t0 = time.perf_counter()
-    apply_patterns_sweep(sweep_module, patterns,
-                         max_iterations=_DEAD_CHAIN + 16)
-    sweep_seconds = time.perf_counter() - t0
+    def run(driver, **options):
+        target = clones.pop()
+        driver(target, patterns, **options)
+        return target
 
-    worklist_module = module.clone()
-    t0 = time.perf_counter()
-    apply_patterns_worklist(worklist_module, patterns)
-    worklist_seconds = time.perf_counter() - t0
+    (sweep, sweep_module), (worklist, worklist_module) = measure(
+        lambda: run(apply_patterns_sweep, max_iterations=_DEAD_CHAIN + 16),
+        lambda: run(apply_patterns_worklist))
 
     verify(sweep_module)
     verify(worklist_module)
@@ -113,17 +100,17 @@ def test_worklist_beats_sweep_driver_on_2000_op_module():
     # muls and the function scaffolding must have been rewritten away.
     assert ops_after < _COLD_CHAIN + 16
 
-    speedup = sweep_seconds / worklist_seconds
-    _record({
+    speedup = sweep["median_s"] / worklist["median_s"]
+    record("ir_canonicalize", "worklist_vs_sweep", {
         "module_ops": n_ops,
         "ops_after_canonicalization": ops_after,
         "dead_chain_depth": _DEAD_CHAIN,
-        "sweep_seconds": round(sweep_seconds, 4),
-        "worklist_seconds": round(worklist_seconds, 4),
+        "sweep": sweep,
+        "worklist": worklist,
         "speedup": round(speedup, 1),
         "results_identical": True,
     })
-    print(f"\n  {n_ops}-op module: sweep driver {sweep_seconds:.3f}s, "
-          f"worklist driver {worklist_seconds:.3f}s ({speedup:.0f}x), "
+    print(f"\n  {n_ops}-op module: sweep driver {sweep['median_s']:.3f}s, "
+          f"worklist driver {worklist['median_s']:.3f}s ({speedup:.0f}x), "
           f"{ops_after} ops after canonicalization")
     assert speedup >= 5.0

@@ -1,101 +1,51 @@
-"""BENCH-RUNTIME-ENGINE: the placement hot path and the policy suite.
+"""BENCH-RUNTIME-ENGINE: the placement hot path against its two oracles.
 
-Two records, written to ``BENCH_runtime_engine.json`` at the repo root
-(run via ``make bench-runtime``):
+Records, written to ``benchmarks/out/runtime_engine.json`` (run via
+``make bench-runtime``):
 
-* ``timeline`` — the seed ``_usage_at``/``earliest_start`` scan
-  (O(intervals²) per query, copied below as :class:`_SeedNodeTimeline`)
-  against the event-sweep :class:`~repro.runtime.timeline.NodeTimeline`
-  index, scheduling the *same* 2,000-task graph through the same
-  scheduler; placements must be identical and the index must be ≥5×
-  faster;
-* ``policies`` — makespan and wall time of every registered policy
-  driving the :class:`~repro.runtime.engine.RuntimeEngine` on a shared
-  workload;
-* ``scale`` / ``scale_smoke`` — incremental HEFT placement
+* ``timeline`` — the interval-scanning placement timeline
+  (``tools/oracles.py::ScanTimeline``, O(intervals²) per query) against
+  the event-sweep :class:`~repro.runtime.timeline.NodeTimeline` index,
+  scheduling the *same* 2,000-task graph through the same scheduler;
+  placements must be identical and the index must be ≥5× faster;
+* ``scale_smoke`` / ``scale`` — incremental HEFT placement
   (:mod:`repro.runtime.placement`) against the exhaustive per-node scan
   (``tools/oracles.py::ScanHEFT``) on a cluster-scale graph, with a
   wall-clock budget so scaling regressions fail loudly.  The default
-  run uses a reduced scale that fits in ``make test``; set ``BENCH_SCALE_FULL=1`` for the full
-  100k-task / 1,000-node measurement (several minutes of baseline), or
-  override ``BENCH_SCALE_TASKS`` / ``BENCH_SCALE_NODES`` /
-  ``BENCH_SCALE_BUDGET`` individually.
+  run uses a reduced scale that fits in ``make test``; set
+  ``BENCH_SCALE_FULL=1`` for the full 100k-task / 1,000-node
+  measurement (the scan alone takes about 20 minutes).
+
+Per-policy planning time and makespan through the engine come from
+``python3 -m bench --workload engine_plan --trace 1``
+(``engine.policy_ms.*``, ``engine.makespan_s``); that HEFT's makespan
+stays within 2 % of round-robin's is
+``bench_claim_runtime_scheduler.py::test_heft_vs_round_robin_makespan``.
 """
 
-import json
 import os
-import sys
-import time
-from pathlib import Path
-from typing import List, Tuple
+
+from conftest import measure, record
+from oracles import ScanHEFT, ScanTimeline
 
 from repro.runtime import (
-    POLICIES,
     HEFTScheduler,
     RoundRobinScheduler,
-    RuntimeEngine,
     TaskGraph,
     default_cluster,
 )
 from repro.runtime.engine import synthetic_workflow
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-
-from oracles import ScanHEFT  # noqa: E402
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent \
-    / "BENCH_runtime_engine.json"
-
 _TIMELINE_TASKS = 2000
 _TIMELINE_NODES = 16
-_POLICY_TASKS = 300
-_POLICY_NODES = 4
 
 _SCALE_FULL = os.environ.get("BENCH_SCALE_FULL") == "1"
-_SCALE_TASKS = int(os.environ.get(
-    "BENCH_SCALE_TASKS", "100000" if _SCALE_FULL else "4000"))
-_SCALE_NODES = int(os.environ.get(
-    "BENCH_SCALE_NODES", "1000" if _SCALE_FULL else "200"))
-_SCALE_BUDGET = float(os.environ.get(
-    "BENCH_SCALE_BUDGET", "240" if _SCALE_FULL else "30"))
+_SCALE_TASKS, _SCALE_NODES = (100_000, 1000) if _SCALE_FULL else (4000, 200)
+_SCALE_BUDGET = 240.0 if _SCALE_FULL else 30.0
 _SCALE_MIN_SPEEDUP = 10.0 if _SCALE_FULL else 3.0
 _SCALE_SEED = 7
 # Incremental-only scaling curve, recorded alongside the full run.
-_SCALE_CURVE = (20000, 60000, 100000)
-
-
-class _SeedNodeTimeline:
-    """The seed repo's O(intervals²) placement scan, kept as baseline."""
-
-    def __init__(self, node):
-        self.node = node
-        self.intervals: List[Tuple[float, float, int]] = []
-
-    def _usage_at(self, t0: float, t1: float) -> int:
-        peak = 0
-        points = {t0}
-        for s, e, c in self.intervals:
-            if s < t1 and e > t0:
-                points.add(max(s, t0))
-        for point in points:
-            used = sum(c for s, e, c in self.intervals
-                       if s <= point < e)
-            peak = max(peak, used)
-        return peak
-
-    def earliest_start(self, ready: float, duration: float,
-                       cores: int) -> float:
-        candidates = sorted({ready} | {
-            e for _, e, _ in self.intervals if e > ready
-        })
-        for candidate in candidates:
-            if self._usage_at(candidate, candidate + duration) + cores \
-                    <= self.node.cores:
-                return candidate
-        return candidates[-1] if candidates else ready
-
-    def commit(self, start: float, duration: float, cores: int) -> None:
-        self.intervals.append((start, start + duration, cores))
+_SCALE_CURVE = (20000, 60000)
 
 
 class _GraphBuilder:
@@ -110,63 +60,11 @@ class _GraphBuilder:
                               tuning, name)
 
 
-def _record(section: str, payload: dict) -> None:
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True)
-                            + "\n")
-
-
-def _timed_schedule(scheduler, graph, cluster, timelines=None):
-    t0 = time.perf_counter()
-    schedule = scheduler.schedule(graph, cluster, timelines=timelines)
-    return time.perf_counter() - t0, schedule
-
-
-def test_timeline_index_speedup_on_2000_task_graph():
+def _workflow(n_tasks, seed):
     builder = _GraphBuilder()
-    synthetic_workflow(builder, n_tasks=_TIMELINE_TASKS, seed=0)
-    graph = builder.graph
-    assert len(graph.tasks) == _TIMELINE_TASKS
-    cluster = default_cluster(_TIMELINE_NODES)
-
-    seed_seconds, seed_schedule = _timed_schedule(
-        RoundRobinScheduler(), graph, cluster,
-        timelines={node.name: _SeedNodeTimeline(node)
-                   for node in cluster.alive_nodes()},
-    )
-    indexed_seconds, indexed_schedule = _timed_schedule(
-        RoundRobinScheduler(), graph, cluster,
-    )
-    # Same scheduler, same graph: the index changes nothing but speed.
-    assert len(indexed_schedule.placements) == _TIMELINE_TASKS
-    for tid, placement in seed_schedule.placements.items():
-        other = indexed_schedule.placements[tid]
-        assert (placement.node, placement.start, placement.finish) \
-            == (other.node, other.start, other.finish)
-
-    # The production policy through the same index, for reference.
-    heft_seconds, heft_schedule = _timed_schedule(
-        HEFTScheduler(), graph, cluster,
-    )
-    assert len(heft_schedule.placements) == _TIMELINE_TASKS
-
-    speedup = seed_seconds / indexed_seconds
-    _record("timeline", {
-        "tasks": _TIMELINE_TASKS,
-        "nodes": _TIMELINE_NODES,
-        "seed_scan_seconds": round(seed_seconds, 4),
-        "event_sweep_seconds": round(indexed_seconds, 4),
-        "speedup": round(speedup, 1),
-        "heft_with_index_seconds": round(heft_seconds, 4),
-        "placements_identical": True,
-    })
-    print(f"\n  2000-task placement: seed scan {seed_seconds:.3f}s, "
-          f"event-sweep index {indexed_seconds:.3f}s "
-          f"({speedup:.0f}x); HEFT+index {heft_seconds:.3f}s")
-    assert speedup >= 5.0
+    synthetic_workflow(builder, n_tasks=n_tasks, seed=seed)
+    assert len(builder.graph.tasks) == n_tasks
+    return builder.graph
 
 
 def _same_schedule(left, right) -> bool:
@@ -180,6 +78,42 @@ def _same_schedule(left, right) -> bool:
     return abs(left.transfers_seconds - right.transfers_seconds) < 1e-9
 
 
+def test_timeline_index_speedup_on_2000_task_graph():
+    graph = _workflow(_TIMELINE_TASKS, seed=0)
+    cluster = default_cluster(_TIMELINE_NODES)
+
+    def scanned():
+        return RoundRobinScheduler().schedule(
+            graph, cluster,
+            timelines={node.name: ScanTimeline(node)
+                       for node in cluster.alive_nodes()})
+
+    # Same scheduler, same graph: the index changes nothing but speed.
+    # The production policy through the same index rides along.
+    (scan, scan_schedule), (indexed, indexed_schedule), (heft, by_heft) = \
+        measure(scanned,
+                lambda: RoundRobinScheduler().schedule(graph, cluster),
+                lambda: HEFTScheduler().schedule(graph, cluster))
+    assert len(indexed_schedule.placements) == _TIMELINE_TASKS
+    assert len(by_heft.placements) == _TIMELINE_TASKS
+    assert _same_schedule(scan_schedule, indexed_schedule)
+
+    speedup = scan["median_s"] / indexed["median_s"]
+    record("runtime_engine", "timeline", {
+        "tasks": _TIMELINE_TASKS,
+        "nodes": _TIMELINE_NODES,
+        "interval_scan": scan,
+        "event_sweep": indexed,
+        "speedup": round(speedup, 1),
+        "heft_with_index": heft,
+        "placements_identical": True,
+    })
+    print(f"\n  2000-task placement: interval scan {scan['median_s']:.3f}s,"
+          f" event-sweep index {indexed['median_s']:.3f}s ({speedup:.0f}x);"
+          f" HEFT+index {heft['median_s']:.3f}s")
+    assert speedup >= 5.0
+
+
 def test_scale_incremental_heft():
     """Cluster-scale HEFT: incremental placement vs the exhaustive scan.
 
@@ -189,83 +123,55 @@ def test_scale_incremental_heft():
     headline 100k-task / 1,000-node measurement and additionally records
     an incremental-only scaling curve.
     """
-    builder = _GraphBuilder()
-    synthetic_workflow(builder, n_tasks=_SCALE_TASKS, seed=_SCALE_SEED)
-    graph = builder.graph
+    graph = _workflow(_SCALE_TASKS, _SCALE_SEED)
     cluster = default_cluster(_SCALE_NODES)
 
-    inc_seconds, inc_schedule = _timed_schedule(
-        HEFTScheduler(), graph, cluster)
+    def incremental():
+        return HEFTScheduler().schedule(graph, cluster)
+
+    def scanning():
+        return ScanHEFT().schedule(graph, cluster)
+
+    if _SCALE_FULL:
+        # The 20-minute scan is timed once, on its own.
+        [(inc, inc_schedule)] = measure(incremental)
+        [(base, base_schedule)] = measure(scanning, repeats=1, warmup=0)
+    else:
+        (inc, inc_schedule), (base, base_schedule) = \
+            measure(incremental, scanning)
     assert len(inc_schedule.placements) == _SCALE_TASKS
-    assert inc_seconds <= _SCALE_BUDGET, (
-        f"incremental HEFT took {inc_seconds:.1f}s at "
+    assert inc["median_s"] <= _SCALE_BUDGET, (
+        f"incremental HEFT took {inc['median_s']:.1f}s at "
         f"{_SCALE_TASKS} tasks / {_SCALE_NODES} nodes "
         f"(budget {_SCALE_BUDGET:.0f}s)")
-
-    base_seconds, base_schedule = _timed_schedule(
-        ScanHEFT(), graph, cluster)
     identical = _same_schedule(inc_schedule, base_schedule)
     assert identical, "incremental HEFT diverged from the baseline scan"
-    speedup = base_seconds / inc_seconds
+    speedup = base["median_s"] / inc["median_s"]
 
     payload = {
         "tasks": _SCALE_TASKS,
         "nodes": _SCALE_NODES,
         "seed": _SCALE_SEED,
-        "incremental_seconds": round(inc_seconds, 2),
-        "baseline_seconds": round(base_seconds, 2),
+        "incremental": inc,
+        "baseline_scan": base,
         "speedup": round(speedup, 1),
         "placements_identical": identical,
         "makespan_seconds": round(inc_schedule.makespan, 2),
         "budget_seconds": _SCALE_BUDGET,
     }
     if _SCALE_FULL:
-        curve = []
-        for n_tasks in _SCALE_CURVE:
-            if n_tasks == _SCALE_TASKS:
-                curve.append({"tasks": n_tasks,
-                              "incremental_seconds":
-                              round(inc_seconds, 2)})
-                continue
-            point = _GraphBuilder()
-            synthetic_workflow(point, n_tasks=n_tasks, seed=_SCALE_SEED)
-            seconds, schedule = _timed_schedule(
-                HEFTScheduler(), point.graph, cluster)
-            assert len(schedule.placements) == n_tasks
-            curve.append({"tasks": n_tasks,
-                          "incremental_seconds": round(seconds, 2)})
         payload["curve_nodes"] = _SCALE_NODES
-        payload["curve"] = curve
-    _record("scale" if _SCALE_FULL else "scale_smoke", payload)
-    print(f"\n  {_SCALE_TASKS}-task/{_SCALE_NODES}-node HEFT: "
-          f"incremental {inc_seconds:.1f}s, scan {base_seconds:.1f}s "
+        payload["curve"] = []
+        for n_tasks in _SCALE_CURVE:
+            point = _workflow(n_tasks, _SCALE_SEED)
+            [(seconds, schedule)] = measure(
+                lambda: HEFTScheduler().schedule(point, cluster))
+            assert len(schedule.placements) == n_tasks
+            payload["curve"].append({"tasks": n_tasks,
+                                     "incremental": seconds})
+    record("runtime_engine", "scale" if _SCALE_FULL else "scale_smoke",
+           payload)
+    print(f"\n  {_SCALE_TASKS}-task/{_SCALE_NODES}-node HEFT: incremental "
+          f"{inc['median_s']:.1f}s, scan {base['median_s']:.1f}s "
           f"({speedup:.1f}x), identical={identical}")
     assert speedup >= _SCALE_MIN_SPEEDUP
-
-
-def test_policy_suite_through_engine():
-    results = {}
-    for policy in sorted(POLICIES):
-        engine = RuntimeEngine(default_cluster(_POLICY_NODES),
-                               policy=policy)
-        synthetic_workflow(engine, n_tasks=_POLICY_TASKS, seed=1)
-        t0 = time.perf_counter()
-        schedule = engine.run()
-        wall = time.perf_counter() - t0
-        assert len(engine.graph.results) == _POLICY_TASKS
-        results[policy] = {
-            "makespan_seconds": round(schedule.makespan, 4),
-            "wall_seconds": round(wall, 4),
-            "transfers_seconds": round(schedule.transfers_seconds, 6),
-        }
-    _record("policies", {
-        "tasks": _POLICY_TASKS,
-        "nodes": _POLICY_NODES,
-        "results": results,
-    })
-    print("\n  " + ", ".join(
-        f"{p}: makespan={r['makespan_seconds']:.2f}s"
-        for p, r in results.items()))
-    heft = results["heft"]["makespan_seconds"]
-    rr = results["round-robin"]["makespan_seconds"]
-    assert heft <= rr * 1.02

@@ -37,12 +37,6 @@ class DataConfig:
     columns: Optional[List[int]] = None
     transpose: bool = False
 
-    @classmethod
-    def from_file(cls, path: str) -> "DataConfig":
-        with open(path) as handle:
-            raw = json.load(handle)
-        return cls(**raw)
-
 
 def load_data(path: str, config: Optional[DataConfig] = None) -> np.ndarray:
     """Load ``.npy``, ``.csv`` or ``.txt`` data with optional config."""

@@ -159,9 +159,8 @@ def _cmd_run(args) -> int:
     lowered = session.lower(_read_source(args.source),
                             opt_level=args.opt_level)
     inputs = _gather_run_inputs(lowered.module, lowered.kernel.name, args)
-    result = session.execute(lowered.source, inputs, backend=args.backend,
-                             opt_level=args.opt_level,
-                             jobs=getattr(args, "jobs", None))
+    result = session.execute_lowered(lowered, inputs, backend=args.backend,
+                                     jobs=getattr(args, "jobs", None))
     kernel = result.kernel
     note = f" [fell back: {kernel.fallback}]" if kernel.fallback else ""
     arena = f", arena={kernel.arena_bytes}B/{kernel.arena_slots} slots" \
@@ -182,9 +181,8 @@ def _cmd_run(args) -> int:
               f"mean={value.mean():.6g}")
         print(f"    {flat}{suffix}")
     if args.time:
-        reference = session.execute(lowered.source, inputs,
-                                    backend="interpreter",
-                                    opt_level=args.opt_level)
+        reference = session.execute_lowered(lowered, inputs,
+                                            backend="interpreter")
         for name, value in result.outputs.items():
             got = np.asarray(value)
             ref = np.asarray(reference.outputs[name])

@@ -26,7 +26,8 @@ def gather_inputs(module: Any, func_name: str,
     ``explicit`` binds arrays by argument name; with ``random_seed``
     every remaining float input is drawn uniform [0, 1) and every
     integer input is zero-filled (always in-range for gather tables).
-    Unknown or missing names raise :class:`EverestError`;
+    Unknown or missing names, and a bound value that is ragged or not
+    numeric (both arrive as JSON over HTTP), raise :class:`EverestError`;
     ``missing_hint`` (``{name}``-formatted) and ``unknown_label`` let
     each entry point keep its own remediation wording.
     """
@@ -46,7 +47,15 @@ def gather_inputs(module: Any, func_name: str,
         name = arg_names[i]
         ref = arg.type
         if name in explicit:
-            inputs[name] = np.asarray(explicit.pop(name))
+            try:
+                value = np.asarray(explicit.pop(name))
+            except ValueError:  # nested lists of unequal length
+                value = None
+            if value is None or value.dtype.kind not in "biuf":
+                raise EverestError(
+                    f"{unknown_label} {name!r} must be a rectangular "
+                    "array of numbers")
+            inputs[name] = value
             continue
         if rng is None:
             raise EverestError(

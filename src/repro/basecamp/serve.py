@@ -214,10 +214,36 @@ class BasecampService:
             raise EverestError(f"opt_level must be 0, 1 or 2, got {level!r}")
         return level
 
+    @staticmethod
+    def _field(payload: Dict[str, Any], name: str, kind: type,
+               default: Any = None, *, low: Optional[float] = None,
+               high: Optional[float] = None) -> Any:
+        """Read one optional request field, checked at the boundary.
+
+        ``kind`` is ``int``, ``float`` (which also takes an int) or
+        ``str``; numbers must lie in [``low``, ``high``].  A missing
+        field is ``default``, and so is an explicit ``null`` where the
+        default is None; anything else raises naming the field, so a
+        malformed value is a 400 and never a ``ValueError`` from deep
+        inside a handler.
+        """
+        value = payload.get(name, default)
+        if value is None and default is None:
+            return None
+        wanted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise EverestError(
+                f"{name!r} must be of type {kind.__name__}, got {value!r}")
+        if (low is not None and value < low) \
+                or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise EverestError(f"{name!r} must be {bounds}, got {value!r}")
+        return value
+
     def _compile(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         result = self.session.compile(
             self._source_of(payload),
-            number_format=payload.get("number_format"),
+            number_format=self._field(payload, "number_format", str),
             opt_level=self._opt_level(payload))
         report = result.report
         return {
@@ -240,9 +266,9 @@ class BasecampService:
 
         source = self._source_of(payload)
         opt_level = self._opt_level(payload)
-        backend = payload.get("backend", "compiled")
-        jobs = payload.get("jobs")
-        seed = payload.get("random_seed")
+        backend = self._field(payload, "backend", str) or "compiled"
+        jobs = self._field(payload, "jobs", int, low=1)
+        seed = self._field(payload, "random_seed", int, low=0)
         explicit = payload.get("inputs") or {}
         if not isinstance(explicit, dict):
             raise EverestError("'inputs' must map input names to arrays")
@@ -250,8 +276,8 @@ class BasecampService:
         inputs = gather_inputs(
             lowered.module, lowered.kernel.name, explicit, seed,
             missing_hint="add it to 'inputs' or pass 'random_seed'")
-        result = self.session.execute(source, inputs, backend=backend,
-                                      opt_level=opt_level, jobs=jobs)
+        result = self.session.execute_lowered(lowered, inputs,
+                                              backend=backend, jobs=jobs)
         outputs: Dict[str, Any] = {}
         for name, value in result.outputs.items():
             value = np.asarray(value)
@@ -280,12 +306,13 @@ class BasecampService:
             synthetic_workflow,
         )
 
-        policy = payload.get("policy", "heft")
+        policy = self._field(payload, "policy", str, "heft")
         policies = sorted(POLICIES) if policy == "all" else [policy]
-        nodes = int(payload.get("nodes", 4))
-        tasks = int(payload.get("tasks", 60))
-        seed = int(payload.get("seed", 0))
-        fpga_fraction = float(payload.get("fpga_fraction", 0.0))
+        nodes = self._field(payload, "nodes", int, 4, low=1)
+        tasks = self._field(payload, "tasks", int, 60, low=1)
+        seed = self._field(payload, "seed", int, 0, low=0)
+        fpga_fraction = self._field(payload, "fpga_fraction", float, 0.0,
+                                    low=0.0, high=1.0)
         results = []
         for name in policies:
             cluster = default_cluster(nodes)

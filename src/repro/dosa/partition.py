@@ -29,10 +29,6 @@ class Partition:
     macs: int
     output_bytes: int
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layer_indices)
-
 
 @dataclass
 class PartitionPlan:

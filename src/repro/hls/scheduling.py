@@ -101,9 +101,6 @@ class Schedule:
     rec_mii: int
     units: Dict[str, int]  # functional units instantiated per class
 
-    def state_count(self) -> int:
-        return self.depth
-
 
 def asap(dfg: BodyDFG) -> List[int]:
     """As-soon-as-possible start times (unconstrained)."""

@@ -31,19 +31,10 @@ from repro.numerics import NumberFormat, format_bits
 from repro.numerics.fixed_point import FixedPointFormat
 from repro.numerics.float_formats import FloatFormat
 from repro.numerics.posit import PositFormat
+from repro.tensorpipe.affine_interp import FLOAT_OPS
 from repro.tensorpipe.arena import default_element_bytes, plan_arena
 
 _LOOP_OVERHEAD = 2  # cycles to enter/flush one pipelined nest
-
-# Ops that count as one FLOP per trip.  Kept in sync with the compiled
-# executor's model (repro.tensorpipe.codegen.FLOAT_OPS) — the two FLOP
-# counters traverse the IR independently and must agree on every kernel.
-_NEST_FLOAT_OPS = frozenset({
-    "arith.addf", "arith.subf", "arith.mulf", "arith.divf",
-    "arith.maximumf", "arith.minimumf", "arith.powf", "arith.negf",
-    "math.exp", "math.log", "math.sqrt", "math.sin", "math.cos",
-    "math.tanh", "math.abs",
-})
 
 
 @dataclass
@@ -214,14 +205,6 @@ class HLSEngine:
         report.planned_arena_slots = len(plan.slots)
         return report
 
-    def synthesize_all(self, module: Module) -> Dict[str, KernelReport]:
-        reports = {}
-        for op in module.body:
-            if op.name == "func.func" and op.attr("kernel_lang") == "affine":
-                name = op.attr("sym_name")
-                reports[name] = self.synthesize(module, name)
-        return reports
-
     # -- internals -----------------------------------------------------------------
 
     def _cost_element(self, element: T.Type) -> T.Type:
@@ -293,7 +276,7 @@ class HLSEngine:
                 continue
             body_ops = [op for op in block if op.name != "affine.for"]
             flops = trip * sum(1 for op in body_ops
-                               if op.name in _NEST_FLOAT_OPS)
+                               if op.name in FLOAT_OPS)
             # Imperfect nest bodies: inner loops contribute their own trip.
             for inner in inner_loops:
                 inner_report = self._synthesize_nest(inner)

@@ -17,7 +17,7 @@ The full-sweep driver this replaced re-walked every op on every
 iteration (O(ops x iterations)); it survives only as a differential
 oracle, ``tools/oracles.py::apply_patterns_sweep``, which
 ``benchmarks/bench_ir_canonicalize.py`` measures this driver against
-(``BENCH_ir_canonicalize.json``).
+(``make bench-ir``; medians in ``benchmarks/out/ir_canonicalize.json``).
 """
 
 from __future__ import annotations

@@ -111,9 +111,6 @@ class SystemArchitecture:
     def fits(self) -> bool:
         return self.resources().fits_in(self.device.usable_resources())
 
-    def total_latency(self) -> float:
-        return sum(e.total for e in self.estimates.values())
-
     def instance(self, name: str) -> KernelInstance:
         for inst in self.instances:
             if inst.name == name:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -321,19 +322,28 @@ class PipelineSession:
         ``compiled-parallel`` worker pool (None: ``REPRO_JOBS`` or the
         CPU count capped at 8); other backends ignore it.
         """
-        result = self.lower(source, opt_level=opt_level)
+        return self.execute_lowered(self.lower(source, opt_level=opt_level),
+                                    inputs, backend=backend, jobs=jobs)
+
+    def execute_lowered(self, lowered: CompileResult, inputs, *,
+                        backend: str = "compiled",
+                        jobs: Optional[int] = None) -> ExecutionResult:
+        """The ``execute`` stage and one kernel run on what :meth:`lower`
+        returned — for a caller that lowered first to learn the kernel's
+        argument list (``basecamp run``, ``POST /execute``)."""
         key, kernel = self.run_stage(
-            "execute", (result.kernel, result.module), key=result.key,
+            "execute", (lowered.kernel, lowered.module), key=lowered.key,
             params={"backend": backend}, detail=backend)
         tracer = get_tracer()
         with tracer.span("execute/run", category="exec",
                          attrs={"backend": kernel.backend}
                          if tracer.enabled else None):
-            with StageClock() as clock:
-                outputs = kernel.run(inputs, jobs=jobs)
-        self.report.record("execute/run", clock.seconds, cached=False,
+            start = time.perf_counter()
+            outputs = kernel.run(inputs, jobs=jobs)
+            seconds = time.perf_counter() - start
+        self.report.record("execute/run", seconds, cached=False,
                            detail=kernel.backend, aux=True)
-        return ExecutionResult(kernel, outputs, clock.seconds, key=key)
+        return ExecutionResult(kernel, outputs, seconds, key=key)
 
     def compile(self, source: str, *,
                 number_format: Optional[str] = None,

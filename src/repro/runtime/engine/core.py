@@ -14,8 +14,7 @@ executes real work:
 * **execution** runs each task's Python function on a real
   :class:`~concurrent.futures.ThreadPoolExecutor` as its simulated start
   time fires, so simulated placement and functional results stay in one
-  pass (the seed split these into ``schedule()`` +
-  ``execute_functionally()``);
+  pass;
 * **streaming submission**: tasks may be submitted while the engine runs
   — schedule them onto the event loop with
   :meth:`RuntimeEngine.submit_at` / :meth:`RuntimeEngine.call_at` (the

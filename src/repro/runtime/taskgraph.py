@@ -137,17 +137,6 @@ class TaskGraph:
                     stack.pop()
         return order
 
-    def execute_functionally(self) -> None:
-        """Run every task's Python function (results only, no timing)."""
-        for task in self.topological_order():
-            if task.task_id in self.results:
-                continue
-            args = [
-                self.results[a.task_id] if isinstance(a, Future) else a
-                for a in task.args
-            ]
-            self.results[task.task_id] = task.fn(*args, **task.kwargs)
-
 
 def delayed(fn: Callable = None, *, resources: ResourceRequest = None,
             output_bytes: int = 8192, tuning: dict = None):

@@ -47,6 +47,17 @@ _MATH = {"math.exp": np.exp, "math.log": np.log, "math.sqrt": np.sqrt,
          "math.sin": np.sin, "math.cos": np.cos, "math.tanh": np.tanh,
          "math.abs": np.abs}
 
+# Ops counted as one floating-point operation per execution.  The two
+# FLOP models — the executor's ``codegen.count_flops`` and the HLS
+# engine's (``hls/synth.py``) — traverse the IR independently, read this
+# one set, and must agree on every kernel.
+FLOAT_OPS = frozenset({
+    "arith.addf", "arith.subf", "arith.mulf", "arith.divf",
+    "arith.maximumf", "arith.minimumf", "arith.powf", "arith.negf",
+    "math.exp", "math.log", "math.sqrt", "math.sin", "math.cos",
+    "math.tanh", "math.abs",
+})
+
 _NUMPY_DTYPES = {
     "f64": np.float64, "f32": np.float32, "i64": np.int64, "i32": np.int32,
     "i1": np.bool_, "index": np.int64,

@@ -36,6 +36,7 @@ from repro.pipeline.cache import fingerprint
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer
 from repro.tensorpipe.affine_interp import (
+    FLOAT_OPS,
     AffineInterpreter,
     _dtype_for,
     bind_buffers,
@@ -62,15 +63,6 @@ _DTYPE_SRC = {
     "f64": "np.float64", "f32": "np.float32", "i64": "np.int64",
     "i32": "np.int32", "i1": "np.bool_", "index": "np.int64",
 }
-
-# Ops counted as one floating-point operation per loop iteration (the
-# HLS engine's FLOP model uses the same set — see test_hls cross-check).
-FLOAT_OPS = frozenset({
-    "arith.addf", "arith.subf", "arith.mulf", "arith.divf",
-    "arith.maximumf", "arith.minimumf", "arith.powf", "arith.negf",
-    "math.exp", "math.log", "math.sqrt", "math.sin", "math.cos",
-    "math.tanh", "math.abs",
-})
 
 # name -> (scalar template, vector template).  Scalar templates reproduce
 # the interpreter's expressions verbatim; vector templates are the numpy
@@ -813,11 +805,3 @@ def compile_affine(module: Module, func_name: str, *,
     from repro.tensorpipe.backends import resolve_backend
 
     return resolve_backend(backend).compile(module, func_name, cache=cache)
-
-
-def run_affine_compiled(module: Module, func_name: str,
-                        inputs: Mapping[str, np.ndarray]
-                        ) -> Dict[str, np.ndarray]:
-    """Compile (cached) and execute; drop-in for
-    :func:`repro.tensorpipe.affine_interp.run_affine`."""
-    return compile_affine(module, func_name).run(inputs)

@@ -20,11 +20,7 @@ from repro.ir import types as T
 from repro.ir.core import Block, Module, Operation, Region
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 from repro.tensorpipe.affine_interp import run_affine
-from repro.tensorpipe.codegen import (
-    compile_affine,
-    count_flops,
-    run_affine_compiled,
-)
+from repro.tensorpipe.codegen import compile_affine, count_flops
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 from irfuzz import check_executor, generate_ekl_case  # noqa: E402
@@ -132,7 +128,7 @@ class TestCompiledExecutor:
         values = rng.normal(size=7) * 1e8 + rng.normal(size=7)
         _, module = compile_raw(FULL_REDUCTION)
         expected = run_affine(module, "k", {"a": values})["s"]
-        got = run_affine_compiled(module, "k", {"a": values})["s"]
+        got = compile_affine(module, "k").run({"a": values})["s"]
         np.testing.assert_array_equal(got, expected)
         sequential = np.float64(0.0)
         for v in np.asarray(values, dtype=np.float64):

@@ -32,7 +32,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "tools")
 )
 
-from oracles import ScanHEFT  # noqa: E402
+from oracles import ScanHEFT, ScanTimeline  # noqa: E402
 
 
 def _assert_capacity_respected(schedule, cluster):
@@ -626,7 +626,8 @@ class TestTaskGraphScale:
 class TestIncrementalHEFTEquivalence:
     """The pruned placement index must reproduce the exhaustive scan
     bitwise (tools/workloadfuzz.py checks this generatively; these are
-    the readable anchors)."""
+    the readable anchors), and the event-sweep timeline under it the
+    interval-scanning one."""
 
     def _assert_same(self, left, right):
         assert set(left.placements) == set(right.placements)
@@ -689,3 +690,16 @@ class TestIncrementalHEFTEquivalence:
             ScanHEFT().schedule(graph, cluster, ready_overrides=ready,
                                 timelines=warm()),
         )
+
+    def test_timeline_index_places_like_the_interval_scan(self):
+        graph = self._graph(60, seed=3)
+        # Two 8-core nodes: most of the 60 tasks wait for cores, so the
+        # answer depends on the committed intervals.
+        cluster = Cluster([Node(name=f"n{i}", cores=8, fpgas=[])
+                           for i in range(2)])
+        scanned = RoundRobinScheduler().schedule(
+            graph, cluster,
+            timelines={node.name: ScanTimeline(node)
+                       for node in cluster.alive_nodes()})
+        self._assert_same(RoundRobinScheduler().schedule(graph, cluster),
+                          scanned)

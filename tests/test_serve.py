@@ -14,6 +14,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -161,6 +162,21 @@ class TestService:
         assert stats["cache"]["entries"] > 0
         assert {"leaders", "waits"} == set(stats["singleflight"])
 
+    def test_warm_execute_lowers_once(self):
+        """The lowering that names the kernel's inputs is the one the
+        ``execute`` stage runs on: one cache probe per stage a request."""
+        service = BasecampService()
+        request = {"source": ADD, "random_seed": 0}
+        service.handle("execute", request)
+        events = service.session.report.events
+        primed = len(events)
+        service.handle("execute", request)
+        warm = events[primed:]
+        assert all(event.cached for event in warm if not event.aux)
+        assert Counter(event.stage for event in warm) == {
+            "frontend-parse": 1, "dialect-lowering": 1, "canonicalize": 1,
+            "execute": 1, "execute/run": 1}
+
 
 def _seeded_inputs(service, source, seed):
     from repro.basecamp.inputs import gather_inputs
@@ -196,6 +212,53 @@ class TestHTTP:
                                {"source": "kernel broken {"})
         assert status == 400
         assert "error" in body
+
+    @pytest.mark.parametrize("endpoint, payload, named", [
+        pytest.param("runtime", {"nodes": "abc"}, "'nodes'", id="nodes"),
+        pytest.param("runtime", {"tasks": None}, "'tasks'", id="tasks"),
+        pytest.param("runtime", {"fpga_fraction": "x"}, "'fpga_fraction'",
+                     id="fpga_fraction"),
+        pytest.param("execute", {"source": ADD, "random_seed": 0,
+                                 "backend": "compiled-parallel",
+                                 "jobs": "x"}, "'jobs'", id="jobs"),
+        pytest.param("execute", {"source": ADD, "random_seed": "seed"},
+                     "'random_seed'", id="random_seed"),
+        pytest.param("execute", {"source": ADD, "random_seed": 0,
+                                 "inputs": {"a": "zzz"}}, "input 'a'",
+                     id="input-not-numeric"),
+        pytest.param("execute", {"source": ADD, "random_seed": 0,
+                                 "inputs": {"a": [[1, 2], [3]]}},
+                     "input 'a'", id="input-ragged"),
+        pytest.param("compile", {"source": ADD, "number_format": 5},
+                     "'number_format'", id="number_format"),
+    ])
+    def test_malformed_field_is_a_400_naming_it(self, server, endpoint,
+                                                payload, named):
+        """Each of these used to escape as a ValueError/TypeError from
+        inside the handler: a 500 that no outcome counter saw."""
+        status, body, _ = post(server.url, endpoint, payload)
+        assert status == 400
+        assert named in body["error"]
+        stats = server.service.stats()["server"]
+        assert (stats["errors"], stats["ok"], stats["active"]) == (1, 0, 0)
+
+    def test_unexpected_handler_error_is_still_a_500(self):
+        """Only errors the SDK raises on purpose are the client's fault:
+        a bug inside a stage must not be reported as a bad request."""
+        session = PipelineSession()
+
+        def broken_hls(payload, **params):
+            raise RuntimeError("synthesizer bug")
+
+        session.register("hls", broken_hls, replace=True)
+        server = BasecampServer(port=0, session=session).start()
+        try:
+            status, body, _ = post(server.url, "compile", {"source": ADD})
+            assert status == 500
+            assert "RuntimeError: synthesizer bug" in body["error"]
+            assert server.service.stats()["server"]["active"] == 0
+        finally:
+            server.shutdown()
 
     def test_arena_allocation_failure_is_a_400_not_a_dead_worker(
             self, server):
@@ -272,86 +335,97 @@ kernel hog {
             connection.close()
 
     def test_single_flight_dedups_identical_inflight_compiles(self):
-        session = PipelineSession()
-        release = threading.Event()
-        hls_runs = []
-        original = session.registry.get("hls")
+        # (clients, max_workers, queue_limit): a handful of tenants, and
+        # a burst four times wider than the executor.
+        for clients, max_workers, queue_limit in ((6, 8, 16), (64, 16, 64)):
+            session = PipelineSession()
+            release = threading.Event()
+            hls_runs = []
+            original = session.registry.get("hls")
 
-        def gated_hls(payload, **params):
-            hls_runs.append(1)
-            assert release.wait(timeout=30)
-            return original.fn(payload, **params)
+            def gated_hls(payload, **params):
+                hls_runs.append(1)
+                assert release.wait(timeout=30)
+                return original.fn(payload, **params)
 
-        session.register("hls", gated_hls, replace=True)
-        server = BasecampServer(port=0, session=session,
-                                max_workers=8).start()
-        try:
-            clients = 6
-            with ThreadPoolExecutor(max_workers=clients) as pool:
-                futures = [
-                    pool.submit(post, server.url, "compile",
-                                {"source": SCALE})
-                    for _ in range(clients)
-                ]
-                # Wait until every client is admitted and in flight,
-                # then release the gated leader.
-                deadline = time.monotonic() + 30
-                while server.service.stats()["server"]["active"] < clients:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
-                release.set()
-                replies = [f.result(timeout=60) for f in futures]
-            assert all(status == 200 for status, _, _ in replies)
-            bodies = [body for _, body, _ in replies]
-            assert all(body == bodies[0] for body in bodies)
-            # The demonstrable dedup claim: six concurrent identical
-            # compiles executed the HLS stage exactly once.
-            assert len(hls_runs) == 1
-            assert session.singleflight.waits > 0
-        finally:
-            server.shutdown()
+            session.register("hls", gated_hls, replace=True)
+            server = BasecampServer(port=0, session=session,
+                                    max_workers=max_workers,
+                                    queue_limit=queue_limit).start()
+            try:
+                with ThreadPoolExecutor(max_workers=clients) as pool:
+                    futures = [
+                        pool.submit(post, server.url, "compile",
+                                    {"source": SCALE})
+                        for _ in range(clients)
+                    ]
+                    # Wait until every client is admitted and in flight,
+                    # then release the gated leader.
+                    deadline = time.monotonic() + 30
+                    while server.service.stats()["server"]["active"] \
+                            < clients:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    release.set()
+                    replies = [f.result(timeout=60) for f in futures]
+                assert all(status == 200 for status, _, _ in replies)
+                bodies = [body for _, body, _ in replies]
+                assert all(body == bodies[0] for body in bodies)
+                # The demonstrable dedup claim: concurrent identical
+                # compiles executed the HLS stage exactly once.
+                assert len(hls_runs) == 1, clients
+                assert session.singleflight.waits > 0
+            finally:
+                server.shutdown()
 
     def test_saturation_rejected_with_retry_after(self):
-        session = PipelineSession()
-        entered = threading.Event()
-        release = threading.Event()
-        original = session.registry.get("hls")
+        # (max_workers, queue_limit, clients): one client too many, and
+        # a burst of four times the capacity.
+        for max_workers, queue_limit, clients in ((1, 1, 3), (2, 4, 24)):
+            capacity = max_workers + queue_limit
+            session = PipelineSession()
+            release = threading.Event()
+            original = session.registry.get("hls")
 
-        def gated_hls(payload, **params):
-            entered.set()
-            assert release.wait(timeout=30)
-            return original.fn(payload, **params)
+            def gated_hls(payload, **params):
+                assert release.wait(timeout=30)
+                return original.fn(payload, **params)
 
-        session.register("hls", gated_hls, replace=True)
-        server = BasecampServer(port=0, session=session,
-                                max_workers=1, queue_limit=1).start()
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                first = pool.submit(post, server.url, "compile",
+            session.register("hls", gated_hls, replace=True)
+            server = BasecampServer(port=0, session=session,
+                                    max_workers=max_workers,
+                                    queue_limit=queue_limit).start()
+            try:
+                with ThreadPoolExecutor(max_workers=clients) as pool:
+                    futures = [
+                        pool.submit(post, server.url, "compile",
                                     {"source": SCALE})
-                assert entered.wait(timeout=30)
-                second = pool.submit(post, server.url, "compile",
-                                     {"source": SCALE})
-                deadline = time.monotonic() + 30
-                while server.service.stats()["server"]["active"] < 2:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
-                # Executor full, queue full: the third client is turned
-                # away immediately with a Retry-After hint.
-                status, body, headers = post(server.url, "compile",
-                                             {"source": SCALE})
-                assert status == 429
-                assert "saturated" in body["error"]
-                assert int(headers["Retry-After"]) >= 1
-                assert body["retry_after"] == int(headers["Retry-After"])
-                release.set()
-                assert first.result(timeout=60)[0] == 200
-                assert second.result(timeout=60)[0] == 200
-            stats = server.service.stats()["server"]
-            assert stats["rejected"] == 1
-            assert stats["ok"] == 2
-        finally:
-            server.shutdown()
+                        for _ in range(clients)
+                    ]
+                    # Executor full, queue full: everyone past capacity is
+                    # turned away at once, while the admitted are held.
+                    deadline = time.monotonic() + 30
+                    while True:
+                        stats = server.service.stats()["server"]
+                        if (stats["active"], stats["rejected"]) \
+                                == (capacity, clients - capacity):
+                            break
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    release.set()
+                    replies = [f.result(timeout=60) for f in futures]
+                rejected = [reply for reply in replies if reply[0] == 429]
+                assert len(rejected) == clients - capacity
+                for _, body, headers in rejected:
+                    assert "saturated" in body["error"]
+                    assert int(headers["Retry-After"]) >= 1
+                    assert body["retry_after"] == int(headers["Retry-After"])
+                assert sum(reply[0] == 200 for reply in replies) == capacity
+                stats = server.service.stats()["server"]
+                assert stats["rejected"] == clients - capacity
+                assert stats["ok"] == capacity
+            finally:
+                server.shutdown()
 
     def test_clean_shutdown_idempotent_socket(self):
         server = BasecampServer(port=0).start()

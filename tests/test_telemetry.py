@@ -11,14 +11,17 @@ Four layers, tested bottom-up:
   loads), Prometheus text exposition, PipelineReport reconstruction;
 * the integrations — PipelineSession stage spans with cache /
   single-flight attribution, the serve daemon's ``GET /metrics`` body
-  agreeing with ``/stats``, the ``span_id`` echo, and the Retry-After
-  EWMA floor regression.
+  agreeing with ``/stats``, the ``span_id`` echo, what a request pays
+  for tracing that is switched off (a pinned call count), and the
+  Retry-After EWMA floor regression.
 """
 
+import gc
 import io
 import json
 import logging
 import math
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -33,6 +36,7 @@ from repro.basecamp.serve import (
 )
 from repro.errors import EverestError
 from repro.pipeline import PipelineSession
+from repro.telemetry import trace
 from repro.telemetry.export import (
     VIRTUAL_PID,
     WALL_PID,
@@ -469,6 +473,48 @@ class TestServeTelemetry:
         service = BasecampService()
         result = service.handle("compile", {"source": ADD})
         assert "span_id" not in result
+
+    @pytest.mark.parametrize("endpoint, budget", [("execute", 8),
+                                                  ("compile", 4)])
+    def test_disabled_tracing_is_a_pinned_number_of_calls(self, endpoint,
+                                                          budget):
+        """The disabled contract as a count, not a wall-clock share: with
+        the null tracer installed, one warm request runs ``budget``
+        Python functions of ``telemetry/trace.py`` (a ``get_tracer`` per
+        stage, plus the null ``execute/run`` span) out of a few hundred
+        calls in all.  A new instrumentation site on the request path
+        raises the count and has to re-pin it here."""
+        service = BasecampService()
+        payload = {"source": ADD, "random_seed": 0}
+        service.handle(endpoint, payload)  # warm: every stage a cache hit
+
+        def traced_calls():
+            calls = []
+
+            def hook(frame, event, arg):
+                if event == "call" \
+                        and frame.f_code.co_filename == trace.__file__:
+                    calls.append(frame.f_code.co_name)
+
+            # As in test_compile_budget: a collection mid-count would
+            # run other libraries' gc callbacks.
+            gc.collect()
+            gc.disable()
+            previous = sys.getprofile()
+            sys.setprofile(hook)
+            try:
+                service.handle(endpoint, payload)
+            finally:
+                sys.setprofile(previous)
+                gc.enable()
+            return calls
+
+        calls = traced_calls()
+        assert calls == traced_calls(), "the count must repeat exactly"
+        assert len(calls) <= budget, (
+            f"one warm {endpoint} request made {len(calls)} calls into "
+            f"telemetry/trace.py with tracing off (pinned at {budget}): "
+            f"{calls}")
 
 
 class TestRetryAfterFloor:

@@ -1,4 +1,4 @@
-"""Reference implementations the fuzzers and legacy benchmarks compare against.
+"""Reference implementations the tests, fuzzers and benchmarks compare against.
 
 Each one is the simple, slow algorithm a production path in ``src/repro``
 replaced.  They are test infrastructure, not product code: nothing under
@@ -17,12 +17,17 @@ or the daemon.
 * :class:`ScanHEFT` — HEFT with the exhaustive per-task node scan that
   :class:`repro.runtime.scheduler.HEFTScheduler`'s pruned candidate
   search superseded (``tools/workloadfuzz.py`` invariant 5,
-  ``tests/test_runtime_engine.py``, ``benchmarks/bench_runtime_engine.py``).
+  ``tests/test_runtime_engine.py``, ``benchmarks/bench_runtime_engine.py``);
+* :class:`ScanTimeline` — the per-node placement timeline that re-scans
+  every committed interval on each query, which the event-sweep index
+  :class:`repro.runtime.timeline.NodeTimeline` superseded (placement
+  differential in ``tests/test_runtime_engine.py``, speedup budget in
+  ``benchmarks/bench_runtime_engine.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
 from repro.ir.analysis import (
@@ -68,7 +73,7 @@ def apply_patterns_sweep(
     whole ancestor chain is verified (:func:`repro.ir.rewrite.is_attached`).
 
     Every sweep re-visits every op: O(ops x iterations), which is why the
-    worklist driver replaced it (``BENCH_ir_canonicalize.json``).
+    worklist driver replaced it (``make bench-ir`` measures the two).
     """
     patterns = list(patterns)
     changed_ever = False
@@ -205,3 +210,43 @@ class ScanHEFT(HEFTScheduler):
                                         task.resources.cores)
             result.placements[task.task_id] = best
             result.transfers_seconds += best_comm
+
+
+class ScanTimeline:
+    """Placement queries by scanning every committed interval:
+    O(intervals^2) per :meth:`earliest_start`.
+
+    Holds what a scheduler's ``timelines=`` argument needs
+    (``earliest_start`` and ``commit``), so the same scheduler runs on it
+    and on :class:`NodeTimeline` and must place every task identically.
+    """
+
+    def __init__(self, node: Node):
+        self.node = node
+        self.intervals: List[Tuple[float, float, int]] = []
+
+    def _usage_at(self, t0: float, t1: float) -> int:
+        peak = 0
+        points = {t0}
+        for s, e, c in self.intervals:
+            if s < t1 and e > t0:
+                points.add(max(s, t0))
+        for point in points:
+            used = sum(c for s, e, c in self.intervals
+                       if s <= point < e)
+            peak = max(peak, used)
+        return peak
+
+    def earliest_start(self, ready: float, duration: float,
+                       cores: int) -> float:
+        candidates = sorted({ready} | {
+            e for _, e, _ in self.intervals if e > ready
+        })
+        for candidate in candidates:
+            if self._usage_at(candidate, candidate + duration) + cores \
+                    <= self.node.cores:
+                return candidate
+        return candidates[-1] if candidates else ready
+
+    def commit(self, start: float, duration: float, cores: int) -> None:
+        self.intervals.append((start, start + duration, cores))
