@@ -33,6 +33,7 @@ test-steps: lint
 	$(MAKE) bench-runtime
 	$(MAKE) serve-smoke
 	$(MAKE) bench-selftest
+	$(MAKE) examples
 
 # bench_*.py does not match pytest's default file glob; list explicitly.
 bench-smoke:
@@ -158,6 +159,11 @@ lint:
 docs-check:
 	$(PYTHON) tools/check_docs.py
 
+# Every script under examples/ has to run to completion: they call the
+# public API the way the docs show it, and nothing else would notice one
+# of them break.
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/custom_formats_dse.py
+	@for script in examples/*.py; do \
+		echo "$(PYTHON) $$script"; \
+		$(PYTHON) $$script || exit 1; \
+	done

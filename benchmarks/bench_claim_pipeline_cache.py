@@ -3,8 +3,8 @@
 The PipelineSession fingerprints every stage input, so recompiling the
 same kernel/configuration skips the frontend, the dialect lowerings and
 HLS entirely.  Timed: a cache-hot compile through the session versus the
-cold hand-chained flow (the `bench_fig3` compile path), plus the parallel
-format-DSE sweep against its serial twin.
+cold hand-chained flow (the `bench_fig3` compile path), plus the
+format-DSE sweep against one cold compile per format.
 """
 
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
@@ -25,15 +25,11 @@ def test_cache_hot_recompile(benchmark):
     assert all(e.cached for e in session.report.events[cold_events:])
 
 
-def test_parallel_format_sweep(benchmark):
-    serial = PipelineSession().format_sweep(FIG3_MAJOR_ABSORBER, FORMATS,
-                                            parallel=False)
-
-    def sweep():
-        return PipelineSession().format_sweep(FIG3_MAJOR_ABSORBER, FORMATS,
-                                              parallel=True)
-
-    parallel = benchmark(sweep)
-    assert list(parallel) == FORMATS
+def test_format_sweep(benchmark):
+    swept = benchmark(lambda: PipelineSession().format_sweep(
+        FIG3_MAJOR_ABSORBER, FORMATS))
+    assert list(swept) == FORMATS
     for spec in FORMATS:
-        assert parallel[spec].total_cycles == serial[spec].total_cycles
+        alone = PipelineSession().compile(FIG3_MAJOR_ABSORBER,
+                                          number_format=spec).report
+        assert swept[spec].total_cycles == alone.total_cycles

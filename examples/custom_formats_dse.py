@@ -1,6 +1,6 @@
 """Custom data formats + design-space exploration (paper §V-B/§V-C).
 
-Synthesizes the RRTMG kernel in five numeric formats with one parallel
+Synthesizes the RRTMG kernel in five numeric formats with one
 :meth:`PipelineSession.format_sweep`, prints the accuracy/resource/latency
 trade-off table, then lets Olympus explore replication/buffering/packing
 and the mARGOt autotuner pick an operating point under a latency
@@ -32,10 +32,9 @@ def main() -> None:
     )
     reference = tau_major_reference(inputs)
 
-    # Data-format DSE: one parallel sweep, five synthesis points.
+    # Data-format DSE: one sweep, five synthesis points.
     formats = ["f64", "f32", "bf16", "fixed<8.8>", "posit<16,1>"]
-    reports = session.format_sweep(FIG3_MAJOR_ABSORBER, formats,
-                                   parallel=True)
+    reports = session.format_sweep(FIG3_MAJOR_ABSORBER, formats)
     print("format        cycles      LUT    DSP  BRAM   max rel err")
     for spec, report in reports.items():
         if spec == "f64":
@@ -52,7 +51,7 @@ def main() -> None:
 
     # Olympus DSE (cache-hot: the f64 compile is reused) -> mARGOt
     # knowledge -> constrained selection.
-    olympus = session.olympus(FIG3_MAJOR_ABSORBER, parallel=True)
+    olympus = session.olympus(FIG3_MAJOR_ABSORBER)
     knowledge = [
         OperatingPoint({"config": cfg.label()},
                        {"latency_us": breakdown.total * 1e6,

@@ -31,7 +31,7 @@ def main() -> None:
 
     # 4. Olympus: pick the best system architecture on an Alveo u55c —
     # the compile stages above are cache hits inside this call.
-    olympus = session.olympus(FIG3_MAJOR_ABSORBER, parallel=True)
+    olympus = session.olympus(FIG3_MAJOR_ABSORBER)
     latency = olympus.system.estimates[report.name].total
     print(f"olympus selected {olympus.best.label()}: "
           f"{latency * 1e6:.1f} us per invocation "

@@ -98,8 +98,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_olympus(args) -> int:
     result = _session().olympus(_read_source(args.source),
-                                device=args.device,
-                                parallel=not args.serial)
+                                device=args.device)
     print(f"design space for {result.system.instances[0].name} "
           f"on {args.device}:")
     for config, latency, resources in result.points:
@@ -114,8 +113,7 @@ def cmd_pipeline(args) -> int:
     with _tracing(args.trace):
         session = _session()
         plan = session.deploy(_read_source(args.source), device=args.device,
-                              nodes=args.nodes, parallel=not args.serial,
-                              opt_level=args.opt_level)
+                              nodes=args.nodes, opt_level=args.opt_level)
         schedule = plan.schedule
         print(f"deployed on {args.nodes} nodes: "
               f"{len(schedule.placements)} task(s), "
@@ -364,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("olympus", help="system-level architecture DSE")
     p.add_argument("source")
     p.add_argument("--device", default="alveo-u55c")
-    p.add_argument("--serial", action="store_true",
-                   help="disable the parallel DSE fan-out")
     p.set_defaults(fn=cmd_olympus)
 
     p = sub.add_parser("pipeline",
@@ -373,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("--device", default="alveo-u55c")
     p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--serial", action="store_true",
-                   help="disable the parallel DSE fan-out")
     p.add_argument("--opt-level", type=int, choices=[0, 1, 2], default=1,
                    help="0: raw lowering, 1: canonicalize (fold/DCE/CSE), "
                         "2: canonicalize + inline")

@@ -189,7 +189,10 @@ class BasecampService:
                 result = handler(payload)
             self._responses.inc(outcome="ok")
             return result
-        except EverestError:
+        except Exception:
+            # An EverestError is the client's 4xx, anything else the
+            # 500 path; both are an "error" outcome, so that
+            # requests == ok + errors + rejected holds.
             self._responses.inc(outcome="error")
             raise
         finally:
@@ -206,13 +209,6 @@ class BasecampService:
             raise EverestError("request needs a non-empty 'source' "
                                "(EKL kernel text)")
         return source
-
-    @staticmethod
-    def _opt_level(payload: Dict[str, Any]) -> int:
-        level = payload.get("opt_level", 1)
-        if level not in (0, 1, 2):
-            raise EverestError(f"opt_level must be 0, 1 or 2, got {level!r}")
-        return level
 
     @staticmethod
     def _field(payload: Dict[str, Any], name: str, kind: type,
@@ -244,7 +240,8 @@ class BasecampService:
         result = self.session.compile(
             self._source_of(payload),
             number_format=self._field(payload, "number_format", str),
-            opt_level=self._opt_level(payload))
+            opt_level=self._field(payload, "opt_level", int, 1,
+                                  low=0, high=2))
         report = result.report
         return {
             "kernel": report.name,
@@ -265,7 +262,7 @@ class BasecampService:
         from repro.basecamp.inputs import gather_inputs
 
         source = self._source_of(payload)
-        opt_level = self._opt_level(payload)
+        opt_level = self._field(payload, "opt_level", int, 1, low=0, high=2)
         backend = self._field(payload, "backend", str) or "compiled"
         jobs = self._field(payload, "jobs", int, low=1)
         seed = self._field(payload, "random_seed", int, low=0)

@@ -27,6 +27,7 @@ from repro.hls.resources import (
 )
 from repro.hls.scheduling import BodyDFG, Schedule, build_dfg, list_schedule
 from repro.ir import Module, Operation, types as T
+from repro.ir.fusion import loop_bounds, perfect_nest, trip_count
 from repro.numerics import NumberFormat, format_bits
 from repro.numerics.fixed_point import FixedPointFormat
 from repro.numerics.float_formats import FloatFormat
@@ -258,33 +259,18 @@ class HLSEngine:
         return self._cost_element(ty)
 
     def _synthesize_nest(self, loop: Operation) -> NestReport:
+        loops, ops = perfect_nest(loop)
         trip = 1
-        current = loop
-        body_ops: List[Operation] = []
-        while True:
-            lower = current.attr("lower")
-            upper = current.attr("upper")
-            step = current.attr("step") or 1
-            trip *= max(0, math.ceil((upper - lower) / step))
-            block = current.regions[0].entry
-            inner_loops = [op for op in block if op.name == "affine.for"]
-            if len(inner_loops) == 1 and all(
-                op.name in ("affine.for", "affine.yield")
-                for op in block
-            ):
-                current = inner_loops[0]
-                continue
-            body_ops = [op for op in block if op.name != "affine.for"]
-            flops = trip * sum(1 for op in body_ops
-                               if op.name in FLOAT_OPS)
-            # Imperfect nest bodies: inner loops contribute their own trip.
-            for inner in inner_loops:
-                inner_report = self._synthesize_nest(inner)
-                flops += trip * inner_report.flops
-                body_ops.extend(
-                    op for op in _innermost_ops(inner)
-                )
-            break
+        for level in loops:
+            lower, upper, step = loop_bounds(level)
+            trip *= trip_count(lower, upper, step or 1)
+        body_ops = [op for op in ops if op.name != "affine.for"]
+        flops = trip * sum(1 for op in body_ops if op.name in FLOAT_OPS)
+        # Imperfect nest bodies: inner loops contribute their own trip.
+        for inner in [op for op in ops if op.name == "affine.for"]:
+            inner_report = self._synthesize_nest(inner)
+            flops += trip * inner_report.flops
+            body_ops.extend(_innermost_ops(inner))
         dfg = build_dfg(body_ops, self._element_of)
         schedule = list_schedule(dfg, {"mem": self.mem_ports})
         unit_costs: Dict[str, OpCost] = {}
@@ -425,6 +411,9 @@ def cross_check_executor(report: KernelReport, module: Module,
     """
     import time
 
+    # Not at module level: codegen imports repro.pipeline and hashlib,
+    # about 4 MB in every process that only wanted repro.hls (the
+    # runtime engine reaches it through repro.platforms).
     from repro.tensorpipe.codegen import compile_affine
 
     if runs < 1:

@@ -12,7 +12,7 @@ Three layers, mirroring MLIR's design:
   instances registered per dialect (``Dialect.add_canonical_pattern``) for
   rewrites that must build new ops (e.g. collapsing ``transpose`` chains).
 * **CanonicalizePass** — composes fold + trivial-dead-op erasure +
-  the dialect patterns (all through the worklist driver) with DCE and CSE,
+  the dialect patterns (all through the worklist driver) with CSE,
   iterating to a fixpoint.  Per-sub-pass wall times are kept in
   ``self.timings`` and surfaced by the pipeline's ``canonicalize`` stage.
 
@@ -30,11 +30,7 @@ from repro.errors import IRError
 from repro.ir.attributes import Attribute, attr
 from repro.ir.core import Module, Operation, Value
 from repro.ir.dialect import REGISTRY, DialectRegistry
-from repro.ir.passes import (
-    CommonSubexpressionElimination,
-    DeadCodeElimination,
-    Pass,
-)
+from repro.ir.passes import CommonSubexpressionElimination, Pass
 from repro.ir.rewrite import (
     PatternRewriter,
     RewritePattern,
@@ -135,7 +131,12 @@ def canonical_pattern_set(
 
 
 class CanonicalizePass(Pass):
-    """Fold + canonical patterns + DCE + CSE, iterated to a fixpoint.
+    """Fold + dead-op erasure + canonical patterns, then CSE, iterated to
+    a fixpoint.
+
+    Dead ops go in the worklist driver (:class:`EraseTriviallyDead`, which
+    revisits the producers of every op it erases), so no separate
+    dead-code sweep runs between the rounds.
 
     The fixpoint is guaranteed: the pass loops until a full round changes
     nothing, and raises :class:`~repro.errors.IRError` if ``max_rounds``
@@ -155,7 +156,6 @@ class CanonicalizePass(Pass):
         patterns = canonical_pattern_set(self.registry)
         steps = (
             ("patterns", lambda m: apply_patterns_worklist(m, patterns)),
-            ("dce", DeadCodeElimination().run),
             ("cse", CommonSubexpressionElimination().run),
         )
         self.timings = []

@@ -51,13 +51,42 @@ from repro.ir.dialect import REGISTRY
 from repro.ir.passes import Pass
 
 
-def _is_pure(op: Operation) -> bool:
+def is_pure(op: Operation) -> bool:
+    """Whether ``op`` is registered with the ``pure`` trait."""
     opdef = REGISTRY.opdefs.get(op.name)
     return opdef is not None and "pure" in opdef.traits
 
 
-def _loop_bounds(for_op: Operation) -> Tuple[int, int, int]:
+def loop_bounds(for_op: Operation) -> Tuple[int, int, int]:
+    """``(lower, upper, step)`` of one ``affine.for``."""
     return (for_op.attr("lower"), for_op.attr("upper"), for_op.attr("step"))
+
+
+def trip_count(lower: int, upper: int, step: int) -> int:
+    """Iterations of ``range(lower, upper, step)``; ``step`` is not 0."""
+    return max(0, -(-(upper - lower) // step))
+
+
+def perfect_nest(for_op: Operation
+                 ) -> Tuple[List[Operation], List[Operation]]:
+    """Walk the perfect ``affine.for`` nest rooted at ``for_op`` down to
+    its body.
+
+    A level is perfect when its block holds exactly one inner loop plus
+    the terminator.  Returns the loops, outermost first, and the ops of
+    the first block that is not such a level (terminator included) — an
+    ``affine.for`` among them means the nest is imperfect below there.
+    """
+    loops: List[Operation] = []
+    current = for_op
+    while True:
+        loops.append(current)
+        ops = list(current.regions[0].entry.operations)
+        if len(ops) == 2 and ops[0].name == "affine.for" \
+                and ops[1].name == "affine.yield":
+            current = ops[0]
+            continue
+        return loops, ops
 
 
 def _enclosing_for(value: Value) -> Optional[Operation]:
@@ -73,7 +102,7 @@ def _enclosing_for(value: Value) -> Optional[Operation]:
     return None
 
 
-def _top_level_ancestor(op: Operation, entry: Block) -> Optional[Operation]:
+def top_level_ancestor(op: Operation, entry: Block) -> Optional[Operation]:
     """The ancestor of ``op`` (possibly itself) sitting directly in
     ``entry``, or None when ``op`` is not nested under it."""
     current: Optional[Operation] = op
@@ -105,7 +134,7 @@ def _written_buffers(root: Operation) -> Optional[List[Value]]:
             written.append(op.operands[1])
         elif op.name == "memref.copy":
             written.append(op.operands[1])
-        elif op.name not in _KNOWN_EFFECTS and not _is_pure(op):
+        elif op.name not in _KNOWN_EFFECTS and not is_pure(op):
             return None
     return written
 
@@ -128,28 +157,17 @@ class _Producer:
 def _match_producer(store: Operation, buffer: Value,
                     entry: Block) -> Optional[_Producer]:
     """Recognize the elementwise perfect nest that fills ``buffer``."""
-    nest = _top_level_ancestor(store, entry)
+    nest = top_level_ancestor(store, entry)
     if nest is None or nest.name != "affine.for":
         return None  # e.g. a rank-0 top-level store: nothing to fuse over
-    # Collect the perfect nest: each level holds exactly one inner loop
-    # plus the terminator, the innermost holds the straight-line body.
-    loops: List[Operation] = []
-    current = nest
-    while True:
-        region = current.regions[0]
+    loops, ops = perfect_nest(nest)
+    for loop in loops:
+        region = loop.regions[0]
         if len(region.blocks) != 1 or len(region.entry.args) != 1:
             return None
-        loops.append(current)
-        ops = list(region.entry.operations)
-        inner = [o for o in ops if o.name == "affine.for"]
-        if len(ops) == 2 and len(inner) == 1 and ops[0] is inner[0] \
-                and ops[1].name == "affine.yield":
-            current = inner[0]
-            continue
-        if inner:
-            return None  # imperfect nest
-        body = [o for o in ops if o.name != "affine.yield"]
-        break
+    if [o for o in ops if o.name == "affine.for"]:
+        return None  # imperfect nest
+    body = [o for o in ops if o.name != "affine.yield"]
     if store not in body:
         return None
     stores = [o for o in body if o.name == "memref.store"]
@@ -160,7 +178,7 @@ def _match_producer(store: Operation, buffer: Value,
             return None
         if op is store or op.name == "memref.load":
             continue
-        if not _is_pure(op):
+        if not is_pure(op):
             return None
     # Elementwise check: the store indices are exactly this nest's IVs,
     # each exactly once (reduction stores do not cover every loop).
@@ -224,7 +242,7 @@ class FusionPass(Pass):
         if producer is None:
             return False
 
-        consumer = _top_level_ancestor(load, entry)
+        consumer = top_level_ancestor(load, entry)
         if consumer is None or consumer is producer.nest:
             return False
         position = {op: i for i, op in enumerate(entry.operations)}
@@ -241,7 +259,7 @@ class FusionPass(Pass):
         for idx, dim_loop in zip(indices, producer.dim_loops):
             enclosing = _enclosing_for(idx)
             if enclosing is None or \
-                    _loop_bounds(enclosing) != _loop_bounds(dim_loop):
+                    loop_bounds(enclosing) != loop_bounds(dim_loop):
                 return False
 
         # The producer's reads execute later after fusion: every buffer

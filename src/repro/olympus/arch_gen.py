@@ -18,7 +18,6 @@ The generated architecture is both a Python object
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -185,38 +184,18 @@ class OlympusGenerator:
             replicas *= 2
         return configs
 
-    def evaluate_config(self, report: KernelReport, config: ArchConfig,
-                        budget: Optional[ResourceBudget] = None
-                        ) -> Optional[Tuple[ArchConfig, LatencyBreakdown,
-                                            ResourceBudget]]:
-        """One design point, or ``None`` when it exceeds the device."""
-        if budget is None:
-            budget = self.device.usable_resources()
-        breakdown, instance = self.estimate(report, config)
-        resources = instance.resources()
-        if not resources.fits_in(budget):
-            return None
-        return config, breakdown, resources
-
     def explore(self, report: KernelReport,
-                max_replicas: Optional[int] = None,
-                executor=None) -> List[
+                max_replicas: Optional[int] = None) -> List[
                     Tuple[ArchConfig, LatencyBreakdown, ResourceBudget]]:
-        """Enumerate feasible configurations (the kernel's design space).
-
-        ``executor`` (any :class:`concurrent.futures.Executor`) evaluates
-        candidate configurations concurrently; ``Executor.map`` preserves
-        enumeration order, so the result is identical to the serial path.
-        """
-        configs = self.candidate_configs(max_replicas)
+        """Enumerate feasible configurations (the kernel's design space),
+        in :meth:`candidate_configs` order."""
         budget = self.device.usable_resources()
-        evaluate = functools.partial(self.evaluate_config, report,
-                                     budget=budget)
-        if executor is None:
-            evaluated = [evaluate(c) for c in configs]
-        else:
-            evaluated = list(executor.map(evaluate, configs))
-        points = [point for point in evaluated if point is not None]
+        points = []
+        for config in self.candidate_configs(max_replicas):
+            breakdown, instance = self.estimate(report, config)
+            resources = instance.resources()
+            if resources.fits_in(budget):
+                points.append((config, breakdown, resources))
         if not points:
             raise OlympusError(
                 f"kernel {report.name} does not fit on {self.device.name} "

@@ -9,8 +9,8 @@ orchestrates them with
 
 * **content-hash stage caching** — repeated compiles of the same
   kernel/configuration skip completed phases;
-* **parallel fan-out** for data-format and Olympus design-space sweeps
-  (``concurrent.futures``), deterministic with respect to the serial path;
+* data-format and Olympus **design-space sweeps** that return their
+  results in input order;
 * per-stage timing surfaced as a structured :class:`PipelineReport`.
 
 Quick use::

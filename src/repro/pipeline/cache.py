@@ -87,11 +87,6 @@ class StageCache:
         with self._lock:
             self._entries[key] = value
 
-    def contains(self, key: str) -> bool:
-        """Peek without touching the hit/miss counters."""
-        with self._lock:
-            return key in self._entries
-
     def peek(self, key: str) -> Tuple[bool, Optional[Any]]:
         """Like :meth:`lookup` but without touching the counters.
 

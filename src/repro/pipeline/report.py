@@ -25,7 +25,6 @@ class StageTiming:
     stage: str
     seconds: float
     cached: bool
-    parallel: bool = False
     detail: str = ""
     aux: bool = False
 
@@ -37,9 +36,8 @@ class PipelineReport:
     events: List[StageTiming] = field(default_factory=list)
 
     def record(self, stage: str, seconds: float, *, cached: bool,
-               parallel: bool = False, detail: str = "",
-               aux: bool = False) -> StageTiming:
-        event = StageTiming(stage, seconds, cached, parallel, detail, aux)
+               detail: str = "", aux: bool = False) -> StageTiming:
+        event = StageTiming(stage, seconds, cached, detail, aux)
         self.events.append(event)
         return event
 
@@ -71,7 +69,7 @@ class PipelineReport:
             "cache_misses": self.cache_misses,
             "events": [
                 {"stage": e.stage, "seconds": e.seconds, "cached": e.cached,
-                 "parallel": e.parallel, "detail": e.detail, "aux": e.aux}
+                 "detail": e.detail, "aux": e.aux}
                 for e in self.events
             ],
         }
@@ -84,9 +82,8 @@ class PipelineReport:
         ]
         for event in self.events:
             mark = "cache" if event.cached else f"{event.seconds * 1e3:8.2f}ms"
-            flags = " [parallel]" if event.parallel else ""
             detail = f"  ({event.detail})" if event.detail else ""
-            lines.append(f"  {event.stage:18s} {mark:>10s}{flags}{detail}")
+            lines.append(f"  {event.stage:18s} {mark:>10s}{detail}")
         return "\n".join(lines)
 
 

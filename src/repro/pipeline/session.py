@@ -5,8 +5,8 @@ One session owns a stage registry, a content-hash stage cache and a
 :meth:`olympus`, :meth:`deploy`, :meth:`format_sweep`,
 :meth:`olympus_sweep`) compose the built-in stages into the paper's Fig. 2
 flow; repeated compiles of the same kernel/config skip completed phases,
-and DSE sweeps fan out over a ``concurrent.futures`` executor while
-returning results bit-identical to the serial path.
+and DSE sweeps run their configurations in input order on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -68,21 +67,16 @@ class PipelineSession:
 
     Parameters
     ----------
-    max_workers:
-        Fan-out width for parallel DSE sweeps (defaults to CPU count,
-        capped at 8).
     register_builtins:
         Install the standard Fig. 2 stages (``frontend-parse``,
         ``dialect-lowering``, ``canonicalize``, ``execute``, ``hls``,
         ``olympus``, ``schedule``).
     """
 
-    def __init__(self, *, max_workers: Optional[int] = None,
-                 register_builtins: bool = True):
+    def __init__(self, *, register_builtins: bool = True):
         self.registry = StageRegistry()
         self.cache = StageCache()
         self.report = PipelineReport()
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.singleflight = SingleFlightStats()
         self._inflight: Dict[str, _Flight] = {}
         self._inflight_lock = threading.Lock()
@@ -107,22 +101,21 @@ class PipelineSession:
     def run_stage(self, name: str, payload: Any, *, key: str,
                   params: Optional[Dict[str, Any]] = None,
                   runtime_params: Optional[Dict[str, Any]] = None,
-                  parallel: bool = False,
                   detail: str = "") -> Tuple[str, Any]:
         """Run one registered stage with caching and timing.
 
         ``key`` is the fingerprint of the upstream payload; the stage's own
         key chains it with the stage name and ``params``.
         ``runtime_params`` are forwarded to the stage function but excluded
-        from the fingerprint (executors, callbacks — values that do not
-        change the result).
+        from the fingerprint (the session report, callbacks — values that
+        do not change the result).
 
         Cacheable stages are *single-flight*: when several threads request
-        the same ``stage_key`` concurrently (``basecamp serve`` tenants,
-        DSE fan-outs), exactly one executes the stage while the others
-        block on its result — identical in-flight compiles never duplicate
-        work.  A leader failure is propagated to every waiter and nothing
-        is cached, so the next caller retries cleanly.
+        the same ``stage_key`` concurrently (``basecamp serve`` tenants),
+        exactly one executes the stage while the others block on its
+        result — identical in-flight compiles never duplicate work.  A
+        leader failure is propagated to every waiter and nothing is
+        cached, so the next caller retries cleanly.
 
         Returns ``(stage_key, result)``.
         """
@@ -130,23 +123,18 @@ class PipelineSession:
         if not tracer.enabled:
             return self._run_stage(name, payload, key=key, params=params,
                                    runtime_params=runtime_params,
-                                   parallel=parallel, detail=detail,
-                                   span=None)
+                                   detail=detail, span=None)
         with tracer.span(f"stage:{name}", category="stage") as span:
             if detail:
                 span.attrs["detail"] = detail
-            if parallel:
-                span.attrs["parallel"] = True
             return self._run_stage(name, payload, key=key, params=params,
                                    runtime_params=runtime_params,
-                                   parallel=parallel, detail=detail,
-                                   span=span)
+                                   detail=detail, span=span)
 
     def _run_stage(self, name: str, payload: Any, *, key: str,
                    params: Optional[Dict[str, Any]],
                    runtime_params: Optional[Dict[str, Any]],
-                   parallel: bool, detail: str,
-                   span: Optional[Any]) -> Tuple[str, Any]:
+                   detail: str, span: Optional[Any]) -> Tuple[str, Any]:
         """The cache/single-flight/execute core behind :meth:`run_stage`.
 
         ``span`` is the caller's open stage span (None when tracing is
@@ -163,8 +151,7 @@ class PipelineSession:
             if hit:
                 if span is not None:
                     span.attrs["cached"] = True
-                self.report.record(name, 0.0, cached=True, parallel=parallel,
-                                   detail=detail)
+                self.report.record(name, 0.0, cached=True, detail=detail)
                 return stage_key, value
             with self._inflight_lock:
                 leader = stage_key not in self._inflight
@@ -185,8 +172,7 @@ class PipelineSession:
                     raise flight.error
                 if span is not None:
                     span.attrs["cached"] = True
-                self.report.record(name, 0.0, cached=True, parallel=parallel,
-                                   detail=detail)
+                self.report.record(name, 0.0, cached=True, detail=detail)
                 return stage_key, flight.value
             # Leader: someone may have stored between our miss and our
             # claim of the flight slot (a non-single-flight store path);
@@ -196,8 +182,7 @@ class PipelineSession:
                 self._land(stage_key, flight, value=value)
                 if span is not None:
                     span.attrs["cached"] = True
-                self.report.record(name, 0.0, cached=True, parallel=parallel,
-                                   detail=detail)
+                self.report.record(name, 0.0, cached=True, detail=detail)
                 return stage_key, value
         call_params = dict(params)
         call_params.update(runtime_params or {})
@@ -221,8 +206,7 @@ class PipelineSession:
             if span is not None and flight.waiters:
                 span.attrs["singleflight"] = "leader"
                 span.attrs["waiters"] = flight.waiters
-        self.report.record(name, clock.seconds, cached=False,
-                           parallel=parallel, detail=detail)
+        self.report.record(name, clock.seconds, cached=False, detail=detail)
         return stage_key, value
 
     def _land(self, stage_key: str, flight: _Flight, *, value: Any = None,
@@ -372,114 +356,64 @@ class PipelineSession:
     def olympus(self, source: str, *, device: str = "alveo-u55c",
                 max_replicas: Optional[int] = None,
                 number_format: Optional[str] = None,
-                parallel: bool = False,
                 opt_level: int = 1) -> OlympusResult:
         """Compile then explore/generate the system architecture."""
         compiled = self.compile(source, number_format=number_format,
                                 opt_level=opt_level)
+        return self._olympus_stage(compiled, device, max_replicas)
+
+    def _olympus_stage(self, compiled: CompileResult, device: str,
+                       max_replicas: Optional[int]) -> OlympusResult:
         params = {"device": device, "max_replicas": max_replicas,
                   "system_name": f"{compiled.report.name}_system"}
-        runtime: Dict[str, Any] = {}
-        # Don't spin up an executor just to discover a cache hit.
-        if parallel and not self.cache.contains(
-                self.stage_key("olympus", params, compiled.key)):
-            runtime["executor"] = self._executor()
-        try:
-            key, result = self.run_stage("olympus", compiled.report,
-                                         key=compiled.key, params=params,
-                                         runtime_params=runtime,
-                                         parallel=parallel, detail=device)
-        finally:
-            executor = runtime.get("executor")
-            if executor is not None:
-                executor.shutdown()
+        key, result = self.run_stage("olympus", compiled.report,
+                                     key=compiled.key, params=params,
+                                     detail=device)
         # The cached OlympusResult is shared across callers: hand each
         # call its own shallow copy instead of mutating the cached object
         # (concurrent tenants would see each other's writes).
         return replace(result, key=key)
 
     def deploy(self, source: str, *, device: str = "alveo-u55c",
-               nodes: int = 4, parallel: bool = False,
-               opt_level: int = 1) -> DeploymentPlan:
+               nodes: int = 4, opt_level: int = 1) -> DeploymentPlan:
         """The end-to-end Fig. 2 flow, through the runtime schedule."""
-        olympus = self.olympus(source, device=device, parallel=parallel,
-                               opt_level=opt_level)
+        olympus = self.olympus(source, device=device, opt_level=opt_level)
         _, plan = self.run_stage("schedule", olympus, key=olympus.key,
                                  params={"nodes": nodes})
         return plan
 
-    # -- parallel DSE sweeps -----------------------------------------------------------
+    # -- DSE sweeps --------------------------------------------------------------------
 
     def format_sweep(self, source: str,
                      formats: Sequence[Optional[str]], *,
-                     parallel: bool = True,
                      clock_mhz: float = 300.0) -> Dict[str, Any]:
         """Synthesize one kernel under many number formats (§V-B DSE).
 
         Returns ``{spec: KernelReport}`` in the order ``formats`` was
-        given — identical whether the sweep ran serially or fanned out.
-        ``None`` (or ``"f64"``) selects the default double-precision path.
+        given.  ``None`` (or ``"f64"``) selects the default
+        double-precision path.
         """
         compiled = self.lower(source)
-        key = compiled.key
-        specs = [fmt if fmt else "f64" for fmt in formats]
-        jobs: List[Tuple[str, Dict[str, Any]]] = []
-        for spec in specs:
-            number_format = None if spec == "f64" else spec
-            jobs.append((spec, {"number_format": number_format,
-                                "clock_mhz": clock_mhz}))
         payload = (compiled.kernel, compiled.module)
-
-        if not parallel or len(jobs) <= 1:
-            return {
-                spec: self.run_stage("hls", payload, key=key, params=params,
-                                     detail=spec)[1]
-                for spec, params in jobs
-            }
-
         results: Dict[str, Any] = {}
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = [
-                pool.submit(self.run_stage, "hls", payload, key=key,
-                            params=params, parallel=True, detail=spec)
-                for spec, params in jobs
-            ]
-            for (spec, _), future in zip(jobs, futures):
-                results[spec] = future.result()[1]
+        for fmt in formats:
+            spec = fmt if fmt else "f64"
+            params = {"number_format": None if spec == "f64" else spec,
+                      "clock_mhz": clock_mhz}
+            results[spec] = self.run_stage("hls", payload, key=compiled.key,
+                                           params=params, detail=spec)[1]
         return results
 
     def olympus_sweep(self, source: str, devices: Sequence[str], *,
-                      max_replicas: Optional[int] = None,
-                      parallel: bool = True) -> Dict[str, OlympusResult]:
+                      max_replicas: Optional[int] = None
+                      ) -> Dict[str, OlympusResult]:
         """Explore the system design space across target devices (§V-C).
 
-        Returns ``{device: OlympusResult}`` in input order; the parallel
-        path returns exactly the serial results.
+        Returns ``{device: OlympusResult}`` in input order.
         """
         compiled = self.compile(source)
-
-        def run_one(device: str) -> OlympusResult:
-            params = {"device": device, "max_replicas": max_replicas,
-                      "system_name": f"{compiled.report.name}_system"}
-            key, result = self.run_stage("olympus", compiled.report,
-                                         key=compiled.key, params=params,
-                                         parallel=parallel, detail=device)
-            # Per-call copy: the cached OlympusResult must stay unmutated.
-            return replace(result, key=key)
-
-        if not parallel or len(devices) <= 1:
-            return {device: run_one(device) for device in devices}
-        results: Dict[str, OlympusResult] = {}
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = [pool.submit(run_one, device) for device in devices]
-            for device, future in zip(devices, futures):
-                results[device] = future.result()
-        return results
-
-    # -- internals ---------------------------------------------------------------------
-
-    def _executor(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.max_workers)
+        return {device: self._olympus_stage(compiled, device, max_replicas)
+                for device in devices}
 
 
 _GLOBAL_SESSION: Optional[PipelineSession] = None

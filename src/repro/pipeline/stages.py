@@ -208,19 +208,14 @@ def stage_hls(payload: Tuple[Any, Any], *,
 
 def stage_olympus(report: Any, *, device: str = "alveo-u55c",
                   max_replicas: Optional[int] = None,
-                  system_name: Optional[str] = None,
-                  executor: Any = None) -> OlympusResult:
-    """``olympus``: kernel report -> DSE points + generated system.
-
-    ``executor`` (a :class:`concurrent.futures.Executor`) parallelizes the
-    per-config latency/resource evaluation; results are identical to the
-    serial path and ordered by candidate enumeration order.
-    """
+                  system_name: Optional[str] = None) -> OlympusResult:
+    """``olympus``: kernel report -> DSE points (in candidate
+    enumeration order) + generated system."""
     from repro.olympus import OlympusGenerator
     from repro.platforms import device_by_name
 
     generator = OlympusGenerator(device_by_name(device))
-    points = generator.explore(report, max_replicas, executor=executor)
+    points = generator.explore(report, max_replicas)
     best = min(points, key=lambda p: p[1].total)[0]
     system = generator.generate(system_name or f"{report.name}_system",
                                 [report], {report.name: best})

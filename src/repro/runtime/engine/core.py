@@ -53,6 +53,9 @@ PLACED = "placed"        # placement committed, start event queued
 RUNNING = "running"      # real function in flight on the pool
 DONE = "done"            # result stored in graph.results
 
+#: Threads running the tasks' real functions.
+MAX_WORKERS = 8
+
 
 class RuntimeEngine:
     """Discrete-event unification of scheduling, execution, monitoring."""
@@ -60,13 +63,13 @@ class RuntimeEngine:
     def __init__(self, cluster: Cluster,
                  policy: Optional[SchedulingPolicy] = None, *,
                  monitor: Optional[ClusterMonitor] = None,
-                 heartbeat_interval: Optional[float] = None,
-                 max_workers: int = 8):
+                 heartbeat_interval: Optional[float] = None):
         self.cluster = cluster
-        self.policy = resolve_policy(policy)
+        policy = resolve_policy(policy)
+        self.policy = policy
+        self._online = getattr(policy, "online", False)
         self.monitor = monitor or ClusterMonitor(cluster)
         self.heartbeat_interval = heartbeat_interval
-        self.max_workers = max_workers
         self.graph = TaskGraph()
         self.clock = SimClock()
         self.timelines: Dict[str, NodeTimeline] = {
@@ -168,7 +171,7 @@ class RuntimeEngine:
         """
         self._running = True
         try:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+            with ThreadPoolExecutor(MAX_WORKERS) as pool:
                 self._executor = pool
                 self._beat(self.clock.now)
                 self._detect_failures(self.clock.now)
@@ -252,12 +255,11 @@ class RuntimeEngine:
     # ------------------------------------------------------------------
 
     def _dispatch(self, now: float) -> None:
+        dispatch = self._dispatch_online if self._online \
+            else self._dispatch_offline
         tracer = get_tracer()
         if not tracer.enabled:
-            if getattr(self.policy, "online", False):
-                self._dispatch_online(now)
-            else:
-                self._dispatch_offline(now)
+            dispatch(now)
             return
         # The dispatch span measures *real* planning time (the policy's
         # placement search runs on the wall clock even though the tasks
@@ -265,10 +267,7 @@ class RuntimeEngine:
         with tracer.span("engine.dispatch", category="engine") as span:
             span.attrs.update(policy=type(self.policy).__name__,
                               pending=len(self._pending), sim_now=now)
-            if getattr(self.policy, "online", False):
-                self._dispatch_online(now)
-            else:
-                self._dispatch_offline(now)
+            dispatch(now)
 
     def _finish_of(self, dep: int) -> float:
         if dep not in self.placements:
@@ -281,7 +280,7 @@ class RuntimeEngine:
         """Plan the whole pending subgraph with the offline policy."""
         if not self._pending:
             return
-        subgraph, id_map, ready = build_replan_subgraph(
+        subgraph, ready = build_replan_subgraph(
             self.graph, set(self._pending), now, self._finish_of,
         )
         # Plan into scratch copies so a plan that raises partway (e.g.
@@ -295,11 +294,8 @@ class RuntimeEngine:
             plan = self.policy.schedule(subgraph, self.cluster,
                                         ready_overrides=ready,
                                         timelines=scratch)
-        reverse = {v: k for k, v in id_map.items()}
-        for new_id, placement in plan.placements.items():
-            tid = reverse[new_id]
-            self._commit(Placement(tid, placement.node, placement.start,
-                                   placement.finish, placement.cores))
+        for placement in plan.placements.values():
+            self._commit(placement)
         self.transfers_seconds += plan.transfers_seconds
         self._ready.clear()  # offline planning consumed every pending task
 
@@ -383,7 +379,7 @@ class RuntimeEngine:
                 if self._blockers[dependent] == 0 \
                         and self._state.get(dependent) == PENDING:
                     self._ready.append(dependent)
-        if getattr(self.policy, "online", False):
+        if self._online:
             self._dispatch_online(self.clock.now)
 
     # ------------------------------------------------------------------

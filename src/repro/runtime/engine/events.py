@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.errors import RuntimeSchedulingError
 
@@ -45,13 +44,15 @@ _PRIORITY = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
+    """Ordered by ``(time, priority, seq)``: ``seq`` is unique per queue,
+    so a comparison never reaches ``kind`` or ``payload``."""
+
     time: float
     priority: int
     seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: str
+    payload: Any = None
 
 
 class SimClock:

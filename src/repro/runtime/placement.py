@@ -20,9 +20,8 @@ candidate search that returns **bitwise-identical placements**:
   every time the scheduler evaluates a node exactly
   (:meth:`CandidateIndex.observe`), so the bounds track the schedule
   frontier instead of decaying into useless zero-time estimates as the
-  cluster saturates.  A commit only invalidates the committed node's
-  entries (lazily, via :meth:`CandidateIndex.invalidate`), so between
-  tasks the arrays are refreshed in O(touched nodes), not O(nodes);
+  cluster saturates.  A commit invalidates nothing: added load only
+  moves true starts later, so every cached bound stays a lower bound;
 * candidates are yielded in ascending ``(bound, cluster index)`` order.
   The caller evaluates them exactly and stops at the first candidate
   whose bound proves no later node can beat the best finish found — the
@@ -37,8 +36,9 @@ cores)``; with ``r_i = 0`` this degenerates to the always-valid base
 bound.
 
 The index is rebuilt per :meth:`HEFTScheduler.schedule` call (the engine
-plans into fresh scratch timelines each dispatch), and the scheduler
-reports every commit through :meth:`CandidateIndex.invalidate`.
+plans into fresh scratch timelines each dispatch).  That rebuild is what
+keeps the bounds valid across a *release*, which can move true starts
+earlier; no release happens inside one ``schedule`` call.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class _FitArray:
     BANDS = 8
 
     __slots__ = ("indices", "timelines", "cores", "dmin", "base",
-                 "marks", "durations", "fits", "versions", "stale")
+                 "marks", "durations", "fits", "versions")
 
     def __init__(self, indices: List[int], timelines: List[NodeTimeline],
                  cores: int, dmin: float):
@@ -120,33 +120,12 @@ class _FitArray:
         self.durations = np.full((2 * self.BANDS, n), dmin)
         self.fits = np.tile(self.base, (2 * self.BANDS, 1))
         self.versions = np.full((self.BANDS, n), -1, dtype=np.int64)
-        self.stale: List[int] = []
 
     def _band(self, duration: float) -> int:
         if self.dmin <= 0.0 or duration <= self.dmin:
             return 0
         return min(self.BANDS - 1,
                    int(math.log2(duration / self.dmin)))
-
-    def refresh(self) -> None:
-        """Recompute stale nodes' points from their timelines.
-
-        Only needed after a *release* (freed load can move true starts
-        earlier, breaking lower-bound validity); plain commits leave
-        every cached point valid.
-        """
-        if self.stale:
-            for pos in set(self.stale):
-                timeline = self.timelines[pos]
-                self.base[pos] = timeline.earliest_start(
-                    0.0, self.dmin, self.cores)
-                for row in range(2 * self.BANDS):
-                    self.fits[row, pos] = timeline.earliest_start(
-                        self.marks[row, pos],
-                        self.durations[row, pos], self.cores)
-                    if row < self.BANDS:
-                        self.versions[row, pos] = timeline.version
-            self.stale.clear()
 
     def observe(self, pos: int, ready: float, duration: float,
                 start: float) -> None:
@@ -199,7 +178,6 @@ class CandidateIndex:
             self._class_members.setdefault(node_class_key(node),
                                            []).append(index)
         self._arrays: Dict[Tuple[ClassKey, int], _FitArray] = {}
-        self._by_node: Dict[int, List[_FitArray]] = {}
         # Position of a cluster index within its class member list (every
         # array of a class is aligned with that list).
         self._pos: Dict[int, int] = {}
@@ -208,14 +186,6 @@ class CandidateIndex:
             for pos, index in enumerate(members):
                 self._pos[index] = pos
                 self._key_of[index] = key
-
-    def representative(self, key: ClassKey) -> Node:
-        return self.nodes[self._class_members[key][0]]
-
-    def invalidate(self, index: int) -> None:
-        """Mark one node's cached bounds stale (after a commit/release)."""
-        for array in self._by_node.get(index, ()):
-            array.stale.append(self._pos[index])
 
     def observe(self, index: int, cores: int, ready: float,
                 duration: float, start: float) -> None:
@@ -233,9 +203,6 @@ class CandidateIndex:
                               [self.timelines[i] for i in members],
                               cores, dmin)
             self._arrays[(key, cores)] = array
-            for index in members:
-                self._by_node.setdefault(index, []).append(array)
-        array.refresh()
         return array
 
     def _class_candidates(self, key: ClassKey, cores: int, ready: float,

@@ -24,7 +24,7 @@ so streamed jobs share capacity correctly).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import RuntimeSchedulingError
@@ -109,12 +109,12 @@ class HEFTScheduler:
 
     Placement is the pruned candidate search of
     :class:`~repro.runtime.placement.CandidateIndex`: per-class cost
-    models and cached first-fit bounds, invalidated only for nodes a
-    commit touched, so a task evaluates a handful of nodes instead of
-    all of them.  The exhaustive per-task scan it replaced lives on as
-    the differential oracle ``tools/oracles.py::ScanHEFT`` (identical
-    placements on any graph, enforced by ``tools/workloadfuzz.py`` and
-    measured by ``make bench-runtime``).
+    models and cached start-time lower bounds, so a task evaluates a
+    handful of nodes instead of all of them.  The exhaustive per-task
+    scan it replaced lives on as the differential oracle
+    ``tools/oracles.py::ScanHEFT`` (identical placements on any graph,
+    enforced by ``tools/workloadfuzz.py`` and measured by ``make
+    bench-runtime``).
     """
 
     name = "heft"
@@ -245,13 +245,11 @@ class HEFTScheduler:
                 raise _unplaceable(task)
             node, start, runtime, comm = best
             index.timelines[best_idx].commit(start, runtime, cores)
-            # No invalidate here: a commit only moves true start times
-            # later, so every cached bound stays a valid lower bound.
-            # The committed node's bound is now optimistically low, so
-            # it sorts early once more and observe() re-sharpens it on
-            # its next exact evaluation.  invalidate() is for release(),
-            # which CAN move starts earlier; releases never happen
-            # inside one schedule call.
+            # A commit only moves true start times later, so every
+            # cached bound stays a valid lower bound.  The committed
+            # node's bound is now optimistically low, so it sorts early
+            # once more and observe() re-sharpens it on its next exact
+            # evaluation.
             placements[task.task_id] = Placement(
                 task.task_id, node.name, start, start + runtime, cores)
             result.transfers_seconds += comm
@@ -377,32 +375,26 @@ def build_replan_subgraph(graph: TaskGraph, subset: set,
     """A planning subgraph for re-placing ``subset`` of ``graph``.
 
     The engine's dispatcher plans through this, for first placement and
-    failure repair alike.  Dependencies inside the subset become
-    subgraph edges (so the policy models their data transfers per
-    candidate node); dependencies outside it are folded into per-task
-    ready times via ``finish_of``, floored at ``ready_floor``.
-    Cross-boundary edges therefore bound the start by the producer's
-    *finish* only — the eventual placement node isn't known while
-    planning, so their transfer time is not charged.
+    failure repair alike.  Tasks keep their ids.  Dependencies inside the
+    subset stay subgraph edges (so the policy models their data
+    transfers per candidate node); dependencies outside it are folded
+    into per-task ready times via ``finish_of``, floored at
+    ``ready_floor``.  Cross-boundary edges therefore bound the start by
+    the producer's *finish* only — the eventual placement node isn't
+    known while planning, so their transfer time is not charged.
 
-    Returns ``(subgraph, id_map, ready_overrides)`` with ``id_map``
-    mapping original task ids to subgraph ids.
+    Returns ``(subgraph, ready_overrides)``.
     """
     subgraph = TaskGraph()
-    id_map: Dict[int, int] = {}
     ready: Dict[int, float] = {}
     for task in graph.topological_order():
         if task.task_id not in subset:
             continue
-        future = subgraph.add(task.fn, (), {}, task.resources,
-                              task.output_bytes, task.tuning, task.name)
-        subgraph.tasks[future.task_id].deps = [
-            id_map[d] for d in task.deps if d in subset
-        ]
-        id_map[task.task_id] = future.task_id
+        subgraph.tasks[task.task_id] = replace(
+            task, deps=[d for d in task.deps if d in subset])
         ready_time = ready_floor
         for dep in task.deps:
             if dep not in subset:
                 ready_time = max(ready_time, finish_of(dep))
-        ready[future.task_id] = ready_time
-    return subgraph, id_map, ready
+        ready[task.task_id] = ready_time
+    return subgraph, ready

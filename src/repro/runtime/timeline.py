@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import RuntimeSchedulingError
 
@@ -39,21 +39,25 @@ class NodeTimeline:
     index cannot grow without bound under commit/release churn).
 
     ``version`` increments on every :meth:`commit`/:meth:`release`; the
-    incremental HEFT placer (:mod:`repro.runtime.placement`) uses it to
-    invalidate cached per-node placement bounds without re-reading every
-    timeline on every query.
+    incremental HEFT placer (:mod:`repro.runtime.placement`) compares it
+    to decide when a node's floor-probe bound is worth recomputing.
     """
 
     def __init__(self, node):
         self.node = node
         self.version = 0
-        self.intervals: List[Tuple[float, float, int]] = []
         self._times: List[float] = []
         self._levels: List[int] = []
-        # Commitments sorted by end time, so load_after() can bisect to
-        # the still-outstanding suffix instead of scanning history.
+        # Every commitment as (end, start, cores), sorted: the record
+        # release() validates against, ordered by end time so
+        # load_after() can bisect to the still-outstanding suffix
+        # instead of scanning history.
         self._by_end: List[Tuple[float, float, int]] = []
-        self._fit_cache: Dict[int, Tuple[int, float]] = {}
+
+    @property
+    def intervals(self) -> List[Tuple[float, float, int]]:
+        """The committed ``(start, end, cores)`` intervals, by end time."""
+        return [(start, end, cores) for end, start, cores in self._by_end]
 
     def _ensure_breakpoint(self, t: float) -> int:
         """Index of the breakpoint at ``t``, splitting a segment if needed."""
@@ -112,34 +116,9 @@ class NodeTimeline:
                 return start
             i += 1
 
-    def first_fit(self, cores: int) -> float:
-        """Earliest ``t >= 0`` with ``cores`` cores free *at* ``t``.
-
-        A zero-duration feasibility bound: any start feasible for a real
-        window is feasible at its first instant, so
-        ``max(ready, first_fit(cores)) <= earliest_start(ready, d, cores)``
-        for every ``ready >= 0`` and duration.  The incremental HEFT
-        placer orders candidate nodes by this bound.  Cached per core
-        count; a commit/release bumps :attr:`version`, invalidating it.
-        """
-        cached = self._fit_cache.get(cores)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        capacity = self.node.cores
-        fit = 0.0
-        if self._times and self._times[0] <= 0.0:
-            n = len(self._times)
-            i = bisect_right(self._times, 0.0) - 1
-            while i < n and self._levels[i] + cores > capacity:
-                i += 1
-            fit = self._times[i] if i < n else self._times[-1]
-        self._fit_cache[cores] = (self.version, fit)
-        return fit
-
     def commit(self, start: float, duration: float, cores: int) -> None:
         end = start + duration
         self.version += 1
-        self.intervals.append((start, end, cores))
         insort(self._by_end, (end, start, cores))
         self._apply(start, end, cores)
 
@@ -147,14 +126,13 @@ class NodeTimeline:
         """Undo a prior :meth:`commit` (a reservation lost to a failure)."""
         end = start + duration
         try:
-            self.intervals.remove((start, end, cores))
+            self._by_end.remove((end, start, cores))
         except ValueError:
             raise RuntimeSchedulingError(
                 f"no committed interval ({start}, {end}, {cores}) on "
                 f"node {self.node.name!r}"
             ) from None
         self.version += 1
-        self._by_end.remove((end, start, cores))
         self._apply(start, end, -cores)
 
     def _apply(self, start: float, end: float, cores: int) -> None:
@@ -178,11 +156,9 @@ class NodeTimeline:
         """An independent copy (scratch planning that may be discarded)."""
         copy = NodeTimeline(self.node)
         copy.version = self.version
-        copy.intervals = list(self.intervals)
         copy._times = list(self._times)
         copy._levels = list(self._levels)
         copy._by_end = list(self._by_end)
-        copy._fit_cache = dict(self._fit_cache)
         return copy
 
     def load_after(self, now: float) -> float:

@@ -198,7 +198,7 @@ class Tracer:
 
         ``parent`` overrides the context-propagated current span —
         needed when the operation runs on a worker thread that did not
-        inherit the submitting context (tile workers, DSE fan-outs).
+        inherit the submitting context (tile workers).
         """
         up = parent if parent is not None else _CURRENT.get()
         span = Span(name, next(self._ids),

@@ -39,6 +39,7 @@ from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.ir import Operation, types as T
+from repro.ir.fusion import top_level_ancestor
 from repro.tensorpipe.affine_interp import _dtype_for
 
 __all__ = [
@@ -134,21 +135,6 @@ def _first_fit(placed: List[ArenaSlot], start: int, end: int,
     return offset
 
 
-def _top_level_index(op: Operation,
-                     stmt_index: Mapping[int, int]) -> Optional[int]:
-    """Entry-block statement index of the nest containing ``op``."""
-    current: Optional[Operation] = op
-    while current is not None:
-        index = stmt_index.get(id(current))
-        if index is not None:
-            return index
-        block = current.parent
-        if block is None or block.parent is None:
-            return None
-        current = block.parent.parent_op
-    return None
-
-
 def plan_arena(
     func: Operation,
     *,
@@ -198,7 +184,9 @@ def plan_arena(
 
         end = index
         for user, _operand_index in op.results[0].uses:
-            user_index = _top_level_index(user, stmt_index)
+            statement = top_level_ancestor(user, entry)
+            user_index = None if statement is None \
+                else stmt_index.get(id(statement))
             # A user outside the entry block's statement nests (should
             # not happen for lowered functions) pins the buffer live to
             # the end of the function.

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import EverestError
 from repro.ir import Module, Operation, Value, types as T
+from repro.ir.fusion import loop_bounds, perfect_nest, trip_count
 from repro.ir.printer import print_module
 from repro.pipeline.cache import fingerprint
 from repro.telemetry.metrics import get_registry
@@ -114,7 +115,7 @@ def _literal(value) -> str:
 def _trip(lower: int, upper: int, step: int) -> int:
     if step <= 0:
         raise UnsupportedAffineOp(f"non-positive loop step {step}")
-    return max(0, -(-(upper - lower) // step))
+    return trip_count(lower, upper, step)
 
 
 @dataclass
@@ -386,22 +387,12 @@ class AffineCompiler:
     def _collect_perfect_nest(
             self, for_op: Operation
     ) -> Optional[Tuple[List[_Loop], List[Operation]]]:
-        loops: List[_Loop] = []
-        current = for_op
-        while True:
-            block = current.regions[0].entry
-            loops.append(_Loop(block.args[0], current.attr("lower"),
-                               current.attr("upper"), current.attr("step")))
-            ops = list(block.operations)
-            inner = [o for o in ops if o.name == "affine.for"]
-            if len(ops) == 2 and len(inner) == 1 and ops[0] is inner[0] \
-                    and ops[1].name == "affine.yield":
-                current = inner[0]
-                continue
-            if inner:
-                return None  # imperfect nest: scalar loops handle it
-            body = [o for o in ops if o.name != "affine.yield"]
-            return loops, body
+        loops, ops = perfect_nest(for_op)
+        if [o for o in ops if o.name == "affine.for"]:
+            return None  # imperfect nest: scalar loops handle it
+        return ([_Loop(loop.regions[0].entry.args[0], *loop_bounds(loop))
+                 for loop in loops],
+                [o for o in ops if o.name != "affine.yield"])
 
     _VECTOR_OPS = frozenset(
         {"memref.load", "memref.store", "arith.constant", "arith.cmpf",

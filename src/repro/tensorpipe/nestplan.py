@@ -59,7 +59,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.ir import Operation, Value, types as T
 from repro.ir.analysis import MEMREF_ALLOC_ZERO_INIT
-from repro.ir.fusion import _is_pure, _loop_bounds
+from repro.ir.fusion import is_pure, loop_bounds
 from repro.tensorpipe.arena import (
     ArenaPlan,
     default_element_bytes,
@@ -119,10 +119,10 @@ class Group:
 
     @property
     def bounds(self) -> Tuple[int, int, int]:
-        return _loop_bounds(self.loops[0])
+        return loop_bounds(self.loops[0])
 
     def accepts(self, loop: Operation, touched: Dict[Value, _Touch]) -> bool:
-        if _loop_bounds(loop) != self.bounds:
+        if loop_bounds(loop) != self.bounds:
             return False
         for buffer, touch in touched.items():
             mine = self.touched.get(buffer)
@@ -203,7 +203,7 @@ def _summarize(loop: Operation) -> Tuple[Dict[Value, _Touch], bool]:
         elif op.name == "memref.store":
             note(op.operands[1], True, op.operands[2:])
         elif op.name not in ("affine.for", "affine.yield") \
-                and not _is_pure(op):
+                and not is_pure(op):
             opaque = True
             for operand in op.operands:
                 if isinstance(operand.type, T.MemRefType):
@@ -219,7 +219,7 @@ def _touches(item: Item, buffer: Value) -> bool:
 
 def _hoists(op: Operation, group: Group) -> bool:
     """May ``op``, met after ``group`` opened, run before the group?"""
-    if op.name == "memref.alloc" or _is_pure(op):
+    if op.name == "memref.alloc" or is_pure(op):
         return True
     if op.name == "memref.load":
         touch = group.touched.get(op.operands[0])
@@ -287,7 +287,7 @@ class _Planner:
                 hit = stored.get((op.operands[0], self.key(op.operands[1:])))
                 if hit is not None:
                     self.forwards[id(op)] = hit
-            elif op.name != "memref.alloc" and not _is_pure(op):
+            elif op.name != "memref.alloc" and not is_pure(op):
                 stored.clear()
 
     def contract(self, items: Sequence[Item]) -> Dict[Value, Tuple[int, ...]]:

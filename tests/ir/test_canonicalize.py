@@ -1,6 +1,13 @@
 """Unit tests for the canonicalization engine: fold hooks, dialect
 patterns, constant materialization and the composed CanonicalizePass."""
 
+import os
+import sys
+
+import pytest
+
+from repro.frontends.ekl import parse_kernel
+from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
 from repro.ir import (
     Builder,
     CanonicalizePass,
@@ -13,6 +20,15 @@ from repro.ir import (
     types as T,
     verify,
 )
+from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "tools")
+)
+
+from irfuzz import generate_ekl_case, generate_module  # noqa: E402
+
+N_SEEDS = 200
 
 
 def _func(arg_types=(T.f64,)):
@@ -298,4 +314,30 @@ class TestPassComposition:
         canonicalizer = CanonicalizePass()
         canonicalizer.run(m)
         names = {name for name, _ in canonicalizer.timings}
-        assert {"patterns", "dce", "cse"} <= names
+        assert names == {"patterns", "cse"}
+
+
+class TestCanonicalLeavesNoDeadOp:
+    """``CanonicalizePass`` runs no dead-code sweep of its own: the
+    worklist's ``EraseTriviallyDead`` has to get every dead op.  A pattern
+    that strands one fails here."""
+
+    @pytest.mark.parametrize("seed", range(N_SEEDS))
+    def test_ekl_kernel_through_the_lowering_chain(self, seed):
+        source, _ = generate_ekl_case(seed)
+        for canonicalize in (True, False):
+            esn = lower_ekl_to_esn(lower_kernel_to_ekl(parse_kernel(source)),
+                                   canonicalize=canonicalize)
+            teil = lower_esn_to_teil(esn, canonicalize=canonicalize)
+            affine = lower_teil_to_affine(teil, canonicalize=False)
+            CanonicalizePass().run(affine)
+            # The raw chain canonicalizes nothing on the way.
+            for module in (esn, teil, affine) if canonicalize else (affine,):
+                assert DeadCodeElimination().run(module) is False, \
+                    (canonicalize, source)
+
+    @pytest.mark.parametrize("seed", range(N_SEEDS))
+    def test_generic_module(self, seed):
+        module = generate_module(seed)
+        CanonicalizePass().run(module)
+        assert DeadCodeElimination().run(module) is False

@@ -19,7 +19,7 @@ from repro.frontends.cfdlang import (
 )
 from repro.frontends.ekl import parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
-from repro.ir import print_module, verify
+from repro.ir import DeadCodeElimination, print_module, verify
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -94,6 +94,14 @@ class TestEKLGolden:
         _check(request, "fig5_demo_affine_raw", print_module(raw))
 
 
+    def test_canonical_stages_hold_no_dead_op(self, ekl_stages):
+        """The lowerings canonicalize without a dead-code sweep; nothing
+        is left for one to erase."""
+        for stage in ("esn", "teil", "affine"):
+            assert DeadCodeElimination().run(
+                ekl_stages[stage].clone()) is False, stage
+
+
 class TestCFDlangGolden:
     def test_cfdlang_dialect_snapshot(self, request):
         module = lower_program_to_cfdlang(parse_program(CFD_SAMPLE), "matvec")
@@ -113,3 +121,4 @@ class TestCFDlangGolden:
         ))
         verify(module)
         _check(request, "cfd_matvec_affine", print_module(module))
+        assert DeadCodeElimination().run(module) is False

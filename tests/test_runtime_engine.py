@@ -106,6 +106,14 @@ class TestNodeTimeline:
         with pytest.raises(RuntimeSchedulingError):
             timeline.release(0.0, 10.0, 2)
 
+    def test_release_of_an_interval_never_committed_names_the_node(self):
+        timeline = NodeTimeline(self._node(cores=2))
+        timeline.commit(0.0, 5.0, 1)
+        with pytest.raises(RuntimeSchedulingError, match="'n0'"):
+            timeline.release(0.0, 5.0, 2)  # same window, other width
+        assert timeline.intervals == [(0.0, 5.0, 1)]
+        assert timeline.earliest_start(0.0, 1.0, 2) == 5.0
+
     def test_matches_brute_force_on_random_trace(self):
         import random
 
@@ -356,6 +364,39 @@ class TestFailureHandling:
         _assert_capacity_respected(schedule, engine.cluster)
         _assert_dependencies_respected(schedule, engine.graph)
 
+    def test_offline_policy_plans_in_the_engine_id_space(self):
+        """Every plan is handed exactly the pending tasks under their
+        engine ids, with dependencies trimmed to that set, and its
+        placements are committed as they are."""
+        plans = []
+
+        class Recording(HEFTScheduler):
+            def schedule(self, graph, cluster, ready_overrides=None,
+                         timelines=None):
+                plan = super().schedule(graph, cluster, ready_overrides,
+                                        timelines)
+                plans.append((set(engine._pending), graph, plan))
+                return plan
+
+        engine = RuntimeEngine(default_cluster(3), policy=Recording())
+        synthetic_workflow(engine, n_tasks=60, seed=1)
+        engine.fail_node_at(self._makespan() * 0.3, "node0")
+        schedule = engine.run()
+        first, repair = plans
+        assert first[0] == set(engine.graph.tasks)
+        assert repair[0] and repair[0] < first[0]
+        trimmed = 0
+        for pending, graph, plan in plans:
+            assert set(graph.tasks) == set(plan.placements) == pending
+            for tid, task in graph.tasks.items():
+                full = engine.graph.tasks[tid].deps
+                assert task.deps == [d for d in full if d in pending]
+                trimmed += len(full) - len(task.deps)
+                assert plan.placements[tid].task_id == tid
+        assert trimmed > 0
+        for tid in repair[0]:
+            assert schedule.placements[tid] is repair[2].placements[tid]
+
     def test_node_fails_before_any_task_starts(self):
         engine, finals = self._loaded_engine()
         engine.fail_node_at(0.0, "node1")
@@ -506,6 +547,24 @@ class TestEventDeterminism:
         queue.push(1.0, ev.TASK_FINISH, (0, 0))
         kinds = [queue.pop().kind for _ in range(3)]
         assert kinds == [ev.TASK_FINISH, ev.TASK_START, ev.HEARTBEAT]
+
+    def test_mixed_kinds_at_one_time_pop_by_priority_then_push_order(self):
+        from repro.runtime.engine import events as ev
+        from repro.runtime.engine.events import EventQueue
+
+        kinds = [ev.HEARTBEAT, ev.TASK_START, ev.CALLBACK, ev.TASK_FINISH,
+                 ev.NODE_FAILURE, ev.DISPATCH]
+        queue = EventQueue()
+        # Payloads that cannot be ordered: the sequence number has to
+        # settle every comparison before one is reached.
+        pushed = [queue.push(2.0, kinds[i % len(kinds)], {"i": i})
+                  for i in range(20)]
+        popped = [queue.pop() for _ in range(20)]
+        assert not queue
+        assert popped == sorted(pushed, key=lambda e: (e.priority, e.seq))
+        assert [e.seq for e in pushed] == list(range(20))
+        with pytest.raises(AttributeError):
+            popped[0].time = 0.0
 
     def test_submit_at_identical_timestamps_run_in_submission_order(self):
         engine = RuntimeEngine(default_cluster(1), policy="min-load")

@@ -147,6 +147,13 @@ class TestService:
             BasecampService().handle(
                 "compile", {"source": ADD, "opt_level": 9})
 
+    def test_default_opt_level_is_the_explicit_one(self):
+        service = BasecampService()
+        default = service.handle("compile", {"source": ADD})
+        explicit = service.handle("compile", {"source": ADD, "opt_level": 1})
+        assert default["key"] == explicit["key"]
+        assert service.session.cache.stats.misses == 4
+
     def test_sizing_validated(self):
         with pytest.raises(EverestError):
             BasecampService(max_workers=0)
@@ -231,6 +238,15 @@ class TestHTTP:
                      "input 'a'", id="input-ragged"),
         pytest.param("compile", {"source": ADD, "number_format": 5},
                      "'number_format'", id="number_format"),
+        # True == 1.0 == 1: each used to pass a membership test and be
+        # fingerprinted by its repr, one cache entry per spelling.
+        pytest.param("compile", {"source": ADD, "opt_level": True},
+                     "'opt_level'", id="opt_level-bool"),
+        pytest.param("compile", {"source": ADD, "opt_level": 1.0},
+                     "'opt_level'", id="opt_level-float"),
+        pytest.param("execute", {"source": ADD, "random_seed": 0,
+                                 "opt_level": "1"},
+                     "'opt_level'", id="opt_level-str"),
     ])
     def test_malformed_field_is_a_400_naming_it(self, server, endpoint,
                                                 payload, named):
@@ -256,7 +272,10 @@ class TestHTTP:
             status, body, _ = post(server.url, "compile", {"source": ADD})
             assert status == 500
             assert "RuntimeError: synthesizer bug" in body["error"]
-            assert server.service.stats()["server"]["active"] == 0
+            stats = server.service.stats()["server"]
+            assert stats["active"] == 0
+            assert stats["requests"] == 1 == \
+                stats["ok"] + stats["errors"] + stats["rejected"]
         finally:
             server.shutdown()
 
