@@ -116,9 +116,17 @@ fuzz-analyze-smoke:
 # Runtime-engine workload fuzzing: random DAGs + streamed arrivals +
 # failure injection through every policy, checked against the scheduler
 # invariant suite (the 200-seed tier runs inside `pytest tests`;
-# `make fuzz-runtime` goes deeper).
+# `make fuzz-runtime` goes deeper).  Then the schedule dump
+# (`--dump PATH`: every placement of the benchmark's workflows and the
+# fuzz cases under every policy) twice: the two files must be
+# byte-identical, as must the dumps of a change and its parent commit.
 fuzz-runtime-smoke:
 	$(PYTHON) tools/workloadfuzz.py --count 60 --quiet
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(PYTHON) tools/workloadfuzz.py --count 20 --dump $$dir/a.json && \
+	$(PYTHON) tools/workloadfuzz.py --count 20 --dump $$dir/b.json && \
+	cmp $$dir/a.json $$dir/b.json && \
+	echo "workloadfuzz --dump: two runs byte-identical"
 
 fuzz-runtime:
 	$(PYTHON) tools/workloadfuzz.py --count 1000

@@ -72,6 +72,11 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 DEFAULT_MAX_WORKERS = 4
 DEFAULT_QUEUE_LIMIT = 16
 
+#: Largest synthetic workflow one ``/runtime`` request may ask for: a
+#: request holds one of the ``max_workers`` slots until it is planned.
+MAX_RUNTIME_TASKS = 10_000
+MAX_RUNTIME_NODES = 256
+
 
 class ServiceSaturated(EverestError):
     """The daemon's execute+queue capacity is full (HTTP 429).
@@ -305,8 +310,10 @@ class BasecampService:
 
         policy = self._field(payload, "policy", str, "heft")
         policies = sorted(POLICIES) if policy == "all" else [policy]
-        nodes = self._field(payload, "nodes", int, 4, low=1)
-        tasks = self._field(payload, "tasks", int, 60, low=1)
+        nodes = self._field(payload, "nodes", int, 4, low=1,
+                            high=MAX_RUNTIME_NODES)
+        tasks = self._field(payload, "tasks", int, 60, low=1,
+                            high=MAX_RUNTIME_TASKS)
         seed = self._field(payload, "seed", int, 0, low=0)
         fpga_fraction = self._field(payload, "fpga_fraction", float, 0.0,
                                     low=0.0, high=1.0)

@@ -5,7 +5,8 @@ dependency-aware scheduling, load balancing, data transfers, and
 monitoring with mid-run rescheduling — behind pluggable policies:
 
 * :class:`RuntimeEngine` — the engine: simulated clock, real execution
-  on a thread pool, streaming submission, in-loop failure recovery;
+  on the event loop at each task's simulated start, streaming
+  submission, in-loop failure recovery;
 * :class:`SchedulingPolicy` — the policy protocol; ``heft`` and
   ``round-robin`` (offline, from :mod:`repro.runtime.scheduler`) and
   :class:`MinLoadPolicy` (``min-load``, online) implement it;

@@ -9,18 +9,21 @@ executes real work:
 * **scheduling** is delegated to a pluggable
   :class:`~repro.runtime.engine.policies.SchedulingPolicy` — offline
   policies (HEFT, round-robin) plan the whole pending subgraph whenever
-  work arrives; online policies (min-load) place each task the moment
-  its dependencies finish, from live node state;
-* **execution** runs each task's Python function on a real
-  :class:`~concurrent.futures.ThreadPoolExecutor` as its simulated start
-  time fires, so simulated placement and functional results stay in one
-  pass;
+  work arrives, committing what they place into the scratch timelines
+  they are handed, which the engine adopts when the plan succeeds;
+  online policies (min-load) place each task the moment its
+  dependencies finish, from live node state;
+* **execution** calls each task's Python function on the event loop (the
+  thread that called :meth:`RuntimeEngine.run`) when its simulated start
+  fires and publishes the outcome at its simulated finish, so simulated
+  placement and functional results stay in one pass.  A function that
+  raises stops the engine at that finish with a
+  :class:`RuntimeSchedulingError` naming the task;
 * **streaming submission**: tasks may be submitted while the engine runs
   — schedule them onto the event loop with
   :meth:`RuntimeEngine.submit_at` / :meth:`RuntimeEngine.call_at` (the
-  engine itself is not thread-safe, so do not call ``submit`` from
-  worker threads) — and many jobs interleave on one cluster, sharing
-  its capacity through the common timeline index;
+  engine is not thread-safe) — and many jobs interleave on one cluster,
+  sharing its capacity through the common timeline index;
 * **monitoring** is in-loop: node heartbeats are recorded as the event
   clock advances, and when the :class:`~repro.runtime.monitor.ClusterMonitor`
   reports a dead node the engine automatically re-places every placement
@@ -29,9 +32,7 @@ executes real work:
 
 from __future__ import annotations
 
-from concurrent.futures import Future as PoolFuture
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import RuntimeSchedulingError
 from repro.runtime.cluster import Cluster
@@ -50,11 +51,8 @@ from repro.telemetry.trace import get_tracer
 
 PENDING = "pending"      # submitted, not yet placed
 PLACED = "placed"        # placement committed, start event queued
-RUNNING = "running"      # real function in flight on the pool
+RUNNING = "running"      # real function called, outcome held back
 DONE = "done"            # result stored in graph.results
-
-#: Threads running the tasks' real functions.
-MAX_WORKERS = 8
 
 
 class RuntimeEngine:
@@ -86,8 +84,9 @@ class RuntimeEngine:
         # streamed tasks that rescan is itself O(tasks²).
         self._pending: Set[int] = set()
         self._epoch: Dict[int, int] = {}
-        self._real: Dict[int, PoolFuture] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
+        # RUNNING task -> (returned, value or exception) of its function.
+        self._outcomes: Dict[int, Tuple[bool, Any]] = {}
+        self._failed: Optional[RuntimeSchedulingError] = None
         self._unfinished = 0
         self._handled_failures: Set[str] = set()
         self._running = False
@@ -111,7 +110,7 @@ class RuntimeEngine:
         """Add one task; ``Future`` arguments become dependencies.
 
         May be called while the engine is running — from a
-        :meth:`call_at` callback on the event loop, not from a worker
+        :meth:`call_at` callback on the event loop, not from another
         thread (the engine is not thread-safe) — and the new task is
         dispatched at the current simulated time, sharing node capacity
         with everything already in flight.
@@ -167,29 +166,30 @@ class RuntimeEngine:
         Returns the cumulative :class:`ScheduleResult`; functional
         results land in ``graph.results`` as finish events fire.  May be
         called repeatedly — later runs re-dispatch whatever is pending,
-        continuing from the current simulated time.
+        continuing from the current simulated time.  Once a task's
+        function has raised, this and every later call raise the
+        :class:`RuntimeSchedulingError` that names it.
         """
+        if self._failed is not None:
+            raise self._failed
         self._running = True
         try:
-            with ThreadPoolExecutor(MAX_WORKERS) as pool:
-                self._executor = pool
-                self._beat(self.clock.now)
-                self._detect_failures(self.clock.now)
-                self._dispatch(self.clock.now)
-                if self.heartbeat_interval:
-                    self._events.push(
-                        self.clock.now + self.heartbeat_interval,
-                        ev.HEARTBEAT,
-                    )
-                while self._events:
-                    if until is not None \
-                            and self._events.peek_time() > until:
-                        break
-                    event = self._events.pop()
-                    self.clock.advance(event.time)
-                    self._handle(event)
+            self._beat(self.clock.now)
+            self._detect_failures(self.clock.now)
+            self._dispatch(self.clock.now)
+            if self.heartbeat_interval:
+                self._events.push(
+                    self.clock.now + self.heartbeat_interval,
+                    ev.HEARTBEAT,
+                )
+            while self._events:
+                if until is not None \
+                        and self._events.peek_time() > until:
+                    break
+                event = self._events.pop()
+                self.clock.advance(event.time)
+                self._handle(event)
         finally:
-            self._executor = None
             self._running = False
         if until is None:
             stuck = [self.graph.tasks[tid].name
@@ -283,9 +283,10 @@ class RuntimeEngine:
         subgraph, ready = build_replan_subgraph(
             self.graph, set(self._pending), now, self._finish_of,
         )
-        # Plan into scratch copies so a plan that raises partway (e.g.
-        # an unplaceable FPGA task) leaves the live timelines untouched;
-        # the committed state only changes once the whole plan succeeds.
+        # The policy commits what it places into scratch copies, so a
+        # plan that raises partway (e.g. an unplaceable FPGA task) leaves
+        # the live timelines untouched; a plan that succeeds has already
+        # built the next live state, and the copies are adopted as it.
         scratch = {name: timeline.clone()
                    for name, timeline in self.timelines.items()}
         tracer = get_tracer()
@@ -294,8 +295,19 @@ class RuntimeEngine:
             plan = self.policy.schedule(subgraph, self.cluster,
                                         ready_overrides=ready,
                                         timelines=scratch)
+        placed: Dict[str, int] = {}
         for placement in plan.placements.values():
-            self._commit(placement)
+            placed[placement.node] = placed.get(placement.node, 0) + 1
+        for name, timeline in scratch.items():
+            grown = timeline.committed - self.timelines[name].committed
+            if grown != placed.get(name, 0):
+                raise RuntimeSchedulingError(
+                    f"policy {type(self.policy).__name__} returned "
+                    f"{placed.get(name, 0)} placement(s) on {name!r} but "
+                    f"committed {grown} into the timelines it was given")
+        self.timelines = scratch
+        for placement in plan.placements.values():
+            self._record(placement)
         self.transfers_seconds += plan.transfers_seconds
         self._ready.clear()  # offline planning consumed every pending task
 
@@ -323,14 +335,14 @@ class RuntimeEngine:
                     self.timelines, self.placements, now,
                 )
                 self.transfers_seconds += comm
-                self._commit(placement)
+                self.timelines[placement.node].commit(
+                    placement.start, placement.duration, placement.cores
+                )
+                self._record(placement)
 
-    def _commit(self, placement: Placement) -> None:
-        """Reserve capacity, record the placement, queue its start."""
+    def _record(self, placement: Placement) -> None:
+        """Record a committed placement and queue its start."""
         tid = placement.task_id
-        self.timelines[placement.node].commit(
-            placement.start, placement.duration, placement.cores
-        )
         self.placements[tid] = placement
         self._state[tid] = PLACED
         self._pending.discard(tid)
@@ -345,12 +357,15 @@ class RuntimeEngine:
         if self._epoch.get(tid) != epoch or self._state.get(tid) != PLACED:
             return  # cancelled by a failure reschedule
         task = self.graph.tasks[tid]
+        results = self.graph.results
         args = [
-            self.graph.results[a.task_id] if isinstance(a, Future) else a
+            results[a.task_id] if isinstance(a, Future) else a
             for a in task.args
         ]
-        self._real[tid] = self._executor.submit(task.fn, *args,
-                                                **task.kwargs)
+        try:
+            self._outcomes[tid] = (True, task.fn(*args, **task.kwargs))
+        except Exception as error:
+            self._outcomes[tid] = (False, error)
         self._state[tid] = RUNNING
         self._events.push(self.placements[tid].finish, ev.TASK_FINISH,
                           (tid, epoch))
@@ -358,7 +373,12 @@ class RuntimeEngine:
     def _handle_finish(self, tid: int, epoch: int) -> None:
         if self._epoch.get(tid) != epoch or self._state.get(tid) != RUNNING:
             return  # cancelled by a failure reschedule
-        result = self._real.pop(tid).result()
+        returned, result = self._outcomes.pop(tid)
+        if not returned:
+            self._failed = RuntimeSchedulingError(
+                f"task {self.graph.tasks[tid].name!r} raised "
+                f"{type(result).__name__}: {result}")
+            raise self._failed from result
         self.graph.results[tid] = result
         self._state[tid] = DONE
         self._unfinished -= 1
@@ -417,9 +437,9 @@ class RuntimeEngine:
             self.timelines[placement.node].release(
                 placement.start, placement.duration, placement.cores
             )
-            # A lost RUNNING task's real thread keeps going, but its
-            # result is discarded; the replacement reruns the function.
-            self._real.pop(tid, None)
+            # A lost RUNNING task's outcome is discarded; the
+            # replacement calls the function again.
+            self._outcomes.pop(tid, None)
             self._state[tid] = PENDING
             self._pending.add(tid)
             self._epoch[tid] += 1

@@ -67,7 +67,8 @@ class SimClock:
                 f"simulated clock cannot run backwards "
                 f"({self.now} -> {to})"
             )
-        self.now = max(self.now, to)
+        if to > self.now:
+            self.now = to
 
 
 class EventQueue:

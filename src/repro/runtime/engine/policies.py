@@ -19,12 +19,14 @@ Online policies additionally expose
 :class:`~repro.runtime.scheduler.RoundRobinScheduler` satisfy the
 protocol as offline policies; :class:`MinLoadPolicy` here is the online
 load balancer: it sends each task to the feasible node with the least
-outstanding committed work, breaking ties by earliest finish.
+outstanding committed work, breaking ties by earliest finish and then
+by cluster order.
 """
 
 from __future__ import annotations
 
 import inspect
+from math import inf
 from typing import Callable, Dict, Optional, Protocol, Tuple, Union, \
     runtime_checkable
 
@@ -45,7 +47,15 @@ from repro.runtime.timeline import NodeTimeline
 
 @runtime_checkable
 class SchedulingPolicy(Protocol):
-    """What the engine needs from a scheduling policy."""
+    """What the engine needs from a scheduling policy.
+
+    ``schedule`` commits every placement it returns into ``timelines``
+    (:meth:`NodeTimeline.commit`) and only reads ``graph``, whose tasks
+    may be the caller's own objects.  The engine hands an offline policy
+    scratch copies of the live timelines and makes them the live ones
+    when the plan comes back; a plan that returns a placement it did not
+    commit is refused with the policy's name.
+    """
 
     name: str
     online: bool
@@ -64,7 +74,9 @@ class MinLoadPolicy:
     necessary"; this policy does it continuously: each task goes to the
     feasible node with the fewest committed core-seconds still
     outstanding, using the live timeline state — including work from
-    *other* jobs streamed onto the same cluster.
+    *other* jobs streamed onto the same cluster.  Nodes tied at that
+    load are told apart by the task's earliest finish, then by cluster
+    order.
     """
 
     name = "min-load"
@@ -74,12 +86,19 @@ class MinLoadPolicy:
               timelines: Dict[str, NodeTimeline],
               placements: Dict[int, Placement],
               now: float) -> Tuple[Placement, float]:
+        nodes = cluster.alive_nodes()
+        loads = [timelines[node.name].load_after(now) for node in nodes]
         best: Optional[Placement] = None
-        best_key = None
-        best_comm = 0.0
-        for node in cluster.alive_nodes():
+        best_load = best_comm = 0.0
+        # The key is (load, finish), first in cluster order: walking the
+        # nodes by (load, position), only the feasible ones tied at the
+        # smallest load are priced and searched for a start.
+        for load, position in sorted(zip(loads, range(len(nodes)))):
+            if best is not None and load > best_load:
+                break
+            node = nodes[position]
             runtime = _task_runtime(task, node)
-            if runtime == float("inf") or not _can_host(task, node):
+            if runtime == inf or not _can_host(task, node):
                 continue
             ready = now
             comm = 0.0
@@ -91,15 +110,12 @@ class MinLoadPolicy:
                 )
                 comm += transfer
                 ready = max(ready, dep_placement.finish + transfer)
-            timeline = timelines[node.name]
-            start = timeline.earliest_start(ready, runtime,
-                                            task.resources.cores)
-            key = (timeline.load_after(now), start + runtime)
-            if best is None or key < best_key:
+            start = timelines[node.name].earliest_start(
+                ready, runtime, task.resources.cores)
+            if best is None or start + runtime < best.finish:
                 best = Placement(task.task_id, node.name, start,
                                  start + runtime, task.resources.cores)
-                best_key = key
-                best_comm = comm
+                best_load, best_comm = load, comm
         if best is None:
             raise _unplaceable(task)
         return best, best_comm

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -99,7 +100,7 @@ class _FitArray:
 
     def __init__(self, indices: List[int], timelines: List[NodeTimeline],
                  cores: int, dmin: float):
-        self.indices = np.asarray(indices, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)  # ascending
         self.timelines = timelines  # aligned with ``indices``
         self.cores = cores
         self.dmin = dmin
@@ -173,24 +174,23 @@ class CandidateIndex:
         self.nodes = list(nodes)
         self.timelines = [timelines[node.name] for node in self.nodes]
         self.duration_floors = duration_floors or {}
+        #: Class key of each cluster index.
+        self.class_of = [node_class_key(node) for node in self.nodes]
         self._class_members: Dict[ClassKey, List[int]] = {}
-        for index, node in enumerate(self.nodes):
-            self._class_members.setdefault(node_class_key(node),
-                                           []).append(index)
+        for index, key in enumerate(self.class_of):
+            self._class_members.setdefault(key, []).append(index)
         self._arrays: Dict[Tuple[ClassKey, int], _FitArray] = {}
         # Position of a cluster index within its class member list (every
         # array of a class is aligned with that list).
         self._pos: Dict[int, int] = {}
-        self._key_of: Dict[int, ClassKey] = {}
-        for key, members in self._class_members.items():
+        for members in self._class_members.values():
             for pos, index in enumerate(members):
                 self._pos[index] = pos
-                self._key_of[index] = key
 
     def observe(self, index: int, cores: int, ready: float,
                 duration: float, start: float) -> None:
         """Sharpen one node's bound after an exact ``earliest_start``."""
-        array = self._arrays.get((self._key_of[index], cores))
+        array = self._arrays.get((self.class_of[index], cores))
         if array is not None:
             array.observe(self._pos[index], ready, duration, start)
 
@@ -208,18 +208,21 @@ class CandidateIndex:
     def _class_candidates(self, key: ClassKey, cores: int, ready: float,
                           runtime: float) -> Iterator[Tuple[float, int,
                                                             float]]:
-        """Yield ``(bound, cluster_index, runtime)`` in pruning order."""
+        """``(bound, cluster_index, runtime)`` in pruning order."""
         array = self._array(key, cores)
         bounds = array.bounds(ready, runtime) + runtime
-        for position in np.lexsort((array.indices, bounds)):
-            yield (bounds[position], int(array.indices[position]), runtime)
+        # Indices ascend within a class, so a stable sort by bound alone
+        # is the (bound, index) order; the caller compares Python floats.
+        order = bounds.argsort(kind="stable")
+        return zip(bounds[order].tolist(), array.indices[order].tolist(),
+                   repeat(runtime))
 
-    def candidates(self, feasible: List[Tuple[ClassKey, float]],
+    def candidates(self, feasible: Dict[ClassKey, float],
                    cores: int, ready: float) -> Iterator[Tuple[float, int,
                                                                float]]:
         """Candidates across classes, ascending by ``(bound, index)``.
 
-        ``feasible`` pairs each eligible class key with the task's
+        ``feasible`` maps each eligible class key to the task's
         runtime on that class.  Every yielded ``bound`` satisfies
         ``bound <= earliest_start(...) + runtime`` for its node, and the
         stream is sorted, so a caller holding a best ``(finish, index)``
@@ -228,7 +231,9 @@ class CandidateIndex:
         candidate can improve on the lexicographic best.
         """
         streams = [self._class_candidates(key, cores, ready, runtime)
-                   for key, runtime in feasible]
+                   for key, runtime in feasible.items()]
         if len(streams) == 1:
             return streams[0]
-        return heapq.merge(*streams, key=lambda entry: entry[:2])
+        # A cluster index belongs to one class, so the tuple comparison
+        # is decided by (bound, index) and never reaches the runtime.
+        return heapq.merge(*streams)

@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from math import inf
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import RuntimeSchedulingError
 from repro.runtime.cluster import Cluster, Node
-from repro.runtime.placement import CandidateIndex, node_classes
+from repro.runtime.placement import CandidateIndex, ClassKey, node_classes
 from repro.runtime.taskgraph import Task, TaskGraph
 from repro.runtime.timeline import NodeTimeline
+from repro.runtime.virtualization import SRIOV_OVERHEAD
 
 
 @dataclass
@@ -77,10 +79,8 @@ def _task_runtime(task: Task, node: Node) -> float:
     """Execution time of a task on a node, honouring resource requests."""
     if task.resources.fpga:
         if not node.has_fpga:
-            return float("inf")
+            return inf
         # Overheads of the virtualized access path (Fig. 6).
-        from repro.runtime.virtualization import SRIOV_OVERHEAD
-
         return task.resources.fpga_seconds * SRIOV_OVERHEAD
     return task.runtime_on_cpu(node)
 
@@ -102,6 +102,42 @@ def _unplaceable(task: Task) -> RuntimeSchedulingError:
         f"task {task.name!r} requires {need} but no alive node "
         "can provide it"
     )
+
+
+class PlanCosts(NamedTuple):
+    """The cost model of one ``schedule()`` call, evaluated once.
+
+    A task's runtime depends on a node only through its class and the
+    network charges by payload, not by destination, so ranking and
+    placement read these two tables instead of calling the model per
+    node, per edge and per candidate.
+    """
+
+    #: node class -> how many alive nodes it has
+    class_sizes: Dict[ClassKey, int]
+    #: task id -> node class -> seconds (``inf``: the class cannot run it)
+    runtime: Dict[int, Dict[ClassKey, float]]
+    #: task id -> seconds to move the task's output to another node
+    transfer: Dict[int, float]
+
+    @classmethod
+    def of(cls, tasks: List[Task], nodes: List[Node],
+           cluster: Cluster) -> "PlanCosts":
+        classes = node_classes(nodes)
+        representatives = [(key, members[0])
+                           for key, members in classes.items()]
+        wire: Dict[int, float] = {}  # payload bytes -> seconds
+        runtime, transfer = {}, {}
+        for task in tasks:
+            runtime[task.task_id] = {
+                key: _task_runtime(task, representative)
+                for key, representative in representatives}
+            payload = task.output_bytes
+            if payload not in wire:
+                wire[payload] = cluster.network.message_seconds(payload)
+            transfer[task.task_id] = wire[payload]
+        sizes = {key: len(members) for key, members in classes.items()}
+        return cls(sizes, runtime, transfer)
 
 
 class HEFTScheduler:
@@ -128,22 +164,23 @@ class HEFTScheduler:
         if not nodes:
             raise RuntimeSchedulingError("no alive nodes")
         tasks = graph.topological_order()
-        ranks = self._upward_ranks(graph, cluster, tasks)
+        costs = PlanCosts.of(tasks, nodes, cluster)
+        ranks = self._upward_ranks(tasks, costs)
         order = sorted(tasks, key=lambda t: -ranks[t.task_id])
         # Respect dependencies: stable-sort by rank but never before deps.
-        order = self._dependency_respecting(order, graph)
+        order = self._dependency_respecting(order)
         if timelines is None:
             timelines = {n.name: NodeTimeline(n) for n in nodes}
         result = ScheduleResult()
         self._place(order, graph, cluster, nodes, timelines,
-                    ready_overrides, result)
+                    ready_overrides, result, costs)
         return result
 
     def _place(self, order: List[Task], graph: TaskGraph,
                cluster: Cluster, nodes: List[Node],
                timelines: Dict[str, NodeTimeline],
                ready_overrides: Optional[Dict[int, float]],
-               result: ScheduleResult) -> None:
+               result: ScheduleResult, costs: PlanCosts) -> None:
         """Pruned candidate search; placements identical to a full scan.
 
         An exhaustive loop keeps the first node (in cluster order) with
@@ -151,49 +188,42 @@ class HEFTScheduler:
         ``(finish, cluster index)``.  Candidates arrive here ordered by
         a lower bound on exactly that key, so evaluation stops at the
         first candidate whose bound cannot beat the current best.
+        Every price comes from ``costs``; ``graph`` and ``cluster`` are
+        there for a placer that prices on its own (the scan oracle).
         """
-        classes = node_classes(nodes)
-        representatives = {key: members[0]
-                           for key, members in classes.items()}
-        # One cost-model pass over (task, class) pairs yields both each
-        # task's feasible classes and the smallest runtime any task
-        # requests per (class, cores) — the duration floor baked into
-        # the index's cached bounds.
-        feasible_of: Dict[int, List[tuple]] = {}
+        # Each task's feasible classes (finite runtime, enough cores) and
+        # the smallest runtime any task requests per (class, cores) —
+        # the duration floor baked into the index's cached bounds.
+        feasible_of: Dict[int, Dict[ClassKey, float]] = {}
         floors: Dict[tuple, float] = {}
         for task in order:
-            feasible = []
-            for key, representative in representatives.items():
-                runtime = _task_runtime(task, representative)
-                if runtime != float("inf") \
-                        and _can_host(task, representative):
-                    feasible.append((key, runtime))
-                    floor_key = (key, task.resources.cores)
-                    if runtime < floors.get(floor_key, float("inf")):
+            cores = task.resources.cores
+            feasible = {}
+            for key, runtime in costs.runtime[task.task_id].items():
+                if runtime != inf and cores <= key[0]:  # the class's cores
+                    feasible[key] = runtime
+                    floor_key = (key, cores)
+                    if floor_key not in floors \
+                            or runtime < floors[floor_key]:
                         floors[floor_key] = runtime
             feasible_of[task.task_id] = feasible
         index = CandidateIndex(nodes, timelines, floors)
         placements = result.placements
         node_pos = {node.name: i for i, node in enumerate(nodes)}
-        probe = nodes[1].name if len(nodes) > 1 else nodes[0].name
+        ready_floors = ready_overrides or {}
         for task in order:
             cores = task.resources.cores
-            ready_floor = (ready_overrides or {}).get(task.task_id, 0.0)
-            dep_info = [(placements[dep], graph.tasks[dep].output_bytes)
+            ready_floor = ready_floors.get(task.task_id, 0.0)
+            dep_info = [(placements[dep], costs.transfer[dep])
                         for dep in task.deps]
             # Ready time on a node hosting none of the deps: every
-            # transfer is remote (the network charges by payload, not by
-            # destination, so one probe per dep prices them all).  For
-            # the handful of dep-hosting nodes some transfers vanish, so
-            # those are evaluated exactly up front instead of bounded.
+            # transfer is remote.  For the handful of dep-hosting nodes
+            # some transfers vanish, so those are evaluated exactly up
+            # front instead of bounded.
             ready_all = ready_floor
             comm_all = 0.0
             host_indices = set()
-            for dep_placement, output_bytes in dep_info:
-                dst = probe if dep_placement.node != probe \
-                    else nodes[0].name
-                transfer = cluster.transfer_seconds(
-                    dep_placement.node, dst, output_bytes)
+            for dep_placement, transfer in dep_info:
                 comm_all += transfer
                 arrival = dep_placement.finish + transfer
                 if arrival > ready_all:
@@ -203,18 +233,17 @@ class HEFTScheduler:
             best_finish = best_idx = None
             best = None  # (node, start, runtime, comm)
             for idx in sorted(host_indices):
-                node = nodes[idx]
-                runtime = _task_runtime(task, node)
-                if runtime == float("inf") or not _can_host(task, node):
+                runtime = feasible.get(index.class_of[idx])
+                if runtime is None:
                     continue
+                node = nodes[idx]
                 ready = ready_floor
                 comm = 0.0
-                for dep_placement, output_bytes in dep_info:
-                    transfer = cluster.transfer_seconds(
-                        dep_placement.node, node.name, output_bytes,
-                    )
-                    comm += transfer
-                    arrival = dep_placement.finish + transfer
+                for dep_placement, transfer in dep_info:
+                    arrival = dep_placement.finish
+                    if dep_placement.node != node.name:
+                        comm += transfer
+                        arrival += transfer
                     if arrival > ready:
                         ready = arrival
                 start = index.timelines[idx].earliest_start(
@@ -254,50 +283,55 @@ class HEFTScheduler:
                 task.task_id, node.name, start, start + runtime, cores)
             result.transfers_seconds += comm
 
-    def _upward_ranks(self, graph: TaskGraph, cluster: Cluster,
-                      tasks: List[Task]) -> Dict[int, float]:
-        nodes = cluster.alive_nodes()
+    @staticmethod
+    def _upward_ranks(tasks: List[Task],
+                      costs: PlanCosts) -> Dict[int, float]:
         # Runtime depends on the node only through its class (cores,
-        # GFLOP/s, FPGA presence), so average over class representatives
-        # weighted by class size instead of touching every node per task
+        # GFLOP/s, FPGA presence), so average over the classes weighted
+        # by class size instead of touching every node per task
         # — O(tasks x classes), not O(tasks x nodes).
-        classes = [(len(members), members[0])
-                   for members in node_classes(nodes).values()]
-        avg_runtime: Dict[int, float] = {}
-        for t in tasks:
+        sizes = costs.class_sizes
+        ranks: Dict[int, float] = {}
+        # Largest rank among a task's successors (ranks are positive:
+        # 0.0 says it has none).  Walking the topological order backwards,
+        # every successor has pushed its rank before the task reads it,
+        # and the task's one wire time is added to the largest only.
+        below = dict.fromkeys(costs.runtime, 0.0)
+        for t in reversed(tasks):
             total = 0.0
             count = 0
-            for size, representative in classes:
-                r = _task_runtime(t, representative)
-                if r != float("inf"):
-                    total += r * size
-                    count += size
-            avg_runtime[t.task_id] = (total or 1e-9) / max(1, count)
-        successors: Dict[int, List[Task]] = {t.task_id: [] for t in tasks}
-        for t in tasks:
+            for key, r in costs.runtime[t.task_id].items():
+                if r != inf:
+                    total += r * sizes[key]
+                    count += sizes[key]
+            rank = (total or 1e-9) / (count or 1)
+            if below[t.task_id]:
+                rank += below[t.task_id] + costs.transfer[t.task_id]
+            ranks[t.task_id] = rank
             for dep in t.deps:
-                successors[dep].append(t)
-        ranks: Dict[int, float] = {}
-        for t in reversed(tasks):  # reverse topological order
-            succ_rank = 0.0
-            for succ in successors[t.task_id]:
-                comm = cluster.network.message_seconds(t.output_bytes)
-                succ_rank = max(succ_rank, ranks[succ.task_id] + comm)
-            ranks[t.task_id] = avg_runtime[t.task_id] + succ_rank
+                if rank > below[dep]:
+                    below[dep] = rank
         return ranks
 
     @staticmethod
-    def _dependency_respecting(order: List[Task],
-                               graph: TaskGraph) -> List[Task]:
+    def _dependency_respecting(order: List[Task]) -> List[Task]:
         """Kahn's algorithm preferring the given (rank-sorted) order.
 
         Upward ranks strictly decrease along dependency edges, so the
-        sorted order is normally already dependency-respecting and comes
-        back unchanged; the O(E + n log n) indegree walk replaces the
-        seed's repeated-sweep emitter, whose list scans and removals
+        sorted order is normally already dependency-respecting and one
+        pass over it returns it as it is — the walk would rebuild the
+        same list.  Otherwise the O(E + n log n) indegree walk replaces
+        the seed's repeated-sweep emitter, whose list scans and removals
         were O(n^2) — minutes of pure bookkeeping at 100k tasks.
         """
         position = {task.task_id: i for i, task in enumerate(order)}
+        settled = True
+        for i, task in enumerate(order):
+            for dep in task.deps:
+                if dep not in position or position[dep] > i:
+                    settled = False
+        if settled:
+            return order
         indegree: Dict[int, int] = {}
         dependents: Dict[int, List[int]] = {}
         for task in order:
@@ -344,7 +378,7 @@ class RoundRobinScheduler:
                 index += 1
                 attempts += 1
                 runtime = _task_runtime(task, node)
-                if runtime != float("inf") and _can_host(task, node):
+                if runtime != inf and _can_host(task, node):
                     break
                 if attempts > len(nodes):
                     raise _unplaceable(task)
@@ -390,11 +424,16 @@ def build_replan_subgraph(graph: TaskGraph, subset: set,
     for task in graph.topological_order():
         if task.task_id not in subset:
             continue
-        subgraph.tasks[task.task_id] = replace(
-            task, deps=[d for d in task.deps if d in subset])
         ready_time = ready_floor
+        outside = False
         for dep in task.deps:
             if dep not in subset:
+                outside = True
                 ready_time = max(ready_time, finish_of(dep))
+        # A policy only reads the tasks it plans, so one whose deps all
+        # lie inside the subset is shared, not copied.
+        subgraph.tasks[task.task_id] = replace(
+            task, deps=[d for d in task.deps if d in subset]) \
+            if outside else task
         ready[task.task_id] = ready_time
     return subgraph, ready

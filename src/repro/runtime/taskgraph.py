@@ -60,18 +60,23 @@ class Task:
 
 
 class Future:
-    """A handle to a task's eventual result."""
+    """A handle to a task's eventual result.
 
-    def __init__(self, graph: "TaskGraph", task_id: int):
-        self._graph = graph
+    Holds the results table, not the graph: tasks keep their futures as
+    arguments, so a reference to the graph would make every workflow a
+    cycle that only the garbage collector's cycle detector can free.
+    """
+
+    def __init__(self, results: Dict[int, Any], task_id: int):
+        self._results = results
         self.task_id = task_id
 
     def result(self):
-        if self.task_id not in self._graph.results:
+        if self.task_id not in self._results:
             raise RuntimeSchedulingError(
                 "task graph not executed yet; call client.compute() first"
             )
-        return self._graph.results[self.task_id]
+        return self._results[self.task_id]
 
 
 class TaskGraph:
@@ -85,55 +90,59 @@ class TaskGraph:
     def add(self, fn: Callable, args: tuple, kwargs: dict,
             resources: Optional[ResourceRequest], output_bytes: int,
             tuning: Optional[dict], name: Optional[str]) -> Future:
-        deps: List[int] = []
-        bound_args = []
-        for arg in args:
-            if isinstance(arg, Future):
-                deps.append(arg.task_id)
-                bound_args.append(arg)
-            else:
-                bound_args.append(arg)
+        deps = [arg.task_id for arg in args if isinstance(arg, Future)]
         task_id = next(self._ids)
         self.tasks[task_id] = Task(
             task_id=task_id,
             name=name or getattr(fn, "__name__", f"task{task_id}"),
             fn=fn,
-            args=tuple(bound_args),
+            args=tuple(args),
             kwargs=dict(kwargs),
             deps=deps,
             resources=resources or ResourceRequest(),
             output_bytes=output_bytes,
             tuning=dict(tuning or {}),
         )
-        return Future(self, task_id)
+        return Future(self.results, task_id)
 
     def topological_order(self) -> List[Task]:
         # Iterative post-order DFS (same order a recursive visit would
         # produce) — a 100k-task dependency chain must not hit the
-        # interpreter recursion limit.  States: absent = unvisited,
-        # 1 = on the current DFS path, 2 = emitted.
+        # interpreter recursion limit.  ``emitted`` maps a visited task
+        # to whether it is out (False: still on the current DFS path, so
+        # between two roots every key is out).
+        tasks = self.tasks
         order: List[Task] = []
-        visited: Dict[int, int] = {}
-        for root in list(self.tasks):
-            if visited.get(root, 0) == 2:
+        emitted: Dict[int, bool] = {}
+        for root, task in list(tasks.items()):
+            if root in emitted:
                 continue
-            visited[root] = 1
-            stack = [(root, iter(self.tasks[root].deps))]
+            # Submission order puts dependencies first, so a root's are
+            # normally all out already: the DFS would emit it at once.
+            for dep in task.deps:
+                if dep not in emitted:
+                    break
+            else:
+                emitted[root] = True
+                order.append(task)
+                continue
+            emitted[root] = False
+            stack = [(root, iter(task.deps))]
             while stack:
                 task_id, deps = stack[-1]
                 for dep in deps:
-                    state = visited.get(dep, 0)
-                    if state == 1:
+                    state = emitted.get(dep)
+                    if state is False:
                         raise RuntimeSchedulingError(
                             "task graph has a cycle")
-                    if state == 2:
+                    if state:
                         continue
-                    visited[dep] = 1
-                    stack.append((dep, iter(self.tasks[dep].deps)))
+                    emitted[dep] = False
+                    stack.append((dep, iter(tasks[dep].deps)))
                     break
                 else:
-                    visited[task_id] = 2
-                    order.append(self.tasks[task_id])
+                    emitted[task_id] = True
+                    order.append(tasks[task_id])
                     stack.pop()
         return order
 

@@ -59,6 +59,11 @@ class NodeTimeline:
         """The committed ``(start, end, cores)`` intervals, by end time."""
         return [(start, end, cores) for end, start, cores in self._by_end]
 
+    @property
+    def committed(self) -> int:
+        """How many commitments are outstanding (commits less releases)."""
+        return len(self._by_end)
+
     def _ensure_breakpoint(self, t: float) -> int:
         """Index of the breakpoint at ``t``, splitting a segment if needed."""
         i = bisect_left(self._times, t)
@@ -164,5 +169,5 @@ class NodeTimeline:
     def load_after(self, now: float) -> float:
         """Committed core-seconds still outstanding after ``now``."""
         i = bisect_right(self._by_end, (now, math.inf, 0))
-        return sum((e - max(s, now)) * c
-                   for e, s, c in self._by_end[i:])
+        return sum([(e - (s if s > now else now)) * c
+                    for e, s, c in self._by_end[i:]])

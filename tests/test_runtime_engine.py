@@ -6,7 +6,9 @@ failure-handling edge cases of §VI-A duty 4.
 """
 
 import os
+import random
 import sys
+import threading
 
 import pytest
 
@@ -32,7 +34,12 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "tools")
 )
 
-from oracles import ScanHEFT, ScanTimeline  # noqa: E402
+from oracles import (  # noqa: E402
+    ScanHEFT,
+    ScanTimeline,
+    dependency_respecting_walk,
+    topological_order_dfs,
+)
 
 
 def _assert_capacity_respected(schedule, cluster):
@@ -272,6 +279,80 @@ class TestEngineExecution:
         assert engine.timelines["cpu0"].intervals == []
         assert engine.placements == {}
 
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_bodies_run_on_the_calling_thread_in_simulated_start_order(
+            self, policy):
+        engine = RuntimeEngine(default_cluster(3), policy=policy)
+        ran = []
+
+        def body(*args, i):
+            ran.append((i, threading.get_ident()))
+            return i
+
+        rng = random.Random(5)
+        futures = []
+        for i in range(40):
+            deps = rng.sample(futures, min(len(futures), rng.randrange(3)))
+            futures.append(engine.submit(
+                body, *deps, i=i,
+                resources=ResourceRequest(cores=rng.randint(1, 20),
+                                          cpu_flops=rng.uniform(1e9, 5e10))))
+        schedule = engine.run()
+        assert {thread for _, thread in ran} == {threading.get_ident()}
+        assert sorted(i for i, _ in ran) == list(range(40))
+        starts = [schedule.placements[i].start for i, _ in ran]
+        assert starts == sorted(starts)
+        assert engine.graph.results == {i: i for i in range(40)}
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_a_raising_body_stops_the_engine_naming_the_task(self, policy):
+        """It used to escape bare, leave the task RUNNING, and make the
+        next run() die with a KeyError (offline policies) or blame a
+        dependency cycle (min-load)."""
+        engine = RuntimeEngine(default_cluster(2), policy=policy)
+
+        def broken(x):
+            raise ValueError(f"no square root of {x}")
+
+        first = engine.submit(lambda: -4, name="first")
+        bad = engine.submit(broken, first, name="root")
+        after = engine.submit(lambda x: x, bad, name="after")
+        with pytest.raises(RuntimeSchedulingError, match="'root'") as raised:
+            engine.run()
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert "no square root of -4" in str(raised.value)
+        assert first.result() == -4
+        assert bad.task_id not in engine.graph.results
+        assert after.task_id not in engine.graph.results
+        for _ in range(2):
+            with pytest.raises(RuntimeSchedulingError) as again:
+                engine.run()
+            assert again.value is raised.value
+
+    def test_policy_that_does_not_commit_its_placements_is_refused(self):
+        """The plan's scratch timelines become the live ones, so a
+        policy that places without committing would hand every later
+        plan capacity that is already taken."""
+
+        class Forgetful:
+            name = "forgetful"
+            online = False
+
+            def schedule(self, graph, cluster, ready_overrides=None,
+                         timelines=None):
+                elsewhere = {name: timeline.clone()
+                             for name, timeline in timelines.items()}
+                return HEFTScheduler().schedule(graph, cluster,
+                                                ready_overrides, elsewhere)
+
+        engine = RuntimeEngine(default_cluster(2), policy=Forgetful())
+        synthetic_workflow(engine, n_tasks=12, seed=2)
+        with pytest.raises(RuntimeSchedulingError, match="policy Forgetful"):
+            engine.run()
+        assert engine.placements == {}
+        assert all(timeline.intervals == []
+                   for timeline in engine.timelines.values())
+
     def test_unsatisfiable_dependency_rejected(self):
         engine = RuntimeEngine(default_cluster(1), policy="min-load")
         future = engine.submit(lambda x: x, 1)
@@ -363,6 +444,30 @@ class TestFailureHandling:
         assert all(f.task_id in engine.graph.results for f in finals)
         _assert_capacity_respected(schedule, engine.cluster)
         _assert_dependencies_respected(schedule, engine.graph)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_lost_running_task_runs_again_and_republishes(self, policy):
+        """The outcome of a body whose node died under it is discarded:
+        the replacement calls the function again and only that result
+        is published."""
+        engine = RuntimeEngine(default_cluster(2), policy=policy)
+        calls = []
+
+        def body():
+            calls.append(engine.clock.now)
+            return len(calls)
+
+        future = engine.submit(
+            body, resources=ResourceRequest(cpu_flops=1e11))  # 40 s
+        seen = []
+        engine.call_at(9.0, lambda: seen.append(dict(engine.graph.results)))
+        engine.fail_node_at(10.0, "node0")
+        schedule = engine.run()
+        assert calls == [0.0, 10.0]
+        assert seen == [{}]
+        assert future.result() == 2
+        assert schedule.placements[future.task_id].node == "node1"
+        assert schedule.rescheduled_tasks == 1
 
     def test_offline_policy_plans_in_the_engine_id_space(self):
         """Every plan is handed exactly the pending tasks under their
@@ -680,6 +785,57 @@ class TestTaskGraphScale:
         graph.tasks[a.task_id].deps.append(b.task_id)
         with pytest.raises(RuntimeSchedulingError, match="cycle"):
             graph.topological_order()
+
+
+def _random_dag(seed):
+    """A task graph whose ids need not follow its dependencies: deps
+    point backwards along a random permutation of the ids, which is what
+    editing ``deps`` after submission can produce."""
+    from repro.runtime.taskgraph import TaskGraph
+
+    rng = random.Random(seed)
+    graph = TaskGraph()
+    n = rng.randrange(1, 40)
+    for _ in range(n):
+        graph.add(lambda: None, (), {}, None, 0, None, None)
+    ids = list(range(n))
+    if seed % 2:
+        rng.shuffle(ids)  # half the graphs have forward-pointing deps
+    for position, tid in enumerate(ids):
+        graph.tasks[tid].deps.extend(
+            rng.sample(ids[:position], min(position, rng.randrange(4))))
+    return graph, rng
+
+
+class TestOrderingShortcuts:
+    """``topological_order`` emits a root whose deps are already out and
+    ``_dependency_respecting`` returns an order that already respects
+    deps; both must give what their plain walks give."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_match_the_plain_walks(self, seed):
+        graph, rng = _random_dag(seed)
+        order = graph.topological_order()
+        assert [t.task_id for t in order] \
+            == [t.task_id for t in topological_order_dfs(graph)]
+        ranked = sorted(order, key=lambda t: rng.randrange(4))
+        for candidate in (order, ranked):
+            assert HEFTScheduler._dependency_respecting(candidate) \
+                == dependency_respecting_walk(candidate)
+
+    @pytest.mark.parametrize("seed", range(0, 200, 10))
+    def test_a_cycle_still_raises(self, seed):
+        graph, _ = _random_dag(seed)
+        order = graph.topological_order()
+        first, last = order[0], order[-1]  # one task: a self-loop
+        first.deps.append(last.task_id)
+        last.deps.append(first.task_id)
+        for walk in (graph.topological_order,
+                     lambda: topological_order_dfs(graph),
+                     lambda: HEFTScheduler._dependency_respecting(order),
+                     lambda: dependency_respecting_walk(order)):
+            with pytest.raises(RuntimeSchedulingError, match="cycle"):
+                walk()
 
 
 class TestIncrementalHEFTEquivalence:

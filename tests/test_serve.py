@@ -225,6 +225,11 @@ class TestHTTP:
         pytest.param("runtime", {"tasks": None}, "'tasks'", id="tasks"),
         pytest.param("runtime", {"fpga_fraction": "x"}, "'fpga_fraction'",
                      id="fpga_fraction"),
+        # One such request used to hold a worker slot for minutes.
+        pytest.param("runtime", {"tasks": 5_000_000}, "'tasks'",
+                     id="tasks-over-limit"),
+        pytest.param("runtime", {"nodes": 100_000}, "'nodes'",
+                     id="nodes-over-limit"),
         pytest.param("execute", {"source": ADD, "random_seed": 0,
                                  "backend": "compiled-parallel",
                                  "jobs": "x"}, "'jobs'", id="jobs"),

@@ -18,6 +18,12 @@ or the daemon.
   :class:`repro.runtime.scheduler.HEFTScheduler`'s pruned candidate
   search superseded (``tools/workloadfuzz.py`` invariant 5,
   ``tests/test_runtime_engine.py``, ``benchmarks/bench_runtime_engine.py``);
+* :func:`topological_order_dfs` and :func:`dependency_respecting_walk`
+  — the full walks behind
+  :meth:`repro.runtime.taskgraph.TaskGraph.topological_order` and
+  ``HEFTScheduler._dependency_respecting``, which skip the walk where
+  submission or rank order already settles it (200 random DAGs in
+  ``tests/test_runtime_engine.py``);
 * :class:`ScanTimeline` — the per-node placement timeline that re-scans
   every committed interval on each query, which the event-sweep index
   :class:`repro.runtime.timeline.NodeTimeline` superseded (placement
@@ -27,9 +33,10 @@ or the daemon.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import IRError
+from repro.errors import IRError, RuntimeSchedulingError
 from repro.ir.analysis import (
     TOP,
     AbstractValue,
@@ -46,6 +53,7 @@ from repro.runtime.cluster import Cluster, Node
 from repro.runtime.scheduler import (
     HEFTScheduler,
     Placement,
+    PlanCosts,
     ScheduleResult,
     _can_host,
     _task_runtime,
@@ -165,6 +173,59 @@ def analysis_mismatches(module: Module, analysis: ModuleAnalysis) -> List[str]:
     return lines
 
 
+def topological_order_dfs(graph: TaskGraph) -> List[Task]:
+    """Post-order DFS from every task in submission order, with no
+    shortcut for a root whose dependencies are already out."""
+    order: List[Task] = []
+    visited: Dict[int, int] = {}  # 1 = on the DFS path, 2 = emitted
+    for root in list(graph.tasks):
+        if visited.get(root, 0) == 2:
+            continue
+        visited[root] = 1
+        stack = [(root, iter(graph.tasks[root].deps))]
+        while stack:
+            task_id, deps = stack[-1]
+            for dep in deps:
+                state = visited.get(dep, 0)
+                if state == 1:
+                    raise RuntimeSchedulingError("task graph has a cycle")
+                if state == 2:
+                    continue
+                visited[dep] = 1
+                stack.append((dep, iter(graph.tasks[dep].deps)))
+                break
+            else:
+                visited[task_id] = 2
+                order.append(graph.tasks[task_id])
+                stack.pop()
+    return order
+
+
+def dependency_respecting_walk(order: List[Task]) -> List[Task]:
+    """Kahn's algorithm preferring the given order, run in full even
+    when the order already respects every dependency."""
+    position = {task.task_id: i for i, task in enumerate(order)}
+    indegree = {task.task_id: len(task.deps) for task in order}
+    dependents: Dict[int, List[int]] = {}
+    for task in order:
+        for dep in task.deps:
+            dependents.setdefault(dep, []).append(task.task_id)
+    ready = [position[tid] for tid, degree in indegree.items()
+             if degree == 0]
+    heapq.heapify(ready)
+    result: List[Task] = []
+    while ready:
+        task = order[heapq.heappop(ready)]
+        result.append(task)
+        for successor in dependents.get(task.task_id, ()):
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, position[successor])
+    if len(result) != len(order):
+        raise RuntimeSchedulingError("cycle in task graph")
+    return result
+
+
 class ScanHEFT(HEFTScheduler):
     """HEFT placing each task by evaluating every alive node.
 
@@ -177,7 +238,9 @@ class ScanHEFT(HEFTScheduler):
                cluster: Cluster, nodes: List[Node],
                timelines: Dict[str, NodeTimeline],
                ready_overrides: Optional[Dict[int, float]],
-               result: ScheduleResult) -> None:
+               result: ScheduleResult, costs: PlanCosts) -> None:
+        # ``costs`` is not read: the scan prices every (task, node) pair
+        # and every edge through the cost model itself.
         for task in order:
             best: Optional[Placement] = None
             best_comm = 0.0

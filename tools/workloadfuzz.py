@@ -41,6 +41,11 @@ Run standalone for a longer campaign::
 
     python tools/workloadfuzz.py --count 1000 [--start 0]
 
+``--dump PATH`` runs no invariant: it writes every schedule of the
+campaign (see :func:`schedule_dump`) to one JSON file, so "this change
+places every task where the parent commit did" is ``cmp`` on the files
+the two trees write.
+
 Triage: every assertion message starts with the failing seed — re-run
 just that seed with ``--count 1 --start <seed>``, then shrink by
 lowering the task/node counts in :func:`generate_case` while the
@@ -50,15 +55,15 @@ violation persists.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.platforms.device import alveo_u55c
-from repro.runtime.cluster import Cluster, Node
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.cluster import Cluster, Node, default_cluster
+from repro.runtime.engine import RuntimeEngine, synthetic_workflow
 from repro.runtime.engine.policies import POLICIES
 from repro.runtime.scheduler import HEFTScheduler
 from repro.runtime.taskgraph import ResourceRequest, TaskGraph
@@ -234,12 +239,10 @@ def run_case(case: WorkloadCase, policy: str):
     engine = RuntimeEngine(cluster, policy=policy)
     futures: Dict[int, object] = {}
     calls: Dict[int, int] = {}
-    lock = threading.Lock()
 
     def make_fn(index: int):
-        def fn(*args):
-            with lock:
-                calls[index] = calls.get(index, 0) + 1
+        def fn(*args):  # on the engine's event loop: one thread
+            calls[index] = calls.get(index, 0) + 1
             return index
         return fn
 
@@ -387,6 +390,50 @@ def check_workload(seed: int) -> None:
     check_makespan_monotonic(case)
 
 
+def _schedule_record(engine, schedule) -> dict:
+    """Everything a run decided, floats by ``repr``."""
+    return {
+        "placements": [
+            (tid, p.node, repr(p.start), repr(p.finish), p.cores)
+            for tid, p in sorted(schedule.placements.items())],
+        "transfers_seconds": repr(schedule.transfers_seconds),
+        "rescheduled_tasks": schedule.rescheduled_tasks,
+        "results": sorted(engine.graph.results.items()),
+        "intervals": {
+            name: [(repr(start), repr(end), cores)
+                   for start, end, cores in timeline.intervals]
+            for name, timeline in sorted(engine.timelines.items())},
+    }
+
+
+def engine_plan_op(workflow: int, policy: str = "heft"):
+    """One op of the benchmark's ``engine_plan`` workload (workflows 0
+    to 7): 32 nodes, 800 tasks, a fifth on FPGAs, ``node3`` lost at 5.0.
+    Returns ``(engine, schedule)``."""
+    engine = RuntimeEngine(default_cluster(32), policy=policy)
+    synthetic_workflow(engine, n_tasks=800, seed=workflow,
+                       fpga_fraction=0.2)
+    engine.fail_node_at(5.0, "node3")
+    return engine, engine.run()
+
+
+def schedule_dump(start: int, count: int) -> dict:
+    """The schedules of the eight :func:`engine_plan_op` workflows and
+    of ``count`` fuzz cases, each under every registered policy.  Fuzz
+    runs also record how often each task's function ran."""
+    dump: Dict[str, dict] = {}
+    for policy in sorted(POLICIES):
+        for workflow in range(8):
+            dump[f"engine_plan/{workflow}/{policy}"] = \
+                _schedule_record(*engine_plan_op(workflow, policy))
+        for seed in range(start, start + count):
+            engine, schedule, calls = run_case(generate_case(seed), policy)
+            record = _schedule_record(engine, schedule)
+            record["calls"] = sorted(calls.items())
+            dump[f"fuzz/{seed}/{policy}"] = record
+    return dump
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="fuzz the runtime engine: random DAGs + arrivals + "
@@ -399,7 +446,16 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="only log failures (suppress the summary "
                              "line; CI smoke runs)")
+    parser.add_argument("--dump", metavar="PATH",
+                        help="check nothing; write every schedule of the "
+                             "campaign to PATH for cmp against another "
+                             "tree's")
     args = parser.parse_args(argv)
+    if args.dump:
+        with open(args.dump, "w") as out:
+            json.dump(schedule_dump(args.start, args.count), out,
+                      sort_keys=True)
+        return 0
     from repro.telemetry.log import configure_logging, get_logger
 
     configure_logging("error" if args.quiet else "info")
