@@ -22,7 +22,7 @@ def test_cache_hot_recompile(benchmark):
     assert warm.report is cold.report
     assert session.report.cache_hits >= 4
     # Every timed iteration was served from the cache.
-    assert all(e.cached for e in session.report.events[cold_events:])
+    assert all(e.cached for e in list(session.report.events)[cold_events:])
 
 
 def test_format_sweep(benchmark):

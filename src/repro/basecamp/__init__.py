@@ -4,10 +4,13 @@
 which provides a single point of access to the users of the SDK."
 """
 
-from repro.basecamp.cli import main
-
 __all__ = ["main"]
 
-# The serve daemon (repro.basecamp.serve) is imported lazily by the
-# `basecamp serve` subcommand; import it directly for the library API:
-#   from repro.basecamp.serve import BasecampServer
+
+def main(argv=None):
+    """The ``basecamp`` command.  The CLI is imported on call: ``python -m
+    repro.basecamp.cli`` must find it not yet loaded (runpy warns), and
+    ``repro.basecamp.serve``, the daemon's library API, needs no parser."""
+    from repro.basecamp.cli import main as cli_main
+
+    return cli_main(argv)

@@ -411,9 +411,8 @@ def cross_check_executor(report: KernelReport, module: Module,
     """
     import time
 
-    # Not at module level: codegen imports repro.pipeline and hashlib,
-    # about 4 MB in every process that only wanted repro.hls (the
-    # runtime engine reaches it through repro.platforms).
+    # Not at module level: only this cross-check needs the executor, and
+    # synthesis alone should not load codegen and the telemetry package.
     from repro.tensorpipe.codegen import compile_affine
 
     if runs < 1:

@@ -9,8 +9,9 @@ this compile spend its time, and what did the cache save?".
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Deque, Dict
 
 
 @dataclass
@@ -29,11 +30,21 @@ class StageTiming:
     aux: bool = False
 
 
+#: How many events a report keeps.  A daemon's shared session records
+#: four or five per request and nothing there reads them back, so the
+#: store must not grow with uptime; one compile is a few dozen events.
+MAX_EVENTS = 4096
+
+
 @dataclass
 class PipelineReport:
-    """The accumulated timing/caching record of one session."""
+    """The timing/caching record of one session: its latest
+    :data:`MAX_EVENTS` events, oldest dropped first.  Totals, hit/miss
+    counts, :meth:`summary` and :meth:`as_dict` cover the events kept
+    (``session.cache.stats`` counts every lookup since the start)."""
 
-    events: List[StageTiming] = field(default_factory=list)
+    events: Deque[StageTiming] = field(
+        default_factory=lambda: deque(maxlen=MAX_EVENTS))
 
     def record(self, stage: str, seconds: float, *, cached: bool,
                detail: str = "", aux: bool = False) -> StageTiming:

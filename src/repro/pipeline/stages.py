@@ -179,13 +179,11 @@ def stage_execute(payload: Tuple[Any, Any], *,
     actual runs over input data happen outside the stage cache (see
     :meth:`PipelineSession.execute`).  ``backend="interpreter"`` pins the
     reference interpreter instead (baseline and differential runs).
-    The backends' own caches are bypassed: they key on the printed module,
-    and the session's stage cache already holds the artifact.
     """
     from repro.tensorpipe.codegen import compile_affine
 
     kernel, module = payload
-    return compile_affine(module, kernel.name, backend=backend, cache=False)
+    return compile_affine(module, kernel.name, backend=backend)
 
 
 def stage_hls(payload: Tuple[Any, Any], *,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import PlatformError
-from repro.hls.resources import ResourceBudget
+from repro.platforms.resources import ResourceBudget
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,7 @@ class MetricsRegistry:
 
     Asking for an existing name returns the existing instance when the
     kind and label names agree, and raises otherwise — two subsystems
-    can safely share ``repro_codegen_cache_total`` without coordination.
+    can safely share ``repro_cbackend_cc_total`` without coordination.
     """
 
     def __init__(self) -> None:

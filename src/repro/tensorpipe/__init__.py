@@ -9,13 +9,4 @@ notation dialect (``esn``) is lowered into the Tensor Intermediate Language
 from repro.tensorpipe.lower_esn import lower_esn_to_teil
 from repro.tensorpipe.lower_teil import lower_teil_to_affine
 
-
-def compile_affine(module, func_name, **kwargs):
-    """Lazy forward to :func:`repro.tensorpipe.codegen.compile_affine`
-    (keeps ``import repro.tensorpipe`` free of the codegen machinery)."""
-    from repro.tensorpipe.codegen import compile_affine as _compile
-
-    return _compile(module, func_name, **kwargs)
-
-
-__all__ = ["compile_affine", "lower_esn_to_teil", "lower_teil_to_affine"]
+__all__ = ["lower_esn_to_teil", "lower_teil_to_affine"]

@@ -5,10 +5,12 @@ Mirrors the scheduler policy registry
 
 * ``name`` — the registry key (``basecamp run --backend``,
   ``session.execute(backend=...)``);
-* ``compile(module, func_name, *, cache=True)`` — returning a
+* ``compile(module, func_name)`` — returning a
   :class:`~repro.tensorpipe.codegen.CompiledKernel` whose ``run`` is
   bit-for-bit identical to the reference
   :class:`~repro.tensorpipe.affine_interp.AffineInterpreter` on float64.
+  A backend compiles every time it is asked and keeps no cache of its
+  own: the session's stage cache is where a kernel is remembered.
 
 Stock backends:
 
@@ -52,10 +54,9 @@ class NumpyBackend:
         self.tiled = tiled
         self.arena = arena
 
-    def compile(self, module: Module, func_name: str, *,
-                cache: bool = True) -> CompiledKernel:
+    def compile(self, module: Module, func_name: str) -> CompiledKernel:
         return compile_numpy(module, func_name, backend=self.name,
-                             tiled=self.tiled, arena=self.arena, cache=cache)
+                             tiled=self.tiled, arena=self.arena)
 
     def __repr__(self) -> str:
         return f"<backend {self.name}>"
@@ -72,7 +73,7 @@ def register_backend(backend, *, replace: bool = False):
     if not callable(getattr(backend, "compile", None)):
         raise EverestError(
             f"executor backend {name!r} does not implement "
-            "compile(module, func_name, *, cache=True)")
+            "compile(module, func_name)")
     if name in BACKENDS and not replace:
         raise EverestError(f"executor backend {name!r} already registered "
                            "(pass replace=True to override)")
@@ -94,7 +95,7 @@ def resolve_backend(backend: Union[str, object]):
         return backend
     raise EverestError(
         f"{type(backend).__name__} does not implement the executor-backend "
-        "interface (compile(module, func_name, *, cache=True))")
+        "interface (compile(module, func_name))")
 
 
 def registered_backends() -> Dict[str, object]:

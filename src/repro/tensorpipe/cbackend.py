@@ -48,7 +48,7 @@ PATH every compile cleanly falls back.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
+import hashlib
 import os
 import shutil
 import subprocess
@@ -60,8 +60,6 @@ import numpy as np
 
 from repro.errors import EverestError
 from repro.ir import Module, Operation, Value
-from repro.ir.printer import print_module
-from repro.pipeline.cache import fingerprint
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer
 from repro.tensorpipe.codegen import (
@@ -451,7 +449,8 @@ def compile_shared_object(cc: str, source: str,
     the ``cbackend.cc`` span when tracing is on.
     """
     directory = cache_dir()
-    key = fingerprint("cbackend-so", source, _CC_FLAGS, _cc_identity(cc))
+    key = hashlib.sha256("\x1f".join(
+        (source, *_CC_FLAGS, _cc_identity(cc))).encode("utf-8")).hexdigest()
     so_path = os.path.join(directory, f"{key}.so")
     if os.path.exists(so_path):
         _CC_RUNS.inc(result="cached")
@@ -619,46 +618,29 @@ def reset_probe_cache() -> None:
 
 # -- the backend --------------------------------------------------------------
 
-_CBACKEND_CACHE: Dict[str, CompiledKernel] = {}
-_CBACKEND_LOCK = threading.Lock()
-
 
 class CBackend:
-    """``cbackend``: generated C, with clean fallback to ``compiled``."""
+    """``cbackend``: generated C, with clean fallback to ``compiled``.
+    Every call emits the source; its shared object is built once (the
+    on-disk store) and loaded once per process, so a repeat runs no ``cc``.
+    """
 
     name = "cbackend"
 
-    def compile(self, module: Module, func_name: str, *,
-                cache: bool = True) -> CompiledKernel:
-        key = ""
-        if cache:
-            key = fingerprint("affine-cbackend", print_module(module),
-                              func_name)
-            with _CBACKEND_LOCK:
-                hit = _CBACKEND_CACHE.get(key)
-                if hit is not None:
-                    return hit
-        kernel = self._compile(module, func_name, key, cache)
-        if cache:
-            with _CBACKEND_LOCK:
-                _CBACKEND_CACHE[key] = kernel
-        return kernel
-
-    def _compile(self, module: Module, func_name: str, key: str,
-                 cache: bool) -> CompiledKernel:
+    def compile(self, module: Module, func_name: str) -> CompiledKernel:
         cc = find_cc()
         if cc is None:
-            return self._fallback(module, func_name, cache,
+            return self._fallback(module, func_name,
                                   "no C compiler (cc) on PATH")
         supported = probe_supported(cc)
         if supported is None:
-            return self._fallback(module, func_name, cache,
+            return self._fallback(module, func_name,
                                   f"probe build failed under {cc!r}")
         try:
             emitter = CEmitter(module, func_name, supported)
             source = emitter.generate()
         except UnsupportedAffineOp as error:
-            return self._fallback(module, func_name, cache, str(error))
+            return self._fallback(module, func_name, str(error))
         plan = emitter.plan
         arena_bytes = plan.arena.total_bytes
         facts = {"arena_bytes": arena_bytes,
@@ -668,7 +650,7 @@ class CBackend:
         try:
             fn = _load_kernel(compile_shared_object(cc, source, facts))
         except (CCompileError, OSError) as error:
-            return self._fallback(module, func_name, cache, str(error))
+            return self._fallback(module, func_name, str(error))
         func = module.lookup(func_name)
 
         def runner(buffers):
@@ -681,22 +663,15 @@ class CBackend:
 
         return CompiledKernel(
             func_name=func_name, backend="cbackend", source=source,
-            key=key, flops=_static_flops(func),
-            _func=func, _runner=runner, **facts,
+            flops=_static_flops(func), _func=func, _runner=runner, **facts,
         )
 
     @staticmethod
-    def _fallback(module: Module, func_name: str, cache: bool,
+    def _fallback(module: Module, func_name: str,
                   reason: str) -> CompiledKernel:
-        kernel = compile_numpy(module, func_name, backend="compiled",
-                               cache=cache)
-        return dataclasses.replace(kernel, fallback=f"cbackend: {reason}")
+        kernel = compile_numpy(module, func_name, backend="compiled")
+        kernel.fallback = f"cbackend: {reason}"
+        return kernel
 
     def __repr__(self) -> str:
         return f"<backend {self.name}>"
-
-
-def clear_cbackend_cache() -> None:
-    """Drop in-memory artifacts (the on-disk .so cache is untouched)."""
-    with _CBACKEND_LOCK:
-        _CBACKEND_CACHE.clear()

@@ -16,39 +16,33 @@ this compiler, to a fast host executor.  The bit-for-bit contract with the
 interpreter is enforced differentially by the test suite on every golden
 kernel and on fuzz-generated modules at all optimization levels.
 
-Compilation results are cached by module content hash (the chained
-fingerprint machinery of :mod:`repro.pipeline.cache`); any op outside the
-supported set falls back to the interpreter, never to a wrong answer.
+Every call compiles: a compiled kernel is remembered in one place, the
+stage cache of the :class:`~repro.pipeline.PipelineSession` that asked for
+it.  Any op outside the supported set falls back to the interpreter, never
+to a wrong answer.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import EverestError
-from repro.ir import Module, Operation, Value, types as T
+from repro.ir import Module, Operation, Value
 from repro.ir.fusion import loop_bounds, perfect_nest, trip_count
-from repro.ir.printer import print_module
-from repro.pipeline.cache import fingerprint
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer
 from repro.tensorpipe.affine_interp import (
     FLOAT_OPS,
     AffineInterpreter,
-    _dtype_for,
     bind_buffers,
 )
 from repro.tensorpipe.arena import ArenaPlan, plan_arena
 
 # Process-wide codegen metrics (the serve daemon exports them under
 # GET /metrics; see docs/observability.md for the naming rules).
-_CACHE_EVENTS = get_registry().counter(
-    "repro_codegen_cache_total",
-    "Compile-cache lookups of the numpy codegen backends", ("result",))
 _ARENA_BYTES = get_registry().gauge(
     "repro_arena_planned_bytes",
     "Planned static-arena footprint of the latest compiled-arena kernel")
@@ -157,7 +151,6 @@ class CompiledKernel:
     func_name: str
     backend: str
     source: str = ""
-    key: str = ""
     flops: int = 0
     vectorized_nests: int = 0
     scalar_nests: int = 0
@@ -681,17 +674,13 @@ def count_flops(func: Operation) -> int:
 
 # -- public entry points -----------------------------------------------------
 
-_COMPILE_CACHE: Dict[str, CompiledKernel] = {}
-_CACHE_LOCK = threading.Lock()
-
 
 def compile_cache_stats() -> Tuple[int, int]:
-    """(entries, hits) of the process-wide compile cache."""
-    with _CACHE_LOCK:
-        return len(_COMPILE_CACHE), _CACHE_HITS[0]
-
-
-_CACHE_HITS = [0]
+    """(entries, hits) of a cache this module no longer has: ``(0, 0)``,
+    what every benchmark run read while the ``execute`` stage bypassed it.
+    Kept because ``bench/workloads/compile_cold.py`` imports it; goes with
+    the ``tensorpipe.codegen_cache_hit_share`` metric computed from it."""
+    return 0, 0
 
 
 def _static_flops(func: Operation) -> int:
@@ -706,34 +695,19 @@ def _static_flops(func: Operation) -> int:
 
 def compile_numpy(module: Module, func_name: str, *,
                   backend: str = "compiled", tiled: bool = False,
-                  arena: bool = False,
-                  cache: bool = True) -> CompiledKernel:
+                  arena: bool = False) -> CompiledKernel:
     """The numpy compilation core behind the ``interpreter``,
     ``compiled``, ``compiled-parallel`` and ``compiled-arena`` registry
     backends.
 
-    With ``cache``, results are cached by content hash of the printed
-    module plus the function name and backend (``CompiledKernel.key``), so
-    repeated compiles of an identical module are free; ``cache=False``
-    skips the printing and leaves ``key`` empty.  Functions containing unsupported ops degrade to
-    the interpreter backend (same results, interpreter speed);
+    Functions containing unsupported ops degrade to the interpreter
+    backend (same results, interpreter speed);
     ``backend="interpreter"`` forces that path (baseline/differential
     runs).  ``tiled`` selects the sharded source variant executed
     through :mod:`repro.tensorpipe.parallel`; ``arena`` runs the static
     planner of :mod:`repro.tensorpipe.arena` and emits local buffers as
     views into one preallocated per-run arena.
     """
-    key = ""
-    if cache:
-        key = fingerprint("affine-codegen", print_module(module), func_name,
-                          backend)
-        with _CACHE_LOCK:
-            hit = _COMPILE_CACHE.get(key)
-            if hit is not None:
-                _CACHE_HITS[0] += 1
-                _CACHE_EVENTS.inc(result="hit")
-                return hit
-        _CACHE_EVENTS.inc(result="miss")
     tracer = get_tracer()
     with tracer.span("codegen.compile", category="compile") as span:
         if tracer.enabled:
@@ -755,8 +729,7 @@ def compile_numpy(module: Module, func_name: str, *,
                 exec(code, namespace)
                 kernel = CompiledKernel(
                     func_name=func_name, backend=backend, source=source,
-                    key=key, flops=flops,
-                    vectorized_nests=compiler.vectorized_nests,
+                    flops=flops, vectorized_nests=compiler.vectorized_nests,
                     scalar_nests=compiler.scalar_nests,
                     tileable_nests=compiler.tileable_nests,
                     arena_bytes=plan.total_bytes if plan else 0,
@@ -768,22 +741,18 @@ def compile_numpy(module: Module, func_name: str, *,
         if kernel is None:
             fallback = backend if backend != "interpreter" else ""
             kernel = CompiledKernel(
-                func_name=func_name, backend="interpreter", key=key,
-                flops=flops, fallback=fallback,
+                func_name=func_name, backend="interpreter", flops=flops,
+                fallback=fallback,
                 _interp=AffineInterpreter(module, func_name),
             )
             span.set("fallback", True)
         if kernel.arena_bytes:
             span.set("arena_bytes", kernel.arena_bytes)
-    if cache:
-        with _CACHE_LOCK:
-            _COMPILE_CACHE[key] = kernel
     return kernel
 
 
 def compile_affine(module: Module, func_name: str, *,
-                   backend: str = "compiled",
-                   cache: bool = True) -> CompiledKernel:
+                   backend: str = "compiled") -> CompiledKernel:
     """Compile one affine function with the named executor backend.
 
     ``backend`` is resolved through the
@@ -791,8 +760,10 @@ def compile_affine(module: Module, func_name: str, *,
     ``compiled`` / ``compiled-parallel`` / ``cbackend`` plus anything
     registered by the embedding application); an unknown name raises
     with the list of registered backends.  A backend instance is
-    accepted directly.
+    accepted directly.  Nothing is cached here: two calls build two
+    kernels (go through a :class:`~repro.pipeline.PipelineSession` to
+    compile once).
     """
     from repro.tensorpipe.backends import resolve_backend
 
-    return resolve_backend(backend).compile(module, func_name, cache=cache)
+    return resolve_backend(backend).compile(module, func_name)

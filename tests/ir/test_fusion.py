@@ -45,7 +45,7 @@ def fuse_and_check(source, inputs):
     fused = fuse_module(fused_module)
     verify(fused_module)
     after = run_affine(fused_module, name, inputs)
-    compiled = compile_affine(fused_module, name, cache=False)
+    compiled = compile_affine(fused_module, name)
     ran = compiled.run(inputs)
     assert set(after) == set(before)
     for key in before:
@@ -327,7 +327,7 @@ class TestDtypeEdges:
         # the intermediate into pure-f64 arithmetic.
         pure = values * (1.0 / 3.0)
         assert not np.array_equal(after, pure)
-        compiled = compile_affine(module, "cast_chain", cache=False)
+        compiled = compile_affine(module, "cast_chain")
         np.testing.assert_array_equal(
             compiled.run({"a": values})["y"], before)
 

@@ -30,11 +30,11 @@ from repro.tensorpipe.backends import (
     resolve_backend,
 )
 from repro.pipeline import PipelineSession
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import disable, enable
 from repro.tensorpipe.cbackend import (
     CBackend,
     CEmitter,
-    clear_cbackend_cache,
     find_cc,
     probe_supported,
     reset_probe_cache,
@@ -151,9 +151,8 @@ class TestRegistry:
         class Custom:
             name = "custom-test"
 
-            def compile(self, module, func_name, *, cache=True):
-                return compile_affine(module, func_name, backend="compiled",
-                                      cache=cache)
+            def compile(self, module, func_name):
+                return compile_affine(module, func_name, backend="compiled")
 
         try:
             register_backend(Custom())
@@ -163,6 +162,31 @@ class TestRegistry:
             register_backend(Custom(), replace=True)
         finally:
             BACKENDS.pop("custom-test", None)
+
+    @pytest.mark.parametrize("old_protocol", [False, True])
+    def test_custom_backend_runs_through_the_session(self, old_protocol):
+        """A backend is called as ``compile(module, func_name)``; one
+        that still declares the retired ``cache`` keyword keeps working
+        because nothing passes it."""
+        class Plain:
+            name = "custom-session-test"
+
+            def compile(self, module, func_name):
+                return compile_affine(module, func_name, backend="compiled")
+
+        class Legacy(Plain):
+            def compile(self, module, func_name, *, cache=True):
+                return Plain.compile(self, module, func_name)
+
+        try:
+            register_backend(Legacy() if old_protocol else Plain())
+            inputs = golden_inputs("elementwise")
+            result = PipelineSession().execute(
+                GOLDEN["elementwise"], inputs, backend="custom-session-test")
+            np.testing.assert_array_equal(
+                result.outputs["c"], inputs["a"] * inputs["b"] + 2.0)
+        finally:
+            BACKENDS.pop("custom-session-test", None)
 
     def test_register_validates_interface(self):
         class NoCompile:
@@ -365,21 +389,18 @@ def needs_working_cc():
 
 @pytest.fixture
 def isolated_cbackend(monkeypatch, tmp_path):
-    """Redirect the cbackend's disk cache and drop in-memory state so
+    """Redirect the cbackend's disk cache and forget probe results so
     REPRO_CC / cache assertions see a fresh world."""
     monkeypatch.setenv("REPRO_CBACKEND_CACHE", str(tmp_path))
-    clear_cbackend_cache()
     reset_probe_cache()
     yield tmp_path
-    clear_cbackend_cache()
     reset_probe_cache()
 
 
 class TestCBackend:
     def test_runs_native_or_records_fallback(self):
         func_name, module = lower_optimized(GOLDEN["elementwise"])
-        kernel = compile_affine(module, func_name, backend="cbackend",
-                                cache=False)
+        kernel = compile_affine(module, func_name, backend="cbackend")
         if kernel.backend == "cbackend":
             assert not kernel.fallback
             assert "repro_kernel" in kernel.source
@@ -399,8 +420,7 @@ kernel k {
         func_name, module = lower_optimized(source)
         inputs = {"a": np.random.default_rng(11).normal(size=12)}
         expected = run_affine(module, func_name, inputs)
-        kernel = compile_affine(module, func_name, backend="cbackend",
-                                cache=False)
+        kernel = compile_affine(module, func_name, backend="cbackend")
         cc = find_cc()
         supported = probe_supported(cc) if cc else None
         if supported is not None and {"math.exp", "math.tanh"} <= supported:
@@ -417,7 +437,7 @@ kernel k {
         monkeypatch.setattr("repro.tensorpipe.cbackend.find_cc",
                             lambda: None)
         func_name, module = lower_optimized(GOLDEN["elementwise"])
-        kernel = CBackend().compile(module, func_name, cache=False)
+        kernel = CBackend().compile(module, func_name)
         assert kernel.backend == "compiled"
         assert "no C compiler" in kernel.fallback
         inputs = golden_inputs("elementwise")
@@ -445,7 +465,7 @@ kernel k {
         monkeypatch.setenv("REPRO_CC", str(poison_cc))
         reset_probe_cache()
         func_name, module = lower_optimized(GOLDEN["elementwise"])
-        kernel = CBackend().compile(module, func_name, cache=False)
+        kernel = CBackend().compile(module, func_name)
         assert kernel.backend == "compiled"
         assert "cbackend:" in kernel.fallback
         leftovers = [name for name in os.listdir(isolated_cbackend)
@@ -465,10 +485,18 @@ kernel k {
         artifacts = [name for name in os.listdir(isolated_cbackend)
                      if name.endswith(".so")]
         assert artifacts  # probe + kernel objects installed atomically
-        clear_cbackend_cache()
+        # A repeat emits again but finds the object: no second cc run.
+        cc_runs = get_registry().get("repro_cbackend_cc_total")
+        built, found = cc_runs.value(result="ok"), \
+            cc_runs.value(result="cached")
         second = CBackend().compile(module.clone(), func_name)
-        assert second.backend == "cbackend"
-        assert second.key == first.key
+        assert second.backend == "cbackend" and second is not first
+        assert second.source == first.source
+        assert cc_runs.value(result="ok") == built
+        assert cc_runs.value(result="cached") == found + 1
+        inputs = golden_inputs("elementwise")
+        np.testing.assert_array_equal(second.run(inputs)["c"],
+                                      first.run(inputs)["c"])
 
     def test_artifact_is_keyed_by_source_not_by_module(
             self, isolated_cbackend, monkeypatch):
@@ -484,9 +512,8 @@ kernel k {
         monkeypatch.setattr(
             CEmitter, "generate",
             lambda self: generate(self).replace("(2.0)", "(3.0)"))
-        clear_cbackend_cache()
         second = CBackend().compile(module, func_name)
-        assert second.key == first.key and second.source != first.source
+        assert second.source != first.source
         np.testing.assert_array_equal(
             second.run(inputs)["c"], inputs["a"] * inputs["b"] + 3.0)
         objects = [name for name in os.listdir(isolated_cbackend)
@@ -557,7 +584,7 @@ kernel k {
         func_name, module = lower_optimized(GOLDEN["chain"])
         tracer = enable()
         try:
-            kernel = CBackend().compile(module, func_name, cache=False)
+            kernel = CBackend().compile(module, func_name)
         finally:
             disable()
         attrs = [span.attrs for span in tracer.spans()
@@ -582,7 +609,7 @@ kernel k {
         func_name, module = lower_optimized(GOLDEN["gather"])
         inputs = golden_inputs("gather")
         expected = run_affine(module, func_name, inputs)
-        kernel = CBackend().compile(module, func_name, cache=False)
+        kernel = CBackend().compile(module, func_name)
         got = kernel.run(inputs)
         np.testing.assert_array_equal(got["c"], expected["c"])
 

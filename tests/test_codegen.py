@@ -243,13 +243,18 @@ class TestCompilerMechanics:
         compiled = compile_affine(module, "k")
         assert "for " in compiled.source  # the reduced axis stays a loop
 
-    def test_compile_cache_reuses_kernels(self):
+    def test_direct_compile_builds_a_new_kernel_every_time(self):
+        # The session's stage cache is the only place a kernel is kept.
         _, module = compile_raw(ELEMENTWISE)
         first = compile_affine(module, "k")
         second = compile_affine(module, "k")
-        assert first is second
-        third = compile_affine(module.clone(), "k")
-        assert third is first  # content hash, not object identity
+        assert first is not second
+        assert first.source == second.source
+        inputs = {"a": np.linspace(-2.0, 3.0, 5), "b": np.arange(5.0)}
+        one, two = first.run(inputs), second.run(inputs)
+        assert one.keys() == two.keys()
+        for name in one:
+            assert one[name].tobytes() == two[name].tobytes()
 
     def test_unsupported_op_falls_back_to_interpreter(self):
         module = Module()
@@ -265,7 +270,7 @@ class TestCompilerMechanics:
         builder = Builder.at_end(entry)
         builder.create("exotic.op", [], [])
         builder.create("func.return", [], [])
-        compiled = compile_affine(module, "odd", cache=False)
+        compiled = compile_affine(module, "odd")
         assert compiled.backend == "interpreter"
         assert compiled.source == ""
 
@@ -304,7 +309,7 @@ class TestCompilerMechanics:
         inner.create("affine.yield", [], [])
         builder.create("func.return", [], [])
         verify(module)
-        compiled = compile_affine(module, "countdown", cache=False)
+        compiled = compile_affine(module, "countdown")
         assert compiled.flops == 0
         got = compiled.run({})["y"]
         expected = run_affine(module, "countdown", {})["y"]

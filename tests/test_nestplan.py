@@ -115,7 +115,7 @@ def slot_of(plan, buffer):
 def assert_bitwise(module, inputs, name="k"):
     """The generated C against the reference interpreter, bit for bit."""
     expected = run_affine(module, name, inputs)
-    kernel = compile_affine(module, name, backend="cbackend", cache=False)
+    kernel = compile_affine(module, name, backend="cbackend")
     cc = find_cc()
     if cc is not None and probe_supported(cc) is not None:
         assert kernel.backend == "cbackend", kernel.fallback

@@ -180,6 +180,22 @@ class TestStageProtocol:
         assert again == 42
         assert session.report.events[-1].cached
 
+    def test_report_keeps_only_the_latest_events(self):
+        # A daemon's shared session records events on every request and
+        # never reads them: the store must not grow with uptime.
+        from repro.pipeline.report import MAX_EVENTS
+
+        session = PipelineSession(register_builtins=False)
+        session.register("double", lambda payload: payload * 2)
+        for _ in range(3 * MAX_EVENTS):
+            session.run_stage("double", 21, key="root")
+        report = session.report
+        assert len(report.events) == MAX_EVENTS
+        assert report.events[-1].cached
+        assert report.cache_hits == MAX_EVENTS and report.cache_misses == 0
+        assert len(report.as_dict()["events"]) == MAX_EVENTS
+        assert session.cache.stats.hits == 3 * MAX_EVENTS - 1
+
     def test_duplicate_stage_rejected(self):
         session = PipelineSession()
         with pytest.raises(PipelineError):
@@ -241,6 +257,48 @@ class TestExecuteStage:
         result = session.execute(self.SOURCE, {"a": np.ones(6)})
         assert session.cache.stats.hits > hits_before
         np.testing.assert_array_equal(result.outputs["y"], np.full(6, 4.0))
+
+    @pytest.mark.parametrize("backend", ["compiled", "cbackend"])
+    def test_kernel_is_compiled_once_per_session(self, backend):
+        """The stage cache is the only kernel cache: a repeat is a hit
+        there, and concurrent first requests are held by single-flight
+        (the backends deduplicate nothing themselves)."""
+        import threading
+
+        import numpy as np
+
+        def compiles(session):
+            return [e for e in session.report.events
+                    if e.stage == "execute" and not e.cached]
+
+        session = PipelineSession()
+        first = session.execute(self.SOURCE, {"a": np.zeros(6)},
+                                backend=backend)
+        hits = session.cache.stats.hits
+        second = session.execute(self.SOURCE, {"a": np.ones(6)},
+                                 backend=backend)
+        assert second.kernel is first.kernel
+        assert session.cache.stats.hits > hits
+        assert len(compiles(session)) == 1
+
+        session = PipelineSession()
+        barrier = threading.Barrier(8)
+        kernels = []
+
+        def execute_one():
+            barrier.wait(timeout=30)
+            kernels.append(session.execute(
+                self.SOURCE, {"a": np.ones(6)}, backend=backend).kernel)
+
+        threads = [threading.Thread(target=execute_one) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(kernels) == 8
+        assert all(kernel is kernels[0] for kernel in kernels)
+        assert len(compiles(session)) == 1
 
     def test_run_time_recorded_as_aux_event(self):
         import numpy as np

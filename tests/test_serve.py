@@ -178,7 +178,7 @@ class TestService:
         events = service.session.report.events
         primed = len(events)
         service.handle("execute", request)
-        warm = events[primed:]
+        warm = list(events)[primed:]
         assert all(event.cached for event in warm if not event.aux)
         assert Counter(event.stage for event in warm) == {
             "frontend-parse": 1, "dialect-lowering": 1, "canonicalize": 1,

@@ -50,7 +50,7 @@ from repro.telemetry.log import (
     kv,
     resolve_level,
 )
-from repro.telemetry.metrics import MetricsRegistry, get_registry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import (
     NULL_TRACER,
     Tracer,
@@ -435,7 +435,7 @@ class TestServeTelemetry:
         _prometheus_parse_check(text)
         assert 'basecamp_requests_total{endpoint="compile"} 1' in text
         assert "basecamp_active_requests" in text
-        assert "repro_codegen_cache_total" in text  # global registry too
+        assert "repro_arena_planned_bytes" in text  # global registry too
 
     def test_request_span_tree_and_span_id_echo(self):
         tracer = enable()
@@ -575,20 +575,3 @@ class TestLogging:
         assert resolve_level("DEBUG") == logging.DEBUG
         with pytest.raises(EverestError, match="unknown log level"):
             resolve_level("loud")
-
-
-class TestGlobalRegistryInstrumentation:
-    def test_codegen_cache_counter_moves(self):
-        from repro.tensorpipe.codegen import compile_numpy
-
-        counter = get_registry().counter(
-            "repro_codegen_cache_total",
-            "Executor compile-cache lookups by result", ("result",))
-        lowered = PipelineSession().lower(ADD)
-        before = counter.total()
-        compile_numpy(lowered.module, lowered.kernel.name)
-        assert counter.total() == before + 1
-        # The session's execute stage sits behind the stage cache and does
-        # not consult the content-keyed codegen cache a second time.
-        PipelineSession().execute(ADD, {"a": [1.0] * 6, "b": [2.0] * 6})
-        assert counter.total() == before + 1
