@@ -10,7 +10,7 @@ failure benchmark — reschedules mid-run.
 
 import pytest
 
-from repro.runtime import ClusterMonitor, RuntimeEngine, default_cluster
+from repro.runtime import RuntimeEngine, default_cluster
 from repro.runtime.engine import synthetic_workflow
 
 _TASKS = 120
@@ -49,7 +49,7 @@ def test_min_load_online_policy(benchmark):
 @pytest.mark.parametrize("policy", ["heft", "min-load"])
 def test_load_balance_quality(benchmark, policy):
     engine, schedule = benchmark(_run, policy, 1)
-    report = ClusterMonitor(engine.cluster).utilization(schedule)
+    report = schedule.utilization(engine.cluster)
     assert report.imbalance < 3.0
 
 

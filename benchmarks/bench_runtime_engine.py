@@ -26,10 +26,11 @@ stays within 2 % of round-robin's is
 import os
 
 from conftest import measure, record
-from oracles import ScanHEFT, ScanTimeline
+from oracles import ScanHEFT, ScanTimeline, fresh_timelines
 
 from repro.runtime import (
     HEFTScheduler,
+    NodeTimeline,
     RoundRobinScheduler,
     TaskGraph,
     default_cluster,
@@ -82,18 +83,17 @@ def test_timeline_index_speedup_on_2000_task_graph():
     graph = _workflow(_TIMELINE_TASKS, seed=0)
     cluster = default_cluster(_TIMELINE_NODES)
 
-    def scanned():
-        return RoundRobinScheduler().schedule(
-            graph, cluster,
-            timelines={node.name: ScanTimeline(node)
-                       for node in cluster.alive_nodes()})
+    def plan(policy, timeline=NodeTimeline):
+        # Called the way the engine calls a policy: everything ready at
+        # zero, planned into timelines the caller owns.
+        return lambda: policy().schedule(
+            graph, cluster, {}, fresh_timelines(cluster, timeline))
 
     # Same scheduler, same graph: the index changes nothing but speed.
     # The production policy through the same index rides along.
     (scan, scan_schedule), (indexed, indexed_schedule), (heft, by_heft) = \
-        measure(scanned,
-                lambda: RoundRobinScheduler().schedule(graph, cluster),
-                lambda: HEFTScheduler().schedule(graph, cluster))
+        measure(plan(RoundRobinScheduler, ScanTimeline),
+                plan(RoundRobinScheduler), plan(HEFTScheduler))
     assert len(indexed_schedule.placements) == _TIMELINE_TASKS
     assert len(by_heft.placements) == _TIMELINE_TASKS
     assert _same_schedule(scan_schedule, indexed_schedule)
@@ -127,10 +127,12 @@ def test_scale_incremental_heft():
     cluster = default_cluster(_SCALE_NODES)
 
     def incremental():
-        return HEFTScheduler().schedule(graph, cluster)
+        return HEFTScheduler().schedule(graph, cluster, {},
+                                        fresh_timelines(cluster))
 
     def scanning():
-        return ScanHEFT().schedule(graph, cluster)
+        return ScanHEFT().schedule(graph, cluster, {},
+                                   fresh_timelines(cluster))
 
     if _SCALE_FULL:
         # The 20-minute scan is timed once, on its own.
@@ -165,7 +167,8 @@ def test_scale_incremental_heft():
         for n_tasks in _SCALE_CURVE:
             point = _workflow(n_tasks, _SCALE_SEED)
             [(seconds, schedule)] = measure(
-                lambda: HEFTScheduler().schedule(point, cluster))
+                lambda: HEFTScheduler().schedule(
+                    point, cluster, {}, fresh_timelines(cluster)))
             assert len(schedule.placements) == n_tasks
             payload["curve"].append({"tasks": n_tasks,
                                      "incremental": seconds})

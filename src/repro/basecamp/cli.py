@@ -251,7 +251,7 @@ def cmd_runtime(args) -> int:
 
 def _cmd_runtime(args) -> int:
     from repro.errors import EverestError
-    from repro.runtime import ClusterMonitor, default_cluster
+    from repro.runtime import default_cluster
     from repro.runtime.engine import (
         POLICIES,
         RuntimeEngine,
@@ -283,7 +283,7 @@ def _cmd_runtime(args) -> int:
         if failure:
             engine.fail_node_at(failure[1], failure[0])
         result = engine.run()
-        report = ClusterMonitor(cluster).utilization(result)
+        report = result.utilization(cluster)
         print(f"  {policy:12s} makespan={result.makespan:9.3f}s"
               f"  transfers={result.transfers_seconds * 1e3:7.2f}ms"
               f"  imbalance={report.imbalance:5.2f}"

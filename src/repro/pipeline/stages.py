@@ -225,26 +225,21 @@ def stage_schedule(olympus: OlympusResult, *,
                    nodes: int = 4) -> DeploymentPlan:
     """``schedule``: system -> EVP deployment IR + HEFT cluster schedule."""
     from repro.olympus import lower_olympus_to_evp
-    from repro.runtime import (
-        HEFTScheduler,
-        ResourceRequest,
-        TaskGraph,
-        default_cluster,
-    )
+    from repro.runtime import ResourceRequest, RuntimeEngine, default_cluster
 
     if olympus.system is None:
         raise PipelineError("schedule stage needs a generated system "
                             "(run the olympus stage first)")
-    graph = TaskGraph()
+    engine = RuntimeEngine(default_cluster(nodes), policy="heft")
     for instance in olympus.system.instances:
         seconds = olympus.system.estimates[instance.name].total
-        graph.add(lambda: None, (), {},
-                  ResourceRequest(fpga=True, fpga_seconds=seconds),
-                  output_bytes=instance.report.bytes_out,
-                  tuning=None, name=instance.name)
-    cluster = default_cluster(nodes)
-    schedule = HEFTScheduler().schedule(graph, cluster)
-    return DeploymentPlan(lower_olympus_to_evp(olympus.ir), schedule, nodes)
+        engine.submit(lambda: None,
+                      resources=ResourceRequest(fpga=True,
+                                                fpga_seconds=seconds),
+                      output_bytes=instance.report.bytes_out,
+                      name=instance.name)
+    return DeploymentPlan(lower_olympus_to_evp(olympus.ir), engine.run(),
+                          nodes)
 
 
 def builtin_stages() -> List[Tuple[str, Any, str]]:

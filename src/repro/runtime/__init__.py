@@ -6,31 +6,30 @@
   requests and kernel fine-tuning;
 * :mod:`repro.runtime.timeline` — the event-sweep core-capacity index
   behind every placement query;
-* :mod:`repro.runtime.scheduler` — offline scheduling policies (HEFT,
-  round-robin), data transfers, the replan subgraph the engine repairs
-  failures through;
-* :mod:`repro.runtime.engine` — the event-driven runtime engine: pluggable
-  policies, streaming submission, in-loop monitoring and rescheduling;
-* :mod:`repro.runtime.monitor` — cluster monitoring;
+* :mod:`repro.runtime.engine` — the event-driven runtime engine, the one
+  planner: scheduling policies (HEFT, round-robin, min-load) and their
+  cost model, streaming submission, in-loop monitoring and rescheduling;
+* :mod:`repro.runtime.monitor` — node heartbeats and liveness;
 * :mod:`repro.runtime.virtualization` — QEMU-KVM/libvirt/SR-IOV models.
 """
 
 from repro.runtime.cluster import Cluster, Node, default_cluster
 from repro.runtime.engine import (
     POLICIES,
+    HEFTScheduler,
     MinLoadPolicy,
+    RoundRobinScheduler,
     RuntimeEngine,
     SchedulingPolicy,
     resolve_policy,
     synthetic_workflow,
 )
-from repro.runtime.monitor import ClusterMonitor, UtilizationReport
-from repro.runtime.scheduler import (
-    HEFTScheduler,
+from repro.runtime.engine.policies import (
     Placement,
-    RoundRobinScheduler,
     ScheduleResult,
+    UtilizationReport,
 )
+from repro.runtime.monitor import ClusterMonitor
 from repro.runtime.taskgraph import (
     EverestClient,
     Future,

@@ -7,9 +7,9 @@ monitoring with mid-run rescheduling — behind pluggable policies:
 * :class:`RuntimeEngine` — the engine: simulated clock, real execution
   on the event loop at each task's simulated start, streaming
   submission, in-loop failure recovery;
-* :class:`SchedulingPolicy` — the policy protocol; ``heft`` and
-  ``round-robin`` (offline, from :mod:`repro.runtime.scheduler`) and
-  :class:`MinLoadPolicy` (``min-load``, online) implement it;
+* :class:`SchedulingPolicy` — the policy contract, one method each:
+  :class:`HEFTScheduler` and :class:`RoundRobinScheduler` plan offline,
+  :class:`MinLoadPolicy` (``min-load``) places online;
 * :data:`POLICIES` / :func:`resolve_policy` — the policy registry used
   by the ``basecamp runtime --policy`` CLI;
 * :func:`synthetic_workflow` — shared workload generator.
@@ -19,7 +19,9 @@ from repro.runtime.engine.core import RuntimeEngine
 from repro.runtime.engine.events import Event, EventQueue, SimClock
 from repro.runtime.engine.policies import (
     POLICIES,
+    HEFTScheduler,
     MinLoadPolicy,
+    RoundRobinScheduler,
     SchedulingPolicy,
     resolve_policy,
 )
@@ -31,7 +33,9 @@ __all__ = [
     "EventQueue",
     "SimClock",
     "POLICIES",
+    "HEFTScheduler",
     "MinLoadPolicy",
+    "RoundRobinScheduler",
     "SchedulingPolicy",
     "resolve_policy",
     "synthetic_workflow",

@@ -38,13 +38,14 @@ from repro.errors import RuntimeSchedulingError
 from repro.runtime.cluster import Cluster
 from repro.runtime.engine import events as ev
 from repro.runtime.engine.events import EventQueue, SimClock
-from repro.runtime.engine.policies import SchedulingPolicy, resolve_policy
-from repro.runtime.monitor import ClusterMonitor
-from repro.runtime.scheduler import (
+from repro.runtime.engine.policies import (
     Placement,
     ScheduleResult,
+    SchedulingPolicy,
     build_replan_subgraph,
+    resolve_policy,
 )
+from repro.runtime.monitor import ClusterMonitor
 from repro.runtime.taskgraph import Future, ResourceRequest, TaskGraph
 from repro.runtime.timeline import NodeTimeline
 from repro.telemetry.trace import get_tracer
@@ -60,13 +61,12 @@ class RuntimeEngine:
 
     def __init__(self, cluster: Cluster,
                  policy: Optional[SchedulingPolicy] = None, *,
-                 monitor: Optional[ClusterMonitor] = None,
                  heartbeat_interval: Optional[float] = None):
         self.cluster = cluster
         policy = resolve_policy(policy)
         self.policy = policy
-        self._online = getattr(policy, "online", False)
-        self.monitor = monitor or ClusterMonitor(cluster)
+        self._online = policy.online
+        self.monitor = ClusterMonitor(cluster)
         self.heartbeat_interval = heartbeat_interval
         self.graph = TaskGraph()
         self.clock = SimClock()
@@ -147,11 +147,21 @@ class RuntimeEngine:
         The callback executes on the event loop with the clock at
         ``time``; it may submit tasks, fail nodes, or inspect state.
         """
-        self._events.push(time, ev.CALLBACK, callback)
+        self._push_at(time, ev.CALLBACK, callback)
 
     def fail_node_at(self, time: float, name: str) -> None:
         """Inject a node failure at a simulated time."""
-        self._events.push(time, ev.NODE_FAILURE, name)
+        if name not in self.cluster.nodes:
+            raise RuntimeSchedulingError(f"name={name!r}: unknown node")
+        self._push_at(time, ev.NODE_FAILURE, name)
+
+    def _push_at(self, time: float, kind: str, payload: Any) -> None:
+        # Refused here, where the caller is, and not when the event
+        # fires mid-run with part of the workflow already executed.
+        if not time >= self.clock.now:
+            raise RuntimeSchedulingError(
+                f"time={time!r} is earlier than clock.now ({self.clock.now})")
+        self._events.push(time, kind, payload)
 
     def has_pending(self) -> bool:
         return self._unfinished > 0
@@ -292,9 +302,8 @@ class RuntimeEngine:
         tracer = get_tracer()
         with tracer.span("engine.plan", category="engine") as span:
             span.set("tasks", len(subgraph.tasks))
-            plan = self.policy.schedule(subgraph, self.cluster,
-                                        ready_overrides=ready,
-                                        timelines=scratch)
+            plan = self.policy.schedule(subgraph, self.cluster, ready,
+                                        scratch)
         placed: Dict[str, int] = {}
         for placement in plan.placements.values():
             placed[placement.node] = placed.get(placement.node, 0) + 1

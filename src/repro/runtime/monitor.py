@@ -1,31 +1,19 @@
-"""Cluster monitoring: utilization reports and failure detection (§VI-A).
+"""Cluster monitoring: failure detection (§VI-A duty 4).
 
-The monitor inspects schedules and libvirt node states, producing the
-signals the resource manager acts on: per-node utilization (load-balance
-trigger) and node liveness (rescheduling trigger).
+The monitor records node heartbeats and reports node liveness, the
+signal the engine's rescheduling acts on (the load-balance signal is
+:meth:`~repro.runtime.ScheduleResult.utilization`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.runtime.cluster import Cluster
-from repro.runtime.scheduler import ScheduleResult
-
-
-@dataclass
-class UtilizationReport:
-    """Per-node busy time relative to the schedule makespan."""
-
-    makespan: float
-    busy: Dict[str, float]
-    utilization: Dict[str, float]
-    imbalance: float  # max/mean busy ratio
 
 
 class ClusterMonitor:
-    """Watches a cluster and its schedules."""
+    """Watches a cluster's heartbeats."""
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
@@ -46,21 +34,3 @@ class ClusterMonitor:
             and self.cluster.nodes[name].alive
         )
         return dead
-
-    def utilization(self, schedule: ScheduleResult) -> UtilizationReport:
-        makespan = schedule.makespan or 1e-12
-        busy: dict = {}
-        for placement in schedule.placements.values():
-            busy[placement.node] = busy.get(placement.node, 0.0) \
-                + placement.core_seconds
-        for name in self.cluster.nodes:
-            busy.setdefault(name, 0.0)
-        # Core-seconds consumed over core-seconds available.
-        utilization = {
-            name: b / (makespan * self.cluster.nodes[name].cores)
-            for name, b in busy.items()
-        }
-        values = list(busy.values())
-        mean = sum(values) / len(values) if values else 0.0
-        imbalance = (max(values) / mean) if mean else 1.0
-        return UtilizationReport(makespan, busy, utilization, imbalance)

@@ -59,7 +59,7 @@ ClassKey = Tuple[int, float, bool]
 def node_class_key(node: Node) -> ClassKey:
     """The runtime-model equivalence class of a node.
 
-    :func:`repro.runtime.scheduler._task_runtime` depends on the node
+    :func:`repro.runtime.engine.policies.task_runtime` depends on the node
     only through its core count, per-core GFLOP/s and FPGA presence, so
     two nodes sharing this key run any task in exactly the same time.
     """

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RuntimeSchedulingError
+
+_BAD_COST = "{} must be finite and not negative, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,14 @@ class ResourceRequest:
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise RuntimeSchedulingError("a task needs at least one core")
+        # Chained comparisons: NaN fails both, and no call is added to
+        # a construction that happens once per task.
+        if not 0.0 <= self.cpu_flops < inf:
+            raise RuntimeSchedulingError(
+                _BAD_COST.format("cpu_flops", self.cpu_flops))
+        if not 0.0 <= self.fpga_seconds < inf:
+            raise RuntimeSchedulingError(
+                _BAD_COST.format("fpga_seconds", self.fpga_seconds))
 
 
 @dataclass
@@ -90,6 +101,9 @@ class TaskGraph:
     def add(self, fn: Callable, args: tuple, kwargs: dict,
             resources: Optional[ResourceRequest], output_bytes: int,
             tuning: Optional[dict], name: Optional[str]) -> Future:
+        if not 0 <= output_bytes < inf:
+            raise RuntimeSchedulingError(
+                _BAD_COST.format("output_bytes", output_bytes))
         deps = [arg.task_id for arg in args if isinstance(arg, Future)]
         task_id = next(self._ids)
         self.tasks[task_id] = Task(
@@ -175,11 +189,12 @@ class EverestClient:
     """The application-facing client (the Dask ``Client`` analogue).
 
     A thin wrapper over the event-driven
-    :class:`~repro.runtime.engine.RuntimeEngine`: submission builds the
-    engine's task graph, :meth:`compute` runs the engine (simulated
-    placement + real execution in one event loop), and :meth:`gather`
-    re-dispatches anything submitted since the last run — the seed
-    client silently ignored tasks submitted after ``compute()``.
+    :class:`~repro.runtime.engine.RuntimeEngine`, the only planner there
+    is: submission builds the engine's task graph, :meth:`compute` runs
+    the engine (simulated placement + real execution in one event loop),
+    and :meth:`gather` re-dispatches anything submitted since the last
+    run — the seed client silently ignored tasks submitted after
+    ``compute()``.
 
     ``scheduler`` accepts a policy instance or a registry name
     (``"heft"``, ``"round-robin"``, ``"min-load"``); the default is HEFT.
@@ -209,7 +224,7 @@ class EverestClient:
     def compute(self):
         """Dispatch pending tasks on the cluster (simulated time) and
         execute them (real results).  Returns the cumulative
-        :class:`~repro.runtime.scheduler.ScheduleResult`.
+        :class:`~repro.runtime.ScheduleResult`.
         """
         self.last_schedule = self.engine.run()
         return self.last_schedule

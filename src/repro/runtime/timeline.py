@@ -10,10 +10,10 @@ core-usage level of every segment, so a query is a single bisect plus one
 forward sweep (O(intervals) worst case, O(log intervals) to locate the
 first segment), and a commit is a bisect-insert.
 
-The index is shared by the offline list schedulers
-(:class:`~repro.runtime.scheduler.HEFTScheduler`,
-:class:`~repro.runtime.scheduler.RoundRobinScheduler`) and the online
-:class:`~repro.runtime.engine.RuntimeEngine`, which additionally needs
+The :class:`~repro.runtime.engine.RuntimeEngine` owns one timeline per
+node and is the only thing that creates them; every policy
+(:mod:`repro.runtime.engine.policies`) queries and commits into the
+ones it is handed.  The engine additionally needs
 :meth:`NodeTimeline.release` (to free reservations lost to a node
 failure) and :meth:`NodeTimeline.load_after` (live load for the
 ``min-load`` dispatch policy).

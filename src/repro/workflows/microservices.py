@@ -85,6 +85,17 @@ class MicroserviceRegistry:
         return sorted(f"{m} {p}" for m, p in self.routes)
 
 
+def _number(entry: dict, key: str, kind: type, default):
+    """A task's cost field as ``kind``; one that will not convert is the
+    caller's mistake (400), not a failure of the handler (500)."""
+    try:
+        return kind(entry.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise WorkflowError(
+            f"task {entry['name']!r}: {key!r} must be of type "
+            f"{kind.__name__}, got {entry[key]!r}") from None
+
+
 class RuntimeService:
     """The resource manager (§VI-A) behind a REST-ish API.
 
@@ -120,7 +131,6 @@ class RuntimeService:
         return {"policies": sorted(POLICIES)}
 
     def _submit_job(self, request: Request) -> dict:
-        from repro.runtime.monitor import ClusterMonitor
         from repro.workflows.lexis import WorkflowSpec, WorkflowTask
 
         payload = request.payload
@@ -141,10 +151,10 @@ class RuntimeService:
                 fn=lambda *deps, _n=entry["name"]: _n,
                 after=list(entry.get("after", [])),
                 location="fpga" if entry.get("fpga") else "hpc",
-                fpga_seconds=float(entry.get("fpga_seconds", 1e-3)),
-                cpu_flops=float(entry.get("cpu_flops", 1e9)),
-                cores=int(entry.get("cores", 1)),
-                output_bytes=int(entry.get("output_bytes", 8192)),
+                fpga_seconds=_number(entry, "fpga_seconds", float, 1e-3),
+                cpu_flops=_number(entry, "cpu_flops", float, 1e9),
+                cores=_number(entry, "cores", int, 1),
+                output_bytes=_number(entry, "output_bytes", int, 8192),
             ))
         try:
             client = self.platform.deploy(spec,
@@ -154,7 +164,7 @@ class RuntimeService:
             # An unschedulable workflow is the caller's fault: 400.
             raise WorkflowError(str(error)) from error
         by_name = {t.task_id: t.name for t in client.graph.tasks.values()}
-        report = ClusterMonitor(self.cluster).utilization(schedule)
+        report = schedule.utilization(self.cluster)
         record = {
             "name": name,
             "policy": getattr(client.scheduler, "name",

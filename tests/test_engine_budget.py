@@ -19,8 +19,11 @@ import os
 import sys
 from collections import Counter
 
-from repro.runtime.engine import RuntimeEngine, synthetic_workflow
-from repro.runtime.scheduler import HEFTScheduler
+from repro.runtime.engine import (
+    HEFTScheduler,
+    RuntimeEngine,
+    synthetic_workflow,
+)
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "tools")

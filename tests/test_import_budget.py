@@ -1,6 +1,6 @@
 """The layer graph of Fig. 2 only points down, and a module budget holds it.
 
-Two checks:
+Three checks:
 
 * **The budget.**  Each entry point runs in a fresh interpreter and the
   ``repro.*`` modules it leaves in ``sys.modules`` are compared with the
@@ -18,6 +18,10 @@ Two checks:
   them (``pipeline``, ``basecamp``).  An import inside a function is
   not top-level and stays allowed: that is how an upper layer is
   reached on demand.
+* **One planner.**  Under ``src/repro`` a scheduling policy's
+  ``schedule`` / ``place`` is called from ``runtime/engine/core.py``
+  and nowhere else: the engine owns the node timelines a policy plans
+  into, and a second caller would be a second scheduler API.
 """
 
 import ast
@@ -62,8 +66,8 @@ BUDGET = {
         repro.runtime.engine.core repro.runtime.engine.events
         repro.runtime.engine.policies repro.runtime.engine.workloads
         repro.runtime.monitor repro.runtime.placement
-        repro.runtime.scheduler repro.runtime.taskgraph
-        repro.runtime.timeline repro.runtime.virtualization
+        repro.runtime.taskgraph repro.runtime.timeline
+        repro.runtime.virtualization
         repro.runtime.virtualization.hypervisor
         repro.runtime.virtualization.libvirt
         repro.runtime.virtualization.sriov
@@ -183,3 +187,21 @@ def test_top_level_imports_point_down_the_stack():
         "imports that point up the Fig. 2 stack (move the shared piece "
         "down, or import inside the function that needs it):\n  "
         + "\n  ".join(upward))
+
+
+def test_only_the_engine_calls_a_policy():
+    root = SRC / "repro"
+    engine = root / "runtime" / "engine" / "core.py"
+    callers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("schedule", "place"):
+                callers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    outside = [c for c in callers if not c.startswith(
+        str(engine.relative_to(SRC)) + ":")]
+    assert not outside, (
+        "a policy is planned through a RuntimeEngine (submit, then "
+        "run()), never called directly:\n  " + "\n  ".join(outside))
+    assert len(callers) == 2, callers  # one schedule(), one place()

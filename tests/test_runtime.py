@@ -9,10 +9,10 @@ from repro.runtime import (
     Cluster,
     ClusterMonitor,
     EverestClient,
-    HEFTScheduler,
     Node,
+    Placement,
     ResourceRequest,
-    RoundRobinScheduler,
+    ScheduleResult,
     default_cluster,
 )
 from repro.runtime.virtualization import (
@@ -35,6 +35,32 @@ def _diamond_graph(client):
     d = client.submit(lambda x, y: x + y, b, c, name="d",
                       resources=ResourceRequest(cpu_flops=1e9))
     return d
+
+
+class TestTaskCosts:
+    """A cost is checked where the task is created, naming the field;
+    a bad one used to surface deep in a run ("simulated clock cannot
+    run backwards", "negative message size")."""
+
+    @pytest.mark.parametrize("field", ["cpu_flops", "fpga_seconds"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_resource_request_refuses_a_bad_cost(self, field, value):
+        with pytest.raises(RuntimeSchedulingError, match=field):
+            ResourceRequest(**{field: value})
+
+    @pytest.mark.parametrize("value", [-5, float("nan"), float("inf")])
+    def test_submit_refuses_bad_output_bytes(self, value):
+        client = EverestClient(default_cluster(1))
+        with pytest.raises(RuntimeSchedulingError, match="output_bytes"):
+            client.submit(lambda: 0, output_bytes=value)
+        assert client.graph.tasks == {}
+
+    def test_zero_costs_are_legal(self):
+        client = EverestClient(default_cluster(1))
+        future = client.submit(
+            lambda: 7, output_bytes=0,
+            resources=ResourceRequest(cpu_flops=0.0, fpga_seconds=0.0))
+        assert client.gather([future]) == [7]
 
 
 class TestTaskGraph:
@@ -88,20 +114,22 @@ class TestScheduling:
             client.compute()
 
     def test_heft_not_worse_than_round_robin(self):
-        cluster = default_cluster(4)
-        client = EverestClient(cluster)
-        rng = np.random.default_rng(0)
-        layer = [client.submit(lambda i=i: i, name=f"src{i}",
-                               resources=ResourceRequest(
-                                   cpu_flops=float(rng.uniform(1e9, 4e10)),
-                                   cores=int(rng.integers(1, 8))))
-                 for i in range(16)]
-        for i in range(8):
-            client.submit(lambda x, y: 0, layer[2 * i], layer[2 * i + 1],
-                          resources=ResourceRequest(cpu_flops=2e10))
-        heft = HEFTScheduler().schedule(client.graph, cluster)
-        rr = RoundRobinScheduler().schedule(client.graph, cluster)
-        assert heft.makespan <= rr.makespan * 1.05
+        def makespan(policy):
+            client = EverestClient(default_cluster(4), scheduler=policy)
+            rng = np.random.default_rng(0)
+            layer = [client.submit(
+                lambda i=i: i, name=f"src{i}",
+                resources=ResourceRequest(
+                    cpu_flops=float(rng.uniform(1e9, 4e10)),
+                    cores=int(rng.integers(1, 8))))
+                for i in range(16)]
+            for i in range(8):
+                client.submit(lambda x, y: 0, layer[2 * i],
+                              layer[2 * i + 1],
+                              resources=ResourceRequest(cpu_flops=2e10))
+            return client.compute().makespan
+
+        assert makespan("heft") <= makespan("round-robin") * 1.05
 
     def test_core_capacity_never_exceeded(self):
         cluster = default_cluster(2)
@@ -128,7 +156,7 @@ class TestFailureRecovery:
         baseline_client = EverestClient(default_cluster(3))
         _diamond_graph(baseline_client)
         schedule = baseline_client.compute()
-        victim = next(iter(schedule.node_busy_seconds()))
+        victim = schedule.placements[0].node
         fail_time = schedule.makespan * 0.25
 
         cluster = default_cluster(3)
@@ -156,8 +184,31 @@ class TestMonitor:
         client.submit(lambda: 0,
                       resources=ResourceRequest(cores=32, cpu_flops=1e10))
         schedule = client.compute()
-        report = ClusterMonitor(cluster).utilization(schedule)
+        report = schedule.utilization(cluster)
         assert max(report.utilization.values()) <= 1.0 + 1e-9
+
+    def test_utilization_of_a_fixed_schedule(self):
+        """The numbers ``ClusterMonitor(cluster).utilization(schedule)``
+        gave before the report moved onto the schedule: core-seconds per
+        node (idle nodes included) over makespan x cores, and max/mean
+        busy as the imbalance."""
+        cluster = Cluster([Node("a", cores=4, fpgas=[]),
+                           Node("b", cores=8, fpgas=[]),
+                           Node("idle", cores=2, fpgas=[])])
+        schedule = ScheduleResult(placements={
+            0: Placement(0, "b", 0.0, 2.0, cores=4),
+            1: Placement(1, "a", 1.0, 4.0, cores=2),
+            2: Placement(2, "b", 2.0, 3.0, cores=8),
+        })
+        report = schedule.utilization(cluster)
+        assert report.makespan == 4.0
+        assert report.busy == {"b": 16.0, "a": 6.0, "idle": 0.0}
+        assert list(report.busy) == ["b", "a", "idle"]
+        assert report.utilization == {"b": 0.5, "a": 0.375, "idle": 0.0}
+        assert report.imbalance == 16.0 / (22.0 / 3)
+        empty = ScheduleResult().utilization(cluster)
+        assert empty.busy == {"a": 0.0, "b": 0.0, "idle": 0.0}
+        assert empty.imbalance == 1.0
 
     def test_dead_node_detection(self):
         cluster = default_cluster(2)

@@ -38,6 +38,7 @@ from oracles import (  # noqa: E402
     ScanHEFT,
     ScanTimeline,
     dependency_respecting_walk,
+    fresh_timelines,
     topological_order_dfs,
 )
 
@@ -185,7 +186,9 @@ class TestPolicyProtocol:
         policy = resolve_policy(name)
         assert policy.name == name
         assert isinstance(policy.online, bool)
-        assert callable(policy.schedule)
+        # One method per policy, by kind.
+        assert hasattr(policy, "place") == policy.online
+        assert hasattr(policy, "schedule") != policy.online
 
     def test_resolve_rejects_unknown_name(self):
         with pytest.raises(RuntimeSchedulingError):
@@ -199,16 +202,56 @@ class TestPolicyProtocol:
         policy = MinLoadPolicy()
         assert resolve_policy(policy) is policy
 
-    def test_resolve_rejects_seed_signature_scheduler(self):
-        """A scheduler without the timelines= keyword would plan against
-        empty capacity mid-run; it must be rejected up front."""
+    def test_legacy_signature_policy_is_refused_at_its_first_dispatch(self):
+        """A scheduler that cannot take the engine's timelines would
+        plan against empty capacity; the engine passes all four
+        arguments, so Python refuses the call before anything is
+        placed."""
 
         class LegacyScheduler:
+            name = "legacy"
+            online = False
+
             def schedule(self, graph, cluster, ready_overrides=None):
                 raise AssertionError("never called")
 
-        with pytest.raises(RuntimeSchedulingError, match="timelines"):
-            resolve_policy(LegacyScheduler())
+        engine = RuntimeEngine(default_cluster(2), policy=LegacyScheduler())
+        engine.submit(lambda: 0)
+        with pytest.raises(TypeError, match="positional argument"):
+            engine.run()
+        assert engine.placements == {}
+        assert engine.graph.results == {}
+
+    def test_online_policy_with_only_place_resolves_and_runs(self):
+        class FirstNode:
+            name = "first-node"
+            online = True
+
+            def place(self, task, graph, cluster, timelines, placements,
+                      now):
+                return MinLoadPolicy().place(
+                    task, graph, Cluster([cluster.alive_nodes()[0]]),
+                    timelines, placements, now)
+
+        policy = FirstNode()
+        assert resolve_policy(policy) is policy
+        engine = RuntimeEngine(default_cluster(3), policy=policy)
+        finals = synthetic_workflow(engine, n_tasks=24, seed=1)
+        schedule = engine.run()
+        assert {p.node for p in schedule.placements.values()} == {"node0"}
+        assert all(f.task_id in engine.graph.results for f in finals)
+        _assert_capacity_respected(schedule, engine.cluster)
+        _assert_dependencies_respected(schedule, engine.graph)
+
+    def test_resolve_asks_for_the_method_of_the_policy_kind(self):
+        class OnlineWithoutPlace:
+            online = True
+
+            def schedule(self, graph, cluster, ready, timelines):
+                raise AssertionError("never called")
+
+        with pytest.raises(RuntimeSchedulingError, match=r"place\(\)"):
+            resolve_policy(OnlineWithoutPlace())
 
     def test_min_load_balances_identical_tasks(self):
         cluster = default_cluster(2)
@@ -219,19 +262,11 @@ class TestPolicyProtocol:
                           resources=ResourceRequest(cores=32,
                                                     cpu_flops=1e10))
         schedule = client.compute()
-        busy = schedule.node_busy_seconds()
+        busy = schedule.utilization(cluster).busy
         # Eight node-filling tasks over two nodes: a 50/50 split.
         assert len(busy) == 2
         values = sorted(busy.values())
         assert values[0] == pytest.approx(values[1])
-
-    def test_min_load_offline_schedule_is_valid(self):
-        cluster = default_cluster(3)
-        client = EverestClient(cluster)
-        synthetic_workflow(client, n_tasks=40, seed=5)
-        schedule = MinLoadPolicy().schedule(client.graph, cluster)
-        _assert_capacity_respected(schedule, cluster)
-        _assert_dependencies_respected(schedule, client.graph)
 
 
 class TestEngineExecution:
@@ -338,12 +373,11 @@ class TestEngineExecution:
             name = "forgetful"
             online = False
 
-            def schedule(self, graph, cluster, ready_overrides=None,
-                         timelines=None):
+            def schedule(self, graph, cluster, ready, timelines):
                 elsewhere = {name: timeline.clone()
                              for name, timeline in timelines.items()}
-                return HEFTScheduler().schedule(graph, cluster,
-                                                ready_overrides, elsewhere)
+                return HEFTScheduler().schedule(graph, cluster, ready,
+                                                elsewhere)
 
         engine = RuntimeEngine(default_cluster(2), policy=Forgetful())
         synthetic_workflow(engine, n_tasks=12, seed=2)
@@ -419,6 +453,29 @@ class TestStreamingSubmission:
         assert first.result() == 2
         assert engine.graph.results[late.task_id] == 3
 
+    @pytest.mark.parametrize("when", [-1.0, 2.5, float("nan")])
+    def test_an_event_in_the_past_is_refused_at_the_call(self, when):
+        """It used to be queued and to stop the run at "simulated clock
+        cannot run backwards", with part of the workflow executed."""
+        engine = RuntimeEngine(default_cluster(2))
+        engine.submit(lambda: 0, resources=ResourceRequest(cpu_flops=1e10))
+        engine.run()  # the clock now stands at 4.0
+        for call in (lambda: engine.call_at(when, lambda: None),
+                     lambda: engine.submit_at(when, lambda: 1),
+                     lambda: engine.fail_node_at(when, "node1")):
+            with pytest.raises(RuntimeSchedulingError,
+                               match="time=.* is earlier than"):
+                call()
+        engine.call_at(engine.clock.now, lambda: None)  # now is not past
+        engine.run()
+        assert len(engine.graph.tasks) == 1
+        assert engine.cluster.node("node1").alive
+
+    def test_failing_an_unknown_node_is_refused_at_the_call(self):
+        engine = RuntimeEngine(default_cluster(2))
+        with pytest.raises(RuntimeSchedulingError, match="name='node9'"):
+            engine.fail_node_at(1.0, "node9")
+
 
 class TestFailureHandling:
     def _loaded_engine(self, policy="heft", nodes=3, tasks=60, seed=1):
@@ -476,10 +533,8 @@ class TestFailureHandling:
         plans = []
 
         class Recording(HEFTScheduler):
-            def schedule(self, graph, cluster, ready_overrides=None,
-                         timelines=None):
-                plan = super().schedule(graph, cluster, ready_overrides,
-                                        timelines)
+            def schedule(self, graph, cluster, ready, timelines):
+                plan = super().schedule(graph, cluster, ready, timelines)
                 plans.append((set(engine._pending), graph, plan))
                 return plan
 
@@ -740,12 +795,6 @@ class TestPolicyEdgeCases:
                       schedule.placements[b.task_id])
             assert pb.start >= pa.finish - 1e-9
 
-    def test_min_load_empty_batch_schedule(self):
-        from repro.runtime.taskgraph import TaskGraph
-
-        result = MinLoadPolicy().schedule(TaskGraph(), default_cluster(2))
-        assert result.placements == {}
-
     def test_resolve_policy_accepts_a_class(self):
         assert isinstance(resolve_policy(HEFTScheduler), HEFTScheduler)
         assert isinstance(resolve_policy(MinLoadPolicy), MinLoadPolicy)
@@ -870,11 +919,17 @@ class TestIncrementalHEFTEquivalence:
                            fpga_fraction=fpga_fraction)
         return builder.graph
 
+    @staticmethod
+    def _plan(policy, graph, cluster, timeline=NodeTimeline):
+        """The policy called as the engine calls it, on empty nodes."""
+        return policy().schedule(graph, cluster, {},
+                                 fresh_timelines(cluster, timeline))
+
     def test_identical_on_homogeneous_cluster(self):
         graph = self._graph(400, seed=2)
         cluster = default_cluster(24)
-        self._assert_same(HEFTScheduler().schedule(graph, cluster),
-                          ScanHEFT().schedule(graph, cluster))
+        self._assert_same(self._plan(HEFTScheduler, graph, cluster),
+                          self._plan(ScanHEFT, graph, cluster))
 
     def test_identical_on_heterogeneous_cluster_with_fpga_tasks(self):
         nodes = [Node(name=f"n{i}", cores=[4, 8, 16, 32][i % 4],
@@ -883,8 +938,8 @@ class TestIncrementalHEFTEquivalence:
                  for i in range(12)]
         cluster = Cluster(nodes)
         graph = self._graph(300, seed=4, fpga_fraction=0.3)
-        self._assert_same(HEFTScheduler().schedule(graph, cluster),
-                          ScanHEFT().schedule(graph, cluster))
+        self._assert_same(self._plan(HEFTScheduler, graph, cluster),
+                          self._plan(ScanHEFT, graph, cluster))
 
     def test_identical_with_ready_overrides_and_warm_timelines(self):
         graph = self._graph(120, seed=6)
@@ -892,18 +947,14 @@ class TestIncrementalHEFTEquivalence:
         ready = {tid: (tid % 5) * 0.75 for tid in graph.tasks}
 
         def warm():
-            timelines = {name: NodeTimeline(node)
-                         for name, node in cluster.nodes.items()}
+            timelines = fresh_timelines(cluster)
             timelines["node0"].commit(0.0, 2.5, 20)
             timelines["node3"].commit(1.0, 4.0, 32)
             return timelines
 
         self._assert_same(
-            HEFTScheduler().schedule(graph, cluster,
-                                     ready_overrides=ready,
-                                     timelines=warm()),
-            ScanHEFT().schedule(graph, cluster, ready_overrides=ready,
-                                timelines=warm()),
+            HEFTScheduler().schedule(graph, cluster, ready, warm()),
+            ScanHEFT().schedule(graph, cluster, ready, warm()),
         )
 
     def test_timeline_index_places_like_the_interval_scan(self):
@@ -912,9 +963,6 @@ class TestIncrementalHEFTEquivalence:
         # answer depends on the committed intervals.
         cluster = Cluster([Node(name=f"n{i}", cores=8, fpgas=[])
                            for i in range(2)])
-        scanned = RoundRobinScheduler().schedule(
-            graph, cluster,
-            timelines={node.name: ScanTimeline(node)
-                       for node in cluster.alive_nodes()})
-        self._assert_same(RoundRobinScheduler().schedule(graph, cluster),
-                          scanned)
+        self._assert_same(
+            self._plan(RoundRobinScheduler, graph, cluster),
+            self._plan(RoundRobinScheduler, graph, cluster, ScanTimeline))

@@ -28,6 +28,7 @@ from workloadfuzz import (  # noqa: E402
     NodeSpec,
     TaskSpec,
     WorkloadCase,
+    check_engine_is_the_offline_schedule,
     check_incremental_heft,
     check_makespan_monotonic,
     run_case,
@@ -89,4 +90,5 @@ def test_every_policy_satisfies_every_invariant(name, policy):
 def test_heft_variants_and_monotonicity(name):
     case = _case(name, _SHAPES[name])
     check_incremental_heft(case)
+    check_engine_is_the_offline_schedule(case)
     check_makespan_monotonic(case)

@@ -168,6 +168,28 @@ class TestRuntimeService:
         assert registry.call("GET", "/runtime/utilization",
                              {"name": "nope"}).status == 400
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("cores", "many", "task 'a': 'cores' must be of type int"),
+        ("cores", float("inf"), "task 'a': 'cores' must be of type int"),
+        ("cpu_flops", None, "task 'a': 'cpu_flops' must be of type float"),
+        ("fpga_seconds", float("nan"), "fpga_seconds must be finite"),
+        ("output_bytes", -5, "output_bytes must be finite and not neg"),
+        ("cpu_flops", -4e9, "cpu_flops must be finite and not negative"),
+    ])
+    def test_bad_task_costs_are_client_errors(self, field, value, reason):
+        """Each of these was a 500 from inside the handler, or (negative
+        flops) "simulated clock cannot run backwards"."""
+        registry, service = self._service()
+        response = registry.call(
+            "POST", "/runtime/jobs",
+            {"name": "z", "tasks": [
+                {"name": "a", "fpga": field == "fpga_seconds",
+                 field: value},
+                {"name": "b", "after": ["a"]}]})
+        assert response.status == 400
+        assert reason in response.body["error"]
+        assert service.jobs == {}
+
     def test_duplicate_job_rejected(self):
         registry, _ = self._service()
         assert registry.call("POST", "/runtime/jobs", self._job()).ok
@@ -328,6 +350,20 @@ class TestBasecampCLI(object):
         assert "NODE@SIM_SECONDS" in capsys.readouterr().err
         assert main(["runtime", "--fail", "@2.0"]) == 1
         assert "NODE@SIM_SECONDS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("node9@1.0", "name='node9': unknown node"),
+        ("node1@-1", "time=-1.0 is earlier than clock.now"),
+    ])
+    def test_runtime_impossible_failure_rejected_before_the_run(
+            self, capsys, spec, reason):
+        """Both used to surface mid-run, after part of the workflow had
+        executed ("unknown node", "clock cannot run backwards")."""
+        assert main(["runtime", "--policy", "heft", "--nodes", "2",
+                     "--fail", spec]) == 1
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "makespan=" not in captured.out
 
     def test_error_reported_cleanly(self, capsys):
         assert main(["compile", "/nonexistent.ekl"]) == 1

@@ -15,7 +15,7 @@ or the daemon.
   / :func:`repro.ir.verifier.verify_typed` superseded (value-by-value
   differential in ``tests/ir/test_analysis.py``);
 * :class:`ScanHEFT` — HEFT with the exhaustive per-task node scan that
-  :class:`repro.runtime.scheduler.HEFTScheduler`'s pruned candidate
+  :class:`repro.runtime.engine.HEFTScheduler`'s pruned candidate
   search superseded (``tools/workloadfuzz.py`` invariant 5,
   ``tests/test_runtime_engine.py``, ``benchmarks/bench_runtime_engine.py``);
 * :func:`topological_order_dfs` and :func:`dependency_respecting_walk`
@@ -29,6 +29,11 @@ or the daemon.
   :class:`repro.runtime.timeline.NodeTimeline` superseded (placement
   differential in ``tests/test_runtime_engine.py``, speedup budget in
   ``benchmarks/bench_runtime_engine.py``).
+
+The two scheduling oracles are driven the way the engine drives a
+policy, with all four arguments: ``schedule(graph, cluster, ready,
+timelines)``.  :func:`fresh_timelines` builds the empty timelines of a
+standalone differential; nothing under ``src/`` fills them in by default.
 """
 
 from __future__ import annotations
@@ -50,14 +55,14 @@ from repro.ir.core import Module, Operation
 from repro.ir.dialect import REGISTRY, DialectRegistry
 from repro.ir.rewrite import PatternRewriter, RewritePattern, is_attached
 from repro.runtime.cluster import Cluster, Node
-from repro.runtime.scheduler import (
+from repro.runtime.engine.policies import (
     HEFTScheduler,
     Placement,
     PlanCosts,
     ScheduleResult,
-    _can_host,
-    _task_runtime,
-    _unplaceable,
+    can_host,
+    task_runtime,
+    unplaceable,
 )
 from repro.runtime.taskgraph import Task, TaskGraph
 from repro.runtime.timeline import NodeTimeline
@@ -237,7 +242,7 @@ class ScanHEFT(HEFTScheduler):
     def _place(self, order: List[Task], graph: TaskGraph,
                cluster: Cluster, nodes: List[Node],
                timelines: Dict[str, NodeTimeline],
-               ready_overrides: Optional[Dict[int, float]],
+               ready: Dict[int, float],
                result: ScheduleResult, costs: PlanCosts) -> None:
         # ``costs`` is not read: the scan prices every (task, node) pair
         # and every edge through the cost model itself.
@@ -245,10 +250,10 @@ class ScanHEFT(HEFTScheduler):
             best: Optional[Placement] = None
             best_comm = 0.0
             for node in nodes:
-                runtime = _task_runtime(task, node)
-                if runtime == float("inf") or not _can_host(task, node):
+                runtime = task_runtime(task, node)
+                if runtime == float("inf") or not can_host(task, node):
                     continue
-                ready = (ready_overrides or {}).get(task.task_id, 0.0)
+                ready_here = ready.get(task.task_id, 0.0)
                 comm = 0.0
                 for dep in task.deps:
                     dep_placement = result.placements[dep]
@@ -257,9 +262,10 @@ class ScanHEFT(HEFTScheduler):
                         graph.tasks[dep].output_bytes,
                     )
                     comm += transfer
-                    ready = max(ready, dep_placement.finish + transfer)
+                    ready_here = max(ready_here,
+                                     dep_placement.finish + transfer)
                 start = timelines[node.name].earliest_start(
-                    ready, runtime, task.resources.cores
+                    ready_here, runtime, task.resources.cores
                 )
                 candidate = Placement(task.task_id, node.name, start,
                                       start + runtime,
@@ -268,18 +274,25 @@ class ScanHEFT(HEFTScheduler):
                     best = candidate
                     best_comm = comm
             if best is None:
-                raise _unplaceable(task)
+                raise unplaceable(task)
             timelines[best.node].commit(best.start, best.duration,
                                         task.resources.cores)
             result.placements[task.task_id] = best
             result.transfers_seconds += best_comm
 
 
+def fresh_timelines(cluster: Cluster, timeline=NodeTimeline) -> dict:
+    """Empty timelines for every node of ``cluster``, as a new engine
+    holds them: what a standalone ``schedule(graph, cluster, {}, ...)``
+    plans into."""
+    return {name: timeline(node) for name, node in cluster.nodes.items()}
+
+
 class ScanTimeline:
     """Placement queries by scanning every committed interval:
     O(intervals^2) per :meth:`earliest_start`.
 
-    Holds what a scheduler's ``timelines=`` argument needs
+    Holds what a policy needs of its ``timelines`` argument
     (``earliest_start`` and ``commit``), so the same scheduler runs on it
     and on :class:`NodeTimeline` and must place every task identically.
     """

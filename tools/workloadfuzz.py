@@ -31,6 +31,12 @@ invariant suite of :func:`check_invariants`:
   (:mod:`repro.runtime.placement`) and the exhaustive per-node scan
   (``oracles.ScanHEFT``, next to this file) produce bitwise-identical
   schedules on the case's static graph;
+* **the engine is the offline schedule** — for both offline policies,
+  an engine run with the static graph submitted at t=0 and no failures
+  places exactly what the policy's ``schedule(graph, cluster, {}, fresh
+  timelines)`` places, transfer total included: the standalone
+  scheduler entry computed nothing the engine does not, which is why
+  there is none;
 * **makespan monotonicity** — doubling the cluster (same node classes,
   so HEFT's rank order is unchanged) never makes the HEFT makespan
   worse by more than :data:`MONOTONICITY_SLACK` (list schedulers are
@@ -58,18 +64,22 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.platforms.device import alveo_u55c
 from repro.runtime.cluster import Cluster, Node, default_cluster
-from repro.runtime.engine import RuntimeEngine, synthetic_workflow
-from repro.runtime.engine.policies import POLICIES
-from repro.runtime.scheduler import HEFTScheduler
+from repro.runtime.engine import (
+    POLICIES,
+    HEFTScheduler,
+    RuntimeEngine,
+    synthetic_workflow,
+)
 from repro.runtime.taskgraph import ResourceRequest, TaskGraph
 from repro.runtime.timeline import NodeTimeline
 
-from oracles import ScanHEFT  # tools/ is on sys.path (script dir or tests)
+# tools/ is on sys.path (script dir or tests)
+from oracles import ScanHEFT, fresh_timelines
 
 # Allowed relative makespan regression when the cluster is doubled
 # (Graham anomaly headroom for HEFT's non-preemptive list scheduling).
@@ -325,45 +335,60 @@ def check_no_overcommit(case, policy, engine, schedule, calls) -> None:
                     f"{node.cores} cores during task {p.task_id}")
 
 
-def check_determinism(case, policy, engine, schedule, calls) -> None:
-    tag = f"seed {case.seed} [{policy}]"
-    _, replay, _ = run_case(case, policy)
-    assert set(replay.placements) == set(schedule.placements), \
-        f"{tag}: replay placed a different task set"
-    for index, placement in schedule.placements.items():
-        other = replay.placements[index]
+def _assert_same_schedule(tag: str, what: str, got, want,
+                          transfers_within: float = 1e-9) -> None:
+    """``got`` places every task where and when ``want`` does."""
+    assert set(got.placements) == set(want.placements), \
+        f"{tag}: {what} placed a different task set"
+    for index, placement in want.placements.items():
+        other = got.placements[index]
         assert (placement.node, placement.start, placement.finish) == \
             (other.node, other.start, other.finish), (
-                f"{tag}: replay diverged on task {index}: "
-                f"{placement} vs {other}")
-    assert abs(replay.transfers_seconds
-               - schedule.transfers_seconds) < 1e-9, \
-        f"{tag}: replay transfer totals diverged"
+                f"{tag}: {what} diverged on task {index}: "
+                f"{other} vs {placement}")
+    assert abs(got.transfers_seconds
+               - want.transfers_seconds) <= transfers_within, \
+        f"{tag}: {what} transfer totals diverged"
+
+
+def check_determinism(case, policy, engine, schedule, calls) -> None:
+    _, replay, _ = run_case(case, policy)
+    _assert_same_schedule(f"seed {case.seed} [{policy}]", "replay",
+                          replay, schedule)
+
+
+def schedule_static(case: WorkloadCase, policy, copies: int = 1):
+    """``policy`` planning the case's whole static graph into the empty
+    timelines of a fresh cluster, called as the engine calls it."""
+    cluster = build_cluster(case, copies)
+    return policy.schedule(static_graph(case), cluster, {},
+                           fresh_timelines(cluster))
 
 
 def check_incremental_heft(case: WorkloadCase) -> None:
-    tag = f"seed {case.seed}"
-    graph = static_graph(case)
-    incremental = HEFTScheduler().schedule(graph, build_cluster(case))
-    baseline = ScanHEFT().schedule(graph, build_cluster(case))
-    assert set(incremental.placements) == set(baseline.placements), \
-        f"{tag}: incremental HEFT placed a different task set"
-    for index, placement in baseline.placements.items():
-        other = incremental.placements[index]
-        assert (placement.node, placement.start, placement.finish) == \
-            (other.node, other.start, other.finish), (
-                f"{tag}: incremental HEFT diverged from the scan on "
-                f"task {index}: {other} vs {placement}")
-    assert abs(incremental.transfers_seconds
-               - baseline.transfers_seconds) < 1e-9, \
-        f"{tag}: incremental HEFT transfer totals diverged"
+    _assert_same_schedule(
+        f"seed {case.seed}", "incremental HEFT (against the scan)",
+        schedule_static(case, HEFTScheduler()),
+        schedule_static(case, ScanHEFT()))
+
+
+def check_engine_is_the_offline_schedule(case: WorkloadCase) -> None:
+    everything_at_zero = replace(
+        case, arrivals=[(0.0, tuple(range(len(case.tasks))))], failures=[])
+    for name, policy in sorted(POLICIES.items()):
+        if policy.online:
+            continue
+        _, ran, _ = run_case(everything_at_zero, name)
+        _assert_same_schedule(
+            f"seed {case.seed} [{name}]",
+            "the engine run (against the policy's own schedule())",
+            ran, schedule_static(case, policy()), transfers_within=0.0)
 
 
 def check_makespan_monotonic(case: WorkloadCase) -> None:
     tag = f"seed {case.seed}"
-    graph = static_graph(case)
-    small = HEFTScheduler().schedule(graph, build_cluster(case))
-    big = HEFTScheduler().schedule(graph, build_cluster(case, copies=2))
+    small = schedule_static(case, HEFTScheduler())
+    big = schedule_static(case, HEFTScheduler(), copies=2)
     limit = small.makespan * (1.0 + MONOTONICITY_SLACK) + 1e-9
     assert big.makespan <= limit, (
         f"{tag}: doubling the cluster worsened the HEFT makespan "
@@ -387,6 +412,7 @@ def check_workload(seed: int) -> None:
         for invariant in ENGINE_INVARIANTS:
             invariant(case, policy, engine, schedule, calls)
     check_incremental_heft(case)
+    check_engine_is_the_offline_schedule(case)
     check_makespan_monotonic(case)
 
 
