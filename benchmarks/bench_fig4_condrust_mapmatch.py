@@ -2,9 +2,9 @@
 
 The figure's listing is parsed verbatim, ownership-checked, lowered to a
 dfg graph and executed with the traffic use case's real implementations of
-projection / build_trellis / viterbi / interpolate — with the projection
-stage routed through the offload handler, as its ``#[kernel]`` attribute
-requests.
+projection / build_trellis / viterbi / interpolate on the runtime engine
+— with the projection stage placed as an FPGA task, as its ``#[kernel]``
+attribute requests.
 """
 
 import numpy as np
@@ -52,12 +52,8 @@ def test_fig4_frontend(benchmark):
 
 def test_fig4_dataflow_execution(benchmark):
     executor = _executor()
-    offloaded = []
-    executor.set_offload_handler(
-        lambda callee, fn, args, attrs:
-        (offloaded.append(callee), fn(*args))[1]
-    )
     matched = benchmark(executor.run, "match_one", _TRAJECTORY, _NETWORK)
     accuracy = matching_accuracy(matched, _TRAJECTORY)
     assert accuracy > 0.7
+    offloaded = [node.callee for node in executor.trace if node.offloaded]
     assert "projection" in offloaded

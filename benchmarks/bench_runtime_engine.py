@@ -56,9 +56,9 @@ class _GraphBuilder:
         self.graph = TaskGraph()
 
     def submit(self, fn, *args, resources=None, output_bytes=8192,
-               tuning=None, name=None, **kwargs):
+               name=None, **kwargs):
         return self.graph.add(fn, args, kwargs, resources, output_bytes,
-                              tuning, name)
+                              name)
 
 
 def _workflow(n_tasks, seed):

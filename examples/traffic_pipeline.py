@@ -1,9 +1,9 @@
 """Traffic use case (paper §II-D): the Fig. 4 pipeline on synthetic FCD.
 
 Parses the paper's ConDRust listing, lowers it to a dataflow graph, runs
-HMM map matching over generated floating-car data with the projection
-kernel offloaded, then builds speed profiles and a PTDR travel-time
-distribution for the matched route.
+HMM map matching over generated floating-car data on the runtime engine
+with the projection kernel placed as an FPGA task, then builds speed
+profiles and a PTDR travel-time distribution for the matched route.
 
 Run:  python examples/traffic_pipeline.py
 """
@@ -46,15 +46,18 @@ def main() -> None:
         "viterbi": viterbi,
         "interpolate": lambda rsv, mc: interpolate(rsv, mc, trajectory),
     })
-    offloaded = []
-    executor.set_offload_handler(
-        lambda callee, fn, args, attrs:
-        (offloaded.append(callee), fn(*args))[1]
-    )
     matched = executor.run("match_one", trajectory, network)
+    # The run is a schedule of the runtime engine: which kernels it
+    # placed as FPGA tasks, and where, is read off it.
+    offloaded = [node.callee for node in executor.trace if node.offloaded]
     accuracy = matching_accuracy(matched, trajectory)
     print(f"map matching: accuracy={accuracy:.0%}, "
           f"offloaded kernels: {offloaded}")
+    for node in executor.trace:
+        placed = executor.schedule.placements[node.task_id]
+        print(f"  {node.binding or node.callee:>11} -> {placed.node} "
+              f"[{placed.start * 1e3:.3f}, {placed.finish * 1e3:.3f}] ms"
+              f"{' (FPGA)' if node.offloaded else ''}")
     print(f"mean matched speed: {matched.mean_speed():.1f} m/s")
 
     # Downstream: probabilistic time-dependent routing on the route.

@@ -12,9 +12,9 @@ plain host functions) into a *provably deterministic* dataflow graph:
   deployment metadata (``offloaded``, ``multiplicity``, ``path``).
 
 Programs lower to the ``dfg`` dialect (:mod:`repro.frontends.condrust.lower`)
-and execute through :mod:`repro.frontends.condrust.execute` with a registry
-of node implementations — on the host, or through the virtualized FPGA
-runtime for offloaded nodes.
+and execute through :mod:`repro.frontends.condrust.execute`, which submits
+every node, with its registered implementation, to the runtime engine
+(:mod:`repro.runtime.engine`): offloaded nodes are its FPGA tasks.
 
 :data:`FIG4_MAP_MATCHING` holds the paper's Fig. 4 listing verbatim; the
 traffic use case (:mod:`repro.apps.traffic`) provides real implementations

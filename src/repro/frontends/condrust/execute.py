@@ -1,58 +1,74 @@
-"""Deterministic execution of ``dfg`` graphs.
+"""Execution of ``dfg`` graphs on the EVEREST runtime engine (§VI-A).
 
-The executor walks a lowered ConDRust graph in topological (source) order,
-calling a registered Python implementation for every ``dfg.node``.  Nodes
-marked ``offloaded = true`` are routed through an *offload handler* — by
-default a pass-through, in the full SDK the virtualized FPGA runtime
-(:mod:`repro.runtime`).  The executor also records the schedule *waves*
-(sets of nodes whose inputs were already available), which is the
-parallelism ConDRust exposes.
+Running a lowered ConDRust graph is submitting it: every ``dfg.node``
+becomes, in source (SSA) order, one task of a
+:class:`~repro.runtime.engine.RuntimeEngine` whose body is the
+registered Python implementation.  Operands produced by earlier nodes
+are the task's ``Future`` dependencies, constants and graph arguments
+are plain arguments, and a node marked ``offloaded = true`` is an FPGA
+resource request — the engine's policy places it on a node with an FPGA
+and prices it through the virtualized access path, like every other
+offloaded task.  The engine's schedule of the last run is kept, and the
+schedule *waves* (sets of nodes whose inputs were already available, the
+parallelism ConDRust exposes) are read off the dependencies the engine's
+task graph recorded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List
 
 from repro.errors import RuntimeSchedulingError
-from repro.ir import Module, Operation, Value
+from repro.ir import Module
 
 
 @dataclass
 class NodeRecord:
-    """Execution record of one dataflow node."""
+    """One dataflow node of the last run, as the engine holds it."""
 
     callee: str
     binding: str
     offloaded: bool
     wave: int
-    attrs: Dict[str, object] = field(default_factory=dict)
+    task_id: int  # key into ``schedule.placements``
 
 
 class DataflowExecutor:
-    """Executes dfg graphs against a registry of node implementations."""
+    """Submits dfg graphs to a runtime engine, node implementations from
+    a registry.
 
-    def __init__(self, module: Module):
+    ``engine`` is the :class:`~repro.runtime.engine.RuntimeEngine` every
+    :meth:`run` submits to, so several graphs share one cluster's
+    capacity; without one, each run gets an engine of its own on a
+    one-node ``default_cluster``.
+    """
+
+    def __init__(self, module: Module, engine=None):
         self.module = module
+        self.engine = engine
         self.registry: Dict[str, Callable] = {}
-        self.offload_handler: Optional[Callable] = None
+        self.resources: Dict[str, object] = {}
         self.trace: List[NodeRecord] = []
+        self.schedule = None  # the engine's ScheduleResult of the last run
 
-    def register(self, name: str, fn: Callable) -> "DataflowExecutor":
-        """Register the implementation of a node callee."""
+    def register(self, name: str, fn: Callable,
+                 resources=None) -> "DataflowExecutor":
+        """Register the implementation of a node callee, and optionally
+        its cost as the engine's ``ResourceRequest``."""
         self.registry[name] = fn
+        self.resources[name] = resources
         return self
 
     def register_all(self, impls: Dict[str, Callable]) -> "DataflowExecutor":
         self.registry.update(impls)
         return self
 
-    def set_offload_handler(self, handler: Callable) -> None:
-        """``handler(callee, fn, args, attrs)`` runs offloaded nodes."""
-        self.offload_handler = handler
-
     def run(self, graph_name: str, *args):
         """Execute one graph with positional arguments; returns its output."""
+        from repro.runtime import (
+            Future, ResourceRequest, RuntimeEngine, default_cluster)
+
         graph = self.module.lookup(graph_name)
         if graph.name != "dfg.graph":
             raise RuntimeSchedulingError(f"{graph_name} is not a dfg.graph")
@@ -62,48 +78,48 @@ class DataflowExecutor:
                 f"{graph_name} expects {len(entry.args)} arguments, "
                 f"got {len(args)}"
             )
-        env: Dict[Value, object] = dict(zip(entry.args, args))
-        ready_at: Dict[Value, int] = {arg: 0 for arg in entry.args}
+        # Refused before anything is submitted: a shared engine must not
+        # be left holding the first half of a graph.
+        for op in entry.operations:
+            if op.name == "dfg.node":
+                if op.attr("callee") not in self.registry:
+                    raise RuntimeSchedulingError(
+                        "no implementation registered for node "
+                        f"{op.attr('callee')!r}")
+            elif op.name not in ("arith.constant", "dfg.output"):
+                raise RuntimeSchedulingError(
+                    f"unexpected op in dfg graph: {op.name}")
+        engine = self.engine or RuntimeEngine(default_cluster(1))
+        env = dict(zip(entry.args, args))
+        wave_of: Dict[int, int] = {}
         self.trace = []
-        result = None
+        output = None
         for op in entry.operations:
             if op.name == "arith.constant":
                 env[op.results[0]] = op.attr("value")
-                ready_at[op.results[0]] = 0
-            elif op.name == "dfg.node":
-                result_value = self._run_node(op, env, ready_at)
-                env[op.results[0]] = result_value
             elif op.name == "dfg.output":
-                result = env[op.operands[0]]
+                output = env[op.operands[0]]
             else:
-                raise RuntimeSchedulingError(
-                    f"unexpected op in dfg graph: {op.name}"
-                )
-        return result
-
-    def _run_node(self, op: Operation, env: Dict[Value, object],
-                  ready_at: Dict[Value, int]):
-        callee = op.attr("callee")
-        if callee not in self.registry:
-            raise RuntimeSchedulingError(
-                f"no implementation registered for node {callee!r}"
-            )
-        fn = self.registry[callee]
-        arg_values = [env[operand] for operand in op.operands]
-        wave = 1 + max((ready_at[o] for o in op.operands), default=0)
-        offloaded = bool(op.attr("offloaded", False))
-        attrs = {k: op.attr(k) for k in ("multiplicity", "path", "binding")
-                 if k in op.attributes}
-        self.trace.append(
-            NodeRecord(callee, op.attr("binding") or "", offloaded, wave,
-                       attrs)
-        )
-        if offloaded and self.offload_handler is not None:
-            result = self.offload_handler(callee, fn, arg_values, attrs)
-        else:
-            result = fn(*arg_values)
-        ready_at[op.results[0]] = wave
-        return result
+                callee = op.attr("callee")
+                binding = op.attr("binding") or ""
+                resources = self.resources.get(callee)
+                if op.attr("offloaded", False):
+                    resources = replace(
+                        resources or ResourceRequest(fpga_seconds=1e-3),
+                        fpga=True)
+                future = engine.submit(
+                    self.registry[callee], *[env[o] for o in op.operands],
+                    resources=resources, name=binding or callee)
+                env[op.results[0]] = future
+                task = engine.graph.tasks[future.task_id]
+                wave = 1 + max((wave_of.get(dep, 0) for dep in task.deps),
+                               default=0)
+                wave_of[task.task_id] = wave
+                self.trace.append(NodeRecord(
+                    callee, binding, task.resources.fpga, wave,
+                    task.task_id))
+        self.schedule = engine.run()
+        return output.result() if isinstance(output, Future) else output
 
     def waves(self) -> List[List[str]]:
         """Nodes grouped by schedule wave (the exposed parallelism)."""

@@ -3,7 +3,7 @@
 * :mod:`repro.runtime.cluster` — heterogeneous nodes (CPU + FPGA) and the
   data-center network;
 * :mod:`repro.runtime.taskgraph` — the Dask-like API with EVEREST resource
-  requests and kernel fine-tuning;
+  requests;
 * :mod:`repro.runtime.timeline` — the event-sweep core-capacity index
   behind every placement query;
 * :mod:`repro.runtime.engine` — the event-driven runtime engine, the one
@@ -36,7 +36,6 @@ from repro.runtime.taskgraph import (
     ResourceRequest,
     Task,
     TaskGraph,
-    delayed,
 )
 from repro.runtime.timeline import NodeTimeline
 
@@ -62,5 +61,4 @@ __all__ = [
     "ResourceRequest",
     "Task",
     "TaskGraph",
-    "delayed",
 ]

@@ -105,7 +105,6 @@ class RuntimeEngine:
     def submit(self, fn: Callable, *args,
                resources: Optional[ResourceRequest] = None,
                output_bytes: int = 8192,
-               tuning: Optional[dict] = None,
                name: Optional[str] = None, **kwargs) -> Future:
         """Add one task; ``Future`` arguments become dependencies.
 
@@ -115,11 +114,8 @@ class RuntimeEngine:
         dispatched at the current simulated time, sharing node capacity
         with everything already in flight.
         """
-        resources = resources or getattr(fn, "_everest_resources", None)
-        output_bytes = getattr(fn, "_everest_output_bytes", output_bytes)
-        tuning = tuning or getattr(fn, "_everest_tuning", None)
         future = self.graph.add(fn, args, kwargs, resources, output_bytes,
-                                tuning, name)
+                                name)
         tid = future.task_id
         self._state[tid] = PENDING
         self._pending.add(tid)

@@ -5,20 +5,16 @@ Dask-like API, requiring only minimal modifications.  The original Dask API
 is extended with EVEREST-specific features, mainly to specify the resource
 requests and the possibility of kernel fine-tuning."
 
-* :func:`delayed` wraps a function; calling the wrapper builds graph nodes
-  instead of executing;
 * :class:`EverestClient.submit` is the eager-ish entry point returning a
   :class:`Future`;
 * **resource requests** (:class:`ResourceRequest`) carry core counts, FPGA
-  needs and cost estimates — the EVEREST extension;
-* **kernel fine-tuning** parameters ride along each task and are handed to
-  the autotuner at execution time.
+  needs and cost estimates — the EVEREST extension.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -63,7 +59,6 @@ class Task:
     deps: List[int]
     resources: ResourceRequest
     output_bytes: int = 8192
-    tuning: Dict[str, Any] = field(default_factory=dict)
 
     def runtime_on_cpu(self, node) -> float:
         return node.cpu_seconds(self.resources.cpu_flops,
@@ -100,7 +95,7 @@ class TaskGraph:
 
     def add(self, fn: Callable, args: tuple, kwargs: dict,
             resources: Optional[ResourceRequest], output_bytes: int,
-            tuning: Optional[dict], name: Optional[str]) -> Future:
+            name: Optional[str]) -> Future:
         if not 0 <= output_bytes < inf:
             raise RuntimeSchedulingError(
                 _BAD_COST.format("output_bytes", output_bytes))
@@ -115,7 +110,6 @@ class TaskGraph:
             deps=deps,
             resources=resources or ResourceRequest(),
             output_bytes=output_bytes,
-            tuning=dict(tuning or {}),
         )
         return Future(self.results, task_id)
 
@@ -161,30 +155,6 @@ class TaskGraph:
         return order
 
 
-def delayed(fn: Callable = None, *, resources: ResourceRequest = None,
-            output_bytes: int = 8192, tuning: dict = None):
-    """Dask-style ``delayed`` with EVEREST resource/tuning extensions.
-
-    Usage::
-
-        @delayed(resources=ResourceRequest(fpga=True, fpga_seconds=1e-3))
-        def kernel(x): ...
-
-        client = EverestClient(cluster)
-        fut = client.call(kernel, data)
-    """
-
-    def wrap(f: Callable):
-        f._everest_resources = resources
-        f._everest_output_bytes = output_bytes
-        f._everest_tuning = tuning or {}
-        return f
-
-    if fn is not None:
-        return wrap(fn)
-    return wrap
-
-
 class EverestClient:
     """The application-facing client (the Dask ``Client`` analogue).
 
@@ -212,14 +182,11 @@ class EverestClient:
     def submit(self, fn: Callable, *args,
                resources: Optional[ResourceRequest] = None,
                output_bytes: int = 8192,
-               tuning: Optional[dict] = None,
                name: Optional[str] = None, **kwargs) -> Future:
         """Add one task; ``Future`` arguments become dependencies."""
         return self.engine.submit(fn, *args, resources=resources,
-                                  output_bytes=output_bytes, tuning=tuning,
-                                  name=name, **kwargs)
-
-    call = submit  # alias matching the delayed() docstring
+                                  output_bytes=output_bytes, name=name,
+                                  **kwargs)
 
     def compute(self):
         """Dispatch pending tasks on the cluster (simulated time) and

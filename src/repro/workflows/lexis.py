@@ -81,13 +81,18 @@ class LexisPlatform:
         client = EverestClient(self.cluster,
                                scheduler=policy or self.policy)
         futures: Dict[str, Future] = {}
-        remaining = list(spec.tasks)
-        progressed = True
-        while remaining and progressed:
-            progressed = False
-            for task in list(remaining):
-                if not all(dep in futures for dep in task.after):
-                    continue
+        # One pass: a task whose dependencies are not all submitted yet
+        # waits under each missing name and is released by its last one.
+        waiting: Dict[str, List[WorkflowTask]] = {}
+        blockers: Dict[str, int] = {}
+        for listed in spec.tasks:
+            missing = [dep for dep in listed.after if dep not in futures]
+            blockers[listed.name] = len(missing)
+            for dep in missing:
+                waiting.setdefault(dep, []).append(listed)
+            ready = [] if missing else [listed]
+            while ready:
+                task = ready.pop()
                 deps = [futures[d] for d in task.after]
                 resources = ResourceRequest(
                     cores=task.cores,
@@ -99,12 +104,14 @@ class LexisPlatform:
                     task.fn, *task.args, *deps, resources=resources,
                     output_bytes=task.output_bytes, name=task.name,
                 )
-                remaining.remove(task)
-                progressed = True
-        if remaining:
+                for waiter in waiting.pop(task.name, ()):
+                    blockers[waiter.name] -= 1
+                    if not blockers[waiter.name]:
+                        ready.append(waiter)
+        if waiting:
             raise WorkflowError(
                 f"workflow {spec.name!r} has unsatisfiable dependencies: "
-                f"{[t.name for t in remaining]}"
+                f"{[t.name for t in spec.tasks if blockers[t.name]]}"
             )
         self.deployments[spec.name] = futures
         return client

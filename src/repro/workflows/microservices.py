@@ -96,6 +96,15 @@ def _number(entry: dict, key: str, kind: type, default):
             f"{kind.__name__}, got {entry[key]!r}") from None
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when JSON gave it the ``kind`` the handler goes on to
+    use it as; anything else is a 400 naming the job or task and field."""
+    if not isinstance(value, kind):
+        raise WorkflowError(
+            f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 class RuntimeService:
     """The resource manager (§VI-A) behind a REST-ish API.
 
@@ -137,19 +146,24 @@ class RuntimeService:
         name = payload.get("name")
         if not name:
             raise WorkflowError("job payload needs a 'name'")
+        _typed(name, str, "job 'name'")
         if name in self.jobs:
             raise WorkflowError(f"job {name!r} already submitted")
         tasks = payload.get("tasks")
         if not tasks:
             raise WorkflowError("job payload needs a non-empty 'tasks' list")
         spec = WorkflowSpec(name)
-        for entry in tasks:
-            if "name" not in entry:
+        for entry in _typed(tasks, list, f"job {name!r}: 'tasks'"):
+            if "name" not in _typed(entry, dict, f"job {name!r}: a task"):
                 raise WorkflowError("every task needs a 'name'")
+            task = f"job {name!r}: task {entry['name']!r}"
+            after = _typed(entry.get("after", []), list, f"{task}: 'after'")
+            for dep in after:
+                _typed(dep, str, f"{task}: an 'after' entry")
             spec.add(WorkflowTask(
-                name=entry["name"],
+                name=_typed(entry["name"], str, f"{task}: 'name'"),
                 fn=lambda *deps, _n=entry["name"]: _n,
-                after=list(entry.get("after", [])),
+                after=after,
                 location="fpga" if entry.get("fpga") else "hpc",
                 fpga_seconds=_number(entry, "fpga_seconds", float, 1e-3),
                 cpu_flops=_number(entry, "cpu_flops", float, 1e9),

@@ -21,7 +21,10 @@ Three checks:
 * **One planner.**  Under ``src/repro`` a scheduling policy's
   ``schedule`` / ``place`` is called from ``runtime/engine/core.py``
   and nowhere else: the engine owns the node timelines a policy plans
-  into, and a second caller would be a second scheduler API.
+  into, and a second caller would be a second scheduler API.  And it is
+  the only executor of a task graph: under ``src/repro/frontends`` a
+  registered node implementation is handed to ``submit`` and never
+  called, so ConDRust has no graph walker of its own.
 """
 
 import ast
@@ -71,6 +74,15 @@ BUDGET = {
         repro.runtime.virtualization.hypervisor
         repro.runtime.virtualization.libvirt
         repro.runtime.virtualization.sriov
+        """),
+    # The coordination DSL reaches the runtime inside ``run()``: parsing
+    # and lowering a program load no runtime or platform module.
+    "repro.frontends.condrust": (
+        "import repro.frontends.condrust", _IR + """
+        repro repro.errors repro.frontends repro.frontends.condrust
+        repro.frontends.condrust.ast repro.frontends.condrust.execute
+        repro.frontends.condrust.lower repro.frontends.condrust.ownership
+        repro.frontends.condrust.parser
         """),
     "repro.pipeline": ("import repro.pipeline", _PIPELINE),
     "repro.basecamp.serve": (
@@ -205,3 +217,42 @@ def test_only_the_engine_calls_a_policy():
         "a policy is planned through a RuntimeEngine (submit, then "
         "run()), never called directly:\n  " + "\n  ".join(outside))
     assert len(callers) == 2, callers  # one schedule(), one place()
+
+
+def test_only_the_engine_calls_a_node_implementation():
+    """A frontend's ``registry`` of implementations is written by
+    ``register`` / ``register_all`` and read in one place: as the
+    function argument of ``engine.submit``."""
+    root = SRC / "repro" / "frontends"
+    submitted, read, hooks = [], [], []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(SRC)}:{getattr(node, 'lineno', 0)}"
+            names = [getattr(node, field, None)
+                     for field in ("id", "attr", "name", "arg")]
+            if any(isinstance(name, str) and "offload" in name
+                   and name != "offloaded" for name in names):
+                hooks.append(where)
+            of_registry = getattr(getattr(node, "value", None), "attr",
+                                  None) == "registry"
+            if of_registry and isinstance(node, ast.Attribute) \
+                    and node.attr != "update":
+                read.append(where)  # .get / .values / .items / .pop
+            elif of_registry and isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, ast.Load):
+                call = parent[node]
+                if isinstance(call, ast.Call) and call.args[:1] == [node] \
+                        and getattr(call.func, "attr", None) == "submit":
+                    submitted.append(where)
+                else:
+                    read.append(where)
+    assert not hooks, (
+        "an offload hook beside the engine's FPGA placement:\n  "
+        + "\n  ".join(hooks))
+    assert not read, (
+        "a node implementation is taken out of the registry; hand it to "
+        "RuntimeEngine.submit instead:\n  " + "\n  ".join(read))
+    assert len(submitted) == 1, submitted

@@ -815,7 +815,7 @@ class TestTaskGraphScale:
         prev = []
         for i in range(5000):
             prev = [graph.add(lambda: None, tuple(prev), {}, None, 0,
-                              None, None)]
+                              None)]
         limit = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(120)
@@ -829,8 +829,8 @@ class TestTaskGraphScale:
         from repro.runtime.taskgraph import TaskGraph
 
         graph = TaskGraph()
-        a = graph.add(lambda: None, (), {}, None, 0, None, None)
-        b = graph.add(lambda: None, (a,), {}, None, 0, None, None)
+        a = graph.add(lambda: None, (), {}, None, 0, None)
+        b = graph.add(lambda: None, (a,), {}, None, 0, None)
         graph.tasks[a.task_id].deps.append(b.task_id)
         with pytest.raises(RuntimeSchedulingError, match="cycle"):
             graph.topological_order()
@@ -846,7 +846,7 @@ def _random_dag(seed):
     graph = TaskGraph()
     n = rng.randrange(1, 40)
     for _ in range(n):
-        graph.add(lambda: None, (), {}, None, 0, None, None)
+        graph.add(lambda: None, (), {}, None, 0, None)
     ids = list(range(n))
     if seed % 2:
         rng.shuffle(ids)  # half the graphs have forward-pointing deps
@@ -910,9 +910,9 @@ class TestIncrementalHEFTEquivalence:
                 self.graph = TaskGraph()
 
             def submit(self, fn, *args, resources=None, output_bytes=8192,
-                       tuning=None, name=None, **kwargs):
+                       name=None, **kwargs):
                 return self.graph.add(fn, args, kwargs, resources,
-                                      output_bytes, tuning, name)
+                                      output_bytes, name)
 
         builder = _Builder()
         synthetic_workflow(builder, n_tasks=n_tasks, seed=seed,

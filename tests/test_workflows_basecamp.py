@@ -190,11 +190,104 @@ class TestRuntimeService:
         assert reason in response.body["error"]
         assert service.jobs == {}
 
+    @pytest.mark.parametrize("job, reason", [
+        ({"name": "a", "tasks": 5},
+         "job 'a': 'tasks' must be of type list, got 5"),
+        ({"name": "a", "tasks": [5]},
+         "job 'a': a task must be of type dict, got 5"),
+        ({"name": "a", "tasks": [{"name": "l", "after": 5}]},
+         "job 'a': task 'l': 'after' must be of type list, got 5"),
+        ({"name": "a", "tasks": [{"name": "l", "after": [["l"]]}]},
+         "job 'a': task 'l': an 'after' entry must be of type str"),
+        ({"name": "a", "tasks": [{"name": ["l"]}]},
+         "job 'a': task ['l']: 'name' must be of type str"),
+        ({"name": {"x": 1}, "tasks": [{"name": "l"}]},
+         "job 'name' must be of type str, got {'x': 1}"),
+    ])
+    def test_wrongly_typed_job_fields_are_client_errors(self, job, reason):
+        """``'int' object is not iterable`` and ``unhashable type`` from
+        inside the handler (500) before the types were checked where the
+        JSON enters."""
+        registry, service = self._service()
+        response = registry.call("POST", "/runtime/jobs", job)
+        assert response.status == 400
+        assert reason in response.body["error"]
+        assert service.jobs == {}
+
     def test_duplicate_job_rejected(self):
         registry, _ = self._service()
         assert registry.call("POST", "/runtime/jobs", self._job()).ok
         assert registry.call("POST", "/runtime/jobs",
                              self._job()).status == 400
+
+
+class TestLexisDeployOrder:
+    @staticmethod
+    def _chain(length):
+        """A chain listed last step first."""
+        spec = WorkflowSpec(f"chain{length}")
+        spec.add(WorkflowTask("t0", lambda: 0))
+        for i in range(1, length):
+            spec.add(WorkflowTask(f"t{i}", lambda x: x + 1,
+                                  after=[f"t{i - 1}"]))
+        spec.tasks.reverse()
+        return spec
+
+    @staticmethod
+    def _calls(fn):
+        import sys
+
+        calls = [0]
+
+        def hook(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls[0] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            fn()
+        finally:
+            sys.setprofile(previous)
+        return calls[0]
+
+    def test_reverse_listed_chain_deploys_in_linear_time(self):
+        """``deploy`` rescanned the not-yet-submitted tasks after every
+        sweep: 1,000 -> 2,000 reverse-listed tasks cost 4x the calls
+        (0.33 s -> 1.23 s), on a route with no limit on ``tasks``."""
+        platform = LexisPlatform(default_cluster(1))
+        small, large = self._chain(1000), self._chain(2000)
+        cost = {len(spec.tasks): self._calls(lambda: platform.deploy(spec))
+                for spec in (small, large)}
+        assert cost[2000] < 2.2 * cost[1000], cost
+        client = platform.deploy(self._chain(50))
+        client.compute()
+        assert platform.results("chain50")["t49"] == 49
+
+    def test_listed_order_is_submission_order(self):
+        spec = WorkflowSpec("diamond")
+        spec.add(WorkflowTask("a", lambda: 1))
+        spec.add(WorkflowTask("b", lambda x: x + 1, after=["a"]))
+        spec.add(WorkflowTask("c", lambda x: x * 3, after=["a"]))
+        spec.add(WorkflowTask("d", lambda x, y: x + y, after=["b", "c"]))
+        client = LexisPlatform(default_cluster(2)).deploy(spec)
+        assert [t.name for t in client.graph.tasks.values()] \
+            == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("after, stuck", [
+        ({"b": ["ghost"], "c": ["b"]}, "['b', 'c']"),       # unknown name
+        ({"b": ["c"], "c": ["b"], "d": ["a"]}, "['b', 'c']"),  # a cycle
+        ({"b": ["b"]}, "['b']"),
+    ])
+    def test_unsatisfiable_dependencies_name_the_stuck_tasks(self, after,
+                                                             stuck):
+        spec = WorkflowSpec("stuck")
+        for name in "abcd":
+            spec.add(WorkflowTask(name, lambda *deps: name,
+                                  after=after.get(name, [])))
+        with pytest.raises(WorkflowError) as error:
+            LexisPlatform(default_cluster(1)).deploy(spec)
+        assert f"unsatisfiable dependencies: {stuck}" in str(error.value)
 
 
 class TestDOSA:

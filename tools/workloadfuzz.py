@@ -237,7 +237,7 @@ def static_graph(case: WorkloadCase) -> TaskGraph:
             ResourceRequest(cores=spec.cores, fpga=spec.fpga,
                             cpu_flops=spec.cpu_flops,
                             fpga_seconds=spec.fpga_seconds),
-            spec.output_bytes, None, f"fz{spec.index}",
+            spec.output_bytes, f"fz{spec.index}",
         )
     return graph
 
