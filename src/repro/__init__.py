@@ -21,7 +21,7 @@ in Python with simulated FPGA substrates:
   API, scheduler, SR-IOV virtualization;
 * :mod:`repro.autotuner` — the mARGOt dynamic autotuner;
 * :mod:`repro.anomaly` — the AutoML anomaly-detection service (TPE);
-* :mod:`repro.workflows` — LEXIS-like deployment and microservices;
+* :mod:`repro.workflows` — LEXIS-like workflow deployment;
 * :mod:`repro.apps` — the four driving use cases (weather, energy,
   air quality, traffic);
 * :mod:`repro.pipeline` — the compile orchestrator (paper Fig. 2):

@@ -26,7 +26,11 @@ Endpoints (all JSON):
                     random_seed?, inputs?, full_outputs?}`` -> output
                     summaries (shape/dtype/mean, values on request)
 ``POST /runtime``   ``{policy?, nodes?, tasks?, seed?, fpga_fraction?}``
-                    -> per-policy makespan/transfers/rescheduled
+                    -> per-policy makespan/transfers/rescheduled;
+                    ``tasks`` is a count (synthetic workflow) or a
+                    list of ``{name, after?, cpu_flops?, cores?, fpga?,
+                    fpga_seconds?, output_bytes?}`` (the reply then
+                    carries ``placements`` and ``utilization``)
 ``GET /stats``      cache, single-flight and admission counters
 ``GET /metrics``    the same state as Prometheus text exposition
 ``GET /healthz``    liveness probe
@@ -76,6 +80,11 @@ DEFAULT_QUEUE_LIMIT = 16
 #: request holds one of the ``max_workers`` slots until it is planned.
 MAX_RUNTIME_TASKS = 10_000
 MAX_RUNTIME_NODES = 256
+
+
+def _no_result(*dependencies) -> None:
+    """The body of a task a ``/runtime`` request describes: the request
+    asks where and when it would run, not for what it computes."""
 
 
 class ServiceSaturated(EverestError):
@@ -221,12 +230,12 @@ class BasecampService:
                high: Optional[float] = None) -> Any:
         """Read one optional request field, checked at the boundary.
 
-        ``kind`` is ``int``, ``float`` (which also takes an int) or
-        ``str``; numbers must lie in [``low``, ``high``].  A missing
-        field is ``default``, and so is an explicit ``null`` where the
-        default is None; anything else raises naming the field, so a
-        malformed value is a 400 and never a ``ValueError`` from deep
-        inside a handler.
+        ``kind`` is ``int``, ``float`` (which also takes an int), ``str``
+        or ``list``; numbers must be finite and lie in [``low``,
+        ``high``].  A missing field is ``default``, and so is an explicit
+        ``null`` where the default is None; anything else raises naming
+        the field, so a malformed value is a 400 and never a
+        ``ValueError`` from deep inside a handler.
         """
         value = payload.get(name, default)
         if value is None and default is None:
@@ -235,6 +244,8 @@ class BasecampService:
         if isinstance(value, bool) or not isinstance(value, wanted):
             raise EverestError(
                 f"{name!r} must be of type {kind.__name__}, got {value!r}")
+        if kind is float and not -math.inf < value < math.inf:
+            raise EverestError(f"{name!r} must be finite, got {value!r}")
         if (low is not None and value < low) \
                 or (high is not None and value > high):
             bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
@@ -300,6 +311,47 @@ class BasecampService:
             "outputs": outputs,
         }
 
+    @classmethod
+    def _described(cls, listed: list):
+        """The :class:`~repro.workflows.WorkflowSpec` of a ``/runtime``
+        request whose ``tasks`` lists ``{name, after?, cpu_flops?,
+        cores?, fpga?, fpga_seconds?, output_bytes?}`` objects; an
+        error names the task it was found in."""
+        from repro.workflows.lexis import WorkflowSpec, WorkflowTask
+
+        if not 1 <= len(listed) <= MAX_RUNTIME_TASKS:
+            raise EverestError(f"'tasks' must list 1 to {MAX_RUNTIME_TASKS} "
+                               f"tasks, got {len(listed)}")
+        spec = WorkflowSpec("request")
+        for entry in listed:
+            if not isinstance(entry, dict) \
+                    or not isinstance(entry.get("name"), str):
+                raise EverestError("every task must be an object with a "
+                                   f"string 'name', got {entry!r}")
+            try:
+                after = cls._field(entry, "after", list, [])
+                for dep in after:
+                    if not isinstance(dep, str):
+                        raise EverestError(
+                            f"'after' must list task names, got {dep!r}")
+                spec.add(WorkflowTask(
+                    entry["name"], _no_result, after,
+                    location="fpga" if entry.get("fpga") else "hpc",
+                    fpga_seconds=cls._field(
+                        entry, "fpga_seconds", float,
+                        WorkflowTask.fpga_seconds, low=0.0),
+                    cpu_flops=cls._field(entry, "cpu_flops", float,
+                                         WorkflowTask.cpu_flops, low=0.0),
+                    cores=cls._field(entry, "cores", int,
+                                     WorkflowTask.cores, low=1),
+                    output_bytes=cls._field(
+                        entry, "output_bytes", int,
+                        WorkflowTask.output_bytes, low=0)))
+            except EverestError as error:
+                raise EverestError(
+                    f"task {entry['name']!r}: {error}") from None
+        return spec
+
     def _runtime(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         from repro.runtime import default_cluster
         from repro.runtime.engine import (
@@ -312,24 +364,42 @@ class BasecampService:
         policies = sorted(POLICIES) if policy == "all" else [policy]
         nodes = self._field(payload, "nodes", int, 4, low=1,
                             high=MAX_RUNTIME_NODES)
-        tasks = self._field(payload, "tasks", int, 60, low=1,
-                            high=MAX_RUNTIME_TASKS)
-        seed = self._field(payload, "seed", int, 0, low=0)
-        fpga_fraction = self._field(payload, "fpga_fraction", float, 0.0,
-                                    low=0.0, high=1.0)
+        listed, spec = payload.get("tasks"), None
+        if isinstance(listed, list):
+            from repro.workflows.lexis import LexisPlatform
+
+            spec = self._described(listed)
+            tasks = len(listed)
+        else:
+            tasks = self._field(payload, "tasks", int, 60, low=1,
+                                high=MAX_RUNTIME_TASKS)
+            seed = self._field(payload, "seed", int, 0, low=0)
+            fpga_fraction = self._field(payload, "fpga_fraction", float,
+                                        0.0, low=0.0, high=1.0)
         results = []
         for name in policies:
             cluster = default_cluster(nodes)
-            engine = RuntimeEngine(cluster, policy=name)
-            synthetic_workflow(engine, n_tasks=tasks, seed=seed,
-                               fpga_fraction=fpga_fraction)
+            if spec is not None:
+                engine = LexisPlatform(cluster, name).deploy(spec).engine
+            else:
+                engine = RuntimeEngine(cluster, policy=name)
+                synthetic_workflow(engine, n_tasks=tasks, seed=seed,
+                                   fpga_fraction=fpga_fraction)
             outcome = engine.run()
-            results.append({
+            row = {
                 "policy": name,
                 "makespan": outcome.makespan,
                 "transfers_seconds": outcome.transfers_seconds,
                 "rescheduled": outcome.rescheduled_tasks,
-            })
+            }
+            if spec is not None:
+                row["placements"] = {
+                    engine.graph.tasks[task_id].name: {
+                        "node": placed.node, "start": placed.start,
+                        "finish": placed.finish, "cores": placed.cores}
+                    for task_id, placed in outcome.placements.items()}
+                row["utilization"] = outcome.utilization(cluster).utilization
+            results.append(row)
         return {"nodes": nodes, "tasks": tasks, "results": results}
 
     # -- introspection -----------------------------------------------------------------
@@ -460,11 +530,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _do_post(self, endpoint: str, span) -> None:
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
+            declared = self.headers.get("Content-Length") or 0
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if not 0 <= length <= MAX_BODY_BYTES:
                 # Body left unread: drop the connection after replying.
-                span.set("status", 413)
-                self._reply(413, {"error": "request body too large"},
+                status, reason = (413, "request body too large") \
+                    if length > 0 else \
+                    (400, f"invalid Content-Length header {declared!r}")
+                span.set("status", status)
+                self._reply(status, {"error": reason},
                             headers={"Connection": "close"})
                 self.close_connection = True
                 return

@@ -37,22 +37,24 @@ class WorkflowTask:
 
 @dataclass
 class WorkflowSpec:
-    """A named workflow DAG."""
+    """A named workflow DAG; tasks join it through :meth:`add`."""
 
     name: str
-    tasks: List[WorkflowTask] = field(default_factory=list)
+    tasks: List[WorkflowTask] = field(default_factory=list, init=False)
+    _by_name: Dict[str, WorkflowTask] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, task: WorkflowTask) -> "WorkflowSpec":
-        if any(t.name == task.name for t in self.tasks):
+        if task.name in self._by_name:
             raise WorkflowError(f"duplicate task name {task.name!r}")
+        self._by_name[task.name] = task
         self.tasks.append(task)
         return self
 
     def task(self, name: str) -> WorkflowTask:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise WorkflowError(f"unknown task {name!r}")
+        if name not in self._by_name:
+            raise WorkflowError(f"unknown task {name!r}")
+        return self._by_name[name]
 
     def mark_for_fpga(self, task_name: str,
                       fpga_seconds: Optional[float] = None) -> None:

@@ -46,6 +46,17 @@ _TELEMETRY = """
     repro.telemetry repro.telemetry.export repro.telemetry.log
     repro.telemetry.metrics repro.telemetry.trace
 """
+_ENGINE = _PLATFORMS + _TELEMETRY + """
+    repro.runtime repro.runtime.cluster repro.runtime.engine
+    repro.runtime.engine.core repro.runtime.engine.events
+    repro.runtime.engine.policies repro.runtime.engine.workloads
+    repro.runtime.monitor repro.runtime.placement
+    repro.runtime.taskgraph repro.runtime.timeline
+    repro.runtime.virtualization
+    repro.runtime.virtualization.hypervisor
+    repro.runtime.virtualization.libvirt
+    repro.runtime.virtualization.sriov
+"""
 _PIPELINE = _TELEMETRY + """
     repro repro.errors repro.pipeline repro.pipeline.cache
     repro.pipeline.report repro.pipeline.session repro.pipeline.stage
@@ -63,18 +74,13 @@ _IR = """
 #: entry point -> (statement run in a fresh interpreter, allowed modules)
 BUDGET = {
     "repro.platforms": ("import repro.platforms", _PLATFORMS),
-    "repro.runtime.engine": (
-        "import repro.runtime.engine", _PLATFORMS + _TELEMETRY + """
-        repro.runtime repro.runtime.cluster repro.runtime.engine
-        repro.runtime.engine.core repro.runtime.engine.events
-        repro.runtime.engine.policies repro.runtime.engine.workloads
-        repro.runtime.monitor repro.runtime.placement
-        repro.runtime.taskgraph repro.runtime.timeline
-        repro.runtime.virtualization
-        repro.runtime.virtualization.hypervisor
-        repro.runtime.virtualization.libvirt
-        repro.runtime.virtualization.sriov
-        """),
+    "repro.runtime.engine": ("import repro.runtime.engine", _ENGINE),
+    # The LEXIS layer is the engine plus one module: nothing of the
+    # daemon that deploys described workflows through it, or of the
+    # compiler.
+    "repro.workflows": (
+        "import repro.workflows",
+        _ENGINE + "repro.workflows repro.workflows.lexis"),
     # The coordination DSL reaches the runtime inside ``run()``: parsing
     # and lowering a program load no runtime or platform module.
     "repro.frontends.condrust": (
@@ -85,6 +91,7 @@ BUDGET = {
         repro.frontends.condrust.parser
         """),
     "repro.pipeline": ("import repro.pipeline", _PIPELINE),
+    # The daemon reaches the engine and LEXIS inside ``_runtime``.
     "repro.basecamp.serve": (
         "import repro.basecamp.serve",
         _PIPELINE + "repro.basecamp repro.basecamp.serve"),

@@ -22,12 +22,16 @@ import pytest
 
 from repro.basecamp.serve import (
     MAX_BODY_BYTES,
+    MAX_RUNTIME_NODES,
+    MAX_RUNTIME_TASKS,
     BasecampServer,
     BasecampService,
     ServiceSaturated,
 )
 from repro.errors import EverestError
 from repro.pipeline import PipelineSession
+from repro.runtime import default_cluster
+from repro.workflows import LexisPlatform, WorkflowSpec, WorkflowTask
 
 ADD = """
 kernel add {
@@ -47,6 +51,22 @@ kernel scale {
   c = a * 3.0
 }
 """
+
+
+#: A described ``/runtime`` workflow: a chain whose last step is offloaded.
+WORKFLOW = [
+    {"name": "ingest", "cpu_flops": 2e9},
+    {"name": "simulate", "after": ["ingest"], "cores": 4, "cpu_flops": 8e9},
+    {"name": "predict", "after": ["simulate"], "fpga": True,
+     "fpga_seconds": 1e-3, "output_bytes": 64},
+]
+
+
+def described(*tasks, **fields):
+    """A ``/runtime`` body listing ``tasks`` (dicts; a bare string is a
+    task of that name with every default)."""
+    return {"tasks": [{"name": task} if isinstance(task, str) else task
+                      for task in tasks], **fields}
 
 
 def post(url, endpoint, payload, timeout=30):
@@ -79,6 +99,30 @@ def server():
         yield instance
     finally:
         instance.shutdown()
+
+
+@pytest.fixture(scope="module")
+def shared_server():
+    """One server for the tests that read only counter differences (a
+    shutdown waits out ``serve_forever``'s half-second poll)."""
+    instance = BasecampServer(port=0).start()
+    try:
+        yield instance
+    finally:
+        instance.shutdown()
+
+
+def outcome_of(server, endpoint, payload):
+    """POST once; returns (status, body, what the request added to the
+    ``/stats`` counters), having checked that nothing is left active."""
+    before = server.service.stats()["server"]
+    status, body, _ = post(server.url, endpoint, payload)
+    after = server.service.stats()["server"]
+    assert after["active"] == 0
+    return status, body, {
+        name: after[name] - before[name]
+        for name in ("requests", "ok", "errors", "rejected")
+        if after[name] != before[name]}
 
 
 class TestService:
@@ -133,6 +177,42 @@ class TestService:
         names = [entry["policy"] for entry in result["results"]]
         assert len(names) >= 3 and names == sorted(names)
         assert all(entry["makespan"] > 0 for entry in result["results"])
+
+    def test_runtime_described_workflow(self):
+        service = BasecampService()
+        result = service.handle("runtime", {
+            "policy": "all", "nodes": 2, "tasks": WORKFLOW,
+            "name": "etl", "no-such-key": [1]})
+        assert (result["nodes"], result["tasks"]) == (2, 3)
+        names = [row["policy"] for row in result["results"]]
+        assert names == ["heft", "min-load", "round-robin"]
+        cluster = default_cluster(2)
+        for row in result["results"]:
+            placed = row["placements"]
+            assert list(placed) == ["ingest", "simulate", "predict"]
+            assert placed["ingest"]["finish"] <= placed["simulate"]["start"]
+            assert placed["simulate"]["finish"] <= placed["predict"]["start"]
+            assert placed["simulate"]["cores"] == 4
+            assert cluster.node(placed["predict"]["node"]).has_fpga
+            assert row["makespan"] == placed["predict"]["finish"] > 0
+            assert set(row["utilization"]) == {"node0", "node1"}
+            assert row["rescheduled"] == 0
+        assert service.stats()["server"]["ok"] == 1
+
+    @pytest.mark.parametrize("payload, named", [
+        (described(*(f"t{i}" for i in range(MAX_RUNTIME_TASKS + 1))),
+         f"'tasks' must list 1 to {MAX_RUNTIME_TASKS} tasks, got "
+         f"{MAX_RUNTIME_TASKS + 1}"),
+        (described(*WORKFLOW, nodes=MAX_RUNTIME_NODES + 1), "'nodes'"),
+    ])
+    def test_runtime_caps_hold_before_anything_is_planned(
+            self, monkeypatch, payload, named):
+        def planned(*args, **kwargs):
+            raise AssertionError("the request reached the planner")
+
+        monkeypatch.setattr(LexisPlatform, "deploy", planned)
+        with pytest.raises(EverestError, match=named):
+            BasecampService().handle("runtime", payload)
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(EverestError, match="unknown endpoint"):
@@ -252,16 +332,120 @@ class TestHTTP:
         pytest.param("execute", {"source": ADD, "random_seed": 0,
                                  "opt_level": "1"},
                      "'opt_level'", id="opt_level-str"),
+        pytest.param("runtime", {"fpga_fraction": float("nan")},
+                     "'fpga_fraction' must be finite", id="fraction-nan"),
+        # A described workflow: the reason names the task and the field.
+        pytest.param("runtime", {"tasks": {"name": "a"}},
+                     "'tasks' must be of type int", id="tasks-not-a-list"),
+        pytest.param("runtime", described(), "'tasks' must list 1 to",
+                     id="tasks-empty"),
+        pytest.param("runtime", {"tasks": [5]},
+                     "every task must be an object with a string 'name', "
+                     "got 5", id="task-not-an-object"),
+        pytest.param("runtime", described({"cores": 2}),
+                     "string 'name', got {'cores': 2}", id="task-unnamed"),
+        pytest.param("runtime", described({"name": ["l"]}),
+                     "string 'name', got {'name': ['l']}",
+                     id="task-name-not-a-string"),
+        pytest.param("runtime", described("a", "b", "a"),
+                     "task 'a': duplicate task name 'a'",
+                     id="task-name-twice"),
+        pytest.param("runtime", described({"name": "l", "after": 5}),
+                     "task 'l': 'after' must be of type list, got 5",
+                     id="after-not-a-list"),
+        pytest.param("runtime", described({"name": "l", "after": [["l"]]}),
+                     "task 'l': 'after' must list task names, got ['l']",
+                     id="after-entry-not-a-string"),
+        pytest.param("runtime",
+                     described("a", {"name": "b", "after": ["ghost"]},
+                               {"name": "c", "after": ["b"]}),
+                     "unsatisfiable dependencies: ['b', 'c']",
+                     id="after-unknown-task"),
+        pytest.param("runtime",
+                     described("a", {"name": "b", "after": ["c"]},
+                               {"name": "c", "after": ["b"]}),
+                     "unsatisfiable dependencies: ['b', 'c']",
+                     id="after-cycle"),
+        pytest.param("runtime", described({"name": "b", "after": ["b"]}),
+                     "unsatisfiable dependencies: ['b']", id="after-itself"),
+        pytest.param("runtime", described({"name": "a", "cores": "many"}),
+                     "task 'a': 'cores' must be of type int", id="cores-str"),
+        pytest.param("runtime",
+                     described({"name": "a", "cores": float("inf")}),
+                     "task 'a': 'cores' must be of type int", id="cores-inf"),
+        pytest.param("runtime", described({"name": "a", "cpu_flops": None}),
+                     "task 'a': 'cpu_flops' must be of type float",
+                     id="cpu_flops-null"),
+        pytest.param("runtime", described({"name": "a", "cpu_flops": -4e9}),
+                     "task 'a': 'cpu_flops' must be >= 0.0",
+                     id="cpu_flops-negative"),
+        pytest.param("runtime",
+                     described({"name": "a", "fpga": True,
+                                "fpga_seconds": float("nan")}, "b"),
+                     "task 'a': 'fpga_seconds' must be finite",
+                     id="fpga_seconds-nan"),
+        pytest.param("runtime", described({"name": "a", "output_bytes": -5}),
+                     "task 'a': 'output_bytes' must be >= 0",
+                     id="output_bytes-negative"),
+        pytest.param("runtime", described({"name": "a", "cores": 99}),
+                     "task 'a' requires 99 cores", id="cores-over-any-node"),
+        pytest.param("runtime", described("a", policy="bogus"),
+                     "unknown scheduling policy 'bogus'",
+                     id="described-unknown-policy"),
     ])
-    def test_malformed_field_is_a_400_naming_it(self, server, endpoint,
-                                                payload, named):
+    def test_malformed_field_is_a_400_naming_it(self, shared_server,
+                                                endpoint, payload, named):
         """Each of these used to escape as a ValueError/TypeError from
         inside the handler: a 500 that no outcome counter saw."""
-        status, body, _ = post(server.url, endpoint, payload)
+        status, body, counted = outcome_of(shared_server, endpoint, payload)
         assert status == 400
         assert named in body["error"]
-        stats = server.service.stats()["server"]
-        assert (stats["errors"], stats["ok"], stats["active"]) == (1, 0, 0)
+        assert counted == {"requests": 1, "errors": 1}
+
+    def test_fpga_task_without_an_fpga_node_is_a_400(self, shared_server,
+                                                     monkeypatch):
+        """``default_cluster`` puts a card on every node, so the daemon's
+        own cluster cannot show this; one without cards can."""
+        monkeypatch.setattr(
+            "repro.runtime.default_cluster",
+            lambda nodes: default_cluster(nodes, fpgas_per_node=0))
+        status, body, counted = outcome_of(shared_server, "runtime",
+                                           described(*WORKFLOW))
+        assert status == 400
+        assert "task 'predict' requires an FPGA" in body["error"]
+        assert counted == {"requests": 1, "errors": 1}
+
+    @pytest.mark.parametrize("policy", ["heft", "min-load", "round-robin"])
+    def test_described_workflow_is_the_lexis_deployment(self, shared_server,
+                                                        policy):
+        """What ``/runtime`` answers for a described workflow is what
+        deploying the same spec by hand places, to the last digit."""
+        status, body, counted = outcome_of(
+            shared_server, "runtime",
+            described(*WORKFLOW, policy=policy, nodes=3))
+        assert (status, counted) == (200, {"requests": 1, "ok": 1})
+        spec = WorkflowSpec("by-hand")
+        for task in WORKFLOW:
+            spec.add(WorkflowTask(
+                task["name"], lambda *deps: None, task.get("after", []),
+                location="fpga" if task.get("fpga") else "hpc",
+                **{key: task[key] for key in ("cpu_flops", "cores",
+                                              "fpga_seconds", "output_bytes")
+                   if key in task}))
+        cluster = default_cluster(3)
+        client = LexisPlatform(cluster, policy).deploy(spec)
+        schedule = client.compute()
+        [row] = body["results"]
+        assert repr(row["placements"]) == repr({
+            client.graph.tasks[task_id].name: {
+                "node": placed.node, "start": placed.start,
+                "finish": placed.finish, "cores": placed.cores}
+            for task_id, placed in schedule.placements.items()})
+        assert repr(row["utilization"]) \
+            == repr(schedule.utilization(cluster).utilization)
+        assert repr((row["policy"], row["makespan"],
+                     row["transfers_seconds"])) \
+            == repr((policy, schedule.makespan, schedule.transfers_seconds))
 
     def test_unexpected_handler_error_is_still_a_500(self):
         """Only errors the SDK raises on purpose are the client's fault:
@@ -357,6 +541,26 @@ kernel hog {
             assert "too large" in json.loads(response.read())["error"]
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", "0x10"])
+    def test_malformed_content_length_400_closes_connection(
+            self, shared_server, declared):
+        """``int()`` of the header raised inside the handler (500 naming
+        ``ValueError``), and a negative length reached ``rfile.read``."""
+        connection = http.client.HTTPConnection(*shared_server.address,
+                                                timeout=30)
+        try:
+            connection.putrequest("POST", "/compile")
+            connection.putheader("Content-Length", declared)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert f"invalid Content-Length header {declared!r}" \
+                in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert get(shared_server.url, "/healthz")[0] == 200
 
     def test_single_flight_dedups_identical_inflight_compiles(self):
         # (clients, max_workers, queue_limit): a handful of tenants, and

@@ -1,4 +1,4 @@
-"""Tests for workflows, microservices, DOSA and the basecamp CLI."""
+"""Tests for workflows, DOSA and the basecamp CLI."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,7 @@ from repro.frontends.condrust import FIG4_MAP_MATCHING
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
 from repro.frontends.onnx_front import example_cnn
 from repro.runtime import default_cluster
-from repro.workflows import (
-    LexisPlatform,
-    MicroserviceRegistry,
-    Request,
-    RuntimeService,
-    WorkflowSpec,
-    WorkflowTask,
-)
+from repro.workflows import LexisPlatform, WorkflowSpec, WorkflowTask
 
 
 class TestLexis:
@@ -73,154 +66,6 @@ class TestLexis:
             spec.add(WorkflowTask("a", lambda: 0))
 
 
-class TestMicroservices:
-    def test_register_and_call(self):
-        registry = MicroserviceRegistry()
-
-        @registry.service("POST", "/detect")
-        def detect(request: Request) -> dict:
-            return {"count": len(request.payload["data"])}
-
-        response = registry.call("POST", "/detect", {"data": [1, 2, 3]})
-        assert response.ok
-        assert response.body["count"] == 3
-
-    def test_missing_route_404(self):
-        registry = MicroserviceRegistry()
-        assert registry.call("GET", "/nope").status == 404
-
-    def test_handler_error_500(self):
-        registry = MicroserviceRegistry()
-        registry.register("GET", "/boom",
-                          lambda req: 1 / 0)
-        assert registry.call("GET", "/boom").status == 500
-
-    def test_duplicate_route_rejected(self):
-        registry = MicroserviceRegistry()
-        registry.register("GET", "/a", lambda r: {})
-        with pytest.raises(WorkflowError):
-            registry.register("GET", "/a", lambda r: {})
-
-
-class TestRuntimeService:
-    def _service(self):
-        registry = MicroserviceRegistry()
-        service = RuntimeService(registry, default_cluster(2))
-        return registry, service
-
-    def _job(self, name="etl", policy=None):
-        job = {"name": name, "tasks": [
-            {"name": "ingest", "cpu_flops": 2e9},
-            {"name": "simulate", "after": ["ingest"], "cores": 4,
-             "cpu_flops": 8e9},
-            {"name": "predict", "after": ["simulate"], "fpga": True,
-             "fpga_seconds": 1e-3},
-        ]}
-        if policy:
-            job["policy"] = policy
-        return job
-
-    def test_routes_registered(self):
-        registry, _ = self._service()
-        assert "POST /runtime/jobs" in registry.routes_list()
-        assert "GET /runtime/policies" in registry.routes_list()
-
-    def test_job_deploys_through_engine(self):
-        registry, _ = self._service()
-        response = registry.call("POST", "/runtime/jobs",
-                                 self._job(policy="min-load"))
-        assert response.ok
-        body = response.body
-        assert body["policy"] == "min-load"
-        assert body["makespan_seconds"] > 0
-        assert set(body["placements"]) == {"ingest", "simulate", "predict"}
-        # Dependencies hold through the REST boundary.
-        assert body["placements"]["ingest"]["finish"] \
-            <= body["placements"]["simulate"]["start"] + 1e-12
-
-    def test_policies_and_job_listing(self):
-        registry, _ = self._service()
-        policies = registry.call("GET", "/runtime/policies").body["policies"]
-        assert {"heft", "round-robin", "min-load"} <= set(policies)
-        registry.call("POST", "/runtime/jobs", self._job("j1"))
-        registry.call("POST", "/runtime/jobs", self._job("j2", "heft"))
-        jobs = registry.call("GET", "/runtime/jobs").body["jobs"]
-        assert {job["name"] for job in jobs} == {"j1", "j2"}
-        utilization = registry.call("GET", "/runtime/utilization",
-                                    {"name": "j1"})
-        assert utilization.ok
-        assert set(utilization.body["utilization"]) \
-            == {"node0", "node1"}
-
-    def test_bad_requests_are_client_errors(self):
-        registry, _ = self._service()
-        assert registry.call("POST", "/runtime/jobs", {}).status == 400
-        assert registry.call(
-            "POST", "/runtime/jobs",
-            {"name": "x", "policy": "bogus",
-             "tasks": [{"name": "a"}]},
-        ).status == 400
-        # Unschedulable (no node has 99 cores) maps to 400, not 500.
-        assert registry.call(
-            "POST", "/runtime/jobs",
-            {"name": "y", "tasks": [{"name": "a", "cores": 99}]},
-        ).status == 400
-        assert registry.call("GET", "/runtime/utilization",
-                             {"name": "nope"}).status == 400
-
-    @pytest.mark.parametrize("field, value, reason", [
-        ("cores", "many", "task 'a': 'cores' must be of type int"),
-        ("cores", float("inf"), "task 'a': 'cores' must be of type int"),
-        ("cpu_flops", None, "task 'a': 'cpu_flops' must be of type float"),
-        ("fpga_seconds", float("nan"), "fpga_seconds must be finite"),
-        ("output_bytes", -5, "output_bytes must be finite and not neg"),
-        ("cpu_flops", -4e9, "cpu_flops must be finite and not negative"),
-    ])
-    def test_bad_task_costs_are_client_errors(self, field, value, reason):
-        """Each of these was a 500 from inside the handler, or (negative
-        flops) "simulated clock cannot run backwards"."""
-        registry, service = self._service()
-        response = registry.call(
-            "POST", "/runtime/jobs",
-            {"name": "z", "tasks": [
-                {"name": "a", "fpga": field == "fpga_seconds",
-                 field: value},
-                {"name": "b", "after": ["a"]}]})
-        assert response.status == 400
-        assert reason in response.body["error"]
-        assert service.jobs == {}
-
-    @pytest.mark.parametrize("job, reason", [
-        ({"name": "a", "tasks": 5},
-         "job 'a': 'tasks' must be of type list, got 5"),
-        ({"name": "a", "tasks": [5]},
-         "job 'a': a task must be of type dict, got 5"),
-        ({"name": "a", "tasks": [{"name": "l", "after": 5}]},
-         "job 'a': task 'l': 'after' must be of type list, got 5"),
-        ({"name": "a", "tasks": [{"name": "l", "after": [["l"]]}]},
-         "job 'a': task 'l': an 'after' entry must be of type str"),
-        ({"name": "a", "tasks": [{"name": ["l"]}]},
-         "job 'a': task ['l']: 'name' must be of type str"),
-        ({"name": {"x": 1}, "tasks": [{"name": "l"}]},
-         "job 'name' must be of type str, got {'x': 1}"),
-    ])
-    def test_wrongly_typed_job_fields_are_client_errors(self, job, reason):
-        """``'int' object is not iterable`` and ``unhashable type`` from
-        inside the handler (500) before the types were checked where the
-        JSON enters."""
-        registry, service = self._service()
-        response = registry.call("POST", "/runtime/jobs", job)
-        assert response.status == 400
-        assert reason in response.body["error"]
-        assert service.jobs == {}
-
-    def test_duplicate_job_rejected(self):
-        registry, _ = self._service()
-        assert registry.call("POST", "/runtime/jobs", self._job()).ok
-        assert registry.call("POST", "/runtime/jobs",
-                             self._job()).status == 400
-
-
 class TestLexisDeployOrder:
     @staticmethod
     def _chain(length):
@@ -263,6 +108,19 @@ class TestLexisDeployOrder:
         client = platform.deploy(self._chain(50))
         client.compute()
         assert platform.results("chain50")["t49"] == 49
+
+    def test_adding_tasks_costs_linear_calls(self):
+        """``add`` scanned every task for a duplicate name: 2,500 ->
+        5,000 -> 10,000 adds cost 0.12 -> 0.47 -> 1.92 s, two seconds of
+        a daemon worker slot at ``MAX_RUNTIME_TASKS`` before the planner
+        starts."""
+        cost = {length: self._calls(lambda: self._chain(length))
+                for length in (1000, 2000)}
+        assert cost[2000] < 2.2 * cost[1000], cost
+        spec = self._chain(50)
+        assert spec.task("t7").after == ["t6"]
+        with pytest.raises(WorkflowError, match="unknown task 'ghost'"):
+            spec.task("ghost")
 
     def test_listed_order_is_submission_order(self):
         spec = WorkflowSpec("diamond")

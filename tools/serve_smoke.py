@@ -5,7 +5,9 @@ Spawns ``python -m repro.basecamp.cli serve --port 0`` as a subprocess
 at it over a mixed compile/execute workload, then asserts the
 multi-tenant contract end to end:
 
-* every request succeeds (no 5xx, no rejection at this load);
+* every request succeeds (no 5xx, no rejection at this load), a
+  described workflow with an FPGA step among them;
+* a malformed ``Content-Length`` is a 400, not a 500;
 * the shared stage cache serves the repeats (hit rate over /stats);
 * identical concurrent compiles deduplicate (single-flight counters);
 * SIGINT produces a clean shutdown (exit status 0, shutdown banner).
@@ -15,6 +17,7 @@ Run via ``make serve-smoke``; exits nonzero on the first violation.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -44,6 +47,13 @@ kernel smoke_b {
 }
 """]
 
+WORKFLOW = {"policy": "all", "nodes": 2, "tasks": [
+    {"name": "ingest", "cpu_flops": 2e9},
+    {"name": "simulate", "after": ["ingest"], "cores": 4},
+    {"name": "predict", "after": ["simulate"], "fpga": True,
+     "fpga_seconds": 1e-3},
+]}
+
 N_REQUESTS = 80
 N_CLIENTS = 8
 
@@ -55,6 +65,20 @@ def post(url: str, endpoint: str, payload: dict) -> int:
     with urllib.request.urlopen(request, timeout=60) as response:
         json.loads(response.read())
         return response.status
+
+
+def content_length_probe(url: str, declared: str) -> int:
+    """The status of a POST whose ``Content-Length`` is ``declared``."""
+    connection = http.client.HTTPConnection(url.split("//")[1], timeout=60)
+    try:
+        connection.putrequest("POST", "/compile")
+        connection.putheader("Content-Length", declared)
+        connection.endheaders()
+        response = connection.getresponse()
+        response.read()
+        return response.status
+    finally:
+        connection.close()
 
 
 def main() -> int:
@@ -76,6 +100,8 @@ def main() -> int:
 
         def client(i: int) -> int:
             kernel = KERNELS[i % len(KERNELS)]
+            if i == N_REQUESTS - 1:
+                return post(url, "runtime", WORKFLOW)
             if i % 4 == 3:
                 return post(url, "execute",
                             {"source": kernel, "random_seed": 0})
@@ -85,6 +111,8 @@ def main() -> int:
             statuses = list(pool.map(client, range(N_REQUESTS)))
         assert statuses == [200] * N_REQUESTS, \
             f"non-200 replies: {sorted(set(statuses))}"
+        probes = [content_length_probe(url, bad) for bad in ("abc", "-5")]
+        assert probes == [400, 400], f"malformed Content-Length: {probes}"
 
         with urllib.request.urlopen(f"{url}/stats", timeout=30) as response:
             stats = json.loads(response.read())
