@@ -92,15 +92,14 @@ fuzz-smoke:
 
 # The executor differential fuzzer against every registered backend
 # (the 200-seed-per-backend campaigns are `python tools/irfuzz.py
-# --mode exec --count 200 --backend <name>`); forced tiling exercises
-# the sharded code path even on small fuzz kernels.
+# --mode exec --count 200 --backend <name>`).  Forced tiling of the
+# small fuzz kernels is a tier-1 test
+# (tests/test_backends.py::TestParallel::test_forced_tiling_is_bitwise_on_fuzz_kernels).
 fuzz-exec-smoke:
 	$(PYTHON) tools/irfuzz.py --mode exec --count 15 --backend compiled \
 		--quiet
 	$(PYTHON) tools/irfuzz.py --mode exec --count 15 \
 		--backend compiled-parallel --quiet
-	REPRO_TILE_THRESHOLD=1 REPRO_JOBS=3 $(PYTHON) tools/irfuzz.py \
-		--mode exec --count 10 --backend compiled-parallel --quiet
 	$(PYTHON) tools/irfuzz.py --mode exec --count 15 --backend cbackend \
 		--quiet
 	$(PYTHON) tools/irfuzz.py --mode exec --count 15 \

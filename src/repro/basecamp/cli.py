@@ -63,9 +63,9 @@ def _tracing(path: Optional[str]) -> Iterator[None]:
               "(open in https://ui.perfetto.dev)", file=sys.stderr)
 
 
-def _read_source(source_path: str) -> str:
-    # Read here (not in the session) so a missing path stays a clean
-    # FileNotFoundError instead of a parse error on the path string.
+def _kernel_text(source_path: str) -> str:
+    # The session takes EKL text only; a missing file is a
+    # FileNotFoundError that main() reports as `basecamp: error`.
     with open(source_path) as handle:
         return handle.read()
 
@@ -77,7 +77,7 @@ def _session():
 
 
 def cmd_compile(args) -> int:
-    source = _read_source(args.source)
+    source = _kernel_text(args.source)
     if args.emit == "mlir":
         from repro.ir import print_module
 
@@ -90,14 +90,14 @@ def cmd_compile(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    result = _session().compile(_read_source(args.source),
+    result = _session().compile(_kernel_text(args.source),
                                 number_format=args.format)
     print(result.report.summary())
     return 0
 
 
 def cmd_olympus(args) -> int:
-    result = _session().olympus(_read_source(args.source),
+    result = _session().olympus(_kernel_text(args.source),
                                 device=args.device)
     print(f"design space for {result.system.instances[0].name} "
           f"on {args.device}:")
@@ -112,7 +112,7 @@ def cmd_olympus(args) -> int:
 def cmd_pipeline(args) -> int:
     with _tracing(args.trace):
         session = _session()
-        plan = session.deploy(_read_source(args.source), device=args.device,
+        plan = session.deploy(_kernel_text(args.source), device=args.device,
                               nodes=args.nodes, opt_level=args.opt_level)
         schedule = plan.schedule
         print(f"deployed on {args.nodes} nodes: "
@@ -154,11 +154,10 @@ def _cmd_run(args) -> int:
     import numpy as np
 
     session = _session()
-    lowered = session.lower(_read_source(args.source),
+    lowered = session.lower(_kernel_text(args.source),
                             opt_level=args.opt_level)
     inputs = _gather_run_inputs(lowered.module, lowered.kernel.name, args)
-    result = session.execute_lowered(lowered, inputs, backend=args.backend,
-                                     jobs=getattr(args, "jobs", None))
+    result = session.execute_lowered(lowered, inputs, backend=args.backend)
     kernel = result.kernel
     note = f" [fell back: {kernel.fallback}]" if kernel.fallback else ""
     arena = f", arena={kernel.arena_bytes}B/{kernel.arena_slots} slots" \
@@ -393,10 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "registry: interpreter, compiled, "
                         "compiled-parallel, compiled-arena, cbackend, "
                         "...); an unknown name lists the registered ones")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker-pool size for the compiled-parallel "
-                        "backend (default: REPRO_JOBS or the CPU count, "
-                        "capped at 8)")
     p.add_argument("--opt-level", type=int, choices=[0, 1, 2], default=1,
                    help="0: raw lowering, 1: canonicalize (fold/DCE/CSE), "
                         "2: canonicalize + inline")

@@ -22,8 +22,8 @@ Endpoints (all JSON):
 ==================  ===================================================
 ``POST /compile``   ``{source, opt_level?, number_format?}`` -> HLS
                     report scalars + the stage-chain fingerprint
-``POST /execute``   ``{source, backend?, opt_level?, jobs?,
-                    random_seed?, inputs?, full_outputs?}`` -> output
+``POST /execute``   ``{source, backend?, opt_level?, random_seed?,
+                    inputs?, full_outputs?}`` -> output
                     summaries (shape/dtype/mean, values on request)
 ``POST /runtime``   ``{policy?, nodes?, tasks?, seed?, fpga_fraction?}``
                     -> per-policy makespan/transfers/rescheduled;
@@ -152,7 +152,6 @@ class BasecampService:
                 ("cache_misses", "Stage-cache misses since start"),
                 ("singleflight_leaders", "Single-flight leader executions"),
                 ("singleflight_waits", "Single-flight waiter joins"),
-                ("tile_pool_workers", "Worker threads in the tile pool"),
             )
         }
 
@@ -230,18 +229,20 @@ class BasecampService:
                high: Optional[float] = None) -> Any:
         """Read one optional request field, checked at the boundary.
 
-        ``kind`` is ``int``, ``float`` (which also takes an int), ``str``
-        or ``list``; numbers must be finite and lie in [``low``,
-        ``high``].  A missing field is ``default``, and so is an explicit
-        ``null`` where the default is None; anything else raises naming
-        the field, so a malformed value is a 400 and never a
-        ``ValueError`` from deep inside a handler.
+        ``kind`` is ``int``, ``float`` (which also takes an int), ``bool``,
+        ``str``, ``list`` or ``dict``; only ``bool`` takes a JSON boolean.
+        Numbers must be finite and lie in [``low``, ``high``].  A missing
+        field is ``default``, and so is an explicit ``null`` where the
+        default is None; anything else raises naming the field, so a
+        malformed value is a 400 and never a ``ValueError`` from deep
+        inside a handler.
         """
         value = payload.get(name, default)
         if value is None and default is None:
             return None
         wanted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, wanted):
+        if (isinstance(value, bool) and kind is not bool) \
+                or not isinstance(value, wanted):
             raise EverestError(
                 f"{name!r} must be of type {kind.__name__}, got {value!r}")
         if kind is float and not -math.inf < value < math.inf:
@@ -280,17 +281,15 @@ class BasecampService:
         source = self._source_of(payload)
         opt_level = self._field(payload, "opt_level", int, 1, low=0, high=2)
         backend = self._field(payload, "backend", str) or "compiled"
-        jobs = self._field(payload, "jobs", int, low=1)
         seed = self._field(payload, "random_seed", int, low=0)
-        explicit = payload.get("inputs") or {}
-        if not isinstance(explicit, dict):
-            raise EverestError("'inputs' must map input names to arrays")
+        explicit = self._field(payload, "inputs", dict) or {}
+        full_outputs = self._field(payload, "full_outputs", bool)
         lowered = self.session.lower(source, opt_level=opt_level)
         inputs = gather_inputs(
             lowered.module, lowered.kernel.name, explicit, seed,
             missing_hint="add it to 'inputs' or pass 'random_seed'")
         result = self.session.execute_lowered(lowered, inputs,
-                                              backend=backend, jobs=jobs)
+                                              backend=backend)
         outputs: Dict[str, Any] = {}
         for name, value in result.outputs.items():
             value = np.asarray(value)
@@ -299,7 +298,7 @@ class BasecampService:
                 "dtype": str(value.dtype),
                 "mean": float(value.mean()) if value.size else 0.0,
             }
-            if payload.get("full_outputs"):
+            if full_outputs:
                 entry["values"] = value.tolist()
             outputs[name] = entry
         return {
@@ -406,8 +405,6 @@ class BasecampService:
 
     def _refresh_gauges(self) -> None:
         """Sample point-in-time state into the gauges (scrape time)."""
-        from repro.tensorpipe.parallel import pool_size
-
         cache = self.session.cache
         flight = self.session.singleflight
         with self._lock:
@@ -424,7 +421,6 @@ class BasecampService:
         gauges["cache_misses"].set(cache.stats.misses)
         gauges["singleflight_leaders"].set(flight.leaders)
         gauges["singleflight_waits"].set(flight.waits)
-        gauges["tile_pool_workers"].set(pool_size())
 
     def stats(self) -> Dict[str, Any]:
         self._refresh_gauges()

@@ -31,15 +31,20 @@ def make_format(spec: str) -> NumberFormat:
     spec = spec.strip()
     if spec in ("f64", "f32", "f16", "bf16"):
         return FloatFormat(spec)
-    if spec.startswith("fixed<") and spec.endswith(">"):
-        int_bits, frac_bits = spec[6:-1].split(".")
-        return FixedPointFormat(int(int_bits), int(frac_bits), signed=True)
-    if spec.startswith("ufixed<") and spec.endswith(">"):
-        int_bits, frac_bits = spec[7:-1].split(".")
-        return FixedPointFormat(int(int_bits), int(frac_bits), signed=False)
-    if spec.startswith("posit<") and spec.endswith(">"):
-        nbits, es = spec[6:-1].split(",")
-        return PositFormat(int(nbits), int(es))
+    try:
+        if spec.startswith("fixed<") and spec.endswith(">"):
+            int_bits, frac_bits = spec[6:-1].split(".")
+            return FixedPointFormat(int(int_bits), int(frac_bits),
+                                    signed=True)
+        if spec.startswith("ufixed<") and spec.endswith(">"):
+            int_bits, frac_bits = spec[7:-1].split(".")
+            return FixedPointFormat(int(int_bits), int(frac_bits),
+                                    signed=False)
+        if spec.startswith("posit<") and spec.endswith(">"):
+            nbits, es = spec[6:-1].split(",")
+            return PositFormat(int(nbits), int(es))
+    except ValueError:
+        pass  # a wrong field count or a non-integer width
     raise EverestError(f"unknown number format spec: {spec!r}")
 
 

@@ -11,7 +11,6 @@ thread.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -232,37 +231,19 @@ class PipelineSession:
         return fingerprint(name, self.registry.generation(name),
                            dict(params or {}), upstream_key)
 
-    # -- source handling ---------------------------------------------------------------
-
-    @staticmethod
-    def read_source(source: str) -> str:
-        """Accept EKL text directly or a path to a kernel file.
-
-        A whitespace-free one-liner cannot be a kernel, so it is always
-        treated as a path — a typo'd path raises
-        :class:`FileNotFoundError` instead of degenerating into a parse
-        error on the path string.
-        """
-        if "\n" not in source:
-            candidate = source.strip()
-            if candidate and " " not in candidate and "\t" not in candidate:
-                with open(candidate) as handle:
-                    return handle.read()
-            if os.path.exists(source):
-                with open(source) as handle:
-                    return handle.read()
-        return source
-
     def _source_key(self, text: str) -> str:
         return fingerprint("ekl-source", text)
 
     # -- high-level flows --------------------------------------------------------------
+    #
+    # Every ``source`` below is EKL text, never a path: the serve daemon
+    # hands tenants' strings straight through, and the CLI reads kernel
+    # files itself.
 
     def frontend(self, source: str) -> Tuple[str, Any]:
         """Parse EKL source; returns ``(key, kernel)``."""
-        text = self.read_source(source)
-        return self.run_stage("frontend-parse", text,
-                              key=self._source_key(text))
+        return self.run_stage("frontend-parse", source,
+                              key=self._source_key(source))
 
     def lower(self, source: str, *, opt_level: int = 1) -> CompileResult:
         """Frontend + dialect lowering: source -> verified affine module.
@@ -273,11 +254,7 @@ class PipelineSession:
         1+ a ``canonicalize`` stage runs on the lowered module and its
         per-pass timings land in the session report.
         """
-        # Normalize once; run_stage directly so the file contents are
-        # never themselves re-probed as a path.
-        text = self.read_source(source)
-        key, kernel = self.run_stage("frontend-parse", text,
-                                     key=self._source_key(text))
+        key, kernel = self.frontend(source)
         # Keyed on the boolean, not the level: -O1 and -O2 share the
         # lowering cache entry (the level only matters to `canonicalize`).
         key, module = self.run_stage("dialect-lowering", kernel, key=key,
@@ -288,12 +265,11 @@ class PipelineSession:
                 params={"opt_level": opt_level},
                 runtime_params={"report": self.report},
                 detail=f"O{opt_level}")
-        return CompileResult(text, kernel, module, key=key)
+        return CompileResult(source, kernel, module, key=key)
 
     def execute(self, source: str, inputs, *,
                 backend: str = "compiled",
-                opt_level: int = 1,
-                jobs: Optional[int] = None) -> ExecutionResult:
+                opt_level: int = 1) -> ExecutionResult:
         """Compile to the CPU executor and run it over ``inputs``.
 
         The compilation itself (codegen + ``compile()``) is a cached
@@ -302,16 +278,13 @@ class PipelineSession:
         but is timed into the session report as an auxiliary event.
         ``backend`` names any registered executor backend
         (:func:`repro.tensorpipe.backends.registered_backends`); an
-        unknown name raises with the available ones.  ``jobs`` sizes the
-        ``compiled-parallel`` worker pool (None: ``REPRO_JOBS`` or the
-        CPU count capped at 8); other backends ignore it.
+        unknown name raises with the available ones.
         """
         return self.execute_lowered(self.lower(source, opt_level=opt_level),
-                                    inputs, backend=backend, jobs=jobs)
+                                    inputs, backend=backend)
 
     def execute_lowered(self, lowered: CompileResult, inputs, *,
-                        backend: str = "compiled",
-                        jobs: Optional[int] = None) -> ExecutionResult:
+                        backend: str = "compiled") -> ExecutionResult:
         """The ``execute`` stage and one kernel run on what :meth:`lower`
         returned — for a caller that lowered first to learn the kernel's
         argument list (``basecamp run``, ``POST /execute``)."""
@@ -323,7 +296,7 @@ class PipelineSession:
                          attrs={"backend": kernel.backend}
                          if tracer.enabled else None):
             start = time.perf_counter()
-            outputs = kernel.run(inputs, jobs=jobs)
+            outputs = kernel.run(inputs)
             seconds = time.perf_counter() - start
         self.report.record("execute/run", seconds, cached=False,
                            detail=kernel.backend, aux=True)

@@ -165,11 +165,8 @@ class CompiledKernel:
     _interp: Optional[AffineInterpreter] = field(default=None, repr=False)
     _runner: Optional[object] = field(default=None, repr=False)
 
-    def run(self, inputs: Mapping[str, np.ndarray], *,
-            jobs: Optional[int] = None) -> Dict[str, np.ndarray]:
-        """Execute over ``inputs``.  ``jobs`` sizes the worker pool of the
-        ``compiled-parallel`` backend (None: ``REPRO_JOBS`` or the CPU
-        count, capped at 8); other backends ignore it."""
+    def run(self, inputs: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Execute over ``inputs``."""
         if self.backend == "interpreter":
             return self._interp.run(inputs)
         buffers, output_names = bind_buffers(self._func, inputs)
@@ -178,7 +175,7 @@ class CompiledKernel:
         elif self.backend == "compiled-parallel":
             from repro.tensorpipe.parallel import make_tile
 
-            self._fn(buffers, make_tile(jobs))
+            self._fn(buffers, make_tile())
         else:
             self._fn(buffers)
         arg_names = self._func.attr("arg_names")

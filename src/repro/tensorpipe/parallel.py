@@ -3,9 +3,9 @@
 The tiled source that :class:`~repro.tensorpipe.codegen.AffineCompiler`
 emits wraps each shardable nest in a closure ``fn(t0, t1)`` over a
 half-open row range and calls ``__tile(fn, extent, work)``.  This module
-provides that runner: small nests (``work`` below a threshold) run
-serially as ``fn(0, extent)``; large ones split ``[0, extent)`` into
-balanced contiguous chunks executed on a persistent thread pool.  The
+provides that runner: small nests (``work`` below :data:`TILE_THRESHOLD`)
+run serially as ``fn(0, extent)``; large ones split ``[0, extent)`` into
+balanced contiguous chunks executed on one persistent thread pool.  The
 generated numpy code releases the GIL inside array operations, so even
 a modest pool overlaps memory stalls — and chunked evaluation of long
 expression chains additionally keeps tiles cache-resident, which is why
@@ -15,9 +15,8 @@ Chunking never changes results: the split axis is an output (parallel)
 dimension, every reduction loop runs in full inside each chunk, and
 chunks write disjoint row ranges of the destination buffers.
 
-Pool sizing: an explicit ``jobs`` argument (``basecamp run --jobs`` /
-``session.execute(jobs=...)``) wins, then the ``REPRO_JOBS`` environment
-variable, then ``os.cpu_count()`` capped at 8.
+The pool has :data:`WORKERS` threads, fixed for the process from the
+host's CPU count; no caller sizes it, so no request can add threads.
 """
 
 from __future__ import annotations
@@ -27,102 +26,28 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional
 
-from repro.errors import EverestError
 from repro.telemetry.trace import current_span, get_tracer
+
+#: Worker threads of the tile pool and chunks per tiled nest.
+WORKERS = min(8, os.cpu_count() or 1)
 
 #: Minimum per-nest iteration count (loop-trip product) before the tile
 #: runner fans out; below it the closure runs serially — thread handoff
-#: would cost more than it buys.  Tests override via ``REPRO_TILE_THRESHOLD``.
-DEFAULT_TILE_THRESHOLD = 65536
+#: would cost more than it buys.
+TILE_THRESHOLD = 65536
 
 _POOL: Optional[ThreadPoolExecutor] = None
-_POOL_SIZE = 0
 _POOL_LOCK = threading.Lock()
-#: Pools replaced by a grow, kept alive until :func:`shutdown_pool`:
-#: a thread that fetched the pool before the grow may still submit to
-#: it, and ``ThreadPoolExecutor.shutdown`` (with or without ``wait``)
-#: would make that submit raise.  Growth is monotone and capped by the
-#: largest ``jobs`` ever requested, so the retired set stays small.
-_RETIRED: List[ThreadPoolExecutor] = []
 
 
-def _env_int(name: str, minimum: int) -> Optional[int]:
-    """Parse an integer environment knob, or None when unset/empty.
-
-    Both pool knobs (``REPRO_JOBS``, ``REPRO_TILE_THRESHOLD``) validate
-    through here so a typo'd value surfaces as a uniform
-    :class:`EverestError` instead of a raw ``ValueError``.
-    """
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EverestError(
-            f"{name} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise EverestError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def resolve_jobs(explicit: Optional[int] = None) -> int:
-    """The worker-pool size: explicit > ``REPRO_JOBS`` > cpu count (<=8)."""
-    if explicit is not None:
-        jobs = int(explicit)
-        if jobs < 1:
-            raise EverestError(f"jobs must be >= 1, got {jobs}")
-        return jobs
-    env = _env_int("REPRO_JOBS", 1)
-    if env is not None:
-        return env
-    return min(8, os.cpu_count() or 1)
-
-
-def tile_threshold() -> int:
-    env = _env_int("REPRO_TILE_THRESHOLD", 0)
-    return DEFAULT_TILE_THRESHOLD if env is None else env
-
-
-def _pool_for(jobs: int) -> ThreadPoolExecutor:
-    """The shared pool, grown (never shrunk) to at least ``jobs`` workers.
-
-    Growing *retires* the smaller pool instead of shutting it down: a
-    concurrent kernel that already holds the old pool must still be able
-    to submit its tiles (``shutdown`` would fail that submit with
-    "cannot schedule new futures after shutdown").  Retired pools keep
-    their idle workers until :func:`shutdown_pool` reaps them.
-    """
-    global _POOL, _POOL_SIZE
+def _pool() -> ThreadPoolExecutor:
+    """The shared pool, created on the first fan-out."""
+    global _POOL
     with _POOL_LOCK:
-        if _POOL is None or _POOL_SIZE < jobs:
-            if _POOL is not None:
-                _RETIRED.append(_POOL)
-            _POOL = ThreadPoolExecutor(
-                max_workers=jobs, thread_name_prefix="repro-tile")
-            _POOL_SIZE = jobs
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=WORKERS,
+                                       thread_name_prefix="repro-tile")
         return _POOL
-
-
-def pool_size() -> int:
-    """Current worker count of the shared pool (0 before first fan-out);
-    exported as the ``repro_tile_pool_workers`` gauge by the serve
-    daemon's ``GET /metrics``."""
-    with _POOL_LOCK:
-        return _POOL_SIZE
-
-
-def shutdown_pool() -> None:
-    """Tear down the shared worker pool (tests, interpreter shutdown)."""
-    global _POOL, _POOL_SIZE
-    with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-        for pool in _RETIRED:
-            pool.shutdown(wait=True)
-        _RETIRED.clear()
-        _POOL = None
-        _POOL_SIZE = 0
 
 
 def split_ranges(extent: int, parts: int) -> List[tuple]:
@@ -138,22 +63,21 @@ def split_ranges(extent: int, parts: int) -> List[tuple]:
     return ranges
 
 
-def make_tile(jobs: Optional[int] = None,
+def make_tile(chunks: Optional[int] = None,
               threshold: Optional[int] = None) -> Callable:
-    """Build the ``__tile`` runner a tiled kernel invocation binds to."""
-    jobs = resolve_jobs(jobs)
-    limit = tile_threshold() if threshold is None else threshold
+    """Build the ``__tile`` runner a tiled kernel invocation binds to;
+    ``chunks`` and ``threshold`` default to :data:`WORKERS` and
+    :data:`TILE_THRESHOLD`, read at call time."""
+    chunks = WORKERS if chunks is None else chunks
+    limit = TILE_THRESHOLD if threshold is None else threshold
 
     def __tile(fn: Callable[[int, int], None], extent: int,
                work: int) -> None:
-        if jobs <= 1 or extent < 2 or work < limit:
+        if chunks <= 1 or extent < 2 or work < limit:
             fn(0, extent)
             return
-        ranges = split_ranges(extent, jobs)
-        if len(ranges) == 1:
-            fn(0, extent)
-            return
-        pool = _pool_for(jobs)
+        ranges = split_ranges(extent, chunks)
+        pool = _pool()
         tracer = get_tracer()
         if tracer.enabled:
             # Context vars do not cross the pool boundary, so capture the

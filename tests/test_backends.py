@@ -39,16 +39,9 @@ from repro.tensorpipe.cbackend import (
     probe_supported,
     reset_probe_cache,
 )
+from repro.tensorpipe import parallel
 from repro.tensorpipe.codegen import compile_affine
-from repro.tensorpipe.parallel import (
-    DEFAULT_TILE_THRESHOLD,
-    _pool_for,
-    make_tile,
-    resolve_jobs,
-    shutdown_pool,
-    split_ranges,
-    tile_threshold,
-)
+from repro.tensorpipe.parallel import make_tile, split_ranges
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
@@ -224,26 +217,19 @@ class TestDifferential:
             np.testing.assert_array_equal(got[key], expected[key])
 
 
+@pytest.fixture
+def tile_every_nest(monkeypatch):
+    """``force(chunks)``: every tiled nest of a later ``kernel.run``
+    fans out into ``chunks`` row ranges, however small it is."""
+    def force(chunks):
+        # Create the shared pool first, so it keeps the host's size.
+        parallel._pool()
+        monkeypatch.setattr(parallel, "TILE_THRESHOLD", 1)
+        monkeypatch.setattr(parallel, "WORKERS", chunks)
+    return force
+
+
 class TestParallel:
-    def test_resolve_jobs_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs(5) == 5
-        assert resolve_jobs() == 3
-
-    def test_resolve_jobs_default_capped(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert 1 <= resolve_jobs() <= 8
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "two"])
-    def test_resolve_jobs_rejects_invalid_env(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_JOBS", bad)
-        with pytest.raises(EverestError):
-            resolve_jobs()
-
-    def test_resolve_jobs_rejects_invalid_explicit(self):
-        with pytest.raises(EverestError):
-            resolve_jobs(0)
-
     def test_split_ranges_cover_and_balance(self):
         for extent in (1, 2, 7, 64, 97):
             for parts in (1, 2, 3, 8, 200):
@@ -257,18 +243,18 @@ class TestParallel:
 
     def test_tile_runner_serial_below_threshold(self):
         calls = []
-        tile = make_tile(jobs=4, threshold=1000)
+        tile = make_tile(chunks=4, threshold=1000)
         tile(lambda t0, t1: calls.append((t0, t1)), 8, work=10)
         assert calls == [(0, 8)]
 
     def test_tile_runner_splits_above_threshold(self):
         calls = []
-        tile = make_tile(jobs=4, threshold=1)
+        tile = make_tile(chunks=4, threshold=1)
         tile(lambda t0, t1: calls.append((t0, t1)), 8, work=10)
         assert sorted(calls) == [(0, 2), (2, 4), (4, 6), (6, 8)]
 
     def test_tile_runner_propagates_worker_exceptions(self):
-        tile = make_tile(jobs=2, threshold=1)
+        tile = make_tile(chunks=2, threshold=1)
 
         def boom(t0, t1):
             raise ValueError("worker failed")
@@ -276,9 +262,25 @@ class TestParallel:
         with pytest.raises(ValueError):
             tile(boom, 8, work=10)
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
-    def test_forced_tiling_is_bitwise(self, monkeypatch, jobs):
-        monkeypatch.setenv("REPRO_TILE_THRESHOLD", "1")
+    def test_fan_outs_reuse_one_pool_of_workers_threads(self):
+        """However many chunks a nest is split into, they run on the
+        same ``WORKERS`` threads."""
+        barrier = threading.Barrier(parallel.WORKERS, timeout=10)
+        names = set()
+
+        def chunk(t0, t1):
+            barrier.wait()  # every worker busy at once: the pool is full
+            names.add(threading.current_thread().name)
+
+        make_tile(chunks=parallel.WORKERS, threshold=1)(chunk, 64, work=10)
+        before = threading.active_count()
+        make_tile(chunks=4 * parallel.WORKERS, threshold=1)(chunk, 64,
+                                                            work=10)
+        assert threading.active_count() == before
+        assert len(names) == parallel.WORKERS
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
+    def test_forced_tiling_is_bitwise(self, tile_every_nest, chunks):
         func_name, module = lower_optimized(GOLDEN["chain"])
         inputs = golden_inputs("chain")
         expected = compile_affine(module, func_name,
@@ -286,80 +288,37 @@ class TestParallel:
         kernel = compile_affine(module, func_name,
                                 backend="compiled-parallel")
         assert kernel.tileable_nests > 0
-        got = kernel.run(inputs, jobs=jobs)
+        tile_every_nest(chunks)
+        got = kernel.run(inputs)
         for key in expected:
             np.testing.assert_array_equal(got[key], expected[key])
 
-    def test_tile_threshold_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TILE_THRESHOLD", raising=False)
-        assert tile_threshold() == DEFAULT_TILE_THRESHOLD
-        monkeypatch.setenv("REPRO_TILE_THRESHOLD", "123")
-        assert tile_threshold() == 123
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
+    def test_forced_tiling_is_bitwise_on_fuzz_kernels(self, tile_every_nest,
+                                                      chunks):
+        """20 ``tools/irfuzz.py`` exec kernels, every nest split into
+        ``chunks`` row ranges, equal to ``compiled`` bit for bit."""
+        from irfuzz import generate_ekl_case
 
-    @pytest.mark.parametrize("bad", ["lots", "-1", "1.5"])
-    def test_tile_threshold_rejects_invalid_env(self, monkeypatch, bad):
-        # Regression: a typo'd REPRO_TILE_THRESHOLD used to leak a raw
-        # ValueError; it now validates like REPRO_JOBS.
-        monkeypatch.setenv("REPRO_TILE_THRESHOLD", bad)
-        with pytest.raises(EverestError, match="REPRO_TILE_THRESHOLD"):
-            tile_threshold()
+        tile_every_nest(chunks)
+        for seed in range(20):
+            source, inputs = generate_ekl_case(seed)
+            func_name, module = lower_optimized(source)
+            expected = compile_affine(module, func_name,
+                                      backend="compiled").run(inputs)
+            got = compile_affine(module, func_name,
+                                 backend="compiled-parallel").run(inputs)
+            for key in expected:
+                np.testing.assert_array_equal(
+                    got[key], expected[key], err_msg=f"seed {seed}: {key}")
 
-    def test_pool_grow_does_not_invalidate_held_pools(self):
-        # Regression: growing the shared pool used to shutdown() the old
-        # one, so a thread that fetched it before the grow crashed on
-        # submit with "cannot schedule new futures after shutdown".
-        shutdown_pool()
-        try:
-            held = _pool_for(2)
-            grown = _pool_for(4)
-            assert grown is not held
-            assert held.submit(lambda: 42).result(timeout=10) == 42
-        finally:
-            shutdown_pool()
-
-    def test_pool_grow_race_two_threads(self):
-        import threading
-
-        shutdown_pool()
-        try:
-            got_pool = threading.Event()
-            grown = threading.Event()
-            result = []
-
-            def tile_thread():
-                pool = _pool_for(2)
-                got_pool.set()
-                # The other thread grows the pool before we submit.
-                assert grown.wait(timeout=10)
-                result.append(pool.submit(lambda: "ran").result(timeout=10))
-
-            worker = threading.Thread(target=tile_thread)
-            worker.start()
-            assert got_pool.wait(timeout=10)
-            _pool_for(6)
-            grown.set()
-            worker.join(timeout=10)
-            assert result == ["ran"]
-        finally:
-            shutdown_pool()
-
-    def test_shutdown_pool_allows_reuse(self):
-        tile = make_tile(jobs=2, threshold=1)
-        out = []
-        tile(lambda t0, t1: out.append((t0, t1)), 4, work=10)
-        shutdown_pool()
-        tile2 = make_tile(jobs=2, threshold=1)
-        out2 = []
-        tile2(lambda t0, t1: out2.append((t0, t1)), 4, work=10)
-        assert sorted(out) == sorted(out2)
-
-    def test_session_execute_accepts_jobs(self):
+    def test_session_execute_runs_compiled_parallel(self):
         session = PipelineSession()
         rng = np.random.default_rng(9)
         inputs = {"a": rng.normal(size=(23, 3)),
                   "b": rng.normal(size=(23, 3))}
         got = session.execute(GOLDEN["chain"], inputs,
-                              backend="compiled-parallel", jobs=2)
+                              backend="compiled-parallel")
         ref = session.execute(GOLDEN["chain"], inputs,
                               backend="interpreter")
         np.testing.assert_array_equal(got.outputs["out"],
@@ -615,17 +574,27 @@ kernel k {
 
 
 class TestCLI:
-    def test_run_backend_and_jobs(self, tmp_path, capsys):
+    def test_run_compiled_parallel(self, tmp_path, capsys):
         from repro.basecamp.cli import main
 
         source = tmp_path / "k.ekl"
         source.write_text(GOLDEN["chain"])
         code = main(["run", str(source), "--random-seed", "1",
-                     "--backend", "compiled-parallel", "--jobs", "2",
-                     "--time"])
+                     "--backend", "compiled-parallel", "--time"])
         assert code == 0
         out = capsys.readouterr().out
         assert "backend=compiled-parallel" in out
+
+    def test_run_has_no_jobs_option(self, tmp_path, capsys):
+        from repro.basecamp.cli import main
+
+        source = tmp_path / "k.ekl"
+        source.write_text(GOLDEN["chain"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(source), "--random-seed", "1",
+                  "--backend", "compiled-parallel", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_run_cbackend_prints_the_plan(self, tmp_path, capsys):
         needs_working_cc()

@@ -320,6 +320,16 @@ class TestFormatSpecs:
         with pytest.raises(EverestError):
             make_format("float128")
 
+    @pytest.mark.parametrize("spec", [
+        "fixed<8.8", "fixed<a.b>", "fixed<8.8.8>", "posit<16>", "ufixed<4>",
+    ])
+    def test_malformed_spec_is_named(self, spec):
+        """The last four used to raise a bare ValueError from unpacking
+        or ``int()``."""
+        with pytest.raises(EverestError) as error:
+            make_format(spec)
+        assert str(error.value) == f"unknown number format spec: {spec!r}"
+
     def test_sweep_orders_error_by_precision(self):
         rng = np.random.default_rng(0)
         data = rng.normal(0, 1, 500)

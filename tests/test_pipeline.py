@@ -92,20 +92,11 @@ class TestStageCaching:
 
 
 class TestSourceHandling:
-    def test_path_accepted(self, tmp_path):
+    def test_a_path_is_parsed_as_text(self, tmp_path):
         source = tmp_path / "k.ekl"
         source.write_text(FIG3_MAJOR_ABSORBER)
-        result = PipelineSession().lower(str(source))
-        assert result.kernel.name == "tau_major"
-
-    def test_missing_ekl_path_raises_file_not_found(self):
-        with pytest.raises(FileNotFoundError):
-            PipelineSession().lower("kernels/typo.ekl")
-
-    def test_missing_path_any_extension_raises_file_not_found(self):
-        # A whitespace-free one-liner cannot be a kernel: always a path.
-        with pytest.raises(FileNotFoundError):
-            PipelineSession().lower("kernels/typo.txt")
+        with pytest.raises(FrontendError, match="^1:"):
+            PipelineSession().lower(str(source))
 
     def test_inline_text_accepted(self):
         result = PipelineSession().lower(FIG3_MAJOR_ABSORBER)

@@ -7,6 +7,7 @@ in-flight compiles, and admission-control rejection (429 + Retry-After)
 when the executor saturates.
 """
 
+import builtins
 import http.client
 import json
 import statistics
@@ -49,6 +50,20 @@ kernel scale {
   input a[i]: f64
   output c
   c = a * 3.0
+}
+"""
+
+#: 160,000 iterations per nest: above the tile threshold, so
+#: ``compiled-parallel`` fans every nest out to the tile pool.
+CHAIN = """
+kernel chain {
+  index i: 20000, j: 8
+  input a[i, j]: f64
+  input b[i, j]: f64
+  output out
+  t0 = a * b + a
+  t1 = sin(t0) - b
+  out = t1 * t1 + t0
 }
 """
 
@@ -164,6 +179,27 @@ class TestService:
             "full_outputs": True})
         assert result["outputs"]["c"]["values"] == \
             [x + 1.0 for x in a]
+
+    def test_requests_cannot_grow_the_tile_pool(self):
+        """A ``jobs`` field once sized the pool, which only grew and
+        kept every replaced pool's threads: seven requests took the
+        process from 3 to 702 threads.  It is an unknown key now."""
+        from repro.tensorpipe.parallel import TILE_THRESHOLD, WORKERS
+
+        assert 20000 * 8 > TILE_THRESHOLD
+        service = BasecampService()
+        request = {"source": CHAIN, "backend": "compiled-parallel",
+                   "random_seed": 0}
+        before = threading.active_count()
+        counts, means = [], set()
+        for n in range(10):
+            result = service.handle(
+                "execute", dict(request, jobs=8000) if n % 2 else request)
+            assert result["backend"] == "compiled-parallel"
+            means.add(result["outputs"]["out"]["mean"])
+            counts.append(threading.active_count())
+        assert len(means) == 1
+        assert counts[-1] == counts[0] <= before + WORKERS
 
     def test_execute_missing_input_rejected(self):
         service = BasecampService()
@@ -310,9 +346,34 @@ class TestHTTP:
                      id="tasks-over-limit"),
         pytest.param("runtime", {"nodes": 100_000}, "'nodes'",
                      id="nodes-over-limit"),
+        # The source is EKL text, never a path: these used to put the
+        # first token of a server file in the reply, be a 500
+        # FileNotFoundError, and read until MemoryError.
+        pytest.param("execute", {"source": "/etc/passwd", "random_seed": 0},
+                     "expected 'kernel', found '/'", id="source-a-file"),
+        pytest.param("compile", {"source": "nonexistent"},
+                     "expected 'kernel', found 'nonexistent'",
+                     id="source-no-such-file"),
+        pytest.param("compile", {"source": "/dev/zero"},
+                     "expected 'kernel', found '/'", id="source-endless-file"),
+        # These returned every value, or ran as if no inputs were given.
         pytest.param("execute", {"source": ADD, "random_seed": 0,
-                                 "backend": "compiled-parallel",
-                                 "jobs": "x"}, "'jobs'", id="jobs"),
+                                 "full_outputs": "no"},
+                     "'full_outputs' must be of type bool",
+                     id="full_outputs-str"),
+        pytest.param("execute", {"source": ADD, "random_seed": 0,
+                                 "full_outputs": [1]},
+                     "'full_outputs' must be of type bool",
+                     id="full_outputs-list"),
+        pytest.param("execute", {"source": ADD, "random_seed": 0,
+                                 "inputs": 0},
+                     "'inputs' must be of type dict", id="inputs-zero"),
+        pytest.param("execute", {"source": ADD, "random_seed": 0,
+                                 "inputs": False},
+                     "'inputs' must be of type dict", id="inputs-false"),
+        pytest.param("execute", {"source": ADD, "random_seed": 0,
+                                 "inputs": ""},
+                     "'inputs' must be of type dict", id="inputs-empty-str"),
         pytest.param("execute", {"source": ADD, "random_seed": "seed"},
                      "'random_seed'", id="random_seed"),
         pytest.param("execute", {"source": ADD, "random_seed": 0,
@@ -323,6 +384,9 @@ class TestHTTP:
                      "input 'a'", id="input-ragged"),
         pytest.param("compile", {"source": ADD, "number_format": 5},
                      "'number_format'", id="number_format"),
+        pytest.param("compile", {"source": ADD, "number_format": "posit<16>"},
+                     "unknown number format spec: 'posit<16>'",
+                     id="number_format-malformed"),
         # True == 1.0 == 1: each used to pass a membership test and be
         # fingerprinted by its repr, one cache entry per spelling.
         pytest.param("compile", {"source": ADD, "opt_level": True},
@@ -394,13 +458,24 @@ class TestHTTP:
                      id="described-unknown-policy"),
     ])
     def test_malformed_field_is_a_400_naming_it(self, shared_server,
-                                                endpoint, payload, named):
-        """Each of these used to escape as a ValueError/TypeError from
-        inside the handler: a 500 that no outcome counter saw."""
+                                                monkeypatch, endpoint,
+                                                payload, named):
+        """Most of these used to escape as a ValueError/TypeError from
+        inside the handler: a 500 that no outcome counter saw.  None of
+        them opens a file."""
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
         status, body, counted = outcome_of(shared_server, endpoint, payload)
         assert status == 400
         assert named in body["error"]
         assert counted == {"requests": 1, "errors": 1}
+        assert opened == []
 
     def test_fpga_task_without_an_fpga_node_is_a_400(self, shared_server,
                                                      monkeypatch):

@@ -318,4 +318,4 @@ class TestBasecampCLI(object):
 
     def test_error_reported_cleanly(self, capsys):
         assert main(["compile", "/nonexistent.ekl"]) == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("basecamp: error: ")
