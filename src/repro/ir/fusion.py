@@ -6,7 +6,7 @@ produces one ``memref.alloc`` + one perfect ``affine.for`` nest per
 tensor op; a chain of elementwise ops therefore allocates, fills and
 re-reads one full-size buffer per link.  When an intermediate buffer has
 exactly one producer store and one consumer load, the producer's body
-can instead be cloned into the consumer at the load site (substituting
+can instead be moved into the consumer at the load site (substituting
 the producer's induction variables with the consumer's load indices),
 after which the load, the producer nest and the allocation disappear.
 :class:`~repro.tensorpipe.codegen.AffineCompiler` then vectorizes the
@@ -44,7 +44,7 @@ A ``memref.alloc`` is a fusion candidate when
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ir.core import Block, BlockArgument, Module, Operation, Value
 from repro.ir.dialect import REGISTRY
@@ -264,7 +264,7 @@ class FusionPass(Pass):
 
         # The producer's reads execute later after fusion: every buffer
         # it loads must be untouched between the two nests and inside
-        # the consumer nest itself (interleaving writes with the cloned
+        # the consumer nest itself (interleaving writes with the moved
         # reads would change which values the reads observe).
         reads = set(producer.reads)
         if reads:
@@ -277,21 +277,21 @@ class FusionPass(Pass):
             if hazards & reads:
                 return False
 
-        # Substitute: producer IV for dimension d -> consumer index d.
-        store_ivs = list(producer.store.operands[2:])
-        value_map: Dict[Value, Value] = dict(zip(store_ivs, indices))
+        # Move the producer body to the load site, its IVs replaced by the
+        # consumer's load indices; the erased nest keeps only its store.
+        iv_map = dict(zip(producer.store.operands[2:], indices))
         block = load.parent
+        moved = [op for op in producer.body if op is not producer.store]
+        for op in moved:
+            op.parent = block
+            for i, operand in enumerate(op.operands):
+                if operand in iv_map:
+                    op._set_operand(i, iv_map[operand])
         at = block.operations.index(load)
-        for op in producer.body:
-            if op is producer.store:
-                continue
-            clone = op.clone(value_map)
-            for old, new in zip(op.results, clone.results):
-                value_map[old] = new
-            block.insert(at, clone)
-            at += 1
+        block.operations[at:at] = moved
+        producer.store.parent.operations = [producer.store]
         stored = producer.store.operands[0]
-        load.results[0].replace_all_uses_with(value_map.get(stored, stored))
+        load.results[0].replace_all_uses_with(iv_map.get(stored, stored))
         load.erase()
         producer.nest.erase()
         alloc.erase()

@@ -80,8 +80,8 @@ class PipelineSession:
         self._inflight: Dict[str, _Flight] = {}
         self._inflight_lock = threading.Lock()
         if register_builtins:
-            for name, fn, description in builtin_stages():
-                self.registry.register(Stage(name, fn, description))
+            for stage in builtin_stages():
+                self.registry.register(stage)
 
     # -- stage management --------------------------------------------------------------
 
@@ -100,14 +100,16 @@ class PipelineSession:
     def run_stage(self, name: str, payload: Any, *, key: str,
                   params: Optional[Dict[str, Any]] = None,
                   runtime_params: Optional[Dict[str, Any]] = None,
-                  detail: str = "") -> Tuple[str, Any]:
+                  detail: str = "", upstream: Optional[Callable] = None
+                  ) -> Tuple[str, Any]:
         """Run one registered stage with caching and timing.
 
         ``key`` is the fingerprint of the upstream payload; the stage's own
         key chains it with the stage name and ``params``.
         ``runtime_params`` are forwarded to the stage function but excluded
         from the fingerprint (the session report, callbacks — values that
-        do not change the result).
+        do not change the result).  ``upstream``, if given, builds a payload
+        the stage may consume, and only when the stage executes.
 
         Cacheable stages are *single-flight*: when several threads request
         the same ``stage_key`` concurrently (``basecamp serve`` tenants),
@@ -122,18 +124,19 @@ class PipelineSession:
         if not tracer.enabled:
             return self._run_stage(name, payload, key=key, params=params,
                                    runtime_params=runtime_params,
-                                   detail=detail, span=None)
+                                   detail=detail, span=None, upstream=upstream)
         with tracer.span(f"stage:{name}", category="stage") as span:
             if detail:
                 span.attrs["detail"] = detail
             return self._run_stage(name, payload, key=key, params=params,
                                    runtime_params=runtime_params,
-                                   detail=detail, span=span)
+                                   detail=detail, span=span, upstream=upstream)
 
     def _run_stage(self, name: str, payload: Any, *, key: str,
                    params: Optional[Dict[str, Any]],
                    runtime_params: Optional[Dict[str, Any]],
-                   detail: str, span: Optional[Any]) -> Tuple[str, Any]:
+                   detail: str, span: Optional[Any],
+                   upstream: Optional[Callable]) -> Tuple[str, Any]:
         """The cache/single-flight/execute core behind :meth:`run_stage`.
 
         ``span`` is the caller's open stage span (None when tracing is
@@ -186,6 +189,8 @@ class PipelineSession:
         call_params = dict(params)
         call_params.update(runtime_params or {})
         try:
+            if upstream is not None:
+                payload = upstream()
             with StageClock() as clock:
                 try:
                     value = stage(payload, **call_params)
@@ -250,21 +255,19 @@ class PipelineSession:
 
         ``opt_level`` selects the optimization pipeline: 0 is the raw
         lowering, 1 (default) canonicalizes (fold + DCE + CSE through the
-        worklist rewriter), 2 additionally inlines ``func.call`` ops.  At
-        1+ a ``canonicalize`` stage runs on the lowered module and its
-        per-pass timings land in the session report.
+        worklist rewriter), 2 additionally inlines ``func.call`` ops.  Only
+        the ``canonicalize`` result is cached: on a miss its leader runs the
+        uncached ``dialect-lowering`` and optimizes that module in place.
         """
-        key, kernel = self.frontend(source)
-        # Keyed on the boolean, not the level: -O1 and -O2 share the
-        # lowering cache entry (the level only matters to `canonicalize`).
-        key, module = self.run_stage("dialect-lowering", kernel, key=key,
-                                     params={"canonicalize": opt_level > 0})
-        if opt_level > 0:
-            key, module = self.run_stage(
-                "canonicalize", module, key=key,
-                params={"opt_level": opt_level},
-                runtime_params={"report": self.report},
-                detail=f"O{opt_level}")
+        parse_key, kernel = self.frontend(source)
+        params = {"canonicalize": opt_level > 0}
+        key, module = self.run_stage(
+            "canonicalize", None,
+            key=self.stage_key("dialect-lowering", params, parse_key),
+            params={"opt_level": opt_level},
+            runtime_params={"report": self.report}, detail=f"O{opt_level}",
+            upstream=lambda: self.run_stage(
+                "dialect-lowering", kernel, key=parse_key, params=params)[1])
         return CompileResult(source, kernel, module, key=key)
 
     def execute(self, source: str, inputs, *,

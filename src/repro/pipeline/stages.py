@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import PipelineError
+from repro.pipeline.stage import Stage
 
 
 @dataclass
@@ -133,12 +134,12 @@ def stage_canonicalize(module: Any, *, opt_level: int = 1,
                        report: Any = None) -> Any:
     """``canonicalize``: run the optimization pipeline on a lowered module.
 
-    Returns a canonicalized *clone* (cached stage results are shared across
-    callers and must never be mutated).  ``opt_level`` 2 adds the function
-    inliner before canonicalization.  ``report`` (a
-    :class:`~repro.pipeline.report.PipelineReport`, excluded from the cache
-    fingerprint) receives one event per sub-pass so ``basecamp pipeline``
-    can show where optimization time went.
+    Optimizes ``module`` in place and returns it: the session hands it an
+    uncached raw lowering that nothing else holds.  ``opt_level`` 0 is the
+    identity; 2 adds the function inliner before canonicalization.
+    ``report`` (a :class:`~repro.pipeline.report.PipelineReport`, excluded
+    from the cache fingerprint) receives one event per sub-pass so
+    ``basecamp pipeline`` can show where optimization time went.
     """
     import repro.dialects  # noqa: F401 (registration side effect)
     from repro.ir import CanonicalizePass, FusionPass, InlinePass, verify_typed
@@ -146,28 +147,27 @@ def stage_canonicalize(module: Any, *, opt_level: int = 1,
 
     if opt_level <= 0:
         return module
-    optimized = module.clone()
     if opt_level >= 2:
         inliner = InlinePass()
         with StageClock() as clock:
-            inliner.run(optimized)
+            inliner.run(module)
         if report is not None:
             report.record("canonicalize/inline", clock.seconds, cached=False,
                           detail=f"{inliner.inlined} call(s)", aux=True)
     canonicalizer = CanonicalizePass()
-    canonicalizer.run(optimized)
+    canonicalizer.run(module)
     if report is not None:
         for pass_name, seconds in canonicalizer.timings:
             report.record(f"canonicalize/{pass_name}", seconds, cached=False,
                           aux=True)
     fusion = FusionPass()
     with StageClock() as clock:
-        fusion.run(optimized)
+        fusion.run(module)
     if report is not None:
         report.record("canonicalize/fuse", clock.seconds, cached=False,
                       detail=f"{fusion.fused} buffer(s)", aux=True)
-    verify_typed(optimized)
-    return optimized
+    verify_typed(module)
+    return module
 
 
 def stage_execute(payload: Tuple[Any, Any], *,
@@ -242,21 +242,21 @@ def stage_schedule(olympus: OlympusResult, *,
                           nodes)
 
 
-def builtin_stages() -> List[Tuple[str, Any, str]]:
-    """(name, fn, description) triples for the default registry."""
+def builtin_stages() -> List[Stage]:
+    """The stages of the default registry."""
     return [
-        ("frontend-parse", stage_frontend_parse,
-         "EKL source text -> kernel AST"),
-        ("dialect-lowering", stage_dialect_lowering,
-         "kernel AST -> verified affine module"),
-        ("canonicalize", stage_canonicalize,
-         "fold/DCE/CSE (+ inlining at -O2) on the lowered module"),
-        ("execute", stage_execute,
-         "affine module -> compiled CPU executor (vectorized numpy)"),
-        ("hls", stage_hls,
-         "affine module -> HLS kernel report"),
-        ("olympus", stage_olympus,
-         "kernel report -> DSE + system architecture"),
-        ("schedule", stage_schedule,
-         "system architecture -> deployment IR + HEFT schedule"),
+        Stage("frontend-parse", stage_frontend_parse,
+              "EKL source text -> kernel AST"),
+        Stage("dialect-lowering", stage_dialect_lowering,
+              "kernel AST -> verified affine module", cacheable=False),
+        Stage("canonicalize", stage_canonicalize,
+              "fold/DCE/CSE (+ inlining at -O2) on the lowered module"),
+        Stage("execute", stage_execute,
+              "affine module -> compiled CPU executor (vectorized numpy)"),
+        Stage("hls", stage_hls,
+              "affine module -> HLS kernel report"),
+        Stage("olympus", stage_olympus,
+              "kernel report -> DSE + system architecture"),
+        Stage("schedule", stage_schedule,
+              "system architecture -> deployment IR + HEFT schedule"),
     ]

@@ -190,10 +190,6 @@ class _LoopGenerator:
     def _result_info(self, op: Operation) -> Tuple[T.TensorType, Value]:
         ty = op.results[0].type
         assert isinstance(ty, T.TensorType)
-        if ty.rank == 0:
-            # Rank-0 results stay scalars only for constants; allocate a
-            # rank-0 memref so loops can still store into it.
-            pass
         buf = self._alloc(ty)
         self.mapping[op.results[0]] = (_MEMREF, buf)
         return ty, buf
@@ -226,6 +222,12 @@ class _LoopGenerator:
             body.create("memref.store", [loaded, buf] + ivs + [idx], [])
 
     def _lower_broadcast(self, op: Operation) -> None:
+        source = self.mapping[op.operands[0]]
+        if source[0] == _SCALAR and all(
+                user.name != "func.return" for user, _ in op.results[0].uses):
+            # Readers use the scalar itself; an output copies a buffer.
+            self.mapping[op.results[0]] = source
+            return
         ty, buf = self._result_info(op)
         in_axes = op.attr("in_axes") or []
         axes = op.attr("axes") or []
@@ -284,12 +286,7 @@ class _LoopGenerator:
                 cast = body.create("arith.index_cast", [loaded],
                                    [T.index]).result
                 base_indices.append(cast)
-        kind, base_ref = self.mapping[base]
-        if kind == _SCALAR:
-            value = base_ref
-        else:
-            value = body.create("memref.load", [base_ref] + base_indices,
-                                [ty.element]).result
+        value = self._load(body, base, base_indices)
         body.create("memref.store", [value, buf] + ivs, [])
 
     def _lower_transpose(self, op: Operation) -> None:

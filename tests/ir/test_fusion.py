@@ -7,10 +7,13 @@ a buffer with more than one reader, never crosses a reduction store,
 and never moves a read past an interfering write.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from repro.frontends.ekl import parse_kernel
+from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
 from repro.ir import Builder, CanonicalizePass, FusionPass, fuse_module, verify
 from repro.ir import types as T
@@ -18,6 +21,10 @@ from repro.ir.core import Block, Module, Operation, Region
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 from repro.tensorpipe.affine_interp import run_affine
 from repro.tensorpipe.codegen import compile_affine
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..",
+                                "tools"))
+from irfuzz import check_executor, generate_ekl_case  # noqa: E402
 
 
 def lower_raw(source):
@@ -354,3 +361,94 @@ class TestPipelineIntegration:
                               opt_level=opt_level)
         np.testing.assert_array_equal(got.outputs["out"],
                                       ref.outputs["out"])
+
+
+def _scalar_filled_allocs(module):
+    """Buffers whose every store sits in a loop nest and writes a value
+    defined outside it (next to the alloc), other than an output's
+    source: the fill nest of a scalar broadcast."""
+    found = []
+    for op in module.walk():
+        if op.name != "memref.alloc":
+            continue
+        uses = op.results[0].uses
+        if any(user.name == "memref.copy" for user, _ in uses):
+            continue
+        stores = [user for user, idx in uses
+                  if user.name == "memref.store" and idx == 1]
+        if stores and all(
+                store.parent is not op.parent and
+                getattr(store.operands[0].owner_op(), "parent", None)
+                is op.parent for store in stores):
+            found.append(op)
+    return found
+
+
+class TestScalarBroadcast:
+    """A broadcast of a scalar lowers to the scalar itself: no buffer and
+    no fill nest for fusion to delete afterwards."""
+
+    @pytest.mark.parametrize("seed", range(0, 400, 4))
+    def test_raw_lowering_fills_no_buffer_with_a_scalar(self, seed):
+        source, _ = generate_ekl_case(seed)
+        _, module = lower_raw(source)
+        assert _scalar_filled_allocs(module) == []
+
+    def test_fig3_raw_lowering_fills_no_buffer_with_a_scalar(self):
+        _, module = lower_raw(FIG3_MAJOR_ABSORBER)
+        assert _scalar_filled_allocs(module) == []
+
+    def test_a_returned_scalar_broadcast_keeps_its_buffer(self):
+        source = """
+kernel k {
+  index i: 4, j: 3
+  input a[i, j]: f64
+  output out
+  out = select(a <= 1.0, 2.0, 2.0)
+}
+"""
+        from repro.pipeline import PipelineSession
+
+        inputs = {"a": np.arange(12.0).reshape(4, 3)}
+        for opt_level in (0, 1, 2):
+            for backend in ("interpreter", "compiled", "cbackend"):
+                got = PipelineSession().execute(
+                    source, inputs, backend=backend, opt_level=opt_level)
+                np.testing.assert_array_equal(got.outputs["out"],
+                                              np.full((4, 3), 2.0))
+
+    def test_fig3_is_smaller_and_bitwise_unchanged(self, rrtmg_inputs):
+        """172 ops and a 3,728-byte C arena while a scalar broadcast
+        still built a buffer; its fill nest now never exists."""
+        from repro.pipeline import PipelineSession
+
+        session = PipelineSession()
+        module = session.lower(FIG3_MAJOR_ABSORBER).module
+        assert sum(1 for _ in module.walk()) == 165
+        expected = session.execute(FIG3_MAJOR_ABSORBER, rrtmg_inputs,
+                                   backend="interpreter").outputs
+        for backend in ("compiled", "cbackend"):
+            result = session.execute(FIG3_MAJOR_ABSORBER, rrtmg_inputs,
+                                     backend=backend)
+            for name, value in expected.items():
+                np.testing.assert_array_equal(result.outputs[name], value)
+        kernel = result.kernel
+        if kernel.backend == "cbackend":
+            assert kernel.arena_bytes == 3600
+
+    @pytest.mark.parametrize("seed, ops, arena_bytes", [
+        (103, 25, 80),    # 31 ops and 120 bytes with the broadcast buffer
+        (386, 22, 960),   # 32 ops and 1,920 bytes
+    ])
+    def test_fuzz_kernels_that_read_a_broadcast_twice(self, seed, ops,
+                                                      arena_bytes):
+        """Two loads read the broadcast, so fusion could not remove its
+        buffer; the lowering no longer builds one."""
+        from repro.pipeline import PipelineSession
+
+        source, _ = generate_ekl_case(seed)
+        result = PipelineSession().compile(source)
+        assert sum(1 for _ in result.module.walk()) == ops
+        assert result.report.planned_arena_bytes == arena_bytes
+        for backend in ("compiled", "cbackend"):
+            check_executor(seed, backend=backend)

@@ -613,3 +613,107 @@ class TestConcurrency:
         assert a is not b
         a.key = "mutated"
         assert b.key != "mutated"
+
+
+class TestRawLoweringIsNotCached:
+    """``dialect-lowering`` runs inside the ``canonicalize`` leader and
+    its module is optimized in place, never shared or stored."""
+
+    def _gated_lowering(self, session, fail_first=False):
+        """Replace ``dialect-lowering`` with a wrapper whose first call
+        blocks until released (and then raises, with ``fail_first``)."""
+        import threading
+
+        from repro.errors import LoweringError
+        from repro.pipeline.stages import stage_dialect_lowering
+
+        calls = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def gated(kernel, **params):
+            calls.append(kernel.name)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(timeout=10)
+                if fail_first:
+                    raise LoweringError("lowering failed")
+            return stage_dialect_lowering(kernel, **params)
+
+        session.register("dialect-lowering", gated, replace=True,
+                         cacheable=False)
+        return calls, entered, release
+
+    def _run_parked(self, session, entered, release, target, count):
+        """Start ``count`` threads on ``target``; release the leader once
+        every other thread waits on its flight."""
+        import threading
+        import time
+
+        threads = [threading.Thread(target=target) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        assert entered.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while session.singleflight.waits < count - 1:
+            assert time.monotonic() < deadline
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+
+    def test_concurrent_cold_compiles_lower_once(self):
+        session = PipelineSession()
+        session.frontend(FIG3_MAJOR_ABSORBER)  # only canonicalize waits
+        calls, entered, release = self._gated_lowering(session)
+        modules = []
+        self._run_parked(
+            session, entered, release, count=8,
+            target=lambda: modules.append(
+                session.lower(FIG3_MAJOR_ABSORBER).module))
+        assert calls == ["tau_major"]
+        assert len(modules) == 8
+        assert all(module is modules[0] for module in modules)
+
+    def test_lowering_error_reaches_every_waiter_and_is_not_cached(self):
+        session = PipelineSession()
+        session.frontend(FIG3_MAJOR_ABSORBER)
+        calls, entered, release = self._gated_lowering(session,
+                                                       fail_first=True)
+        errors = []
+
+        def lower():
+            try:
+                session.lower(FIG3_MAJOR_ABSORBER)
+            except EverestError as error:
+                errors.append(str(error))
+
+        self._run_parked(session, entered, release, lower, count=4)
+        assert errors == ["lowering failed"] * 4
+        assert len(session.cache) == 1  # the parse only
+        assert session.lower(FIG3_MAJOR_ABSORBER).module is not None
+        assert len(calls) == 2
+
+    def test_other_opt_levels_leave_the_cached_module_alone(self):
+        session = PipelineSession()
+        cached = session.lower(FIG3_MAJOR_ABSORBER, opt_level=1).module
+        text = print_module(cached)
+        for opt_level in (2, 0):
+            assert session.lower(FIG3_MAJOR_ABSORBER,
+                                 opt_level=opt_level).module is not cached
+        assert session.lower(FIG3_MAJOR_ABSORBER,
+                             opt_level=1).module is cached
+        assert print_module(cached) == text
+
+    def test_the_cache_holds_no_raw_module(self):
+        session = PipelineSession()
+        sources = [FIG3_MAJOR_ABSORBER.replace("tau_major", f"tau_{n}")
+                   for n in range(5)]
+        for source in sources:
+            session.compile(source)
+        # parse, canonicalize and hls per kernel; no dialect-lowering.
+        assert len(session.cache) == 3 * len(sources)
+        for source in sources:
+            parse_key, _ = session.frontend(source)
+            raw_key = session.stage_key("dialect-lowering",
+                                        {"canonicalize": True}, parse_key)
+            assert session.cache.peek(raw_key) == (False, None)
