@@ -18,8 +18,12 @@ _REFERENCE = [_MODEL.forward(s) for s in _BATCH]
 def test_dosa_scaling(benchmark, ranks):
     plan = partition_model(_MODEL, ranks)
     result = benchmark(simulate_pipeline, plan, _BATCH)
+    assert len(result["outputs"]) == len(_REFERENCE)
     for got, want in zip(result["outputs"], _REFERENCE):
-        np.testing.assert_allclose(got, want)
+        assert np.array_equal(got, want)
+    assert result["messages"] == (ranks - 1) * len(_BATCH)
+    assert result["bytes_on_wire"] == len(_BATCH) * sum(
+        p.output_bytes for p in plan.partitions[:-1])
     print(f"\n  ranks={ranks} modelled_throughput="
           f"{plan.throughput_fps():8.0f} fps "
           f"wire={result['bytes_on_wire']}B "

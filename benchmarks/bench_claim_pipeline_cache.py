@@ -20,7 +20,8 @@ def test_cache_hot_recompile(benchmark):
 
     warm = benchmark(lambda: session.compile(FIG3_MAJOR_ABSORBER))
     assert warm.report is cold.report
-    assert session.report.cache_hits >= 4
+    # frontend-parse, canonicalize and hls: the raw lowering is no entry.
+    assert session.report.cache_hits >= 3
     # Every timed iteration was served from the cache.
     assert all(e.cached for e in list(session.report.events)[cold_events:])
 

@@ -1,8 +1,9 @@
 """FIG1: the converged heterogeneous platform (paper Fig. 1).
 
-Instantiates the full stack — accelerated nodes, the virtualization/
-container layer, the daemon's REST surface, and a vertical solution (a
-traffic query) — and deploys a workflow end to end through it.
+Instantiates the full stack — accelerated nodes, the daemon's REST
+surface, and a vertical solution (a traffic query) — and deploys a
+workflow end to end through it.  The virtualization layer is Fig. 6's
+own model (``bench_fig6_virtualization.py``).
 """
 
 import numpy as np
@@ -29,8 +30,6 @@ def _build_platform():
 def test_fig1_platform_bringup(benchmark):
     cluster, service, _ = benchmark(_build_platform)
     assert len(cluster.fpga_nodes()) == 4
-    for node in cluster.nodes.values():
-        assert node.libvirt.getInfo().total_vfs > 0
     # The resource manager answers for the vertical's workflow over the
     # same API every other tenant uses.
     reply = service.handle("runtime", {"nodes": 4, "tasks": [

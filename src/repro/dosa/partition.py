@@ -1,10 +1,10 @@
 """DNN partitioning across network-attached FPGAs (the DOSA core).
 
 Splits a sequential model into contiguous per-node partitions balancing
-compute (MACs), then simulates steady-state pipelined inference over the
-ZRLMPI fabric: each node computes its partition and streams its activation
-tensor to the next rank over the 10 Gb/s link.  Throughput is limited by
-the slowest stage — compute- or communication-bound.
+compute (MACs).  One pipeline model times the plan: each rank computes its
+partition and sends its activation tensor to the next rank over the
+10 Gb/s link (ZRLMPI's hand-off), so throughput is limited by the slowest
+stage — compute- or communication-bound.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from repro.dosa.osa import OperationSet, OSA_CLOUDFPGA, require_coverage
 from repro.errors import EverestError
 from repro.frontends.onnx_front import Model, run_layer
-from repro.platforms.network import LinkModel, ZRLMPIFabric
+from repro.platforms.network import LinkModel
 
 
 @dataclass
@@ -117,31 +117,30 @@ def simulate_pipeline(plan: PartitionPlan, batch: List[np.ndarray],
                       link: Optional[LinkModel] = None) -> dict:
     """Functionally execute a batch through the partitioned pipeline.
 
-    Every sample flows rank to rank over a :class:`ZRLMPIFabric`; the
-    result is bit-identical to single-node inference, plus the fabric's
-    timing: makespan, messages and effective throughput.
+    Each sample runs partition by partition through ``run_layer``, so the
+    outputs are bit-identical to single-node inference.  The timing is the
+    plan's pipeline model: the first sample crosses every stage, and each
+    later one finishes one bottleneck stage after the one before it.
     """
-    fabric = ZRLMPIFabric(plan.num_ranks, link or LinkModel())
+    link = link or LinkModel()
     outputs: List[np.ndarray] = []
-    for sample_tag, sample in enumerate(batch):
+    for sample in batch:
         activation = sample
         for partition in plan.partitions:
-            rank = partition.rank
-            if rank > 0:
-                activation = fabric.recv(rank, tag=sample_tag)
             for layer_index in partition.layer_indices:
-                layer = plan.model.layers[layer_index]
-                activation = run_layer(layer, activation)
-            fabric.compute(rank, plan.stage_compute_seconds(partition))
-            if rank < plan.num_ranks - 1:
-                fabric.send(rank, rank + 1, activation,
-                            int(activation.size) * 4, tag=sample_tag)
+                activation = run_layer(plan.model.layers[layer_index],
+                                       activation)
         outputs.append(activation)
+    n = len(batch)
+    first = sum(
+        plan.stage_compute_seconds(p) + plan.stage_comm_seconds(p, link)
+        for p in plan.partitions
+    )
+    makespan = first + (n - 1) * plan.bottleneck_seconds(link) if n else 0.0
     return {
         "outputs": outputs,
-        "makespan_seconds": fabric.makespan,
-        "messages": fabric.sent_messages,
-        "bytes_on_wire": fabric.sent_bytes,
-        "throughput_fps": len(batch) / fabric.makespan
-        if fabric.makespan else float("inf"),
+        "makespan_seconds": makespan,
+        "messages": (plan.num_ranks - 1) * n,
+        "bytes_on_wire": n * sum(p.output_bytes for p in plan.partitions[:-1]),
+        "throughput_fps": n / makespan if makespan else float("inf"),
     }

@@ -3,8 +3,9 @@
 Olympus generates "host code drivers to move data from host to device and
 initiate execution on the device" (§V-C).  Here the driver is generated as
 executable Python source against the XRT-like API — and as a ready-made
-callable (:func:`build_driver`) wired to a simulated device, which is what
-the runtime and the benchmarks use.
+callable (:func:`build_driver`) wired to a simulated device.  Only the
+tests call it: the runtime engine prices an FPGA task with its own cost
+model and never runs this host code.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The EVEREST nodes carry PCIe-attached AMD Alveo cards (u55c, u280, driven
 by an XRT-like API) and network-attached IBM cloudFPGA nodes on a 10 Gb/s
 fabric.  Everything is a timing/resource model — the substitution for real
-hardware documented in DESIGN.md — with a single :class:`SimClock` keeping
-simulated time coherent across the whole SDK.
+hardware documented in DESIGN.md.  A :class:`SimClock` times one XRT
+device's transfers and kernel runs; the runtime engine keeps its own event
+clock for the cluster.
 """
 
 from repro.platforms.device import (
@@ -22,7 +23,7 @@ from repro.platforms.memory import (
     PLMConfig,
     TransferEstimate,
 )
-from repro.platforms.network import LinkModel, ZRLMPIFabric
+from repro.platforms.network import LinkModel
 from repro.platforms.xrt import (
     BufferObject,
     KernelHandle,
@@ -44,7 +45,6 @@ __all__ = [
     "PLMConfig",
     "TransferEstimate",
     "LinkModel",
-    "ZRLMPIFabric",
     "BufferObject",
     "KernelHandle",
     "RunHandle",

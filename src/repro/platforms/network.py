@@ -1,16 +1,15 @@
-"""Network models: the 10 Gb/s fabric of network-attached FPGAs and ZRLMPI.
+"""Network model: the link timing of the data-center and cloudFPGA fabrics.
 
 IBM cloudFPGA nodes hang directly off a TCP/UDP network (paper §III); DOSA
 partitions DNNs across them and inserts "hardware-agnostic synchronous
 communication routines" — ZRLMPI (Ringlein et al., FCCM 2020).  This module
-provides the link-timing model and a small synchronous message-passing
-simulation used by :mod:`repro.dosa`.
+provides the link-timing model that :class:`repro.runtime.Cluster` prices
+transfers with and :mod:`repro.dosa` prices partition hand-offs with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
 
 from repro.errors import PlatformError
 
@@ -33,72 +32,3 @@ class LinkModel:
         return self.latency_us * 1e-6 + wire_bytes / (
             self.bandwidth_gbps / 8 * 1e9
         )
-
-
-@dataclass
-class ZRLMPIMessage:
-    source: int
-    dest: int
-    tag: int
-    payload: object
-    bytes: int
-    arrive_at: float
-
-
-class ZRLMPIFabric:
-    """A synchronous message-passing fabric between FPGA ranks.
-
-    Mirrors ZRLMPI's unified programming model: ``send``/``recv`` by rank
-    and tag, with the link model supplying timing.  Per-rank clocks advance
-    as messages are sent and received, so the fabric also yields end-to-end
-    pipeline timings for DOSA.
-    """
-
-    def __init__(self, ranks: int, link: LinkModel | None = None):
-        if ranks < 1:
-            raise PlatformError("fabric needs at least one rank")
-        self.ranks = ranks
-        self.link = link or LinkModel()
-        self.clock: List[float] = [0.0] * ranks
-        self.in_flight: Dict[Tuple[int, int], List[ZRLMPIMessage]] = {}
-        self.sent_messages = 0
-        self.sent_bytes = 0
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.ranks:
-            raise PlatformError(f"rank {rank} out of range [0, {self.ranks})")
-
-    def send(self, source: int, dest: int, payload: object,
-             num_bytes: int, tag: int = 0) -> None:
-        """Non-blocking send: enqueues the message with its arrival time."""
-        self._check_rank(source)
-        self._check_rank(dest)
-        wire = self.link.message_seconds(num_bytes)
-        message = ZRLMPIMessage(source, dest, tag, payload, num_bytes,
-                                self.clock[source] + wire)
-        self.in_flight.setdefault((dest, tag), []).append(message)
-        # The sender is busy only while serializing onto the wire.
-        self.clock[source] += num_bytes / (self.link.bandwidth_gbps / 8 * 1e9)
-        self.sent_messages += 1
-        self.sent_bytes += num_bytes
-
-    def recv(self, dest: int, tag: int = 0) -> object:
-        """Blocking receive: advances the receiver clock to the arrival."""
-        self._check_rank(dest)
-        queue = self.in_flight.get((dest, tag))
-        if not queue:
-            raise PlatformError(
-                f"rank {dest} would deadlock: no message with tag {tag}"
-            )
-        message = queue.pop(0)
-        self.clock[dest] = max(self.clock[dest], message.arrive_at)
-        return message.payload
-
-    def compute(self, rank: int, seconds: float) -> None:
-        """Model local computation time on one rank."""
-        self._check_rank(rank)
-        self.clock[rank] += seconds
-
-    @property
-    def makespan(self) -> float:
-        return max(self.clock)

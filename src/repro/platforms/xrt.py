@@ -4,8 +4,8 @@ Mirrors the Xilinx Runtime programming model the Alveo nodes use
 (paper §III): load an ``xclbin`` (here: a compiled
 :class:`~repro.olympus.arch_gen.SystemArchitecture`), allocate buffer
 objects, migrate them between host and device, and launch kernels.  All
-timing flows through a :class:`SimClock`, so whole-application timelines
-are coherent across transfers, kernel runs and the virtualized runtime.
+of one device's timing flows through a :class:`SimClock`, so its timeline
+is coherent across transfers and kernel runs.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class XRTDevice:
         self.clock = clock or SimClock()
         if device.pcie_gbps is None:
             raise PlatformError(
-                f"{device.name} is network-attached; use the ZRLMPI fabric"
+                f"{device.name} is network-attached; use repro.dosa"
             )
         self.pcie = PCIeModel(device.pcie_gbps)
         self.memory = MemoryChannelModel(device.default_memory(),

@@ -1,9 +1,10 @@
-"""Cluster model: heterogeneous nodes with CPUs, FPGAs and virtualization.
+"""Cluster model: heterogeneous nodes with CPUs and FPGAs.
 
 The EVEREST target system (§III): nodes with Intel Xeon / AMD EPYC CPUs,
 PCIe-attached Alveo cards and network-attached cloudFPGA nodes, connected
-by a data-center network.  Each node runs the virtualization stack of
-Fig. 6.
+by a data-center network.  The engine prices an FPGA task with the SR-IOV
+overhead of Fig. 6; the virtualization stack itself is the standalone
+model in :mod:`repro.runtime.virtualization`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,6 @@ from typing import Dict, List, Optional
 from repro.errors import RuntimeSchedulingError
 from repro.platforms.device import FPGADevice, alveo_u55c
 from repro.platforms.network import LinkModel
-from repro.runtime.virtualization import (
-    Hypervisor,
-    LibvirtDaemon,
-    PhysicalFunction,
-)
 
 
 @dataclass
@@ -27,16 +23,9 @@ class Node:
 
     name: str
     cores: int = 32
-    memory_mb: int = 262_144
     core_gflops: float = 2.5  # per-core sustained f64 GFLOP/s
     fpgas: List[FPGADevice] = field(default_factory=list)
     alive: bool = True
-    libvirt: Optional[LibvirtDaemon] = None
-
-    def __post_init__(self) -> None:
-        pfs = [PhysicalFunction(device) for device in self.fpgas]
-        hypervisor = Hypervisor(self.name, self.cores, self.memory_mb, pfs)
-        self.libvirt = LibvirtDaemon(hypervisor)
 
     @property
     def has_fpga(self) -> bool:

@@ -21,12 +21,10 @@ from repro.olympus import (
     share_plm,
 )
 from repro.platforms import (
-    LinkModel,
     MemoryChannelModel,
     PLMConfig,
     SimClock,
     XRTDevice,
-    ZRLMPIFabric,
     alveo_u55c,
     alveo_u280,
     cloudfpga_node,
@@ -81,25 +79,6 @@ class TestMemoryModels:
         assert plm.footprint_bytes == 16 * 2304
         assert plm.bram_blocks == 16
         assert plm.ports == 4
-
-
-class TestZRLMPI:
-    def test_send_recv_order_and_timing(self):
-        fabric = ZRLMPIFabric(2, LinkModel(bandwidth_gbps=10))
-        fabric.send(0, 1, "payload", 1500)
-        assert fabric.recv(1) == "payload"
-        assert fabric.clock[1] > 0
-        assert fabric.sent_messages == 1
-
-    def test_recv_without_message_deadlocks(self):
-        fabric = ZRLMPIFabric(2)
-        with pytest.raises(PlatformError):
-            fabric.recv(1)
-
-    def test_rank_bounds_checked(self):
-        fabric = ZRLMPIFabric(2)
-        with pytest.raises(PlatformError):
-            fabric.send(0, 5, "x", 10)
 
 
 class TestXRT:

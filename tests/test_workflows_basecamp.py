@@ -162,8 +162,28 @@ class TestDOSA:
                    for i in range(3)]
         expected = [model.forward(s) for s in samples]
         result = simulate_pipeline(plan, samples)
+        assert len(result["outputs"]) == len(expected)
         for got, want in zip(result["outputs"], expected):
-            np.testing.assert_allclose(got, want)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
+    def test_timing_is_the_plans_pipeline_model(self, ranks):
+        model = example_cnn()
+        plan = partition_model(model, ranks)
+        n = 6
+        samples = [np.random.default_rng(i).normal(size=model.input_shape)
+                   for i in range(n)]
+        result = simulate_pipeline(plan, samples)
+        assert result["messages"] == (ranks - 1) * n
+        assert result["bytes_on_wire"] == n * sum(
+            p.output_bytes for p in plan.partitions[:-1])
+        assert result["throughput_fps"] == n / result["makespan_seconds"]
+        # Filling the pipeline costs, so a batch never beats steady state;
+        # one rank has nothing to fill.
+        if ranks == 1:
+            assert result["throughput_fps"] == plan.throughput_fps()
+        else:
+            assert result["throughput_fps"] < plan.throughput_fps()
 
     def test_partitions_are_contiguous_and_complete(self):
         model = example_cnn()
