@@ -71,11 +71,14 @@ def _dtype_for(ty: T.Type):
 def bind_buffers(func: Operation, inputs: Mapping[str, np.ndarray]):
     """Allocate the argument buffers for one affine function call.
 
-    Inputs are copied (and shape/dtype checked) into fresh arrays; output
-    buffers are zero-initialized.  Returns ``(buffers, output_names)``
-    where ``buffers`` follows the entry-block argument order.  Shared by
-    the interpreter and the compiled backend so both execute over
-    identically prepared memory.
+    Inputs are borrowed, not copied: each is shape checked and converted
+    only when its dtype or memory layout (C order, which the C backend's
+    raw pointers need) requires it, then bound as a read-only view, so a
+    kernel that writes an input raises instead of corrupting the caller's
+    array.  Output buffers are fresh zeros.  Returns ``(buffers,
+    output_names)`` where ``buffers`` follows the entry-block argument
+    order.  Shared by the interpreter and the compiled backends so all
+    execute over identically prepared memory.
     """
     entry = func.regions[0].entry
     arg_names: List[str] = func.attr("arg_names")
@@ -89,13 +92,15 @@ def bind_buffers(func: Operation, inputs: Mapping[str, np.ndarray]):
         if i < len(entry.args) - num_outputs:
             if name not in inputs:
                 raise EverestError(f"missing input {name!r}")
-            array = np.asarray(inputs[name], dtype=dtype)
+            array = np.asarray(inputs[name], dtype=dtype, order="C")
             if tuple(array.shape) != tuple(ref.shape):
                 raise EverestError(
                     f"input {name!r}: expected {ref.shape}, "
                     f"got {array.shape}"
                 )
-            buffers.append(array.copy())
+            view = array.view()
+            view.flags.writeable = False
+            buffers.append(view)
         else:
             buffers.append(np.zeros(ref.shape, dtype=dtype))
     return buffers, arg_names[len(entry.args) - num_outputs:]

@@ -135,6 +135,10 @@ class CEmitter:
         if self.func.attr("kernel_lang") != "affine":
             raise EverestError(f"{func_name} is not an affine-level function")
         self.supported = supported
+        # C cannot see a read-only flag: a write to an input is refused here.
+        args = self.func.regions[0].entry.args
+        count = len(args) - self.func.attr("num_outputs")
+        self.inputs = dict(zip(args[:count], self.func.attr("arg_names")))
         self.plan: NestPlan = plan_nests(self.func)
         self.lines: List[str] = []
         self.indent = 1
@@ -223,6 +227,10 @@ class CEmitter:
 
     def _emit_op(self, op: Operation) -> None:
         name = op.name
+        if name in ("memref.store", "memref.copy") and \
+                op.operands[1] in self.inputs:
+            raise UnsupportedAffineOp(
+                f"{name} writes input {self.inputs[op.operands[1]]!r}")
         if name == "memref.alloc":
             buffer = op.results[0]
             if buffer in self.plan.contracted:

@@ -166,7 +166,8 @@ class CompiledKernel:
     _runner: Optional[object] = field(default=None, repr=False)
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Execute over ``inputs``."""
+        """Execute over ``inputs``, borrowed as read-only views (see
+        ``bind_buffers``); returns fresh output arrays by name."""
         if self.backend == "interpreter":
             return self._interp.run(inputs)
         buffers, output_names = bind_buffers(self._func, inputs)

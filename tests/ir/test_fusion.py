@@ -210,9 +210,10 @@ class TestDoesNotFuse:
         assert count_allocs(module) >= 1
 
     def test_interfering_write_blocks_fusion(self):
-        # Hand-built: nest 1 computes buf = a * 2; nest 2 overwrites a;
-        # nest 3 reads buf.  Moving nest 1's read of `a` into nest 3
-        # would observe the overwrite — fusion must refuse.
+        # Hand-built: src is a scratch copy of a (kernels never write
+        # their inputs); nest 1 computes buf = src * 2; nest 2 overwrites
+        # src; nest 3 reads buf.  Moving nest 1's read of `src` into
+        # nest 3 would observe the overwrite — fusion must refuse.
         module = Module()
         ref = T.MemRefType((4,), T.f64)
         entry = Block([ref, ref])
@@ -227,6 +228,8 @@ class TestDoesNotFuse:
         module.append(func)
         builder = Builder.at_end(entry)
         a_arg, y_arg = entry.args
+        src = builder.create("memref.alloc", [], [ref]).result
+        builder.create("memref.copy", [a_arg, src], [])
         buf = builder.create("memref.alloc", [], [ref]).result
 
         def nest(emit):
@@ -237,7 +240,7 @@ class TestDoesNotFuse:
             emit(Builder.at_end(body), body.args[0])
 
         def produce(inner, iv):
-            loaded = inner.create("memref.load", [a_arg, iv], [T.f64]).result
+            loaded = inner.create("memref.load", [src, iv], [T.f64]).result
             two = inner.create("arith.constant", [], [T.f64],
                                {"value": 2.0}).result
             scaled = inner.create("arith.mulf", [loaded, two],
@@ -248,7 +251,7 @@ class TestDoesNotFuse:
         def clobber(inner, iv):
             zero = inner.create("arith.constant", [], [T.f64],
                                 {"value": 0.0}).result
-            inner.create("memref.store", [zero, a_arg, iv], [])
+            inner.create("memref.store", [zero, src, iv], [])
             inner.create("affine.yield", [], [])
 
         def consume(inner, iv):

@@ -6,7 +6,9 @@ The registry contract: ``interpreter``, ``compiled``,
 float64 results on the golden kernels; an unknown name raises listing
 the registered ones; the C backend either runs native code or falls
 back to ``compiled`` with the reason recorded — and a compiler crash
-mid-build can never poison the on-disk artifact cache.
+mid-build can never poison the on-disk artifact cache.  Every backend
+borrows its inputs read-only: none writes them, and a kernel that would
+is refused.
 """
 
 import os
@@ -20,7 +22,9 @@ import pytest
 from repro.errors import EverestError
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
-from repro.ir import CanonicalizePass, FusionPass, verify
+from repro.ir import Builder, CanonicalizePass, FusionPass, verify
+from repro.ir import types as T
+from repro.ir.core import Block, Module, Operation, Region
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 from repro.tensorpipe.affine_interp import run_affine
 from repro.tensorpipe.backends import (
@@ -571,6 +575,148 @@ kernel k {
         kernel = CBackend().compile(module, func_name)
         got = kernel.run(inputs)
         np.testing.assert_array_equal(got["c"], expected["c"])
+
+
+def input_writer(write):
+    """A hand-built affine function ``(a, y)`` that copies ``a`` into
+    ``y`` and then writes ``a`` itself: with a ``memref.store`` of zeros
+    in a nest, or a ``memref.copy`` from a scratch buffer."""
+    module = Module()
+    ref = T.MemRefType((4,), T.f64)
+    entry = Block([ref, ref])
+    module.append(Operation.create(
+        "func.func", [], [],
+        {"sym_name": "writer",
+         "function_type": T.FunctionType((ref, ref), ()),
+         "kernel_lang": "affine", "arg_names": ["a", "y"],
+         "num_outputs": 1},
+        [Region([entry])]))
+    builder = Builder.at_end(entry)
+    a_arg, y_arg = entry.args
+    builder.create("memref.copy", [a_arg, y_arg], [])
+    if write == "store":
+        body = Block([T.index])
+        builder.create("affine.for", [], [],
+                       {"lower": 0, "upper": 4, "step": 1}, [Region([body])])
+        inner = Builder.at_end(body)
+        zero = inner.create("arith.constant", [], [T.f64],
+                            {"value": 0.0}).result
+        inner.create("memref.store", [zero, a_arg, body.args[0]], [])
+        inner.create("affine.yield", [], [])
+    else:
+        scratch = builder.create("memref.alloc", [], [ref]).result
+        builder.create("memref.copy", [scratch, a_arg], [])
+    builder.create("func.return", [], [])
+    verify(module)
+    return module
+
+
+BORROW = """
+kernel k {
+  index i: 5, j: 3
+  input a[i, j]: f64
+  input b[i, j]: f64
+  output t
+  output out
+  t = a * b - a
+  out = sum[j](t * b + a)
+}
+"""
+
+
+def _borrow_cases():
+    rng = np.random.default_rng(21)
+    base = rng.normal(size=(5, 3))
+    wide = rng.normal(size=(5, 6))
+    ints = [[1, -2, 3], [4, 5, -6], [7, 8, 9], [0, 1, 2], [3, -4, 5]]
+    frozen = np.frombuffer(base.tobytes()).reshape(5, 3)
+    return {
+        "fortran": {"a": np.asfortranarray(base), "b": base},
+        "strided": {"a": wide[:, ::2], "b": base},
+        "int-list": {"a": ints, "b": base},
+        "read-only": {"a": frozen, "b": base},
+        "same-array": {"a": base, "b": base},
+    }
+
+
+class TestBorrowedInputs:
+    """Executors borrow their inputs as read-only views: a kernel never
+    writes its inputs, a kernel that would is refused, and outputs are
+    fresh arrays."""
+
+    @pytest.mark.parametrize("write", ["store", "copy"])
+    def test_writing_an_input_is_refused(self, write, isolated_cbackend):
+        module = input_writer(write)
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        for backend in ("interpreter", "compiled"):
+            kernel = compile_affine(module, "writer", backend=backend)
+            assert kernel.backend == backend
+            with pytest.raises(ValueError, match="read-only"):
+                kernel.run({"a": values})
+        needs_working_cc()      # builds the probe before the listing
+        built = sorted(os.listdir(isolated_cbackend))
+        kernel = compile_affine(module, "writer", backend="cbackend")
+        assert kernel.backend == "compiled"
+        assert f"memref.{write} writes input 'a'" in kernel.fallback
+        assert sorted(os.listdir(isolated_cbackend)) == built
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.run({"a": values})
+        np.testing.assert_array_equal(values, [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("case", sorted(_borrow_cases()))
+    @pytest.mark.parametrize("backend",
+                             ["interpreter", "compiled", "cbackend"])
+    def test_layout_dtype_and_aliasing_edges(self, case, backend):
+        inputs = _borrow_cases()[case]
+        before = {name: np.array(value) for name, value in inputs.items()}
+        plain = {name: np.array(value, dtype=np.float64, order="C")
+                 for name, value in inputs.items()}
+        func_name, module = lower_optimized(BORROW)
+        kernel = compile_affine(module, func_name, backend=backend)
+        got = kernel.run(inputs)
+        want = kernel.run(plain)
+        assert set(got) == {"t", "out"}
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+            for value in inputs.values():
+                assert not np.shares_memory(got[name], value)
+        for name, value in inputs.items():
+            np.testing.assert_array_equal(np.asarray(value), before[name])
+        if isinstance(inputs["a"], np.ndarray):
+            # Only the bound view is read-only, never the caller's array.
+            assert inputs["a"].flags.writeable == (case != "read-only")
+
+    def test_threads_share_one_cached_cbackend_kernel_and_inputs(self):
+        needs_working_cc()
+        rng = np.random.default_rng(8)
+        inputs = {"a": rng.normal(size=(5, 3)), "b": rng.normal(size=(5, 3))}
+        before = {name: value.copy() for name, value in inputs.items()}
+        session = PipelineSession()
+        expected = session.execute(BORROW, inputs, backend="cbackend")
+        assert expected.kernel.backend == "cbackend"
+        results, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    results.append(session.execute(
+                        BORROW, inputs, backend="cbackend").outputs)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 160
+        for outputs in results:
+            for name, value in expected.outputs.items():
+                np.testing.assert_array_equal(outputs[name], value)
+        for name, value in inputs.items():
+            np.testing.assert_array_equal(value, before[name])
+            assert value.flags.writeable
 
 
 class TestCLI:

@@ -336,7 +336,8 @@ def check_executor(seed: int, backend: str = "compiled") -> None:
     so bitwise equality is not expected there).  The ``cbackend`` may
     record a fallback (probe-rejected op, no compiler) — that is a
     clean degradation, not a failure; every other backend must compile
-    for real.
+    for real.  No run may change a byte of the inputs, and no output may
+    share memory with an input.
     """
     import numpy as np
 
@@ -362,6 +363,7 @@ def check_executor(seed: int, backend: str = "compiled") -> None:
         canonicalize=False,
     )
     verify(raw)
+    snapshot = {name: value.tobytes() for name, value in inputs.items()}
     for opt_level in (0, 1, 2):
         module = raw if opt_level == 0 else raw.clone()
         if opt_level >= 2:
@@ -378,6 +380,20 @@ def check_executor(seed: int, backend: str = "compiled") -> None:
                 f"seed {seed}: {backend} fell back to {compiled.backend} "
                 f"at -O{opt_level}\n{source}")
         got = compiled.run(inputs)
+        changed = sorted(name for name, value in inputs.items()
+                         if value.tobytes() != snapshot[name])
+        if changed:
+            raise AssertionError(
+                f"seed {seed}: input(s) {changed} changed by a run at "
+                f"-O{opt_level} ({backend})\n{source}")
+        for name, value in (*interpreted.items(), *got.items()):
+            aliased = sorted(key for key, array in inputs.items()
+                             if np.shares_memory(value, array))
+            if aliased:
+                raise AssertionError(
+                    f"seed {seed}: output {name!r} shares memory with "
+                    f"input(s) {aliased} at -O{opt_level} ({backend})"
+                    f"\n{source}")
         for name, value in interpreted.items():
             if not np.array_equal(got[name], value):
                 raise AssertionError(
