@@ -3,7 +3,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-steps bench-smoke bench-runtime bench-ir bench-exec \
 	bench-selftest serve-smoke fuzz-smoke fuzz-exec-smoke \
-	fuzz-analyze-smoke fuzz-runtime-smoke fuzz-runtime coverage \
+	fuzz-analyze-smoke fuzz-runtime-smoke fuzz-runtime \
+	fuzz-runtime-parent coverage \
 	docs-check examples lint all
 
 all: test docs-check
@@ -118,7 +119,8 @@ fuzz-analyze-smoke:
 # `make fuzz-runtime` goes deeper).  Then the schedule dump
 # (`--dump PATH`: every placement of the benchmark's workflows and the
 # fuzz cases under every policy) twice: the two files must be
-# byte-identical, as must the dumps of a change and its parent commit.
+# byte-identical, as must the dumps of a change and its parent commit
+# (`make fuzz-runtime-parent`).
 fuzz-runtime-smoke:
 	$(PYTHON) tools/workloadfuzz.py --count 60 --quiet
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -129,6 +131,21 @@ fuzz-runtime-smoke:
 
 fuzz-runtime:
 	$(PYTHON) tools/workloadfuzz.py --count 1000
+
+# Same schedules as REV: `git archive` exports REV (default HEAD, the
+# base of uncommitted edits; REV=HEAD~ once the change is committed) into
+# a temp dir, the work tree and the export each dump the 120-seed
+# campaign, and the two files must be byte-identical.  Not part of
+# `make test`.
+REV ?= HEAD
+fuzz-runtime-parent:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	mkdir "$$dir/rev" && git archive "$(REV)" | tar -x -C "$$dir/rev" && \
+	$(PYTHON) tools/workloadfuzz.py --count 120 --dump "$$dir/tree.json" && \
+	(cd "$$dir/rev" && PYTHONPATH=src $(PYTHON) tools/workloadfuzz.py \
+		--count 120 --dump "$$dir/rev.json") && \
+	cmp "$$dir/tree.json" "$$dir/rev.json" && \
+	echo "workloadfuzz --dump: work tree and $(REV) byte-identical"
 
 # Line coverage over the package; tolerates a container without
 # pytest-cov (prints a hint), but a real test failure still fails the

@@ -333,9 +333,10 @@ class BasecampService:
                     if not isinstance(dep, str):
                         raise EverestError(
                             f"'after' must list task names, got {dep!r}")
+                fpga = cls._field(entry, "fpga", bool, False)
                 spec.add(WorkflowTask(
                     entry["name"], _no_result, after,
-                    location="fpga" if entry.get("fpga") else "hpc",
+                    location="fpga" if fpga else "hpc",
                     fpga_seconds=cls._field(
                         entry, "fpga_seconds", float,
                         WorkflowTask.fpga_seconds, low=0.0),

@@ -261,26 +261,34 @@ class HEFTScheduler:
         the strictly smallest finish — the lexicographic minimum of
         ``(finish, cluster index)``.  Candidates arrive here ordered by
         a lower bound on exactly that key, so evaluation stops at the
-        first candidate whose bound cannot beat the current best.
+        first candidate whose bound cannot beat the current best.  A node
+        hosting none of the task's dependencies starts at ``ready_all``
+        or later, so when ``ready_all + shortest`` already exceeds the
+        best dependency host's finish — strictly: on a tie a lower index
+        could still win — the search is skipped.  Only candidate
+        evaluations sharpen the index's bounds (``observe``).
         Every price comes from ``costs``; ``graph`` and ``cluster`` are
         there for a placer that prices on its own (the scan oracle).
         """
         # Each task's feasible classes (finite runtime, enough cores) and
-        # the smallest runtime any task requests per (class, cores) —
-        # the duration floor baked into the index's cached bounds.
-        feasible_of: Dict[int, Dict[ClassKey, float]] = {}
+        # shortest runtime there, and the smallest runtime any task
+        # requests per (class, cores) — the duration floor of the bounds.
+        feasible_of: Dict[int, Tuple[Dict[ClassKey, float], float]] = {}
         floors: Dict[tuple, float] = {}
         for task in order:
             cores = task.resources.cores
             feasible = {}
+            shortest = inf
             for key, runtime in costs.runtime[task.task_id].items():
                 if runtime != inf and cores <= key[0]:  # the class's cores
                     feasible[key] = runtime
+                    if runtime < shortest:
+                        shortest = runtime
                     floor_key = (key, cores)
                     if floor_key not in floors \
                             or runtime < floors[floor_key]:
                         floors[floor_key] = runtime
-            feasible_of[task.task_id] = feasible
+            feasible_of[task.task_id] = feasible, shortest
         index = CandidateIndex(nodes, timelines, floors)
         placements = result.placements
         node_pos = {node.name: i for i, node in enumerate(nodes)}
@@ -302,7 +310,7 @@ class HEFTScheduler:
                 if arrival > ready_all:
                     ready_all = arrival
                 host_indices.add(node_pos[dep_placement.node])
-            feasible = feasible_of[task.task_id]
+            feasible, shortest = feasible_of[task.task_id]
             best_finish = best_idx = None
             best = None  # (node, start, runtime, comm)
             for idx in sorted(host_indices):
@@ -321,28 +329,29 @@ class HEFTScheduler:
                         ready_here = arrival
                 start = index.timelines[idx].earliest_start(
                     ready_here, runtime, cores)
-                index.observe(idx, cores, ready_here, runtime, start)
                 finish = start + runtime
                 if best_finish is None or (finish, idx) \
                         < (best_finish, best_idx):
                     best_finish, best_idx = finish, idx
                     best = (node, start, runtime, comm)
-            for bound, idx, runtime in index.candidates(feasible, cores,
-                                                        ready_all):
-                if best_finish is not None and (
-                        bound > best_finish
-                        or (bound == best_finish and idx >= best_idx)):
-                    break
-                if idx in host_indices:
-                    continue  # exact value already folded into best
-                start = index.timelines[idx].earliest_start(
-                    ready_all, runtime, cores)
-                index.observe(idx, cores, ready_all, runtime, start)
-                finish = start + runtime
-                if best_finish is None or (finish, idx) \
-                        < (best_finish, best_idx):
-                    best_finish, best_idx = finish, idx
-                    best = (nodes[idx], start, runtime, comm_all)
+            # Search only if a node hosting no dependency could still win.
+            if best_finish is None or ready_all + shortest <= best_finish:
+                for bound, idx, runtime in index.candidates(feasible, cores,
+                                                            ready_all):
+                    if best_finish is not None and (
+                            bound > best_finish
+                            or (bound == best_finish and idx >= best_idx)):
+                        break
+                    if idx in host_indices:
+                        continue  # exact value already folded into best
+                    start = index.timelines[idx].earliest_start(
+                        ready_all, runtime, cores)
+                    index.observe(idx, cores, ready_all, runtime, start)
+                    finish = start + runtime
+                    if best_finish is None or (finish, idx) \
+                            < (best_finish, best_idx):
+                        best_finish, best_idx = finish, idx
+                        best = (nodes[idx], start, runtime, comm_all)
             if best is None:
                 raise unplaceable(task)
             node, start, runtime, comm = best
@@ -350,7 +359,7 @@ class HEFTScheduler:
             # A commit only moves true start times later, so every
             # cached bound stays a valid lower bound.  The committed
             # node's bound is now optimistically low, so it sorts early
-            # once more and observe() re-sharpens it on its next exact
+            # once more and observe() re-sharpens it on its next candidate
             # evaluation.
             placements[task.task_id] = Placement(
                 task.task_id, node.name, start, start + runtime, cores)

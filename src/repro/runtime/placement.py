@@ -17,7 +17,7 @@ candidate search that returns **bitwise-identical placements**:
   ``earliest_start(r_i, dmin, cores)`` valid for queries with
   ``ready >= r_i``, where ``dmin`` is the smallest runtime any task in
   the graph requests from that (class, cores) pair.  Watermarks advance
-  every time the scheduler evaluates a node exactly
+  every time the scheduler evaluates a candidate node exactly
   (:meth:`CandidateIndex.observe`), so the bounds track the schedule
   frontier instead of decaying into useless zero-time estimates as the
   cluster saturates.  A commit invalidates nothing: added load only

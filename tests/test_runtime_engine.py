@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import RuntimeSchedulingError
 from repro.platforms import alveo_u55c
+from repro.platforms.network import LinkModel
 from repro.runtime import (
     POLICIES,
     Cluster,
@@ -29,6 +30,8 @@ from repro.runtime import (
     resolve_policy,
     synthetic_workflow,
 )
+from repro.runtime.placement import CandidateIndex
+from repro.runtime.taskgraph import TaskGraph
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "tools")
@@ -41,6 +44,7 @@ from oracles import (  # noqa: E402
     fresh_timelines,
     topological_order_dfs,
 )
+from workloadfuzz import engine_plan_op  # noqa: E402
 
 
 def _assert_capacity_respected(schedule, cluster):
@@ -956,6 +960,100 @@ class TestIncrementalHEFTEquivalence:
             HEFTScheduler().schedule(graph, cluster, ready, warm()),
             ScanHEFT().schedule(graph, cluster, ready, warm()),
         )
+
+    @staticmethod
+    def _chain(*requests, output_bytes=8192):
+        """One task per resource request, each depending on the last."""
+        graph = TaskGraph()
+        previous = ()
+        for i, request in enumerate(requests):
+            previous = (graph.add(lambda *a: None, previous, {}, request,
+                                  output_bytes, f"t{i}"),)
+        return graph
+
+    @staticmethod
+    def _count_searches(monkeypatch):
+        """How many times placement opens the candidate stream."""
+        calls = []
+        search = CandidateIndex.candidates
+
+        def counting(self, *args):
+            calls.append(args)
+            return search(self, *args)
+
+        monkeypatch.setattr(CandidateIndex, "candidates", counting)
+        return calls
+
+    def test_a_winning_dependency_host_skips_the_search(self, monkeypatch):
+        # Every transfer is remote elsewhere, so each successor finishes
+        # strictly first on its predecessor's node.
+        graph = self._chain(*[ResourceRequest() for _ in range(5)])
+        cluster = default_cluster(4)
+        searches = self._count_searches(monkeypatch)
+        heft = self._plan(HEFTScheduler, graph, cluster)
+        assert len(searches) == 1  # the root only: it has no host
+        self._assert_same(heft, self._plan(ScanHEFT, graph, cluster))
+        assert {p.node for p in heft.placements.values()} == {"node0"}
+
+    def test_a_tie_with_a_lower_indexed_node_still_searches(self,
+                                                             monkeypatch):
+        # Zero-byte outputs on a free network: a non-host node is ready
+        # exactly when the host is.  n0 is busy until the root would
+        # finish, so the root runs on n1 and its successor finishes at
+        # the same time on both nodes: the lower index, n0, wins.
+        cluster = Cluster([Node(name=f"n{i}", cores=1, fpgas=[])
+                           for i in range(2)],
+                          LinkModel(latency_us=0.0,
+                                    per_packet_overhead_bytes=0))
+        graph = self._chain(ResourceRequest(), ResourceRequest(),
+                            output_bytes=0)
+        root_id, successor_id = sorted(graph.tasks)
+        runtime = graph.tasks[root_id].runtime_on_cpu(cluster.node("n0"))
+
+        def warm():
+            timelines = fresh_timelines(cluster)
+            timelines["n0"].commit(0.0, runtime, 1)
+            return timelines
+
+        searches = self._count_searches(monkeypatch)
+        heft = HEFTScheduler().schedule(graph, cluster, {}, warm())
+        assert len(searches) == 2
+        root = heft.placements[root_id]
+        successor = heft.placements[successor_id]
+        assert root.node == "n1"
+        assert (successor.node, successor.finish) \
+            == ("n0", root.finish + runtime)
+        self._assert_same(heft, ScanHEFT().schedule(graph, cluster, {},
+                                                    warm()))
+
+    @pytest.mark.parametrize("successor, host", [
+        (ResourceRequest(fpga=True, fpga_seconds=0.01),
+         Node(name="host", fpgas=[])),
+        (ResourceRequest(cores=8), Node(name="host", cores=4, fpgas=[])),
+    ], ids=["fpga-task-on-a-host-without-fpga", "host-with-too-few-cores"])
+    def test_a_dependency_host_that_cannot_run_the_task_searches(
+            self, monkeypatch, successor, host):
+        cluster = Cluster([host, Node(name="other",
+                                      fpgas=[alveo_u55c()])])
+        graph = self._chain(ResourceRequest(), successor)
+        searches = self._count_searches(monkeypatch)
+        heft = self._plan(HEFTScheduler, graph, cluster)
+        assert len(searches) == 2
+        root, placed = (heft.placements[tid] for tid in sorted(graph.tasks))
+        assert (root.node, placed.node) == ("host", "other")
+        self._assert_same(heft, self._plan(ScanHEFT, graph, cluster))
+
+    @pytest.mark.parametrize("workflow", range(8))
+    def test_identical_on_the_engine_plan_workflows(self, workflow):
+        """The benchmark's op, failure repair included, through the
+        engine with either placer."""
+        engine, heft = engine_plan_op(workflow, HEFTScheduler())
+        scan_engine, scan = engine_plan_op(workflow, ScanHEFT())
+        self._assert_same(heft, scan)
+        assert heft.rescheduled_tasks == scan.rescheduled_tasks > 0
+        for name, timeline in engine.timelines.items():
+            assert timeline.intervals \
+                == scan_engine.timelines[name].intervals, name
 
     def test_timeline_index_places_like_the_interval_scan(self):
         graph = self._graph(60, seed=3)

@@ -450,6 +450,16 @@ class TestHTTP:
                                 "fpga_seconds": float("nan")}, "b"),
                      "task 'a': 'fpga_seconds' must be finite",
                      id="fpga_seconds-nan"),
+        # Read by truthiness, "false" used to place an FPGA task.
+        pytest.param("runtime", described({"name": "a", "fpga": "false"}),
+                     "task 'a': 'fpga' must be of type bool, got 'false'",
+                     id="fpga-str"),
+        pytest.param("runtime", described({"name": "a", "fpga": 1}),
+                     "task 'a': 'fpga' must be of type bool, got 1",
+                     id="fpga-int"),
+        pytest.param("runtime", described({"name": "a", "fpga": None}),
+                     "task 'a': 'fpga' must be of type bool, got None",
+                     id="fpga-null"),
         pytest.param("runtime", described({"name": "a", "output_bytes": -5}),
                      "task 'a': 'output_bytes' must be >= 0",
                      id="output_bytes-negative"),
