@@ -16,7 +16,7 @@ monitoring with mid-run rescheduling — behind pluggable policies:
 """
 
 from repro.runtime.engine.core import RuntimeEngine
-from repro.runtime.engine.events import Event, EventQueue, SimClock
+from repro.runtime.engine.events import SimClock
 from repro.runtime.engine.policies import (
     POLICIES,
     HEFTScheduler,
@@ -29,8 +29,6 @@ from repro.runtime.engine.workloads import synthetic_workflow
 
 __all__ = [
     "RuntimeEngine",
-    "Event",
-    "EventQueue",
     "SimClock",
     "POLICIES",
     "HEFTScheduler",

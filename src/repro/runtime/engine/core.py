@@ -28,16 +28,21 @@ executes real work:
   clock advances, and when the :class:`~repro.runtime.monitor.ClusterMonitor`
   reports a dead node the engine automatically re-places every placement
   lost to the failure.
+
+Bookkeeping is one :class:`_TaskRecord` per task and plain-tuple events
+(:mod:`~repro.runtime.engine.events`): a task costs the heap push and pop
+of its start and its finish, one handler call each, and its function.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+import math
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import RuntimeSchedulingError
 from repro.runtime.cluster import Cluster
 from repro.runtime.engine import events as ev
-from repro.runtime.engine.events import EventQueue, SimClock
 from repro.runtime.engine.policies import (
     Placement,
     ScheduleResult,
@@ -46,7 +51,7 @@ from repro.runtime.engine.policies import (
     resolve_policy,
 )
 from repro.runtime.monitor import ClusterMonitor
-from repro.runtime.taskgraph import Future, ResourceRequest, TaskGraph
+from repro.runtime.taskgraph import Future, ResourceRequest, Task, TaskGraph
 from repro.runtime.timeline import NodeTimeline
 from repro.telemetry.trace import get_tracer
 
@@ -56,12 +61,42 @@ RUNNING = "running"      # real function called, outcome held back
 DONE = "done"            # result stored in graph.results
 
 
+class _TaskRecord:
+    """Everything the engine tracks about one task, in one place.
+
+    ``epoch`` counts the task's placements lost to node failures: a
+    queued start or finish carries the epoch it was queued under and is
+    skipped once the two differ.  ``outcome`` is ``(returned, value or
+    exception)`` of the function, held from the simulated start until
+    the finish publishes it.  ``blockers`` is how many unfinished
+    dependencies hold the task back (online dispatch), and ``dependents``
+    are the records to unblock when it finishes, or to re-place with it
+    when its output is lost.
+    """
+
+    __slots__ = ("task", "state", "epoch", "outcome", "blockers",
+                 "dependents")
+
+    def __init__(self, task: Task):
+        self.task = task
+        self.state = PENDING
+        self.epoch = 0
+        self.outcome: Any = None
+        self.blockers = 0
+        self.dependents: List[_TaskRecord] = []
+
+
 class RuntimeEngine:
     """Discrete-event unification of scheduling, execution, monitoring."""
 
     def __init__(self, cluster: Cluster,
                  policy: Optional[SchedulingPolicy] = None, *,
                  heartbeat_interval: Optional[float] = None):
+        if heartbeat_interval is not None \
+                and not 0.0 < heartbeat_interval < math.inf:
+            raise RuntimeSchedulingError(
+                f"heartbeat_interval={heartbeat_interval!r} must be a "
+                "finite number of seconds above zero, or None")
         self.cluster = cluster
         policy = resolve_policy(policy)
         self.policy = policy
@@ -69,7 +104,7 @@ class RuntimeEngine:
         self.monitor = ClusterMonitor(cluster)
         self.heartbeat_interval = heartbeat_interval
         self.graph = TaskGraph()
-        self.clock = SimClock()
+        self.clock = ev.SimClock()
         self.timelines: Dict[str, NodeTimeline] = {
             name: NodeTimeline(node)
             for name, node in cluster.nodes.items()
@@ -77,26 +112,23 @@ class RuntimeEngine:
         self.placements: Dict[int, Placement] = {}
         self.transfers_seconds = 0.0
         self.rescheduled_tasks = 0
-        self._events = EventQueue()
-        self._state: Dict[int, str] = {}
+        # A heap of (time, kind, seq, subject, epoch) tuples; ``_seq`` is
+        # the last sequence number handed out.
+        self._events: list = []
+        self._seq = 0
+        self._records: Dict[int, _TaskRecord] = {}
         # Live PENDING set (state == PENDING ⟺ membership), so dispatch
         # and the stuck-check never rescan the full task table — at 100k
         # streamed tasks that rescan is itself O(tasks²).
         self._pending: Set[int] = set()
-        self._epoch: Dict[int, int] = {}
-        # RUNNING task -> (returned, value or exception) of its function.
-        self._outcomes: Dict[int, Tuple[bool, Any]] = {}
         self._failed: Optional[RuntimeSchedulingError] = None
         self._unfinished = 0
         self._handled_failures: Set[str] = set()
         self._running = False
-        # Ready tracking for online dispatch: how many unfinished
-        # dependencies block each task, who to unblock on finish, and
-        # the queue of unblocked PENDING tasks — so dispatch never
+        self._tracer = get_tracer()
+        # Unblocked PENDING tasks for online dispatch, so it never
         # rescans the whole graph.
-        self._blockers: Dict[int, int] = {}
-        self._dependents: Dict[int, list] = {}
-        self._ready: list = []
+        self._ready: List[int] = []
 
     # ------------------------------------------------------------------
     # Submission (streaming: legal before and during run())
@@ -117,20 +149,22 @@ class RuntimeEngine:
         future = self.graph.add(fn, args, kwargs, resources, output_bytes,
                                 name)
         tid = future.task_id
-        self._state[tid] = PENDING
+        task = self.graph.tasks[tid]
+        records = self._records
+        record = records[tid] = _TaskRecord(task)
         self._pending.add(tid)
-        self._epoch[tid] = 0
         self._unfinished += 1
-        blockers = 0
-        for dep in self.graph.tasks[tid].deps:
-            if self._state.get(dep) != DONE:
-                blockers += 1
-                self._dependents.setdefault(dep, []).append(tid)
-        self._blockers[tid] = blockers
-        if blockers == 0:
+        for dep in task.deps:
+            if dep in records:
+                producer = records[dep]
+                if producer.state == DONE:
+                    continue
+                producer.dependents.append(record)
+            record.blockers += 1
+        if record.blockers == 0:
             self._ready.append(tid)
         if self._running:
-            self._events.push(self.clock.now, ev.DISPATCH)
+            self._push(self.clock.now, ev.DISPATCH)
         return future
 
     def submit_at(self, time: float, fn: Callable, *args, **kwargs) -> None:
@@ -151,13 +185,19 @@ class RuntimeEngine:
             raise RuntimeSchedulingError(f"name={name!r}: unknown node")
         self._push_at(time, ev.NODE_FAILURE, name)
 
-    def _push_at(self, time: float, kind: str, payload: Any) -> None:
+    def _push_at(self, time: float, kind: int, subject: Any) -> None:
         # Refused here, where the caller is, and not when the event
         # fires mid-run with part of the workflow already executed.
         if not time >= self.clock.now:
             raise RuntimeSchedulingError(
                 f"time={time!r} is earlier than clock.now ({self.clock.now})")
-        self._events.push(time, kind, payload)
+        self._push(time, kind, subject)
+
+    def _push(self, time: float, kind: int, subject: Any = None) -> None:
+        # A task's start and finish are pushed the same way but inline
+        # (_record_all, _start), with the task's epoch in the last slot.
+        self._seq += 1
+        heappush(self._events, (time, kind, self._seq, subject, 0))
 
     def has_pending(self) -> bool:
         return self._unfinished > 0
@@ -179,22 +219,24 @@ class RuntimeEngine:
         if self._failed is not None:
             raise self._failed
         self._running = True
+        self._tracer = get_tracer()
+        events, clock = self._events, self.clock
         try:
-            self._beat(self.clock.now)
-            self._detect_failures(self.clock.now)
-            self._dispatch(self.clock.now)
-            if self.heartbeat_interval:
-                self._events.push(
-                    self.clock.now + self.heartbeat_interval,
-                    ev.HEARTBEAT,
-                )
-            while self._events:
-                if until is not None \
-                        and self._events.peek_time() > until:
+            self._beat(clock.now)
+            self._detect_failures(clock.now)
+            self._dispatch(clock.now)
+            if self.heartbeat_interval is not None:
+                self._push(clock.now + self.heartbeat_interval, ev.HEARTBEAT)
+            while events:
+                if until is not None and events[0][0] > until:
                     break
-                event = self._events.pop()
-                self.clock.advance(event.time)
-                self._handle(event)
+                clock.now, kind, _, subject, epoch = heappop(events)
+                if kind == ev.TASK_START:
+                    self._start(subject, epoch)
+                elif kind == ev.TASK_FINISH:
+                    self._finish(subject, epoch)
+                else:
+                    self._handle(kind, subject)
         finally:
             self._running = False
         if until is None:
@@ -214,27 +256,23 @@ class RuntimeEngine:
             rescheduled_tasks=self.rescheduled_tasks,
         )
 
-    def _handle(self, event) -> None:
+    def _handle(self, kind: int, subject: Any) -> None:
+        """Every event but a task's start and finish."""
         now = self.clock.now
-        if event.kind == ev.TASK_START:
-            self._handle_start(*event.payload)
-        elif event.kind == ev.TASK_FINISH:
-            self._handle_finish(*event.payload)
-        elif event.kind == ev.NODE_FAILURE:
-            self.cluster.fail_node(event.payload)
+        if kind == ev.NODE_FAILURE:
+            self.cluster.fail_node(subject)
             self._detect_failures(now)
-        elif event.kind == ev.CALLBACK:
-            event.payload()
+        elif kind == ev.CALLBACK:
+            subject()
             self._detect_failures(now)
             self._dispatch(now)
-        elif event.kind == ev.DISPATCH:
+        elif kind == ev.DISPATCH:
             self._dispatch(now)
-        elif event.kind == ev.HEARTBEAT:
+        elif kind == ev.HEARTBEAT:
             self._beat(now)
             self._detect_failures(now)
             if self._unfinished > 0 or self._events:
-                self._events.push(now + self.heartbeat_interval,
-                                  ev.HEARTBEAT)
+                self._push(now + self.heartbeat_interval, ev.HEARTBEAT)
 
     def _beat(self, now: float) -> None:
         for name, node in self.cluster.nodes.items():
@@ -263,7 +301,7 @@ class RuntimeEngine:
     def _dispatch(self, now: float) -> None:
         dispatch = self._dispatch_online if self._online \
             else self._dispatch_offline
-        tracer = get_tracer()
+        tracer = self._tracer
         if not tracer.enabled:
             dispatch(now)
             return
@@ -295,115 +333,141 @@ class RuntimeEngine:
         # built the next live state, and the copies are adopted as it.
         scratch = {name: timeline.clone()
                    for name, timeline in self.timelines.items()}
-        tracer = get_tracer()
-        with tracer.span("engine.plan", category="engine") as span:
+        with self._tracer.span("engine.plan", category="engine") as span:
             span.set("tasks", len(subgraph.tasks))
             plan = self.policy.schedule(subgraph, self.cluster, ready,
                                         scratch)
-        placed: Dict[str, int] = {}
+        self._admit(plan.placements, now)
+        placed = dict.fromkeys(scratch, 0)
         for placement in plan.placements.values():
-            placed[placement.node] = placed.get(placement.node, 0) + 1
+            placed[placement.node] += 1
         for name, timeline in scratch.items():
             grown = timeline.committed - self.timelines[name].committed
-            if grown != placed.get(name, 0):
+            if grown != placed[name]:
                 raise RuntimeSchedulingError(
                     f"policy {type(self.policy).__name__} returned "
-                    f"{placed.get(name, 0)} placement(s) on {name!r} but "
+                    f"{placed[name]} placement(s) on {name!r} but "
                     f"committed {grown} into the timelines it was given")
         self.timelines = scratch
-        for placement in plan.placements.values():
-            self._record(placement)
+        self._record_all(plan.placements)
         self.transfers_seconds += plan.transfers_seconds
         self._ready.clear()  # offline planning consumed every pending task
 
     def _dispatch_online(self, now: float) -> None:
         """Place every unblocked task from the ready queue."""
+        records = self._records
         while self._ready:
             batch, self._ready = sorted(self._ready), []
             for tid in batch:
-                if self._state.get(tid) != PENDING:
+                record = records[tid]
+                if record.state != PENDING:
                     continue
-                task = self.graph.tasks[tid]
+                task = record.task
                 unfinished = [d for d in task.deps
-                              if self._state.get(d) != DONE]
+                              if d not in records
+                              or records[d].state != DONE]
                 if unfinished:
                     # Dependencies edited after submission: re-register
                     # them and wait for their finish events instead.
-                    self._blockers[tid] = len(unfinished)
+                    record.blockers = len(unfinished)
                     for dep in unfinished:
-                        dependents = self._dependents.setdefault(dep, [])
-                        if tid not in dependents:
-                            dependents.append(tid)
+                        if dep in records \
+                                and record not in records[dep].dependents:
+                            records[dep].dependents.append(record)
                     continue
                 placement, comm = self.policy.place(
                     task, self.graph, self.cluster,
                     self.timelines, self.placements, now,
                 )
+                placed = {tid: placement}
+                self._admit(placed, now)
                 self.transfers_seconds += comm
                 self.timelines[placement.node].commit(
                     placement.start, placement.duration, placement.cores
                 )
-                self._record(placement)
+                self._record_all(placed)
 
-    def _record(self, placement: Placement) -> None:
-        """Record a committed placement and queue its start."""
-        tid = placement.task_id
-        self.placements[tid] = placement
-        self._state[tid] = PLACED
-        self._pending.discard(tid)
-        self._events.push(placement.start, ev.TASK_START,
-                          (tid, self._epoch[tid]))
+    def _admit(self, placements: Dict[int, Placement], now: float) -> None:
+        """Refuse, with the policy's name and before anything of the plan
+        is adopted, a placement that is not for the pending task it is
+        keyed by, not on a node of the cluster, or not an interval from
+        ``now`` on: its start and finish events would run the clock
+        backwards."""
+        timelines, pending = self.timelines, self._pending
+        for tid, placement in placements.items():
+            if tid != placement.task_id or tid not in pending \
+                    or placement.node not in timelines \
+                    or not now <= placement.start <= placement.finish:
+                raise RuntimeSchedulingError(
+                    f"policy {type(self.policy).__name__} placed task "
+                    f"{placement.task_id} on {placement.node!r} over "
+                    f"[{placement.start}, {placement.finish}] at clock "
+                    f"{now}: not a pending task, not a node of the "
+                    f"cluster, or not an interval from now on")
+
+    def _record_all(self, placements: Dict[int, Placement]) -> None:
+        """Record committed placements and queue their starts."""
+        self.placements.update(placements)
+        self._pending.difference_update(placements)
+        records, events = self._records, self._events
+        for tid, placement in placements.items():
+            record = records[tid]
+            record.state = PLACED
+            self._seq += 1
+            heappush(events, (placement.start, ev.TASK_START, self._seq,
+                              record, record.epoch))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def _handle_start(self, tid: int, epoch: int) -> None:
-        if self._epoch.get(tid) != epoch or self._state.get(tid) != PLACED:
+    def _start(self, record: _TaskRecord, epoch: int) -> None:
+        if record.epoch != epoch or record.state != PLACED:
             return  # cancelled by a failure reschedule
-        task = self.graph.tasks[tid]
+        task = record.task
         results = self.graph.results
         args = [
             results[a.task_id] if isinstance(a, Future) else a
             for a in task.args
         ]
         try:
-            self._outcomes[tid] = (True, task.fn(*args, **task.kwargs))
+            record.outcome = (True, task.fn(*args, **task.kwargs))
         except Exception as error:
-            self._outcomes[tid] = (False, error)
-        self._state[tid] = RUNNING
-        self._events.push(self.placements[tid].finish, ev.TASK_FINISH,
-                          (tid, epoch))
+            record.outcome = (False, error)
+        record.state = RUNNING
+        self._seq += 1
+        heappush(self._events, (self.placements[task.task_id].finish,
+                                ev.TASK_FINISH, self._seq, record, epoch))
 
-    def _handle_finish(self, tid: int, epoch: int) -> None:
-        if self._epoch.get(tid) != epoch or self._state.get(tid) != RUNNING:
+    def _finish(self, record: _TaskRecord, epoch: int) -> None:
+        if record.epoch != epoch or record.state != RUNNING:
             return  # cancelled by a failure reschedule
-        returned, result = self._outcomes.pop(tid)
+        (returned, result), record.outcome = record.outcome, None
+        task = record.task
         if not returned:
             self._failed = RuntimeSchedulingError(
-                f"task {self.graph.tasks[tid].name!r} raised "
+                f"task {task.name!r} raised "
                 f"{type(result).__name__}: {result}")
             raise self._failed from result
-        self.graph.results[tid] = result
-        self._state[tid] = DONE
+        self.graph.results[task.task_id] = result
+        record.state = DONE
         self._unfinished -= 1
-        tracer = get_tracer()
+        tracer = self._tracer
         if tracer.enabled:
             # Task execution lives on the *simulated* clock: the span is
             # the committed placement interval, laned by cluster node.
-            placement = self.placements[tid]
+            placement = self.placements[task.task_id]
             tracer.record_span(
-                f"task:{self.graph.tasks[tid].name}",
+                f"task:{task.name}",
                 placement.start, placement.finish,
                 track=placement.node, category="task",
-                attrs={"task_id": tid, "cores": placement.cores,
+                attrs={"task_id": task.task_id, "cores": placement.cores,
                        "epoch": epoch})
-        for dependent in self._dependents.pop(tid, ()):
-            if self._blockers.get(dependent, 0) > 0:
-                self._blockers[dependent] -= 1
-                if self._blockers[dependent] == 0 \
-                        and self._state.get(dependent) == PENDING:
-                    self._ready.append(dependent)
+        for dependent in record.dependents:
+            if dependent.blockers > 0:
+                dependent.blockers -= 1
+                if dependent.blockers == 0 and dependent.state == PENDING:
+                    self._ready.append(dependent.task.task_id)
         if self._online:
             self._dispatch_online(self.clock.now)
 
@@ -419,24 +483,24 @@ class RuntimeEngine:
         transitively depending on a lost output — goes back to PENDING
         and is re-dispatched on the survivors.
         """
+        records = self._records
         lost: Set[int] = set()
         for tid, placement in self.placements.items():
             if placement.node == name and placement.finish > now \
-                    and self._state.get(tid) in (PLACED, RUNNING):
+                    and records[tid].state in (PLACED, RUNNING):
                 lost.add(tid)
-        # Transitive closure over the dependent index (every non-DONE
+        # Transitive closure over the dependents lists (every non-DONE
         # dependency edge is registered there at submit time, and DONE
-        # is permanent, so the index covers every edge a loss can travel
+        # is permanent, so they cover every edge a loss can travel
         # along) — BFS instead of a whole-graph fixpoint scan.
         frontier = list(lost)
         while frontier:
-            tid = frontier.pop()
-            for dependent in self._dependents.get(tid, ()):
-                if dependent in lost \
-                        or self._state.get(dependent) in (DONE, PENDING):
+            for dependent in records[frontier.pop()].dependents:
+                tid = dependent.task.task_id
+                if tid in lost or dependent.state in (DONE, PENDING):
                     continue
-                lost.add(dependent)
-                frontier.append(dependent)
+                lost.add(tid)
+                frontier.append(tid)
         for tid in lost:
             placement = self.placements.pop(tid)
             self.timelines[placement.node].release(
@@ -444,18 +508,20 @@ class RuntimeEngine:
             )
             # A lost RUNNING task's outcome is discarded; the
             # replacement calls the function again.
-            self._outcomes.pop(tid, None)
-            self._state[tid] = PENDING
+            record = records[tid]
+            record.outcome = None
+            record.state = PENDING
+            record.epoch += 1
             self._pending.add(tid)
-            self._epoch[tid] += 1
-        for tid in lost:
-            blockers = sum(1 for d in self.graph.tasks[tid].deps
-                           if self._state.get(d) != DONE)
-            self._blockers[tid] = blockers
-            if blockers == 0:
+            # A lost task is never DONE, so the order of this loop does
+            # not change any count.
+            record.blockers = sum(
+                1 for d in record.task.deps
+                if d not in records or records[d].state != DONE)
+            if record.blockers == 0:
                 self._ready.append(tid)
         self.rescheduled_tasks += len(lost)
-        tracer = get_tracer()
+        tracer = self._tracer
         if tracer.enabled and lost:
             tracer.record_span(f"failure:{name}", now, now,
                                track=name, category="failure",

@@ -305,6 +305,17 @@ class TestEngineExecution:
             assert engine.monitor.heartbeat[name] \
                 == pytest.approx(schedule.makespan, rel=0.1)
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_a_heartbeat_interval_that_cannot_advance_is_refused(
+            self, interval):
+        """-1.0 stopped the run with "simulated clock cannot run
+        backwards", inf left the clock at infinity after the run, and 0.0
+        switched the heartbeats off."""
+        with pytest.raises(RuntimeSchedulingError,
+                           match="heartbeat_interval="):
+            RuntimeEngine(default_cluster(2), heartbeat_interval=interval)
+
     def test_failed_plan_leaves_timelines_untouched(self):
         """A plan that raises partway (unplaceable FPGA task) must not
         leak half-committed reservations into the live timelines."""
@@ -388,6 +399,43 @@ class TestEngineExecution:
         with pytest.raises(RuntimeSchedulingError, match="policy Forgetful"):
             engine.run()
         assert engine.placements == {}
+        assert all(timeline.intervals == []
+                   for timeline in engine.timelines.values())
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_a_placement_before_the_clock_is_refused_naming_the_policy(
+            self, online):
+        """Its start event would run the clock backwards.  The run used
+        to stop when that event came up, with "simulated clock cannot run
+        backwards" and no policy named."""
+
+        class Early:
+            name = "early"
+
+            def __init__(self):
+                self.online = online
+
+            def schedule(self, graph, cluster, ready, timelines):
+                plan = HEFTScheduler().schedule(graph, cluster, ready,
+                                                timelines)
+                for placement in plan.placements.values():
+                    placement.start -= 1.0
+                return plan
+
+            def place(self, task, graph, cluster, timelines, placements,
+                      now):
+                placement, comm = MinLoadPolicy().place(
+                    task, graph, cluster, timelines, placements, now)
+                placement.start -= 1.0
+                return placement, comm
+
+        engine = RuntimeEngine(default_cluster(2), policy=Early())
+        ran = []
+        engine.submit(lambda: ran.append(1), name="first")
+        with pytest.raises(RuntimeSchedulingError,
+                           match="policy Early placed task 0 on 'node0'"):
+            engine.run()
+        assert ran == [] and engine.placements == {}
         assert all(timeline.intervals == []
                    for timeline in engine.timelines.values())
 
@@ -693,42 +741,42 @@ class TestEventDeterminism:
     """Identical timestamps must resolve deterministically (push order
     within a kind, kind priority across kinds)."""
 
-    def test_event_queue_pops_same_kind_in_push_order(self):
-        from repro.runtime.engine.events import CALLBACK, EventQueue
+    def test_kinds_at_one_time_run_finish_failure_callback_start_heartbeat(
+            self):
+        """At t = 4.0 a task finishes, an idle node fails, a callback runs,
+        the next task starts and a heartbeat beats; the callback was queued
+        before the failure, and still runs after it."""
+        engine = RuntimeEngine(default_cluster(2), heartbeat_interval=4.0)
+        seen = []
+        a = engine.submit(lambda: seen.append("a") or 1, name="a",
+                          resources=ResourceRequest(cpu_flops=1e10))
+        engine.submit(lambda x: seen.append(
+            ("b", engine.clock.now, engine.monitor.heartbeat["node0"])),
+            a, name="b")
+        engine.call_at(4.0, lambda: seen.append(
+            ("callback", a.task_id in engine.graph.results,
+             engine.cluster.node("node1").alive, len(seen))))
+        engine.fail_node_at(4.0, "node1")
+        schedule = engine.run()
+        assert schedule.placements[a.task_id].finish == 4.0
+        assert seen == ["a", ("callback", True, False, 1), ("b", 4.0, 0.0)]
+        assert engine.monitor.heartbeat["node0"] > 4.0
 
-        queue = EventQueue()
-        for i in range(20):
-            queue.push(1.0, CALLBACK, i)
-        assert [queue.pop().payload for _ in range(20)] == list(range(20))
-
-    def test_event_queue_orders_kinds_at_equal_time(self):
-        from repro.runtime.engine import events as ev
-        from repro.runtime.engine.events import EventQueue
-
-        queue = EventQueue()
-        queue.push(1.0, ev.HEARTBEAT)
-        queue.push(1.0, ev.TASK_START, (0, 0))
-        queue.push(1.0, ev.TASK_FINISH, (0, 0))
-        kinds = [queue.pop().kind for _ in range(3)]
-        assert kinds == [ev.TASK_FINISH, ev.TASK_START, ev.HEARTBEAT]
-
-    def test_mixed_kinds_at_one_time_pop_by_priority_then_push_order(self):
-        from repro.runtime.engine import events as ev
-        from repro.runtime.engine.events import EventQueue
-
-        kinds = [ev.HEARTBEAT, ev.TASK_START, ev.CALLBACK, ev.TASK_FINISH,
-                 ev.NODE_FAILURE, ev.DISPATCH]
-        queue = EventQueue()
-        # Payloads that cannot be ordered: the sequence number has to
-        # settle every comparison before one is reached.
-        pushed = [queue.push(2.0, kinds[i % len(kinds)], {"i": i})
-                  for i in range(20)]
-        popped = [queue.pop() for _ in range(20)]
-        assert not queue
-        assert popped == sorted(pushed, key=lambda e: (e.priority, e.seq))
-        assert [e.seq for e in pushed] == list(range(20))
-        with pytest.raises(AttributeError):
-            popped[0].time = 0.0
+    def test_mixed_kinds_at_one_time_run_by_kind_then_push_order(self):
+        """Callbacks and node failures pushed alternately at one time:
+        every failure runs first, then every callback in push order."""
+        engine = RuntimeEngine(default_cluster(4))
+        seen = []
+        for i in range(1, 4):
+            engine.call_at(2.0, lambda i=i: seen.append(
+                (i, len(engine.cluster.alive_nodes()))))
+            engine.fail_node_at(2.0, f"node{i}")
+        for i in range(4, 20):
+            engine.call_at(2.0, lambda i=i: seen.append((i, None)))
+        engine.run()
+        assert [i for i, _ in seen] == list(range(1, 20))
+        assert [alive for _, alive in seen[:3]] == [1, 1, 1]
+        assert engine.clock.now == 2.0
 
     def test_submit_at_identical_timestamps_run_in_submission_order(self):
         engine = RuntimeEngine(default_cluster(1), policy="min-load")

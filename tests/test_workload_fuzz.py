@@ -4,7 +4,8 @@ Each seeded case builds a random completable workload with
 :mod:`tools.workloadfuzz` — heterogeneous cluster, random DAG, streamed
 arrivals, constrained failure injections — runs it through every
 registered policy and asserts the full scheduler invariant suite:
-completeness (no lost/double-executed task), dependency order, no core
+completeness (no lost/double-executed task), dependency order, simulated
+order (each function runs at its placement's start), no core
 overcommit (cross-checked against ``NodeTimeline.peak_usage``),
 replay determinism, incremental ≡ baseline HEFT, and makespan
 monotonicity under cluster growth.
@@ -24,6 +25,7 @@ sys.path.insert(
 
 from workloadfuzz import (  # noqa: E402
     build_cluster,
+    check_simulated_order,
     generate_case,
     run_case,
 )
@@ -64,4 +66,18 @@ def test_run_case_returns_live_engine_state():
     case = generate_case(3)
     engine, schedule, calls = run_case(case, "heft")
     assert len(schedule.placements) == len(case.tasks)
-    assert sum(calls.values()) >= len(case.tasks)
+    assert len(calls) >= len(case.tasks)
+
+
+def test_simulated_order_catches_a_call_off_its_start():
+    case = generate_case(3)
+    engine, schedule, calls = run_case(case, "min-load")
+    check_simulated_order(case, "min-load", engine, schedule, calls)
+    first, last = calls[0], calls[-1]
+    assert first[1] < last[1]
+    swapped = [last] + calls[1:-1] + [first]
+    with pytest.raises(AssertionError, match="clock ran backwards"):
+        check_simulated_order(case, "min-load", engine, schedule, swapped)
+    late = calls[:-1] + [(last[0], last[1] + 1.0)]
+    with pytest.raises(AssertionError, match="placement starts at"):
+        check_simulated_order(case, "min-load", engine, schedule, late)

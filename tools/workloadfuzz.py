@@ -24,6 +24,10 @@ invariant suite of :func:`check_invariants`:
   commit/release churn from failure recovery must not leave drift);
 * **dependencies respected** — no task starts before every dependency's
   finish;
+* **simulated order** — every function runs with the engine's clock at
+  its placement's start (for a task re-placed after a failure: its last
+  call, at its final placement's start), and the clock never runs
+  backwards from one call to the next;
 * **determinism** — replaying the seed yields the identical schedule
   (the event queue is a total order; see
   :mod:`repro.runtime.engine.events`);
@@ -64,6 +68,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -244,15 +249,16 @@ def static_graph(case: WorkloadCase) -> TaskGraph:
 
 def run_case(case: WorkloadCase, policy: str):
     """Execute the case through the engine; returns (engine, schedule,
-    per-task real invocation counts)."""
+    calls): every real invocation, in the order they ran, as ``(task
+    index, simulated time)``."""
     cluster = build_cluster(case)
     engine = RuntimeEngine(cluster, policy=policy)
     futures: Dict[int, object] = {}
-    calls: Dict[int, int] = {}
+    calls: List[Tuple[int, float]] = []
 
     def make_fn(index: int):
         def fn(*args):  # on the engine's event loop: one thread
-            calls[index] = calls.get(index, 0) + 1
+            calls.append((index, engine.clock.now))
             return index
         return fn
 
@@ -287,6 +293,7 @@ def run_case(case: WorkloadCase, policy: str):
 def check_completeness(case, policy, engine, schedule, calls) -> None:
     tag = f"seed {case.seed} [{policy}]"
     n = len(case.tasks)
+    counts = Counter(index for index, _ in calls)
     assert len(engine.graph.results) == n, \
         f"{tag}: {n - len(engine.graph.results)} task(s) lost"
     assert set(schedule.placements) == set(range(n)), \
@@ -294,7 +301,7 @@ def check_completeness(case, policy, engine, schedule, calls) -> None:
     for index in range(n):
         assert engine.graph.results[index] == index, \
             f"{tag}: task {index} returned a foreign result"
-        count = calls.get(index, 0)
+        count = counts[index]
         assert count >= 1, f"{tag}: task {index} never executed"
         if not case.failures:
             assert count == 1, \
@@ -310,6 +317,18 @@ def check_dependencies(case, policy, engine, schedule, calls) -> None:
             assert placement.start >= dep_finish - 1e-9, (
                 f"{tag}: task {spec.index} starts at {placement.start} "
                 f"before dependency {dep} finishes at {dep_finish}")
+
+
+def check_simulated_order(case, policy, engine, schedule, calls) -> None:
+    tag = f"seed {case.seed} [{policy}]"
+    times = [time for _, time in calls]
+    assert times == sorted(times), \
+        f"{tag}: the clock ran backwards between two task functions"
+    for index, time in dict(calls).items():  # each task's last call
+        start = schedule.placements[index].start
+        assert time == start, (
+            f"{tag}: task {index} ran at {time} but its placement starts "
+            f"at {start}")
 
 
 def check_no_overcommit(case, policy, engine, schedule, calls) -> None:
@@ -399,6 +418,7 @@ def check_makespan_monotonic(case: WorkloadCase) -> None:
 ENGINE_INVARIANTS = (
     check_completeness,
     check_dependencies,
+    check_simulated_order,
     check_no_overcommit,
     check_determinism,
 )
@@ -455,7 +475,8 @@ def schedule_dump(start: int, count: int) -> dict:
         for seed in range(start, start + count):
             engine, schedule, calls = run_case(generate_case(seed), policy)
             record = _schedule_record(engine, schedule)
-            record["calls"] = sorted(calls.items())
+            record["calls"] = sorted(
+                Counter(index for index, _ in calls).items())
             dump[f"fuzz/{seed}/{policy}"] = record
     return dump
 
