@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-steps bench-smoke bench-runtime bench-ir bench-exec \
 	bench-selftest serve-smoke fuzz-smoke fuzz-exec-smoke \
 	fuzz-analyze-smoke fuzz-runtime-smoke fuzz-runtime \
-	fuzz-runtime-parent coverage \
+	fuzz-runtime-parent coverage reach \
 	docs-check examples lint all
 
 all: test docs-check
@@ -182,6 +182,15 @@ lint:
 
 docs-check:
 	$(PYTHON) tools/check_docs.py
+
+# Which defs of src/repro an entry point (examples, benchmarks/, basecamp
+# calls, an in-process daemon) reaches, which only tier-1 reaches and
+# which nothing reaches, in def-lines per package; fails on an unreached
+# def that tools/reach.py's allowlist does not give a reason for.  Both
+# phases run under a tracer, several minutes in all, so it is not part
+# of `make test`.
+reach:
+	$(PYTHON) tools/reach.py
 
 # Every script under examples/ has to run to completion: they call the
 # public API the way the docs show it, and nothing else would notice one

@@ -2,8 +2,9 @@
 with Alveo u55c FPGAs ... We also tested this component with the
 virtualization layer" (§VIII).
 
-CPU PTDR vs. the FPGA-simulated path (through the XRT/Olympus timing model
-and the SR-IOV overhead), plus the routing product: a departure-time sweep.
+CPU PTDR vs. the same kernel scheduled by the runtime engine as an FPGA
+task on a u55c node (its modelled duration includes the SR-IOV overhead),
+plus the routing product: a departure-time sweep.
 """
 
 import numpy as np

@@ -13,8 +13,7 @@ in Python with simulated FPGA substrates:
 * :mod:`repro.numerics` — custom data formats (fixed point, posit, bfloat16);
 * :mod:`repro.hls` — a high-level synthesis engine (scheduling, pipelining,
   resource binding, FSM/RTL emission);
-* :mod:`repro.platforms` — FPGA device, memory and network models plus an
-  XRT-like host API;
+* :mod:`repro.platforms` — FPGA device, memory and network models;
 * :mod:`repro.olympus`, :mod:`repro.dosa` — system-level architecture
   generation for PCIe- and network-attached FPGAs;
 * :mod:`repro.runtime` — the virtualized runtime environment: Dask-like task

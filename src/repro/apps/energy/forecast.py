@@ -55,11 +55,6 @@ class BacktestResult:
     baseline_mae_mw: float  # persistence
     improvement: float      # 1 - mae/baseline
 
-    def as_dict(self) -> Dict[str, float]:
-        return {"mae_mw": self.mae_mw, "rmse_mw": self.rmse_mw,
-                "baseline_mae_mw": self.baseline_mae_mw,
-                "improvement": self.improvement}
-
 
 def backtest(history: FarmHistory, farm: WindFarm,
              train_fraction: float = 0.7,

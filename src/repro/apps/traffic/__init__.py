@@ -22,7 +22,6 @@ from repro.apps.traffic.ptdr import (
     SegmentSpeedModel,
     TravelTimeDistribution,
     departure_profile,
-    model_from_profile,
     ptdr_montecarlo,
     synthetic_segment_models,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "SegmentSpeedModel",
     "TravelTimeDistribution",
     "departure_profile",
-    "model_from_profile",
     "ptdr_montecarlo",
     "synthetic_segment_models",
     "GpsFix",

@@ -117,9 +117,6 @@ class GaussianMixture1D:
         component = rng.choice(self.k, size=n, p=self.weights)
         return rng.normal(self.means[component], self.stds[component])
 
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.means))
-
 
 class SpeedCNN:
     """A small 1D CNN predicting the next interval's speed from a window.

@@ -22,7 +22,6 @@ import numpy as np
 from repro.apps.traffic.models import (
     INTERVALS_PER_DAY,
     GaussianMixture1D,
-    SpeedProfile,
     diurnal_congestion,
 )
 from repro.apps.traffic.roadnet import RoadNetwork
@@ -55,15 +54,6 @@ class SegmentSpeedModel:
         return np.clip(rng.normal(mean, std), 0.5, None)
 
 
-def model_from_profile(profile: SpeedProfile, length_m: float,
-                       relative_std: float = 0.15) -> SegmentSpeedModel:
-    return SegmentSpeedModel(
-        length_m=length_m,
-        interval_mean=profile.mean_speed,
-        interval_std=np.maximum(profile.mean_speed * relative_std, 0.3),
-    )
-
-
 def synthetic_segment_models(network: RoadNetwork, route: Sequence[int],
                              seed: int = 0) -> List[SegmentSpeedModel]:
     """Plausible diurnal speed models for a route (no FCD required)."""
@@ -92,10 +82,6 @@ class TravelTimeDistribution:
     @property
     def median_s(self) -> float:
         return float(np.median(self.samples_s))
-
-    @property
-    def mean_s(self) -> float:
-        return float(self.samples_s.mean())
 
     def percentile_s(self, q: float) -> float:
         return float(np.percentile(self.samples_s, q))

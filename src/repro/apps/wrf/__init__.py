@@ -13,7 +13,6 @@ from repro.apps.wrf.rrtmg import (
     RRTMGTables,
     heating_rates,
     prepare_inputs,
-    radiation_fraction_estimate,
     tau_major_ekl,
     tau_major_reference,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "tau_major_reference",
     "tau_major_ekl",
     "heating_rates",
-    "radiation_fraction_estimate",
     "Observation",
     "ThreeDVar",
     "synthetic_observations",

@@ -24,9 +24,6 @@ class EnsembleForecast:
 
     members: List[AtmosphereState]
 
-    def mean_field(self, name: str) -> np.ndarray:
-        return np.mean([getattr(m, name) for m in self.members], axis=0)
-
     def spread_field(self, name: str) -> np.ndarray:
         return np.std([getattr(m, name) for m in self.members], axis=0)
 

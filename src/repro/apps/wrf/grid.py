@@ -10,7 +10,7 @@ limited-area configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -111,15 +111,3 @@ class AtmosphereState:
         """Meteorological wind direction in degrees (from which it blows)."""
         return (np.degrees(np.arctan2(-self.u_wind[:, :, layer],
                                       -self.v_wind[:, :, layer]))) % 360.0
-
-    def temperature_at_surface(self) -> np.ndarray:
-        return self.temperature[:, :, 0]
-
-    def column(self, ix: int, iy: int) -> Dict[str, np.ndarray]:
-        return {
-            "temperature": self.temperature[ix, iy],
-            "u": self.u_wind[ix, iy],
-            "v": self.v_wind[ix, iy],
-            "humidity": self.humidity[ix, iy],
-            "pressure": self.pressure,
-        }

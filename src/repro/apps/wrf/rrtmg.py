@@ -181,8 +181,3 @@ def heating_rates(tau: np.ndarray, temperature_scale: float = 1.0
     """
     absorbed = 1.0 - np.exp(-tau)
     return temperature_scale * 0.4 * absorbed.mean(axis=1)
-
-
-def radiation_fraction_estimate() -> float:
-    """The paper's workload statement: RRTMG ≈ 30% of WRF compute cycles."""
-    return 0.30

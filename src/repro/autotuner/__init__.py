@@ -8,7 +8,6 @@ from repro.autotuner.margot import (
     MetricMonitor,
     OperatingPoint,
     Rank,
-    knowledge_from_dse,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "MetricMonitor",
     "OperatingPoint",
     "Rank",
-    "knowledge_from_dse",
 ]

@@ -52,11 +52,6 @@ class OperatingPoint:
     knobs: Dict[str, object]
     metrics: Dict[str, float]
 
-    def knob(self, name: str):
-        if name not in self.knobs:
-            raise AutotunerError(f"operating point lacks knob {name!r}")
-        return self.knobs[name]
-
 
 @dataclass
 class Constraint:
@@ -196,17 +191,3 @@ class MargotManager:
         self.current = best
         return best
 
-
-def knowledge_from_dse(points: Sequence[Dict]) -> List[OperatingPoint]:
-    """Build an operating-point list from raw DSE records.
-
-    Each record is ``{"knobs": {...}, "metrics": {...}}`` — e.g. the output
-    of :meth:`repro.olympus.OlympusGenerator.explore`.
-    """
-    knowledge = []
-    for record in points:
-        knowledge.append(OperatingPoint(dict(record["knobs"]),
-                                        dict(record["metrics"])))
-    if not knowledge:
-        raise AutotunerError("no DSE points provided")
-    return knowledge

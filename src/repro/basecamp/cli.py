@@ -32,9 +32,10 @@ the same kernel (or the same one twice) reuses the cached stages.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.errors import EverestError
 
@@ -248,8 +249,44 @@ def cmd_runtime(args) -> int:
         return _cmd_runtime(args)
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
+
+
+def _failure(text: str) -> Tuple[str, float]:
+    """``NODE@SIM_SECONDS`` -> ``(node, time)``, the time finite and >= 0."""
+    node, _, at = text.partition("@")
+    try:
+        time = float(at)
+    except ValueError:
+        time = None
+    if not node or time is None:
+        raise argparse.ArgumentTypeError(
+            f"wants NODE@SIM_SECONDS, got {text!r}")
+    if not (math.isfinite(time) and time >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"time must be finite and at least 0, got {at}")
+    return node, time
+
+
 def _cmd_runtime(args) -> int:
-    from repro.errors import EverestError
     from repro.runtime import default_cluster
     from repro.runtime.engine import (
         POLICIES,
@@ -258,19 +295,7 @@ def _cmd_runtime(args) -> int:
     )
 
     policies = sorted(POLICIES) if args.policy == "all" else [args.policy]
-    failure = None
-    if args.fail:
-        node, _, at = args.fail.partition("@")
-        try:
-            failure = (node, float(at))
-        except ValueError:
-            raise EverestError(
-                f"--fail wants NODE@SIM_SECONDS, got {args.fail!r}"
-            ) from None
-        if not node:
-            raise EverestError(
-                f"--fail wants NODE@SIM_SECONDS, got {args.fail!r}"
-            )
+    failure = args.fail         # (node, time) or None
     print(f"runtime engine: {args.tasks} tasks on {args.nodes} node(s)"
           + (f", failing {failure[0]} at t={failure[1]:g}s" if failure
              else ""))
@@ -421,13 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "runtime engine")
     p.add_argument("--policy", default="all",
                    help="heft | round-robin | min-load | all")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--tasks", type=int, default=60)
+    p.add_argument("--nodes", type=_at_least(1), default=4)
+    p.add_argument("--tasks", type=_at_least(0), default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fpga-fraction", type=float, default=0.0,
+    p.add_argument("--fpga-fraction", type=_fraction, default=0.0,
                    help="fraction of tasks marked for FPGA offload")
-    p.add_argument("--fail", default=None, metavar="NODE@SIM_SECONDS",
-                   help="inject a node failure mid-run, e.g. node1@5.0")
+    p.add_argument("--fail", type=_failure, default=None,
+                   metavar="NODE@SIM_SECONDS",
+                   help="inject a node failure mid-run at a finite "
+                        "simulated time >= 0, e.g. node1@5.0")
     p.add_argument("--trace", default=None, metavar="OUT.json",
                    help="record telemetry spans (simulated-clock task "
                         "placements included) as Chrome trace-event JSON")

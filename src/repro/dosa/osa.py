@@ -26,9 +26,6 @@ class OperationSet:
     macs_per_cycle: int = 64
     clock_mhz: float = 156.0
 
-    def covers(self, kinds) -> bool:
-        return set(kinds) <= self.ops
-
     def layer_seconds(self, macs: int) -> float:
         cycles = macs / self.macs_per_cycle
         return cycles / (self.clock_mhz * 1e6)

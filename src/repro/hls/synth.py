@@ -360,14 +360,6 @@ class HLSEngine:
         return hw_module
 
 
-def _innermost_ops(loop: Operation) -> List[Operation]:
-    block = loop.regions[0].entry
-    inner = [op for op in block if op.name == "affine.for"]
-    if inner:
-        return _innermost_ops(inner[0])
-    return [op for op in block if op.name != "affine.yield"]
-
-
 @dataclass
 class ExecutorCrossCheck:
     """FLOP/latency agreement between the HLS model and the compiled

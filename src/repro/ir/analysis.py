@@ -71,10 +71,6 @@ class AbstractValue:
     dtype: Optional[str] = None
     const: object = None
 
-    @property
-    def rank(self) -> Optional[int]:
-        return None if self.shape is None else len(self.shape)
-
     def join(self, other: "AbstractValue") -> "AbstractValue":
         """Least upper bound: keep only facts both sides agree on."""
         if self.shape is None or other.shape is None:

@@ -156,12 +156,6 @@ class DictAttr(Attribute):
     def __hash__(self) -> int:
         return hash(self.entries)
 
-    def get(self, key: str, default: Attribute | None = None):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return default
-
     def __contains__(self, key: str) -> bool:
         return any(k == key for k, _ in self.entries)
 

@@ -36,12 +36,6 @@ class Builder:
             raise IRError("op has no parent block")
         return cls(op.parent, op.parent.operations.index(op))
 
-    @classmethod
-    def after(cls, op: Operation) -> "Builder":
-        if op.parent is None:
-            raise IRError("op has no parent block")
-        return cls(op.parent, op.parent.operations.index(op) + 1)
-
     @contextmanager
     def at(self, block: Block, index: Optional[int] = None):
         """Temporarily move the insertion point."""

@@ -134,9 +134,6 @@ class FixedPointFormat:
     def add(self, a, b) -> np.ndarray:
         return self._clamp(np.asarray(a, np.int64) + np.asarray(b, np.int64))
 
-    def sub(self, a, b) -> np.ndarray:
-        return self._clamp(np.asarray(a, np.int64) - np.asarray(b, np.int64))
-
     def mul(self, a, b) -> np.ndarray:
         wide = np.asarray(a, np.int64) * np.asarray(b, np.int64)
         # Round-to-nearest on the frac_bits shift.

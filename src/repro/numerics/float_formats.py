@@ -31,10 +31,6 @@ class FloatFormat:
     def bits(self) -> int:
         return {"f64": 64, "f32": 32, "f16": 16, "bf16": 16}[self.name]
 
-    @property
-    def mantissa_bits(self) -> int:
-        return {"f64": 52, "f32": 23, "f16": 10, "bf16": 7}[self.name]
-
     def quantize(self, values) -> np.ndarray:
         """Round values to this format and return them as float64.
 

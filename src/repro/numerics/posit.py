@@ -38,10 +38,6 @@ class PositFormat:
             raise EverestError("posit es must be in [0, 4]")
 
     @property
-    def useed(self) -> int:
-        return 1 << (1 << self.es)
-
-    @property
     def nar(self) -> int:
         """Not-a-Real bit pattern (sign bit only)."""
         return 1 << (self.nbits - 1)
@@ -192,18 +188,6 @@ class PositFormat:
 
     def add(self, a_bits, b_bits) -> np.ndarray:
         return self.encode(self.decode(a_bits) + self.decode(b_bits))
-
-    def sub(self, a_bits, b_bits) -> np.ndarray:
-        return self.encode(self.decode(a_bits) - self.decode(b_bits))
-
-    def mul(self, a_bits, b_bits) -> np.ndarray:
-        return self.encode(self.decode(a_bits) * self.decode(b_bits))
-
-    def div(self, a_bits, b_bits) -> np.ndarray:
-        b = self.decode(b_bits)
-        if np.any(b == 0.0):
-            raise EverestError("posit division by zero")
-        return self.encode(self.decode(a_bits) / b)
 
     def __str__(self) -> str:
         return f"posit<{self.nbits},{self.es}>"

@@ -71,14 +71,6 @@ class QuantizationReport:
     max_rel_error: float
     mean_rel_error: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "max_abs_error": self.max_abs_error,
-            "rms_error": self.rms_error,
-            "max_rel_error": self.max_rel_error,
-            "mean_rel_error": self.mean_rel_error,
-        }
-
 
 def error_report(reference, quantized) -> QuantizationReport:
     """Compare a quantized array against its float64 reference."""

@@ -3,7 +3,8 @@
 Composes the HLS kernel reports with the platform models to generate the
 data-movement infrastructure around accelerators: PLM buffers (optionally
 shared across stages), double buffering, kernel replication over memory
-lanes, Iris-style data packing, and the host driver code.
+lanes and Iris-style data packing.  The host side of a generated system is
+the deployment sequence :func:`lower_olympus_to_evp` emits.
 """
 
 from repro.olympus.arch_gen import (
@@ -15,7 +16,6 @@ from repro.olympus.arch_gen import (
     lower_dfg_to_olympus,
     lower_olympus_to_evp,
 )
-from repro.olympus.host_codegen import build_driver, generate_driver_source
 from repro.olympus.packing import (
     Field,
     PackedWord,
@@ -39,8 +39,6 @@ __all__ = [
     "SystemArchitecture",
     "lower_dfg_to_olympus",
     "lower_olympus_to_evp",
-    "build_driver",
-    "generate_driver_source",
     "Field",
     "PackedWord",
     "PackingPlan",

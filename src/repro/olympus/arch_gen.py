@@ -8,12 +8,12 @@ generates "a custom infrastructure for data movement and organization":
   transfers overlap compute (read/execute/write pipelining);
 * **kernel replication** with the memory bus divided into **lanes** so each
   replica gets private bandwidth (Soldavini et al., TRETS 2023);
-* **data packing** (Iris) raising bus payload efficiency;
-* the host-side driver code that moves data and launches kernels.
+* **data packing** (Iris) raising bus payload efficiency.
 
 The generated architecture is both a Python object
-(:class:`SystemArchitecture`, consumed by the runtime/XRT simulation) and
-``olympus``/``evp`` dialect IR (the Fig. 5 edges).
+(:class:`SystemArchitecture`, the pipeline's ``olympus`` stage product)
+and ``olympus``/``evp`` dialect IR (the Fig. 5 edges); the host side is
+the deployment sequence :func:`lower_olympus_to_evp` emits.
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ class SystemArchitecture:
 
     def fits(self) -> bool:
         return self.resources().fits_in(self.device.usable_resources())
-
-    def instance(self, name: str) -> KernelInstance:
-        for inst in self.instances:
-            if inst.name == name:
-                return inst
-        raise OlympusError(f"no kernel instance named {name!r}")
 
 
 class OlympusGenerator:

@@ -99,10 +99,5 @@ class StageCache:
                 return True, self._entries[key]
             return False, None
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
-
     def __len__(self) -> int:
         return len(self._entries)

@@ -64,15 +64,6 @@ class PipelineReport:
     def cache_misses(self) -> int:
         return sum(1 for e in self.events if not e.cached and not e.aux)
 
-    def stage_seconds(self) -> Dict[str, float]:
-        """Total executed (non-cached) seconds per stage name."""
-        totals: Dict[str, float] = {}
-        for event in self.events:
-            if not event.cached and not event.aux:
-                totals[event.stage] = totals.get(event.stage, 0.0) \
-                    + event.seconds
-        return totals
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "total_seconds": self.total_seconds,

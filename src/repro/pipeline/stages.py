@@ -43,10 +43,6 @@ class CompileResult:
     report: Any = None            # repro.hls.KernelReport
     key: str = ""                 # fingerprint of the last completed stage
 
-    @property
-    def name(self) -> str:
-        return self.kernel.name if self.kernel is not None else "<unparsed>"
-
 
 @dataclass
 class ExecutionResult:

@@ -1,11 +1,10 @@
-"""Target platform models (paper §III): devices, memories, networks, XRT.
+"""Target platform models (paper §III): devices, memories, networks.
 
-The EVEREST nodes carry PCIe-attached AMD Alveo cards (u55c, u280, driven
-by an XRT-like API) and network-attached IBM cloudFPGA nodes on a 10 Gb/s
-fabric.  Everything is a timing/resource model — the substitution for real
-hardware documented in DESIGN.md.  A :class:`SimClock` times one XRT
-device's transfers and kernel runs; the runtime engine keeps its own event
-clock for the cluster.
+The EVEREST nodes carry PCIe-attached AMD Alveo cards (u55c, u280) and
+network-attached IBM cloudFPGA nodes on a 10 Gb/s fabric.  Everything is
+a timing/resource model — the substitution for real hardware documented
+in DESIGN.md.  The runtime engine's event clock is the only simulated
+clock.
 """
 
 from repro.platforms.device import (
@@ -19,18 +18,10 @@ from repro.platforms.device import (
 )
 from repro.platforms.memory import (
     MemoryChannelModel,
-    PCIeModel,
     PLMConfig,
     TransferEstimate,
 )
 from repro.platforms.network import LinkModel
-from repro.platforms.xrt import (
-    BufferObject,
-    KernelHandle,
-    RunHandle,
-    SimClock,
-    XRTDevice,
-)
 
 __all__ = [
     "CATALOG",
@@ -41,13 +32,7 @@ __all__ = [
     "cloudfpga_node",
     "device_by_name",
     "MemoryChannelModel",
-    "PCIeModel",
     "PLMConfig",
     "TransferEstimate",
     "LinkModel",
-    "BufferObject",
-    "KernelHandle",
-    "RunHandle",
-    "SimClock",
-    "XRTDevice",
 ]

@@ -31,10 +31,6 @@ class MemoryChannelSpec:
     latency_cycles: int
     bus_width_bits: int = 512
 
-    @property
-    def total_bytes(self) -> int:
-        return self.channels * self.bytes_per_channel
-
 
 @dataclass(frozen=True)
 class FPGADevice:
@@ -65,11 +61,6 @@ class FPGADevice:
             bram=self.resources.bram - self.shell_overhead.bram,
             uram=self.resources.uram,
         )
-
-    def memory(self, name: str) -> MemoryChannelSpec:
-        if name not in self.memories:
-            raise PlatformError(f"{self.name}: no memory named {name!r}")
-        return self.memories[name]
 
     def default_memory(self) -> MemoryChannelSpec:
         for preferred in ("hbm", "ddr"):

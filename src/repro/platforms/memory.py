@@ -84,14 +84,3 @@ class PLMConfig:
         """Concurrent accesses per cycle (2 ports per bank on BRAM)."""
         return 2 * max(1, self.banks)
 
-
-class PCIeModel:
-    """Host <-> device PCIe transfer model."""
-
-    def __init__(self, gbps: float, latency_us: float = 10.0):
-        self.gbps = gbps
-        self.latency_us = latency_us
-
-    def transfer(self, num_bytes: int) -> TransferEstimate:
-        seconds = self.latency_us * 1e-6 + num_bytes / (self.gbps * 1e9)
-        return TransferEstimate(num_bytes, seconds, self.gbps, 1.0)

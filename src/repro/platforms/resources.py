@@ -9,7 +9,6 @@ re-exports both names next to its cost tables).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -42,14 +41,6 @@ class ResourceBudget:
     def fits_in(self, capacity: "ResourceBudget") -> bool:
         return (self.lut <= capacity.lut and self.ff <= capacity.ff
                 and self.dsp <= capacity.dsp and self.bram <= capacity.bram)
-
-    def utilization(self, capacity: "ResourceBudget") -> Dict[str, float]:
-        return {
-            "lut": self.lut / capacity.lut if capacity.lut else 0.0,
-            "ff": self.ff / capacity.ff if capacity.ff else 0.0,
-            "dsp": self.dsp / capacity.dsp if capacity.dsp else 0.0,
-            "bram": self.bram / capacity.bram if capacity.bram else 0.0,
-        }
 
     def scaled(self, factor: int) -> "ResourceBudget":
         return ResourceBudget(self.lut * factor, self.ff * factor,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EverestError
 
@@ -311,11 +311,3 @@ def get_registry() -> MetricsRegistry:
     each serve daemon additionally owns a private one)."""
     return _GLOBAL
 
-
-def registries(*extra: MetricsRegistry) -> Iterable[MetricsRegistry]:
-    """The default registry plus any service-private ones, deduplicated."""
-    seen: List[MetricsRegistry] = []
-    for registry in (*extra, _GLOBAL):
-        if not any(registry is s for s in seen):
-            seen.append(registry)
-    return seen

@@ -283,6 +283,20 @@ class TestParallel:
         assert threading.active_count() == before
         assert len(names) == parallel.WORKERS
 
+    def test_traced_tiles_are_spans_under_the_caller(self):
+        """With tracing on, each row range is a ``tile`` span parented
+        under the span that fanned out, though it runs on a worker."""
+        tracer = enable()
+        try:
+            with tracer.span("run") as run:
+                make_tile(chunks=2, threshold=1)(lambda t0, t1: None, 64,
+                                                 work=10)
+        finally:
+            disable()
+        tiles = [s for s in tracer.spans() if s.name == "tile"]
+        assert sorted(s.attrs["t0"] for s in tiles) == [0, 32]
+        assert all(s.parent_id == run.span_id for s in tiles)
+
     @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
     def test_forced_tiling_is_bitwise(self, tile_every_nest, chunks):
         func_name, module = lower_optimized(GOLDEN["chain"])

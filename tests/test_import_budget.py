@@ -40,7 +40,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _PLATFORMS = """
     repro repro.errors repro.platforms repro.platforms.device
     repro.platforms.memory repro.platforms.network
-    repro.platforms.resources repro.platforms.xrt
+    repro.platforms.resources
 """
 _TELEMETRY = """
     repro.telemetry repro.telemetry.export repro.telemetry.log

@@ -1,6 +1,5 @@
 """Tests for platform models, Olympus generation, packing and PLM sharing."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +12,6 @@ from repro.olympus import (
     BufferRequest,
     Field,
     OlympusGenerator,
-    build_driver,
-    generate_driver_source,
     pack_fields,
     pack_stream,
     peak_live_bytes,
@@ -23,8 +20,6 @@ from repro.olympus import (
 from repro.platforms import (
     MemoryChannelModel,
     PLMConfig,
-    SimClock,
-    XRTDevice,
     alveo_u55c,
     alveo_u280,
     cloudfpga_node,
@@ -79,39 +74,6 @@ class TestMemoryModels:
         assert plm.footprint_bytes == 16 * 2304
         assert plm.bram_blocks == 16
         assert plm.ports == 4
-
-
-class TestXRT:
-    def test_full_flow(self, rrtmg_report):
-        device = XRTDevice(alveo_u55c(), SimClock())
-        from repro.platforms import KernelHandle
-
-        device.load_xclbin("bits", {
-            "k": KernelHandle("k", 30000, 300.0,
-                              lambda a, b: float(a.sum())),
-        })
-        bo_in = device.alloc_bo(4096)
-        device.write_bo(bo_in, np.ones(512))
-        device.sync_bo_to_device(bo_in)
-        bo_out = device.alloc_bo(4096)
-        bo_out.device_data = np.zeros(1)
-        bo_out.resident = True
-        handle = device.run("k", bo_in, bo_out)
-        assert handle.outputs == 512.0
-        assert device.clock.now > 0.04  # includes programming time
-
-    def test_launch_requires_resident_buffers(self):
-        from repro.platforms import KernelHandle
-
-        device = XRTDevice(alveo_u55c())
-        device.load_xclbin("bits", {"k": KernelHandle("k", 10, 300.0)})
-        bo = device.alloc_bo(64)
-        with pytest.raises(PlatformError):
-            device.run("k", bo)
-
-    def test_network_attached_rejected(self):
-        with pytest.raises(PlatformError):
-            XRTDevice(cloudfpga_node())
 
 
 class TestPacking:
@@ -232,14 +194,3 @@ class TestOlympus:
         huge.resources = rrtmg_report.resources.scaled(500)
         with pytest.raises(OlympusError):
             OlympusGenerator(tiny).generate("sys", [huge])
-
-    def test_driver_source_and_execution(self, rrtmg_report):
-        generator = OlympusGenerator(alveo_u55c())
-        system = generator.generate("sys", [rrtmg_report])
-        source = generate_driver_source(system)
-        assert "load_xclbin" in source and "sync_bo_to_device" in source
-        driver = build_driver(system, {"tau_major":
-                                       lambda a, b: float(a.sum())})
-        outputs, elapsed = driver({"tau_major": np.ones(64)})
-        assert outputs["tau_major"] == 64.0
-        assert elapsed > 0

@@ -314,22 +314,39 @@ class TestBasecampCLI(object):
         assert main(["runtime", "--policy", "bogus"]) == 1
         assert "unknown scheduling policy" in capsys.readouterr().err
 
-    def test_runtime_bad_fail_spec_rejected(self, capsys):
-        assert main(["runtime", "--fail", "node1"]) == 1
-        assert "NODE@SIM_SECONDS" in capsys.readouterr().err
-        assert main(["runtime", "--fail", "node1@fast"]) == 1
-        assert "NODE@SIM_SECONDS" in capsys.readouterr().err
-        assert main(["runtime", "--fail", "@2.0"]) == 1
-        assert "NODE@SIM_SECONDS" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message", [
+        ("--tasks -1", "argument --tasks: must be at least 0"),
+        ("--nodes 0", "argument --nodes: must be at least 1"),
+        ("--fpga-fraction 2", "argument --fpga-fraction: must be in"),
+        ("--fpga-fraction -0.1", "argument --fpga-fraction: must be in"),
+        ("--fpga-fraction nan", "argument --fpga-fraction: must be in"),
+        ("--fail node1@inf", "argument --fail: time must be finite"),
+        ("--fail node1@nan", "argument --fail: time must be finite"),
+        ("--fail node1@-1", "argument --fail: time must be finite"),
+        ("--fail node1", "argument --fail: wants NODE@SIM_SECONDS"),
+        ("--fail node1@fast", "argument --fail: wants NODE@SIM_SECONDS"),
+        ("--fail @2.0", "argument --fail: wants NODE@SIM_SECONDS"),
+    ])
+    def test_runtime_bad_argument_is_a_usage_error(self, capsys, argv,
+                                                   message):
+        """A usage error (exit 2) naming the flag, before the banner.
+        ``--tasks -1`` used to print makespan=0.000s, ``--fpga-fraction
+        2`` and ``node1@inf`` (no failure at all) ran, and ``node1@nan``
+        was refused as "earlier than clock.now"."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runtime", *argv.split()])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("spec, reason", [
         ("node9@1.0", "name='node9': unknown node"),
-        ("node1@-1", "time=-1.0 is earlier than clock.now"),
     ])
     def test_runtime_impossible_failure_rejected_before_the_run(
             self, capsys, spec, reason):
-        """Both used to surface mid-run, after part of the workflow had
-        executed ("unknown node", "clock cannot run backwards")."""
+        """It used to surface mid-run, after part of the workflow had
+        executed."""
         assert main(["runtime", "--policy", "heft", "--nodes", "2",
                      "--fail", spec]) == 1
         captured = capsys.readouterr()
