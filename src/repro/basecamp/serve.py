@@ -17,36 +17,19 @@ many tenants share one process:
   rejects with ``429`` and a ``Retry-After`` hint derived from recent
   request latency.
 
-Endpoints (all JSON):
+Endpoints (all JSON): ``POST /compile``, ``/execute`` and ``/runtime``
+take the fields :data:`SCHEMA` declares (one described task's are
+:data:`TASK`) and reply with HLS report scalars, output summaries and
+per-policy schedules; ``GET /stats``, ``/metrics`` and ``/healthz``
+report counters and liveness.
 
-==================  ===================================================
-``POST /compile``   ``{source, opt_level?, number_format?}`` -> HLS
-                    report scalars + the stage-chain fingerprint
-``POST /execute``   ``{source, backend?, opt_level?, random_seed?,
-                    inputs?, full_outputs?}`` -> output
-                    summaries (shape/dtype/mean, values on request)
-``POST /runtime``   ``{policy?, nodes?, tasks?, seed?, fpga_fraction?}``
-                    -> per-policy makespan/transfers/rescheduled;
-                    ``tasks`` is a count (synthetic workflow) or a
-                    list of ``{name, after?, cpu_flops?, cores?, fpga?,
-                    fpga_seconds?, output_bytes?}`` (the reply then
-                    carries ``placements`` and ``utilization``)
-``GET /stats``      cache, single-flight and admission counters
-``GET /metrics``    the same state as Prometheus text exposition
-``GET /healthz``    liveness probe
-==================  ===================================================
-
-Every counter behind ``/stats`` lives in a
-:class:`~repro.telemetry.metrics.MetricsRegistry` owned by the service;
-``/stats`` (the JSON view) and ``/metrics`` (the Prometheus view) read
-the same registry, so the two can never disagree.  When a recording
-tracer is installed (``repro.telemetry.trace.enable``), each POST grows
-one span tree (request → stages → kernel run) and the response carries
-its root ``span_id``.  Per-request access logging goes through the
-``repro.serve`` structured logger (``--log-level info`` shows it).
-
-SDK errors map to ``400`` with ``{"error": ...}``; saturation maps to
-``429``; anything unexpected maps to ``500``.  See ``docs/serve.md``.
+Every counter lives in one service-private
+:class:`~repro.telemetry.metrics.MetricsRegistry` that ``/stats`` (JSON)
+and ``/metrics`` (Prometheus) both render.  With a recording tracer
+installed each POST grows one span tree and its reply carries the root
+``span_id``.  SDK errors map to ``400`` with ``{"error": ...}``,
+saturation to ``429`` and anything unexpected to ``500``; see
+``docs/serve.md``.
 """
 
 from __future__ import annotations
@@ -57,7 +40,7 @@ import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import EverestError
 from repro.pipeline import PipelineSession
@@ -85,6 +68,112 @@ MAX_RUNTIME_NODES = 256
 def _no_result(*dependencies) -> None:
     """The body of a task a ``/runtime`` request describes: the request
     asks where and when it would run, not for what it computes."""
+
+
+class Field(NamedTuple):
+    """One field of a request body or of a described task.
+
+    ``kind``: the type its JSON value decodes to, or a tuple of them;
+    ``float`` takes an integer too, and only ``bool`` takes ``true``.
+    ``default``: what a missing field is, and a ``null`` where it is
+    None; ``...`` (pydantic's spelling) makes the field required.
+    ``low``/``high``: bounds of a number, which must be finite, or of a
+    list's length; ``low=1`` refuses a blank string.
+    ``entries``: ``(kind, noun)`` of a list's entries, ``str`` or a
+    table keyed by its first row.
+    ``error``: a required field's message for any refusal.
+    """
+
+    name: str
+    kind: Any
+    default: Any = ...
+    low: Any = None
+    high: Any = None
+    entries: Optional[Tuple[Any, str]] = None
+    error: str = ""
+
+
+#: One task a ``/runtime`` request lists.  The defaults are
+#: ``WorkflowTask``'s (``tests/test_serve.py`` holds them equal).
+TASK = (
+    Field("name", str, ..., 1, error="every task must be an object with "
+                                     "a string 'name', got {!r}"),
+    Field("after", list, [], entries=(str, "task names")),
+    Field("fpga", bool, False),
+    Field("fpga_seconds", float, 1e-3, 0.0),
+    Field("cpu_flops", float, 1e9, 0.0),
+    Field("cores", int, 1, 1),
+    Field("output_bytes", int, 8192, 0),
+)
+
+_SOURCE = Field("source", str, ..., 1,
+                error="request needs a non-empty 'source' (EKL kernel text)")
+_OPT_LEVEL = Field("opt_level", int, 1, 0, 2)
+
+#: The fields of each POST endpoint, checked by :func:`checked` before
+#: its handler runs; ``docs/serve.md`` shows them as tables.
+SCHEMA = {
+    "compile": (_SOURCE, Field("number_format", str, None), _OPT_LEVEL),
+    "execute": (_SOURCE, _OPT_LEVEL, Field("backend", str, None, 1),
+                Field("random_seed", int, None, 0),
+                Field("inputs", dict, None),
+                Field("full_outputs", bool, None)),
+    "runtime": (Field("policy", str, "heft"),
+                Field("nodes", int, 4, 1, MAX_RUNTIME_NODES),
+                Field("tasks", (int, list), 60, 1, MAX_RUNTIME_TASKS,
+                      entries=(TASK, "task")),
+                Field("seed", int, 0, 0),
+                Field("fpga_fraction", float, 0.0, 0.0, 1.0)),
+}
+
+
+def checked(table: Tuple[Field, ...], body: Dict[str, Any],
+            within: str = "") -> Dict[str, Any]:
+    """The fields ``table`` declares, read from ``body`` and checked;
+    other keys are ignored.  A refusal is an :class:`EverestError` (a
+    400) naming the field and, for an entry ``within`` a list, its key.
+    """
+    if type(body) is not dict:  # an entry of a list of objects
+        raise EverestError(table[0].error.format(body))
+    fields: Dict[str, Any] = {}
+    for row in table:
+        value = body.get(row.name, row.default)
+        kind, low, high, problem = type(value), row.low, row.high, ""
+        kinds = row.kind if type(row.kind) is tuple else (row.kind,)
+        if kind not in kinds and (kind is not int or float not in kinds):
+            if value is None and row.default is None:
+                fields[row.name] = None
+                continue
+            problem = "must be of type " + " or ".join(
+                k.__name__ for k in kinds)
+        elif kind is str:
+            if low and not value.strip():
+                problem = "must not be blank"
+        elif kind is list:
+            entries, noun = row.entries or (None, "")
+            if low is not None and not low <= len(value) <= high:
+                problem = f"must list {low} to {high} {row.name}"
+                value = len(value)
+            elif entries is str:
+                wrong = [entry for entry in value if type(entry) is not str]
+                if wrong:
+                    problem, value = f"must list {noun}", wrong[0]
+            elif entries:
+                value = [checked(entries, entry, noun) for entry in value]
+        elif kind is int or kind is float:
+            if not -math.inf < value < math.inf:
+                problem = "must be finite"
+            elif (low is not None and value < low) \
+                    or (high is not None and value > high):
+                problem = "must be " + (f">= {low}" if high is None
+                                        else f"in [{low}, {high}]")
+        if problem and row.default is ...:
+            raise EverestError(row.error.format(body))
+        if problem:
+            where = f"{within} {fields[table[0].name]!r}: " if within else ""
+            raise EverestError(f"{where}{row.name!r} {problem}, got {value!r}")
+        fields[row.name] = value
+    return fields
 
 
 class ServiceSaturated(EverestError):
@@ -187,11 +276,9 @@ class BasecampService:
                payload: Dict[str, Any]) -> Dict[str, Any]:
         """Run one admitted request; raises :class:`EverestError` on
         bad parameters and :class:`ServiceSaturated` over capacity."""
-        handler = {"compile": self._compile, "execute": self._execute,
-                   "runtime": self._runtime}.get(endpoint)
-        if handler is None:
+        if endpoint not in SCHEMA:
             raise EverestError(f"unknown endpoint {endpoint!r}; "
-                               "available: compile, execute, runtime")
+                               f"available: {', '.join(SCHEMA)}")
         if not isinstance(payload, dict):
             raise EverestError("request body must be a JSON object")
         self._requests.inc(endpoint=endpoint)
@@ -199,7 +286,8 @@ class BasecampService:
         start = time.perf_counter()
         try:
             with self._workers:  # blocking acquire == the bounded queue
-                result = handler(payload)
+                result = getattr(self, "_" + endpoint)(
+                    checked(SCHEMA[endpoint], payload))
             self._responses.inc(outcome="ok")
             return result
         except Exception:
@@ -213,52 +301,12 @@ class BasecampService:
             self._latency.observe(elapsed, endpoint=endpoint)
             self._release(elapsed)
 
-    # -- endpoints ---------------------------------------------------------------------
+    # -- endpoints: each reads what ``checked`` returned -------------------------------
 
-    @staticmethod
-    def _source_of(payload: Dict[str, Any]) -> str:
-        source = payload.get("source")
-        if not isinstance(source, str) or not source.strip():
-            raise EverestError("request needs a non-empty 'source' "
-                               "(EKL kernel text)")
-        return source
-
-    @staticmethod
-    def _field(payload: Dict[str, Any], name: str, kind: type,
-               default: Any = None, *, low: Optional[float] = None,
-               high: Optional[float] = None) -> Any:
-        """Read one optional request field, checked at the boundary.
-
-        ``kind`` is ``int``, ``float`` (which also takes an int), ``bool``,
-        ``str``, ``list`` or ``dict``; only ``bool`` takes a JSON boolean.
-        Numbers must be finite and lie in [``low``, ``high``].  A missing
-        field is ``default``, and so is an explicit ``null`` where the
-        default is None; anything else raises naming the field, so a
-        malformed value is a 400 and never a ``ValueError`` from deep
-        inside a handler.
-        """
-        value = payload.get(name, default)
-        if value is None and default is None:
-            return None
-        wanted = (int, float) if kind is float else kind
-        if (isinstance(value, bool) and kind is not bool) \
-                or not isinstance(value, wanted):
-            raise EverestError(
-                f"{name!r} must be of type {kind.__name__}, got {value!r}")
-        if kind is float and not -math.inf < value < math.inf:
-            raise EverestError(f"{name!r} must be finite, got {value!r}")
-        if (low is not None and value < low) \
-                or (high is not None and value > high):
-            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-            raise EverestError(f"{name!r} must be {bounds}, got {value!r}")
-        return value
-
-    def _compile(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.session.compile(
-            self._source_of(payload),
-            number_format=self._field(payload, "number_format", str),
-            opt_level=self._field(payload, "opt_level", int, 1,
-                                  low=0, high=2))
+    def _compile(self, fields: Dict[str, Any]) -> Dict[str, Any]:
+        result = self.session.compile(fields["source"],
+                                      number_format=fields["number_format"],
+                                      opt_level=fields["opt_level"])
         report = result.report
         return {
             "kernel": report.name,
@@ -273,23 +321,20 @@ class BasecampService:
                           "bram": report.resources.bram},
         }
 
-    def _execute(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _execute(self, fields: Dict[str, Any]) -> Dict[str, Any]:
         import numpy as np
 
         from repro.basecamp.inputs import gather_inputs
 
-        source = self._source_of(payload)
-        opt_level = self._field(payload, "opt_level", int, 1, low=0, high=2)
-        backend = self._field(payload, "backend", str) or "compiled"
-        seed = self._field(payload, "random_seed", int, low=0)
-        explicit = self._field(payload, "inputs", dict) or {}
-        full_outputs = self._field(payload, "full_outputs", bool)
-        lowered = self.session.lower(source, opt_level=opt_level)
+        lowered = self.session.lower(fields["source"],
+                                     opt_level=fields["opt_level"])
         inputs = gather_inputs(
-            lowered.module, lowered.kernel.name, explicit, seed,
+            lowered.module, lowered.kernel.name, fields["inputs"],
+            fields["random_seed"],
             missing_hint="add it to 'inputs' or pass 'random_seed'")
-        result = self.session.execute_lowered(lowered, inputs,
-                                              backend=backend)
+        # A null or missing backend is the default one.
+        result = self.session.execute_lowered(
+            lowered, inputs, backend=fields["backend"] or "compiled")
         outputs: Dict[str, Any] = {}
         for name, value in result.outputs.items():
             value = np.asarray(value)
@@ -298,7 +343,7 @@ class BasecampService:
                 "dtype": str(value.dtype),
                 "mean": float(value.mean()) if value.size else 0.0,
             }
-            if full_outputs:
+            if fields["full_outputs"]:
                 entry["values"] = value.tolist()
             outputs[name] = entry
         return {
@@ -310,49 +355,7 @@ class BasecampService:
             "outputs": outputs,
         }
 
-    @classmethod
-    def _described(cls, listed: list):
-        """The :class:`~repro.workflows.WorkflowSpec` of a ``/runtime``
-        request whose ``tasks`` lists ``{name, after?, cpu_flops?,
-        cores?, fpga?, fpga_seconds?, output_bytes?}`` objects; an
-        error names the task it was found in."""
-        from repro.workflows.lexis import WorkflowSpec, WorkflowTask
-
-        if not 1 <= len(listed) <= MAX_RUNTIME_TASKS:
-            raise EverestError(f"'tasks' must list 1 to {MAX_RUNTIME_TASKS} "
-                               f"tasks, got {len(listed)}")
-        spec = WorkflowSpec("request")
-        for entry in listed:
-            if not isinstance(entry, dict) \
-                    or not isinstance(entry.get("name"), str):
-                raise EverestError("every task must be an object with a "
-                                   f"string 'name', got {entry!r}")
-            try:
-                after = cls._field(entry, "after", list, [])
-                for dep in after:
-                    if not isinstance(dep, str):
-                        raise EverestError(
-                            f"'after' must list task names, got {dep!r}")
-                fpga = cls._field(entry, "fpga", bool, False)
-                spec.add(WorkflowTask(
-                    entry["name"], _no_result, after,
-                    location="fpga" if fpga else "hpc",
-                    fpga_seconds=cls._field(
-                        entry, "fpga_seconds", float,
-                        WorkflowTask.fpga_seconds, low=0.0),
-                    cpu_flops=cls._field(entry, "cpu_flops", float,
-                                         WorkflowTask.cpu_flops, low=0.0),
-                    cores=cls._field(entry, "cores", int,
-                                     WorkflowTask.cores, low=1),
-                    output_bytes=cls._field(
-                        entry, "output_bytes", int,
-                        WorkflowTask.output_bytes, low=0)))
-            except EverestError as error:
-                raise EverestError(
-                    f"task {entry['name']!r}: {error}") from None
-        return spec
-
-    def _runtime(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _runtime(self, fields: Dict[str, Any]) -> Dict[str, Any]:
         from repro.runtime import default_cluster
         from repro.runtime.engine import (
             POLICIES,
@@ -360,31 +363,33 @@ class BasecampService:
             synthetic_workflow,
         )
 
-        policy = self._field(payload, "policy", str, "heft")
+        nodes, tasks, policy = fields["nodes"], fields["tasks"], \
+            fields["policy"]
         policies = sorted(POLICIES) if policy == "all" else [policy]
-        nodes = self._field(payload, "nodes", int, 4, low=1,
-                            high=MAX_RUNTIME_NODES)
-        listed, spec = payload.get("tasks"), None
-        if isinstance(listed, list):
-            from repro.workflows.lexis import LexisPlatform
+        spec = None
+        if type(tasks) is list:
+            from repro.workflows import lexis
 
-            spec = self._described(listed)
-            tasks = len(listed)
-        else:
-            tasks = self._field(payload, "tasks", int, 60, low=1,
-                                high=MAX_RUNTIME_TASKS)
-            seed = self._field(payload, "seed", int, 0, low=0)
-            fpga_fraction = self._field(payload, "fpga_fraction", float,
-                                        0.0, low=0.0, high=1.0)
+            spec = lexis.WorkflowSpec("request")
+            for task in tasks:
+                try:  # a name listed twice
+                    spec.add(lexis.WorkflowTask(
+                        fn=_no_result,
+                        location="fpga" if task.pop("fpga") else "hpc",
+                        **task))
+                except EverestError as error:
+                    raise EverestError(
+                        f"task {task['name']!r}: {error}") from None
+            tasks = len(tasks)
         results = []
         for name in policies:
             cluster = default_cluster(nodes)
             if spec is not None:
-                engine = LexisPlatform(cluster, name).deploy(spec).engine
+                engine = lexis.LexisPlatform(cluster, name).deploy(spec).engine
             else:
                 engine = RuntimeEngine(cluster, policy=name)
-                synthetic_workflow(engine, n_tasks=tasks, seed=seed,
-                                   fpga_fraction=fpga_fraction)
+                synthetic_workflow(engine, n_tasks=tasks, seed=fields["seed"],
+                                   fpga_fraction=fields["fpga_fraction"])
             outcome = engine.run()
             row = {
                 "policy": name,
@@ -404,56 +409,47 @@ class BasecampService:
 
     # -- introspection -----------------------------------------------------------------
 
-    def _refresh_gauges(self) -> None:
-        """Sample point-in-time state into the gauges (scrape time)."""
-        cache = self.session.cache
-        flight = self.session.singleflight
+    def _refresh_gauges(self) -> Dict[str, float]:
+        """Sample point-in-time state into the gauges (scrape time);
+        returns the values by gauge name."""
+        cache, flight = self.session.cache, self.session.singleflight
         with self._lock:
-            active = self._active
-            ewma = self._ewma_seconds
-        gauges = self._gauges
-        gauges["active_requests"].set(active)
-        gauges["max_workers"].set(self.max_workers)
-        gauges["queue_limit"].set(self.queue_limit)
-        gauges["ewma_request_seconds"].set(ewma)
-        gauges["uptime_seconds"].set(time.time() - self._started)
-        gauges["cache_entries"].set(len(cache))
-        gauges["cache_hits"].set(cache.stats.hits)
-        gauges["cache_misses"].set(cache.stats.misses)
-        gauges["singleflight_leaders"].set(flight.leaders)
-        gauges["singleflight_waits"].set(flight.waits)
+            active, ewma = self._active, self._ewma_seconds
+        sampled = {
+            "active_requests": active, "max_workers": self.max_workers,
+            "queue_limit": self.queue_limit, "ewma_request_seconds": ewma,
+            "uptime_seconds": time.time() - self._started,
+            "cache_entries": len(cache), "cache_hits": cache.stats.hits,
+            "cache_misses": cache.stats.misses,
+            "singleflight_leaders": flight.leaders,
+            "singleflight_waits": flight.waits}
+        for name, value in sampled.items():
+            self._gauges[name].set(value)
+        return sampled
 
     def stats(self) -> Dict[str, Any]:
-        self._refresh_gauges()
+        sampled = self._refresh_gauges()
         cache = self.session.cache
-        flight = self.session.singleflight
-        gauges = self._gauges
         return {
             "server": {
                 "requests": int(self._requests.total()),
                 "ok": int(self._responses.value(outcome="ok")),
                 "rejected": int(self._responses.value(outcome="rejected")),
                 "errors": int(self._responses.value(outcome="error")),
-                "compile": int(self._requests.value(endpoint="compile")),
-                "execute": int(self._requests.value(endpoint="execute")),
-                "runtime": int(self._requests.value(endpoint="runtime")),
-                "active": int(gauges["active_requests"].value()),
+                **{endpoint: int(self._requests.value(endpoint=endpoint))
+                   for endpoint in SCHEMA},
+                "active": sampled["active_requests"],
                 "max_workers": self.max_workers,
                 "queue_limit": self.queue_limit,
-                "ewma_request_seconds":
-                    gauges["ewma_request_seconds"].value(),
-                "uptime_seconds": gauges["uptime_seconds"].value(),
+                "ewma_request_seconds": sampled["ewma_request_seconds"],
+                "uptime_seconds": sampled["uptime_seconds"],
             },
-            "cache": {
-                "entries": len(cache),
-                "hits": cache.stats.hits,
-                "misses": cache.stats.misses,
-                "hit_rate": cache.stats.hit_rate,
-            },
-            "singleflight": {
-                "leaders": flight.leaders,
-                "waits": flight.waits,
-            },
+            "cache": {"entries": sampled["cache_entries"],
+                      "hits": sampled["cache_hits"],
+                      "misses": sampled["cache_misses"],
+                      "hit_rate": cache.stats.hit_rate},
+            "singleflight": {"leaders": sampled["singleflight_leaders"],
+                             "waits": sampled["singleflight_waits"]},
         }
 
     def metrics_text(self) -> str:

@@ -316,6 +316,9 @@ class PipelineSession:
         is forwarded to :meth:`lower`.
         """
         result = self.lower(source, opt_level=opt_level)
+        if number_format is not None:
+            # One hls entry per format, not per spelling: "" is f64 too.
+            number_format = "".join(number_format.split()) or "f64"
         if number_format == "f64":
             number_format = None  # share the default-format cache entry
         params = {"number_format": number_format, "clock_mhz": clock_mhz}
@@ -366,14 +369,14 @@ class PipelineSession:
         """Synthesize one kernel under many number formats (§V-B DSE).
 
         Returns ``{spec: KernelReport}`` in the order ``formats`` was
-        given.  ``None`` (or ``"f64"``) selects the default
-        double-precision path.
+        given, each spec without its whitespace.  ``None`` (or ``""``,
+        or ``"f64"``) selects the default double-precision path.
         """
         compiled = self.lower(source)
         payload = (compiled.kernel, compiled.module)
         results: Dict[str, Any] = {}
         for fmt in formats:
-            spec = fmt if fmt else "f64"
+            spec = "".join((fmt or "").split()) or "f64"
             params = {"number_format": None if spec == "f64" else spec,
                       "clock_mhz": clock_mhz}
             results[spec] = self.run_stage("hls", payload, key=compiled.key,

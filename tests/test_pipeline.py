@@ -72,6 +72,20 @@ class TestStageCaching:
         assert session.report.cache_misses == misses
         assert explicit.report is default.report
 
+    def test_format_spellings_share_one_hls_entry(self):
+        """Whitespace and "" spell no new format: each of these used to
+        synthesize the same kernel again under a key of its own."""
+        session = PipelineSession()
+        for spec in (None, "f64", "", " f64", "f64 ", " f 6 4\t"):
+            session.compile(FIG3_MAJOR_ABSORBER, number_format=spec)
+        assert len(session.cache) == 3  # parse, canonicalize, hls
+        for spec in ("posit<16,1>", "posit<16, 1>", " posit< 16,1 > "):
+            session.compile(FIG3_MAJOR_ABSORBER, number_format=spec)
+        swept = session.format_sweep(FIG3_MAJOR_ABSORBER,
+                                     ["", " f64", "posit<16, 1>"])
+        assert list(swept) == ["f64", "posit<16,1>"]
+        assert len(session.cache) == 4
+
     def test_cache_stats_exposed(self):
         session = PipelineSession()
         session.compile(FIG3_MAJOR_ABSORBER)

@@ -10,14 +10,20 @@ and, for each block:
    name it loads is defined inside the block, imported by it, or a
    builtin.
 
-Exit status is nonzero on the first failing block, with the file and
-block number in the message.  Run via ``make docs-check``.
+It then compares the request-field tables of docs/serve.md with the
+schema the daemon checks bodies against (``repro.basecamp.serve.SCHEMA``
+and ``TASK``): one table per POST endpoint and one for a described task,
+each row the field's name, kind, default and bounds in schema order.
+
+Exit status is nonzero on the first failing block or table, with the
+file and block or table in the message.  Run via ``make docs-check``.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import json
 import re
 import sys
 from pathlib import Path
@@ -26,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 
 FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+SERVE_DOC = ROOT / "docs" / "serve.md"
 
 
 def code_blocks(path: Path):
@@ -79,6 +86,68 @@ def check_block(source: str, label: str) -> str:
     return "imports"
 
 
+def markdown_tables(text: str) -> dict:
+    """{first header cell: [row cells]} of each Markdown table, cells
+    stripped of blanks and backticks."""
+    def cells(line):
+        return [cell.strip().strip("`")
+                for cell in line.strip()[1:-1].split("|")]
+
+    tables, lines = {}, text.splitlines()
+    for i, line in enumerate(lines[:-1]):
+        if line.startswith("|") and lines[i + 1].startswith("|---"):
+            rows = []
+            for body in lines[i + 2:]:
+                if not body.startswith("|"):
+                    break
+                rows.append(cells(body))
+            tables[cells(line)[0]] = rows
+    return tables
+
+
+def schema_row(row) -> list:
+    """A schema row as its table shows it: name, kind, default, bounds."""
+    kinds = [kind.__name__ for kind in (
+        row.kind if isinstance(row.kind, tuple) else (row.kind,))]
+    if row.entries:
+        entries, noun = row.entries
+        kinds[kinds.index("list")] = "list of " + (
+            "str" if entries is str else noun)
+    default = "required" if row.default is ... else json.dumps(row.default)
+    if row.low is None and row.high is None:
+        bounds = ""
+    elif "str" in kinds:
+        bounds = "not blank"
+    elif row.high is None:
+        bounds = f"≥ {row.low}"
+    else:
+        bounds = f"[{row.low}, {row.high}]"
+    return [row.name, " or ".join(kinds), default, bounds]
+
+
+def check_schema_tables() -> str:
+    """'' when docs/serve.md shows the request schema, else the first
+    difference."""
+    from repro.basecamp.serve import SCHEMA, TASK
+
+    tables = markdown_tables(SERVE_DOC.read_text())
+    declared = [(f"POST /{endpoint}", table)
+                for endpoint, table in SCHEMA.items()] + [("task", TASK)]
+    for title, table in declared:
+        if title not in tables:
+            return f"no table headed `{title}`"
+        shown = [cells[:4] for cells in tables[title]]
+        for index, row in enumerate(table):
+            wanted = schema_row(row)
+            if index >= len(shown) or shown[index] != wanted:
+                got = shown[index] if index < len(shown) else "no row"
+                return f"table `{title}` row {index + 1}: {got} " \
+                       f"!= schema {wanted}"
+        if len(shown) > len(table):
+            return f"table `{title}`: {shown[len(table)]} is not in the schema"
+    return ""
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     checked = 0
@@ -99,6 +168,13 @@ def main() -> int:
         print("docs-check: no python code blocks found", file=sys.stderr)
         return 1
     print(f"docs-check: {checked} block(s) verified")
+    problem = check_schema_tables()
+    if problem:
+        print(f"docs-check: FAIL {SERVE_DOC.relative_to(ROOT)}: {problem}",
+              file=sys.stderr)
+        return 1
+    print(f"docs-check: ok {SERVE_DOC.relative_to(ROOT)} request tables "
+          "equal the schema")
     return 0
 
 

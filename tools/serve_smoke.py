@@ -7,6 +7,9 @@ multi-tenant contract end to end:
 
 * every request succeeds (no 5xx, no rejection at this load), a
   described workflow with an FPGA step among them;
+* a body with one field of the wrong type, one per row of the declared
+  request schema (``serve.SCHEMA`` and ``serve.TASK``), is a 400 that
+  names the field, and the ``/stats`` counters still add up;
 * a malformed ``Content-Length`` is a 400, not a 500;
 * the shared stage cache serves the repeats (hit rate over /stats);
 * identical concurrent compiles deduplicate (single-flight counters);
@@ -24,11 +27,15 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.basecamp.serve import SCHEMA, TASK  # noqa: E402
 
 KERNELS = ["""
 kernel smoke_a {
@@ -65,6 +72,31 @@ def post(url: str, endpoint: str, payload: dict) -> int:
     with urllib.request.urlopen(request, timeout=60) as response:
         json.loads(response.read())
         return response.status
+
+
+def wrong_type_bodies():
+    """(endpoint, body, field) with one field of each schema row given a
+    value of the wrong type."""
+    def wrong(row):
+        kinds = row.kind if isinstance(row.kind, tuple) else (row.kind,)
+        return 5 if str in kinds else "x"
+
+    for endpoint, table in SCHEMA.items():
+        base = {} if endpoint == "runtime" else {"source": KERNELS[0]}
+        for row in table:
+            yield endpoint, {**base, row.name: wrong(row)}, row.name
+    for row in TASK:
+        yield "runtime", {"tasks": [{"name": "a", row.name: wrong(row)}]}, \
+            row.name
+
+
+def refusal(url: str, endpoint: str, payload: dict):
+    """The (status, error message) of a POST the daemon must refuse."""
+    try:
+        post(url, endpoint, payload)
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())["error"]
+    return 200, ""
 
 
 def content_length_probe(url: str, declared: str) -> int:
@@ -111,6 +143,13 @@ def main() -> int:
             statuses = list(pool.map(client, range(N_REQUESTS)))
         assert statuses == [200] * N_REQUESTS, \
             f"non-200 replies: {sorted(set(statuses))}"
+        bad_bodies = list(wrong_type_bodies())
+        for endpoint, payload, field in bad_bodies:
+            status, message = refusal(url, endpoint, payload)
+            assert status == 400 and f"'{field}'" in message, \
+                f"/{endpoint} {payload}: {status} {message!r}"
+        print(f"serve-smoke: {len(bad_bodies)} wrong-type bodies, one per "
+              "schema row, each a 400 naming its field")
         probes = [content_length_probe(url, bad) for bad in ("abc", "-5")]
         assert probes == [400, 400], f"malformed Content-Length: {probes}"
 
@@ -118,8 +157,11 @@ def main() -> int:
             stats = json.loads(response.read())
         hit_rate = stats["cache"]["hit_rate"]
         flight = stats["singleflight"]
-        assert stats["server"]["requests"] == N_REQUESTS
-        assert stats["server"]["ok"] == N_REQUESTS
+        server = stats["server"]
+        assert (server["requests"], server["ok"], server["errors"]) \
+            == (N_REQUESTS + len(bad_bodies), N_REQUESTS, len(bad_bodies))
+        assert server["requests"] \
+            == server["ok"] + server["errors"] + server["rejected"]
         assert hit_rate > 0.8, \
             f"shared cache not shared: hit rate {hit_rate:.2%}"
         print(f"serve-smoke: {N_REQUESTS} requests from {N_CLIENTS} "
