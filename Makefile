@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-steps bench-smoke bench-runtime bench-ir bench-exec \
 	bench-selftest serve-smoke fuzz-smoke fuzz-exec-smoke \
 	fuzz-analyze-smoke fuzz-runtime-smoke fuzz-runtime \
-	fuzz-runtime-parent coverage reach \
+	fuzz-runtime-parent fuzz-ir-parent coverage reach \
 	docs-check examples lint all
 
 all: test docs-check
@@ -86,10 +86,19 @@ serve-smoke:
 
 # A quick fuzz campaign in both modes (the full 200-seed runs are in
 # tier-1 tests; `python tools/irfuzz.py --count N [--mode exec]` goes
-# deeper).
+# deeper).  Then the compile dump (`--dump PATH`: the IR after every
+# stage, the HLS reports and the generated numpy and C sources of Fig. 3,
+# the benchmark's corpus shapes and the fuzz kernels) twice: the two
+# files must be byte-identical, as must the dumps of a change and its
+# parent commit (`make fuzz-ir-parent`).
 fuzz-smoke:
 	$(PYTHON) tools/irfuzz.py --count 20 --quiet
 	$(PYTHON) tools/irfuzz.py --mode exec --count 20 --quiet
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(PYTHON) tools/irfuzz.py --count 20 --dump $$dir/a.txt && \
+	$(PYTHON) tools/irfuzz.py --count 20 --dump $$dir/b.txt && \
+	cmp $$dir/a.txt $$dir/b.txt && \
+	echo "irfuzz --dump: two runs byte-identical"
 
 # The executor differential fuzzer against every registered backend
 # (the 200-seed-per-backend campaigns are `python tools/irfuzz.py
@@ -146,6 +155,21 @@ fuzz-runtime-parent:
 		--count 120 --dump "$$dir/rev.json") && \
 	cmp "$$dir/tree.json" "$$dir/rev.json" && \
 	echo "workloadfuzz --dump: work tree and $(REV) byte-identical"
+
+# Same compile output as REV: `git archive` exports REV (default HEAD;
+# REV=HEAD~ once the change is committed) into a temp dir, and the work
+# tree's tools/irfuzz.py dumps 40 fuzz seeds (plus Fig. 3 and the corpus)
+# once against the work tree's src and once against REV's; the two files
+# must be byte-identical.  The dump code is the work tree's in both runs,
+# so only the compiler differs.  Not part of `make test`.
+fuzz-ir-parent:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	mkdir "$$dir/rev" && git archive "$(REV)" | tar -x -C "$$dir/rev" && \
+	$(PYTHON) tools/irfuzz.py --count 40 --dump "$$dir/tree.txt" && \
+	PYTHONPATH="$$dir/rev/src" $(PYTHON) tools/irfuzz.py --count 40 \
+		--dump "$$dir/rev.txt" && \
+	cmp "$$dir/tree.txt" "$$dir/rev.txt" && \
+	echo "irfuzz --dump: work tree and $(REV) byte-identical"
 
 # Line coverage over the package; tolerates a container without
 # pytest-cov (prints a hint), but a real test failure still fails the

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HLSError
 from repro.hls.resources import SHARABLE_CLASSES, OpCost, _family, cost_of
@@ -137,43 +138,62 @@ def _depth_from(start: List[int], dfg: BodyDFG) -> int:
     return depth
 
 
+def check_unit_count(name: str, count: object) -> None:
+    """Refuse a unit count that is not an integer >= 1 (0 never issues)."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise HLSError(f"{name} must be an integer >= 1, got {count!r}")
+
+
 def list_schedule(dfg: BodyDFG,
                   unit_limits: Optional[Dict[str, int]] = None) -> Schedule:
     """Resource-constrained list scheduling with ALAP priority.
 
     ``unit_limits`` caps concurrent issues per sharable class per cycle
     (defaults: 2 memory ports, unlimited everything else sized afterwards).
+    A node is ready from cycle ``max(start + latency, start + 1)`` over
+    its predecessors; a cycle issues its ready nodes by (ALAP priority,
+    index) up to the caps (``tools/oracles.py::list_schedule_scan``).
     """
-    if dfg.size == 0:
-        return Schedule([], 0, 1, 1, 1, {})
-    limits = {"mem": 2}
-    limits.update(unit_limits or {})
-    priority = alap(dfg)
-    remaining: Set[int] = set(range(dfg.size))
-    start: List[int] = [-1] * dfg.size
-    busy: Dict[Tuple[str, int], int] = {}  # (class, cycle) -> issues
-    cycle = 0
-    guard = 0
-    while remaining:
-        guard += 1
-        if guard > 100000:
+    limits = {"mem": 2, **(unit_limits or {})}
+    for family, count in limits.items():
+        check_unit_count(f"unit_limits[{family!r}]", count)
+    nodes, priority = dfg.nodes, alap(dfg)
+    start, eligible = [-1] * dfg.size, [0] * dfg.size
+    waiting = [len(node.preds) for node in nodes]  # not yet issued
+    ready = [(priority[i], i) for i in range(dfg.size) if not waiting[i]]
+    released: List[Tuple[int, int, int]] = []  # (eligible, priority, index)
+    left, cycle = dfg.size, 0
+    while left:
+        if cycle >= 100000:
             raise HLSError("list scheduling did not converge")
-        ready = [
-            i for i in remaining
-            if all(start[p] >= 0 and start[p] + dfg.nodes[p].cost.latency
-                   <= cycle for p in dfg.nodes[i].preds)
-        ]
-        ready.sort(key=lambda i: priority[i])
-        for i in ready:
-            family = dfg.nodes[i].family
-            if family in limits:
-                used = busy.get((family, cycle), 0)
-                if used >= limits[family]:
+        while released and released[0][0] <= cycle:
+            ready.append(heappop(released)[1:])
+        ready.sort()
+        free, deferred = limits.copy(), []
+        for entry in ready:
+            node = nodes[entry[1]]
+            if node.family in free:
+                if not free[node.family]:
+                    deferred.append(entry)
                     continue
-                busy[(family, cycle)] = used + 1
-            start[i] = cycle
-            remaining.discard(i)
-        cycle += 1
+                free[node.family] -= 1
+            start[node.index] = cycle
+            left -= 1
+            done = cycle + (node.cost.latency or 1)
+            for succ in node.succs:
+                if eligible[succ] < done:
+                    eligible[succ] = done
+                waiting[succ] -= 1
+                if not waiting[succ]:
+                    heappush(released, (eligible[succ], priority[succ], succ))
+        ready = deferred
+        cycle = cycle + 1 if ready or not released else released[0][0]
+    return schedule_from(dfg, start, limits)
+
+
+def schedule_from(dfg: BodyDFG, start: List[int],
+                  limits: Dict[str, int]) -> Schedule:
+    """The :class:`Schedule` of the start times ``start``."""
     depth = _depth_from(start, dfg)
     # Initiation interval bounds.
     res_mii = 1

@@ -25,7 +25,7 @@ from repro.hls.resources import (
     ResourceBudget,
     cost_of,
 )
-from repro.hls.scheduling import BodyDFG, Schedule, build_dfg, list_schedule
+from repro.hls.scheduling import build_dfg, check_unit_count, list_schedule
 from repro.ir import Module, Operation, types as T
 from repro.ir.fusion import loop_bounds, perfect_nest, trip_count
 from repro.numerics import NumberFormat, format_bits
@@ -139,6 +139,7 @@ class HLSEngine:
     def __init__(self, clock_mhz: float = 300.0,
                  mem_ports: int = 2,
                  number_format: Optional[NumberFormat] = None):
+        check_unit_count("mem_ports", mem_ports)
         self.clock_mhz = clock_mhz
         self.mem_ports = mem_ports
         self.number_format = number_format

@@ -107,14 +107,22 @@ TransferFn = Callable[
 
 
 def from_type(ty: T.Type) -> AbstractValue:
-    """The abstract value implied by a declared IR type."""
+    """The abstract value implied by a declared IR type, computed once per
+    type object and kept on it (types are immutable)."""
+    try:
+        return ty._abstract  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
     if isinstance(ty, (T.TensorType, T.MemRefType)):
-        return AbstractValue(tuple(ty.shape), str(ty.element))
-    if T.is_scalar(ty):
-        return AbstractValue((), str(ty))
-    if isinstance(ty, T.NoneOpType):
-        return AbstractValue((), "none")
-    return TOP
+        abstract = AbstractValue(tuple(ty.shape), str(ty.element))
+    elif T.is_scalar(ty):
+        abstract = AbstractValue((), str(ty))
+    elif isinstance(ty, T.NoneOpType):
+        abstract = AbstractValue((), "none")
+    else:
+        abstract = TOP
+    ty.__dict__["_abstract"] = abstract  # frozen: no setattr
+    return abstract
 
 
 def op_path(op: Operation) -> str:
@@ -334,9 +342,14 @@ def transfer_op(
         except AnalysisError as err:
             raise AnalysisError(f"{op_path(op)}: {err}") from None
     for idx, result in enumerate(op.results):
-        abstract = from_type(result.type)
+        try:  # from_type's cache hit, inlined: once per result
+            abstract = result.type._abstract  # type: ignore[attr-defined]
+        except AttributeError:
+            abstract = from_type(result.type)
         if inferred is not None and idx < len(inferred):
-            abstract = _meet(op, idx, inferred[idx], abstract)
+            fact = inferred[idx]  # meeting equal facts changes nothing
+            abstract = fact if fact == abstract \
+                else _meet(op, idx, fact, abstract)
         values[result] = abstract
 
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import IRError
-from repro.ir.attributes import AttrLike
+from repro.ir.attributes import Attribute, AttrLike, attr
 from repro.ir.core import Block, Module, Operation, Region, Value
 from repro.ir.types import Type
 
@@ -19,6 +19,9 @@ class Builder:
     >>> c = b.create("arith.constant", result_types=[f64],
     ...              attributes={"value": 1.0}).result
     """
+
+    #: When set, every op the builder inserts is also appended to it.
+    sink: Optional[List[Operation]] = None
 
     def __init__(self, block: Optional[Block] = None, index: Optional[int] = None):
         self.block = block
@@ -56,6 +59,8 @@ class Builder:
         else:
             self.block.insert(self.index, op)
             self.index += 1
+        if self.sink is not None:
+            self.sink.append(op)
         return op
 
     def create(
@@ -66,9 +71,24 @@ class Builder:
         attributes: Optional[Dict[str, AttrLike]] = None,
         regions: Optional[Sequence[Region]] = None,
     ) -> Operation:
-        """Create an op and insert it at the current point."""
-        op = Operation.create(name, operands, result_types, attributes, regions)
-        return self.insert(op)
+        """Create an op and insert it at the current point, in this one
+        frame (:meth:`Operation.create` and :meth:`insert` inlined)."""
+        if self.block is None:
+            raise IRError("builder has no insertion point")
+        coerced: Dict[str, Attribute] = {}
+        for key, value in attributes.items() if attributes else ():
+            coerced[key] = value if isinstance(value, Attribute) \
+                else attr(value)
+        op = Operation(name, operands, result_types, coerced, regions)
+        op.parent = self.block
+        if self.index is None:
+            self.block.operations.append(op)
+        else:
+            self.block.operations.insert(self.index, op)
+            self.index += 1
+        if self.sink is not None:
+            self.sink.append(op)
+        return op
 
 
 def build_func(

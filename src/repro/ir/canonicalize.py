@@ -73,6 +73,9 @@ class FoldPatterns(RewritePattern):
     def __init__(self, registry: Optional[DialectRegistry] = None):
         self.registry = registry or REGISTRY
 
+    def applies_to(self, name: str) -> bool:
+        return getattr(self.registry.opdefs.get(name), "fold", None) is not None
+
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         opdef = self.registry.opdefs.get(op.name)
         if opdef is None or opdef.fold is None or len(op.results) != 1:
@@ -105,16 +108,17 @@ class EraseTriviallyDead(RewritePattern):
     def __init__(self, registry: Optional[DialectRegistry] = None):
         self.registry = registry or REGISTRY
 
+    def applies_to(self, name: str) -> bool:
+        traits = getattr(self.registry.opdefs.get(name), "traits", ())
+        return "pure" in traits and "interface" not in traits
+
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         if op.regions or not op.results:
             return False
         for result in op.results:
             if result.uses:
                 return False
-        opdef = self.registry.opdefs.get(op.name)
-        if opdef is None or "pure" not in opdef.traits:
-            return False
-        if "interface" in opdef.traits:
+        if not self.applies_to(op.name):
             return False
         rewriter.erase_op(op)
         return True

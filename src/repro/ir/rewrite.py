@@ -11,7 +11,8 @@ applies a pattern set until fixpoint (MLIR's
   matched op's operands (they may have lost their last use), any ops the
   pattern created, and the matched op's parent;
 * detached ops (erased themselves, or inside an erased ancestor) are
-  skipped when popped.
+  skipped when popped, and so are ops of a name that no pattern
+  :meth:`~RewritePattern.applies_to` (resolved once per name per run).
 
 The full-sweep driver this replaced re-walked every op on every
 iteration (O(ops x iterations)); it survives only as a differential
@@ -47,19 +48,6 @@ def is_attached(op: Operation, root: Operation) -> bool:
     return False
 
 
-class _TrackingBuilder(Builder):
-    """A builder that reports every inserted op to the rewriter."""
-
-    def __init__(self, block, index, sink: List[Operation]):
-        super().__init__(block, index)
-        self._sink = sink
-
-    def insert(self, op: Operation) -> Operation:
-        op = super().insert(op)
-        self._sink.append(op)
-        return op
-
-
 class PatternRewriter:
     """Mutation interface handed to patterns.
 
@@ -73,8 +61,9 @@ class PatternRewriter:
     def builder_before(self, op: Operation) -> Builder:
         if op.parent is None:
             raise IRError("op has no parent block")
-        index = op.parent.operations.index(op)
-        return _TrackingBuilder(op.parent, index, self.affected)
+        builder = Builder(op.parent, op.parent.operations.index(op))
+        builder.sink = self.affected
+        return builder
 
     def _note_neighbours(self, op: Operation) -> None:
         for result in op.results:
@@ -108,6 +97,11 @@ class RewritePattern:
     # Restrict to a specific op name, or None to try every op.
     op_name: Optional[str] = None
 
+    def applies_to(self, name: str) -> bool:
+        """Whether an op named ``name`` can ever match (asked once per
+        name per driver run); the default refuses nothing."""
+        return True
+
     def match_and_rewrite(
         self, op: Operation, rewriter: PatternRewriter
     ) -> bool:  # pragma: no cover - abstract
@@ -126,13 +120,8 @@ def apply_patterns_worklist(
     :class:`~repro.errors.IRError` (a non-converging pattern set).
     """
     patterns = list(patterns)
-    by_name: Dict[str, List[RewritePattern]] = {}
-    generic: List[RewritePattern] = []
-    for pattern in patterns:
-        if pattern.op_name is None:
-            generic.append(pattern)
-        else:
-            by_name.setdefault(pattern.op_name, []).append(pattern)
+    # Op name -> the patterns that apply to it; per run, never stale.
+    candidates_of: Dict[str, List[RewritePattern]] = {}
 
     root = module.op
     # LIFO worklist seeded in reverse walk order: the first op in the
@@ -142,17 +131,27 @@ def apply_patterns_worklist(
 
     changed_ever = False
     rewrites = 0
+    rewriter = PatternRewriter()  # kept until a pattern fires
     while worklist:
         op = worklist.pop()
         queued.discard(op)
-        if not is_attached(op, root):
+        candidates = candidates_of.get(op.name)
+        if candidates is None:  # the op's own patterns before generic ones
+            candidates = candidates_of[op.name] = [
+                pattern for name in (op.name, None) for pattern in patterns
+                if pattern.op_name == name and pattern.applies_to(op.name)]
+        if not candidates:
             continue
-        candidates = by_name.get(op.name, []) + generic
+        current = op  # is_attached(op, root), inlined: once per op
+        while current is not None and current is not root:
+            block = current.parent
+            current = None if block is None or block.parent is None \
+                else block.parent.parent_op
+        if current is None:
+            continue
         # Capture the parent up front: replace_op/erase_op null op.parent,
         # and the parent op must be re-enqueued (its body just changed).
         parent_block = op.parent
-        # One rewriter per op: a pattern that does not fire leaves it empty.
-        rewriter = PatternRewriter()
         for pattern in candidates:
             if not pattern.match_and_rewrite(op, rewriter):
                 continue
@@ -162,7 +161,8 @@ def apply_patterns_worklist(
                 raise IRError(
                     f"worklist rewriting exceeded {max_rewrites} rewrites"
                 )
-            followups = list(rewriter.affected)
+            followups = rewriter.affected
+            rewriter = PatternRewriter()
             if is_attached(op, root):
                 # The op survived (in-place update): it and its
                 # neighbourhood may match again.

@@ -107,4 +107,5 @@ def _verify_op(
                     analysis.values[arg] = from_type(arg.type)
             for child in block.operations:
                 _verify_op(child, inner, opdefs, analysis)
-                inner.update(child.results)
+                if child.results:
+                    inner.update(child.results)

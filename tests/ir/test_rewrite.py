@@ -182,6 +182,54 @@ class TestWorklistDriver:
             apply_patterns_worklist(m, [PingPong()], max_rewrites=100)
 
 
+class TestCandidateIndex:
+    """The driver resolves each op name's candidate patterns once per run."""
+
+    def test_unrestricted_generic_pattern_sees_every_op(self):
+        class Record(RewritePattern):
+            op_name = None
+
+            def __init__(self):
+                self.seen = []
+
+            def match_and_rewrite(self, op, rewriter):
+                self.seen.append(op)
+                return False
+
+        m = Module()
+        _, entry, fb = build_func(m, "f", [T.f64], [T.f64])
+        c = fb.create("arith.constant", [], [T.f64], {"value": 2.0}).result
+        v = fb.create("test.opaque", [entry.args[0], c], [T.f64]).result
+        v = fb.create("math.sin", [v], [T.f64]).result
+        fb.create("func.return", [v])
+        record = Record()
+        # Nothing fires: every op is offered once, including those of
+        # names that no restricted pattern of the set applies to.
+        assert not apply_patterns_worklist(
+            m, canonical_pattern_set() + [record])
+        assert record.seen == list(m.walk())[1:]
+        assert [op.name for op in record.seen] == [
+            "func.func", "arith.constant", "test.opaque", "math.sin",
+            "func.return"]
+
+    def test_fold_of_an_op_defined_after_a_run_applies_on_the_next(self):
+        from repro.ir.dialect import Dialect, DialectRegistry
+
+        registry = DialectRegistry()
+        late = registry.register(Dialect("late"))
+        m = Module()
+        _, entry, fb = build_func(m, "f", [T.f64], [T.f64])
+        ident = fb.create("late.ident", [entry.args[0]], [T.f64])
+        ret = fb.create("func.return", [ident.result])
+        patterns = canonical_pattern_set(registry)
+        assert not apply_patterns_worklist(m, patterns)
+        late.op("ident", num_operands=1, num_results=1,
+                fold=lambda op: op.operands[0])
+        assert apply_patterns_worklist(m, patterns)
+        assert ret.operands[0] is entry.args[0]
+        assert [op.name for op in entry] == ["func.return"]
+
+
 class TestIsAttached:
     def test_top_level_and_nested(self):
         from repro.ir.core import Block, Operation, Region

@@ -22,6 +22,12 @@ executor really produces — see :func:`check_analysis`).
 Run standalone for a longer campaign::
 
     python tools/irfuzz.py --count 500 [--start 0] [--mode exec|analyze]
+
+``--dump PATH`` checks nothing: it writes what the compiler makes of the
+Fig. 3 kernel, the benchmark's 40 corpus shapes and ``--count`` random
+EKL kernels (see :func:`compile_dump`) to one text file, so "this change
+leaves the compile output alone" is a ``cmp`` against the file of the
+parent commit (``make fuzz-ir-parent``).
 """
 
 from __future__ import annotations
@@ -512,6 +518,62 @@ def check_roundtrip(seed: int) -> None:
         )
 
 
+def compile_dump(start: int, count: int) -> str:
+    """The compile output of every dump case, as one text.
+
+    Cases: the Fig. 3 kernel, the 40 shapes of ``bench/gen.py`` (constants
+    drawn from ``random.Random(shape index)``) and the EKL kernels of
+    seeds ``start .. start + count - 1``.  Per case and per opt level 0-2:
+    the IR after ``dialect-lowering`` and after ``canonicalize``, the HLS
+    report (its full ``repr``) under f64 and f32, and the generated numpy
+    and C sources.  The C source is emitted as if every probed op passed
+    the probe, so the text does not depend on the C compiler.
+    """
+    import os
+
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    from bench import gen
+    from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
+    from repro.pipeline.stages import (stage_canonicalize,
+                                       stage_dialect_lowering,
+                                       stage_frontend_parse, stage_hls)
+    from repro.tensorpipe.cbackend import _PROBE_BODIES, CEmitter
+    from repro.tensorpipe.codegen import AffineCompiler, UnsupportedAffineOp
+
+    cases = [("fig3", FIG3_MAJOR_ABSORBER)]
+    cases += [(f"shape{index}",
+               gen.render(shape, f"shape{index}", random.Random(index)))
+              for index, shape in enumerate(gen.SHAPES)]
+    cases += [(f"seed{seed}", generate_ekl_case(seed)[0])
+              for seed in range(start, start + count)]
+    probed = frozenset(_PROBE_BODIES)
+    out: List[str] = []
+    for label, source in cases:
+        kernel = stage_frontend_parse(source)
+        for opt_level in (0, 1, 2):
+            head = f"==== {label} O{opt_level}"
+            module = stage_dialect_lowering(kernel,
+                                            canonicalize=opt_level > 0)
+            out += [f"{head} dialect-lowering", print_module(module)]
+            stage_canonicalize(module, opt_level=opt_level)
+            out += [f"{head} canonicalize", print_module(module)]
+            for fmt in ("f64", "f32"):
+                report = stage_hls((kernel, module), number_format=fmt)
+                out += [f"{head} hls {fmt}", repr(report)]
+            for language, emit in (
+                    ("numpy", lambda: AffineCompiler(
+                        module, kernel.name).generate()),
+                    ("c", lambda: CEmitter(
+                        module, kernel.name, probed).generate())):
+                try:
+                    text = emit()
+                except UnsupportedAffineOp as error:
+                    text = f"unsupported: {error}"
+                out += [f"{head} {language}", text]
+    return "\n".join(out) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="fuzz the IR printer/parser/verifier (roundtrip mode) "
@@ -533,7 +595,15 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="only log failures (suppress the summary "
                              "line; CI smoke runs)")
+    parser.add_argument("--dump", metavar="PATH",
+                        help="check nothing; write the compile output of "
+                             "Fig. 3, the benchmark corpus and --count "
+                             "seeds to PATH")
     args = parser.parse_args(argv)
+    if args.dump:
+        with open(args.dump, "w") as out:
+            out.write(compile_dump(args.start, args.count))
+        return 0
     from repro.telemetry.log import configure_logging, get_logger
 
     configure_logging("error" if args.quiet else "info")

@@ -14,6 +14,11 @@ or the daemon.
   that the single forward pass of :func:`repro.ir.analysis.analyze_module`
   / :func:`repro.ir.verifier.verify_typed` superseded (value-by-value
   differential in ``tests/ir/test_analysis.py``);
+* :func:`list_schedule_scan` — HLS list scheduling that rescans every
+  unscheduled node on every cycle, which the event-driven ready list of
+  :func:`repro.hls.scheduling.list_schedule` superseded (``Schedule``
+  differential on random DFGs and on the nests of Fig. 3 and the
+  benchmark corpus in ``tests/test_hls.py``);
 * :class:`ScanHEFT` — HEFT with the exhaustive per-task node scan that
   :class:`repro.runtime.engine.HEFTScheduler`'s pruned candidate
   search superseded (``tools/workloadfuzz.py`` invariant 5,
@@ -41,7 +46,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import IRError, RuntimeSchedulingError
+from repro.errors import HLSError, IRError, RuntimeSchedulingError
+from repro.hls.scheduling import BodyDFG, Schedule, alap, schedule_from
 from repro.ir.analysis import (
     TOP,
     AbstractValue,
@@ -176,6 +182,43 @@ def analysis_mismatches(module: Module, analysis: ModuleAnalysis) -> List[str]:
                 lines.append(f"{op_path(op) or op.name}: a {value.type} "
                              f"value is {got}, oracle says {want}")
     return lines
+
+
+def list_schedule_scan(dfg: BodyDFG,
+                       unit_limits: Optional[Dict[str, int]] = None
+                       ) -> Schedule:
+    """Resource-constrained list scheduling by a per-cycle rescan: every
+    cycle tests each unscheduled node's predecessors for completion,
+    O(nodes x cycles)."""
+    limits = {"mem": 2}
+    limits.update(unit_limits or {})
+    priority = alap(dfg)
+    remaining = set(range(dfg.size))
+    start: List[int] = [-1] * dfg.size
+    busy: Dict[Tuple[str, int], int] = {}  # (class, cycle) -> issues
+    cycle = 0
+    guard = 0
+    while remaining:
+        guard += 1
+        if guard > 100000:
+            raise HLSError("list scheduling did not converge")
+        ready = [
+            i for i in remaining
+            if all(start[p] >= 0 and start[p] + dfg.nodes[p].cost.latency
+                   <= cycle for p in dfg.nodes[i].preds)
+        ]
+        ready.sort(key=lambda i: priority[i])
+        for i in ready:
+            family = dfg.nodes[i].family
+            if family in limits:
+                used = busy.get((family, cycle), 0)
+                if used >= limits[family]:
+                    continue
+                busy[(family, cycle)] = used + 1
+            start[i] = cycle
+            remaining.discard(i)
+        cycle += 1
+    return schedule_from(dfg, start, limits)
 
 
 def topological_order_dfs(graph: TaskGraph) -> List[Task]:
