@@ -10,9 +10,10 @@ backends rather than interpreted.  Two checks regenerate it on the CPU:
 * ``fusion`` — an elementwise-chain kernel compiled with and without
   the :class:`~repro.ir.fusion.FusionPass`: the fused module must beat
   the unfused one (fewer intermediate buffers, fewer memory passes).
-  This 1.2-1.3x is the number ROADMAP item 1 decides the pass on, and
-  it sits near the host's noise, so the gate compares medians against
-  the measured interquartile ranges rather than one sample against 1.0.
+  This 1.2-1.3x is the number ROADMAP's "One nest plan, three
+  consumers" decides the pass on, and it sits near the host's noise,
+  so the gate compares medians against the measured interquartile
+  ranges rather than one sample against 1.0.
 
 Per-backend execution times on the same chain (``cbackend``,
 ``compiled-parallel``, ``compiled-arena``) come from ``python3 -m bench

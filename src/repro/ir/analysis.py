@@ -1,13 +1,13 @@
 """Abstract interpretation over the IR: shapes, dtypes, constant-ness.
 
 This is the static-analysis substrate behind the typed verifier and the
-arena memory planner (ROADMAP item 3).  It propagates :class:`AbstractValue`
-lattice elements — ``(shape, dtype, const)``, each component either a known
-fact or ``None`` for "unknown" — forward through a module in one pass (see
-:func:`analyze_module` for when it repeats), running each registered op's
-*transfer function* (the ``transfer=`` hook on
-:class:`repro.ir.dialect.OpDef`) to compute result abstracts from operand
-abstracts.
+arena memory planner (:mod:`repro.tensorpipe.arena`).  It propagates
+:class:`AbstractValue` lattice elements — ``(shape, dtype, const)``, each
+component either a known fact or ``None`` for "unknown" — forward through
+a module in one pass (see :func:`analyze_module` for when it repeats),
+running each registered op's *transfer function* (the ``transfer=`` hook
+on :class:`repro.ir.dialect.OpDef`) to compute result abstracts from
+operand abstracts.
 
 The lattice is deliberately simple:
 
@@ -333,10 +333,11 @@ def transfer_op(
     values = analysis.values
     inferred: Optional[Sequence[AbstractValue]] = None
     if opdef is not None and opdef.transfer is not None:
-        operands = list(map(values.get, op._operands))
-        if None in operands:
+        try:
+            operands = list(map(values.__getitem__, op._operands))
+        except KeyError:  # an operand read before its definition
             analysis.early_reads += 1
-            operands = [TOP if a is None else a for a in operands]
+            operands = [values.get(v, TOP) for v in op._operands]
         try:
             inferred = opdef.transfer(op, operands, analysis)
         except AnalysisError as err:

@@ -23,16 +23,34 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Mapping, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.errors import IRError
-from repro.ir.types import TensorType, Type, f64, i64
+from repro.ir.types import TensorType, Type, f64, fields_key, i64, kept
+
+#: ``Attribute`` and every subclass: an exact-class test that stands in
+#: for ``isinstance(x, Attribute)`` where IR is built.
+ATTRIBUTE_CLASSES: Set[type] = set()
 
 
 class Attribute:
-    """Base class for all attributes."""
+    """Base class for all attributes.
+
+    ``exact_key`` is a hashable stand-in for the attribute that compares
+    floats by their bits.  Attribute equality is Python equality of the
+    payload, so ``FloatAttr(0.0) == FloatAttr(-0.0)``: a CSE that merged
+    those two constants would flip the sign of an infinity downstream.
+    It is kept on the attribute, but for a dense payload's.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        ATTRIBUTE_CLASSES.add(cls)
+
+    exact_key = kept(fields_key)
 
     def __str__(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -54,6 +72,10 @@ class IntAttr(Attribute):
 class FloatAttr(Attribute):
     value: float
     type: Type = f64
+
+    @kept
+    def exact_key(self) -> tuple:
+        return (FloatAttr, self.type._key, struct.pack("<d", self.value))
 
     def __str__(self) -> str:
         text = repr(float(self.value))
@@ -114,6 +136,10 @@ class ArrayAttr(Attribute):
                 raise IRError(f"ArrayAttr element is not an Attribute: {element!r}")
         self.elements: Tuple[Attribute, ...] = tuple(elements)
 
+    @kept
+    def exact_key(self) -> tuple:
+        return (ArrayAttr, *map(_EXACT_KEY, self.elements))
+
     def __str__(self) -> str:
         return "[" + ", ".join(str(e) for e in self.elements) + "]"
 
@@ -145,6 +171,10 @@ class DictAttr(Attribute):
         self.entries: Tuple[Tuple[str, Attribute], ...] = tuple(
             sorted(entries.items())
         )
+
+    @kept
+    def exact_key(self) -> tuple:
+        return (DictAttr, *[(k, v.exact_key) for k, v in self.entries])
 
     def __str__(self) -> str:
         body = ", ".join(f"{k} = {v}" for k, v in self.entries)
@@ -178,6 +208,11 @@ class DenseAttr(Attribute):
         self.array = array
         self.type = type
 
+    @property
+    def exact_key(self) -> tuple:  # not kept: it copies the payload
+        array = self.array
+        return (DenseAttr, self.type._key, array.dtype.str, array.tobytes())
+
     def __str__(self) -> str:
         flat = self.array.reshape(-1)
         if np.issubdtype(self.array.dtype, np.floating):
@@ -207,6 +242,7 @@ AttrLike = Union[Attribute, int, float, bool, str, Type, Sequence, Mapping]
 _SCALAR_ATTRS = {bool: BoolAttr, int: IntAttr, float: FloatAttr, str: StrAttr}
 #: The attribute classes whose payload is their ``value`` field.
 _VALUE_ATTRS = frozenset({IntAttr, FloatAttr, BoolAttr, StrAttr, TypeAttr})
+_EXACT_KEY = attrgetter("exact_key")
 
 
 def attr(value: AttrLike) -> Attribute:
@@ -217,9 +253,19 @@ def attr(value: AttrLike) -> Attribute:
     :class:`TypeAttr`, sequences to :class:`ArrayAttr` and mappings to
     :class:`DictAttr`.  Existing attributes pass through unchanged.
     """
-    scalar = _SCALAR_ATTRS.get(value.__class__)
-    if scalar is not None:
-        return scalar(value)
+    kind = value.__class__
+    if kind in _SCALAR_ATTRS:
+        return _SCALAR_ATTRS[kind](value)
+    # A plain list, tuple or dict holds what this function returns, so
+    # the container is built past its constructor's element checks.
+    if kind is list or kind is tuple:
+        array = object.__new__(ArrayAttr)
+        array.elements = tuple(map(attr, value))
+        return array
+    if kind is dict:
+        mapping = object.__new__(DictAttr)
+        mapping.entries = tuple(sorted(zip(value, map(attr, value.values()))))
+        return mapping
     if isinstance(value, Attribute):
         return value
     if isinstance(value, bool):
@@ -241,8 +287,11 @@ def attr(value: AttrLike) -> Attribute:
 
 def unwrap(attribute: Attribute):
     """Inverse of :func:`attr`: recover the plain Python value."""
-    if attribute.__class__ in _VALUE_ATTRS:
+    kind = attribute.__class__
+    if kind in _VALUE_ATTRS:
         return attribute.value
+    if kind is ArrayAttr:
+        return list(map(unwrap, attribute.elements))
     if isinstance(attribute, UnitAttr):
         return True
     if isinstance(attribute, SymbolRefAttr):
@@ -255,20 +304,3 @@ def unwrap(attribute: Attribute):
         return attribute.array
     raise IRError(f"cannot unwrap attribute {attribute!r}")
 
-
-def exact_key(attribute: Attribute) -> object:
-    """A hashable stand-in for ``attribute`` that compares floats by their
-    bits.  Attribute equality is Python equality of the payload, so
-    ``FloatAttr(0.0) == FloatAttr(-0.0)``: a CSE that merged those two
-    constants would flip the sign of an infinity downstream."""
-    kind = attribute.__class__
-    if kind is FloatAttr:
-        return (kind, attribute.type, struct.pack("<d", attribute.value))
-    if kind is ArrayAttr:
-        return (kind, *map(exact_key, attribute.elements))
-    if kind is DictAttr:
-        return (kind, *[(k, exact_key(v)) for k, v in attribute.entries])
-    if kind is DenseAttr:
-        array = attribute.array
-        return (kind, attribute.type, array.dtype.str, array.tobytes())
-    return attribute

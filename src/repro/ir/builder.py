@@ -6,7 +6,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import IRError
-from repro.ir.attributes import Attribute, AttrLike, attr
+from repro.ir.attributes import ATTRIBUTE_CLASSES, Attribute, AttrLike, attr
 from repro.ir.core import Block, Module, Operation, Region, Value
 from repro.ir.types import Type
 
@@ -77,7 +77,7 @@ class Builder:
             raise IRError("builder has no insertion point")
         coerced: Dict[str, Attribute] = {}
         for key, value in attributes.items() if attributes else ():
-            coerced[key] = value if isinstance(value, Attribute) \
+            coerced[key] = value if value.__class__ in ATTRIBUTE_CLASSES \
                 else attr(value)
         op = Operation(name, operands, result_types, coerced, regions)
         op.parent = self.block

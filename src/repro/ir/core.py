@@ -14,13 +14,14 @@ call ``value.replace_all_uses_with`` safely.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, count, repeat
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
-from repro.ir.attributes import Attribute, AttrLike, attr, unwrap
-from repro.ir.types import Type
+from repro.ir.attributes import (
+    ATTRIBUTE_CLASSES, Attribute, AttrLike, attr, unwrap)
+from repro.ir.types import TYPE_CLASSES, Type
 
 
 class Value:
@@ -58,7 +59,7 @@ class OpResult(Value):
 
     def __init__(self, op: "Operation", index: int, type: Type):
         # Value.__init__ inlined: one frame less per op result built.
-        if not isinstance(type, Type):
+        if type.__class__ not in TYPE_CLASSES and not isinstance(type, Type):
             raise IRError(f"value type must be a Type, got {type!r}")
         self.type = type
         self.uses = []
@@ -78,6 +79,11 @@ class BlockArgument(Value):
         super().__init__(type)
         self.block = block
         self.index = index
+
+
+#: The classes of :class:`Value` here; a subclass elsewhere is told by
+#: ``isinstance``.
+_VALUE_CLASSES = frozenset({Value, OpResult, BlockArgument})
 
 
 class Operation:
@@ -101,16 +107,16 @@ class Operation:
             raise IRError(f"operation name must be 'dialect.op', got {name!r}")
         self.name = name
         self._operands: List[Value] = list(operands)
-        self.results: List[OpResult] = [
-            OpResult(self, i, t) for i, t in enumerate(result_types)
-        ]
+        self.results: List[OpResult] = list(
+            map(OpResult, repeat(self), count(), result_types))
         self.attributes: Dict[str, Attribute] = dict(attributes or {})
         self.regions: List[Region] = list(regions or [])
         for region in self.regions:
             region.parent_op = self
         self.parent: Optional[Block] = None
         for idx, value in enumerate(self._operands):
-            if not isinstance(value, Value):
+            if value.__class__ not in _VALUE_CLASSES \
+                    and not isinstance(value, Value):
                 raise IRError(f"operand must be a Value, got {value!r}")
             value.uses.append((self, idx))
 
@@ -128,7 +134,7 @@ class Operation:
         """Create an operation, coercing plain attribute values."""
         coerced = dict(attributes) if attributes else {}
         for key, value in coerced.items():
-            if not isinstance(value, Attribute):
+            if value.__class__ not in ATTRIBUTE_CLASSES:
                 coerced[key] = attr(value)
         return cls(name, operands, result_types, coerced, regions)
 
@@ -192,30 +198,23 @@ class Operation:
                 for op in list(block.operations):
                     op.drop_all_references()
 
-    def walk(self, pre_order: bool = True) -> Iterator["Operation"]:
-        """Iterate over this op and all nested ops.
+    def walk(self) -> Iterator["Operation"]:
+        """Iterate over this op and all nested ops, in pre-order.
 
         A block's operation list is copied when the walk enters it: ops
         appended to it afterwards are not visited, ops erased from it
         still are.  One generator frame, whatever the nesting depth.
         """
-        if pre_order:
-            yield self
-        stack = [(self, _children(self))]
+        yield self
+        stack = [_children(self)]
         while stack:
-            parent, children = stack[-1]
-            for op in children:
-                if pre_order:
-                    yield op
+            for op in stack[-1]:
+                yield op
                 if op.regions:
-                    stack.append((op, _children(op)))
+                    stack.append(_children(op))
                     break
-                if not pre_order:
-                    yield op
             else:
                 stack.pop()
-                if not pre_order:
-                    yield parent
 
     def clone(self, value_map: Optional[Dict[Value, Value]] = None) -> "Operation":
         """Deep-copy this operation.

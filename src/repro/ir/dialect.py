@@ -12,6 +12,7 @@ This mirrors MLIR's ODS layer at a level of detail appropriate for the SDK.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import IRError
@@ -58,12 +59,21 @@ class OpDef:
     fold: Optional[Callable[[Operation], object]] = None
     transfer: Optional[Callable] = None
 
+    def __post_init__(self) -> None:
+        #: (what, getter, count) of each arity that is not variadic.
+        self._arity = tuple(
+            (what, attrgetter(slot), want) for what, slot, want in (
+                ("operands", "_operands", self.num_operands),
+                ("results", "results", self.num_results),
+                ("regions", "regions", self.num_regions))
+            if want != VARIADIC)
+
     def check(self, op: Operation) -> None:
         """Structural check of ``op`` against this definition."""
-        for what, want, have in (("operands", self.num_operands, op._operands),
-                                 ("results", self.num_results, op.results),
-                                 ("regions", self.num_regions, op.regions)):
-            if want != VARIADIC and len(have) != want:
+        for what, getter, want in self._arity:
+            have = getter(op)
+            # Too many, or too few: exactly ``want`` without a len() per op.
+            if have[want:] or want and not have[want - 1:]:
                 raise IRError(
                     f"{op.name}: expected {want} {what}, got {len(have)}")
         for attr_name in self.required_attrs:

@@ -44,7 +44,7 @@ A ``memref.alloc`` is a fusion candidate when
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.core import Block, BlockArgument, Module, Operation, Value
 from repro.ir.dialect import REGISTRY
@@ -59,7 +59,9 @@ def is_pure(op: Operation) -> bool:
 
 def loop_bounds(for_op: Operation) -> Tuple[int, int, int]:
     """``(lower, upper, step)`` of one ``affine.for``."""
-    return (for_op.attr("lower"), for_op.attr("upper"), for_op.attr("step"))
+    attributes = for_op.attributes
+    return (attributes["lower"].value, attributes["upper"].value,
+            attributes["step"].value)
 
 
 def trip_count(lower: int, upper: int, step: int) -> int:
@@ -130,10 +132,8 @@ def _written_buffers(root: Operation) -> Optional[List[Value]]:
     """
     written: List[Value] = []
     for op in root.walk():
-        if op.name == "memref.store":
-            written.append(op.operands[1])
-        elif op.name == "memref.copy":
-            written.append(op.operands[1])
+        if op.name == "memref.store" or op.name == "memref.copy":
+            written.append(op._operands[1])
         elif op.name not in _KNOWN_EFFECTS and not is_pure(op):
             return None
     return written
@@ -149,8 +149,8 @@ class _Producer:
         self.body = body            # straight-line ops, terminator excluded
         self.store = store
         # store indices are IVs, one per loop: dimension d -> its loop.
-        self.dim_loops = [_enclosing_for(idx) for idx in store.operands[2:]]
-        self.reads = [op.operands[0] for op in body
+        self.dim_loops = [_enclosing_for(idx) for idx in store._operands[2:]]
+        self.reads = [op._operands[0] for op in body
                       if op.name == "memref.load"]
 
 
@@ -182,13 +182,13 @@ def _match_producer(store: Operation, buffer: Value,
             return None
     # Elementwise check: the store indices are exactly this nest's IVs,
     # each exactly once (reduction stores do not cover every loop).
-    indices = list(store.operands[2:])
+    indices = store._operands[2:]
     ivs = [loop.regions[0].entry.args[0] for loop in loops]
     if len(indices) != len(ivs) or set(indices) != set(ivs) \
             or len(set(indices)) != len(indices):
         return None
-    if buffer in (op.operands[0] for op in body
-                  if op.name == "memref.load"):
+    if buffer in [op._operands[0] for op in body
+                  if op.name == "memref.load"]:
         return None  # self-referential (sequential-update) pattern
     return _Producer(nest, loops, body, store)
 
@@ -200,6 +200,12 @@ class FusionPass(Pass):
 
     def __init__(self) -> None:
         self.fused = 0
+        # Per sweep: the entry block's ops as it began (fusion only erases
+        # top-level ops), their indices, and what each writes until a
+        # fusion moves ops into it.
+        self._top: List[Operation] = []
+        self._position: Dict[Operation, int] = {}
+        self._written: Dict[Operation, Optional[List[Value]]] = {}
 
     def run(self, module: Module) -> None:
         for op in list(module.body):
@@ -214,8 +220,10 @@ class FusionPass(Pass):
         changed = True
         while changed:
             changed = False
-            for alloc in [op for op in list(entry.operations)
-                          if op.name == "memref.alloc"]:
+            self._top = top = list(entry.operations)
+            self._position = {op: i for i, op in enumerate(top)}
+            self._written = {}
+            for alloc in [op for op in top if op.name == "memref.alloc"]:
                 if alloc.parent is None:
                     continue  # erased by an earlier fusion this sweep
                 if self._try_fuse(alloc, entry):
@@ -245,7 +253,7 @@ class FusionPass(Pass):
         consumer = top_level_ancestor(load, entry)
         if consumer is None or consumer is producer.nest:
             return False
-        position = {op: i for i, op in enumerate(entry.operations)}
+        position = self._position
         p_at, c_at = position[producer.nest], position[consumer]
         if c_at <= p_at:
             return False  # the load would have observed the zero-fill
@@ -253,7 +261,7 @@ class FusionPass(Pass):
         # Every load index must be the IV of an enclosing loop with the
         # same bounds as the producer loop for that dimension, so the
         # read provably lands on a written element.
-        indices = list(load.operands[1:])
+        indices = load._operands[1:]
         if len(indices) != len(producer.dim_loops):
             return False
         for idx, dim_loop in zip(indices, producer.dim_loops):
@@ -269,8 +277,13 @@ class FusionPass(Pass):
         reads = set(producer.reads)
         if reads:
             hazards = set()
-            for op in list(entry.operations[p_at + 1:c_at]) + [consumer]:
-                written = _written_buffers(op)
+            summaries = self._written
+            for op in self._top[p_at + 1:c_at] + [consumer]:
+                if op.parent is None:
+                    continue  # erased by an earlier fusion this sweep
+                if op not in summaries:
+                    summaries[op] = _written_buffers(op)
+                written = summaries[op]
                 if written is None:
                     return False  # unknown side effects in between
                 hazards.update(written)
@@ -279,22 +292,23 @@ class FusionPass(Pass):
 
         # Move the producer body to the load site, its IVs replaced by the
         # consumer's load indices; the erased nest keeps only its store.
-        iv_map = dict(zip(producer.store.operands[2:], indices))
+        iv_map = dict(zip(producer.store._operands[2:], indices))
         block = load.parent
         moved = [op for op in producer.body if op is not producer.store]
         for op in moved:
             op.parent = block
-            for i, operand in enumerate(op.operands):
+            for i, operand in enumerate(op._operands):
                 if operand in iv_map:
                     op._set_operand(i, iv_map[operand])
         at = block.operations.index(load)
         block.operations[at:at] = moved
         producer.store.parent.operations = [producer.store]
-        stored = producer.store.operands[0]
+        stored = producer.store._operands[0]
         load.results[0].replace_all_uses_with(iv_map.get(stored, stored))
         load.erase()
         producer.nest.erase()
         alloc.erase()
+        self._written.pop(consumer, None)
         return True
 
 

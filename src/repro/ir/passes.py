@@ -11,9 +11,9 @@ its worklist driver) lives in :mod:`repro.ir.rewrite`.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import Callable, List, Tuple
 
-from repro.ir.attributes import exact_key
 from repro.ir.core import Module
 from repro.ir.dialect import REGISTRY
 
@@ -107,8 +107,14 @@ class DeadCodeElimination(Pass):
         return changed
 
 
+_EXACT_KEY = attrgetter("exact_key")
+_TYPE_KEY = attrgetter("type._key")
+
+
 class CommonSubexpressionElimination(Pass):
-    """Deduplicate identical pure ops within each block (no regions)."""
+    """Deduplicate identical pure ops within each block (no regions):
+    same name, operands, result types and attributes (by ``exact_key``;
+    both keys are kept on the immutable attributes and types)."""
 
     name = "cse"
 
@@ -130,13 +136,14 @@ class CommonSubexpressionElimination(Pass):
             opdef = opdefs.get(op.name)
             if opdef is None or "pure" not in opdef.traits:
                 continue
+            attributes = op.attributes
             key = (
                 op.name,
                 tuple(op._operands),
-                tuple(sorted([(k, exact_key(v))
-                              for k, v in op.attributes.items()]))
-                if op.attributes else (),
-                tuple([r.type for r in op.results]),
+                tuple(sorted(zip(attributes,
+                                 map(_EXACT_KEY, attributes.values()))))
+                if attributes else (),
+                tuple(map(_TYPE_KEY, op.results)),
             )
             earlier = seen.setdefault(key, op)
             if earlier is not op:

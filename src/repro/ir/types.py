@@ -12,13 +12,52 @@ how to print itself via ``str()`` and the parser round-trips that output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.errors import IRError
 
 
+class kept:
+    """``functools.cached_property`` without its lock (one per property,
+    shared by every instance, taken on each miss): for immutable objects,
+    whose value any thread may compute.  The first read stores it in the
+    instance ``__dict__``, which then shadows this descriptor."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
+#: ``Type`` and every subclass: an exact-class test that stands in for
+#: ``isinstance(x, Type)`` where IR is built.
+TYPE_CLASSES: Set[type] = set()
+
+
+def fields_key(obj) -> tuple:
+    """The class and dataclass fields of ``obj``, a type field by its
+    ``_key``: equal exactly when the objects are, and (but for a tuple of
+    types) hashed without running Python code."""
+    return (obj.__class__, *[
+        v._key if v.__class__ in TYPE_CLASSES else v
+        for v in map(obj.__getattribute__, obj.__dataclass_fields__)])
+
+
 class Type:
     """Base class for all IR types."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        TYPE_CLASSES.add(cls)
+
+    _key = kept(fields_key)
 
     def __str__(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError

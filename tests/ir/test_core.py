@@ -138,16 +138,13 @@ class TestModule:
         assert names == ["builtin.module", "func.func", "func.return"]
 
 
-def _recursive_walk(op, pre_order=True):
+def _recursive_walk(op):
     """The definition ``Operation.walk`` implements without recursion."""
-    if pre_order:
-        yield op
+    yield op
     for region in op.regions:
         for block in region.blocks:
             for child in list(block.operations):
-                yield from _recursive_walk(child, pre_order)
-    if not pre_order:
-        yield op
+                yield from _recursive_walk(child)
 
 
 def _leaf(tag):
@@ -178,13 +175,11 @@ def _tags(ops):
 class TestWalk:
     def test_matches_recursive_definition_on_a_deep_nest(self):
         root = _nest("n", 3)
-        for pre_order in (True, False):
-            got = list(root.walk(pre_order))
-            assert got == list(_recursive_walk(root, pre_order))
-            assert len(got) == len(set(map(id, got))) == 91
-        assert _tags(root.walk())[:4] == ["n", "n.00a", "n.00", "n.00.00a"]
-        assert _tags(root.walk(pre_order=False))[-1] == "n"
-        assert _tags(root.walk(pre_order=False))[0] == "n.00a"
+        got = list(root.walk())
+        assert got == list(_recursive_walk(root))
+        assert len(got) == len(set(map(id, got))) == 91
+        assert _tags(got)[:4] == ["n", "n.00a", "n.00", "n.00.00a"]
+        assert _tags(got)[-1] == "n.10z"
 
     def test_block_is_snapshotted_when_entered(self):
         root = _nest("n", 2)

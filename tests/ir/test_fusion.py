@@ -7,8 +7,10 @@ a buffer with more than one reader, never crosses a reduction store,
 and never moves a read past an interfering write.
 """
 
+import ast
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,47 @@ class TestFuses:
         CanonicalizePass().run(module)
         assert fuse_module(module) > 0
         assert fuse_module(module) == 0
+
+
+def alloc_footprint(module):
+    """``(count, bytes)`` of the module's ``memref.alloc`` buffers."""
+    types = [op.results[0].type for op in module.walk()
+             if op.name == "memref.alloc"]
+    return len(types), sum(
+        ty.num_elements() * T.bitwidth(ty.element) // 8 for ty in types)
+
+
+def _bench_chain():
+    """``CHAIN`` of benchmarks/bench_affine_exec.py, read from its source
+    (importing it needs the benchmarks' conftest)."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" \
+        / "bench_affine_exec.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and \
+                [getattr(t, "id", None) for t in node.targets] == ["CHAIN"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no CHAIN in {path}")
+
+
+class TestExactCounts:
+    """What fusion does to a chain, counted: buffers fused and the
+    ``memref.alloc`` bytes before and after.  The wall-clock gate of
+    ``make bench-exec`` measures what these save; these pin that it is
+    saved, on every run."""
+
+    @pytest.mark.parametrize("source, fused, before, after", [
+        (CHAIN, 3, (5, 440), (2, 176)),
+        (_bench_chain(), 5, (11, 97_200_000), (6, 49_200_000)),
+    ], ids=["test-chain", "bench-chain-150000x8"])
+    def test_buffers_and_bytes(self, source, fused, before, after):
+        _, module = lower_raw(source)
+        CanonicalizePass().run(module)
+        assert alloc_footprint(module) == before
+        fusion = FusionPass()
+        fusion.run(module)
+        verify(module)
+        assert fusion.fused == fused
+        assert alloc_footprint(module) == after
 
 
 class TestDoesNotFuse:

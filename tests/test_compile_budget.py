@@ -12,7 +12,10 @@ what the benchmark counts.
 The budgets are the measured counts plus 5 %, for the whole compile and
 for each compiler stage.  When a change makes the path cheaper, lower
 them to the new count plus 5 % (a budget of 0 makes the failure message
-print it); when a test fails, the message shows which stage grew.
+print it); when a test fails, the message shows which stage grew and
+which IR primitive the calls were charged to: each call goes to the
+innermost primitive on the stack (op construction, ``_verify_op``, the
+rewrite worklist, CSE, fusion, ``walk``), or to ``other``.
 """
 
 import functools
@@ -23,6 +26,8 @@ from collections import Counter
 import pytest
 
 from repro.apps.wrf.rrtmg import FIG3_MAJOR_ABSORBER
+from repro.ir import attributes, builder, core, fusion, passes, rewrite
+from repro.ir import verifier
 from repro.pipeline import PipelineSession
 from repro.pipeline.stages import builtin_stages
 
@@ -48,22 +53,34 @@ kernel generated {
 
 #: name -> (source, measured calls, budget = measured * 1.05 rounded down).
 BUDGETS = {
-    "fig3": (FIG3_MAJOR_ABSORBER, 54_728, 57_464),
-    "generated": (GENERATED, 31_324, 32_890),
+    "fig3": (FIG3_MAJOR_ABSORBER, 41_029, 43_080),
+    "generated": (GENERATED, 24_778, 26_016),
 }
 
 #: (name, stage) -> (measured calls, budget): the stages the compiler
 #: layers run in, so that a regression names its stage.
 STAGE_BUDGETS = {
-    ("fig3", "dialect-lowering"): (31_030, 32_581),
-    ("fig3", "canonicalize"): (11_700, 12_285),
-    ("fig3", "hls"): (4_877, 5_120),
-    ("generated", "dialect-lowering"): (18_086, 18_990),
-    ("generated", "canonicalize"): (6_947, 7_294),
-    ("generated", "hls"): (2_420, 2_541),
+    ("fig3", "dialect-lowering"): (20_285, 21_299),
+    ("fig3", "canonicalize"): (8_998, 9_447),
+    ("fig3", "hls"): (4_751, 4_988),
+    ("generated", "dialect-lowering"): (12_830, 13_471),
+    ("generated", "canonicalize"): (5_813, 6_103),
+    ("generated", "hls"): (2_342, 2_459),
 }
 
 _STAGE_OF_CODE = {stage.fn.__code__: stage.name for stage in builtin_stages()}
+_PRIMITIVE_OF_CODE = {fn.__code__: primitive for fn, primitive in (
+    (core.Operation.__init__, "op construction"),
+    (core.Operation.create, "op construction"),
+    (core.OpResult.__init__, "op construction"),
+    (builder.Builder.create, "op construction"),
+    (attributes.attr, "op construction"),
+    (verifier._verify_op, "_verify_op"),
+    (rewrite.apply_patterns_worklist, "worklist"),
+    (passes.CommonSubexpressionElimination.run, "CSE"),
+    (fusion.FusionPass.run, "fusion"),
+    (core.Operation.walk, "walk"),
+)}
 
 
 def _cold_compile(source):
@@ -76,20 +93,31 @@ def _cold_compile(source):
 
 
 def _count_calls(source):
-    """Calls per stage (``session``: outside every stage body)."""
-    counts = Counter()
-    inside = ["session"]
+    """Calls per stage (``session``: outside every stage body) and per
+    innermost IR primitive (``other``: under none)."""
+    counts, charged = Counter(), Counter()
+    inside, under = ["session"], ["other"]
 
     def hook(frame, event, arg):
         if event == "call":
-            stage = _STAGE_OF_CODE.get(frame.f_code)
+            code = frame.f_code
+            stage = _STAGE_OF_CODE.get(code)
             if stage is not None:
                 inside.append(stage)
+            primitive = _PRIMITIVE_OF_CODE.get(code)
+            if primitive is not None:
+                under.append(primitive)
             counts[inside[-1]] += 1
+            charged[under[-1]] += 1
         elif event == "c_call":
             counts[inside[-1]] += 1
-        elif event == "return" and frame.f_code in _STAGE_OF_CODE:
-            inside.pop()
+            charged[under[-1]] += 1
+        elif event == "return":
+            code = frame.f_code
+            if code in _STAGE_OF_CODE:
+                inside.pop()
+            if code in _PRIMITIVE_OF_CODE:
+                under.pop()
 
     # A collection in the middle would run whatever ``gc.callbacks`` other
     # tests' libraries registered (hypothesis does), and those are calls.
@@ -102,7 +130,7 @@ def _count_calls(source):
     finally:
         sys.setprofile(previous)
         gc.enable()
-    return counts
+    return counts, charged
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,22 +147,26 @@ def _split(counts):
                      sorted(counts.items(), key=lambda item: -item[1]))
 
 
+def _where(counts, charged):
+    return f"Per stage: {_split(counts)}.  Per primitive: {_split(charged)}"
+
+
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_cold_compile_stays_within_its_call_budget(name):
     _, measured, budget = BUDGETS[name]
-    counts = _counts(name)
+    counts, charged = _counts(name)
     total = sum(counts.values())
     assert total <= budget, (
         f"cold compile of {name!r} made {total} Python/C calls; budget "
-        f"{budget} (pinned at {measured} + 5 %).  Per stage: "
-        f"{_split(counts)}")
+        f"{budget} (pinned at {measured} + 5 %).  "
+        f"{_where(counts, charged)}")
 
 
 @pytest.mark.parametrize("name, stage", sorted(STAGE_BUDGETS))
 def test_stage_stays_within_its_call_budget(name, stage):
     measured, budget = STAGE_BUDGETS[name, stage]
-    counts = _counts(name)
+    counts, charged = _counts(name)
     assert counts[stage] <= budget, (
         f"the {stage!r} stage of a cold compile of {name!r} made "
         f"{counts[stage]} Python/C calls; budget {budget} (pinned at "
-        f"{measured} + 5 %).  Per stage: {_split(counts)}")
+        f"{measured} + 5 %).  {_where(counts, charged)}")

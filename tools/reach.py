@@ -50,8 +50,10 @@ PYTEST = ["-q", "-p", "no:cacheprovider", "--benchmark-disable"]
 # Dunder protocol methods need no entry; constructors do (an unreached
 # one is an unused class).
 CONSTRUCTORS = {"__init__", "__post_init__", "__new__"}
-_2C = ("compile path no irfuzz case reaches yet: a generated case or its "
-       "deletion is ROADMAP item 2c")
+_NO_GENERATOR = (
+    "compile path no irfuzz case reaches yet: a generated case or its "
+    "deletion is ROADMAP's \"Compile-path code that no generator "
+    "reaches\"")
 ALLOWLIST: Dict[str, str] = {
     "repro.anomaly.detectors:Detector.fit": "abstract; detectors override",
     "repro.anomaly.detectors:Detector.scores": "abstract; detectors override",
@@ -65,24 +67,28 @@ ALLOWLIST: Dict[str, str] = {
     "repro.frontends.ekl.interp:run_kernel": "the reference result of "
         "bench/workloads/compile_cold.py and serve_hot.py",
     "repro.tensorpipe.codegen:compile_cache_stats": "imported by "
-        "bench/workloads/compile_cold.py; its removal is ROADMAP item 1",
+        "bench/workloads/compile_cold.py; its removal follows ROADMAP's "
+        "\"The benchmark compares two trees itself\"",
     "repro.olympus.arch_gen:lower_dfg_to_olympus": "Fig. 5 dfg->olympus "
-        "edge; item 4's front door routes or removes it (ROADMAP item 2b)",
+        "edge; ROADMAP's \"Every tensor DSL through one front door\" "
+        "routes or removes it (\"Fig. 5's dataflow edges are off every "
+        "public path\")",
     "repro.telemetry.trace:NullTracer.record_span":
         "null-object parity with Tracer.record_span",
     "repro.telemetry.trace:NullTracer.clear":
         "null-object parity with Tracer.clear",
-    "repro.dialects.builtin:_np_scalar_fold.fold": _2C,
-    "repro.dialects.builtin:_transfer_affine_apply": _2C,
-    "repro.dialects.system:_verify_base2_arith": _2C,
-    "repro.dialects.system:_fold_full_extract": _2C,
-    "repro.dialects.tensorlang:_transfer_stack": _2C,
-    "repro.dialects.tensorlang:_transfer_esn_iota": _2C,
-    "repro.dialects.tensorlang:_transfer_transpose": _2C,
-    "repro.dialects.tensorlang:_transfer_reshape": _2C,
-    "repro.dialects.tensorlang:_transfer_contract": _2C,
-    "repro.dialects.tensorlang:_transfer_cfd_binary": _2C,
-    "repro.tensorpipe.lower_teil:_LoopGenerator._lower_transpose": _2C,
+    "repro.dialects.builtin:_np_scalar_fold.fold": _NO_GENERATOR,
+    "repro.dialects.builtin:_transfer_affine_apply": _NO_GENERATOR,
+    "repro.dialects.system:_verify_base2_arith": _NO_GENERATOR,
+    "repro.dialects.system:_fold_full_extract": _NO_GENERATOR,
+    "repro.dialects.tensorlang:_transfer_stack": _NO_GENERATOR,
+    "repro.dialects.tensorlang:_transfer_esn_iota": _NO_GENERATOR,
+    "repro.dialects.tensorlang:_transfer_transpose": _NO_GENERATOR,
+    "repro.dialects.tensorlang:_transfer_reshape": _NO_GENERATOR,
+    "repro.dialects.tensorlang:_transfer_contract": _NO_GENERATOR,
+    "repro.dialects.tensorlang:_transfer_cfd_binary": _NO_GENERATOR,
+    "repro.tensorpipe.lower_teil:_LoopGenerator._lower_transpose":
+        _NO_GENERATOR,
 }
 
 Key = Tuple[str, int, str]      # (real path, first line, name)
