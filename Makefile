@@ -207,12 +207,12 @@ lint:
 docs-check:
 	$(PYTHON) tools/check_docs.py
 
-# Which defs of src/repro an entry point (examples, benchmarks/, basecamp
-# calls, an in-process daemon) reaches, which only tier-1 reaches and
-# which nothing reaches, in def-lines per package; fails on an unreached
-# def that tools/reach.py's allowlist does not give a reason for.  Both
-# phases run under a tracer, several minutes in all, so it is not part
-# of `make test`.
+# Which defs of src/repro an entry point (examples, basecamp calls, an
+# in-process daemon; a benchmark is not one) reaches, which only tier-1
+# reaches and which nothing reaches, in def-lines per package; fails on
+# an unreached def that tools/reach.py's allowlist does not give a reason
+# for.  Both phases run under a tracer, a few minutes in all, so it is
+# not part of `make test`.
 reach:
 	$(PYTHON) tools/reach.py
 

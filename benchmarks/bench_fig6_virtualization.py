@@ -1,60 +1,16 @@
-"""FIG6: the virtualization stack of one physical node (paper Fig. 6).
+"""FIG6: the SR-IOV access path of the virtualization environment (paper
+Fig. 6), as the runtime engine prices it.
 
-Builds the full component diagram — hypervisor, libvirtd, PF + VFs, VMs —
-measures the SR-IOV "near-native performance" claim against emulated I/O,
-and exercises the dynamic VF plug/unplug mechanism driven by resource-
-allocator demands.
+The paper's claim is that SR-IOV "results in near-native performance":
+an FPGA task pays ``SRIOV_OVERHEAD`` on top of its raw kernel time, and
+that stays within 5 % of bare metal under every placement policy.
 """
 
 import pytest
 
 from repro.platforms import alveo_u55c
-from repro.runtime.virtualization import (
-    EMULATED_OVERHEAD,
-    SRIOV_OVERHEAD,
-    Hypervisor,
-    LibvirtDaemon,
-    PhysicalFunction,
-)
-
-
-def _node():
-    pfs = [PhysicalFunction(alveo_u55c(), max_vfs=4)]
-    hypervisor = Hypervisor("node0", cores=32, memory_mb=262_144, pfs=pfs)
-    return LibvirtDaemon(hypervisor)
-
-
-def test_fig6_node_bringup(benchmark):
-    def bringup():
-        daemon = _node()
-        for i in range(3):
-            daemon.defineXML(f"vm{i}", vcpus=8, memory_mb=16_384)
-            daemon.create(f"vm{i}")
-        daemon.attachDevice("vm0")
-        daemon.attachDevice("vm1")
-        return daemon
-
-    daemon = benchmark(bringup)
-    info = daemon.getInfo()
-    assert info.running_vms == 3
-    assert info.free_vfs == 2
-
-
-def test_fig6_sriov_near_native(benchmark):
-    """The paper: SR-IOV 'results in near-native performance'."""
-    daemon = _node()
-    sriov_vm = daemon.defineXML("vm_sriov", 4, 8192, io_mode="sriov")
-    emu_vm = daemon.defineXML("vm_emu", 4, 8192, io_mode="emulated")
-    kernel_seconds = 1e-3
-
-    def run_both():
-        return (kernel_seconds * sriov_vm.accelerator_overhead(),
-                kernel_seconds * emu_vm.accelerator_overhead())
-
-    sriov_time, emulated_time = benchmark(run_both)
-    assert sriov_time / kernel_seconds <= 1.05  # within 5% of native
-    assert emulated_time > sriov_time
-    assert SRIOV_OVERHEAD < EMULATED_OVERHEAD
+from repro.runtime import Cluster, Node, ResourceRequest, RuntimeEngine
+from repro.runtime.cluster import SRIOV_OVERHEAD
 
 
 def test_fig6_sriov_overhead_through_engine(benchmark):
@@ -62,13 +18,6 @@ def test_fig6_sriov_overhead_through_engine(benchmark):
     FPGA task dispatched by any policy pays the SR-IOV overhead on top
     of the raw kernel time — compared across policies through the single
     engine entry point."""
-    from repro.runtime import (
-        Cluster,
-        Node,
-        ResourceRequest,
-        RuntimeEngine,
-    )
-
     kernel_seconds = 1e-3
 
     def run_policies():
@@ -90,20 +39,3 @@ def test_fig6_sriov_overhead_through_engine(benchmark):
     print(f"\n  engine FPGA makespans: "
           + ", ".join(f"{p}={m * 1e3:.4f}ms"
                       for p, m in makespans.items()))
-
-
-def test_fig6_dynamic_plugging(benchmark):
-    daemon = _node()
-    for i in range(2):
-        daemon.defineXML(f"vm{i}", vcpus=8, memory_mb=16_384)
-        daemon.create(f"vm{i}")
-
-    def shifting_demands():
-        actions = 0
-        actions += daemon.satisfy_demands({"vm0": 3, "vm1": 1})
-        actions += daemon.satisfy_demands({"vm0": 1, "vm1": 3})
-        actions += daemon.satisfy_demands({"vm0": 0, "vm1": 0})
-        return actions
-
-    total_actions = benchmark(shifting_demands)
-    assert total_actions >= 8

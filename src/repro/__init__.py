@@ -17,7 +17,7 @@ in Python with simulated FPGA substrates:
 * :mod:`repro.olympus`, :mod:`repro.dosa` — system-level architecture
   generation for PCIe- and network-attached FPGAs;
 * :mod:`repro.runtime` — the virtualized runtime environment: Dask-like task
-  API, scheduler, SR-IOV virtualization;
+  API, scheduler, SR-IOV access-path overhead;
 * :mod:`repro.autotuner` — the mARGOt dynamic autotuner;
 * :mod:`repro.anomaly` — the AutoML anomaly-detection service (TPE);
 * :mod:`repro.workflows` — LEXIS-like workflow deployment;

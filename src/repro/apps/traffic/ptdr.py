@@ -9,7 +9,8 @@ at the simulated arrival time, yielding a travel-time *distribution*
 
 The kernel is embarrassingly parallel over samples — exactly why the
 project offloaded it; the benchmark compares this CPU implementation with
-the FPGA-simulated one through the virtualization layer.
+the same kernel scheduled by the runtime engine as an FPGA task, priced
+with the SR-IOV access-path overhead.
 """
 
 from __future__ import annotations

@@ -70,10 +70,6 @@ class RuntimeSchedulingError(EverestError):
     """The resource manager could not schedule or execute a task graph."""
 
 
-class VirtualizationError(EverestError):
-    """Hypervisor / SR-IOV / libvirt model misuse."""
-
-
 class AutotunerError(EverestError):
     """mARGOt configuration or adaptation error."""
 

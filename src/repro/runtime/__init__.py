@@ -9,8 +9,10 @@
 * :mod:`repro.runtime.engine` — the event-driven runtime engine, the one
   planner: scheduling policies (HEFT, round-robin, min-load) and their
   cost model, streaming submission, in-loop monitoring and rescheduling;
-* :mod:`repro.runtime.monitor` — node heartbeats and liveness;
-* :mod:`repro.runtime.virtualization` — QEMU-KVM/libvirt/SR-IOV models.
+* :mod:`repro.runtime.monitor` — node heartbeats and liveness.
+
+An FPGA task's time includes ``cluster.SRIOV_OVERHEAD``, the SR-IOV access
+path of Fig. 6's virtualization environment.
 """
 
 from repro.runtime.cluster import Cluster, Node, default_cluster

@@ -31,11 +31,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, \
     Tuple, Union
 
 from repro.errors import RuntimeSchedulingError
-from repro.runtime.cluster import Cluster, Node
+from repro.runtime.cluster import SRIOV_OVERHEAD, Cluster, Node
 from repro.runtime.placement import CandidateIndex, ClassKey, node_classes
 from repro.runtime.taskgraph import Task, TaskGraph
 from repro.runtime.timeline import NodeTimeline
-from repro.runtime.virtualization import SRIOV_OVERHEAD
 
 
 @dataclass

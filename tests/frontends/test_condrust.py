@@ -133,12 +133,12 @@ class TestLoweringAndExecution:
         cv = executor.schedule.placements[executor.trace[0].task_id]
         assert engine.cluster.node(cv.node).has_fpga
         # Priced through the virtualised access path, like any FPGA task.
-        from repro.runtime.virtualization import SRIOV_OVERHEAD
+        from repro.runtime.cluster import SRIOV_OVERHEAD
         assert cv.duration == pytest.approx(1e-3 * SRIOV_OVERHEAD)
 
     def test_registered_resources_are_the_node_cost(self):
         from repro.runtime import ResourceRequest
-        from repro.runtime.virtualization import SRIOV_OVERHEAD
+        from repro.runtime.cluster import SRIOV_OVERHEAD
 
         executor = _fig4_executor()
         executor.register("projection", lambda gv, mc: gv,

@@ -38,6 +38,7 @@ from repro.apps.traffic import (
     synthetic_segment_models,
 )
 from repro.apps.traffic.models import diurnal_congestion
+from repro.apps.traffic.ptdr import ptdr_flops_per_sample
 from repro.apps.wrf import (
     AtmosphereState,
     GridSpec,
@@ -89,6 +90,15 @@ class TestWRFProxy:
                              perturbation=1.0, seed=0)
         assert large.spread_field("temperature").mean() \
             > small.spread_field("temperature").mean()
+
+    def test_surface_wind_speed_members(self):
+        grid = GridSpec(10, 8, 4)
+        ensemble = run_ensemble(AtmosphereState.standard(grid), members=3,
+                                steps=1, perturbation=0.5, seed=0)
+        speeds = ensemble.surface_wind_speed_members(3)
+        assert speeds.shape == (3,) + ensemble.members[0].wind_speed_at(3).shape
+        np.testing.assert_array_equal(
+            speeds, np.stack([m.wind_speed_at(3) for m in ensemble.members]))
 
     def test_wind_diagnostics(self):
         state = AtmosphereState.standard()
@@ -261,6 +271,14 @@ class TestTraffic:
         night = ptdr_montecarlo(models, 3 * 3600.0, samples=600, seed=0)
         assert peak.median_s > night.median_s
         assert peak.percentile_s(95) >= peak.median_s
+
+    def test_ptdr_flops_per_sample(self):
+        network = RoadNetwork(5, 5, seed=3)
+        route = network.random_route(np.random.default_rng(4))
+        models = synthetic_segment_models(network, route, seed=1)
+        assert len(models) > 0
+        assert ptdr_flops_per_sample(models) == 12 * len(models)
+        assert ptdr_flops_per_sample([]) == 0
 
     def _time_invariant_models(self, segments=4):
         """Segment models whose speed distribution ignores the clock, so

@@ -52,10 +52,6 @@ _ENGINE = _PLATFORMS + _TELEMETRY + """
     repro.runtime.engine.policies repro.runtime.engine.workloads
     repro.runtime.monitor repro.runtime.placement
     repro.runtime.taskgraph repro.runtime.timeline
-    repro.runtime.virtualization
-    repro.runtime.virtualization.hypervisor
-    repro.runtime.virtualization.libvirt
-    repro.runtime.virtualization.sriov
 """
 _PIPELINE = _TELEMETRY + """
     repro repro.errors repro.pipeline repro.pipeline.cache

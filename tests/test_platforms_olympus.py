@@ -83,6 +83,22 @@ class TestPacking:
         assert plan.beats_per_record == 1
         assert plan.speedup_vs_naive == 4.0
 
+    def test_packed_record_beats_naive_efficiency(self):
+        plan = pack_fields([Field("lat", 32), Field("lon", 32),
+                            Field("speed", 16), Field("ts", 64)], 512)
+        # 144 payload bits in one 512-bit beat, against four beats naive.
+        assert plan.payload_bits_per_beat == 144.0
+        assert plan.efficiency == 144 / 512
+        assert plan.naive_efficiency == 144 / (4 * 512)
+        assert plan.efficiency > plan.naive_efficiency
+
+    def test_wide_field_gains_nothing_from_packing(self):
+        # 1124 bits fill three beats either way.
+        plan = pack_fields([Field("big", 1024 + 100)], 512)
+        assert plan.payload_bits_per_beat == 1124 / 3
+        assert plan.efficiency == plan.naive_efficiency == 1124 / (3 * 512)
+        assert plan.speedup_vs_naive == 1.0
+
     def test_wide_field_split(self):
         plan = pack_fields([Field("big", 1024 + 100)], 512)
         assert plan.beats_per_record == 3

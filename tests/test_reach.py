@@ -1,8 +1,10 @@
 """``tools/reach.py`` on a fixture package of three defs: one an entry
 point reaches, one only a test reaches, one nothing reaches.  The tree
-itself is traced by ``make reach``, not here."""
+itself is traced by ``make reach``, not here; only its allowlist's names
+are checked against the tree's defs."""
 
 import importlib
+import inspect
 import os
 import sys
 
@@ -81,3 +83,18 @@ def test_an_unreached_def_not_allowlisted_fails_the_tool(
                             "reachfix.mod:used": "stale"})
     assert status == 1
     assert "allowlisted but reached or gone: reachfix.mod:used" in err
+
+
+def test_every_allowlist_entry_names_a_def_of_the_tree():
+    """Static half of the stale-entry check: a deletion that leaves an
+    entry behind fails here, without the traced ``make reach``."""
+    names = {d.name for d in reach.defs(reach.SRC)}
+    assert sorted(set(reach.ALLOWLIST) - names) == []
+
+
+def test_no_phase_runs_a_benchmark():
+    """A benchmark is not an entry point: ``make reach`` traces the entry
+    points and tier-1 only, so code only a benchmark reaches is unreached."""
+    assert sorted(reach.PHASES) == ["entry", "tests"]
+    for phase in reach.PHASES.values():
+        assert "benchmarks" not in inspect.getsource(phase)

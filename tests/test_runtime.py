@@ -1,9 +1,14 @@
-"""Tests for the virtualized runtime: scheduling, failures, SR-IOV."""
+"""Tests for the runtime: task costs, scheduling, failures."""
+
+import ast
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import RuntimeSchedulingError, VirtualizationError
+import repro
+from repro.errors import RuntimeSchedulingError
 from repro.platforms import alveo_u55c
 from repro.runtime import (
     Cluster,
@@ -15,14 +20,7 @@ from repro.runtime import (
     ScheduleResult,
     default_cluster,
 )
-from repro.runtime.virtualization import (
-    EMULATED_OVERHEAD,
-    SRIOV_OVERHEAD,
-    Hypervisor,
-    LibvirtDaemon,
-    PhysicalFunction,
-    VFManager,
-)
+from repro.runtime.cluster import SRIOV_OVERHEAD
 
 
 def _diamond_graph(client):
@@ -61,6 +59,53 @@ class TestTaskCosts:
             lambda: 7, output_bytes=0,
             resources=ResourceRequest(cpu_flops=0.0, fpga_seconds=0.0))
         assert client.gather([future]) == [7]
+
+    def test_sriov_overhead_is_near_native(self):
+        """Fig. 6: an FPGA behind an SR-IOV virtual function runs within
+        5 % of bare metal, and never faster."""
+        assert 1.0 < SRIOV_OVERHEAD <= 1.05
+
+    def test_sriov_overhead_has_one_definition(self):
+        from repro.runtime.engine import policies
+
+        assert policies.SRIOV_OVERHEAD is SRIOV_OVERHEAD
+        src = Path(repro.__file__).parent
+        defined = sorted(
+            str(path.relative_to(src)) for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SRIOV_OVERHEAD"
+                for t in node.targets))
+        assert defined == [os.path.join("runtime", "cluster.py")]
+
+    def test_fpga_task_pays_the_sriov_overhead(self):
+        cluster = Cluster([Node("acc0", fpgas=[alveo_u55c()])])
+        client = EverestClient(cluster)
+        f = client.submit(lambda: 0, resources=ResourceRequest(
+            fpga=True, fpga_seconds=0.25))
+        placement = client.compute().placements[f.task_id]
+        assert placement.duration \
+            == pytest.approx(0.25 * SRIOV_OVERHEAD)
+
+    def test_cpu_task_pays_no_sriov_overhead(self):
+        node = Node("acc0", fpgas=[alveo_u55c()])
+        client = EverestClient(Cluster([node]))
+        f = client.submit(lambda: 0, resources=ResourceRequest(
+            cpu_flops=4e9, cores=2))
+        placement = client.compute().placements[f.task_id]
+        assert placement.duration \
+            == pytest.approx(node.cpu_seconds(4e9, 2))
+
+
+class TestCluster:
+    def test_fpga_nodes_counted_over_alive_nodes(self):
+        cluster = Cluster([Node("cpu0", fpgas=[])] + [
+            Node(f"acc{i}", fpgas=[alveo_u55c()]) for i in range(3)])
+        assert sum(n.has_fpga for n in cluster.alive_nodes()) == 3
+        cluster.fail_node("acc1")
+        assert sum(n.has_fpga for n in cluster.alive_nodes()) == 2
+        cluster.fail_node("cpu0")
+        assert [n.name for n in cluster.alive_nodes()] == ["acc0", "acc2"]
 
 
 class TestTaskGraph:
@@ -218,81 +263,3 @@ class TestMonitor:
         assert monitor.dead_nodes(now=100.0) == ["node1"]
         cluster.fail_node("node0")
         assert "node0" in monitor.dead_nodes(now=100.0)
-
-
-class TestSRIOV:
-    def test_vf_assignment_exclusive(self):
-        pf = PhysicalFunction(alveo_u55c(), max_vfs=2)
-        manager = VFManager()
-        manager.plug(pf.vf(0), "vm0")
-        with pytest.raises(VirtualizationError):
-            manager.plug(pf.vf(0), "vm1")
-
-    def test_rebalance_satisfies_demands(self):
-        pfs = [PhysicalFunction(alveo_u55c(), max_vfs=4)]
-        manager = VFManager()
-        manager.rebalance(pfs, {"vm0": 2, "vm1": 1})
-        held = {}
-        for vf in pfs[0].vfs:
-            if vf.assigned_vm:
-                held[vf.assigned_vm] = held.get(vf.assigned_vm, 0) + 1
-        assert held == {"vm0": 2, "vm1": 1}
-        # Shrink vm0, grow vm1: dynamic plug/unplug.
-        events = manager.rebalance(pfs, {"vm0": 0, "vm1": 3})
-        assert any(e.action == "unplug" for e in events)
-        assert any(e.action == "plug" for e in events)
-
-    def test_overdemand_rejected(self):
-        pfs = [PhysicalFunction(alveo_u55c(), max_vfs=2)]
-        with pytest.raises(VirtualizationError):
-            VFManager().rebalance(pfs, {"vm0": 5})
-
-    def test_overheads_ordered(self):
-        assert 1.0 < SRIOV_OVERHEAD < 1.1 < EMULATED_OVERHEAD
-
-
-class TestHypervisorAndLibvirt:
-    def _daemon(self):
-        pf = PhysicalFunction(alveo_u55c(), max_vfs=2)
-        hv = Hypervisor("node0", cores=32, memory_mb=65536, pfs=[pf])
-        return LibvirtDaemon(hv)
-
-    def test_vm_lifecycle(self):
-        daemon = self._daemon()
-        daemon.defineXML("vm0", vcpus=8, memory_mb=8192)
-        daemon.create("vm0")
-        assert daemon.getInfo().running_vms == 1
-        daemon.shutdown("vm0")
-        daemon.undefine("vm0")
-        assert daemon.listAllDomains() == []
-
-    def test_attach_detach_device(self):
-        daemon = self._daemon()
-        daemon.defineXML("vm0", vcpus=4, memory_mb=4096)
-        daemon.create("vm0")
-        vf = daemon.attachDevice("vm0")
-        assert daemon.lookupByName("vm0").has_accelerator()
-        assert daemon.getInfo().free_vfs == 1
-        daemon.detachDevice("vm0", vf)
-        assert daemon.getInfo().free_vfs == 2
-
-    def test_shutdown_with_vfs_rejected(self):
-        daemon = self._daemon()
-        daemon.defineXML("vm0", vcpus=4, memory_mb=4096)
-        daemon.create("vm0")
-        daemon.attachDevice("vm0")
-        with pytest.raises(VirtualizationError):
-            daemon.shutdown("vm0")
-
-    def test_memory_overcommit_rejected(self):
-        daemon = self._daemon()
-        daemon.defineXML("vm0", vcpus=4, memory_mb=60000)
-        with pytest.raises(VirtualizationError):
-            daemon.defineXML("vm1", vcpus=4, memory_mb=60000)
-
-    def test_io_mode_overheads(self):
-        daemon = self._daemon()
-        sriov = daemon.defineXML("vm0", 2, 2048, io_mode="sriov")
-        emulated = daemon.defineXML("vm1", 2, 2048, io_mode="emulated")
-        assert sriov.accelerator_overhead() \
-            < emulated.accelerator_overhead()

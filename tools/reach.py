@@ -2,12 +2,13 @@
 reaches, and which nothing reaches: ``python tools/reach.py`` (make reach).
 
 Two children run under a ``sys.settrace`` collector (the call-count tests
-own ``sys.setprofile``): *entry* runs ``examples/``, the :data:`CLI` calls,
-a daemon serving :data:`DAEMON` and ``benchmarks/``; *tests* runs tier-1.
-A test that fails under tracing still counts for what it reached.  Counts
-are def-lines, decorators included, a nested def in its parent's too.  The
-exit status is 1 when an unreached def is not in :data:`ALLOWLIST` or an
-allowlist entry is reached or gone.
+own ``sys.setprofile``): *entry* runs ``examples/``, the :data:`CLI` calls
+and a daemon serving :data:`DAEMON`; *tests* runs tier-1.  A benchmark is
+not an entry point and no phase runs ``benchmarks/``: code only a benchmark
+reaches counts as unreached.  A test that fails under tracing still counts
+for what it reached.  Counts are def-lines, decorators included, a nested
+def in its parent's too.  The exit status is 1 when an unreached def is not
+in :data:`ALLOWLIST` or an allowlist entry is reached or gone.
 """
 
 from __future__ import annotations
@@ -173,7 +174,6 @@ def _entry_points() -> None:
                 r.read()
     finally:
         server.shutdown()
-    pytest.main(PYTEST + sorted(map(str, ROOT.glob("benchmarks/bench_*.py"))))
 
 
 PHASES = {"entry": _entry_points,
