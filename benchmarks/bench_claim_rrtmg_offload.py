@@ -10,9 +10,8 @@ import numpy as np
 
 from repro.apps.wrf import AtmosphereState, WRFProxy
 from repro.apps.wrf.rrtmg import tau_major_vectorized
-from repro.hls import synthesize_kernel
-from repro.olympus import OlympusGenerator
-from repro.platforms import alveo_u55c
+from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
+from repro.pipeline import PipelineSession
 
 _STEPS = 4
 
@@ -27,13 +26,11 @@ def test_radiation_fraction_is_about_30_percent(benchmark):
     assert 0.15 <= fraction <= 0.50, fraction
 
 
-def test_accelerated_wrf_speedup(benchmark, rrtmg_affine):
+def test_accelerated_wrf_speedup(benchmark):
     """Amdahl: accelerating the ~30% radiation share speeds the model up
     by up to ~1.4x; the FPGA path must preserve the numbers."""
-    kernel, module = rrtmg_affine
-    report = synthesize_kernel(module, kernel.name)
-    system = OlympusGenerator(alveo_u55c()).generate("wrf", [report])
-    breakdown = system.estimates[kernel.name]
+    olympus = PipelineSession().olympus(FIG3_MAJOR_ABSORBER)
+    breakdown = olympus.system.estimates["tau_major"]
     # The simulated-FPGA radiation: functionally the vectorized kernel,
     # with the Olympus-estimated invocation latency folded into profiling.
     baseline_model = WRFProxy(AtmosphereState.standard())

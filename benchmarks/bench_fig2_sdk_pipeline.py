@@ -6,24 +6,20 @@ and assembly -> EVP deployment -> runtime management with the autotuner.
 """
 
 from repro.autotuner import MargotManager, OperatingPoint, Rank
-from repro.hls import synthesize_kernel
-from repro.olympus import ArchConfig, OlympusGenerator, lower_olympus_to_evp
-from repro.platforms import alveo_u55c
+from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
+from repro.olympus import lower_olympus_to_evp
+from repro.pipeline import PipelineSession
 
 
-def test_fig2_full_sdk_pipeline(benchmark, rrtmg_affine):
-    kernel, module = rrtmg_affine
-
+def test_fig2_full_sdk_pipeline(benchmark):
     def pipeline():
-        # HLS-based synthesis (Vitis/Bambu role).
-        report = synthesize_kernel(module, kernel.name)
-        # Olympus: integration & assembly with DSE.
-        generator = OlympusGenerator(alveo_u55c())
-        points = generator.explore(report)
-        system = generator.generate("rrtmg_system", [report])
-        system_ir = generator.emit_ir(system)
+        # Compilation, HLS-based synthesis (Vitis/Bambu role) and Olympus
+        # integration & assembly with DSE, in a fresh session: no stage
+        # is a cache hit.
+        olympus = PipelineSession().olympus(FIG3_MAJOR_ABSORBER)
+        system, points = olympus.system, olympus.points
         # EVP: deployment & runtime management.
-        deployment = lower_olympus_to_evp(system_ir)
+        deployment = lower_olympus_to_evp(olympus.ir)
         # mARGOt knowledge from the DSE points.
         knowledge = [
             OperatingPoint(

@@ -16,7 +16,7 @@ def test_fig5_every_edge_implemented(benchmark):
 def test_fig5_all_dialects_registered(benchmark):
     names = benchmark(REGISTRY.names)
     expected = {"ekl", "esn", "teil", "cfdlang", "dfg", "olympus", "evp",
-                "base2", "cyclic", "bit", "ub", "fsm", "hw", "jabbah",
+                "base2", "cyclic", "bit", "ub", "fsm", "hw",
                 "affine", "linalg", "tensor", "gpu", "buffer"}
     assert expected <= set(names)
 

@@ -9,13 +9,13 @@ in Python with simulated FPGA substrates:
   with the EVEREST dialects (ekl, teil, esn, cfdlang, dfg, olympus, evp,
   base2, fsm, hw);
 * :mod:`repro.frontends` — the EVEREST Kernel Language, the ConDRust
-  coordination language, CFDlang and ONNX-like model ingestion;
+  coordination language and CFDlang;
 * :mod:`repro.numerics` — custom data formats (fixed point, posit, bfloat16);
 * :mod:`repro.hls` — a high-level synthesis engine (scheduling, pipelining,
   resource binding, FSM/RTL emission);
 * :mod:`repro.platforms` — FPGA device, memory and network models;
-* :mod:`repro.olympus`, :mod:`repro.dosa` — system-level architecture
-  generation for PCIe- and network-attached FPGAs;
+* :mod:`repro.olympus` — system-level architecture generation for
+  accelerated kernels;
 * :mod:`repro.runtime` — the virtualized runtime environment: Dask-like task
   API, scheduler, SR-IOV access-path overhead;
 * :mod:`repro.autotuner` — the mARGOt dynamic autotuner;

@@ -24,17 +24,13 @@ DIALECT_GRAPH: Tuple[Tuple[str, str], ...] = (
     ("ekl-frontend", "ekl"),
     ("cfdlang-frontend", "cfdlang"),
     ("condrust-frontend", "dfg"),
-    ("onnx-frontend", "jabbah"),
     # Entry dialects into the tensor intermediate language.
     ("ekl", "esn"),
     ("esn", "teil"),
     ("cfdlang", "teil"),
-    # ML convergence (Operation Set Architectures).
-    ("jabbah", "dfg"),
     # Tensor IL into core loop dialects.
     ("teil", "affine"),
-    # Coordination / integration / backend chain.
-    ("dfg", "olympus"),
+    # Olympus system IR into the EVP deployment sequence.
     ("olympus", "evp"),
     # HLS backend: loops into FSM + structural hardware.
     ("affine", "fsm"),
@@ -73,7 +69,6 @@ def _load_implementations() -> None:
     import repro.frontends.cfdlang.lower  # noqa: F401
     import repro.frontends.condrust.lower  # noqa: F401
     import repro.frontends.ekl.lower  # noqa: F401
-    import repro.frontends.onnx_front  # noqa: F401
     import repro.hls.synth  # noqa: F401
     import repro.olympus.arch_gen  # noqa: F401
     import repro.tensorpipe.lower_esn  # noqa: F401
@@ -81,6 +76,7 @@ def _load_implementations() -> None:
 
 
 def registered_edges() -> Tuple[Tuple[str, str], ...]:
-    """All edges with an implementation loaded (for the Fig. 5 benchmark)."""
+    """All edges with an implementation loaded (``basecamp dialects``
+    marks each :data:`DIALECT_GRAPH` edge against them)."""
     _load_implementations()
     return tuple(sorted(_LOWERINGS))

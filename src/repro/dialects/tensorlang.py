@@ -27,7 +27,7 @@ from repro.ir.analysis import (
     merge_shapes,
 )
 from repro.ir.core import Operation
-from repro.ir.dialect import VARIADIC, register_dialect
+from repro.ir.dialect import register_dialect
 from repro.ir.rewrite import PatternRewriter, RewritePattern
 from repro.ir.types import TensorType
 
@@ -614,20 +614,6 @@ def register() -> None:
                        transfer=_transfer_cfd_binary)
         cfdlang.op("assign", "bind expression to output", num_operands=1,
                    num_results=0, required_attrs={"name": "output name"})
-
-    jabbah = register_dialect(
-        "jabbah", "operation-set-architecture graphs for ML models"
-    )
-    if "model" not in jabbah:
-        jabbah.op("model", "an ML model graph", num_operands=0, num_results=0,
-                  num_regions=1, required_attrs={"sym_name": "model name"},
-                  traits=("symbol",))
-        jabbah.op("op", "one OSA operation", num_results=VARIADIC,
-                  required_attrs={"osa": "operation-set op name"})
-        jabbah.op("weights", "model parameters", num_operands=0, num_results=1,
-                  traits=("pure",))
-        jabbah.op("output", "model outputs", num_results=0,
-                  traits=("terminator",))
 
 
 register()

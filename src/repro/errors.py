@@ -28,7 +28,7 @@ class IRParseError(IRError):
 
 
 class FrontendError(EverestError):
-    """A language frontend (EKL, ConDRust, CFDlang, ONNX) rejected a program."""
+    """A language frontend (EKL, ConDRust, CFDlang) rejected a program."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         self.line = line

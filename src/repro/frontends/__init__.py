@@ -4,7 +4,5 @@
   notation tensor kernels, paper §V-A1, Fig. 3);
 * :mod:`repro.frontends.condrust` — the ConDRust coordination language
   (deterministic dataflow from a Rust subset, paper §V-A2, Fig. 4);
-* :mod:`repro.frontends.cfdlang` — the legacy CFDlang tensor DSL;
-* :mod:`repro.frontends.onnx_front` — ONNX-like ML model ingestion feeding
-  the jabbah operation-set dialect and DOSA.
+* :mod:`repro.frontends.cfdlang` — the legacy CFDlang tensor DSL.
 """

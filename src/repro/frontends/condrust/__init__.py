@@ -1,8 +1,8 @@
 """ConDRust: the EVEREST coordination language (paper §V-A2, Fig. 4).
 
 ConDRust is an imperative coordination language based on a subset of Rust.
-It connects software and hardware components (EKL kernels, ONNX models,
-plain host functions) into a *provably deterministic* dataflow graph:
+It connects software and hardware components (EKL kernels and plain host
+functions) into a *provably deterministic* dataflow graph:
 
 * functions are single-assignment — every ``let`` binds a fresh name;
 * immutable bindings may be read by many consumers (shared borrows);

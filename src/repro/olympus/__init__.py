@@ -1,10 +1,15 @@
 """Olympus: system-level FPGA architecture generation (paper §V-C).
 
 Composes the HLS kernel reports with the platform models to generate the
-data-movement infrastructure around accelerators: PLM buffers (optionally
-shared across stages), double buffering, kernel replication over memory
-lanes and Iris-style data packing.  The host side of a generated system is
-the deployment sequence :func:`lower_olympus_to_evp` emits.
+data-movement infrastructure around accelerators: PLM buffers, double
+buffering, kernel replication over memory lanes and Iris-style data
+packing.  :class:`OlympusGenerator` builds a system from one chosen
+:class:`ArchConfig` per kernel; the only selection is the ``olympus``
+pipeline stage's (``PipelineSession.olympus(...).best``).  The host side
+of a generated system is the deployment sequence
+:func:`lower_olympus_to_evp` emits.  :func:`pack_fields` and
+:func:`share_plm` are the record-packing and PLM-sharing models that no
+compile applies yet.
 """
 
 from repro.olympus.arch_gen import (
@@ -13,7 +18,6 @@ from repro.olympus.arch_gen import (
     LatencyBreakdown,
     OlympusGenerator,
     SystemArchitecture,
-    lower_dfg_to_olympus,
     lower_olympus_to_evp,
 )
 from repro.olympus.packing import (
@@ -37,7 +41,6 @@ __all__ = [
     "LatencyBreakdown",
     "OlympusGenerator",
     "SystemArchitecture",
-    "lower_dfg_to_olympus",
     "lower_olympus_to_evp",
     "Field",
     "PackedWord",

@@ -1,8 +1,8 @@
 """Olympus: platform-aware FPGA system architecture generation (§V-C).
 
-Olympus takes (1) the dataflow of kernel interactions (``dfg`` dialect),
-(2) per-kernel HLS reports, and (3) the FPGA platform description, and
-generates "a custom infrastructure for data movement and organization":
+Olympus takes per-kernel HLS reports, a configuration for each and the
+FPGA platform description, and generates "a custom infrastructure for
+data movement and organization":
 
 * **PLM buffers** for kernel operands, optionally **double-buffered** so
   transfers overlap compute (read/execute/write pipelining);
@@ -10,10 +10,12 @@ generates "a custom infrastructure for data movement and organization":
   replica gets private bandwidth (Soldavini et al., TRETS 2023);
 * **data packing** (Iris) raising bus payload efficiency.
 
-The generated architecture is both a Python object
-(:class:`SystemArchitecture`, the pipeline's ``olympus`` stage product)
-and ``olympus``/``evp`` dialect IR (the Fig. 5 edges); the host side is
-the deployment sequence :func:`lower_olympus_to_evp` emits.
+:meth:`OlympusGenerator.explore` enumerates a kernel's design space; the
+pipeline's ``olympus`` stage picks the lowest-latency point and hands it
+to :meth:`OlympusGenerator.generate`.  The generated architecture is both
+a Python object (:class:`SystemArchitecture`, that stage's product) and
+``olympus`` dialect IR; the host side is the ``evp`` deployment sequence
+:func:`lower_olympus_to_evp` emits (the Fig. 5 ``olympus -> evp`` edge).
 """
 
 from __future__ import annotations
@@ -197,23 +199,19 @@ class OlympusGenerator:
             )
         return points
 
-    def best_config(self, report: KernelReport,
-                    max_replicas: Optional[int] = None) -> ArchConfig:
-        """The latency-optimal feasible configuration."""
-        points = self.explore(report, max_replicas)
-        best = min(points, key=lambda p: p[1].total)
-        return best[0]
-
     # -- generation --------------------------------------------------------------
 
     def generate(self, name: str, reports: List[KernelReport],
-                 configs: Optional[Dict[str, ArchConfig]] = None
-                 ) -> SystemArchitecture:
-        """Build the system architecture for a set of kernels."""
+                 configs: Dict[str, ArchConfig]) -> SystemArchitecture:
+        """Build the system architecture for a set of kernels, each in
+        the configuration ``configs`` names for it."""
         system = SystemArchitecture(name, self.device)
         for report in reports:
-            config = (configs or {}).get(report.name) \
-                or self.best_config(report)
+            config = configs.get(report.name)
+            if config is None:
+                raise OlympusError(
+                    f"system {name}: no configuration for kernel "
+                    f"{report.name}")
             breakdown, instance = self.estimate(report, config)
             system.instances.append(instance)
             system.estimates[report.name] = breakdown
@@ -260,48 +258,6 @@ class OlympusGenerator:
 
 
 # -- Fig. 5 lowering edges ------------------------------------------------------------
-
-
-@register_lowering("dfg", "olympus")
-def lower_dfg_to_olympus(module: Module,
-                         device: Optional[FPGADevice] = None,
-                         reports: Optional[Dict[str, KernelReport]] = None
-                         ) -> Module:
-    """Map offloaded dfg nodes onto an Olympus system architecture.
-
-    Nodes marked ``offloaded`` get kernel instances; reports default to a
-    synthetic one-cycle kernel when the HLS report is not supplied (enough
-    for structural lowering in the dialect-graph benchmark).
-    """
-    from repro.platforms.device import alveo_u55c
-
-    device = device or alveo_u55c()
-    generator = OlympusGenerator(device)
-    out = Module()
-    for graph in module.body:
-        if graph.name != "dfg.graph":
-            continue
-        kernel_reports: List[KernelReport] = []
-        for op in graph.regions[0].entry:
-            if op.name == "dfg.node" and op.attr("offloaded"):
-                callee = op.attr("callee")
-                if reports and callee in reports:
-                    kernel_reports.append(reports[callee])
-                else:
-                    kernel_reports.append(
-                        KernelReport(name=callee, bytes_in=4096,
-                                     bytes_out=4096,
-                                     clock_mhz=device.clock_mhz)
-                    )
-        if not kernel_reports:
-            continue
-        system = generator.generate(graph.attr("sym_name"), kernel_reports)
-        ir = generator.emit_ir(system)
-        for op in list(ir.body):
-            op.parent.operations.remove(op)
-            op.parent = None
-            out.append(op)
-    return out
 
 
 @register_lowering("olympus", "evp")

@@ -1,10 +1,8 @@
 """Network model: the link timing of the data-center and cloudFPGA fabrics.
 
-IBM cloudFPGA nodes hang directly off a TCP/UDP network (paper §III); DOSA
-partitions DNNs across them and inserts "hardware-agnostic synchronous
-communication routines" — ZRLMPI (Ringlein et al., FCCM 2020).  This module
-provides the link-timing model that :class:`repro.runtime.Cluster` prices
-transfers with and :mod:`repro.dosa` prices partition hand-offs with.
+IBM cloudFPGA nodes hang directly off a TCP/UDP network (paper §III).
+This module provides the link-timing model that
+:class:`repro.runtime.Cluster` prices transfers with.
 """
 
 from __future__ import annotations

@@ -38,8 +38,9 @@ Artifacts live in an on-disk cache keyed by what they are built from
 (C source, flags, compiler), so an emitter change can never load an
 object the old emitter built.  The compiler writes source and object
 to dot-prefixed temporaries and installs with an atomic ``os.replace``;
-a ``cc`` crash mid-build leaves *nothing* under the final name, so a
-later process can never load a truncated artifact.
+a ``cc`` crash mid-build, or a build killed after ``CC_TIMEOUT_S``,
+leaves *nothing* under the final name, so a later process can never load
+a truncated artifact.
 ``REPRO_CBACKEND_CACHE`` overrides the cache directory, ``REPRO_CC``
 the compiler (both used by the regression tests); with no compiler on
 PATH every compile cleanly falls back.
@@ -51,6 +52,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
@@ -427,6 +429,10 @@ _CC_RUNS = get_registry().counter(
 #: the bitwise contract with numpy rules them out.
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
+#: Seconds one ``cc`` build may run before its process group is killed
+#: and the build fails (the kernel then falls back to ``compiled``).
+CC_TIMEOUT_S = 60.0
+
 
 def _cc_identity(cc: str) -> str:
     """The compiler binary behind ``cc``: its resolved path, size and
@@ -453,8 +459,10 @@ def compile_shared_object(cc: str, source: str,
     into place with ``os.replace`` only after ``cc`` succeeded, so a
     failed build can never leave a partial artifact under the final
     name (cache-poisoning guard).  Raises :class:`CCompileError` on
-    failure, with all temporaries removed.  ``attrs`` are recorded on
-    the ``cbackend.cc`` span when tracing is on.
+    failure, with all temporaries removed, also when ``cc`` runs past
+    :data:`CC_TIMEOUT_S`: it runs in a session of its own, and the whole
+    process group (``cc1``, ``as``, ``ld``) is killed.  ``attrs`` are
+    recorded on the ``cbackend.cc`` span when tracing is on.
     """
     directory = cache_dir()
     key = hashlib.sha256("\x1f".join(
@@ -475,14 +483,25 @@ def compile_shared_object(cc: str, source: str,
             if tracer.enabled:
                 span.attrs.update(attrs or {}, cc=cc, key=key)
             try:
-                proc = subprocess.run(command, capture_output=True,
-                                      text=True)
+                proc = subprocess.Popen(
+                    command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    text=True, start_new_session=True)
             except OSError as error:
                 _CC_RUNS.inc(result="error")
                 raise CCompileError(f"cannot run {cc!r}: {error}")
+            try:
+                stdout, stderr = proc.communicate(timeout=CC_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                _CC_RUNS.inc(result="error")
+                raise CCompileError(
+                    f"{cc} timed out after {CC_TIMEOUT_S:g} s")
+            finally:
+                if proc.returncode is None:     # timed out or interrupted
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.communicate()
             if proc.returncode != 0 or not os.path.exists(tmp_so):
                 _CC_RUNS.inc(result="error")
-                detail = (proc.stderr or proc.stdout or "").strip()
+                detail = (stderr or stdout or "").strip()
                 raise CCompileError(
                     f"{cc} exited with {proc.returncode}"
                     + (f": {detail[:500]}" if detail else ""))

@@ -1,20 +1,14 @@
-"""Tests for CFDlang and the ONNX-like frontend."""
+"""Tests for the CFDlang frontend: interpreter and compiled path."""
 
 import numpy as np
 import pytest
 
-from repro.errors import FrontendError, TypeCheckError
+from repro.errors import TypeCheckError
 from repro.frontends.cfdlang import (
     lower_cfdlang_to_teil,
     lower_program_to_cfdlang,
     parse_program,
     run_program,
-)
-from repro.frontends.onnx_front import (
-    Model,
-    example_cnn,
-    lower_jabbah_to_dfg,
-    lower_model_to_jabbah,
 )
 from repro.ir import verify
 from repro.tensorpipe import lower_teil_to_affine
@@ -101,54 +95,3 @@ class TestCFDlangCompiled:
         assert compiled.backend == "compiled"
         np.testing.assert_array_equal(compiled.run(inputs)["y"], got)
 
-
-class TestONNXFrontend:
-    def test_example_cnn_forward_shape(self):
-        model = example_cnn()
-        out = model.forward(np.zeros(model.input_shape))
-        assert out.shape == model.output_shape()
-
-    def test_macs_accounting(self):
-        model = example_cnn()
-        assert model.total_macs() == sum(
-            model.layer_macs(i) for i in range(len(model.layers))
-        )
-        # conv layers dominate a CNN's MACs
-        conv_macs = sum(model.layer_macs(i)
-                        for i, l in enumerate(model.layers)
-                        if l.kind == "conv2d")
-        assert conv_macs > model.total_macs() * 0.5
-
-    def test_dense_requires_flatten(self):
-        rng = np.random.default_rng(0)
-        model = Model("bad", (1, 8, 8))
-        with pytest.raises(FrontendError):
-            model.dense(4, rng)
-
-    def test_wrong_input_shape_rejected(self):
-        model = example_cnn()
-        with pytest.raises(FrontendError):
-            model.forward(np.zeros((3, 3)))
-
-    def test_relu_and_pool_semantics(self):
-        rng = np.random.default_rng(0)
-        model = Model("m", (1, 4, 4))
-        model.relu().maxpool2()
-        x = np.arange(16.0).reshape(1, 4, 4) - 8
-        out = model.forward(x)
-        assert out.shape == (1, 2, 2)
-        assert out.min() >= 0.0
-
-    def test_jabbah_lowering_verifies(self):
-        module = lower_model_to_jabbah(example_cnn())
-        verify(module)
-        graph = module.lookup("traffic_speed_cnn")
-        ops = [op for op in graph.regions[0].entry
-               if op.name == "jabbah.op"]
-        assert len(ops) == len(example_cnn().layers)
-
-    def test_jabbah_to_dfg_edge(self):
-        module = lower_jabbah_to_dfg(lower_model_to_jabbah(example_cnn()))
-        verify(module)
-        graph = module.lookup("traffic_speed_cnn")
-        assert graph.name == "dfg.graph"

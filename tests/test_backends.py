@@ -15,6 +15,7 @@ import os
 import stat
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -364,6 +365,15 @@ def needs_working_cc():
         pytest.skip("no working C compiler on this host")
 
 
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie has finished)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @pytest.fixture
 def isolated_cbackend(monkeypatch, tmp_path):
     """Redirect the cbackend's disk cache and forget probe results so
@@ -453,6 +463,47 @@ kernel k {
         expected = run_affine(module, func_name, inputs)
         np.testing.assert_array_equal(kernel.run(inputs)["c"],
                                       expected["c"])
+
+    def test_hung_cc_is_killed_and_falls_back(self, isolated_cbackend,
+                                              monkeypatch, tmp_path):
+        # A compiler that never finishes, through a child of its own (as
+        # cc runs cc1/as/ld): the build is killed at the timeout with its
+        # whole process group, and the kernel falls back naming why.
+        child_pid = tmp_path / "child.pid"
+        hung_cc = tmp_path / "hung-cc.sh"
+        hung_cc.write_text(
+            "#!/bin/sh\n"
+            "out=\"\"\n"
+            "prev=\"\"\n"
+            "for arg in \"$@\"; do\n"
+            "  if [ \"$prev\" = \"-o\" ]; then out=\"$arg\"; fi\n"
+            "  prev=\"$arg\"\n"
+            "done\n"
+            "echo PARTIAL > \"$out\"\n"
+            "sleep 60 &\n"
+            f"echo $! > {child_pid}\n"
+            "wait\n")
+        hung_cc.chmod(hung_cc.stat().st_mode | stat.S_IEXEC)
+        monkeypatch.setenv("REPRO_CC", str(hung_cc))
+        monkeypatch.setattr("repro.tensorpipe.cbackend.CC_TIMEOUT_S", 0.5)
+        # No probe build: the kernel's own build is the one that hangs.
+        monkeypatch.setattr("repro.tensorpipe.cbackend.probe_supported",
+                            lambda cc: frozenset())
+        func_name, module = lower_optimized(GOLDEN["elementwise"])
+        start = time.perf_counter()
+        kernel = CBackend().compile(module, func_name)
+        assert time.perf_counter() - start < 5.0
+        assert kernel.backend == "compiled"
+        assert kernel.fallback == (f"cbackend: {hung_cc} timed out "
+                                   "after 0.5 s")
+        leftovers = [name for name in os.listdir(isolated_cbackend)
+                     if name.endswith(".so") or name.startswith(".")]
+        assert leftovers == [], f"partial artifacts left: {leftovers}"
+        pid = int(child_pid.read_text())
+        deadline = time.monotonic() + 5.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid), f"cc's child {pid} outlived the build"
 
     def test_disk_cache_reused_across_instances(self, isolated_cbackend):
         needs_working_cc()

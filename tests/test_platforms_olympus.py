@@ -194,13 +194,27 @@ class TestOlympus:
         from repro.ir import verify
 
         generator = OlympusGenerator(alveo_u55c())
-        system = generator.generate("sys", [rrtmg_report])
+        system = generator.generate(
+            "sys", [rrtmg_report], {"tau_major": ArchConfig(2, True, True)})
         assert system.fits()
         module = generator.emit_ir(system)
         verify(module)
         kernels = [op for op in module.walk()
                    if op.name == "olympus.kernel"]
         assert kernels[0].attr("callee") == "tau_major"
+        assert kernels[0].attr("replicas") == 2
+
+    def test_kernel_without_a_config_is_named(self, rrtmg_report):
+        # generate() selects nothing itself: a report with no config is
+        # the caller's error, named, not a KeyError or a silent choice.
+        import dataclasses
+
+        other = dataclasses.replace(rrtmg_report, name="other")
+        with pytest.raises(OlympusError,
+                           match="system sys: no configuration for "
+                                 "kernel other"):
+            OlympusGenerator(alveo_u55c()).generate(
+                "sys", [rrtmg_report, other], {"tau_major": ArchConfig()})
 
     def test_oversized_kernel_rejected(self, rrtmg_report):
         import dataclasses
@@ -208,5 +222,8 @@ class TestOlympus:
         tiny = cloudfpga_node()
         huge = dataclasses.replace(rrtmg_report)
         huge.resources = rrtmg_report.resources.scaled(500)
-        with pytest.raises(OlympusError):
-            OlympusGenerator(tiny).generate("sys", [huge])
+        with pytest.raises(OlympusError, match="in any configuration"):
+            OlympusGenerator(tiny).explore(huge)
+        with pytest.raises(OlympusError, match="exceeds"):
+            OlympusGenerator(tiny).generate("sys", [huge],
+                                            {"tau_major": ArchConfig()})

@@ -1,14 +1,12 @@
-"""Tests for workflows, DOSA and the basecamp CLI."""
+"""Tests for workflows and the basecamp CLI."""
 
 import numpy as np
 import pytest
 
 from repro.basecamp.cli import main
-from repro.dosa import OSA_CLOUDFPGA, coverage, partition_model, simulate_pipeline
 from repro.errors import WorkflowError
 from repro.frontends.condrust import FIG4_MAP_MATCHING
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
-from repro.frontends.onnx_front import example_cnn
 from repro.runtime import default_cluster
 from repro.workflows import LexisPlatform, WorkflowSpec, WorkflowTask
 
@@ -148,54 +146,6 @@ class TestLexisDeployOrder:
         assert f"unsatisfiable dependencies: {stuck}" in str(error.value)
 
 
-class TestDOSA:
-    def test_coverage_check(self):
-        model = example_cnn()
-        assert all(coverage(model, OSA_CLOUDFPGA).values())
-
-    @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
-    def test_partition_functional_equivalence(self, ranks):
-        model = example_cnn()
-        plan = partition_model(model, ranks)
-        assert plan.num_ranks == ranks
-        samples = [np.random.default_rng(i).normal(size=model.input_shape)
-                   for i in range(3)]
-        expected = [model.forward(s) for s in samples]
-        result = simulate_pipeline(plan, samples)
-        assert len(result["outputs"]) == len(expected)
-        for got, want in zip(result["outputs"], expected):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
-    def test_timing_is_the_plans_pipeline_model(self, ranks):
-        model = example_cnn()
-        plan = partition_model(model, ranks)
-        n = 6
-        samples = [np.random.default_rng(i).normal(size=model.input_shape)
-                   for i in range(n)]
-        result = simulate_pipeline(plan, samples)
-        assert result["messages"] == (ranks - 1) * n
-        assert result["bytes_on_wire"] == n * sum(
-            p.output_bytes for p in plan.partitions[:-1])
-        assert result["throughput_fps"] == n / result["makespan_seconds"]
-        # Filling the pipeline costs, so a batch never beats steady state;
-        # one rank has nothing to fill.
-        if ranks == 1:
-            assert result["throughput_fps"] == plan.throughput_fps()
-        else:
-            assert result["throughput_fps"] < plan.throughput_fps()
-
-    def test_partitions_are_contiguous_and_complete(self):
-        model = example_cnn()
-        plan = partition_model(model, 3)
-        covered = [i for p in plan.partitions for i in p.layer_indices]
-        assert covered == list(range(len(model.layers)))
-
-    def test_throughput_positive(self):
-        plan = partition_model(example_cnn(), 2)
-        assert plan.throughput_fps() > 0
-
-
 class TestBasecampCLI(object):
     def test_compile_report(self, tmp_path, capsys):
         source = tmp_path / "k.ekl"
@@ -270,10 +220,22 @@ class TestBasecampCLI(object):
         assert "unknown --input" in capsys.readouterr().err
 
     def test_dialects_graph(self, capsys):
+        # Every Fig. 5 edge is printed, and none as [--] (no lowering).
+        from repro.dialects import DIALECT_GRAPH
+
         assert main(["dialects"]) == 0
-        out = capsys.readouterr().out
-        assert "ekl -> esn" in out
-        assert "[ok]" in out
+        edges = [line for line in capsys.readouterr().out.splitlines()
+                 if " -> " in line]
+        assert "  [ok] ekl -> esn" in edges
+        assert edges == [f"  [ok] {source} -> {target}"
+                         for source, target in DIALECT_GRAPH]
+
+    def test_fig5_graph_is_exactly_the_registered_lowerings(self):
+        from repro.dialects import DIALECT_GRAPH, registered_edges
+
+        drawn, registered = set(DIALECT_GRAPH), set(registered_edges())
+        assert drawn - registered == set(), "edges with no lowering"
+        assert registered - drawn == set(), "lowerings Fig. 5 does not draw"
 
     def test_condrust(self, tmp_path, capsys):
         source = tmp_path / "m.rs"

@@ -70,10 +70,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.tensorpipe.codegen:compile_cache_stats": "imported by "
         "bench/workloads/compile_cold.py; its removal follows ROADMAP's "
         "\"The benchmark compares two trees itself\"",
-    "repro.olympus.arch_gen:lower_dfg_to_olympus": "Fig. 5 dfg->olympus "
-        "edge; ROADMAP's \"Every tensor DSL through one front door\" "
-        "routes or removes it (\"Fig. 5's dataflow edges are off every "
-        "public path\")",
     "repro.telemetry.trace:NullTracer.record_span":
         "null-object parity with Tracer.record_span",
     "repro.telemetry.trace:NullTracer.clear":
