@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 
+#: Exact classes whose ``repr`` is their canonical text; a subclass
+#: (``np.float64``) takes :func:`_canonical` and its own ``repr``.
+_PLAIN = frozenset({str, int, float, bool, bytes, type(None)})
+
+
 def _canonical(part: Any) -> str:
     """A deterministic textual form of one fingerprint component."""
     if part is None or isinstance(part, (str, int, float, bool, bytes)):
@@ -23,8 +28,7 @@ def _canonical(part: Any) -> str:
     if isinstance(part, (list, tuple)):
         return "[" + ",".join(_canonical(p) for p in part) + "]"
     if isinstance(part, dict):
-        items = sorted((str(k), _canonical(v)) for k, v in part.items())
-        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+        return _canonical_dict(part)
     # Fall back to the type plus str() — number formats, devices and other
     # SDK value objects all print their configuration.  Objects with only
     # the default str/repr would canonicalize to their memory address:
@@ -39,9 +43,26 @@ def _canonical(part: Any) -> str:
     return f"{cls.__name__}({part})"
 
 
+def _canonical_dict(part: Dict[Any, Any]) -> str:
+    """:func:`_canonical` of a dict: its items sorted by ``str(key)``.
+    When every key is an exact ``str`` the keys are unique, so
+    ``sorted(items)`` orders by key alone and a plain value needs no
+    call."""
+    if {*map(type, part)} <= {str}:
+        return "{" + ",".join([
+            f"{k}:{v!r}" if type(v) in _PLAIN else f"{k}:{_canonical(v)}"
+            for k, v in sorted(part.items())]) + "}"
+    items = sorted((str(k), _canonical(v)) for k, v in part.items())
+    return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+
+
 def fingerprint(*parts: Any) -> str:
-    """A stable SHA-256 hex digest of the given components."""
-    payload = "\x1f".join(_canonical(p) for p in parts)
+    """A stable SHA-256 hex digest of the given components, canonicalized
+    in one flat pass (a stage key's scalars and parameter dict)."""
+    payload = "\x1f".join([
+        f"{part!r}" if type(part) in _PLAIN
+        else _canonical_dict(part) if type(part) is dict
+        else _canonical(part) for part in parts])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -186,8 +186,7 @@ class PipelineSession:
                     span.attrs["cached"] = True
                 self.report.record(name, 0.0, cached=True, detail=detail)
                 return stage_key, value
-        call_params = dict(params)
-        call_params.update(runtime_params or {})
+        call_params = {**params, **(runtime_params or {})}
         try:
             if upstream is not None:
                 payload = upstream()
@@ -234,10 +233,7 @@ class PipelineSession:
         from the previous implementation.
         """
         return fingerprint(name, self.registry.generation(name),
-                           dict(params or {}), upstream_key)
-
-    def _source_key(self, text: str) -> str:
-        return fingerprint("ekl-source", text)
+                           params or {}, upstream_key)
 
     # -- high-level flows --------------------------------------------------------------
     #
@@ -248,7 +244,7 @@ class PipelineSession:
     def frontend(self, source: str) -> Tuple[str, Any]:
         """Parse EKL source; returns ``(key, kernel)``."""
         return self.run_stage("frontend-parse", source,
-                              key=self._source_key(source))
+                              key=fingerprint("ekl-source", source))
 
     def lower(self, source: str, *, opt_level: int = 1) -> CompileResult:
         """Frontend + dialect lowering: source -> verified affine module.

@@ -118,9 +118,11 @@ class _FitArray:
         # re-checked per query, so any stored point is safe.
         n = len(timelines)
         self.marks = np.zeros((2 * self.BANDS, n))
-        self.durations = np.full((2 * self.BANDS, n), dmin)
-        self.fits = np.tile(self.base, (2 * self.BANDS, 1))
-        self.versions = np.full((self.BANDS, n), -1, dtype=np.int64)
+        self.durations = np.empty((2 * self.BANDS, n))
+        self.durations.fill(dmin)
+        self.fits = self.base.reshape(1, n).repeat(2 * self.BANDS, axis=0)
+        self.versions = np.empty((self.BANDS, n), dtype=np.int64)
+        self.versions.fill(-1)
 
     def _band(self, duration: float) -> int:
         if self.dmin <= 0.0 or duration <= self.dmin:

@@ -68,42 +68,49 @@ def _dtype_for(ty: T.Type):
     return _NUMPY_DTYPES.get(str(ty), np.float64)
 
 
-def bind_buffers(func: Operation, inputs: Mapping[str, np.ndarray]):
+def buffer_plan(func: Operation):
+    """How :func:`bind_buffers` binds one affine function's arguments,
+    read once from the IR: ``(inputs, outputs)``, each a tuple of
+    ``(name, numpy dtype, shape)`` in entry-block argument order."""
+    args = []
+    for name, arg in zip(func.attr("arg_names"), func.regions[0].entry.args,
+                         strict=True):
+        ref = arg.type
+        assert isinstance(ref, T.MemRefType)
+        args.append((name, _dtype_for(ref.element), tuple(ref.shape)))
+    first_output = len(args) - func.attr("num_outputs")
+    return tuple(args[:first_output]), tuple(args[first_output:])
+
+
+def bind_buffers(plan, inputs: Mapping[str, np.ndarray]):
     """Allocate the argument buffers for one affine function call.
 
     Inputs are borrowed, not copied: each is shape checked and converted
     only when its dtype or memory layout (C order, which the C backend's
     raw pointers need) requires it, then bound as a read-only view, so a
     kernel that writes an input raises instead of corrupting the caller's
-    array.  Output buffers are fresh zeros.  Returns ``(buffers,
-    output_names)`` where ``buffers`` follows the entry-block argument
-    order.  Shared by the interpreter and the compiled backends so all
-    execute over identically prepared memory.
+    array.  Output buffers are fresh zeros.  ``plan`` is
+    :func:`buffer_plan`'s.  Returns ``(buffers, outputs)``: the buffers
+    in entry-block argument order and the output buffers by name (the
+    last of a repeated name).  Shared by the interpreter and the compiled
+    backends so all execute over identically prepared memory.
     """
-    entry = func.regions[0].entry
-    arg_names: List[str] = func.attr("arg_names")
-    num_outputs: int = func.attr("num_outputs")
+    input_specs, output_specs = plan
     buffers: List[np.ndarray] = []
-    for i, arg in enumerate(entry.args):
-        name = arg_names[i]
-        ref = arg.type
-        assert isinstance(ref, T.MemRefType)
-        dtype = _dtype_for(ref.element)
-        if i < len(entry.args) - num_outputs:
-            if name not in inputs:
-                raise EverestError(f"missing input {name!r}")
-            array = np.asarray(inputs[name], dtype=dtype, order="C")
-            if tuple(array.shape) != tuple(ref.shape):
-                raise EverestError(
-                    f"input {name!r}: expected {ref.shape}, "
-                    f"got {array.shape}"
-                )
-            view = array.view()
-            view.flags.writeable = False
-            buffers.append(view)
-        else:
-            buffers.append(np.zeros(ref.shape, dtype=dtype))
-    return buffers, arg_names[len(entry.args) - num_outputs:]
+    for name, dtype, shape in input_specs:
+        if name not in inputs:
+            raise EverestError(f"missing input {name!r}")
+        array = np.asarray(inputs[name], dtype=dtype, order="C")
+        if array.shape != shape:
+            raise EverestError(
+                f"input {name!r}: expected {shape}, got {array.shape}")
+        view = array.view()
+        view.flags.writeable = False
+        buffers.append(view)
+    outputs = [np.zeros(shape, dtype) for _, dtype, shape in output_specs]
+    buffers += outputs
+    return buffers, {spec[0]: buffer
+                     for spec, buffer in zip(output_specs, outputs)}
 
 
 class AffineInterpreter:
@@ -113,19 +120,18 @@ class AffineInterpreter:
         self.func = module.lookup(func_name)
         if self.func.attr("kernel_lang") != "affine":
             raise EverestError(f"{func_name} is not an affine-level function")
+        self.plan = buffer_plan(self.func)
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Run the function; returns the output buffers by name."""
+        buffers, outputs = bind_buffers(self.plan, inputs)
+        self.execute(buffers)
+        return outputs
+
+    def execute(self, buffers: List[np.ndarray]) -> None:
+        """Run over buffers bound by :func:`bind_buffers`."""
         entry = self.func.regions[0].entry
-        arg_names: List[str] = self.func.attr("arg_names")
-        buffers, output_names = bind_buffers(self.func, inputs)
-        env: Dict[Value, object] = {}
-        by_name: Dict[str, np.ndarray] = {}
-        for i, arg in enumerate(entry.args):
-            env[arg] = buffers[i]
-            by_name[arg_names[i]] = buffers[i]
-        self._run_block(entry, env)
-        return {name: by_name[name] for name in output_names}
+        self._run_block(entry, dict(zip(entry.args, buffers)))
 
     # -- execution ------------------------------------------------------------
 

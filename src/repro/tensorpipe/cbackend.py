@@ -64,6 +64,7 @@ from repro.errors import EverestError
 from repro.ir import Module, Operation, Value
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer
+from repro.tensorpipe.affine_interp import buffer_plan
 from repro.tensorpipe.codegen import (
     CompiledKernel,
     UnsupportedAffineOp,
@@ -679,10 +680,11 @@ class CBackend:
         except (CCompileError, OSError) as error:
             return self._fallback(module, func_name, str(error))
         func = module.lookup(func_name)
+        pointers = ctypes.c_void_p * len(func.regions[0].entry.args)
 
         def runner(buffers):
-            ptrs = (ctypes.c_void_p * len(buffers))(
-                *[buffer.ctypes.data for buffer in buffers])
+            ptrs = pointers(*[buffer.__array_interface__["data"][0]
+                              for buffer in buffers])
             if fn(ptrs):
                 raise EverestError(
                     f"cbackend: {func_name} could not allocate its "
@@ -690,7 +692,8 @@ class CBackend:
 
         return CompiledKernel(
             func_name=func_name, backend="cbackend", source=source,
-            flops=_static_flops(func), _func=func, _runner=runner, **facts,
+            flops=_static_flops(func), _plan=buffer_plan(func),
+            _call=runner, **facts,
         )
 
     @staticmethod

@@ -38,6 +38,7 @@ from repro.tensorpipe.affine_interp import (
     FLOAT_OPS,
     AffineInterpreter,
     bind_buffers,
+    buffer_plan,
 )
 from repro.tensorpipe.arena import ArenaPlan, plan_arena
 
@@ -160,28 +161,15 @@ class CompiledKernel:
     fused_groups: int = 0
     contracted_buffers: int = 0
     fallback: str = ""
-    _func: Optional[Operation] = field(default=None, repr=False)
-    _fn: Optional[object] = field(default=None, repr=False)
-    _interp: Optional[AffineInterpreter] = field(default=None, repr=False)
-    _runner: Optional[object] = field(default=None, repr=False)
+    _plan: Optional[tuple] = field(default=None, repr=False)
+    _call: Optional[Callable] = field(default=None, repr=False)
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Execute over ``inputs``, borrowed as read-only views (see
         ``bind_buffers``); returns fresh output arrays by name."""
-        if self.backend == "interpreter":
-            return self._interp.run(inputs)
-        buffers, output_names = bind_buffers(self._func, inputs)
-        if self._runner is not None:
-            self._runner(buffers)
-        elif self.backend == "compiled-parallel":
-            from repro.tensorpipe.parallel import make_tile
-
-            self._fn(buffers, make_tile())
-        else:
-            self._fn(buffers)
-        arg_names = self._func.attr("arg_names")
-        by_name = dict(zip(arg_names, buffers))
-        return {name: by_name[name] for name in output_names}
+        buffers, outputs = bind_buffers(self._plan, inputs)
+        self._call(buffers)
+        return outputs
 
     def __str__(self) -> str:
         return (f"CompiledKernel({self.func_name}, backend={self.backend}, "
@@ -691,6 +679,14 @@ def _static_flops(func: Operation) -> int:
         return 0
 
 
+def _tiled(kernel: Callable) -> Callable:
+    """A tiled kernel's call: a fresh ``__tile`` runner per run, which
+    reads the pool's size at call time."""
+    from repro.tensorpipe.parallel import make_tile
+
+    return lambda buffers: kernel(buffers, make_tile())
+
+
 def compile_numpy(module: Module, func_name: str, *,
                   backend: str = "compiled", tiled: bool = False,
                   arena: bool = False) -> CompiledKernel:
@@ -732,16 +728,18 @@ def compile_numpy(module: Module, func_name: str, *,
                     tileable_nests=compiler.tileable_nests,
                     arena_bytes=plan.total_bytes if plan else 0,
                     arena_slots=len(plan.slots) if plan else 0,
-                    _func=func, _fn=namespace["__kernel"],
+                    _plan=buffer_plan(func),
+                    _call=_tiled(namespace["__kernel"]) if tiled
+                    else namespace["__kernel"],
                 )
             except UnsupportedAffineOp:
                 kernel = None
         if kernel is None:
             fallback = backend if backend != "interpreter" else ""
+            interp = AffineInterpreter(module, func_name)
             kernel = CompiledKernel(
                 func_name=func_name, backend="interpreter", flops=flops,
-                fallback=fallback,
-                _interp=AffineInterpreter(module, func_name),
+                fallback=fallback, _plan=interp.plan, _call=interp.execute,
             )
             span.set("fallback", True)
         if kernel.arena_bytes:

@@ -221,6 +221,35 @@ class TestDifferential:
         for key in expected:
             np.testing.assert_array_equal(got[key], expected[key])
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_repeated_output_name(self, backend):
+        """``output out, out`` lowers to two output arguments of one
+        name: each gets its own buffer, and the name maps to the last."""
+        func_name, module = lower_optimized(REPEATED_OUTPUT)
+        inputs = {"a": np.arange(5.0)}
+        kernel = compile_affine(module, func_name, backend=backend)
+        assert not kernel.fallback or backend == "cbackend"
+        for got in (kernel.run(inputs), run_affine(module, func_name, inputs)):
+            assert list(got) == ["out"]
+            np.testing.assert_array_equal(got["out"], np.arange(5.0) * 2.0)
+
+    def test_arg_names_must_match_the_arguments(self):
+        func_name, module = lower_optimized(REPEATED_OUTPUT)
+        func = module.lookup(func_name)
+        func.set_attr("arg_names", ["a", "out"])
+        with pytest.raises(ValueError):
+            compile_affine(module, func_name, backend="compiled")
+
+
+REPEATED_OUTPUT = """
+kernel k {
+  index i: 5
+  input a[i]: f64
+  output out, out
+  out = a * 2.0
+}
+"""
+
 
 @pytest.fixture
 def tile_every_nest(monkeypatch):

@@ -1,10 +1,14 @@
 """Tests for the PipelineSession compile-orchestration subsystem."""
 
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 
 from repro.errors import EverestError, FrontendError, PipelineError
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
 from repro.ir import print_module
+from repro.numerics import make_format
 from repro.pipeline import (
     PipelineSession,
     Stage,
@@ -15,8 +19,57 @@ from repro.pipeline import (
 
 FORMATS = ["f64", "f32", "bf16", "fixed<8.8>", "posit<16,1>"]
 
+#: name -> (parts, digest): ``fingerprint(*parts)`` as the recursive
+#: canonicalization computed it.  A stage key is a cache entry, and the
+#: ``key`` of every ``/compile`` and ``/execute`` reply: a faster key path
+#: must give the same hex, byte for byte.
+GOLDEN = {
+    "none": ((None,), "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91"),
+    "str": (("hls",), "09c61fad387cd36b46a90d50d9f2f34873e68167b231bba594d8eabe74decee9"),
+    "empty str": (("",), "6f49cdbd80e1b95d5e6427e1501fc217790daee87055fa5b4e71064288bddede"),
+    "int": ((42,), "73475cb40a568e8da8a045ced110137e159f890ac4da883b6b17dc651b3a8049"),
+    "big int": ((2**70,), "acd0f1dd559f310ffd1ff6001f395e05cb29cbc008a5b9930d28e6decd29a4bd"),
+    "negative int": ((-7,), "a770d3270c9dcdedf12ed9fd70444f7c8a95c26cae3cae9bd867499090a2f14b"),
+    "float": ((300.0,), "a970559125d5ccd0dbbbb7685636bbcae5ce7cac4e8d1c6954d2467616a9db8c"),
+    "negative zero": ((-0.0,), "c26617c7ccbcaa6631b45d851b8cf56e21d2ca624bdb1193afdbd4b560702cec"),
+    "zero": ((0.0,), "8aed642bf5118b9d3c859bd4be35ecac75b6e873cce34e7b6f554b06f75550d7"),
+    "nan": ((float("nan"),), "9b2d5b4678781e53038e91ea5324530a03f27dc1d0e5f6c9bc9d493a23be9de0"),
+    "inf": ((float("inf"), float("-inf")), "00bcbfbaca21773631e2103035acc8aca6f9861fd1443adc3ca1cc623bcc3435"),
+    "bool next to int": ((True, 1, False, 0), "9f1bb24b69e6c77e8e82890ab9c087df601e9fa05a2c2acfaed3795977a13d78"),
+    "bytes": ((b"\x00ekl\xff",), "d382412cc1d9530e43758de319276274141d157960be4e9ca91555fd42e8e700"),
+    "np.float64": ((np.float64(1.5),), "9f02224c5cf02fc11ad4ea523e417a764211c4e3f31216ceda54a65c49d69031"),
+    "list": (([1, "a", None, 2.5],), "3726f7bf9be5eec330c8cdfd5d572ea65071be7434cff939785488e488d18dad"),
+    "tuple": (((1, ("a", b"b"), [True]),), "48d787867a4b5398f001e30d7ff431409ceba4f814d9ca9238036cb604a1f43e"),
+    "nested dict": (({"outer": {"b": [1, 2], "a": (None,)}, "x": -0.0},), "95dec1c6c2bfab75e1884ccf86ca97e442d7a95c990d3a668f25d06b57b86d0c"),
+    # Sorted by key: "a" < "a1" < "a_".  Sorting the "k:v" texts would
+    # put "a1:2" before "a:1" (":" sorts between "1" and "_").
+    "key order": (({"a_": 3, "a1": 2, "a": 1},), "0a342372cf13b9074a40faa6a7cda3afeb8a79a91e23024403c73a9cc2121395"),
+    "int keys": (({10: "x", 9: "y", "1": "z"},), "c2eb42112103c9d48a211d5ba9f1c8123e1a752c626ec5ba4bee9d14477aa8e4"),
+    # 1 and "1" both print as "1": the item order falls to the values.
+    "colliding keys": (({1: "b", "1": "a"},), "df0bae34771b34484f4c305c897cba263229274e8097d76506f200466b933047"),
+    "dict in list": (([{"b": 1, "a": {"d": 2.0, "c": None}}],), "43f8097ba4d210b936f3b9669b4dbd4ae55ea4cc7d250113ab4a920cdf454d2b"),
+    "dict subclass": ((OrderedDict([("b", 1), ("a", 2)]),), "c8c943f9321eb7f98834b58391eee848d458c7b35211fc4911cdb1bbd877b74a"),
+    "subclass values": (({"a": np.float64(1.5), "b": np.int64(2)},), "2f97b350c583d3684d75f9030039245c63d1aa4eccf78201716781a3d43022bd"),
+    "empty dict": (({},), "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    "stage key": (("hls", 0, {"number_format": None, "clock_mhz": 300.0}, "f" * 64), "6d30bd178f0d5592752b9e48a2b561b1d33291066b39735084771c5460e1a060"),
+    "number format": ((make_format("fixed<8.8>"),), "15d0de5596e943d8a8eee79501bfec77f676362a5e2976f4ff10fc42a57543a3"),
+    "format in params": (("hls", {"number_format": make_format("posit<16,1>")}), "db7589776f889f1381f2d56b1e298bb2e255e487eb4fae8461ca3297d3766cdc"),
+    "no parts": ((), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+#: ``PipelineSession().compile(FIG3_MAJOR_ABSORBER).key``.
+FIG3_KEY = "7d242d65d8a4a02e0ab9cbfd3b2ba771bd5f6c9b606dee8829201703032d31ee"
+
 
 class TestFingerprint:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_digest(self, name):
+        parts, digest = GOLDEN[name]
+        assert fingerprint(*parts) == digest
+
+    def test_fig3_compile_key_is_golden(self):
+        assert PipelineSession().compile(FIG3_MAJOR_ABSORBER).key == FIG3_KEY
+
     def test_deterministic_and_order_insensitive_for_dicts(self):
         a = fingerprint("hls", {"number_format": "f32", "clock_mhz": 300.0})
         b = fingerprint("hls", {"clock_mhz": 300.0, "number_format": "f32"})
@@ -38,8 +91,6 @@ class TestFingerprint:
             fingerprint("stage", {"param": Opaque()})
 
     def test_accepts_objects_with_deterministic_repr(self):
-        from repro.numerics import make_format
-
         a = fingerprint(make_format("fixed<8.8>"))
         b = fingerprint(make_format("fixed<8.8>"))
         assert a == b
