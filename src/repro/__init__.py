@@ -6,13 +6,13 @@ through a virtualization environment.  This package reimplements the full SDK
 in Python with simulated FPGA substrates:
 
 * :mod:`repro.ir`, :mod:`repro.dialects` — MLIR-style compiler infrastructure
-  with the EVEREST dialects (ekl, teil, esn, cfdlang, dfg, olympus, evp,
-  base2, fsm, hw);
+  with the EVEREST dialects (ekl, esn, teil, cfdlang, dfg, olympus, evp)
+  over builtin, func, arith, math, memref and affine;
 * :mod:`repro.frontends` — the EVEREST Kernel Language, the ConDRust
   coordination language and CFDlang;
 * :mod:`repro.numerics` — custom data formats (fixed point, posit, bfloat16);
 * :mod:`repro.hls` — a high-level synthesis engine (scheduling, pipelining,
-  resource binding, FSM/RTL emission);
+  resource binding, per-kernel reports);
 * :mod:`repro.platforms` — FPGA device, memory and network models;
 * :mod:`repro.olympus` — system-level architecture generation for
   accelerated kernels;

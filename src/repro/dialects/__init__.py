@@ -4,7 +4,7 @@ Importing this package registers every dialect used by the SDK into
 :data:`repro.ir.dialect.REGISTRY`.  :data:`DIALECT_GRAPH` encodes the
 lowering edges of the paper's Fig. 5; :func:`lowering_for` resolves an edge
 to the function implementing it (implemented across the frontends, the
-tensor pipeline and the HLS engine).
+tensor pipeline and Olympus).
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ DIALECT_GRAPH: Tuple[Tuple[str, str], ...] = (
     ("teil", "affine"),
     # Olympus system IR into the EVP deployment sequence.
     ("olympus", "evp"),
-    # HLS backend: loops into FSM + structural hardware.
-    ("affine", "fsm"),
-    ("affine", "hw"),
 )
 
 _LOWERINGS: Dict[Tuple[str, str], Callable] = {}
@@ -53,8 +50,8 @@ def register_lowering(source: str, target: str):
 def lowering_for(source: str, target: str) -> Callable:
     """Resolve a Fig. 5 edge to its implementation.
 
-    Imports the implementing module lazily (frontends and the HLS engine
-    depend on the dialects, not vice versa).
+    Imports the implementing module lazily (frontends and Olympus depend
+    on the dialects, not vice versa).
     """
     key = (source, target)
     if key not in _LOWERINGS:
@@ -69,7 +66,6 @@ def _load_implementations() -> None:
     import repro.frontends.cfdlang.lower  # noqa: F401
     import repro.frontends.condrust.lower  # noqa: F401
     import repro.frontends.ekl.lower  # noqa: F401
-    import repro.hls.synth  # noqa: F401
     import repro.olympus.arch_gen  # noqa: F401
     import repro.tensorpipe.lower_esn  # noqa: F401
     import repro.tensorpipe.lower_teil  # noqa: F401

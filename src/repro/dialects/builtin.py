@@ -1,9 +1,9 @@
-"""Core dialects: ``builtin``, ``func``, ``arith``, ``math``, ``tensor``,
-``memref``/``buffer``, ``affine``, ``scf`` and ``linalg``.
+"""Core dialects: ``builtin``, ``func``, ``arith``, ``math``, ``memref``
+and ``affine``.
 
 These play the role of MLIR's upstream ("green" in the paper's Fig. 5)
-dialects that the EVEREST dialects lower into.  Only the subset the SDK
-actually exercises is defined; each op registration gives the verifier
+dialects that the EVEREST dialects lower into and the executors run.  Only
+the ops the SDK builds are defined; each op registration gives the verifier
 enough structure to be useful.
 """
 
@@ -322,23 +322,6 @@ def _transfer_memref_copy(op, operands, analysis):
     return []
 
 
-def _transfer_affine_apply(op, operands, analysis):
-    return [AbstractValue((), "index")]
-
-
-def _fold_stage(op: Operation):
-    """``buffer.stage`` into the space the value was already staged to."""
-    source = op.operands[0]
-    producer = source.owner_op()
-    if producer is None or producer.name != "buffer.stage":
-        return None
-    if producer.attr("space") != op.attr("space"):
-        return None
-    if source.type != op.results[0].type:
-        return None
-    return source
-
-
 def register() -> None:
     """Register all core dialects into the global registry (idempotent)."""
     builtin = register_dialect("builtin", "top-level containers")
@@ -413,42 +396,16 @@ def register() -> None:
                             num_results=1, traits=("pure",),
                             fold=_MATH_FOLDS[name], transfer=elementwise())
 
-    tensor = register_dialect("tensor", "immutable tensor values")
-    if "empty" not in tensor:
-        tensor.op("empty", "uninitialized tensor", num_operands=0,
-                  num_results=1, traits=("pure",))
-        tensor.op("extract", "read one element", num_results=1,
-                  traits=("pure",))
-        tensor.op("insert", "write one element (value-semantics)",
-                  num_results=1, traits=("pure",))
-        tensor.op("dim", "extent of one dimension", num_operands=1,
-                  num_results=1, required_attrs={"index": "dimension index"},
-                  traits=("pure",))
-        tensor.op("cast", "element-type cast", num_operands=1, num_results=1,
-                  traits=("pure",))
-
     memref = register_dialect("memref", "mutable buffers")
     if "alloc" not in memref:
         memref.op("alloc", "allocate a buffer (zero-initialized)",
                   num_operands=0, num_results=1, transfer=_transfer_alloc)
-        memref.op("dealloc", "free a buffer", num_operands=1, num_results=0)
         memref.op("load", "read an element", num_results=1,
                   verify=_verify_load, transfer=_transfer_load)
         memref.op("store", "write an element", num_results=0,
                   verify=_verify_store, transfer=_transfer_store)
         memref.op("copy", "bulk copy", num_operands=2, num_results=0,
                   transfer=_transfer_memref_copy)
-
-    # The paper's Fig. 5 names this dialect "buffer"; it models staged
-    # transfers between host, device global memory and on-chip PLM.
-    buffer = register_dialect("buffer", "staged buffers across memory spaces")
-    if "stage" not in buffer:
-        buffer.op("stage", "stage a buffer into another memory space",
-                  num_operands=1, num_results=1,
-                  required_attrs={"space": "target memory space"},
-                  fold=_fold_stage)
-        buffer.op("release", "release a staged buffer", num_operands=1,
-                  num_results=0)
 
     affine = register_dialect("affine", "counted loop nests")
     if "for" not in affine:
@@ -464,30 +421,6 @@ def register() -> None:
         )
         affine.op("yield", "loop terminator", num_operands=VARIADIC,
                   num_results=0, traits=("terminator",))
-        affine.op("apply", "affine index expression", num_results=1,
-                  required_attrs={"expr": "textual affine expression"},
-                  traits=("pure",), transfer=_transfer_affine_apply)
-
-    scf = register_dialect("scf", "structured control flow")
-    if "if" not in scf:
-        scf.op("if", "two-armed conditional", num_operands=1,
-               num_regions=2)
-        scf.op("yield", "region terminator", num_results=0,
-               traits=("terminator",))
-        scf.op("while", "general loop", num_regions=2)
-
-    linalg = register_dialect("linalg", "structured linear algebra")
-    if "matmul" not in linalg:
-        linalg.op("matmul", "C += A @ B", num_operands=3, num_results=VARIADIC)
-        linalg.op("generic", "generic structured op", num_regions=1,
-                  required_attrs={"iterator_types": "parallel/reduction list",
-                                  "indexing_maps": "per-operand index maps"})
-        linalg.op("fill", "broadcast a scalar into a tensor", num_operands=2,
-                  num_results=VARIADIC)
-
-    gpu = register_dialect("gpu", "external GPU backend (declared only)")
-    if "launch" not in gpu:
-        gpu.op("launch", "kernel launch placeholder", num_regions=1)
 
 
 register()

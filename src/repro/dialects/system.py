@@ -1,72 +1,22 @@
-"""System-side dialects: ``dfg``, ``olympus``, ``evp``, ``base2``, ``fsm``,
-``hw``.
+"""System-side dialects: ``dfg``, ``olympus`` and ``evp``.
 
 * ``dfg`` — deterministic dataflow graphs produced from ConDRust programs:
   a graph op whose region holds ``dfg.node`` calls wired by SSA values.
 * ``olympus`` — system-level FPGA architecture description: kernel
-  instances, private local memories (PLMs), DMA engines and stream
-  connections, annotated with the optimizations Olympus applied.
-* ``evp`` — EVEREST platform integration: deployment, transfers and kernel
-  launches against a concrete node/bitstream.
-* ``base2`` — arithmetic on custom binary numeral types (fixed point,
-  posit) plus casts; the IR face of :mod:`repro.numerics`.
-* ``fsm`` — finite-state machines emitted by the HLS engine's controller
-  generation.
-* ``hw`` — structural hardware: modules, instances, registers and wires
-  (the RTL-like bottom of the flow).
+  instances, private local memories (PLMs) and DMA engines, annotated with
+  the optimizations Olympus applied.
+* ``evp`` — EVEREST platform integration: deployment and kernel launches
+  against a concrete node/bitstream.
+
+Fig. 5's ``fsm`` and ``hw`` rungs are not modelled as IR: what the HLS
+engine knows about a kernel's controller and datapath is its
+:class:`repro.hls.synth.KernelReport`, which Olympus and the runtime read
+directly.
 """
 
 from __future__ import annotations
 
-from repro.errors import IRError
-from repro.ir.core import Operation
 from repro.ir.dialect import VARIADIC, register_dialect
-from repro.ir.types import FixedPointType, PositType
-
-
-def _verify_base2_arith(op: Operation) -> None:
-    for operand in op.operands:
-        if not isinstance(operand.type, (FixedPointType, PositType)):
-            raise IRError(
-                f"{op.name}: operands must have base2 types, got {operand.type}"
-            )
-
-
-def _fold_identity_cast(op: Operation):
-    """``base2.cast`` to the type the value already has is a no-op.
-
-    Chains of casts are *not* folded: a narrowing/widening round trip is
-    lossy, so only the exact-same-type case is safe."""
-    if op.operands[0].type == op.results[0].type:
-        return op.operands[0]
-    return None
-
-
-def _fold_nested_wrap(op: Operation):
-    """``cyclic.wrap(cyclic.wrap(x, m), m)`` -> the inner wrap."""
-    source = op.operands[0]
-    producer = source.owner_op()
-    if producer is None or producer.name != "cyclic.wrap":
-        return None
-    if producer.attr("modulus") != op.attr("modulus"):
-        return None
-    if source.type != op.results[0].type:
-        return None
-    return source
-
-
-def _fold_full_extract(op: Operation):
-    """``bit.extract`` of a value's full bit range is the value itself."""
-    from repro.ir.types import bitwidth
-
-    try:
-        width = bitwidth(op.operands[0].type)
-    except IRError:
-        return None
-    if op.attr("lo") == 0 and op.attr("hi") == width - 1 and \
-            op.operands[0].type == op.results[0].type:
-        return op.operands[0]
-    return None
 
 
 def register() -> None:
@@ -82,10 +32,6 @@ def register() -> None:
                required_attrs={"callee": "implementation symbol"})
         dfg.op("output", "graph outputs", num_results=0,
                traits=("terminator",))
-        dfg.op("channel", "explicit FIFO channel with capacity",
-               num_operands=1, num_results=1,
-               required_attrs={"depth": "FIFO depth"})
-        dfg.op("loop", "stateful streaming loop", num_regions=1)
 
     olympus = register_dialect("olympus", "system-level FPGA architecture")
     if "system" not in olympus:
@@ -106,82 +52,15 @@ def register() -> None:
         olympus.op("dma", "DMA engine between memories", num_operands=2,
                    num_results=0,
                    required_attrs={"lanes": "bus lanes used"})
-        olympus.op("stream", "on-chip stream connection", num_operands=2,
-                   num_results=0)
-        olympus.op("pack", "data packing/layout transformation",
-                   num_operands=1, num_results=1,
-                   required_attrs={"layout": "packed layout descriptor"})
 
     evp = register_dialect("evp", "EVEREST platform deployment")
     if "deploy" not in evp:
         evp.op("deploy", "program a bitstream onto a node's FPGA",
                num_operands=0, num_results=1,
                required_attrs={"node": "cluster node", "system": "system symbol"})
-        evp.op("transfer", "host<->device data transfer", num_operands=2,
-               num_results=0, required_attrs={"direction": "h2d/d2h"})
         evp.op("launch", "launch a deployed kernel", num_results=VARIADIC,
                required_attrs={"kernel": "kernel instance name"})
         evp.op("barrier", "wait for completion", num_results=0)
-
-    base2 = register_dialect("base2", "custom binary numeral formats")
-    if "cast" not in base2:
-        base2.op("cast", "convert between numeral formats", num_operands=1,
-                 num_results=1, traits=("pure",), fold=_fold_identity_cast)
-        for name in ("add", "sub", "mul", "div"):
-            base2.op(name, f"{name} on custom formats", num_operands=2,
-                     num_results=1, traits=("pure",),
-                     verify=_verify_base2_arith)
-        base2.op("constant", "custom-format literal", num_operands=0,
-                 num_results=1, required_attrs={"value": "real value"},
-                 traits=("pure",))
-
-    # ``cyclic``, ``bit`` and ``ub`` from Fig. 5 are support dialects for
-    # base2; we register them with their carrier ops so the dialect graph
-    # matches the figure.
-    cyclic = register_dialect("cyclic", "modular/wrapping integer semantics")
-    if "wrap" not in cyclic:
-        cyclic.op("wrap", "wrap a value into a modulus", num_operands=1,
-                  num_results=1, required_attrs={"modulus": "the modulus"},
-                  traits=("pure",), fold=_fold_nested_wrap)
-    bit = register_dialect("bit", "raw bit manipulation")
-    if "extract" not in bit:
-        bit.op("extract", "extract a bit range", num_operands=1, num_results=1,
-               required_attrs={"lo": "low bit", "hi": "high bit"},
-               traits=("pure",), fold=_fold_full_extract)
-        bit.op("concat", "concatenate bit vectors", num_results=1,
-               traits=("pure",))
-    ub = register_dialect("ub", "undefined behaviour markers")
-    if "poison" not in ub:
-        ub.op("poison", "a poison value", num_operands=0, num_results=1,
-              traits=("pure",))
-
-    fsm = register_dialect("fsm", "finite state machines (HLS controllers)")
-    if "machine" not in fsm:
-        fsm.op("machine", "an FSM; states carried as attributes",
-               num_operands=0, num_results=0,
-               required_attrs={"sym_name": "machine name",
-                               "states": "state list",
-                               "initial": "initial state"},
-               traits=("symbol",))
-
-    hw = register_dialect("hw", "structural hardware (RTL-like)")
-    if "module" not in hw:
-        hw.op("module", "a hardware module definition", num_operands=0,
-              num_results=0, num_regions=1,
-              required_attrs={"sym_name": "module name",
-                              "ports": "port list"},
-              traits=("symbol",))
-        hw.op("instance", "instantiate a module", num_results=VARIADIC,
-              required_attrs={"module": "module symbol",
-                              "instance_name": "instance name"})
-        hw.op("wire", "a named wire", num_operands=1, num_results=1,
-              required_attrs={"name": "wire name"})
-        hw.op("reg", "a clocked register", num_operands=1, num_results=1,
-              required_attrs={"name": "register name"})
-        hw.op("output", "module outputs", num_results=0,
-              traits=("terminator",))
-        hw.op("constant", "hardware constant", num_operands=0, num_results=1,
-              required_attrs={"value": "bits"}, traits=("pure",))
 
 
 register()

@@ -23,7 +23,6 @@ from repro.ir.analysis import (
     AbstractValue,
     AnalysisError,
     common_dtype,
-    from_type,
     merge_shapes,
 )
 from repro.ir.core import Operation
@@ -232,62 +231,6 @@ def _transfer_transpose(op, operands, analysis):
     return [AbstractValue(shape, src.dtype)]
 
 
-def _transfer_reshape(op, operands, analysis):
-    src = operands[0]
-    declared = from_type(op.results[0].type)
-    if src.shape is not None and declared.shape is not None and \
-            None not in src.shape and None not in declared.shape:
-        src_count = 1
-        for dim in src.shape:
-            src_count *= dim
-        dst_count = 1
-        for dim in declared.shape:
-            dst_count *= dim
-        if src_count != dst_count:
-            raise AnalysisError(
-                f"reshape changes element count {src_count} -> {dst_count}"
-            )
-    return [AbstractValue(declared.shape, src.dtype)]
-
-
-def _transfer_contract(op, operands, analysis):
-    lhs, rhs = operands
-    lhs_axes = op.attr("lhs_axes") or []
-    rhs_axes = op.attr("rhs_axes") or []
-    if len(lhs_axes) != len(rhs_axes):
-        raise AnalysisError(
-            f"contract pairs {len(lhs_axes)} lhs axes with "
-            f"{len(rhs_axes)} rhs axes"
-        )
-    for side, axes, abstract in (("lhs", lhs_axes, lhs),
-                                 ("rhs", rhs_axes, rhs)):
-        if abstract.shape is None:
-            continue
-        bad = sorted(p for p in axes
-                     if not (_is_int(p) and 0 <= p < len(abstract.shape)))
-        if bad:
-            raise AnalysisError(
-                f"contract {side} axes {bad} out of range for rank "
-                f"{len(abstract.shape)}"
-            )
-    if lhs.shape is not None and rhs.shape is not None:
-        for a, b in zip(lhs_axes, rhs_axes):
-            da, db = lhs.shape[a], rhs.shape[b]
-            if da is not None and db is not None and da != db:
-                raise AnalysisError(
-                    f"contracted extents differ: lhs axis {a} is {da}, "
-                    f"rhs axis {b} is {db}"
-                )
-        shape = tuple(
-            d for i, d in enumerate(lhs.shape) if i not in set(lhs_axes)
-        ) + tuple(
-            d for i, d in enumerate(rhs.shape) if i not in set(rhs_axes)
-        )
-    else:
-        shape = None
-    return [AbstractValue(shape, common_dtype(operands))]
-
-
 def _transfer_gather(op, operands, analysis):
     base = operands[0]
     base_axes = op.attr("base_axes")
@@ -354,12 +297,6 @@ def _fold_identity_transpose(op: Operation):
     perm = op.attr("perm")
     if perm == list(range(len(perm or []))) and \
             op.operands[0].type == op.results[0].type:
-        return op.operands[0]
-    return None
-
-
-def _fold_identity_reshape(op: Operation):
-    if op.operands[0].type == op.results[0].type:
         return op.operands[0]
     return None
 
@@ -456,24 +393,6 @@ class _TransposeOfTranspose(RewritePattern):
         return True
 
 
-class _ReshapeOfReshape(RewritePattern):
-    """``reshape(reshape(x))`` -> ``reshape(x)``."""
-
-    op_name = "teil.reshape"
-
-    def match_and_rewrite(self, op: Operation,
-                          rewriter: PatternRewriter) -> bool:
-        inner = op.operands[0].owner_op()
-        if inner is None or inner.name != "teil.reshape":
-            return False
-        merged = rewriter.builder_before(op).create(
-            "teil.reshape", [inner.operands[0]], [op.results[0].type],
-            dict(op.attributes),
-        )
-        rewriter.replace_op(op, [merged.result])
-        return True
-
-
 def register() -> None:
     """Register the tensor-language dialects (idempotent)."""
     ekl = register_dialect("ekl", "EVEREST Kernel Language ops")
@@ -555,14 +474,8 @@ def register() -> None:
                transfer=_transfer_reduce)
 
     teil = register_dialect("teil", "Tensor Intermediate Language")
-    if "contract" not in teil:
+    if "reduce" not in teil:
         teil.add_canonical_pattern(_TransposeOfTranspose())
-        teil.add_canonical_pattern(_ReshapeOfReshape())
-        teil.op("contract", "pairwise tensor contraction", num_operands=2,
-                num_results=1,
-                required_attrs={"lhs_axes": "contraction axes of lhs",
-                                "rhs_axes": "contraction axes of rhs"},
-                traits=("pure",), transfer=_transfer_contract)
         teil.op("reduce", "reduction over trailing axes", num_operands=1,
                 num_results=1,
                 required_attrs={"axes": "axes to reduce", "kind": "add/mul/max"},
@@ -578,14 +491,9 @@ def register() -> None:
         teil.op("transpose", "permute axes", num_operands=1, num_results=1,
                 required_attrs={"perm": "axis permutation"}, traits=("pure",),
                 fold=_fold_identity_transpose, transfer=_transfer_transpose)
-        teil.op("reshape", "reshape", num_operands=1, num_results=1,
-                traits=("pure",), fold=_fold_identity_reshape,
-                transfer=_transfer_reshape)
         teil.op("broadcast", "broadcast to shape", num_operands=1,
                 num_results=1, traits=("pure",),
                 fold=_fold_identity_broadcast, transfer=_transfer_broadcast)
-        teil.op("constant", "tensor literal", num_operands=0, num_results=1,
-                required_attrs={"value": "dense data"}, traits=("pure",))
         teil.op("iota", "0..n-1 vector", num_operands=0, num_results=1,
                 traits=("pure",))
         teil.op("select", "elementwise select", num_operands=3, num_results=1,

@@ -2,8 +2,8 @@
 
 Pipeline: lowered ``affine`` functions are scheduled nest by nest
 (:mod:`repro.hls.scheduling`), costed (:mod:`repro.hls.resources`), and
-reported (:class:`repro.hls.synth.KernelReport`).  Controllers and datapath
-skeletons are emitted into the ``fsm`` and ``hw`` dialects.
+reported (:class:`repro.hls.synth.KernelReport`), which Olympus and the
+runtime read.
 
 Custom numeric formats (:mod:`repro.numerics`) plug in through the
 ``number_format`` parameter: the same kernel re-synthesized with ``f32``,

@@ -7,17 +7,17 @@ is list-scheduled and pipelined, and the result is a
 units and FPGA resources — the currency Olympus, the autotuner and the
 runtime trade in.
 
-The engine also emits the controller as an ``fsm.machine`` and the datapath
-skeleton as an ``hw.module`` (the two backend dialects of Fig. 5).
+Fig. 5 draws two rungs below ``affine``, ``fsm`` and ``hw``; here they are
+the report's fields (per-nest trip count, II, depth and unit counts, the
+port width), not IR that something would have to parse back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.dialects import register_lowering
 from repro.errors import HLSError
 from repro.hls.resources import (
     SHARABLE_CLASSES,
@@ -134,7 +134,7 @@ def _format_ir_type(fmt: Optional[NumberFormat]) -> Optional[T.Type]:
 
 
 class HLSEngine:
-    """Synthesizes affine functions into kernel reports and backend IR."""
+    """Synthesizes affine functions into kernel reports."""
 
     def __init__(self, clock_mhz: float = 300.0,
                  mem_ports: int = 2,
@@ -296,70 +296,6 @@ class HLSEngine:
             flops=flops,
         )
 
-    # -- backend emission ------------------------------------------------------------
-
-    def emit_fsm(self, module: Module, func_name: str,
-                 target: Module) -> Operation:
-        """Emit the nest controller FSM into ``target``."""
-        report = self.synthesize(module, func_name)
-        states: List[dict] = [{"name": "idle", "next": "run0"}]
-        for i, nest in enumerate(report.nests):
-            states.append({
-                "name": f"run{i}",
-                "trip": nest.trip_count,
-                "ii": nest.ii,
-                "depth": nest.depth,
-                "next": f"run{i + 1}" if i + 1 < len(report.nests)
-                else "done",
-            })
-        states.append({"name": "done", "next": "idle"})
-        fsm = Operation.create(
-            "fsm.machine", [], [],
-            {"sym_name": f"{func_name}_ctrl", "states": states,
-             "initial": "idle"},
-        )
-        target.append(fsm)
-        return fsm
-
-    def emit_hw(self, module: Module, func_name: str,
-                target: Module) -> Operation:
-        """Emit the datapath skeleton as an ``hw.module``."""
-        from repro.ir.core import Block, Region
-
-        func = module.lookup(func_name)
-        report = self.synthesize(module, func_name)
-        ports = []
-        arg_names = func.attr("arg_names") or []
-        for i, arg in enumerate(func.regions[0].entry.args):
-            name = arg_names[i] if i < len(arg_names) else f"arg{i}"
-            ports.append({"name": name, "dir": "in"
-                          if i < len(arg_names) - (func.attr("num_outputs")
-                                                   or 0) else "out",
-                          "width": report.port_width_bits})
-        body = Block()
-        hw_module = Operation.create(
-            "hw.module", [], [],
-            {"sym_name": f"{func_name}_dp", "ports": ports},
-            [Region([body])],
-        )
-        target.append(hw_module)
-        units: Dict[str, int] = {}
-        for nest in report.nests:
-            for family, count in nest.units.items():
-                units[family] = units.get(family, 0) + count
-        from repro.ir import Builder
-
-        builder = Builder.at_end(body)
-        for family, count in sorted(units.items()):
-            for k in range(count):
-                builder.create(
-                    "hw.instance", [], [],
-                    {"module": f"fu_{family}",
-                     "instance_name": f"{family}_{k}"},
-                )
-        builder.create("hw.output", [], [])
-        return hw_module
-
 
 @dataclass
 class ExecutorCrossCheck:
@@ -432,24 +368,3 @@ def synthesize_kernel(module: Module, func_name: str,
     return HLSEngine(clock_mhz=clock_mhz,
                      number_format=number_format).synthesize(module, func_name)
 
-
-@register_lowering("affine", "fsm")
-def lower_affine_to_fsm(module: Module) -> Module:
-    """Fig. 5 edge: controllers for every affine function."""
-    target = Module()
-    engine = HLSEngine()
-    for op in module.body:
-        if op.name == "func.func" and op.attr("kernel_lang") == "affine":
-            engine.emit_fsm(module, op.attr("sym_name"), target)
-    return target
-
-
-@register_lowering("affine", "hw")
-def lower_affine_to_hw(module: Module) -> Module:
-    """Fig. 5 edge: datapath skeletons for every affine function."""
-    target = Module()
-    engine = HLSEngine()
-    for op in module.body:
-        if op.name == "func.func" and op.attr("kernel_lang") == "affine":
-            engine.emit_hw(module, op.attr("sym_name"), target)
-    return target

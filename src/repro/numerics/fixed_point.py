@@ -71,7 +71,7 @@ class FixedPointFormat:
         return self.scale
 
     def ir_type(self) -> FixedPointType:
-        """The matching IR type for the base2 dialect."""
+        """The matching ``!base2.fixed`` IR type."""
         return FixedPointType(self.int_bits, self.frac_bits, self.signed)
 
     # -- raw <-> real conversions --------------------------------------------

@@ -11,8 +11,8 @@ AffineInterpreter` exactly.  Gather-style computed indices are handled by
 broadcasting integer index grids through numpy advanced indexing.
 
 This is the CPU analog of the SDK's HLS flow (paper §V): the same affine
-module either goes to the hardware backends (``fsm``/``hw``) or, through
-this compiler, to a fast host executor.  The bit-for-bit contract with the
+module either goes to the HLS engine (:mod:`repro.hls`) or, through this
+compiler, to a fast host executor.  The bit-for-bit contract with the
 interpreter is enforced differentially by the test suite on every golden
 kernel and on fuzz-generated modules at all optimization levels.
 

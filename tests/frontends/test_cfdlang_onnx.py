@@ -10,9 +10,10 @@ from repro.frontends.cfdlang import (
     parse_program,
     run_program,
 )
-from repro.ir import verify
+from repro.ir import verify, verify_typed
 from repro.tensorpipe import lower_teil_to_affine
 from repro.tensorpipe.affine_interp import run_affine
+from repro.tensorpipe.backends import resolve_backend
 
 
 class TestCFDlangInterp:
@@ -95,3 +96,26 @@ class TestCFDlangCompiled:
         assert compiled.backend == "compiled"
         np.testing.assert_array_equal(compiled.run(inputs)["y"], got)
 
+    def test_elementwise_operators_typed_and_bitwise(self):
+        # All four binary operators, nested, over a rank-2 shape.
+        program = parse_program("""
+        var input A : [3 4]
+        var input B : [3 4]
+        var input C : [3 4]
+        var output y : [3 4]
+        y = (A + B) * C - A / (B + C)
+        """)
+        rng = np.random.default_rng(2)
+        inputs = {name: rng.uniform(0.5, 2.0, size=(3, 4))
+                  for name in "ABC"}
+        expected = run_program(program, inputs)["y"]
+        cfd = lower_program_to_cfdlang(program, "ew")
+        verify_typed(cfd)
+        teil = lower_cfdlang_to_teil(cfd)
+        verify_typed(teil)
+        affine = lower_teil_to_affine(teil)
+        verify_typed(affine)
+        for backend in ("interpreter", "compiled", "cbackend"):
+            kernel = resolve_backend(backend).compile(affine, "ew")
+            np.testing.assert_array_equal(kernel.run(inputs)["y"], expected,
+                                          err_msg=backend)

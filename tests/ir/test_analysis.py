@@ -10,6 +10,9 @@ Three layers of coverage:
   the regression for the PR 4 ``esn.reduce`` axis bug (reduction
   *positions* leaking into a consumer that reads them as axis *labels*)
   — plus structural violations whose messages must carry the op path;
+* the tensor-level intermediates (``ekl``, ``esn``, ``teil``) of the
+  default, canonicalizing lowerings, typed-verified on Fig. 3 and on
+  200 random EKL kernels;
 * a 200-seed fuzz campaign (``tools/irfuzz.py --mode analyze``): the
   typed verifier accepts every valid lowering stage of every random
   kernel (no false positives), the inferred abstracts match the
@@ -29,10 +32,15 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "tools")
 )
 
-from irfuzz import check_analysis  # noqa: E402
+from irfuzz import check_analysis, generate_ekl_case  # noqa: E402
 from oracles import analysis_mismatches, analyze_module_fixpoint  # noqa: E402
 
 from repro.errors import IRError  # noqa: E402
+from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel  # noqa: E402
+from repro.frontends.ekl.lower import (  # noqa: E402
+    lower_ekl_to_esn,
+    lower_kernel_to_ekl,
+)
 from repro.ir import (  # noqa: E402
     TOP,
     AbstractValue,
@@ -49,6 +57,7 @@ from repro.ir import (  # noqa: E402
 )
 from repro.ir.analysis import MEMREF_ALLOC_ZERO_INIT  # noqa: E402
 from repro.ir.core import Block, Operation, Region  # noqa: E402
+from repro.tensorpipe import lower_esn_to_teil  # noqa: E402
 
 N_SEEDS = 200
 
@@ -381,3 +390,22 @@ def test_use_before_def_error_in_a_later_pass_matches_the_oracle():
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_analysis_fuzz(seed):
     check_analysis(seed)
+
+
+# -- the tensor-level intermediates of the default lowerings -----------------
+
+
+@pytest.mark.parametrize("seed", [None, *range(N_SEEDS)],
+                         ids=lambda seed: "fig3" if seed is None
+                         else f"seed{seed}")
+def test_tensor_levels_typed_verify(seed):
+    """``check_analysis`` lowers without canonicalizing; what a compile
+    hands from level to level is the canonicalized module, so that is
+    typed-verified here (Fig. 3 reaches ``esn.stack`` and ``esn.iota``)."""
+    source = FIG3_MAJOR_ABSORBER if seed is None \
+        else generate_ekl_case(seed)[0]
+    ekl = lower_kernel_to_ekl(parse_kernel(source))
+    verify_typed(ekl)
+    esn = lower_ekl_to_esn(ekl)
+    verify_typed(esn)
+    verify_typed(lower_esn_to_teil(esn))

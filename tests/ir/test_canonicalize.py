@@ -14,7 +14,6 @@ from repro.ir import (
     DeadCodeElimination,
     Module,
     build_func,
-    canonicalize_module,
     constant_value,
     print_module,
     types as T,
@@ -196,75 +195,15 @@ class TestTensorPatterns:
         assert transposes[0].attr("perm") == [2, 0, 1]
         assert transposes[0].operands[0] is entry.args[0]
 
-    def test_reshape_collapse(self):
-        src = T.tensor_of(T.f64, 12)
-        mid = T.tensor_of(T.f64, 3, 4)
-        out = T.tensor_of(T.f64, 2, 6)
-        m = Module()
-        func, entry, fb = build_func(m, "f", [src], [out])
-        r1 = fb.create("teil.reshape", [entry.args[0]], [mid]).result
-        r2 = fb.create("teil.reshape", [r1], [out]).result
-        ret = fb.create("func.return", [r2])
-        _canon(m)
-        entry_ops = list(m.body.operations[0].regions[0].entry)
-        reshapes = [op for op in entry_ops if op.name == "teil.reshape"]
-        assert len(reshapes) == 1
-        assert reshapes[0].operands[0] is entry.args[0]
-
-    def test_identity_reshape_and_broadcast_fold(self):
+    def test_identity_broadcast_fold(self):
         ty = T.tensor_of(T.f64, 5)
         m = Module()
         func, entry, fb = build_func(m, "f", [ty], [ty])
-        r = fb.create("teil.reshape", [entry.args[0]], [ty]).result
-        bc = fb.create("teil.broadcast", [r], [ty],
+        bc = fb.create("teil.broadcast", [entry.args[0]], [ty],
                        {"in_axes": ["i"], "axes": ["i"]}).result
         ret = fb.create("func.return", [bc])
         _canon(m)
         assert ret.operands[0] is entry.args[0]
-
-
-class TestSystemFolds:
-    def test_identity_base2_cast_folds(self):
-        ty = T.FixedPointType(8, 8)
-        m = Module()
-        func, entry, fb = build_func(m, "f", [ty], [ty])
-        c = fb.create("base2.cast", [entry.args[0]], [ty]).result
-        ret = fb.create("func.return", [c])
-        _canon(m)
-        assert ret.operands[0] is entry.args[0]
-
-    def test_narrowing_cast_survives(self):
-        wide, narrow = T.FixedPointType(8, 8), T.FixedPointType(2, 2)
-        m = Module()
-        func, entry, fb = build_func(m, "f", [wide], [narrow])
-        c = fb.create("base2.cast", [entry.args[0]], [narrow]).result
-        fb.create("func.return", [c])
-        _canon(m)
-        names = [op.name for op in m.body.operations[0].regions[0].entry]
-        assert "base2.cast" in names
-
-    def test_nested_wrap_folds(self):
-        m = Module()
-        func, entry, fb = build_func(m, "f", [T.i32], [T.i32])
-        w1 = fb.create("cyclic.wrap", [entry.args[0]], [T.i32],
-                       {"modulus": 16}).result
-        w2 = fb.create("cyclic.wrap", [w1], [T.i32], {"modulus": 16}).result
-        ret = fb.create("func.return", [w2])
-        _canon(m)
-        assert ret.operands[0] is w1
-
-    def test_redundant_stage_folds(self):
-        ref = T.memref_of(T.f64, 8)
-        m = Module()
-        func, entry, fb = build_func(m, "f", [ref], [])
-        s1 = fb.create("buffer.stage", [entry.args[0]], [ref],
-                       {"space": "plm"}).result
-        s2 = fb.create("buffer.stage", [s1], [ref], {"space": "plm"}).result
-        fb.create("test.use", [s2], [])
-        canonicalize_module(m)
-        stages = [op for op in m.body.operations[0].regions[0].entry
-                  if op.name == "buffer.stage"]
-        assert len(stages) == 1
 
 
 class TestPassComposition:

@@ -14,7 +14,7 @@ from repro.hls import synth
 from repro.hls.resources import OpCost
 from repro.hls.scheduling import (BodyDFG, DFGNode, asap, build_dfg,
                                   list_schedule)
-from repro.ir import Module, verify, types as T
+from repro.ir import Module, types as T
 from repro.numerics import make_format
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 
@@ -279,29 +279,3 @@ class TestExecutorCrossCheck:
             cross_check_executor(report, module, "simple",
                                  {"a": np.zeros(32), "b": np.zeros(32)},
                                  runs=0)
-
-
-class TestBackendEmission:
-    def test_fsm_and_hw_emission_verify(self):
-        _, module = _affine_module(SIMPLE)
-        target = Module()
-        engine = HLSEngine()
-        fsm = engine.emit_fsm(module, "simple", target)
-        hw = engine.emit_hw(module, "simple", target)
-        verify(target)
-        states = fsm.attr("states")
-        assert states[0]["name"] == "idle"
-        assert states[-1]["name"] == "done"
-        ports = hw.attr("ports")
-        assert {p["name"] for p in ports} >= {"a", "b", "c"}
-
-    def test_fig5_backend_edges(self):
-        from repro.dialects import lowering_for
-
-        _, module = _affine_module(SIMPLE)
-        fsm_module = lowering_for("affine", "fsm")(module)
-        hw_module = lowering_for("affine", "hw")(module)
-        verify(fsm_module)
-        verify(hw_module)
-        assert any(op.name == "fsm.machine" for op in fsm_module.body)
-        assert any(op.name == "hw.module" for op in hw_module.body)

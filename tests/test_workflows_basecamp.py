@@ -237,6 +237,25 @@ class TestBasecampCLI(object):
         assert drawn - registered == set(), "edges with no lowering"
         assert registered - drawn == set(), "lowerings Fig. 5 does not draw"
 
+    def test_lowering_for_resolves_drawn_edges_only(self):
+        from repro.dialects import DIALECT_GRAPH, lowering_for
+        from repro.errors import LoweringError
+
+        assert all(callable(lowering_for(*edge)) for edge in DIALECT_GRAPH)
+        with pytest.raises(LoweringError, match="affine -> hw"):
+            lowering_for("affine", "hw")
+
+    def test_registry_is_exactly_the_dialects_the_sdk_builds(self):
+        # A dialect is registered only if a lowering enters or leaves it
+        # or the executors run it; a declared-only dialect fails here.
+        from repro.dialects import DIALECT_GRAPH
+        from repro.ir import REGISTRY
+
+        on_edges = {name for edge in DIALECT_GRAPH for name in edge
+                    if not name.endswith("-frontend")}
+        core = {"builtin", "func", "arith", "math", "memref", "affine"}
+        assert set(REGISTRY.names()) == on_edges | core
+
     def test_condrust(self, tmp_path, capsys):
         source = tmp_path / "m.rs"
         source.write_text(FIG4_MAP_MATCHING)

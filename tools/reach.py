@@ -75,15 +75,7 @@ ALLOWLIST: Dict[str, str] = {
     "repro.telemetry.trace:NullTracer.clear":
         "null-object parity with Tracer.clear",
     "repro.dialects.builtin:_np_scalar_fold.fold": _NO_GENERATOR,
-    "repro.dialects.builtin:_transfer_affine_apply": _NO_GENERATOR,
-    "repro.dialects.system:_verify_base2_arith": _NO_GENERATOR,
-    "repro.dialects.system:_fold_full_extract": _NO_GENERATOR,
-    "repro.dialects.tensorlang:_transfer_stack": _NO_GENERATOR,
-    "repro.dialects.tensorlang:_transfer_esn_iota": _NO_GENERATOR,
     "repro.dialects.tensorlang:_transfer_transpose": _NO_GENERATOR,
-    "repro.dialects.tensorlang:_transfer_reshape": _NO_GENERATOR,
-    "repro.dialects.tensorlang:_transfer_contract": _NO_GENERATOR,
-    "repro.dialects.tensorlang:_transfer_cfd_binary": _NO_GENERATOR,
     "repro.tensorpipe.lower_teil:_LoopGenerator._lower_transpose":
         _NO_GENERATOR,
 }
