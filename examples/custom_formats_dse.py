@@ -11,6 +11,7 @@ Run:  python examples/custom_formats_dse.py
 
 import numpy as np
 
+from repro import telemetry
 from repro.apps.wrf.rrtmg import tau_major_reference
 from repro.autotuner import Constraint, MargotManager, OperatingPoint, Rank
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
@@ -19,6 +20,7 @@ from repro.pipeline import PipelineSession
 
 
 def main() -> None:
+    tracer = telemetry.enable()  # record a span per stage run
     session = PipelineSession()
     rng = np.random.default_rng(0)
     inputs = dict(
@@ -66,7 +68,8 @@ def main() -> None:
           f"{chosen.knobs['config']} "
           f"({chosen.metrics['latency_us']:.1f} us, "
           f"{chosen.metrics['bram']:.0f} BRAM)")
-    print(f"\n{session.report.summary()}")
+    telemetry.disable()
+    print(f"\n{telemetry.stage_summary(tracer)}")
     print("custom-formats DSE OK")
 
 

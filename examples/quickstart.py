@@ -4,19 +4,22 @@ Runs the complete SDK flow on the RRTMG major-absorber kernel through one
 :class:`repro.pipeline.PipelineSession`: EKL source -> MLIR dialects ->
 affine loops -> HLS -> Olympus system architecture -> simulated execution
 — and checks the compiled result against the language semantics.  The
-session's stage report at the end shows where the compile spent its time.
+stage table at the end, printed from the recorded telemetry spans, shows
+where the compile spent its time.
 
 Run:  python examples/quickstart.py
 """
 
 import numpy as np
 
+from repro import telemetry
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, Interpreter
 from repro.pipeline import PipelineSession
 from repro.tensorpipe.affine_interp import run_affine
 
 
 def main() -> None:
+    tracer = telemetry.enable()  # record a span per stage run
     session = PipelineSession()
 
     # 1.-3. Parse the EVEREST Kernel Language source (the paper's Fig. 3),
@@ -53,8 +56,9 @@ def main() -> None:
     print(f"compiled vs. interpreted: max |diff| = "
           f"{np.abs(compiled - expected).max():.2e}")
 
-    # 6. Where did the time go?  The session kept score.
-    print(session.report.summary())
+    # 6. Where did the time go?  The stage spans kept score.
+    telemetry.disable()
+    print(telemetry.stage_summary(tracer))
     print("quickstart OK")
 
 

@@ -8,7 +8,7 @@ Subcommands mirror the SDK's phases (paper §IV):
 * ``basecamp olympus <kernel.ekl> --device alveo-u55c`` — system-level
   architecture generation with DSE;
 * ``basecamp pipeline <kernel.ekl>`` — the full Fig. 2 flow with the
-  per-stage timing/caching report;
+  per-stage timing/caching table, read off its telemetry spans;
 * ``basecamp run <kernel.ekl> --random-seed 0 --time`` — compile to the
   vectorized-numpy CPU executor and run it (optionally racing the
   reference interpreter);
@@ -35,33 +35,36 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
 
 from repro.errors import EverestError
 
+if TYPE_CHECKING:
+    from repro.telemetry.trace import Tracer
+
 
 @contextmanager
-def _tracing(path: Optional[str]) -> Iterator[None]:
-    """Record telemetry spans for the wrapped command into ``path``.
+def _tracing(path: Optional[str]) -> Iterator["Tracer"]:
+    """Record telemetry spans for the wrapped command; yields the tracer.
 
-    ``--trace out.json`` installs a recording tracer for the duration
-    of the command and writes Chrome trace-event JSON on the way out —
-    load it at https://ui.perfetto.dev (or ``chrome://tracing``).
+    A recording tracer is installed for the duration of the command
+    (``basecamp pipeline`` prints its stage table from it).  With
+    ``--trace out.json`` the spans are also written as Chrome
+    trace-event JSON on the way out — load it at https://ui.perfetto.dev
+    (or ``chrome://tracing``).
     """
-    if not path:
-        yield
-        return
     from repro.telemetry.export import write_chrome_trace
     from repro.telemetry.trace import disable, enable
 
     tracer = enable()
     try:
-        yield
+        yield tracer
     finally:
         disable()
-        events = write_chrome_trace(path, tracer)
-        print(f"trace: {events} event(s) -> {path} "
-              "(open in https://ui.perfetto.dev)", file=sys.stderr)
+        if path:
+            events = write_chrome_trace(path, tracer)
+            print(f"trace: {events} event(s) -> {path} "
+                  "(open in https://ui.perfetto.dev)", file=sys.stderr)
 
 
 def _kernel_text(source_path: str) -> str:
@@ -111,15 +114,17 @@ def cmd_olympus(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    with _tracing(args.trace):
-        session = _session()
-        plan = session.deploy(_kernel_text(args.source), device=args.device,
-                              nodes=args.nodes, opt_level=args.opt_level)
+    from repro.telemetry.export import stage_summary
+
+    with _tracing(args.trace) as tracer:
+        plan = _session().deploy(_kernel_text(args.source),
+                                 device=args.device, nodes=args.nodes,
+                                 opt_level=args.opt_level)
         schedule = plan.schedule
         print(f"deployed on {args.nodes} nodes: "
               f"{len(schedule.placements)} task(s), "
               f"makespan {schedule.makespan * 1e6:.2f} us")
-        print(session.report.summary())
+        print(stage_summary(tracer))
     return 0
 
 
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_olympus)
 
     p = sub.add_parser("pipeline",
-                       help="full Fig. 2 flow with the stage report")
+                       help="full Fig. 2 flow with the stage table")
     p.add_argument("source")
     p.add_argument("--device", default="alveo-u55c")
     p.add_argument("--nodes", type=int, default=4)

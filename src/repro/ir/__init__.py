@@ -65,9 +65,7 @@ from repro.ir.parser import parse_module, parse_type
 from repro.ir.passes import (
     CommonSubexpressionElimination,
     DeadCodeElimination,
-    LambdaPass,
     Pass,
-    PassManager,
 )
 from repro.ir.printer import print_module, print_op
 from repro.ir.rewrite import (
@@ -122,8 +120,6 @@ __all__ = [
     "verify",
     "verify_typed",
     "Pass",
-    "LambdaPass",
-    "PassManager",
     "RewritePattern",
     "PatternRewriter",
     "apply_patterns_worklist",

@@ -13,8 +13,8 @@ Three layers, mirroring MLIR's design:
   rewrites that must build new ops (e.g. collapsing ``transpose`` chains).
 * **CanonicalizePass** — composes fold + trivial-dead-op erasure +
   the dialect patterns (all through the worklist driver) with CSE,
-  iterating to a fixpoint.  Per-sub-pass wall times are kept in
-  ``self.timings`` and surfaced by the pipeline's ``canonicalize`` stage.
+  iterating to a fixpoint.  The pipeline's ``canonicalize`` stage times
+  the whole pass as its ``canonicalize/rewrite`` span.
 
 The pass is a *fixpoint* procedure: running it on an already-canonical
 module changes nothing, which is what lets the lowering chain canonicalize
@@ -23,8 +23,7 @@ eagerly while ``PipelineSession`` re-runs the pass as a cached stage.
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import IRError
 from repro.ir.attributes import Attribute, attr
@@ -154,21 +153,13 @@ class CanonicalizePass(Pass):
                  max_rounds: int = 16):
         self.registry = registry or REGISTRY
         self.max_rounds = max_rounds
-        self.timings: List[Tuple[str, float]] = []
 
     def run(self, module: Module) -> None:
         patterns = canonical_pattern_set(self.registry)
-        steps = (
-            ("patterns", lambda m: apply_patterns_worklist(m, patterns)),
-            ("cse", CommonSubexpressionElimination().run),
-        )
-        self.timings = []
+        cse = CommonSubexpressionElimination()
         for _ in range(self.max_rounds):
-            changed = False
-            for label, step in steps:
-                started = time.perf_counter()
-                changed |= step(module)
-                self.timings.append((label, time.perf_counter() - started))
+            changed = apply_patterns_worklist(module, patterns)
+            changed |= cse.run(module)
             if not changed:
                 return
         raise IRError(

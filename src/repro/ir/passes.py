@@ -1,8 +1,8 @@
-"""Pass infrastructure: passes, pipelines and the stock DCE/CSE passes.
+"""Pass infrastructure: the :class:`Pass` base and the stock DCE/CSE passes.
 
-Passes transform a :class:`~repro.ir.core.Module` in place.  The
-:class:`PassManager` runs a pipeline, optionally verifying between passes,
-and records per-pass wall time (surfaced by ``basecamp compile -v``).
+Passes transform a :class:`~repro.ir.core.Module` in place; a caller
+runs them in sequence itself (the pipeline's ``canonicalize`` stage does,
+timing each as a telemetry span).
 
 Greedy pattern rewriting (:class:`~repro.ir.rewrite.RewritePattern` and
 its worklist driver) lives in :mod:`repro.ir.rewrite`.
@@ -10,9 +10,7 @@ its worklist driver) lives in :mod:`repro.ir.rewrite`.
 
 from __future__ import annotations
 
-import time
 from operator import attrgetter
-from typing import Callable, List, Tuple
 
 from repro.ir.core import Module
 from repro.ir.dialect import REGISTRY
@@ -28,47 +26,6 @@ class Pass:
 
     def __repr__(self) -> str:
         return f"<Pass {self.name}>"
-
-
-class LambdaPass(Pass):
-    """Wrap a plain callable as a pass."""
-
-    def __init__(self, name: str, fn: Callable[[Module], None]):
-        self.name = name
-        self._fn = fn
-
-    def run(self, module: Module) -> None:
-        self._fn(module)
-
-
-class PassManager:
-    """Runs a pipeline of passes with optional inter-pass verification."""
-
-    def __init__(self, verify_each: bool = True):
-        self.passes: List[Pass] = []
-        self.verify_each = verify_each
-        self.timings: List[Tuple[str, float]] = []
-
-    def add(self, pass_: Pass) -> "PassManager":
-        self.passes.append(pass_)
-        return self
-
-    def run(self, module: Module) -> None:
-        from repro.ir.verifier import verify
-
-        self.timings = []
-        for pass_ in self.passes:
-            started = time.perf_counter()
-            pass_.run(module)
-            self.timings.append((pass_.name, time.perf_counter() - started))
-            if self.verify_each:
-                verify(module)
-
-    def report(self) -> str:
-        lines = ["pass pipeline timing:"]
-        for name, seconds in self.timings:
-            lines.append(f"  {name:<40s} {seconds * 1e3:8.3f} ms")
-        return "\n".join(lines)
 
 
 # -- stock passes ----------------------------------------------------------------

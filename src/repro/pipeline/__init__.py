@@ -11,20 +11,22 @@ orchestrates them with
   kernel/configuration skip completed phases;
 * data-format and Olympus **design-space sweeps** that return their
   results in input order;
-* per-stage timing surfaced as a structured :class:`PipelineReport`.
+* per-stage timing as ``stage:*`` telemetry spans while tracing is on,
+  printed as a table by :func:`repro.telemetry.stage_summary`.
 
 Quick use::
 
+    from repro import telemetry
     from repro.pipeline import PipelineSession
 
+    tracer = telemetry.enable()                   # record stage spans
     session = PipelineSession()
     result = session.compile(ekl_source)          # parse -> lower -> HLS
     sweep = session.format_sweep(ekl_source, ["f32", "fixed<8.8>"])
-    print(session.report.summary())
+    print(telemetry.stage_summary(tracer))
 """
 
 from repro.pipeline.cache import CacheStats, StageCache, fingerprint
-from repro.pipeline.report import PipelineReport, StageTiming
 from repro.pipeline.session import (
     PipelineSession,
     SingleFlightStats,
@@ -44,8 +46,6 @@ __all__ = [
     "CacheStats",
     "StageCache",
     "fingerprint",
-    "PipelineReport",
-    "StageTiming",
     "PipelineSession",
     "SingleFlightStats",
     "get_session",

@@ -1,12 +1,12 @@
 """:class:`PipelineSession` — the SDK's compile orchestrator.
 
-One session owns a stage registry, a content-hash stage cache and a
-:class:`PipelineReport`.  High-level helpers (:meth:`compile`,
-:meth:`olympus`, :meth:`deploy`, :meth:`format_sweep`,
-:meth:`olympus_sweep`) compose the built-in stages into the paper's Fig. 2
-flow; repeated compiles of the same kernel/config skip completed phases,
-and DSE sweeps run their configurations in input order on the calling
-thread.
+One session owns a stage registry and a content-hash stage cache; each
+stage run is timed by a ``stage:*`` span when tracing is on.  High-level
+helpers (:meth:`compile`, :meth:`olympus`, :meth:`deploy`,
+:meth:`format_sweep`, :meth:`olympus_sweep`) compose the built-in stages
+into the paper's Fig. 2 flow; repeated compiles of the same kernel/config
+skip completed phases, and DSE sweeps run their configurations in input
+order on the calling thread.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EverestError, PipelineError
 from repro.pipeline.cache import StageCache, fingerprint
-from repro.pipeline.report import PipelineReport, StageClock
 from repro.pipeline.stage import Stage, StageRegistry
 from repro.telemetry.trace import get_tracer
 from repro.pipeline.stages import (
@@ -75,7 +74,6 @@ class PipelineSession:
     def __init__(self, *, register_builtins: bool = True):
         self.registry = StageRegistry()
         self.cache = StageCache()
-        self.report = PipelineReport()
         self.singleflight = SingleFlightStats()
         self._inflight: Dict[str, _Flight] = {}
         self._inflight_lock = threading.Lock()
@@ -99,17 +97,15 @@ class PipelineSession:
 
     def run_stage(self, name: str, payload: Any, *, key: str,
                   params: Optional[Dict[str, Any]] = None,
-                  runtime_params: Optional[Dict[str, Any]] = None,
                   detail: str = "", upstream: Optional[Callable] = None
                   ) -> Tuple[str, Any]:
-        """Run one registered stage with caching and timing.
+        """Run one registered stage with caching, in a ``stage:{name}``
+        span when tracing is on.
 
         ``key`` is the fingerprint of the upstream payload; the stage's own
-        key chains it with the stage name and ``params``.
-        ``runtime_params`` are forwarded to the stage function but excluded
-        from the fingerprint (the session report, callbacks — values that
-        do not change the result).  ``upstream``, if given, builds a payload
-        the stage may consume, and only when the stage executes.
+        key chains it with the stage name and ``params``.  ``detail`` is
+        the span's ``detail`` attribute.  ``upstream``, if given, builds a
+        payload the stage may consume, and only when the stage executes.
 
         Cacheable stages are *single-flight*: when several threads request
         the same ``stage_key`` concurrently (``basecamp serve`` tenants),
@@ -123,26 +119,21 @@ class PipelineSession:
         tracer = get_tracer()
         if not tracer.enabled:
             return self._run_stage(name, payload, key=key, params=params,
-                                   runtime_params=runtime_params,
-                                   detail=detail, span=None, upstream=upstream)
+                                   span=None, upstream=upstream)
         with tracer.span(f"stage:{name}", category="stage") as span:
             if detail:
                 span.attrs["detail"] = detail
             return self._run_stage(name, payload, key=key, params=params,
-                                   runtime_params=runtime_params,
-                                   detail=detail, span=span, upstream=upstream)
+                                   span=span, upstream=upstream)
 
     def _run_stage(self, name: str, payload: Any, *, key: str,
-                   params: Optional[Dict[str, Any]],
-                   runtime_params: Optional[Dict[str, Any]],
-                   detail: str, span: Optional[Any],
+                   params: Optional[Dict[str, Any]], span: Optional[Any],
                    upstream: Optional[Callable]) -> Tuple[str, Any]:
         """The cache/single-flight/execute core behind :meth:`run_stage`.
 
         ``span`` is the caller's open stage span (None when tracing is
         off); this method only annotates it — cache outcome and
-        single-flight role — so the trace explains where the time went
-        without a second timing source.
+        single-flight role — so the trace explains where the time went.
         """
         stage = self.registry.get(name)
         params = dict(params or {})
@@ -153,7 +144,6 @@ class PipelineSession:
             if hit:
                 if span is not None:
                     span.attrs["cached"] = True
-                self.report.record(name, 0.0, cached=True, detail=detail)
                 return stage_key, value
             with self._inflight_lock:
                 leader = stage_key not in self._inflight
@@ -174,7 +164,6 @@ class PipelineSession:
                     raise flight.error
                 if span is not None:
                     span.attrs["cached"] = True
-                self.report.record(name, 0.0, cached=True, detail=detail)
                 return stage_key, flight.value
             # Leader: someone may have stored between our miss and our
             # claim of the flight slot (a non-single-flight store path);
@@ -184,20 +173,17 @@ class PipelineSession:
                 self._land(stage_key, flight, value=value)
                 if span is not None:
                     span.attrs["cached"] = True
-                self.report.record(name, 0.0, cached=True, detail=detail)
                 return stage_key, value
-        call_params = {**params, **(runtime_params or {})}
         try:
             if upstream is not None:
                 payload = upstream()
-            with StageClock() as clock:
-                try:
-                    value = stage(payload, **call_params)
-                except EverestError:
-                    raise
-                except (TypeError, ValueError, KeyError) as error:
-                    raise PipelineError(
-                        f"stage {name!r} failed: {error}") from error
+            try:
+                value = stage(payload, **params)
+            except EverestError:
+                raise
+            except (TypeError, ValueError, KeyError) as error:
+                raise PipelineError(
+                    f"stage {name!r} failed: {error}") from error
         except BaseException as error:
             if flight is not None:
                 self._land(stage_key, flight, error=error)
@@ -209,7 +195,6 @@ class PipelineSession:
             if span is not None and flight.waiters:
                 span.attrs["singleflight"] = "leader"
                 span.attrs["waiters"] = flight.waiters
-        self.report.record(name, clock.seconds, cached=False, detail=detail)
         return stage_key, value
 
     def _land(self, stage_key: str, flight: _Flight, *, value: Any = None,
@@ -261,7 +246,7 @@ class PipelineSession:
             "canonicalize", None,
             key=self.stage_key("dialect-lowering", params, parse_key),
             params={"opt_level": opt_level},
-            runtime_params={"report": self.report}, detail=f"O{opt_level}",
+            detail=f"O{opt_level}",
             upstream=lambda: self.run_stage(
                 "dialect-lowering", kernel, key=parse_key, params=params)[1])
         return CompileResult(source, kernel, module, key=key)
@@ -273,8 +258,9 @@ class PipelineSession:
 
         The compilation itself (codegen + ``compile()``) is a cached
         ``execute`` stage keyed on the lowered module; the run over the
-        given inputs is never cached (inputs are arbitrary numpy arrays)
-        but is timed into the session report as an auxiliary event.
+        given inputs is never cached (inputs are arbitrary numpy arrays);
+        it is timed into :attr:`ExecutionResult.seconds` and, when tracing
+        is on, an ``execute/run`` span.
         ``backend`` names any registered executor backend
         (:func:`repro.tensorpipe.backends.registered_backends`); an
         unknown name raises with the available ones.
@@ -297,8 +283,6 @@ class PipelineSession:
             start = time.perf_counter()
             outputs = kernel.run(inputs)
             seconds = time.perf_counter() - start
-        self.report.record("execute/run", seconds, cached=False,
-                           detail=kernel.backend, aux=True)
         return ExecutionResult(kernel, outputs, seconds, key=key)
 
     def compile(self, source: str, *,

@@ -6,8 +6,8 @@ Each function here implements one :class:`repro.pipeline.Stage`:
 ``frontend-parse``        EKL source text -> kernel AST (§V-A1)
 ``dialect-lowering``      kernel AST -> verified ``affine`` module (Fig. 5)
 ``canonicalize``          affine module -> canonicalized (and, at ``-O2``,
-                          inlined) module; per-pass timings land in the
-                          session's :class:`PipelineReport`
+                          inlined) module; each sub-pass is a ``pass``
+                          span while tracing is on
 ``execute``               affine module -> :class:`CompiledKernel`, the
                           vectorized-numpy CPU executor (the HLS flow's
                           host-side analog)
@@ -126,42 +126,34 @@ def stage_dialect_lowering(kernel: Any, *, canonicalize: bool = True) -> Any:
     return module
 
 
-def stage_canonicalize(module: Any, *, opt_level: int = 1,
-                       report: Any = None) -> Any:
+def stage_canonicalize(module: Any, *, opt_level: int = 1) -> Any:
     """``canonicalize``: run the optimization pipeline on a lowered module.
 
     Optimizes ``module`` in place and returns it: the session hands it an
     uncached raw lowering that nothing else holds.  ``opt_level`` 0 is the
-    identity; 2 adds the function inliner before canonicalization.
-    ``report`` (a :class:`~repro.pipeline.report.PipelineReport`, excluded
-    from the cache fingerprint) receives one event per sub-pass so
-    ``basecamp pipeline`` can show where optimization time went.
+    identity; 2 adds the function inliner before canonicalization.  Each
+    sub-pass runs in a ``canonicalize/{inline,rewrite,fuse}`` span
+    (category ``pass``) so ``basecamp pipeline`` can show where
+    optimization time went.
     """
     import repro.dialects  # noqa: F401 (registration side effect)
     from repro.ir import CanonicalizePass, FusionPass, InlinePass, verify_typed
-    from repro.pipeline.report import StageClock
+    from repro.telemetry.trace import get_tracer
 
     if opt_level <= 0:
         return module
+    tracer = get_tracer()
     if opt_level >= 2:
         inliner = InlinePass()
-        with StageClock() as clock:
+        with tracer.span("canonicalize/inline", category="pass") as span:
             inliner.run(module)
-        if report is not None:
-            report.record("canonicalize/inline", clock.seconds, cached=False,
-                          detail=f"{inliner.inlined} call(s)", aux=True)
-    canonicalizer = CanonicalizePass()
-    canonicalizer.run(module)
-    if report is not None:
-        for pass_name, seconds in canonicalizer.timings:
-            report.record(f"canonicalize/{pass_name}", seconds, cached=False,
-                          aux=True)
+            span.set("detail", f"{inliner.inlined} call(s)")
+    with tracer.span("canonicalize/rewrite", category="pass"):
+        CanonicalizePass().run(module)
     fusion = FusionPass()
-    with StageClock() as clock:
+    with tracer.span("canonicalize/fuse", category="pass") as span:
         fusion.run(module)
-    if report is not None:
-        report.record("canonicalize/fuse", clock.seconds, cached=False,
-                      detail=f"{fusion.fused} buffer(s)", aux=True)
+        span.set("detail", f"{fusion.fused} buffer(s)")
     verify_typed(module)
     return module
 

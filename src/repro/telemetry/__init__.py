@@ -7,13 +7,13 @@ pieces, all stdlib-only and near-free when disabled:
 * :mod:`repro.telemetry.trace` — hierarchical spans over a monotonic
   ``perf_counter`` clock (or the runtime engine's *simulated* clock),
   with a context-propagated current span.  The default tracer is a
-  no-op singleton; ``basecamp run --trace out.json`` (and embedding
-  code via :func:`enable`) installs a recording one.
+  no-op singleton; ``basecamp pipeline``, ``run`` and ``runtime`` (and
+  embedding code via :func:`enable`) install a recording one.
 * :mod:`repro.telemetry.metrics` — a thread-safe registry of counters,
   gauges and fixed-bucket histograms (Prometheus-style naming); the
   serve daemon's ``/stats`` and ``GET /metrics`` are both views of it.
 * :mod:`repro.telemetry.export` — Chrome trace-event JSON (loads in
-  Perfetto) and Prometheus text exposition.
+  Perfetto), the pipeline's stage table and Prometheus text exposition.
 
 See ``docs/observability.md`` for the span model and naming rules.
 """
@@ -46,6 +46,7 @@ from repro.telemetry.trace import (
 from repro.telemetry.export import (
     chrome_trace,
     prometheus_text,
+    stage_summary,
     write_chrome_trace,
 )
 
@@ -71,5 +72,6 @@ __all__ = [
     "prometheus_text",
     "resolve_level",
     "set_tracer",
+    "stage_summary",
     "write_chrome_trace",
 ]

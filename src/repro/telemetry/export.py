@@ -1,6 +1,6 @@
-"""Telemetry exporters: Chrome trace-event JSON and Prometheus text.
+"""Telemetry exporters: Chrome trace JSON, a stage table, Prometheus text.
 
-Two consumers, two formats:
+Three consumers, three formats:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event format (the ``{"traceEvents": [...]}`` JSON object);
@@ -10,13 +10,12 @@ Two consumers, two formats:
   simulated placements) appear under a synthetic "virtual clock"
   process whose "threads" are the cluster nodes, so both domains are
   visible in one timeline without conflating their time bases.
+* :func:`stage_summary` — the pipeline's stage table (what
+  ``basecamp pipeline`` prints), read off the ``stage`` / ``pass`` /
+  ``exec`` spans: spans are the one stage timing record.
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` + samples); the serve daemon's
   ``GET /metrics`` body.
-
-Stage timings are not rebuilt from spans: the always-on
-:class:`~repro.pipeline.report.PipelineReport` is the one stage timing
-record; the span tree is the tracing view of the same run.
 """
 
 from __future__ import annotations
@@ -121,6 +120,47 @@ def write_chrome_trace(path: str,
         json.dump(trace, handle, indent=1)
         handle.write("\n")
     return len(trace["traceEvents"])
+
+
+def stage_summary(spans: Union[Tracer, Iterable[Span]]) -> str:
+    """The stage table: one line per ``stage``, ``pass`` and ``exec``
+    span in completion order, with its time (or ``cache``) and detail.
+
+    A stage line shows the stage's self time, its duration less its child
+    stage spans: ``canonicalize`` runs the uncached ``dialect-lowering``
+    inside its own span.  The header counts the stage spans and sums the
+    uncached ones; pass and exec lines are not in it.
+    """
+    if isinstance(spans, Tracer):
+        spans = spans.spans()
+    rows = [span for span in spans
+            if span.category in ("stage", "pass", "exec")]
+    nested: Dict[int, float] = {}
+    for span in rows:
+        if span.category == "stage":
+            nested[span.parent_id] = \
+                nested.get(span.parent_id, 0.0) + span.duration
+    lines: List[str] = []
+    executed, hits, misses = 0.0, 0, 0
+    for span in rows:
+        name, seconds = span.name, span.duration
+        cached = bool(span.attrs.get("cached"))
+        if span.category == "stage":
+            name = name.removeprefix("stage:")
+            seconds -= nested.get(span.span_id, 0.0)
+            if cached:
+                hits += 1
+            else:
+                misses += 1
+                executed += seconds
+        mark = "cache" if cached else f"{seconds * 1e3:8.2f}ms"
+        detail = span.attrs.get("detail")
+        lines.append(f"  {name:20s} {mark:>10s}"
+                     + (f"  ({detail})" if detail else ""))
+    header = (f"pipeline: {hits + misses} stage events, "
+              f"{executed * 1e3:.1f} ms executed, "
+              f"{hits} cache hits / {misses} misses")
+    return "\n".join([header] + lines)
 
 
 # -- Prometheus text exposition ----------------------------------------------

@@ -25,3 +25,13 @@ def pytest_addoption(parser):
         help="rewrite the golden IR snapshots in tests/ir/golden/ instead "
              "of comparing against them",
     )
+
+
+@pytest.fixture
+def tracer():
+    """A recording tracer installed for one test; the null one after."""
+    from repro.telemetry.trace import disable, enable
+
+    recording = enable()
+    yield recording
+    disable()

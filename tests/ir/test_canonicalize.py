@@ -247,14 +247,6 @@ class TestPassComposition:
         assert constant_value(c.result) == 7.5
         assert constant_value(entry.args[0]) is None
 
-    def test_timings_recorded(self):
-        m, entry, fb = _func()
-        fb.create("func.return", [entry.args[0]])
-        canonicalizer = CanonicalizePass()
-        canonicalizer.run(m)
-        names = {name for name, _ in canonicalizer.timings}
-        assert names == {"patterns", "cse"}
-
 
 class TestCanonicalLeavesNoDeadOp:
     """``CanonicalizePass`` runs no dead-code sweep of its own: the

@@ -386,13 +386,15 @@ class TestDtypeEdges:
 
 
 class TestPipelineIntegration:
-    def test_session_reports_fusion_event(self):
+    def test_session_reports_fusion_event(self, tracer):
         from repro.pipeline.session import PipelineSession
 
         session = PipelineSession()
         session.lower(CHAIN, opt_level=1)
-        names = [event.stage for event in session.report.events]
-        assert "canonicalize/fuse" in names
+        fuse, = [span for span in tracer.spans()
+                 if span.name == "canonicalize/fuse"]
+        assert fuse.category == "pass"
+        assert fuse.attrs["detail"].endswith("buffer(s)")
 
     @pytest.mark.parametrize("opt_level", [1, 2])
     def test_session_execute_matches_interpreter(self, opt_level):

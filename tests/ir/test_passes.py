@@ -1,4 +1,4 @@
-"""Tests for the pass manager, DCE, CSE and the rewrite drivers."""
+"""Tests for DCE, CSE and the rewrite drivers."""
 
 import os
 import sys
@@ -6,15 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from repro.errors import IRError
 from repro.ir import (
     Builder,
     CanonicalizePass,
     CommonSubexpressionElimination,
     DeadCodeElimination,
-    LambdaPass,
     Module,
-    PassManager,
     PatternRewriter,
     RewritePattern,
     apply_patterns_worklist,
@@ -200,28 +197,6 @@ class TestCSEKeepsDistinctConstantsApart:
         assert CommonSubexpressionElimination().run(m) is True
         fb.create("arith.mulf", [entry.args[0], entry.args[0]], [T.f64])
         assert DeadCodeElimination().run(m) is True
-
-
-class TestPassManager:
-    def test_runs_in_order_and_times(self):
-        order = []
-        pm = PassManager(verify_each=False)
-        pm.add(LambdaPass("one", lambda m: order.append(1)))
-        pm.add(LambdaPass("two", lambda m: order.append(2)))
-        pm.run(Module())
-        assert order == [1, 2]
-        assert [name for name, _ in pm.timings] == ["one", "two"]
-        assert "pass pipeline timing" in pm.report()
-
-    def test_verify_each_catches_breakage(self):
-        def break_module(m):
-            b = Builder.at_end(m.body)
-            b.create("arith.mulf", [], [T.f64])  # wrong arity
-
-        pm = PassManager(verify_each=True)
-        pm.add(LambdaPass("bad", break_module))
-        with pytest.raises(IRError):
-            pm.run(Module())
 
 
 class _FoldDoubleNeg(RewritePattern):

@@ -55,8 +55,7 @@ _ENGINE = _PLATFORMS + _TELEMETRY + """
 """
 _PIPELINE = _TELEMETRY + """
     repro repro.errors repro.pipeline repro.pipeline.cache
-    repro.pipeline.report repro.pipeline.session repro.pipeline.stage
-    repro.pipeline.stages
+    repro.pipeline.session repro.pipeline.stage repro.pipeline.stages
 """
 _IR = """
     repro.ir repro.ir.analysis repro.ir.attributes repro.ir.builder

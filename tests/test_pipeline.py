@@ -100,27 +100,28 @@ class TestStageCaching:
     def test_second_compile_hits_every_stage(self):
         session = PipelineSession()
         first = session.compile(FIG3_MAJOR_ABSORBER)
-        misses = session.report.cache_misses
+        stats = session.cache.stats
+        misses, hits = stats.misses, stats.hits
         second = session.compile(FIG3_MAJOR_ABSORBER)
         # All three stages (parse, lowering, hls) came from the cache.
-        assert session.report.cache_misses == misses
-        assert session.report.cache_hits >= 3
+        assert stats.misses == misses
+        assert stats.hits == hits + 3
         assert second.report is first.report
         assert second.module is first.module
 
     def test_format_change_is_a_miss_for_hls_only(self):
         session = PipelineSession()
         session.compile(FIG3_MAJOR_ABSORBER)
-        misses = session.report.cache_misses
+        misses = session.cache.stats.misses
         session.compile(FIG3_MAJOR_ABSORBER, number_format="f32")
-        assert session.report.cache_misses == misses + 1  # the hls stage
+        assert session.cache.stats.misses == misses + 1  # the hls stage
 
     def test_explicit_f64_shares_default_cache_entry(self):
         session = PipelineSession()
         default = session.compile(FIG3_MAJOR_ABSORBER)
-        misses = session.report.cache_misses
+        misses = session.cache.stats.misses
         explicit = session.compile(FIG3_MAJOR_ABSORBER, number_format="f64")
-        assert session.report.cache_misses == misses
+        assert session.cache.stats.misses == misses
         assert explicit.report is default.report
 
     def test_format_spellings_share_one_hls_entry(self):
@@ -151,9 +152,9 @@ class TestStageCaching:
         with pytest.raises(EverestError):
             session.frontend("kernel broken(x: [4]f64) -> {")
         # The failure did not poison the cache for the good kernel.
-        misses = session.report.cache_misses
+        misses = session.cache.stats.misses
         session.frontend(FIG3_MAJOR_ABSORBER)
-        assert session.report.cache_misses == misses
+        assert session.cache.stats.misses == misses
 
 
 class TestSourceHandling:
@@ -225,7 +226,7 @@ class TestParallelDSE:
 
 
 class TestStageProtocol:
-    def test_custom_stage_registration_and_run(self):
+    def test_custom_stage_registration_and_run(self, tracer):
         session = PipelineSession()
         session.register("double", lambda payload: payload * 2,
                          description="toy stage")
@@ -234,23 +235,9 @@ class TestStageProtocol:
         # Cached on the second run with the same upstream key.
         _, again = session.run_stage("double", 21, key="root")
         assert again == 42
-        assert session.report.events[-1].cached
-
-    def test_report_keeps_only_the_latest_events(self):
-        # A daemon's shared session records events on every request and
-        # never reads them: the store must not grow with uptime.
-        from repro.pipeline.report import MAX_EVENTS
-
-        session = PipelineSession(register_builtins=False)
-        session.register("double", lambda payload: payload * 2)
-        for _ in range(3 * MAX_EVENTS):
-            session.run_stage("double", 21, key="root")
-        report = session.report
-        assert len(report.events) == MAX_EVENTS
-        assert report.events[-1].cached
-        assert report.cache_hits == MAX_EVENTS and report.cache_misses == 0
-        assert len(report.as_dict()["events"]) == MAX_EVENTS
-        assert session.cache.stats.hits == 3 * MAX_EVENTS - 1
+        first, second = tracer.spans()
+        assert first.name == second.name == "stage:double"
+        assert "cached" not in first.attrs and second.attrs["cached"]
 
     def test_duplicate_stage_rejected(self):
         session = PipelineSession()
@@ -315,7 +302,7 @@ class TestExecuteStage:
         np.testing.assert_array_equal(result.outputs["y"], np.full(6, 4.0))
 
     @pytest.mark.parametrize("backend", ["compiled", "cbackend"])
-    def test_kernel_is_compiled_once_per_session(self, backend):
+    def test_kernel_is_compiled_once_per_session(self, backend, tracer):
         """The stage cache is the only kernel cache: a repeat is a hit
         there, and concurrent first requests are held by single-flight
         (the backends deduplicate nothing themselves)."""
@@ -323,9 +310,10 @@ class TestExecuteStage:
 
         import numpy as np
 
-        def compiles(session):
-            return [e for e in session.report.events
-                    if e.stage == "execute" and not e.cached]
+        def compiles():
+            return [span for span in tracer.spans()
+                    if span.name == "stage:execute"
+                    and not span.attrs.get("cached")]
 
         session = PipelineSession()
         first = session.execute(self.SOURCE, {"a": np.zeros(6)},
@@ -335,8 +323,9 @@ class TestExecuteStage:
                                  backend=backend)
         assert second.kernel is first.kernel
         assert session.cache.stats.hits > hits
-        assert len(compiles(session)) == 1
+        assert len(compiles()) == 1
 
+        tracer.clear()
         session = PipelineSession()
         barrier = threading.Barrier(8)
         kernels = []
@@ -354,15 +343,16 @@ class TestExecuteStage:
         assert not any(t.is_alive() for t in threads)
         assert len(kernels) == 8
         assert all(kernel is kernels[0] for kernel in kernels)
-        assert len(compiles(session)) == 1
+        assert len(compiles()) == 1
 
-    def test_run_time_recorded_as_aux_event(self):
+    def test_run_time_recorded_as_aux_event(self, tracer):
         import numpy as np
 
         session = PipelineSession()
-        session.execute(self.SOURCE, {"a": np.zeros(6)})
-        names = [event.stage for event in session.report.events]
-        assert "execute" in names and "execute/run" in names
+        result = session.execute(self.SOURCE, {"a": np.zeros(6)})
+        names = [span.name for span in tracer.spans()]
+        assert "stage:execute" in names and "execute/run" in names
+        assert result.seconds > 0.0
 
     def test_backend_selects_distinct_cache_entries(self):
         import numpy as np
@@ -421,20 +411,20 @@ class TestDeploy:
         assert any(op.name == "func.func"
                    for op in plan.deployment_ir.body)
 
-    def test_report_summary_mentions_stages(self):
+    def test_report_summary_mentions_stages(self, tracer):
+        from repro.telemetry.export import stage_summary
+
         session = PipelineSession()
         session.compile(FIG3_MAJOR_ABSORBER)
-        summary = session.report.summary()
+        summary = stage_summary(tracer)
         for stage in ("frontend-parse", "dialect-lowering", "canonicalize",
                       "hls"):
             assert stage in summary
-        as_dict = session.report.as_dict()
-        assert as_dict["cache_misses"] == 4
-        primary = [e for e in as_dict["events"] if not e["aux"]]
-        assert len(primary) == 4
-        # The canonicalize stage surfaces its per-pass timings as aux events.
-        assert any(e["stage"].startswith("canonicalize/")
-                   for e in as_dict["events"])
+        assert summary.startswith("pipeline: 4 stage events, ")
+        assert summary.splitlines()[0].endswith("0 cache hits / 4 misses")
+        # The canonicalize stage times its sub-passes as pass spans.
+        assert "canonicalize/rewrite" in summary
+        assert "canonicalize/fuse" in summary
 
 
 class TestGlobalSession:
@@ -454,10 +444,10 @@ class TestGlobalSession:
             source.write_text(FIG3_MAJOR_ABSORBER)
             assert main(["compile", str(source)]) == 0
             session = get_session()
-            misses = session.report.cache_misses
+            misses = session.cache.stats.misses
             assert main(["synthesize", str(source)]) == 0
             # Same kernel, same (default) format: fully cache-served.
-            assert session.report.cache_misses == misses
+            assert session.cache.stats.misses == misses
             assert main(["olympus", str(source)]) == 0
             capsys.readouterr()
         finally:
@@ -597,7 +587,7 @@ class TestConcurrency:
         assert value == "ok"
         assert len(attempts) == 2
 
-    def test_concurrent_compiles_share_one_stage_execution(self):
+    def test_concurrent_compiles_share_one_stage_execution(self, tracer):
         import threading
 
         session = PipelineSession()
@@ -616,10 +606,11 @@ class TestConcurrency:
         assert len(results) == 6
         # Exactly one execution per stage (single-flight or cache hit);
         # every caller sees the identical cached report object.
-        executed = [e.stage for e in session.report.events
-                    if not e.cached and not e.aux]
+        executed = [span.name for span in tracer.spans()
+                    if span.category == "stage"
+                    and not span.attrs.get("cached")]
         assert sorted(executed) == sorted(set(executed))
-        assert executed.count("hls") == 1
+        assert executed.count("stage:hls") == 1
         first = results[0]
         assert all(r.report is first.report for r in results)
         assert all(r.key == first.key for r in results)

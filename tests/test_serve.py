@@ -358,21 +358,45 @@ class TestService:
         assert stats["cache"]["entries"] > 0
         assert {"leaders", "waits"} == set(stats["singleflight"])
 
-    def test_warm_execute_lowers_once(self):
+    def test_warm_execute_lowers_once(self, tracer):
         """The lowering that names the kernel's inputs is the one the
         ``execute`` stage runs on: one cache probe per cached stage a
         request, and the uncached raw lowering is not run at all."""
         service = BasecampService()
         request = {"source": ADD, "random_seed": 0}
         service.handle("execute", request)
-        events = service.session.report.events
-        primed = len(events)
+        tracer.clear()
         service.handle("execute", request)
-        warm = list(events)[primed:]
-        assert all(event.cached for event in warm if not event.aux)
-        assert Counter(event.stage for event in warm) == {
-            "frontend-parse": 1, "canonicalize": 1, "execute": 1,
-            "execute/run": 1}
+        warm = [span for span in tracer.spans()
+                if span.category in ("stage", "exec")]
+        assert all(span.attrs.get("cached") for span in warm
+                   if span.category == "stage")
+        assert Counter(span.name for span in warm) == {
+            "stage:frontend-parse": 1, "stage:canonicalize": 1,
+            "stage:execute": 1, "execute/run": 1}
+
+    def test_warm_daemon_keeps_no_per_request_record(self):
+        """A long-lived daemon's memory does not grow with its request
+        count: after warm-up, 1,000 more ``/execute`` requests leave
+        under 64 KiB of new live allocations (a record of a few hundred
+        bytes per request would be hundreds of KiB)."""
+        import gc
+        import tracemalloc
+
+        service = BasecampService()
+        request = {"source": ADD, "random_seed": 0}
+        for _ in range(400):
+            service.handle("execute", dict(request))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(1000):
+                service.handle("execute", dict(request))
+            gc.collect()
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024, f"{grown} bytes kept by 1,000 requests"
 
 
 def _seeded_inputs(service, source, seed):

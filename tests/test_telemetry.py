@@ -8,7 +8,8 @@ Four layers, tested bottom-up:
 * the metrics registry — exact totals under an 8-thread hammer,
   idempotent registration, Prometheus data-model validation;
 * the exporters — Chrome trace-event JSON schema (what Perfetto
-  loads), Prometheus text exposition, PipelineReport reconstruction;
+  loads), the stage table (``stage_summary``), Prometheus text
+  exposition;
 * the integrations — PipelineSession stage spans with cache /
   single-flight attribution, the serve daemon's ``GET /metrics`` body
   agreeing with ``/stats``, the ``span_id`` echo, what a request pays
@@ -42,6 +43,7 @@ from repro.telemetry.export import (
     WALL_PID,
     chrome_trace,
     prometheus_text,
+    stage_summary,
     write_chrome_trace,
 )
 from repro.telemetry.log import (
@@ -355,6 +357,77 @@ class TestPrometheusText:
         text = prometheus_text(first, second)
         assert text.count("# TYPE shared_total counter") == 1
         assert "shared_total 1" in text  # first registry wins
+
+
+def _span(span_id, parent_id, name, duration, category, **attrs):
+    return trace.Span(name, span_id, parent_id, 0.0, duration, attrs,
+                      category=category)
+
+
+class TestStageSummary:
+    def test_a_stage_line_is_its_self_time(self):
+        """``canonicalize`` runs the uncached ``dialect-lowering`` inside
+        its own span: the table subtracts it, so the header counts the
+        7 ms once, and a pass span is a line outside the total."""
+        spans = [
+            _span(3, 2, "stage:dialect-lowering", 0.007, "stage"),
+            _span(4, 2, "canonicalize/fuse", 0.001, "pass",
+                  detail="2 buffer(s)"),
+            _span(2, 0, "stage:canonicalize", 0.010, "stage", detail="O1"),
+            _span(5, 0, "stage:frontend-parse", 0.0001, "stage",
+                  cached=True),
+            _span(6, 0, "codegen.compile", 0.5, "compile"),
+            _span(7, 0, "execute/run", 0.002, "exec"),
+        ]
+        assert stage_summary(spans).splitlines() == [
+            "pipeline: 3 stage events, 10.0 ms executed, "
+            "1 cache hits / 2 misses",
+            "  dialect-lowering         7.00ms",
+            "  canonicalize/fuse        1.00ms  (2 buffer(s))",
+            "  canonicalize             3.00ms  (O1)",
+            "  frontend-parse            cache",
+            "  execute/run              2.00ms",
+        ]
+
+    def test_basecamp_pipeline_prints_it_without_trace(self, tmp_path,
+                                                       capsys):
+        import re
+
+        from repro.basecamp.cli import main
+        from repro.pipeline import reset_session
+
+        source = tmp_path / "k.ekl"
+        source.write_text(ADD)
+        reset_session()
+        try:
+            assert main(["pipeline", str(source), "--opt-level", "2"]) == 0
+        finally:
+            reset_session()
+        assert get_tracer() is NULL_TRACER
+        out = capsys.readouterr().out
+        header, *rows = out[out.index("pipeline:"):].splitlines()
+        names = [row.split()[0] for row in rows]
+        for name in ("frontend-parse", "dialect-lowering", "canonicalize",
+                     "hls", "olympus", "schedule", "canonicalize/inline",
+                     "canonicalize/rewrite", "canonicalize/fuse"):
+            assert name in names
+        stage_ms = [float(row.split()[1].removesuffix("ms"))
+                    for row in rows if "/" not in row.split()[0]]
+        executed = float(re.search(r"([0-9.]+) ms executed",
+                                   header).group(1))
+        assert executed == pytest.approx(sum(stage_ms), abs=0.1)
+
+    @pytest.mark.parametrize("text", [None, "kernel broken(x: [4]f64) -> {"])
+    def test_a_failing_command_restores_the_null_tracer(self, tmp_path,
+                                                        capsys, text):
+        from repro.basecamp.cli import main
+
+        source = tmp_path / "k.ekl"
+        if text is not None:
+            source.write_text(text)
+        assert main(["pipeline", str(source)]) == 1
+        assert "basecamp: error:" in capsys.readouterr().err
+        assert get_tracer() is NULL_TRACER
 
 
 # -- integrations ------------------------------------------------------------

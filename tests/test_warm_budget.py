@@ -14,7 +14,7 @@ change makes the path cheaper, lower them to the new count plus 5 % (a
 budget of 0 makes the failure message print it); they are only ever
 lowered.  A failure names the piece that grew: each call is charged to
 the innermost of the stage keys, the buffer binding, the stage
-bookkeeping (cache lookup, single-flight, report), the kernel call, the
+bookkeeping (cache lookup, single-flight), the kernel call, the
 runtime engine, or ``other``.
 """
 
@@ -50,10 +50,10 @@ INPUTS = {"a": _RNG.normal(size=(16, 4)), "b": _RNG.normal(size=(16, 4))}
 
 #: name -> (measured calls, budget = measured * 1.05 rounded down).
 BUDGETS = {
-    "execute[compiled]": (121, 127),
-    "execute[cbackend]": (119, 124),
-    "/compile": (171, 179),
-    "/execute": (223, 234),
+    "execute[compiled]": (109, 114),
+    "execute[cbackend]": (107, 112),
+    "/compile": (162, 170),
+    "/execute": (211, 221),
     "/runtime": (1_184, 1_243),
 }
 
