@@ -377,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile an EKL kernel")
     p.add_argument("source")
     p.add_argument("--emit", choices=["report", "mlir"], default="report")
-    p.add_argument("--opt-level", type=int, choices=[0, 1, 2], default=1,
-                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE), "
-                        "2: canonicalize + inline")
+    p.add_argument("--opt-level", type=int, choices=[0, 1], default=1,
+                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE) "
+                        "and fuse")
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("synthesize", help="HLS with a custom data format")
@@ -398,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("--device", default="alveo-u55c")
     p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--opt-level", type=int, choices=[0, 1, 2], default=1,
-                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE), "
-                        "2: canonicalize + inline")
+    p.add_argument("--opt-level", type=int, choices=[0, 1], default=1,
+                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE) "
+                        "and fuse")
     p.add_argument("--trace", default=None, metavar="OUT.json",
                    help="record telemetry spans and write Chrome "
                         "trace-event JSON (view in Perfetto)")
@@ -422,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "registry: interpreter, compiled, "
                         "compiled-parallel, compiled-arena, cbackend, "
                         "...); an unknown name lists the registered ones")
-    p.add_argument("--opt-level", type=int, choices=[0, 1, 2], default=1,
-                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE), "
-                        "2: canonicalize + inline")
+    p.add_argument("--opt-level", type=int, choices=[0, 1], default=1,
+                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE) "
+                        "and fuse")
     p.add_argument("--time", action="store_true",
                    help="also run the interpreter backend, check the "
                         "outputs match and print the speedup")

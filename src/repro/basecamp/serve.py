@@ -108,7 +108,7 @@ TASK = (
 
 _SOURCE = Field("source", str, ..., 1,
                 error="request needs a non-empty 'source' (EKL kernel text)")
-_OPT_LEVEL = Field("opt_level", int, 1, 0, 2)
+_OPT_LEVEL = Field("opt_level", int, 1, 0, 1)
 
 #: The fields of each POST endpoint, checked by :func:`checked` before
 #: its handler runs; ``docs/serve.md`` shows them as tables.

@@ -329,7 +329,7 @@ def register() -> None:
         builtin.op("module", "top-level container", num_operands=0,
                    num_results=0, num_regions=1)
 
-    func = register_dialect("func", "functions, calls and returns")
+    func = register_dialect("func", "functions and returns")
     if "func" not in func:
         func.op(
             "func",
@@ -344,8 +344,6 @@ def register() -> None:
         )
         func.op("return", "function terminator", num_regions=0,
                 num_results=0, traits=("terminator",))
-        func.op("call", "direct call", num_regions=0,
-                required_attrs={"callee": "symbol of the called function"})
 
     arith = register_dialect("arith", "scalar arithmetic")
     if "constant" not in arith:

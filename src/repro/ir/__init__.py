@@ -22,7 +22,6 @@ from repro.ir.analysis import (
     AbstractValue,
     AnalysisError,
     ModuleAnalysis,
-    analyze_module,
     from_type,
     op_path,
 )
@@ -60,13 +59,9 @@ from repro.ir.core import (
     Value,
 )
 from repro.ir.dialect import REGISTRY, Dialect, DialectRegistry, OpDef, register_dialect
-from repro.ir.fusion import FusionPass, fuse_module
+from repro.ir.fusion import FusionPass
 from repro.ir.parser import parse_module, parse_type
-from repro.ir.passes import (
-    CommonSubexpressionElimination,
-    DeadCodeElimination,
-    Pass,
-)
+from repro.ir.passes import CommonSubexpressionElimination, Pass
 from repro.ir.printer import print_module, print_op
 from repro.ir.rewrite import (
     PatternRewriter,
@@ -74,7 +69,6 @@ from repro.ir.rewrite import (
     apply_patterns_worklist,
     is_attached,
 )
-from repro.ir.symbols import InlinePass, SymbolTable
 from repro.ir.verifier import verify, verify_typed
 
 __all__ = [
@@ -83,7 +77,6 @@ __all__ = [
     "AnalysisError",
     "ModuleAnalysis",
     "TOP",
-    "analyze_module",
     "from_type",
     "op_path",
     "Attribute",
@@ -124,7 +117,6 @@ __all__ = [
     "PatternRewriter",
     "apply_patterns_worklist",
     "is_attached",
-    "DeadCodeElimination",
     "CommonSubexpressionElimination",
     "CanonicalizePass",
     "EraseTriviallyDead",
@@ -132,8 +124,5 @@ __all__ = [
     "canonical_pattern_set",
     "canonicalize_module",
     "constant_value",
-    "SymbolTable",
-    "InlinePass",
     "FusionPass",
-    "fuse_module",
 ]

@@ -4,10 +4,9 @@ This is the static-analysis substrate behind the typed verifier and the
 arena memory planner (:mod:`repro.tensorpipe.arena`).  It propagates
 :class:`AbstractValue` lattice elements — ``(shape, dtype, const)``, each
 component either a known fact or ``None`` for "unknown" — forward through
-a module in one pass (see :func:`analyze_module` for when it repeats),
-running each registered op's *transfer function* (the ``transfer=`` hook
-on :class:`repro.ir.dialect.OpDef`) to compute result abstracts from
-operand abstracts.
+a module in one pass, running each registered op's *transfer function*
+(the ``transfer=`` hook on :class:`repro.ir.dialect.OpDef`) to compute
+result abstracts from operand abstracts.
 
 The lattice is deliberately simple:
 
@@ -27,10 +26,11 @@ op's path (:func:`op_path`) so fuzz triage doesn't require re-printing the
 whole module.  Ops without a registered transfer (e.g. the fuzzer's
 ``fuzz.*`` dialect) fall back to their declared result types unchecked.
 
-Entry points: :func:`analyze_module` (returns a :class:`ModuleAnalysis`
-mapping every SSA value to its abstract) and, in :mod:`repro.ir.verifier`,
-``verify_typed``, which calls :func:`transfer_op` from the structural
-verifier's own traversal.
+The driver is ``verify_typed`` in :mod:`repro.ir.verifier`: it calls
+:func:`transfer_op` from the structural verifier's own traversal and
+returns a :class:`ModuleAnalysis` mapping every SSA value to its abstract.
+Its visibility check proves every operand is written before it is read,
+so that single forward pass is the fixpoint.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
 from repro.ir import types as T
-from repro.ir.core import Module, Operation, Value
-from repro.ir.dialect import REGISTRY, DialectRegistry, OpDef
+from repro.ir.core import Operation, Value
+from repro.ir.dialect import OpDef
 
 Shape = Tuple[Optional[int], ...]
 
@@ -53,10 +53,6 @@ Shape = Tuple[Optional[int], ...]
 #: for their accumulators; the analysis records it as ``const=0`` at the
 #: alloc's definition so the reliance is explicit rather than implicit.
 MEMREF_ALLOC_ZERO_INIT: int = 0
-
-#: Bound on the passes :func:`analyze_module` repeats over IR that reads a
-#: value before its definition (def-before-use IR takes exactly one).
-_MAX_ITERATIONS: int = 8
 
 
 class AnalysisError(IRError):
@@ -161,14 +157,9 @@ def op_path(op: Operation) -> str:
 
 @dataclass
 class ModuleAnalysis:
-    """Result of :func:`analyze_module`: abstracts for every SSA value."""
+    """Result of ``verify_typed``: abstracts for every SSA value."""
 
     values: Dict[Value, AbstractValue] = field(default_factory=dict)
-    #: Passes made over the module (1 unless ``early_reads``).
-    iterations: int = 1
-    #: Ops whose transfer function was handed an operand no pass had
-    #: written yet (a use before its def); 0 on verified IR.
-    early_reads: int = 0
 
     def of(self, value: Value) -> AbstractValue:
         return self.values.get(value, TOP)
@@ -275,53 +266,8 @@ def cast() -> TransferFn:
 
 
 # ---------------------------------------------------------------------------
-# The forward engine.
+# The per-op transfer step of the forward pass.
 # ---------------------------------------------------------------------------
-
-
-def analyze_module(
-    module: Module, registry: Optional[DialectRegistry] = None
-) -> ModuleAnalysis:
-    """Run the abstract interpreter over ``module``.
-
-    One forward pass is the fixpoint whenever every operand is defined
-    before it is read (what the structural verifier proves): a transfer
-    function sees only the op and the operand abstracts it is handed, and
-    each value is written once per pass, so a second pass would recompute
-    the same facts from the same inputs.  Only when a pass read a value
-    before writing it (IR :func:`~repro.ir.verifier.verify` rejects) are
-    passes repeated until one changes nothing.
-
-    Every inferred result abstract is compared against the op's declared
-    result type — mismatched ranks, extents or dtypes raise
-    :class:`AnalysisError` with the op's path.
-    """
-    opdefs = (registry if registry is not None else REGISTRY).opdefs
-    analysis = ModuleAnalysis()
-    _visit_op(module.op, opdefs, analysis)
-    while analysis.early_reads:
-        if analysis.iterations == _MAX_ITERATIONS:
-            raise AnalysisError(
-                f"analysis did not converge after {_MAX_ITERATIONS} iterations"
-            )
-        analysis.iterations += 1
-        before = dict(analysis.values)
-        _visit_op(module.op, opdefs, analysis)
-        if analysis.values == before:
-            break
-    return analysis
-
-
-def _visit_op(
-    op: Operation, opdefs: Dict[str, OpDef], analysis: ModuleAnalysis
-) -> None:
-    transfer_op(op, opdefs.get(op.name), analysis)
-    for region in op.regions:
-        for block in region.blocks:
-            for arg in block.args:
-                analysis.values[arg] = from_type(arg.type)
-            for inner in block.operations:
-                _visit_op(inner, opdefs, analysis)
 
 
 def transfer_op(
@@ -329,15 +275,12 @@ def transfer_op(
 ) -> None:
     """Record the abstracts of ``op``'s results (not of its regions): the
     registered transfer function applied to the operand abstracts, met
-    with the declared result types."""
+    with the declared result types.  Every operand must already have its
+    abstract: the caller visits defs before uses."""
     values = analysis.values
     inferred: Optional[Sequence[AbstractValue]] = None
     if opdef is not None and opdef.transfer is not None:
-        try:
-            operands = list(map(values.__getitem__, op._operands))
-        except KeyError:  # an operand read before its definition
-            analysis.early_reads += 1
-            operands = [values.get(v, TOP) for v in op._operands]
+        operands = list(map(values.__getitem__, op._operands))
         try:
             inferred = opdef.transfer(op, operands, analysis)
         except AnalysisError as err:

@@ -36,6 +36,10 @@ from repro.ir.rewrite import (
     apply_patterns_worklist,
 )
 
+#: Rounds :class:`CanonicalizePass` makes before it calls the pattern set
+#: non-converging.
+MAX_ROUNDS = 16
+
 
 def constant_value(value: Value):
     """The compile-time constant behind ``value``, or None.
@@ -142,28 +146,27 @@ class CanonicalizePass(Pass):
     dead-code sweep runs between the rounds.
 
     The fixpoint is guaranteed: the pass loops until a full round changes
-    nothing, and raises :class:`~repro.errors.IRError` if ``max_rounds``
-    rounds still leave the module changing (a non-converging pattern set),
-    rather than silently returning non-canonical IR.
+    nothing, and raises :class:`~repro.errors.IRError` if
+    :data:`MAX_ROUNDS` rounds still leave the module changing (a
+    non-converging pattern set), rather than silently returning
+    non-canonical IR.
     """
 
     name = "canonicalize"
 
-    def __init__(self, registry: Optional[DialectRegistry] = None,
-                 max_rounds: int = 16):
+    def __init__(self, registry: Optional[DialectRegistry] = None):
         self.registry = registry or REGISTRY
-        self.max_rounds = max_rounds
 
     def run(self, module: Module) -> None:
         patterns = canonical_pattern_set(self.registry)
         cse = CommonSubexpressionElimination()
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             changed = apply_patterns_worklist(module, patterns)
             changed |= cse.run(module)
             if not changed:
                 return
         raise IRError(
-            f"canonicalization did not converge in {self.max_rounds} rounds"
+            f"canonicalization did not converge in {MAX_ROUNDS} rounds"
         )
 
 

@@ -300,10 +300,6 @@ class Block:
         self.args.append(arg)
         return arg
 
-    @property
-    def terminator(self) -> Optional[Operation]:
-        return self.operations[-1] if self.operations else None
-
     def __iter__(self) -> Iterator[Operation]:
         return iter(self.operations)
 

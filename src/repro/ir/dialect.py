@@ -4,7 +4,8 @@ A :class:`Dialect` groups :class:`OpDef` entries.  Registration is optional
 for *constructing* IR (the core is fully generic) but required for
 *verification*: :func:`repro.ir.verifier.verify` checks every op whose
 dialect is registered against its definition (arity, regions, required
-attributes, custom verifier).
+attributes, custom verifier) and rejects a name the dialect does not
+define.
 
 This mirrors MLIR's ODS layer at a level of detail appropriate for the SDK.
 """

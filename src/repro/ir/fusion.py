@@ -128,7 +128,8 @@ def _written_buffers(root: Operation) -> Optional[List[Value]]:
     """Buffers written anywhere under ``root`` (stores and copy dests).
 
     Returns None when ``root`` contains an op with *unknown* side effects
-    (e.g. ``func.call``): callers must then assume everything is written.
+    (one outside the known memory ops that is not pure): callers must then
+    assume everything is written.
     """
     written: List[Value] = []
     for op in root.walk():
@@ -310,10 +311,3 @@ class FusionPass(Pass):
         alloc.erase()
         self._written.pop(consumer, None)
         return True
-
-
-def fuse_module(module: Module) -> int:
-    """Run :class:`FusionPass` once; returns the number of fused buffers."""
-    fusion = FusionPass()
-    fusion.run(module)
-    return fusion.fused

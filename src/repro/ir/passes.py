@@ -1,4 +1,4 @@
-"""Pass infrastructure: the :class:`Pass` base and the stock DCE/CSE passes.
+"""Pass infrastructure: the :class:`Pass` base and the stock CSE pass.
 
 Passes transform a :class:`~repro.ir.core.Module` in place; a caller
 runs them in sequence itself (the pipeline's ``canonicalize`` stage does,
@@ -30,38 +30,8 @@ class Pass:
 
 # -- stock passes ----------------------------------------------------------------
 #
-# DCE and CSE only ever erase; ``run`` returns whether anything was, so a
-# driver iterating them to a fixpoint need not re-count the module.
-
-
-class DeadCodeElimination(Pass):
-    """Erase pure ops whose results are all unused (iteratively).
-
-    Ops carrying the ``interface`` trait (kernel arguments, declarations)
-    are part of a function's contract and survive even when unused.
-    """
-
-    name = "dce"
-
-    def run(self, module: Module) -> bool:
-        opdefs = REGISTRY.opdefs
-        changed = False
-        progress = True
-        while progress:
-            progress = False
-            for op in list(module.walk()):
-                if not op.results or op.parent is None:
-                    continue
-                for result in op.results:
-                    if result.uses:
-                        break
-                else:
-                    opdef = opdefs.get(op.name)
-                    if (opdef is not None and "pure" in opdef.traits
-                            and "interface" not in opdef.traits):
-                        op.erase()
-                        progress = changed = True
-        return changed
+# CSE only ever erases; ``run`` returns whether anything was, so a driver
+# iterating it to a fixpoint need not re-count the module.
 
 
 _EXACT_KEY = attrgetter("exact_key")

@@ -7,8 +7,9 @@ Checks performed by :func:`verify`:
   used by structured ops such as loops);
 * def-use bookkeeping is consistent;
 * ops whose dialect is registered in the global
-  :data:`repro.ir.dialect.REGISTRY` satisfy their :class:`OpDef`
-  (arity, region count, required attributes, custom verifier);
+  :data:`repro.ir.dialect.REGISTRY` are ops that dialect defines, and
+  satisfy their :class:`OpDef` (arity, region count, required attributes,
+  custom verifier);
 * ops carrying the ``terminator`` trait appear only at the end of a block.
 
 Every error message carries the offending op's breadcrumb path
@@ -24,7 +25,7 @@ that single forward pass complete: no abstract is read before it is written.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from repro.errors import IRError
 from repro.ir.analysis import (
@@ -35,12 +36,12 @@ from repro.ir.analysis import (
     transfer_op,
 )
 from repro.ir.core import Module, Operation, Value
-from repro.ir.dialect import REGISTRY, DialectRegistry, OpDef
+from repro.ir.dialect import REGISTRY, DialectRegistry
 
 
 def verify(module: Module, registry: Optional[DialectRegistry] = None) -> None:
     """Verify a module; raises :class:`IRError` on the first violation."""
-    _verify_op(module.op, set(), (registry or REGISTRY).opdefs, None)
+    _verify_op(module.op, set(), registry or REGISTRY, None)
 
 
 def verify_typed(
@@ -56,14 +57,14 @@ def verify_typed(
     the one on the earlier op (in walk order) is reported.
     """
     analysis = ModuleAnalysis()
-    _verify_op(module.op, set(), (registry or REGISTRY).opdefs, analysis)
+    _verify_op(module.op, set(), registry or REGISTRY, analysis)
     return analysis
 
 
 def _verify_op(
     op: Operation,
     visible: Set[Value],
-    opdefs: Dict[str, OpDef],
+    registry: DialectRegistry,
     analysis: Optional[ModuleAnalysis],
 ) -> None:
     for idx, operand in enumerate(op._operands):
@@ -78,8 +79,13 @@ def _verify_op(
                 f"{op.name}: def-use bookkeeping broken at operand #{idx} "
                 f"at {op_path(op)}"
             )
-    opdef = opdefs.get(op.name)
-    if opdef is not None:
+    opdef = registry.opdefs.get(op.name)
+    if opdef is None:
+        dialect = op.name.partition(".")[0]
+        if dialect in registry.dialects:
+            raise IRError(f"{op.name}: the registered {dialect!r} dialect "
+                          f"defines no such op at {op_path(op)}")
+    else:
         try:
             opdef.check(op)
         except AnalysisError:
@@ -106,6 +112,6 @@ def _verify_op(
                 for arg in block.args:
                     analysis.values[arg] = from_type(arg.type)
             for child in block.operations:
-                _verify_op(child, inner, opdefs, analysis)
+                _verify_op(child, inner, registry, analysis)
                 if child.results:
                     inner.update(child.results)

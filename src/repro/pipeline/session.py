@@ -236,10 +236,14 @@ class PipelineSession:
 
         ``opt_level`` selects the optimization pipeline: 0 is the raw
         lowering, 1 (default) canonicalizes (fold + DCE + CSE through the
-        worklist rewriter), 2 additionally inlines ``func.call`` ops.  Only
-        the ``canonicalize`` result is cached: on a miss its leader runs the
-        uncached ``dialect-lowering`` and optimizes that module in place.
+        worklist rewriter) and fuses; any other value raises
+        :class:`PipelineError`.  Only the ``canonicalize`` result is
+        cached: on a miss its leader runs the uncached ``dialect-lowering``
+        and optimizes that module in place.
         """
+        if opt_level not in (0, 1):
+            raise PipelineError(
+                f"opt_level must be 0 or 1, got {opt_level!r}")
         parse_key, kernel = self.frontend(source)
         params = {"canonicalize": opt_level > 0}
         key, module = self.run_stage(

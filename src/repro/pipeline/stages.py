@@ -5,9 +5,9 @@ Each function here implements one :class:`repro.pipeline.Stage`:
 ========================  =====================================================
 ``frontend-parse``        EKL source text -> kernel AST (§V-A1)
 ``dialect-lowering``      kernel AST -> verified ``affine`` module (Fig. 5)
-``canonicalize``          affine module -> canonicalized (and, at ``-O2``,
-                          inlined) module; each sub-pass is a ``pass``
-                          span while tracing is on
+``canonicalize``          affine module -> canonicalized and fused module;
+                          each sub-pass is a ``pass`` span while tracing
+                          is on
 ``execute``               affine module -> :class:`CompiledKernel`, the
                           vectorized-numpy CPU executor (the HLS flow's
                           host-side analog)
@@ -131,23 +131,18 @@ def stage_canonicalize(module: Any, *, opt_level: int = 1) -> Any:
 
     Optimizes ``module`` in place and returns it: the session hands it an
     uncached raw lowering that nothing else holds.  ``opt_level`` 0 is the
-    identity; 2 adds the function inliner before canonicalization.  Each
-    sub-pass runs in a ``canonicalize/{inline,rewrite,fuse}`` span
+    identity; 1 canonicalizes, then fuses.  Each sub-pass runs in a
+    ``canonicalize/{rewrite,fuse}`` span
     (category ``pass``) so ``basecamp pipeline`` can show where
     optimization time went.
     """
     import repro.dialects  # noqa: F401 (registration side effect)
-    from repro.ir import CanonicalizePass, FusionPass, InlinePass, verify_typed
+    from repro.ir import CanonicalizePass, FusionPass, verify_typed
     from repro.telemetry.trace import get_tracer
 
     if opt_level <= 0:
         return module
     tracer = get_tracer()
-    if opt_level >= 2:
-        inliner = InlinePass()
-        with tracer.span("canonicalize/inline", category="pass") as span:
-            inliner.run(module)
-            span.set("detail", f"{inliner.inlined} call(s)")
     with tracer.span("canonicalize/rewrite", category="pass"):
         CanonicalizePass().run(module)
     fusion = FusionPass()
@@ -238,7 +233,7 @@ def builtin_stages() -> List[Stage]:
         Stage("dialect-lowering", stage_dialect_lowering,
               "kernel AST -> verified affine module", cacheable=False),
         Stage("canonicalize", stage_canonicalize,
-              "fold/DCE/CSE (+ inlining at -O2) on the lowered module"),
+              "fold/DCE/CSE, then fusion, on the lowered module"),
         Stage("execute", stage_execute,
               "affine module -> compiled CPU executor (vectorized numpy)"),
         Stage("hls", stage_hls,

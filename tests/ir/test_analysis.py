@@ -47,7 +47,6 @@ from repro.ir import (  # noqa: E402
     AnalysisError,
     Builder,
     Module,
-    analyze_module,
     from_type,
     op_path,
     parse_module,
@@ -250,7 +249,7 @@ def test_alloc_carries_zero_init_constant():
     b = Builder.at_end(func.regions[0].blocks[0])
     buf = b.create("memref.alloc", [], [T.MemRefType((8,), T.f64)]).result
     b.create("func.return", [], [])
-    analysis = analyze_module(module)
+    analysis = verify_typed(module)
     assert analysis.of(buf).const == MEMREF_ALLOC_ZERO_INIT
     assert analysis.of(buf).shape == (8,)
 
@@ -303,6 +302,23 @@ def test_broken_def_use_bookkeeping_message_has_path():
     assert f"at {op_path(add)}" in message
 
 
+@pytest.mark.parametrize("check", [verify, verify_typed])
+@pytest.mark.parametrize("name", ["arith.adf", "func.call"])
+def test_unknown_op_of_a_registered_dialect_message_has_path(check, name):
+    """A misspelled op, or one the SDK no longer defines, used to pass."""
+    module = Module()
+    b = Builder.at_end(module.body)
+    c = b.create("arith.constant", [], [T.f64], {"value": 1.0})
+    stray = b.create(name, [c.result, c.result], [T.f64])
+    b.create("fuzz.use", [stray.result], [])  # an unregistered dialect
+    with pytest.raises(IRError) as err:
+        check(module)
+    message = str(err.value)
+    dialect = name.split(".")[0]
+    assert f"registered '{dialect}' dialect defines no such op" in message
+    assert f"at {op_path(stray)}" in message
+
+
 def test_terminator_mid_block_message_has_path():
     module = Module()
     body = Block([T.index])
@@ -328,12 +344,8 @@ def test_single_pass_matches_fixpoint_oracle_on_goldens(golden):
     module = parse_module(
         (Path(__file__).parent / "golden" / golden).read_text())
     typed = verify_typed(module)
-    standalone = analyze_module(module)
-    assert typed.iterations == standalone.iterations == 1
-    assert typed.early_reads == standalone.early_reads == 0
     assert analyze_module_fixpoint(module).iterations == 2
     assert analysis_mismatches(module, typed) == []
-    assert analysis_mismatches(module, standalone) == []
     assert typed.values  # the comparison is not vacuous
 
 
@@ -362,13 +374,10 @@ def _reversed_chain(extent_of_other=None):
 
 def test_use_before_def_still_converges_to_the_oracle_facts():
     module, top, mid = _reversed_chain()
-    analysis = analyze_module(module)
-    assert analysis.early_reads == 2
-    assert analysis.iterations == analyze_module_fixpoint(module).iterations
-    assert analysis.iterations == 4  # three to propagate, one to confirm
-    assert analysis.of(mid.result).shape == (4,)
-    assert analysis.of(top.result).shape == (4,)
-    assert analysis_mismatches(module, analysis) == []
+    oracle = analyze_module_fixpoint(module)
+    assert oracle.iterations == 4  # three to propagate, one to confirm
+    assert oracle.of(mid.result).shape == (4,)
+    assert oracle.of(top.result).shape == (4,)
 
 
 def test_use_before_def_error_in_a_later_pass_matches_the_oracle():
@@ -377,11 +386,8 @@ def test_use_before_def_error_in_a_later_pass_matches_the_oracle():
     module, top, _ = _reversed_chain(extent_of_other=5)
     with pytest.raises(AnalysisError) as oracle:
         analyze_module_fixpoint(module)
-    with pytest.raises(AnalysisError) as single:
-        analyze_module(module)
-    assert str(single.value) == str(oracle.value)
-    assert "disagree on extent of dimension 0: [4, 5]" in str(single.value)
-    assert str(single.value).startswith(op_path(top))
+    assert "disagree on extent of dimension 0: [4, 5]" in str(oracle.value)
+    assert str(oracle.value).startswith(op_path(top))
 
 
 # -- fuzz campaign -----------------------------------------------------------

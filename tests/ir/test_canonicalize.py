@@ -11,7 +11,6 @@ from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
 from repro.ir import (
     Builder,
     CanonicalizePass,
-    DeadCodeElimination,
     Module,
     build_func,
     constant_value,
@@ -26,6 +25,7 @@ sys.path.insert(
 )
 
 from irfuzz import generate_ekl_case, generate_module  # noqa: E402
+from oracles import dce_sweep  # noqa: E402
 
 N_SEEDS = 200
 
@@ -213,7 +213,6 @@ class TestPassComposition:
         fb.create("ekl.arg", [], [T.tensor_of(T.f64, 4)],
                   {"name": "unused", "axes": ["i"]})
         fb.create("func.return", [])
-        DeadCodeElimination().run(m)
         _canon(m)
         names = [op.name for op in m.body.operations[0].regions[0].entry]
         assert "ekl.arg" in names
@@ -264,11 +263,11 @@ class TestCanonicalLeavesNoDeadOp:
             CanonicalizePass().run(affine)
             # The raw chain canonicalizes nothing on the way.
             for module in (esn, teil, affine) if canonicalize else (affine,):
-                assert DeadCodeElimination().run(module) is False, \
+                assert dce_sweep(module) is False, \
                     (canonicalize, source)
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_generic_module(self, seed):
         module = generate_module(seed)
         CanonicalizePass().run(module)
-        assert DeadCodeElimination().run(module) is False
+        assert dce_sweep(module) is False

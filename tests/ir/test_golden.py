@@ -8,6 +8,8 @@ snapshots deliberately with::
     pytest tests/ir/test_golden.py --update-golden
 """
 
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,8 +21,14 @@ from repro.frontends.cfdlang import (
 )
 from repro.frontends.ekl import parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
-from repro.ir import DeadCodeElimination, print_module, verify
+from repro.ir import print_module, verify
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "tools")
+)
+
+from oracles import dce_sweep  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -98,8 +106,7 @@ class TestEKLGolden:
         """The lowerings canonicalize without a dead-code sweep; nothing
         is left for one to erase."""
         for stage in ("esn", "teil", "affine"):
-            assert DeadCodeElimination().run(
-                ekl_stages[stage].clone()) is False, stage
+            assert dce_sweep(ekl_stages[stage].clone()) is False, stage
 
 
 class TestCFDlangGolden:
@@ -121,4 +128,4 @@ class TestCFDlangGolden:
         ))
         verify(module)
         _check(request, "cfd_matvec_affine", print_module(module))
-        assert DeadCodeElimination().run(module) is False
+        assert dce_sweep(module) is False

@@ -1,4 +1,4 @@
-"""Tests for DCE, CSE and the rewrite drivers."""
+"""Tests for dead-op erasure, CSE and the rewrite drivers."""
 
 import os
 import sys
@@ -10,7 +10,7 @@ from repro.ir import (
     Builder,
     CanonicalizePass,
     CommonSubexpressionElimination,
-    DeadCodeElimination,
+    EraseTriviallyDead,
     Module,
     PatternRewriter,
     RewritePattern,
@@ -36,6 +36,9 @@ def _func_with_body(op_count=0):
 
 
 class TestDCE:
+    """``CanonicalizePass`` erases dead ops through the worklist's
+    ``EraseTriviallyDead``."""
+
     def test_removes_unused_pure_op(self):
         m, entry, fb = _func_with_body()
         dead = fb.create("arith.mulf", [entry.args[0], entry.args[0]],
@@ -43,7 +46,7 @@ class TestDCE:
         live = fb.create("arith.addf", [entry.args[0], entry.args[0]],
                          [T.f64])
         fb.create("func.return", [live.result])
-        DeadCodeElimination().run(m)
+        CanonicalizePass().run(m)
         names = [op.name for op in entry]
         assert "arith.mulf" not in names
         assert "arith.addf" in names
@@ -53,14 +56,14 @@ class TestDCE:
         a = fb.create("arith.addf", [entry.args[0], entry.args[0]], [T.f64])
         b = fb.create("arith.mulf", [a.result, a.result], [T.f64])
         fb.create("func.return", [entry.args[0]])
-        DeadCodeElimination().run(m)
+        CanonicalizePass().run(m)
         assert len(entry) == 1  # only the return remains
 
     def test_keeps_impure_ops(self):
         m = Module()
         b = Builder.at_end(m.body)
         b.create("memref.alloc", [], [T.memref_of(T.f64, 4)])
-        DeadCodeElimination().run(m)
+        CanonicalizePass().run(m)
         assert len(m.body) == 1
 
 
@@ -190,13 +193,13 @@ class TestCSEKeepsDistinctConstantsApart:
         live = fb.create("arith.addf", [entry.args[0], entry.args[0]],
                          [T.f64])
         fb.create("func.return", [live.result])
-        assert DeadCodeElimination().run(m) is False
+        assert apply_patterns_worklist(m, [EraseTriviallyDead()]) is False
         assert CommonSubexpressionElimination().run(m) is False
         fb = Builder.before(entry.operations[-1])
         fb.create("arith.addf", [entry.args[0], entry.args[0]], [T.f64])
         assert CommonSubexpressionElimination().run(m) is True
         fb.create("arith.mulf", [entry.args[0], entry.args[0]], [T.f64])
-        assert DeadCodeElimination().run(m) is True
+        assert apply_patterns_worklist(m, [EraseTriviallyDead()]) is True
 
 
 class _FoldDoubleNeg(RewritePattern):

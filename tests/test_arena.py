@@ -32,7 +32,7 @@ from repro.frontends.cfdlang import (
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
 from repro.hls import synthesize_kernel
-from repro.ir import CanonicalizePass, FusionPass, analyze_module
+from repro.ir import CanonicalizePass, FusionPass, verify_typed
 from repro.ir.analysis import MEMREF_ALLOC_ZERO_INIT
 from repro.olympus import (
     OlympusGenerator,
@@ -200,7 +200,7 @@ def test_fuzz_exec_200_seeds_through_arena_backend():
 
 def test_analysis_records_zero_init_contract():
     module, name = _lower_ekl(CHAIN)
-    analysis = analyze_module(module)
+    analysis = verify_typed(module)
     allocs = [op for op in module.lookup(name).regions[0].entry.operations
               if op.name == "memref.alloc"]
     assert allocs

@@ -15,7 +15,7 @@ import pytest
 
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
-from repro.ir import Builder, CanonicalizePass, InlinePass, verify
+from repro.ir import Builder, CanonicalizePass, verify
 from repro.ir import types as T
 from repro.ir.core import Block, Module, Operation, Region
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
@@ -44,8 +44,6 @@ def optimized(module, opt_level):
     if opt_level == 0:
         return module
     clone = module.clone()
-    if opt_level >= 2:
-        InlinePass().run(clone)
     CanonicalizePass().run(clone)
     return clone
 
@@ -103,7 +101,7 @@ kernel k {
 
 
 class TestCompiledExecutor:
-    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    @pytest.mark.parametrize("opt_level", [0, 1])
     def test_elementwise_bitwise(self, opt_level):
         _, module = compile_raw(ELEMENTWISE)
         module = optimized(module, opt_level)
@@ -112,7 +110,7 @@ class TestCompiledExecutor:
         assert compiled.backend == "compiled"
         assert compiled.vectorized_nests > 0
 
-    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    @pytest.mark.parametrize("opt_level", [0, 1])
     def test_contraction_bitwise(self, opt_level):
         rng = np.random.default_rng(0)
         _, module = compile_raw(CONTRACTION)
@@ -135,7 +133,7 @@ class TestCompiledExecutor:
             sequential = sequential + v * v
         np.testing.assert_array_equal(got, sequential)
 
-    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    @pytest.mark.parametrize("opt_level", [0, 1])
     def test_gather_advanced_indexing(self, opt_level):
         _, module = compile_raw(GATHER)
         module = optimized(module, opt_level)
@@ -144,7 +142,7 @@ class TestCompiledExecutor:
             {"idx": np.array([0, 8, 3, 3]), "table": np.arange(9.0)})
         assert compiled.backend == "compiled"
 
-    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    @pytest.mark.parametrize("opt_level", [0, 1])
     def test_fig3_bitwise(self, opt_level, rrtmg_inputs):
         _, module = compile_raw(FIG3_MAJOR_ABSORBER)
         module = optimized(module, opt_level)

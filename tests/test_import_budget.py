@@ -61,7 +61,7 @@ _IR = """
     repro.ir repro.ir.analysis repro.ir.attributes repro.ir.builder
     repro.ir.canonicalize repro.ir.core repro.ir.dialect repro.ir.fusion
     repro.ir.parser repro.ir.passes repro.ir.printer repro.ir.rewrite
-    repro.ir.symbols repro.ir.types repro.ir.verifier
+    repro.ir.types repro.ir.verifier
     repro.dialects repro.dialects.builtin repro.dialects.system
     repro.dialects.tensorlang
 """

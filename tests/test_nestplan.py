@@ -298,7 +298,7 @@ def test_unknown_side_effects_between_nests_end_the_group():
     t = fn.alloc(n)
     with fn.loop(n) as i:
         fn.store(fn.load(fn.arg["a"], i), t, i)
-    call = fn.builder.create("func.call", [fn.arg["a"]], [],
+    call = fn.builder.create("ext.call", [fn.arg["a"]], [],
                              {"callee": "elsewhere"})
     with fn.loop(n) as i:
         fn.store(fn.load(t, i), fn.arg["out"], i)

@@ -749,13 +749,21 @@ class TestRawLoweringIsNotCached:
         assert session.lower(FIG3_MAJOR_ABSORBER).module is not None
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("opt_level", [2, -1, 7])
+    def test_opt_level_outside_0_and_1_is_refused(self, opt_level):
+        session = PipelineSession()
+        with pytest.raises(PipelineError, match="opt_level"):
+            session.lower(FIG3_MAJOR_ABSORBER, opt_level=opt_level)
+        with pytest.raises(PipelineError, match="opt_level"):
+            session.execute(FIG3_MAJOR_ABSORBER, {}, opt_level=opt_level)
+        assert len(session.cache) == 0
+
     def test_other_opt_levels_leave_the_cached_module_alone(self):
         session = PipelineSession()
         cached = session.lower(FIG3_MAJOR_ABSORBER, opt_level=1).module
         text = print_module(cached)
-        for opt_level in (2, 0):
-            assert session.lower(FIG3_MAJOR_ABSORBER,
-                                 opt_level=opt_level).module is not cached
+        assert session.lower(FIG3_MAJOR_ABSORBER,
+                             opt_level=0).module is not cached
         assert session.lower(FIG3_MAJOR_ABSORBER,
                              opt_level=1).module is cached
         assert print_module(cached) == text

@@ -331,9 +331,15 @@ class TestService:
             BasecampService().handle("compile", {})
 
     def test_bad_opt_level_rejected(self):
-        with pytest.raises(EverestError, match="opt_level"):
-            BasecampService().handle(
-                "compile", {"source": ADD, "opt_level": 9})
+        """An EverestError is the daemon's 400; 2 was the inliner's level
+        and -1 used to run as 0."""
+        service = BasecampService()
+        for level in (9, 2, -1):
+            for endpoint in ("compile", "execute"):
+                with pytest.raises(EverestError,
+                                   match=r"'opt_level' must be in \[0, 1\]"):
+                    service.handle(endpoint, {"source": ADD,
+                                              "opt_level": level})
 
     def test_default_opt_level_is_the_explicit_one(self):
         service = BasecampService()

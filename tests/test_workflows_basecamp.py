@@ -321,6 +321,20 @@ class TestBasecampCLI(object):
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("level", ["2", "-1"])
+    @pytest.mark.parametrize("command", ["compile", "pipeline", "run"])
+    def test_opt_level_outside_0_and_1_is_a_usage_error(
+            self, capsys, tmp_path, command, level):
+        """``--opt-level 2`` ran an inliner that had no call to inline."""
+        source = tmp_path / "k.ekl"
+        source.write_text(FIG3_MAJOR_ABSORBER)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(source), "--opt-level", level])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --opt-level: invalid choice" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("spec, reason", [
         ("node9@1.0", "name='node9': unknown node"),
     ])

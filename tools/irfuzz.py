@@ -352,7 +352,7 @@ def check_executor(seed: int, backend: str = "compiled") -> None:
         lower_ekl_to_esn,
         lower_kernel_to_ekl,
     )
-    from repro.ir import CanonicalizePass, FusionPass, InlinePass
+    from repro.ir import CanonicalizePass, FusionPass
     from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
     from repro.tensorpipe.affine_interp import run_affine
     from repro.tensorpipe.codegen import compile_affine
@@ -370,11 +370,9 @@ def check_executor(seed: int, backend: str = "compiled") -> None:
     )
     verify(raw)
     snapshot = {name: value.tobytes() for name, value in inputs.items()}
-    for opt_level in (0, 1, 2):
+    for opt_level in (0, 1):
         module = raw if opt_level == 0 else raw.clone()
-        if opt_level >= 2:
-            InlinePass().run(module)
-        if opt_level >= 1:
+        if opt_level == 1:
             CanonicalizePass().run(module)
             FusionPass().run(module)
             verify(module)
@@ -417,9 +415,8 @@ def check_analysis(seed: int) -> None:
     Lowers a random EKL kernel stage by stage and runs the typed verifier
     (:func:`repro.ir.verifier.verify_typed`) on every level — ekl, esn,
     teil and affine.  A raise at any level on generated-valid input is an
-    analysis false positive.  At every level the facts of the single
-    forward pass — through ``verify_typed`` and through standalone
-    ``analyze_module`` — must equal the run-to-fixpoint oracle's
+    analysis false positive.  At every level the facts of its single
+    forward pass must equal the run-to-fixpoint oracle's
     (``tools/oracles.py``), value by value.  The affine-level abstracts
     are then checked against ground truth: every function argument's
     inferred shape/dtype must match its declared memref *and* the arrays the compiled executor
@@ -436,7 +433,7 @@ def check_analysis(seed: int) -> None:
     )
     from oracles import analysis_mismatches  # tools/ is on sys.path
 
-    from repro.ir import analyze_module, verify_typed
+    from repro.ir import verify_typed
     from repro.ir.analysis import MEMREF_ALLOC_ZERO_INIT
     from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
     from repro.tensorpipe.affine_interp import _dtype_for
@@ -458,15 +455,12 @@ def check_analysis(seed: int) -> None:
                 f"seed {seed}: typed verifier rejected the valid {label} "
                 f"module (analysis false positive): {error}\n{source}"
             ) from error
-        for entry_point, facts in (("verify_typed", analysis),
-                                   ("analyze_module",
-                                    analyze_module(module))):
-            mismatches = analysis_mismatches(module, facts)
-            if mismatches:
-                raise AssertionError(
-                    f"seed {seed}: {entry_point} on the {label} module "
-                    "disagrees with the run-to-fixpoint oracle:\n"
-                    + "\n".join(mismatches) + f"\n{source}")
+        mismatches = analysis_mismatches(module, analysis)
+        if mismatches:
+            raise AssertionError(
+                f"seed {seed}: verify_typed on the {label} module "
+                "disagrees with the run-to-fixpoint oracle:\n"
+                + "\n".join(mismatches) + f"\n{source}")
 
     func = affine.lookup(kernel.name)
     entry = func.regions[0].entry
@@ -523,7 +517,7 @@ def compile_dump(start: int, count: int) -> str:
 
     Cases: the Fig. 3 kernel, the 40 shapes of ``bench/gen.py`` (constants
     drawn from ``random.Random(shape index)``) and the EKL kernels of
-    seeds ``start .. start + count - 1``.  Per case and per opt level 0-2:
+    seeds ``start .. start + count - 1``.  Per case and per opt level 0-1:
     the IR after ``dialect-lowering`` and after ``canonicalize``, the HLS
     report (its full ``repr``) under f64 and f32, and the generated numpy
     and C sources.  The C source is emitted as if every probed op passed
@@ -551,7 +545,7 @@ def compile_dump(start: int, count: int) -> str:
     out: List[str] = []
     for label, source in cases:
         kernel = stage_frontend_parse(source)
-        for opt_level in (0, 1, 2):
+        for opt_level in (0, 1):
             head = f"==== {label} O{opt_level}"
             module = stage_dialect_lowering(kernel,
                                             canonicalize=opt_level > 0)

@@ -9,11 +9,16 @@ or the daemon.
   that :func:`repro.ir.rewrite.apply_patterns_worklist` superseded
   (differential in ``tests/ir/test_rewrite.py``, speedup budget in
   ``benchmarks/bench_ir_canonicalize.py``);
+* :func:`dce_sweep` — the standalone dead-code sweep (re-walk the whole
+  module until a walk erases nothing) that the worklist's
+  :class:`repro.ir.canonicalize.EraseTriviallyDead` superseded ("nothing
+  left dead" checks in ``tests/ir/test_canonicalize.py`` and
+  ``tests/ir/test_golden.py``);
 * :func:`analyze_module_fixpoint` — the run-to-fixpoint abstract
   interpreter (every pass re-visits every op until one changes nothing)
-  that the single forward pass of :func:`repro.ir.analysis.analyze_module`
-  / :func:`repro.ir.verifier.verify_typed` superseded (value-by-value
-  differential in ``tests/ir/test_analysis.py``);
+  that the single forward pass of :func:`repro.ir.verifier.verify_typed`
+  superseded (value-by-value differential in
+  ``tests/ir/test_analysis.py``);
 * :func:`list_schedule_scan` — HLS list scheduling that rescans every
   unscheduled node on every cycle, which the event-driven ready list of
   :func:`repro.hls.scheduling.list_schedule` superseded (``Schedule``
@@ -44,6 +49,7 @@ standalone differential; nothing under ``src/`` fills them in by default.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import HLSError, IRError, RuntimeSchedulingError
@@ -115,15 +121,50 @@ def apply_patterns_sweep(
         f"pattern application did not converge in {max_iterations} sweeps")
 
 
+def dce_sweep(module: Module) -> bool:
+    """Erase pure ops whose results are all unused, re-walking the whole
+    module until a walk erases nothing; returns whether anything was.
+
+    Ops carrying the ``interface`` trait (kernel arguments, declarations)
+    are part of a function's contract and survive even when unused.
+    """
+    opdefs = REGISTRY.opdefs
+    changed = False
+    progress = True
+    while progress:
+        progress = False
+        for op in list(module.walk()):
+            if not op.results or op.parent is None:
+                continue
+            for result in op.results:
+                if result.uses:
+                    break
+            else:
+                opdef = opdefs.get(op.name)
+                if (opdef is not None and "pure" in opdef.traits
+                        and "interface" not in opdef.traits):
+                    op.erase()
+                    progress = changed = True
+    return changed
+
+
+@dataclass
+class FixpointAnalysis(ModuleAnalysis):
+    """What :func:`analyze_module_fixpoint` returns: the facts and the
+    number of whole-module passes it made."""
+
+    iterations: int = 0
+
+
 def analyze_module_fixpoint(
     module: Module,
     registry: Optional[DialectRegistry] = None,
     max_iterations: int = 8,
-) -> ModuleAnalysis:
+) -> FixpointAnalysis:
     """Abstract interpretation by whole-module passes until one pass
     changes no value (so at least two, the last only confirming)."""
     reg = registry if registry is not None else REGISTRY
-    analysis = ModuleAnalysis()
+    analysis = FixpointAnalysis()
     for iteration in range(1, max_iterations + 1):
         analysis.iterations = iteration
         if not _fixpoint_visit(module.op, reg, analysis):

@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 # ``basecamp`` arguments; {ekl}, {rust} and {csv} name input files.
-CLI = ["compile {ekl} --emit mlir --opt-level 2",
+CLI = ["compile {ekl} --emit mlir",
        "synthesize {ekl} --format posit<16,1>", "olympus {ekl}",
        "pipeline {ekl} --nodes 2 --trace {tmp}/trace.json",
        "run {ekl} --random-seed 0 --backend cbackend --time", "dialects",
