@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-steps bench-smoke bench-runtime bench-ir bench-exec \
+.PHONY: test test-steps bench-runtime bench-ir bench-exec \
 	bench-selftest serve-smoke fuzz-smoke fuzz-exec-smoke \
 	fuzz-analyze-smoke fuzz-runtime-smoke fuzz-runtime \
 	fuzz-runtime-parent fuzz-ir-parent coverage reach \
@@ -36,10 +36,6 @@ test-steps: lint
 	$(MAKE) bench-selftest
 	$(MAKE) examples
 
-# bench_*.py does not match pytest's default file glob; list explicitly.
-bench-smoke:
-	$(PYTHON) -m pytest -x -q --benchmark-disable benchmarks/bench_*.py
-
 # `python3 -m bench` is the repository's benchmark (latency, call
 # counts, memory, the per-layer table).  The three targets below are
 # differential checks against the oracles in tools/oracles.py: results
@@ -52,24 +48,20 @@ bench-smoke:
 # BENCH_SCALE_FULL=1 re-runs the headline 100k-task / 1,000-node
 # measurement (about half an hour, most of it the baseline scan).
 bench-runtime:
-	$(PYTHON) -m pytest -x -q --benchmark-disable \
-		benchmarks/bench_runtime_engine.py \
-		benchmarks/bench_claim_runtime_scheduler.py
+	$(PYTHON) -m pytest -x -q benchmarks/bench_runtime_engine.py
 	@echo "results recorded in benchmarks/out/runtime_engine.json"
 
 # Worklist rewriter vs. the full-sweep oracle (apply_patterns_sweep) on
 # a >=2,000-op module.
 bench-ir:
-	$(PYTHON) -m pytest -x -q --benchmark-disable \
-		benchmarks/bench_ir_canonicalize.py
+	$(PYTHON) -m pytest -x -q benchmarks/bench_ir_canonicalize.py
 	@echo "results recorded in benchmarks/out/ir_canonicalize.json"
 
 # Compiled affine executor vs. the interpreter on the Fig. 3 kernel
 # (bit-identical, >= 50x faster, HLS FLOP cross-check) and the fused vs.
 # unfused chain kernel (medians apart by more than either IQR).
 bench-exec:
-	$(PYTHON) -m pytest -x -q --benchmark-disable \
-		benchmarks/bench_affine_exec.py
+	$(PYTHON) -m pytest -x -q benchmarks/bench_affine_exec.py
 	@echo "results recorded in benchmarks/out/affine_exec.json"
 
 # The bench/ package's own tests (not collected by tier-1): a rename

@@ -1,12 +1,14 @@
-"""Benchmark configuration: register dialects, share compiled artifacts,
-and the one measure-and-record helper of the recording benchmarks.
+"""Configuration of the three oracle gates: register dialects, share the
+lowered Fig. 3 kernel and its inputs, and measure and record.
 
 ``bench/`` (``python3 -m bench``) is the repository's benchmark; the
-scripts here are differential and budget *checks* — an oracle agrees with
-the production path and is slower by a stated factor.  The few that keep
-numbers take them with :func:`measure` and write them with
-:func:`record` to ``benchmarks/out/`` (git-ignored, like ``bench/out/``),
-using the estimators and host block of ``bench/``.
+scripts here are differential *checks* run by ``make bench-ir``,
+``bench-exec`` and ``bench-runtime`` — an oracle agrees with the
+production path and is slower by a stated factor.  Each takes its
+numbers with :func:`measure` and writes them with :func:`record` to
+``benchmarks/out/`` (git-ignored, like ``bench/out/``), using the
+estimators and host block of ``bench/``.  The paper's figures and claims
+are tier-1 tests (``tests/claims/``).
 """
 
 import json
@@ -75,7 +77,7 @@ def record(file, section, payload):
 
 @pytest.fixture(scope="session")
 def rrtmg_affine():
-    """The Fig. 3 kernel lowered to affine loops (shared across benches)."""
+    """The Fig. 3 kernel lowered to affine loops (shared across gates)."""
     from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
     from repro.pipeline import PipelineSession
 

@@ -90,10 +90,10 @@ def prepare_inputs(state: AtmosphereState, band: int,
 
 
 def sample_inputs(seed: int = 42) -> Dict[str, np.ndarray]:
-    """Random-but-fixed Fig. 3 kernel inputs for tests and benchmarks.
+    """Random-but-fixed Fig. 3 kernel inputs for tests and oracle gates.
 
-    The single source of the shapes/ranges both suites validate against
-    (the ``rrtmg_inputs`` fixtures in ``tests/`` and ``benchmarks/``
+    The single source of the shapes/ranges both validate against (the
+    ``rrtmg_inputs`` fixtures of ``tests/`` and of the gates' conftest
     both delegate here, so they can never drift apart).
     """
     rng = np.random.default_rng(seed)

@@ -17,8 +17,8 @@ from repro.dialects import tensorlang as _tensorlang  # noqa: F401 (registers)
 from repro.errors import LoweringError
 
 # Edges of the paper's Fig. 5: (source dialect, target dialect).
-# "entry" edges come from frontends (outside MLIR) and are included for the
-# figure-reproduction benchmark; dialect-to-dialect edges are IR passes.
+# "entry" edges come from frontends (outside MLIR) and are included so the
+# graph is the whole figure; dialect-to-dialect edges are IR passes.
 DIALECT_GRAPH: Tuple[Tuple[str, str], ...] = (
     # EVEREST frontends into entry dialects.
     ("ekl-frontend", "ekl"),

@@ -12,8 +12,8 @@ import repro.dialects  # noqa: F401 (import for registration side effect)
 
 @pytest.fixture(scope="session")
 def rrtmg_inputs():
-    """Fig. 3 kernel inputs — the same dict the benchmark suite's
-    fixture builds (one shared source, repro.apps.wrf.rrtmg)."""
+    """Fig. 3 kernel inputs — the same dict the oracle gates' fixture
+    builds (one shared source, repro.apps.wrf.rrtmg)."""
     from repro.apps.wrf.rrtmg import sample_inputs
 
     return sample_inputs()

@@ -240,6 +240,32 @@ class TestDifferential:
         with pytest.raises(ValueError):
             compile_affine(module, func_name, backend="compiled")
 
+    @pytest.mark.parametrize("body, constants", [
+        ("a * max(1.5, 2.5) + min(0.25, 4.0) - pow(2.0, 3.0)",
+         [2.5, 0.25, 8.0]),
+        # A non-finite result from finite operands: the fold declines.
+        ("a + pow(-2.0, 0.5)", [-2.0, 0.5]),
+    ])
+    def test_scalar_folds_match_the_reference(self, body, constants):
+        """``maximumf``/``minimumf``/``powf`` of constants fold at compile
+        time to what every backend and the EKL interpreter compute."""
+        from repro.frontends.ekl import Interpreter
+
+        source = (f"kernel k {{\n  index i: 5\n  input a[i]: f64\n"
+                  f"  output c\n  c = {body}\n}}")
+        session = PipelineSession()
+        module = session.lower(source).module
+        assert [op.attr("value") for op in module.walk()
+                if op.name == "arith.constant"] == constants
+        inputs = {"a": np.linspace(-2.0, 2.0, 5)}
+        with np.errstate(invalid="ignore"):
+            expected = Interpreter(parse_kernel(source)).run(inputs)["c"]
+            for backend in registered_backends():
+                got = session.execute(source, inputs,
+                                      backend=backend).outputs["c"]
+                np.testing.assert_array_equal(got, expected,
+                                              err_msg=backend)
+
 
 REPEATED_OUTPUT = """
 kernel k {

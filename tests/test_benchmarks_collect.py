@@ -1,10 +1,11 @@
 """Every ``benchmarks/bench_*.py`` still imports and collects.
 
-``make bench-smoke`` runs these scripts but is not part of ``make test``,
-so a benchmark that imports a deleted or renamed name would otherwise
-break unnoticed.  One ``pytest --collect-only`` subprocess collects them
-all (imports only, nothing is run); each script is its own test case so
-a failure names the broken benchmark.
+The three oracle gates run only under ``make bench-ir``, ``bench-exec``
+and ``bench-runtime``, so a gate that imports a deleted or renamed name
+would otherwise break unnoticed in a plain ``pytest tests`` run.  One
+``pytest --collect-only`` subprocess collects them all (imports only,
+nothing is run); each script is its own test case so a failure names the
+broken gate.
 """
 
 import os

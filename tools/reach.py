@@ -45,7 +45,7 @@ DAEMON = [("/compile", {"source": SMALL}),
           ("/runtime", {"policy": "all", "nodes": 2, "tasks": [
               {"name": "a"}, {"name": "b", "after": ["a"], "fpga": True}]}),
           ("/stats", None), ("/metrics", None), ("/healthz", None)]
-PYTEST = ["-q", "-p", "no:cacheprovider", "--benchmark-disable"]
+PYTEST = ["-q", "-p", "no:cacheprovider"]
 
 # "module:qualname" -> why the def stays although nothing reaches it.
 # Dunder protocol methods need no entry; constructors do (an unreached
@@ -74,7 +74,6 @@ ALLOWLIST: Dict[str, str] = {
         "null-object parity with Tracer.record_span",
     "repro.telemetry.trace:NullTracer.clear":
         "null-object parity with Tracer.clear",
-    "repro.dialects.builtin:_np_scalar_fold.fold": _NO_GENERATOR,
     "repro.dialects.tensorlang:_transfer_transpose": _NO_GENERATOR,
     "repro.tensorpipe.lower_teil:_LoopGenerator._lower_transpose":
         _NO_GENERATOR,
