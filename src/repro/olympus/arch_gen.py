@@ -5,10 +5,13 @@ FPGA platform description, and generates "a custom infrastructure for
 data movement and organization":
 
 * **PLM buffers** for kernel operands, optionally **double-buffered** so
-  transfers overlap compute (read/execute/write pipelining);
+  transfers overlap compute (read/execute/write pipelining), and a
+  scratch PLM sized by the compiler's arena plan, where buffers with
+  disjoint lifetimes already share bytes (PLM sharing, Pilato et al.);
 * **kernel replication** with the memory bus divided into **lanes** so each
   replica gets private bandwidth (Soldavini et al., TRETS 2023);
-* **data packing** (Iris) raising bus payload efficiency.
+* **data packing** (Iris, :func:`pack_stream`) raising bus payload
+  efficiency.
 
 :meth:`OlympusGenerator.explore` enumerates a kernel's design space; the
 pipeline's ``olympus`` stage picks the lowest-latency point and hands it
@@ -30,7 +33,6 @@ from repro.hls.resources import ResourceBudget
 from repro.hls.synth import KernelReport
 from repro.ir import Builder, Module, Operation, types as T
 from repro.ir.core import Block, Region
-from repro.olympus.packing import pack_stream
 from repro.platforms.device import FPGADevice
 from repro.platforms.memory import MemoryChannelModel, PLMConfig
 
@@ -111,6 +113,16 @@ class SystemArchitecture:
 
     def fits(self) -> bool:
         return self.resources().fits_in(self.device.usable_resources())
+
+
+def pack_stream(element_bits: int, bus_bits: int = 512) -> Tuple[int, float]:
+    """Iris-style vector packing of a homogeneous stream (Soldavini et
+    al., ASPDAC 2023): elements per bus beat and bus efficiency."""
+    if element_bits <= 0:
+        raise OlympusError("element width must be positive")
+    per_beat = max(1, bus_bits // element_bits)
+    efficiency = min(1.0, per_beat * element_bits / bus_bits)
+    return per_beat, efficiency
 
 
 class OlympusGenerator:

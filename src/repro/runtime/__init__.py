@@ -8,8 +8,8 @@
   behind every placement query;
 * :mod:`repro.runtime.engine` — the event-driven runtime engine, the one
   planner: scheduling policies (HEFT, round-robin, min-load) and their
-  cost model, streaming submission, in-loop monitoring and rescheduling;
-* :mod:`repro.runtime.monitor` — node heartbeats and liveness.
+  cost model, streaming submission, and in-loop rescheduling of the work
+  a failed node loses (a node's liveness is its ``alive`` flag).
 
 An FPGA task's time includes ``cluster.SRIOV_OVERHEAD``, the SR-IOV access
 path of Fig. 6's virtualization environment.
@@ -31,7 +31,6 @@ from repro.runtime.engine.policies import (
     ScheduleResult,
     UtilizationReport,
 )
-from repro.runtime.monitor import ClusterMonitor
 from repro.runtime.taskgraph import (
     EverestClient,
     Future,
@@ -45,7 +44,6 @@ __all__ = [
     "Cluster",
     "Node",
     "default_cluster",
-    "ClusterMonitor",
     "UtilizationReport",
     "HEFTScheduler",
     "RoundRobinScheduler",

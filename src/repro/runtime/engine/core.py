@@ -24,10 +24,10 @@ executes real work:
   :meth:`RuntimeEngine.submit_at` / :meth:`RuntimeEngine.call_at` (the
   engine is not thread-safe) — and many jobs interleave on one cluster,
   sharing its capacity through the common timeline index;
-* **monitoring** is in-loop: node heartbeats are recorded as the event
-  clock advances, and when the :class:`~repro.runtime.monitor.ClusterMonitor`
-  reports a dead node the engine automatically re-places every placement
-  lost to the failure.
+* **monitoring** is in-loop: after a node failure or a callback the
+  engine reads the cluster's ``alive`` flags, and for every node that
+  went down it automatically re-places every placement lost to the
+  failure.
 
 Bookkeeping is one :class:`_TaskRecord` per task and plain-tuple events
 (:mod:`~repro.runtime.engine.events`): a task costs the heap push and pop
@@ -36,7 +36,6 @@ of its start and its finish, one handler call each, and its function.
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -50,7 +49,6 @@ from repro.runtime.engine.policies import (
     build_replan_subgraph,
     resolve_policy,
 )
-from repro.runtime.monitor import ClusterMonitor
 from repro.runtime.taskgraph import Future, ResourceRequest, Task, TaskGraph
 from repro.runtime.timeline import NodeTimeline
 from repro.telemetry.trace import get_tracer
@@ -90,19 +88,11 @@ class RuntimeEngine:
     """Discrete-event unification of scheduling, execution, monitoring."""
 
     def __init__(self, cluster: Cluster,
-                 policy: Optional[SchedulingPolicy] = None, *,
-                 heartbeat_interval: Optional[float] = None):
-        if heartbeat_interval is not None \
-                and not 0.0 < heartbeat_interval < math.inf:
-            raise RuntimeSchedulingError(
-                f"heartbeat_interval={heartbeat_interval!r} must be a "
-                "finite number of seconds above zero, or None")
+                 policy: Optional[SchedulingPolicy] = None):
         self.cluster = cluster
         policy = resolve_policy(policy)
         self.policy = policy
         self._online = policy.online
-        self.monitor = ClusterMonitor(cluster)
-        self.heartbeat_interval = heartbeat_interval
         self.graph = TaskGraph()
         self.clock = ev.SimClock()
         self.timelines: Dict[str, NodeTimeline] = {
@@ -222,11 +212,8 @@ class RuntimeEngine:
         self._tracer = get_tracer()
         events, clock = self._events, self.clock
         try:
-            self._beat(clock.now)
             self._detect_failures(clock.now)
             self._dispatch(clock.now)
-            if self.heartbeat_interval is not None:
-                self._push(clock.now + self.heartbeat_interval, ev.HEARTBEAT)
             while events:
                 if until is not None and events[0][0] > until:
                     break
@@ -268,16 +255,6 @@ class RuntimeEngine:
             self._dispatch(now)
         elif kind == ev.DISPATCH:
             self._dispatch(now)
-        elif kind == ev.HEARTBEAT:
-            self._beat(now)
-            self._detect_failures(now)
-            if self._unfinished > 0 or self._events:
-                self._push(now + self.heartbeat_interval, ev.HEARTBEAT)
-
-    def _beat(self, now: float) -> None:
-        for name, node in self.cluster.nodes.items():
-            if node.alive:
-                self.monitor.record_heartbeat(name, now)
 
     def _detect_failures(self, now: float) -> None:
         # A restored node becomes failure-handleable again.
@@ -285,12 +262,9 @@ class RuntimeEngine:
             name for name in self._handled_failures
             if not self.cluster.nodes[name].alive
         }
-        # In-simulation liveness is the cluster's alive flags: every
-        # alive node heartbeats on schedule, so the monitor's
-        # stale-heartbeat timeout can never trip here (heartbeats exist
-        # for observability — dashboards, tests — not detection).
-        for name in self.monitor.dead_nodes(now, timeout=float("inf")):
-            if name not in self._handled_failures:
+        # Liveness is the cluster's alive flags, handled in node order.
+        for name, node in self.cluster.nodes.items():
+            if not node.alive and name not in self._handled_failures:
                 self._handled_failures.add(name)
                 self._handle_failure(name, now)
 

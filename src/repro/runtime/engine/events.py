@@ -14,8 +14,7 @@ timestamp are broken by a fixed kind order:
 
 * a task *finishing* at ``t`` survives a node failure at ``t``
   (``finish <= failure_time`` results are kept);
-* failures are detected before new work is dispatched or started;
-* heartbeats observe the state *after* everything else at ``t`` happened.
+* failures are detected before new work is dispatched or started.
 
 Within one ``(time, kind)`` bucket a monotone sequence number decides,
 so the queue is a **deterministic total order**: two events can never
@@ -35,7 +34,6 @@ NODE_FAILURE = 1
 CALLBACK = 2
 DISPATCH = 3
 TASK_START = 4
-HEARTBEAT = 5
 
 
 class SimClock:

@@ -29,7 +29,6 @@ class ResourceRequest:
 
     cores: int = 1
     fpga: bool = False
-    memory_mb: int = 1024
     # Cost model inputs: CPU flops, or FPGA kernel time if offloaded.
     cpu_flops: float = 1e9
     fpga_seconds: float = 0.0

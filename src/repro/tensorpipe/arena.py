@@ -27,8 +27,8 @@ path.
 
 The same planner backs the HLS engine's
 ``KernelReport.planned_arena_bytes`` (with the number format's element
-widths via ``element_bytes``) and the Olympus PLM-sharing solver
-(:func:`repro.olympus.plm_sharing.requests_from_arena`).
+widths via ``element_bytes``), which sizes the scratch PLM of an Olympus
+kernel instance: this plan is Olympus's PLM sharing.
 """
 
 from __future__ import annotations
@@ -88,8 +88,11 @@ class ArenaPlan:
     """The output of :func:`plan_arena` for one affine function.
 
     ``total_bytes`` is the arena's peak footprint; ``unshared_bytes`` is
-    what per-buffer allocation would have used, so ``saving`` is the
-    fraction of memory the liveness-based sharing reclaimed.
+    the arena the same slots would need with no sharing (each at its own
+    aligned offset, in placement order), so ``saving`` is the fraction
+    of memory the liveness-based sharing reclaimed.  First-fit never
+    places a slot past its unshared offset, so the saving is never
+    negative, even where alignment pads the arena.
     ``op_slots`` maps ``id(alloc_op)`` to its slot for the codegen that
     planned against the same in-memory function.
     """
@@ -180,7 +183,7 @@ def plan_arena(
         for dim in shape:
             elements *= dim
         size = align * elements
-        plan.unshared_bytes += size
+        plan.unshared_bytes = _align_up(plan.unshared_bytes, align) + size
 
         end = index
         for user, _operand_index in op.results[0].uses:

@@ -9,14 +9,19 @@ HEFT against round-robin and failure rescheduling in
 ``tests/test_runtime.py`` and ``tests/test_runtime_engine.py``.
 """
 
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.basecamp.cli import main
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
+from repro.ir import types as T
+from repro.olympus import OlympusGenerator
 from repro.pipeline import PipelineSession
+from repro.platforms import PLMConfig, device_by_name
 from repro.runtime.engine.policies import POLICIES
 
 
@@ -45,6 +50,63 @@ def test_each_olympus_optimization_lowers_latency():
             if better != (replicas, buffered, packed) and better in latency:
                 assert latency[better] < seconds, (better, replicas,
                                                    buffered, packed)
+
+
+def test_packing_raises_bandwidth():
+    """§V-C, Iris data packing: on Fig. 3, every packed design point moves
+    its input in less time than the unpacked point with the same
+    replicas and buffering, and the generated instance fills the 512-bit
+    bus where an unpacked one carries one 64-bit element per beat."""
+    result = PipelineSession().olympus(FIG3_MAJOR_ABSORBER)
+    transfer_in = {(config.replicas, config.double_buffered, config.packed):
+                   breakdown.transfer_in
+                   for config, breakdown, _ in result.points}
+    packed = [key for key in transfer_in if key[2]]
+    assert packed
+    for replicas, buffered, _ in packed:
+        assert transfer_in[replicas, buffered, True] \
+            < transfer_in[replicas, buffered, False]
+    (instance,) = result.system.instances
+    assert result.best.packed and instance.bus_efficiency == 1.0
+    generator = OlympusGenerator(device_by_name(result.device_name))
+    _, unpacked = generator.estimate(instance.report,
+                                     replace(result.best, packed=False))
+    assert unpacked.bus_efficiency == 64 / 512
+
+
+# The exec_stream benchmark's kernel at 1,500 x 8.
+CHAIN = """
+kernel chain {
+  index i: 1500, j: 8
+  input a[i, j]: f64
+  input b[i, j]: f64
+  output out
+  t0 = a * b + a
+  t1 = t0 * b - a
+  t2 = t1 * t1 + t0
+  t3 = t2 * b + t1
+  out = sum[j](t3 * t2)
+}
+"""
+
+
+def test_plm_sharing_saves_bram():
+    """§V-C, PLM sharing: the generated system's scratch PLM, sized by
+    the compiler's lifetime-shared arena, takes fewer BRAM18 blocks than
+    one buffer per ``memref.alloc`` of the lowered kernel would."""
+    session = PipelineSession()
+    result = session.olympus(CHAIN)
+    (instance,) = result.system.instances
+    (scratch,) = [plm for plm in instance.plms if plm.name == "scratch"]
+    compiled = session.compile(CHAIN)
+    unshared = 0
+    for op in compiled.module.lookup(compiled.kernel.name).walk():
+        if op.name == "memref.alloc":
+            ref = op.results[0].type
+            unshared += math.prod(ref.shape) * T.bitwidth(ref.element) // 8
+    dedicated = PLMConfig("scratch", unshared)
+    assert scratch.bytes < unshared
+    assert (scratch.bram_blocks, dedicated.bram_blocks) == (125, 131)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -50,7 +50,7 @@ _ENGINE = _PLATFORMS + _TELEMETRY + """
     repro.runtime repro.runtime.cluster repro.runtime.engine
     repro.runtime.engine.core repro.runtime.engine.events
     repro.runtime.engine.policies repro.runtime.engine.workloads
-    repro.runtime.monitor repro.runtime.placement
+    repro.runtime.placement
     repro.runtime.taskgraph repro.runtime.timeline
 """
 _PIPELINE = _TELEMETRY + """

@@ -1,4 +1,5 @@
-"""Tests for platform models, Olympus generation, packing and PLM sharing."""
+"""Tests for platform models, Olympus generation, stream packing and PLM
+sharing (the compiler's arena plan)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,16 +8,8 @@ from repro.errors import OlympusError, PlatformError
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
 from repro.hls import synthesize_kernel
-from repro.olympus import (
-    ArchConfig,
-    BufferRequest,
-    Field,
-    OlympusGenerator,
-    pack_fields,
-    pack_stream,
-    peak_live_bytes,
-    share_plm,
-)
+from repro.ir.parser import parse_module
+from repro.olympus import ArchConfig, OlympusGenerator, pack_stream
 from repro.platforms import (
     MemoryChannelModel,
     PLMConfig,
@@ -26,6 +19,7 @@ from repro.platforms import (
     device_by_name,
 )
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
+from repro.tensorpipe.arena import plan_arena
 
 
 @pytest.fixture(scope="module")
@@ -76,73 +70,151 @@ class TestMemoryModels:
         assert plm.ports == 4
 
 
+# An FCD record: lat, lon, speed, timestamp.
+FCD_RECORD_BITS = 32 + 32 + 16 + 64
+
+
 class TestPacking:
     def test_fcd_record_packs_into_one_beat(self):
-        plan = pack_fields([Field("lat", 32), Field("lon", 32),
-                            Field("speed", 16), Field("ts", 64)], 512)
-        assert plan.beats_per_record == 1
-        assert plan.speedup_vs_naive == 4.0
+        per_beat, efficiency = pack_stream(FCD_RECORD_BITS, 512)
+        assert per_beat == 3
+        assert efficiency == 3 * 144 / 512
 
     def test_packed_record_beats_naive_efficiency(self):
-        plan = pack_fields([Field("lat", 32), Field("lon", 32),
-                            Field("speed", 16), Field("ts", 64)], 512)
-        # 144 payload bits in one 512-bit beat, against four beats naive.
-        assert plan.payload_bits_per_beat == 144.0
-        assert plan.efficiency == 144 / 512
-        assert plan.naive_efficiency == 144 / (4 * 512)
-        assert plan.efficiency > plan.naive_efficiency
+        """Three 144-bit records per beat against one per beat unpacked,
+        and the channel model turns that into a shorter transfer."""
+        _, efficiency = pack_stream(FCD_RECORD_BITS, 512)
+        assert efficiency == 3 * (144 / 512)
+        model = MemoryChannelModel(alveo_u55c().default_memory())
+        packed = model.transfer(2**20, payload_bits_per_beat=int(
+            512 * efficiency))
+        naive = model.transfer(2**20, payload_bits_per_beat=144)
+        assert packed.bus_efficiency > naive.bus_efficiency
+        assert packed.seconds < naive.seconds
 
     def test_wide_field_gains_nothing_from_packing(self):
-        # 1124 bits fill three beats either way.
-        plan = pack_fields([Field("big", 1024 + 100)], 512)
-        assert plan.payload_bits_per_beat == 1124 / 3
-        assert plan.efficiency == plan.naive_efficiency == 1124 / (3 * 512)
-        assert plan.speedup_vs_naive == 1.0
-
-    def test_wide_field_split(self):
-        plan = pack_fields([Field("big", 1024 + 100)], 512)
-        assert plan.beats_per_record == 3
+        """An element as wide as the bus already fills each beat: the
+        packed payload the estimate uses equals the unpacked one."""
+        per_beat, efficiency = pack_stream(512, 512)
+        assert (per_beat, efficiency) == (1, 1.0)
+        model = MemoryChannelModel(alveo_u55c().default_memory())
+        packed = model.transfer(2**20,
+                                payload_bits_per_beat=int(512 * efficiency))
+        naive = model.transfer(2**20, payload_bits_per_beat=512)
+        assert packed.seconds == naive.seconds
 
     def test_stream_packing(self):
         per_beat, efficiency = pack_stream(64, 512)
         assert per_beat == 8
         assert efficiency == 1.0
 
+    @pytest.mark.parametrize("bits", [0, -64])
+    def test_a_width_that_cannot_stream_is_refused(self, bits):
+        with pytest.raises(OlympusError, match="element width"):
+            pack_stream(bits, 512)
+
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(1, 511), min_size=1, max_size=12))
-    def test_packing_never_loses_bits(self, widths):
-        fields = [Field(f"f{i}", w) for i, w in enumerate(widths)]
-        plan = pack_fields(fields, 512)
-        packed_bits = sum(w.used_bits() for w in plan.words)
-        assert packed_bits == sum(widths)
-        assert all(w.used_bits() <= 512 for w in plan.words)
-        assert plan.beats_per_record <= plan.naive_words
+    @given(st.integers(1, 512))
+    def test_packing_never_loses_bits(self, bits):
+        """As many whole elements as fit in a beat, never one more, and
+        the efficiency is exactly the bits they carry."""
+        per_beat, efficiency = pack_stream(bits, 512)
+        assert per_beat * bits <= 512 < (per_beat + 1) * bits
+        assert efficiency == per_beat * bits / 512
+
+
+def _lifetimes_func(buffers, element="f64"):
+    """An affine function with one top-level ``memref.alloc`` per
+    ``(elements, start, end)`` in ``buffers``, live over the step interval
+    ``[start, end]``: each step first allocates the buffers born there,
+    then copies each buffer that dies there onto itself, so two buffers'
+    statement ranges overlap exactly when their step intervals do.
+    ``element`` is one element type for all buffers, or one per buffer."""
+    types = [element] * len(buffers) if isinstance(element, str) \
+        else element
+    lines = []
+    names = {}
+    last = max(end for _, _, end in buffers)
+    for step in range(last + 1):
+        for index, (elements, start, _) in enumerate(buffers):
+            if start == step:
+                names[index] = f"%{len(names)}"
+                lines.append(f'{names[index]} = "memref.alloc"() : () -> '
+                             f"memref<{elements}x{types[index]}>")
+        for index, (elements, _, end) in enumerate(buffers):
+            if end == step:
+                ref = f"memref<{elements}x{types[index]}>"
+                lines.append(f'"memref.copy"({names[index]}, {names[index]})'
+                             f" : ({ref}, {ref}) -> ()")
+    body = "\n    ".join(lines)
+    module = parse_module(f"""\
+"builtin.module"() (
+{{
+  "func.func"() (
+  {{
+  ^bb0():
+    {body}
+    "func.return"() : () -> ()
+  }}
+  ) {{sym_name = "lifetimes"}} : () -> ()
+}}
+) : () -> ()""")
+    return module.lookup("lifetimes")
+
+
+def _one_byte(_element):
+    return 1
+
+
+def _overlap_free(plan):
+    for i, a in enumerate(plan.slots):
+        for b in plan.slots[i + 1:]:
+            if a.overlaps_lifetime(b.start, b.end):
+                assert (a.offset + a.size <= b.offset
+                        or b.offset + b.size <= a.offset), (a, b)
 
 
 class TestPLMSharing:
+    """PLM sharing is :func:`plan_arena`, whose total sizes the scratch
+    PLM; here it plans hand-built lifetimes."""
+
     def test_disjoint_lifetimes_share(self):
-        alloc = share_plm([
-            BufferRequest("a", 1000, 0, 1),
-            BufferRequest("b", 1000, 2, 3),
-        ])
-        assert alloc.total_bytes == 1000
-        assert alloc.saving == pytest.approx(0.5)
+        plan = plan_arena(_lifetimes_func([(1000, 0, 1), (1000, 2, 3)]),
+                          element_bytes=_one_byte)
+        assert [slot.offset for slot in plan.slots] == [0, 0]
+        assert plan.total_bytes == 1000
+        assert plan.saving == pytest.approx(0.5)
 
     def test_overlapping_lifetimes_do_not_overlap_addresses(self):
-        requests = [
-            BufferRequest("a", 600, 0, 2),
-            BufferRequest("b", 500, 1, 3),
-            BufferRequest("c", 400, 2, 4),
-        ]
-        alloc = share_plm(requests)
-        by_name = {r.name: r for r in requests}
-        for x in requests:
-            for y in requests:
-                if x.name >= y.name or not x.overlaps(y):
-                    continue
-                xa, xb = alloc.offsets[x.name], alloc.offsets[x.name] + x.bytes
-                ya, yb = alloc.offsets[y.name], alloc.offsets[y.name] + y.bytes
-                assert xb <= ya or yb <= xa, (x.name, y.name)
+        plan = plan_arena(_lifetimes_func([(600, 0, 2), (500, 1, 3),
+                                           (400, 2, 4)]),
+                          element_bytes=_one_byte)
+        _overlap_free(plan)
+        assert plan.total_bytes == plan.unshared_bytes == 1500
+
+    def test_a_reused_offset_keeps_its_alignment(self):
+        """A 3-byte i1 buffer pads the f64 buffer live beside it to offset
+        8; once it is dead, a later f64 buffer takes offset 0."""
+        plan = plan_arena(_lifetimes_func([(3, 0, 1), (2, 1, 2), (1, 2, 2)],
+                                          element=["i1", "f64", "f64"]))
+        assert [slot.offset for slot in plan.slots] == [0, 8, 0]
+        assert (plan.total_bytes, plan.unshared_bytes) == (24, 32)
+
+    def test_interleaved_statements_never_share(self):
+        """The disjoint pair above, run as one fused step (``order``):
+        both buffers are live together, so neither reuses the other's
+        bytes."""
+        func = _lifetimes_func([(1000, 0, 1), (1000, 2, 3)])
+        order = {id(op): 0 for op in func.regions[0].entry.operations}
+        plan = plan_arena(func, element_bytes=_one_byte, order=order)
+        assert [slot.offset for slot in plan.slots] == [0, 1000]
+        assert plan.total_bytes == 2000
+
+    def test_a_dynamic_buffer_keeps_its_own_allocation(self):
+        plan = plan_arena(_lifetimes_func([(4, 0, 1), ("?", 0, 1)]),
+                          element_bytes=_one_byte)
+        assert [slot.shape for slot in plan.slots] == [(4,)]
+        assert plan.total_bytes == plan.unshared_bytes == 4
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(
@@ -151,20 +223,18 @@ class TestPLMSharing:
         min_size=1, max_size=10,
     ))
     def test_allocation_sound_and_bounded(self, raw):
-        requests = [
-            BufferRequest(f"b{i}", size, min(s, e), max(s, e))
-            for i, (size, s, e) in enumerate(raw)
-        ]
-        alloc = share_plm(requests)
-        assert alloc.total_bytes >= peak_live_bytes(requests)
-        assert alloc.total_bytes <= alloc.unshared_bytes
-        for x in requests:
-            for y in requests:
-                if x.name >= y.name or not x.overlaps(y):
-                    continue
-                xa = alloc.offsets[x.name]
-                ya = alloc.offsets[y.name]
-                assert xa + x.bytes <= ya or ya + y.bytes <= xa
+        buffers = [(size, min(s, e), max(s, e)) for size, s, e in raw]
+        plan = plan_arena(_lifetimes_func(buffers), element_bytes=_one_byte)
+        slots = plan.slots
+        assert sorted(slot.size for slot in slots) \
+            == sorted(size for size, _, _ in buffers)
+        last = max(slot.end for slot in slots)
+        peak_live = max(sum(slot.size for slot in slots
+                            if slot.start <= step <= slot.end)
+                        for step in range(last + 1))
+        assert peak_live <= plan.total_bytes <= plan.unshared_bytes
+        assert plan.unshared_bytes == sum(size for size, _, _ in buffers)
+        _overlap_free(plan)
 
 
 class TestOlympus:

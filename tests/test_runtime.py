@@ -12,7 +12,6 @@ from repro.errors import RuntimeSchedulingError
 from repro.platforms import alveo_u55c
 from repro.runtime import (
     Cluster,
-    ClusterMonitor,
     EverestClient,
     Node,
     Placement,
@@ -223,6 +222,34 @@ class TestFailureRecovery:
 
 
 class TestMonitor:
+    def test_dead_node_detection(self):
+        """A node's liveness is its ``alive`` flag: two nodes taken down by
+        side effect in one callback are both detected, the survivor
+        reruns their lost work, and nothing on either finishes later."""
+        baseline_client = EverestClient(default_cluster(3))
+        _diamond_graph(baseline_client)
+        baseline = baseline_client.compute()
+        first = baseline.placements[0].node
+        survivor = next(name for name in ("node0", "node1", "node2")
+                        if name != first)
+        victims = sorted({"node0", "node1", "node2"} - {survivor},
+                         reverse=True)
+        fail_time = baseline.makespan * 0.25
+
+        cluster = default_cluster(3)
+        client = EverestClient(cluster)
+        final = _diamond_graph(client)
+        client.engine.call_at(fail_time, lambda: [
+            cluster.fail_node(name) for name in victims])
+        schedule = client.compute()
+        assert schedule.rescheduled_tasks > 0
+        for placement in schedule.placements.values():
+            if placement.node != survivor:
+                assert placement.finish <= fail_time
+        assert final.result() == 4
+        assert [name for name, node in cluster.nodes.items()
+                if not node.alive] == sorted(victims)
+
     def test_utilization_normalized_by_cores(self):
         cluster = default_cluster(2)
         client = EverestClient(cluster)
@@ -233,8 +260,7 @@ class TestMonitor:
         assert max(report.utilization.values()) <= 1.0 + 1e-9
 
     def test_utilization_of_a_fixed_schedule(self):
-        """The numbers ``ClusterMonitor(cluster).utilization(schedule)``
-        gave before the report moved onto the schedule: core-seconds per
+        """The utilization report read off a schedule: core-seconds per
         node (idle nodes included) over makespan x cores, and max/mean
         busy as the imbalance."""
         cluster = Cluster([Node("a", cores=4, fpgas=[]),
@@ -254,12 +280,3 @@ class TestMonitor:
         empty = ScheduleResult().utilization(cluster)
         assert empty.busy == {"a": 0.0, "b": 0.0, "idle": 0.0}
         assert empty.imbalance == 1.0
-
-    def test_dead_node_detection(self):
-        cluster = default_cluster(2)
-        monitor = ClusterMonitor(cluster)
-        monitor.record_heartbeat("node0", 100.0)
-        monitor.record_heartbeat("node1", 10.0)
-        assert monitor.dead_nodes(now=100.0) == ["node1"]
-        cluster.fail_node("node0")
-        assert "node0" in monitor.dead_nodes(now=100.0)

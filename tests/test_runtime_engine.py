@@ -296,26 +296,6 @@ class TestEngineExecution:
         _assert_capacity_respected(schedule, engine.cluster)
         _assert_dependencies_respected(schedule, engine.graph)
 
-    def test_heartbeats_advance_with_event_clock(self):
-        engine = RuntimeEngine(default_cluster(2), heartbeat_interval=0.5)
-        synthetic_workflow(engine, n_tasks=20, seed=4)
-        schedule = engine.run()
-        assert schedule.makespan > 0
-        for name in engine.cluster.nodes:
-            assert engine.monitor.heartbeat[name] \
-                == pytest.approx(schedule.makespan, rel=0.1)
-
-    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
-                                          float("inf")])
-    def test_a_heartbeat_interval_that_cannot_advance_is_refused(
-            self, interval):
-        """-1.0 stopped the run with "simulated clock cannot run
-        backwards", inf left the clock at infinity after the run, and 0.0
-        switched the heartbeats off."""
-        with pytest.raises(RuntimeSchedulingError,
-                           match="heartbeat_interval="):
-            RuntimeEngine(default_cluster(2), heartbeat_interval=interval)
-
     def test_failed_plan_leaves_timelines_untouched(self):
         """A plan that raises partway (unplaceable FPGA task) must not
         leak half-committed reservations into the live timelines."""
@@ -680,7 +660,8 @@ class TestFailureHandling:
 
     def test_monitor_detects_externally_failed_node(self):
         """Failure injected by side effect (not fail_node_at): the
-        in-loop monitor notices the dead node and recovery still runs."""
+        engine reads the node's alive flag after the callback and
+        recovery still runs."""
         baseline = self._makespan()
         engine, finals = self._loaded_engine()
         engine.call_at(baseline * 0.3,
@@ -741,26 +722,23 @@ class TestEventDeterminism:
     """Identical timestamps must resolve deterministically (push order
     within a kind, kind priority across kinds)."""
 
-    def test_kinds_at_one_time_run_finish_failure_callback_start_heartbeat(
-            self):
-        """At t = 4.0 a task finishes, an idle node fails, a callback runs,
-        the next task starts and a heartbeat beats; the callback was queued
-        before the failure, and still runs after it."""
-        engine = RuntimeEngine(default_cluster(2), heartbeat_interval=4.0)
+    def test_kinds_at_one_time_run_finish_failure_callback_start(self):
+        """At t = 4.0 a task finishes, an idle node fails, a callback runs
+        and the next task starts; the callback was queued before the
+        failure, and still runs after it."""
+        engine = RuntimeEngine(default_cluster(2))
         seen = []
         a = engine.submit(lambda: seen.append("a") or 1, name="a",
                           resources=ResourceRequest(cpu_flops=1e10))
-        engine.submit(lambda x: seen.append(
-            ("b", engine.clock.now, engine.monitor.heartbeat["node0"])),
-            a, name="b")
+        engine.submit(lambda x: seen.append(("b", engine.clock.now)),
+                      a, name="b")
         engine.call_at(4.0, lambda: seen.append(
             ("callback", a.task_id in engine.graph.results,
              engine.cluster.node("node1").alive, len(seen))))
         engine.fail_node_at(4.0, "node1")
         schedule = engine.run()
         assert schedule.placements[a.task_id].finish == 4.0
-        assert seen == ["a", ("callback", True, False, 1), ("b", 4.0, 0.0)]
-        assert engine.monitor.heartbeat["node0"] > 4.0
+        assert seen == ["a", ("callback", True, False, 1), ("b", 4.0)]
 
     def test_mixed_kinds_at_one_time_run_by_kind_then_push_order(self):
         """Callbacks and node failures pushed alternately at one time:
