@@ -13,15 +13,11 @@ from repro.apps.traffic.mapmatch import (
 )
 from repro.apps.traffic.models import (
     INTERVALS_PER_DAY,
-    GaussianMixture1D,
-    SpeedCNN,
-    SpeedProfile,
     diurnal_congestion,
 )
 from repro.apps.traffic.ptdr import (
     SegmentSpeedModel,
     TravelTimeDistribution,
-    departure_profile,
     ptdr_montecarlo,
     synthetic_segment_models,
 )
@@ -31,7 +27,6 @@ from repro.apps.traffic.roadnet import (
     Segment,
     Trajectory,
     generate_fcd,
-    origin_destination_matrix,
 )
 
 __all__ = [
@@ -45,13 +40,9 @@ __all__ = [
     "match_one",
     "matching_accuracy",
     "INTERVALS_PER_DAY",
-    "GaussianMixture1D",
-    "SpeedCNN",
-    "SpeedProfile",
     "diurnal_congestion",
     "SegmentSpeedModel",
     "TravelTimeDistribution",
-    "departure_profile",
     "ptdr_montecarlo",
     "synthetic_segment_models",
     "GpsFix",
@@ -59,5 +50,4 @@ __all__ = [
     "Segment",
     "Trajectory",
     "generate_fcd",
-    "origin_destination_matrix",
 ]

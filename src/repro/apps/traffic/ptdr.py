@@ -8,21 +8,22 @@ at the simulated arrival time, yielding a travel-time *distribution*
 (median, p95...) rather than a point estimate.
 
 The kernel is embarrassingly parallel over samples — exactly why the
-project offloaded it; the benchmark compares this CPU implementation with
-the same kernel scheduled by the runtime engine as an FPGA task, priced
-with the SR-IOV access-path overhead.
+project offloaded it;
+``tests/claims/test_use_cases.py::test_ptdr_runs_on_the_virtualized_fpga_node``
+compares this CPU implementation with the same kernel scheduled by the
+runtime engine as an FPGA task, priced with the SR-IOV access-path
+overhead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.apps.traffic.models import (
     INTERVALS_PER_DAY,
-    GaussianMixture1D,
     diurnal_congestion,
 )
 from repro.apps.traffic.roadnet import RoadNetwork
@@ -31,24 +32,16 @@ from repro.errors import EverestError
 
 @dataclass
 class SegmentSpeedModel:
-    """Time-dependent speed distribution of one segment.
-
-    Either a per-interval (mean, std) table from the speed profile, or a
-    fitted GMM used uniformly across intervals (the "incomplete data"
-    path).
-    """
+    """Time-dependent speed distribution of one segment: a per-interval
+    (mean, std) table."""
 
     length_m: float
     interval_mean: np.ndarray  # (96,)
     interval_std: np.ndarray   # (96,)
-    mixture: Optional[GaussianMixture1D] = None
 
     def sample_speeds(self, t_seconds: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
         """Vectorized speed draw for an array of arrival times."""
-        if self.mixture is not None:
-            return np.clip(self.mixture.sample(len(t_seconds), rng),
-                           0.5, None)
         intervals = (t_seconds // 900).astype(int) % INTERVALS_PER_DAY
         mean = self.interval_mean[intervals]
         std = self.interval_std[intervals]
@@ -113,28 +106,6 @@ def ptdr_montecarlo(models: Sequence[SegmentSpeedModel],
         speeds = model.sample_speeds(clocks, rng)
         clocks += model.length_m / speeds
     return TravelTimeDistribution(clocks - departure_s)
-
-
-def departure_profile(models: Sequence[SegmentSpeedModel],
-                      departures_s: Sequence[float], samples: int = 500,
-                      seed: int = 0) -> Dict[float, TravelTimeDistribution]:
-    """PTDR swept over departure times (the paper's routing product).
-
-    Each departure gets an independent stream derived from
-    ``SeedSequence((seed, bits(departure)))``.  The old ``seed +
-    int(departure)`` derivation collided: sub-second departures truncated
-    to the same stream, and ``(seed=0, dep=900)`` reused ``(seed=900,
-    dep=0)``'s draws, correlating sweeps that must be independent.
-    """
-    def stream(departure: float) -> np.random.SeedSequence:
-        departure_bits = int(np.float64(departure).view(np.uint64))
-        return np.random.SeedSequence((seed, departure_bits))
-
-    return {
-        departure: ptdr_montecarlo(models, departure, samples,
-                                   stream(departure))
-        for departure in departures_s
-    }
 
 
 def ptdr_flops_per_sample(models: Sequence[SegmentSpeedModel]) -> int:

@@ -188,13 +188,3 @@ def generate_fcd(network: RoadNetwork, route: List[int],
         raise EverestError("trajectory too short; lower the sample period")
     return Trajectory(fixes)
 
-
-def origin_destination_matrix(network: RoadNetwork, trips: int,
-                              zones: int, seed: int = 0) -> np.ndarray:
-    """A synthetic ODM: trip counts between ``zones`` city zones."""
-    rng = np.random.default_rng(seed)
-    attraction = rng.gamma(2.0, 1.0, zones)
-    production = rng.gamma(2.0, 1.0, zones)
-    weights = np.outer(production, attraction)
-    weights /= weights.sum()
-    return rng.multinomial(trips, weights.reshape(-1)).reshape(zones, zones)

@@ -13,7 +13,6 @@ from repro.apps.wrf.rrtmg import (
     RRTMGTables,
     heating_rates,
     prepare_inputs,
-    tau_major_ekl,
     tau_major_reference,
 )
 from repro.apps.wrf.wrfda import Observation, ThreeDVar, synthetic_observations
@@ -28,7 +27,6 @@ __all__ = [
     "RRTMGTables",
     "prepare_inputs",
     "tau_major_reference",
-    "tau_major_ekl",
     "heating_rates",
     "Observation",
     "ThreeDVar",

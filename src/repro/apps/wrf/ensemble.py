@@ -10,7 +10,7 @@ the resulting spread.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -33,13 +33,12 @@ class EnsembleForecast:
 
 def run_ensemble(initial: AtmosphereState, members: int, steps: int,
                  perturbation: float = 0.3,
-                 radiation_impl: Optional[Callable] = None,
                  seed: int = 0) -> EnsembleForecast:
     """Integrate ``members`` perturbed copies of the initial state."""
     states: List[AtmosphereState] = []
     for member in range(members):
         start = initial.perturbed(perturbation, seed + member) \
             if member else initial.copy()
-        model = WRFProxy(start, radiation_impl=radiation_impl)
+        model = WRFProxy(start)
         states.append(model.run(steps))
     return EnsembleForecast(states)

@@ -4,16 +4,13 @@ Paper §V-A1: "we studied the RRTMG radiation module of the WRF code, which
 consumes around 30% of the compute cycles"; Fig. 3 shows its major-absorber
 optical-depth computation in the EVEREST Kernel Language.
 
-This module provides the kernel in three forms that must agree:
-
-* :func:`tau_major_reference` — plain numpy loops (the "Fortran" role);
-* the EKL path — :data:`repro.frontends.ekl.FIG3_MAJOR_ABSORBER` compiled
-  and run by the EKL interpreter or the affine pipeline;
-* :func:`heating_rates` — the surrounding radiation step that turns optical
-  depths into temperature tendencies for the dynamics.
-
-``prepare_inputs`` maps an atmospheric column state onto the kernel's
-gas-optics lookup inputs.
+The kernel itself is :data:`repro.frontends.ekl.FIG3_MAJOR_ABSORBER`,
+which :class:`~repro.apps.wrf.dynamics.WRFProxy` compiles through the SDK.
+Around it this module holds :func:`prepare_inputs`, which maps an
+atmospheric column state onto the kernel's gas-optics lookup inputs;
+:func:`tau_major_reference`, plain numpy loops (the "Fortran" role) that
+the compiled kernel is checked against; and :func:`heating_rates`, which
+turns optical depths into temperature tendencies for the dynamics.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.apps.wrf.grid import AtmosphereState
-from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, Interpreter, parse_kernel
 
 # Lookup-table geometry (matches the constants in the Fig. 3 kernel text).
 NCOL = 16
@@ -133,43 +129,6 @@ def tau_major_reference(inputs: Dict[str, np.ndarray]) -> np.ndarray:
                                 * inputs["k_major"][i_t, i_p, i_eta, g])
             tau[x, g] = acc
     return tau
-
-
-def tau_major_vectorized(inputs: Dict[str, np.ndarray]) -> np.ndarray:
-    """Vectorized numpy implementation (the optimized-CPU role).
-
-    Same computation as :func:`tau_major_reference` expressed as gathers
-    plus one einsum — the form a tuned CPU build of RRTMG reaches.
-    """
-    press = inputs["press"]
-    band = int(inputs["bnd"])
-    i_strato = (press <= float(inputs["strato"])).astype(np.int64)
-    i_flav = inputs["bnd_to_flav"][i_strato, band]              # (x,)
-    x_idx = np.arange(NCOL)
-    offsets = np.arange(2)
-    i_t = inputs["j_T"][:, None] + offsets[None, :]             # (x, t)
-    i_p = (inputs["j_p"] + i_strato)[:, None] + offsets[None, :]  # (x, p)
-    i_eta = inputs["j_eta"][i_flav, x_idx][:, :, None] \
-        + offsets[None, None, :]                                 # (x, p, e)
-    r_mix = inputs["r_mix"][i_flav, x_idx]                      # (x, e)
-    f_major = inputs["f_major"][i_flav, x_idx]                  # (x,t,p,e)
-    k = inputs["k_major"][
-        i_t[:, :, None, None],                                   # (x,t,1,1)
-        i_p[:, None, :, None],                                   # (x,1,p,1)
-        i_eta[:, None, :, :],                                    # (x,1,p,e)
-    ]                                                            # (x,t,p,e,g)
-    return np.einsum("xe,xtpe,xtpeg->xg", r_mix, f_major, k)
-
-
-_KERNEL_CACHE: Optional[Interpreter] = None
-
-
-def tau_major_ekl(inputs: Dict[str, np.ndarray]) -> np.ndarray:
-    """The Fig. 3 kernel through the EKL frontend (cached parse)."""
-    global _KERNEL_CACHE
-    if _KERNEL_CACHE is None:
-        _KERNEL_CACHE = Interpreter(parse_kernel(FIG3_MAJOR_ABSORBER))
-    return _KERNEL_CACHE.run(inputs)["tau_abs"]
 
 
 def heating_rates(tau: np.ndarray, temperature_scale: float = 1.0

@@ -54,6 +54,9 @@ class Cluster:
         self.nodes: Dict[str, Node] = {n.name: n for n in nodes}
         self.network = network or LinkModel(bandwidth_gbps=100.0,
                                             latency_us=2.0)
+        # Bumped by every fail/restore, so the engine notices a change
+        # of liveness made from inside a task body with one compare.
+        self.liveness = 0
 
     def node(self, name: str) -> Node:
         if name not in self.nodes:
@@ -66,9 +69,11 @@ class Cluster:
     def fail_node(self, name: str) -> None:
         """Take a node down (used by failure-injection tests)."""
         self.node(name).alive = False
+        self.liveness += 1
 
     def restore_node(self, name: str) -> None:
         self.node(name).alive = True
+        self.liveness += 1
 
     def transfer_seconds(self, src: str, dst: str, num_bytes: int) -> float:
         if src == dst:

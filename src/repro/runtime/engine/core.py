@@ -24,10 +24,10 @@ executes real work:
   :meth:`RuntimeEngine.submit_at` / :meth:`RuntimeEngine.call_at` (the
   engine is not thread-safe) — and many jobs interleave on one cluster,
   sharing its capacity through the common timeline index;
-* **monitoring** is in-loop: after a node failure or a callback the
-  engine reads the cluster's ``alive`` flags, and for every node that
-  went down it automatically re-places every placement lost to the
-  failure.
+* **monitoring** is in-loop: after a node failure, a callback, or a
+  task body that changed the cluster's liveness generation the engine
+  reads the cluster's ``alive`` flags, and for every node that went
+  down it automatically re-places every placement lost to the failure.
 
 Bookkeeping is one :class:`_TaskRecord` per task and plain-tuple events
 (:mod:`~repro.runtime.engine.events`): a task costs the heap push and pop
@@ -114,6 +114,8 @@ class RuntimeEngine:
         self._failed: Optional[RuntimeSchedulingError] = None
         self._unfinished = 0
         self._handled_failures: Set[str] = set()
+        # The cluster's liveness generation _detect_failures last read.
+        self._liveness = -1
         self._running = False
         self._tracer = get_tracer()
         # Unblocked PENDING tasks for online dispatch, so it never
@@ -257,6 +259,7 @@ class RuntimeEngine:
             self._dispatch(now)
 
     def _detect_failures(self, now: float) -> None:
+        self._liveness = self.cluster.liveness
         # A restored node becomes failure-handleable again.
         self._handled_failures = {
             name for name in self._handled_failures
@@ -412,6 +415,10 @@ class RuntimeEngine:
         self._seq += 1
         heappush(self._events, (self.placements[task.task_id].finish,
                                 ev.TASK_FINISH, self._seq, record, epoch))
+        # The body may have failed or restored a node (its own included,
+        # which loses this very task).
+        if self.cluster.liveness != self._liveness:
+            self._detect_failures(self.clock.now)
 
     def _finish(self, record: _TaskRecord, epoch: int) -> None:
         if record.epoch != epoch or record.state != RUNNING:

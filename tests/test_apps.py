@@ -1,5 +1,7 @@
 """Tests for the four use-case applications."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,20 +26,13 @@ from repro.apps.energy import (
     update_frequency_study,
 )
 from repro.apps.traffic import (
-    GaussianMixture1D,
     RoadNetwork,
-    SegmentSpeedModel,
-    SpeedCNN,
-    SpeedProfile,
-    departure_profile,
     generate_fcd,
     match_one,
     matching_accuracy,
-    origin_destination_matrix,
     ptdr_montecarlo,
     synthetic_segment_models,
 )
-from repro.apps.traffic.models import diurnal_congestion
 from repro.apps.traffic.ptdr import ptdr_flops_per_sample
 from repro.apps.wrf import (
     AtmosphereState,
@@ -47,19 +42,59 @@ from repro.apps.wrf import (
     prepare_inputs,
     run_ensemble,
     synthetic_observations,
-    tau_major_ekl,
     tau_major_reference,
 )
-from repro.apps.wrf.rrtmg import tau_major_vectorized
+from repro.apps.wrf.rrtmg import NBND, NCOL
+from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
+from repro.pipeline import get_session
+from repro.tensorpipe.cbackend import find_cc, probe_supported
+
+# Every grid a WRF run of the tests or the examples uses.
+WRF_GRIDS = [GridSpec(), GridSpec(10, 10, 4), GridSpec(10, 8, 4),
+             GridSpec(12, 12, 6), GridSpec(16, 16, 6)]
 
 
 class TestWRFProxy:
-    def test_three_rrtmg_implementations_agree(self):
+    def test_radiation_runs_the_compiled_fig3_kernel(self):
+        """The kernel the model holds is the SDK's Fig. 3: bitwise the
+        affine interpreter's answer on every band, and the loop
+        reference's to rounding."""
         state = AtmosphereState.standard()
-        inputs = prepare_inputs(state, band=2)
-        reference = tau_major_reference(inputs)
-        np.testing.assert_allclose(tau_major_vectorized(inputs), reference)
-        np.testing.assert_allclose(tau_major_ekl(inputs), reference)
+        model = WRFProxy(state)
+        cc = find_cc()
+        if cc is not None and probe_supported(cc) is not None:
+            assert model.kernel.backend == "cbackend"
+            assert model.kernel.fallback == ""
+        session = get_session()
+        for band in range(NBND):
+            inputs = prepare_inputs(state, band, model.tables,
+                                    column_offset=band * NCOL)
+            tau = model.kernel.run(inputs)["tau_abs"]
+            oracle = session.execute(FIG3_MAJOR_ABSORBER, inputs,
+                                     backend="interpreter")
+            np.testing.assert_array_equal(tau, oracle.outputs["tau_abs"])
+            np.testing.assert_allclose(tau, tau_major_reference(inputs),
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("grid", WRF_GRIDS,
+                             ids=lambda g: f"{g.nx}x{g.ny}x{g.nlay}")
+    def test_prepared_subscripts_stay_inside_the_tables(self, grid):
+        """cbackend reads Fig. 3's load-derived subscripts unchecked, so
+        the state -> input mapping has to keep them in range: i_T < 8,
+        j_p + i_strato + p < 8 and i_eta < 4 for every band of a run."""
+        model = WRFProxy(AtmosphereState.standard(grid))
+        kernel, seen = model.kernel, []
+        model.kernel = SimpleNamespace(
+            run=lambda inputs: seen.append(inputs) or kernel.run(inputs))
+        model.run(10)
+        assert len(seen) == 10 * model.RADIATION_BANDS
+        for inputs in seen:
+            i_strato = inputs["press"] <= inputs["strato"]
+            assert inputs["j_T"].min() >= 0 and inputs["j_T"].max() + 1 < 8
+            assert inputs["j_p"].min() >= 0
+            assert (inputs["j_p"] + i_strato).max() + 1 < 8
+            assert inputs["j_eta"].min() >= 0
+            assert inputs["j_eta"].max() + 1 < 4
 
     def test_radiation_fraction_near_thirty_percent(self):
         model = WRFProxy(AtmosphereState.standard())
@@ -228,40 +263,6 @@ class TestTraffic:
         assert len(matched.speeds_ms) == len(matched.segments)
         assert all(0 <= s <= 40 for s in matched.speeds_ms)
 
-    def test_gmm_recovers_two_modes(self):
-        rng = np.random.default_rng(0)
-        data = np.concatenate([rng.normal(5, 1, 300),
-                               rng.normal(13, 1.5, 300)])
-        mixture = GaussianMixture1D(2, seed=0).fit(data)
-        means = np.sort(mixture.means)
-        assert abs(means[0] - 5) < 0.5
-        assert abs(means[1] - 13) < 0.7
-
-    def test_gmm_sampling_matches_mean(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(10, 2, 500)
-        mixture = GaussianMixture1D(2, seed=0).fit(data)
-        samples = mixture.sample(2000, rng)
-        assert abs(samples.mean() - 10) < 0.5
-
-    def test_speed_profile_binning(self):
-        observations = [(8 * 3600.0, 5.0), (8 * 3600.0 + 100, 7.0),
-                        (20 * 3600.0, 13.0)]
-        profile = SpeedProfile.from_observations(0, observations, 14.0)
-        assert profile.speed_at(8 * 3600.0) == 6.0
-        assert profile.speed_at(20 * 3600.0) == 13.0
-        assert profile.speed_at(3 * 3600.0) == 14.0  # free flow fallback
-
-    def test_cnn_learns_diurnal_pattern(self):
-        t = np.arange(600) * 900.0
-        series = 13 * np.array([diurnal_congestion(x) for x in t])
-        series += np.random.default_rng(3).normal(0, 0.3, len(t))
-        cnn = SpeedCNN(window=16, seed=0)
-        losses = cnn.fit(series, epochs=10, lr=3e-3)
-        assert losses[-1] < losses[0] * 0.8
-        prediction = cnn.predict_speed(series[:32])
-        assert 0 < prediction < 20
-
     def test_ptdr_peak_slower_than_night(self):
         network = RoadNetwork(5, 5, seed=3)
         rng = np.random.default_rng(4)
@@ -280,51 +281,3 @@ class TestTraffic:
         assert ptdr_flops_per_sample(models) == 12 * len(models)
         assert ptdr_flops_per_sample([]) == 0
 
-    def _time_invariant_models(self, segments=4):
-        """Segment models whose speed distribution ignores the clock, so
-        any correlation between departures is purely RNG-stream reuse."""
-        return [
-            SegmentSpeedModel(
-                length_m=500.0,
-                interval_mean=np.full(96, 12.0),
-                interval_std=np.full(96, 1.5),
-            )
-            for _ in range(segments)
-        ]
-
-    def test_departure_profile_deterministic(self):
-        models = self._time_invariant_models()
-        a = departure_profile(models, [0.0, 450.0], samples=100, seed=7)
-        b = departure_profile(models, [0.0, 450.0], samples=100, seed=7)
-        for dep in a:
-            np.testing.assert_array_equal(a[dep].samples_s,
-                                          b[dep].samples_s)
-
-    def test_subsecond_departures_get_distinct_streams(self):
-        # Regression: seeds were derived as seed + int(departure), so
-        # departures 100.0, 100.25 and 100.75 all truncated to the same
-        # stream and produced identical Monte-Carlo draws.
-        models = self._time_invariant_models()
-        profile = departure_profile(models, [100.0, 100.25, 100.75],
-                                    samples=200, seed=0)
-        drawn = [profile[dep].samples_s for dep in (100.0, 100.25, 100.75)]
-        assert not np.array_equal(drawn[0], drawn[1])
-        assert not np.array_equal(drawn[1], drawn[2])
-
-    def test_seed_departure_pairs_do_not_collide(self):
-        # Regression: (seed=0, dep=900) used to reuse (seed=900, dep=0)'s
-        # stream — with time-invariant models the two sweeps returned
-        # bitwise-identical samples.
-        models = self._time_invariant_models()
-        a = departure_profile(models, [900.0], samples=300,
-                              seed=0)[900.0].samples_s
-        b = departure_profile(models, [0.0], samples=300,
-                              seed=900)[0.0].samples_s
-        assert not np.array_equal(a, b)
-
-    def test_odm_conserves_trips(self):
-        network = RoadNetwork(4, 4)
-        odm = origin_destination_matrix(network, trips=5000, zones=6,
-                                        seed=0)
-        assert odm.sum() == 5000
-        assert odm.shape == (6, 6)

@@ -26,7 +26,7 @@ from collections import Counter
 
 import pytest
 
-from repro.apps.wrf.rrtmg import FIG3_MAJOR_ABSORBER
+from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
 from repro.ir import attributes, builder, core, fusion, passes, rewrite
 from repro.ir import verifier
 from repro.pipeline import PipelineSession, cache

@@ -670,6 +670,40 @@ class TestFailureHandling:
         assert schedule.rescheduled_tasks > 0
         assert all(f.task_id in engine.graph.results for f in finals)
 
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_node_failed_from_a_task_body_gets_no_more_work(self, policy):
+        """A body that takes a node down (a card reset, an OOM kill) is
+        seen when the body returns: the work already placed on that node
+        is re-placed on the survivors."""
+        engine = RuntimeEngine(default_cluster(2), policy=policy)
+        a = engine.submit(lambda: engine.cluster.fail_node("node1"),
+                          name="a")
+        dependents = [engine.submit(lambda _: None, a, name=f"b{i}")
+                      for i in range(4)]
+        schedule = engine.run()
+        assert all(p.node == "node0"
+                   for p in schedule.placements.values())
+        assert all(f.task_id in engine.graph.results for f in dependents)
+        if policy == "round-robin":
+            # Before the fix b0 and b2 ran on node1 from t = 0.4.
+            assert schedule.rescheduled_tasks == 2
+
+    def test_failure_after_a_restore_from_a_task_body_is_seen(self):
+        """A body's restore clears the node's handled failure, so a body
+        that fails it again loses the work placed there in between."""
+        engine = RuntimeEngine(default_cluster(2), policy="min-load")
+        engine.fail_node_at(0.0, "node1")
+        a = engine.submit(lambda: engine.cluster.restore_node("node1"),
+                          name="a")
+        engine.submit(lambda _: engine.cluster.fail_node("node1"), a,
+                      name="b0")
+        for i in range(1, 4):
+            engine.submit(lambda _: None, a, name=f"b{i}")
+        schedule = engine.run()
+        assert all(p.node == "node0"
+                   for p in schedule.placements.values())
+        assert schedule.rescheduled_tasks == 2
+
 
 class TestTimelineCoalescing:
     """Regression: commit/release churn must not leave stale breakpoints
