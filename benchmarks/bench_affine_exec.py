@@ -27,7 +27,7 @@ bitwise and footprint contracts are ``tests/test_backends.py`` and
 import numpy as np
 from conftest import measure, record
 
-from repro.hls import cross_check_executor, synthesize_kernel
+from repro.hls import synthesize_kernel
 from repro.ir import CanonicalizePass, FusionPass, verify
 from repro.frontends.ekl import parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
@@ -93,27 +93,28 @@ def test_compiled_executor_beats_interpreter_on_fig3(rrtmg_affine,
         np.testing.assert_array_equal(got[name], expected[name])
     speedup = interp["median_s"] / fast["median_s"]
 
+    # The HLS model and the executor count FLOPs independently.
     report = synthesize_kernel(module, kernel.name)
-    check = cross_check_executor(report, module, kernel.name, rrtmg_inputs)
-    assert check.flops_match
+    assert report.flops == compiled.flops
+    gflops = compiled.flops / fast["median_s"] / 1e9
 
     record("affine_exec", "fig3", {
         "kernel": kernel.name,
         "vectorized_nests": compiled.vectorized_nests,
         "scalar_nests": compiled.scalar_nests,
         "flops_per_call": compiled.flops,
-        "hls_flops_match": check.flops_match,
+        "hls_flops_match": True,
         "interpreter": interp,
         "compiled": fast,
         "speedup": round(speedup, 1),
-        "effective_gflops": round(check.effective_gflops, 3),
-        "fpga_estimate_seconds": round(check.estimated_seconds, 6),
+        "effective_gflops": round(gflops, 3),
+        "fpga_estimate_seconds": round(report.latency_seconds, 6),
         "bitwise_identical": True,
         "required_speedup": _REQUIRED_SPEEDUP,
     })
     print(f"\n  fig3 executor: interpreter {interp['median_s'] * 1e3:.2f}ms,"
           f" compiled {fast['median_s'] * 1e3:.3f}ms ({speedup:.0f}x), "
-          f"{check.effective_gflops:.2f} GFLOP/s, flops cross-check ok")
+          f"{gflops:.2f} GFLOP/s, flops cross-check ok")
     assert speedup >= _REQUIRED_SPEEDUP
 
 

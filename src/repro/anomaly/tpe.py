@@ -194,7 +194,8 @@ def minimize(objective: Callable[[Dict[str, object]], float],
 def random_search(objective: Callable[[Dict[str, object]], float],
                   space: Dict[str, ParamSpec], n_trials: int = 50,
                   seed: int = 0) -> Trial:
-    """The baseline the AutoML benchmark compares TPE against."""
+    """The baseline ``tests/test_autotuner_anomaly.py`` compares TPE
+    against."""
     sampler = TPESampler(space, seed=seed, n_startup=n_trials + 1)
     for _ in range(n_trials):
         params = sampler.ask()

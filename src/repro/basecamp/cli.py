@@ -85,10 +85,10 @@ def cmd_compile(args) -> int:
     if args.emit == "mlir":
         from repro.ir import print_module
 
-        result = _session().lower(source, opt_level=args.opt_level)
+        result = _session().lower(source)
         print(print_module(result.module))
     else:
-        result = _session().compile(source, opt_level=args.opt_level)
+        result = _session().compile(source)
         print(result.report.summary())
     return 0
 
@@ -118,8 +118,7 @@ def cmd_pipeline(args) -> int:
 
     with _tracing(args.trace) as tracer:
         plan = _session().deploy(_kernel_text(args.source),
-                                 device=args.device, nodes=args.nodes,
-                                 opt_level=args.opt_level)
+                                 device=args.device, nodes=args.nodes)
         schedule = plan.schedule
         print(f"deployed on {args.nodes} nodes: "
               f"{len(schedule.placements)} task(s), "
@@ -160,8 +159,7 @@ def _cmd_run(args) -> int:
     import numpy as np
 
     session = _session()
-    lowered = session.lower(_kernel_text(args.source),
-                            opt_level=args.opt_level)
+    lowered = session.lower(_kernel_text(args.source))
     inputs = _gather_run_inputs(lowered.module, lowered.kernel.name, args)
     result = session.execute_lowered(lowered, inputs, backend=args.backend)
     kernel = result.kernel
@@ -377,9 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile an EKL kernel")
     p.add_argument("source")
     p.add_argument("--emit", choices=["report", "mlir"], default="report")
-    p.add_argument("--opt-level", type=int, choices=[0, 1], default=1,
-                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE) "
-                        "and fuse")
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("synthesize", help="HLS with a custom data format")
@@ -398,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("--device", default="alveo-u55c")
     p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--opt-level", type=int, choices=[0, 1], default=1,
-                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE) "
-                        "and fuse")
     p.add_argument("--trace", default=None, metavar="OUT.json",
                    help="record telemetry spans and write Chrome "
                         "trace-event JSON (view in Perfetto)")
@@ -422,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "registry: interpreter, compiled, "
                         "compiled-parallel, compiled-arena, cbackend, "
                         "...); an unknown name lists the registered ones")
-    p.add_argument("--opt-level", type=int, choices=[0, 1], default=1,
-                   help="0: raw lowering, 1: canonicalize (fold/DCE/CSE) "
-                        "and fuse")
     p.add_argument("--time", action="store_true",
                    help="also run the interpreter backend, check the "
                         "outputs match and print the speedup")

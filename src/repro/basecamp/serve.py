@@ -108,13 +108,12 @@ TASK = (
 
 _SOURCE = Field("source", str, ..., 1,
                 error="request needs a non-empty 'source' (EKL kernel text)")
-_OPT_LEVEL = Field("opt_level", int, 1, 0, 1)
 
 #: The fields of each POST endpoint, checked by :func:`checked` before
 #: its handler runs; ``docs/serve.md`` shows them as tables.
 SCHEMA = {
-    "compile": (_SOURCE, Field("number_format", str, None), _OPT_LEVEL),
-    "execute": (_SOURCE, _OPT_LEVEL, Field("backend", str, None, 1),
+    "compile": (_SOURCE, Field("number_format", str, None)),
+    "execute": (_SOURCE, Field("backend", str, None, 1),
                 Field("random_seed", int, None, 0),
                 Field("inputs", dict, None),
                 Field("full_outputs", bool, None)),
@@ -305,8 +304,7 @@ class BasecampService:
 
     def _compile(self, fields: Dict[str, Any]) -> Dict[str, Any]:
         result = self.session.compile(fields["source"],
-                                      number_format=fields["number_format"],
-                                      opt_level=fields["opt_level"])
+                                      number_format=fields["number_format"])
         report = result.report
         return {
             "kernel": report.name,
@@ -326,8 +324,7 @@ class BasecampService:
 
         from repro.basecamp.inputs import gather_inputs
 
-        lowered = self.session.lower(fields["source"],
-                                     opt_level=fields["opt_level"])
+        lowered = self.session.lower(fields["source"])
         inputs = gather_inputs(
             lowered.module, lowered.kernel.name, fields["inputs"],
             fields["random_seed"],

@@ -14,11 +14,9 @@ the accuracy/cost trade-off highlighted by the paper.
 from repro.hls.resources import OpCost, ResourceBudget, cost_of
 from repro.hls.scheduling import BodyDFG, Schedule, asap, alap, build_dfg, list_schedule
 from repro.hls.synth import (
-    ExecutorCrossCheck,
     HLSEngine,
     KernelReport,
     NestReport,
-    cross_check_executor,
     synthesize_kernel,
 )
 
@@ -32,10 +30,8 @@ __all__ = [
     "alap",
     "build_dfg",
     "list_schedule",
-    "ExecutorCrossCheck",
     "HLSEngine",
     "KernelReport",
     "NestReport",
-    "cross_check_executor",
     "synthesize_kernel",
 ]

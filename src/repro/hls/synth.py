@@ -297,74 +297,10 @@ class HLSEngine:
         )
 
 
-@dataclass
-class ExecutorCrossCheck:
-    """FLOP/latency agreement between the HLS model and the compiled
-    CPU executor (the paper's validation story for §V: the same affine
-    module feeds both backends, so their static models must agree)."""
-
-    func_name: str
-    hls_flops: int
-    executor_flops: int
-    estimated_seconds: float   # HLS latency model @ target clock
-    measured_seconds: float    # compiled executor wall time
-
-    @property
-    def flops_match(self) -> bool:
-        return self.hls_flops == self.executor_flops
-
-    @property
-    def effective_gflops(self) -> float:
-        if self.measured_seconds <= 0.0:
-            return 0.0
-        return self.executor_flops / self.measured_seconds / 1e9
-
-    def summary(self) -> str:
-        marker = "ok" if self.flops_match else "MISMATCH"
-        return (f"cross-check {self.func_name}: flops hls={self.hls_flops} "
-                f"executor={self.executor_flops} [{marker}]; latency "
-                f"fpga-est={self.estimated_seconds * 1e6:.1f}us "
-                f"cpu-measured={self.measured_seconds * 1e6:.1f}us "
-                f"({self.effective_gflops:.2f} GFLOP/s)")
-
-
-def cross_check_executor(report: KernelReport, module: Module,
-                         func_name: str, inputs,
-                         runs: int = 3) -> ExecutorCrossCheck:
-    """Validate one :class:`KernelReport` against the compiled executor.
-
-    Compiles the same affine function through
-    :func:`repro.tensorpipe.codegen.compile_affine`, compares the two
-    independently computed FLOP counts and measures the executor's wall
-    time (best of ``runs``) next to the HLS latency estimate.
-    """
-    import time
-
-    # Not at module level: only this cross-check needs the executor, and
-    # synthesis alone should not load codegen and the telemetry package.
-    from repro.tensorpipe.codegen import compile_affine
-
-    if runs < 1:
-        raise HLSError("cross_check_executor needs at least one run")
-    compiled = compile_affine(module, func_name)
-    best = float("inf")
-    for _ in range(runs):
-        start = time.perf_counter()
-        compiled.run(inputs)
-        best = min(best, time.perf_counter() - start)
-    return ExecutorCrossCheck(
-        func_name=func_name,
-        hls_flops=report.flops,
-        executor_flops=compiled.flops,
-        estimated_seconds=report.latency_seconds,
-        measured_seconds=best,
-    )
-
-
 def synthesize_kernel(module: Module, func_name: str,
-                      number_format: Optional[NumberFormat] = None,
-                      clock_mhz: float = 300.0) -> KernelReport:
-    """One-call synthesis entry point."""
-    return HLSEngine(clock_mhz=clock_mhz,
-                     number_format=number_format).synthesize(module, func_name)
+                      number_format: Optional[NumberFormat] = None
+                      ) -> KernelReport:
+    """One-call synthesis entry point, at the default 300 MHz clock."""
+    return HLSEngine(number_format=number_format).synthesize(module,
+                                                             func_name)
 

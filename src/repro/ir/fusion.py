@@ -16,7 +16,7 @@ array traffic.
 The rewrite is bit-for-bit neutral: it only ever elides a same-dtype
 store/load round trip through memory, so the differential contract
 (interpreter == compiled, enforced by ``irfuzz --mode exec``) gates it
-at every optimization level.
+on the raw and the optimized module.
 
 What fuses
 ----------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dialects import register_lowering
 from repro.errors import OlympusError
@@ -177,14 +177,13 @@ class OlympusGenerator:
 
     # -- design-space exploration -------------------------------------------------
 
-    def candidate_configs(self, max_replicas: Optional[int] = None
-                          ) -> List[ArchConfig]:
-        """The enumeration order of the kernel design space."""
-        if max_replicas is None:
-            max_replicas = self.device.default_memory().channels
+    def candidate_configs(self) -> List[ArchConfig]:
+        """The enumeration order of the kernel design space: replicas in
+        powers of two up to the device's memory channels."""
+        channels = self.device.default_memory().channels
         configs = []
         replicas = 1
-        while replicas <= max_replicas:
+        while replicas <= channels:
             for double_buffered in (False, True):
                 for packed in (False, True):
                     configs.append(
@@ -192,14 +191,13 @@ class OlympusGenerator:
             replicas *= 2
         return configs
 
-    def explore(self, report: KernelReport,
-                max_replicas: Optional[int] = None) -> List[
-                    Tuple[ArchConfig, LatencyBreakdown, ResourceBudget]]:
+    def explore(self, report: KernelReport) -> List[
+            Tuple[ArchConfig, LatencyBreakdown, ResourceBudget]]:
         """Enumerate feasible configurations (the kernel's design space),
         in :meth:`candidate_configs` order."""
         budget = self.device.usable_resources()
         points = []
-        for config in self.candidate_configs(max_replicas):
+        for config in self.candidate_configs():
             breakdown, instance = self.estimate(report, config)
             resources = instance.resources()
             if resources.fits_in(budget):

@@ -3,10 +3,10 @@
 One session owns a stage registry and a content-hash stage cache; each
 stage run is timed by a ``stage:*`` span when tracing is on.  High-level
 helpers (:meth:`compile`, :meth:`olympus`, :meth:`deploy`,
-:meth:`format_sweep`, :meth:`olympus_sweep`) compose the built-in stages
-into the paper's Fig. 2 flow; repeated compiles of the same kernel/config
-skip completed phases, and DSE sweeps run their configurations in input
-order on the calling thread.
+:meth:`format_sweep`) compose the built-in stages into the paper's
+Fig. 2 flow; repeated compiles of the same kernel/config skip completed
+phases, and the format sweep runs its configurations in input order on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -63,23 +63,19 @@ class _Flight:
 class PipelineSession:
     """Registers named stages and orchestrates cached, instrumented runs.
 
-    Parameters
-    ----------
-    register_builtins:
-        Install the standard Fig. 2 stages (``frontend-parse``,
-        ``dialect-lowering``, ``canonicalize``, ``execute``, ``hls``,
-        ``olympus``, ``schedule``).
+    A new session holds the standard Fig. 2 stages (``frontend-parse``,
+    ``dialect-lowering``, ``canonicalize``, ``execute``, ``hls``,
+    ``olympus``, ``schedule``).
     """
 
-    def __init__(self, *, register_builtins: bool = True):
+    def __init__(self) -> None:
         self.registry = StageRegistry()
         self.cache = StageCache()
         self.singleflight = SingleFlightStats()
         self._inflight: Dict[str, _Flight] = {}
         self._inflight_lock = threading.Lock()
-        if register_builtins:
-            for stage in builtin_stages():
-                self.registry.register(stage)
+        for stage in builtin_stages():
+            self.registry.register(stage)
 
     # -- stage management --------------------------------------------------------------
 
@@ -231,33 +227,25 @@ class PipelineSession:
         return self.run_stage("frontend-parse", source,
                               key=fingerprint("ekl-source", source))
 
-    def lower(self, source: str, *, opt_level: int = 1) -> CompileResult:
-        """Frontend + dialect lowering: source -> verified affine module.
+    def lower(self, source: str) -> CompileResult:
+        """Frontend + dialect lowering: source -> verified affine module,
+        canonicalized (fold + DCE + CSE through the worklist rewriter)
+        and fused.
 
-        ``opt_level`` selects the optimization pipeline: 0 is the raw
-        lowering, 1 (default) canonicalizes (fold + DCE + CSE through the
-        worklist rewriter) and fuses; any other value raises
-        :class:`PipelineError`.  Only the ``canonicalize`` result is
-        cached: on a miss its leader runs the uncached ``dialect-lowering``
-        and optimizes that module in place.
+        Only the ``canonicalize`` result is cached: on a miss its leader
+        runs the uncached ``dialect-lowering`` and optimizes that module
+        in place.
         """
-        if opt_level not in (0, 1):
-            raise PipelineError(
-                f"opt_level must be 0 or 1, got {opt_level!r}")
         parse_key, kernel = self.frontend(source)
-        params = {"canonicalize": opt_level > 0}
         key, module = self.run_stage(
             "canonicalize", None,
-            key=self.stage_key("dialect-lowering", params, parse_key),
-            params={"opt_level": opt_level},
-            detail=f"O{opt_level}",
+            key=self.stage_key("dialect-lowering", None, parse_key),
             upstream=lambda: self.run_stage(
-                "dialect-lowering", kernel, key=parse_key, params=params)[1])
+                "dialect-lowering", kernel, key=parse_key)[1])
         return CompileResult(source, kernel, module, key=key)
 
     def execute(self, source: str, inputs, *,
-                backend: str = "compiled",
-                opt_level: int = 1) -> ExecutionResult:
+                backend: str = "compiled") -> ExecutionResult:
         """Compile to the CPU executor and run it over ``inputs``.
 
         The compilation itself (codegen + ``compile()``) is a cached
@@ -269,8 +257,8 @@ class PipelineSession:
         (:func:`repro.tensorpipe.backends.registered_backends`); an
         unknown name raises with the available ones.
         """
-        return self.execute_lowered(self.lower(source, opt_level=opt_level),
-                                    inputs, backend=backend)
+        return self.execute_lowered(self.lower(source), inputs,
+                                    backend=backend)
 
     def execute_lowered(self, lowered: CompileResult, inputs, *,
                         backend: str = "compiled") -> ExecutionResult:
@@ -290,25 +278,18 @@ class PipelineSession:
         return ExecutionResult(kernel, outputs, seconds, key=key)
 
     def compile(self, source: str, *,
-                number_format: Optional[str] = None,
-                clock_mhz: float = 300.0,
-                opt_level: int = 1) -> CompileResult:
+                number_format: Optional[str] = None) -> CompileResult:
         """The full compile flow: parse, lower, synthesize.
 
         ``number_format`` is a compact spec (``"f32"``, ``"fixed<8.8>"``,
-        ``"posit<16,1>"``); ``None`` synthesizes in f64.  ``opt_level``
-        is forwarded to :meth:`lower`.
+        ``"posit<16,1>"``); ``None`` synthesizes in f64.
         """
-        result = self.lower(source, opt_level=opt_level)
-        if number_format is not None:
-            # One hls entry per format, not per spelling: "" is f64 too.
-            number_format = "".join(number_format.split()) or "f64"
-        if number_format == "f64":
-            number_format = None  # share the default-format cache entry
-        params = {"number_format": number_format, "clock_mhz": clock_mhz}
+        result = self.lower(source)
+        spec = _format_spec(number_format)
         key, report = self.run_stage("hls", (result.kernel, result.module),
-                                     key=result.key, params=params,
-                                     detail=number_format or "f64")
+                                     key=result.key,
+                                     params={"number_format": spec},
+                                     detail=spec or "f64")
         # `result` is this call's own CompileResult (lower() builds a
         # fresh one); attaching the cached report to it never mutates a
         # cache-shared object.
@@ -317,20 +298,13 @@ class PipelineSession:
         return result
 
     def olympus(self, source: str, *, device: str = "alveo-u55c",
-                max_replicas: Optional[int] = None,
-                number_format: Optional[str] = None,
-                opt_level: int = 1) -> OlympusResult:
-        """Compile then explore/generate the system architecture."""
-        compiled = self.compile(source, number_format=number_format,
-                                opt_level=opt_level)
-        return self._olympus_stage(compiled, device, max_replicas)
-
-    def _olympus_stage(self, compiled: CompileResult, device: str,
-                       max_replicas: Optional[int]) -> OlympusResult:
-        params = {"device": device, "max_replicas": max_replicas,
-                  "system_name": f"{compiled.report.name}_system"}
+                number_format: Optional[str] = None) -> OlympusResult:
+        """Compile then explore/generate the system architecture, up to
+        as many replicas as ``device`` has memory channels."""
+        compiled = self.compile(source, number_format=number_format)
         key, result = self.run_stage("olympus", compiled.report,
-                                     key=compiled.key, params=params,
+                                     key=compiled.key,
+                                     params={"device": device},
                                      detail=device)
         # The cached OlympusResult is shared across callers: hand each
         # call its own shallow copy instead of mutating the cached object
@@ -338,18 +312,17 @@ class PipelineSession:
         return replace(result, key=key)
 
     def deploy(self, source: str, *, device: str = "alveo-u55c",
-               nodes: int = 4, opt_level: int = 1) -> DeploymentPlan:
+               nodes: int = 4) -> DeploymentPlan:
         """The end-to-end Fig. 2 flow, through the runtime schedule."""
-        olympus = self.olympus(source, device=device, opt_level=opt_level)
+        olympus = self.olympus(source, device=device)
         _, plan = self.run_stage("schedule", olympus, key=olympus.key,
                                  params={"nodes": nodes})
         return plan
 
-    # -- DSE sweeps --------------------------------------------------------------------
+    # -- DSE sweep ---------------------------------------------------------------------
 
     def format_sweep(self, source: str,
-                     formats: Sequence[Optional[str]], *,
-                     clock_mhz: float = 300.0) -> Dict[str, Any]:
+                     formats: Sequence[Optional[str]]) -> Dict[str, Any]:
         """Synthesize one kernel under many number formats (§V-B DSE).
 
         Returns ``{spec: KernelReport}`` in the order ``formats`` was
@@ -360,23 +333,19 @@ class PipelineSession:
         payload = (compiled.kernel, compiled.module)
         results: Dict[str, Any] = {}
         for fmt in formats:
-            spec = "".join((fmt or "").split()) or "f64"
-            params = {"number_format": None if spec == "f64" else spec,
-                      "clock_mhz": clock_mhz}
-            results[spec] = self.run_stage("hls", payload, key=compiled.key,
-                                           params=params, detail=spec)[1]
+            spec = _format_spec(fmt)
+            results[spec or "f64"] = self.run_stage(
+                "hls", payload, key=compiled.key,
+                params={"number_format": spec}, detail=spec or "f64")[1]
         return results
 
-    def olympus_sweep(self, source: str, devices: Sequence[str], *,
-                      max_replicas: Optional[int] = None
-                      ) -> Dict[str, OlympusResult]:
-        """Explore the system design space across target devices (§V-C).
 
-        Returns ``{device: OlympusResult}`` in input order.
-        """
-        compiled = self.compile(source)
-        return {device: self._olympus_stage(compiled, device, max_replicas)
-                for device in devices}
+def _format_spec(number_format: Optional[str]) -> Optional[str]:
+    """The ``hls`` stage's ``number_format``: the spec without its
+    whitespace, or None for f64 (``None``, ``""`` or ``"f64"``), so that
+    each format has one cache entry whatever its spelling."""
+    spec = "".join(number_format.split()) if number_format else ""
+    return None if spec in ("", "f64") else spec
 
 
 _GLOBAL_SESSION: Optional[PipelineSession] = None

@@ -92,14 +92,12 @@ def stage_frontend_parse(source: str) -> Any:
     return parse_kernel(source)
 
 
-def stage_dialect_lowering(kernel: Any, *, canonicalize: bool = True) -> Any:
+def stage_dialect_lowering(kernel: Any) -> Any:
     """``dialect-lowering``: ekl -> esn -> teil -> affine, then verify.
 
-    With ``canonicalize`` (the default) the *intermediate* lowering steps
-    canonicalize their output; the final affine module is left raw so the
-    session's ``canonicalize`` stage performs — and times — the
-    affine-level optimization itself.  ``canonicalize=False`` is the
-    fully raw chain (``--opt-level 0``).
+    The *intermediate* lowering steps canonicalize their output; the
+    final affine module is left raw so the session's ``canonicalize``
+    stage performs — and times — the affine-level optimization itself.
 
     The stage boundary runs the *typed* verifier
     (:func:`repro.ir.verifier.verify_typed`): beyond structural checks,
@@ -115,33 +113,25 @@ def stage_dialect_lowering(kernel: Any, *, canonicalize: bool = True) -> Any:
     from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 
     module = lower_teil_to_affine(
-        lower_esn_to_teil(
-            lower_ekl_to_esn(lower_kernel_to_ekl(kernel),
-                             canonicalize=canonicalize),
-            canonicalize=canonicalize,
-        ),
+        lower_esn_to_teil(lower_ekl_to_esn(lower_kernel_to_ekl(kernel))),
         canonicalize=False,
     )
     verify_typed(module)
     return module
 
 
-def stage_canonicalize(module: Any, *, opt_level: int = 1) -> Any:
-    """``canonicalize``: run the optimization pipeline on a lowered module.
+def stage_canonicalize(module: Any) -> Any:
+    """``canonicalize``: canonicalize, then fuse, a lowered module.
 
     Optimizes ``module`` in place and returns it: the session hands it an
-    uncached raw lowering that nothing else holds.  ``opt_level`` 0 is the
-    identity; 1 canonicalizes, then fuses.  Each sub-pass runs in a
-    ``canonicalize/{rewrite,fuse}`` span
-    (category ``pass``) so ``basecamp pipeline`` can show where
-    optimization time went.
+    uncached raw lowering that nothing else holds.  Each sub-pass runs in
+    a ``canonicalize/{rewrite,fuse}`` span (category ``pass``) so
+    ``basecamp pipeline`` can show where optimization time went.
     """
     import repro.dialects  # noqa: F401 (registration side effect)
     from repro.ir import CanonicalizePass, FusionPass, verify_typed
     from repro.telemetry.trace import get_tracer
 
-    if opt_level <= 0:
-        return module
     tracer = get_tracer()
     with tracer.span("canonicalize/rewrite", category="pass"):
         CanonicalizePass().run(module)
@@ -170,8 +160,7 @@ def stage_execute(payload: Tuple[Any, Any], *,
 
 
 def stage_hls(payload: Tuple[Any, Any], *,
-              number_format: Optional[str] = None,
-              clock_mhz: float = 300.0) -> Any:
+              number_format: Optional[str] = None) -> Any:
     """``hls``: (kernel, affine module) -> :class:`KernelReport`.
 
     ``number_format`` is a compact spec string (``"f32"``, ``"fixed<8.8>"``,
@@ -183,23 +172,21 @@ def stage_hls(payload: Tuple[Any, Any], *,
 
     kernel, module = payload
     fmt = make_format(number_format) if number_format else None
-    return synthesize_kernel(module, kernel.name, number_format=fmt,
-                             clock_mhz=clock_mhz)
+    return synthesize_kernel(module, kernel.name, number_format=fmt)
 
 
-def stage_olympus(report: Any, *, device: str = "alveo-u55c",
-                  max_replicas: Optional[int] = None,
-                  system_name: Optional[str] = None) -> OlympusResult:
+def stage_olympus(report: Any, *, device: str = "alveo-u55c"
+                  ) -> OlympusResult:
     """``olympus``: kernel report -> DSE points (in candidate
     enumeration order) + generated system."""
     from repro.olympus import OlympusGenerator
     from repro.platforms import device_by_name
 
     generator = OlympusGenerator(device_by_name(device))
-    points = generator.explore(report, max_replicas)
+    points = generator.explore(report)
     best = min(points, key=lambda p: p[1].total)[0]
-    system = generator.generate(system_name or f"{report.name}_system",
-                                [report], {report.name: best})
+    system = generator.generate(f"{report.name}_system", [report],
+                                {report.name: best})
     return OlympusResult(device, points, best, system,
                          generator.emit_ir(system))
 

@@ -14,7 +14,7 @@ This is the CPU analog of the SDK's HLS flow (paper §V): the same affine
 module either goes to the HLS engine (:mod:`repro.hls`) or, through this
 compiler, to a fast host executor.  The bit-for-bit contract with the
 interpreter is enforced differentially by the test suite on every golden
-kernel and on fuzz-generated modules at all optimization levels.
+kernel and on fuzz-generated modules, raw and optimized.
 
 Every call compiles: a compiled kernel is remembered in one place, the
 stage cache of the :class:`~repro.pipeline.PipelineSession` that asked for

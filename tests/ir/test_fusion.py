@@ -16,29 +16,26 @@ import numpy as np
 import pytest
 
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
-from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
 from repro.ir import Builder, CanonicalizePass, FusionPass, verify
 from repro.ir import types as T
 from repro.ir.core import Block, Module, Operation, Region
-from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 from repro.tensorpipe.affine_interp import run_affine
 from repro.tensorpipe.codegen import compile_affine
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..",
                                 "tools"))
 from irfuzz import check_executor, generate_ekl_case  # noqa: E402
+from irfuzz import lower_raw as raw_chain  # noqa: E402
+
+
+#: The backends the raw chain is held to bitwise, with and without
+#: optimization.
+BITWISE_BACKENDS = ("interpreter", "compiled", "cbackend")
 
 
 def lower_raw(source):
     kernel = parse_kernel(source)
-    module = lower_teil_to_affine(
-        lower_esn_to_teil(
-            lower_ekl_to_esn(lower_kernel_to_ekl(kernel),
-                             canonicalize=False),
-            canonicalize=False,
-        ),
-        canonicalize=False,
-    )
+    module = raw_chain(kernel)
     verify(module)
     return kernel.name, module
 
@@ -397,25 +394,49 @@ class TestPipelineIntegration:
         from repro.pipeline.session import PipelineSession
 
         session = PipelineSession()
-        session.lower(CHAIN, opt_level=1)
+        session.lower(CHAIN)
         fuse, = [span for span in tracer.spans()
                  if span.name == "canonicalize/fuse"]
         assert fuse.category == "pass"
         assert fuse.attrs["detail"].endswith("buffer(s)")
 
-    @pytest.mark.parametrize("opt_level", [0, 1])
-    def test_session_execute_matches_interpreter(self, opt_level):
+    def test_session_execute_matches_interpreter(self):
         from repro.pipeline.session import PipelineSession
 
         rng = np.random.default_rng(6)
         inputs = {"a": rng.normal(size=11), "b": rng.normal(size=11)}
         session = PipelineSession()
-        got = session.execute(CHAIN, inputs, backend="compiled",
-                              opt_level=opt_level)
-        ref = session.execute(CHAIN, inputs, backend="interpreter",
-                              opt_level=opt_level)
+        got = session.execute(CHAIN, inputs, backend="compiled")
+        ref = session.execute(CHAIN, inputs, backend="interpreter")
         np.testing.assert_array_equal(got.outputs["out"],
                                       ref.outputs["out"])
+
+    @pytest.mark.parametrize("backend", ["compiled", "compiled-parallel",
+                                         "compiled-arena", "cbackend"])
+    def test_raw_chain_is_bitwise_on_every_backend(self, backend):
+        rng = np.random.default_rng(6)
+        inputs = {"a": rng.normal(size=11), "b": rng.normal(size=11)}
+        name, module = lower_raw(CHAIN)
+        ref = compile_affine(module, name,
+                             backend="interpreter").run(inputs)["out"]
+        got = compile_affine(module, name, backend=backend).run(inputs)
+        np.testing.assert_array_equal(got["out"], ref)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_the_two_stages_by_hand_are_the_session_module(self, seed):
+        """``tools/irfuzz.py --dump`` prints its optimized section from
+        ``stage_canonicalize(stage_dialect_lowering(kernel))``: that is
+        the module a session lowers the same source to."""
+        from repro.ir import print_module
+        from repro.pipeline.session import PipelineSession
+        from repro.pipeline.stages import (stage_canonicalize,
+                                           stage_dialect_lowering)
+
+        source, _ = generate_ekl_case(seed)
+        by_hand = stage_canonicalize(
+            stage_dialect_lowering(parse_kernel(source)))
+        session = PipelineSession().lower(source).module
+        assert print_module(by_hand) == print_module(session)
 
 
 def _scalar_filled_allocs(module):
@@ -465,11 +486,13 @@ kernel k {
         from repro.pipeline import PipelineSession
 
         inputs = {"a": np.arange(12.0).reshape(4, 3)}
-        for opt_level in (0, 1):
-            for backend in ("interpreter", "compiled", "cbackend"):
-                got = PipelineSession().execute(
-                    source, inputs, backend=backend, opt_level=opt_level)
-                np.testing.assert_array_equal(got.outputs["out"],
+        name, raw = lower_raw(source)
+        for backend in BITWISE_BACKENDS:
+            optimized = PipelineSession().execute(source, inputs,
+                                                  backend=backend)
+            unoptimized = compile_affine(raw, name, backend=backend)
+            for got in (optimized.outputs, unoptimized.run(inputs)):
+                np.testing.assert_array_equal(got["out"],
                                               np.full((4, 3), 2.0))
 
     def test_fig3_is_smaller_and_bitwise_unchanged(self, rrtmg_inputs):

@@ -216,7 +216,7 @@ def test_arena_run_is_repeatable_despite_slot_reuse():
 
 def test_fuzz_exec_200_seeds_through_arena_backend():
     """200 random kernels, arena backend vs. interpreter, bit-for-bit
-    at opt levels 0/1/2 (the ISSUE's differential acceptance bar)."""
+    raw and optimized (the differential acceptance bar)."""
     from irfuzz import check_executor
 
     for seed in range(200):

@@ -679,7 +679,7 @@ kernel k {
 
     def test_fuzz_exec_200_seeds_through_cbackend(self):
         """200 random kernels, generated C vs. interpreter, bit-for-bit
-        at opt levels 0/1/2 (a probe-rejected libm op is a recorded
+        raw and optimized (a probe-rejected libm op is a recorded
         fallback, still checked bitwise)."""
         from irfuzz import check_executor
 

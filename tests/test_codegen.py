@@ -4,7 +4,7 @@ The central contract: :func:`repro.tensorpipe.codegen.compile_affine`
 produces a kernel whose float64 results are *bit-for-bit* identical to
 :class:`repro.tensorpipe.affine_interp.AffineInterpreter` — on the golden
 kernels, on hand-built precision-cast modules and on 200 fuzz-generated
-kernels, at optimization levels 0, 1 and 2.
+kernels, raw (level 0) and optimized (level 1).
 """
 
 import os

@@ -251,31 +251,3 @@ class TestExecutorCrossCheck:
         report = synthesize_kernel(module, "tau_major")
         assert report.flops > 0
         assert report.flops == count_flops(module.lookup("tau_major"))
-
-    def test_cross_check_runs_and_reports(self):
-        import numpy as np
-
-        from repro.hls import cross_check_executor
-
-        _, module = _affine_module(SIMPLE)
-        report = synthesize_kernel(module, "simple")
-        rng = np.random.default_rng(0)
-        inputs = {"a": rng.normal(size=32), "b": rng.normal(size=32)}
-        check = cross_check_executor(report, module, "simple", inputs)
-        assert check.flops_match
-        assert check.measured_seconds > 0.0
-        assert check.estimated_seconds > 0.0
-        assert check.effective_gflops >= 0.0
-        assert "flops" in check.summary() and "ok" in check.summary()
-
-    def test_cross_check_rejects_zero_runs(self):
-        import numpy as np
-
-        from repro.hls import cross_check_executor
-
-        _, module = _affine_module(SIMPLE)
-        report = synthesize_kernel(module, "simple")
-        with pytest.raises(HLSError):
-            cross_check_executor(report, module, "simple",
-                                 {"a": np.zeros(32), "b": np.zeros(32)},
-                                 runs=0)

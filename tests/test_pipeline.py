@@ -58,7 +58,7 @@ GOLDEN = {
 }
 
 #: ``PipelineSession().compile(FIG3_MAJOR_ABSORBER).key``.
-FIG3_KEY = "7d242d65d8a4a02e0ab9cbfd3b2ba771bd5f6c9b606dee8829201703032d31ee"
+FIG3_KEY = "244b1622b6065dad08e898725587c6cd86d960c86e87bb64662640be87409d18"
 
 
 class TestFingerprint:
@@ -212,17 +212,24 @@ class TestParallelDSE:
             assert sweep[spec].resources.lut == alone.resources.lut
             assert sweep[spec].number_format == alone.number_format
 
-    def test_olympus_sweep_over_devices(self):
-        results = PipelineSession().olympus_sweep(
-            FIG3_MAJOR_ABSORBER, ["alveo-u55c", "alveo-u280"])
-        assert list(results) == ["alveo-u55c", "alveo-u280"]
-        for device, result in results.items():
+    def test_olympus_over_devices(self):
+        session = PipelineSession()
+        devices = ["alveo-u55c", "alveo-u280"]
+        results = [session.olympus(FIG3_MAJOR_ABSORBER, device=device)
+                   for device in devices]
+        for device, result in zip(devices, results):
             assert result.system.fits()
             assert result.device_name == device
-        # Each sweep result carries its own stage key (distinct per
-        # device) so downstream run_stage chaining cannot collide.
-        keys = [result.key for result in results.values()]
+        # Each result carries its own stage key (distinct per device) so
+        # downstream run_stage chaining cannot collide.
+        keys = [result.key for result in results]
         assert all(keys) and len(set(keys)) == len(keys)
+        # A cache hit is a fresh copy per call, on every device.
+        for device, first in zip(devices, results):
+            again = session.olympus(FIG3_MAJOR_ABSORBER, device=device)
+            assert again is not first and again.key == first.key
+            first.key = "mutated"
+            assert again.key != "mutated"
 
 
 class TestStageProtocol:
@@ -483,7 +490,7 @@ class TestConcurrency:
         """A session plus a cacheable stage that blocks until released."""
         import threading
 
-        session = PipelineSession(register_builtins=False)
+        session = PipelineSession()
         calls = []
         entered = threading.Event()
         release = threading.Event()
@@ -547,7 +554,7 @@ class TestConcurrency:
         import threading
         import time
 
-        session = PipelineSession(register_builtins=False)
+        session = PipelineSession()
         attempts = []
         entered = threading.Event()
         release = threading.Event()
@@ -660,15 +667,39 @@ class TestConcurrency:
         third = session.olympus(FIG3_MAJOR_ABSORBER)
         assert third.key == second.key
 
-    def test_olympus_sweep_returns_per_call_copies(self):
+
+class TestRemovedSettings:
+    """Every compile canonicalizes and fuses, synthesizes at the HLS
+    engine's clock and explores up to the device's memory channels: a
+    caller that still passes a setting that chose otherwise gets a
+    TypeError before any stage runs, not a silent default."""
+
+    @pytest.mark.parametrize("method, keyword, value", [
+        ("lower", "opt_level", 0),
+        ("execute", "opt_level", 0),
+        ("compile", "opt_level", 0),
+        ("olympus", "opt_level", 1),
+        ("deploy", "opt_level", 1),
+        ("compile", "clock_mhz", 250.0),
+        ("format_sweep", "clock_mhz", 250.0),
+        ("olympus", "max_replicas", 2),
+    ])
+    def test_removed_keyword_is_a_type_error(self, method, keyword, value):
         session = PipelineSession()
-        devices = ["alveo-u55c"]
-        first = session.olympus_sweep(FIG3_MAJOR_ABSORBER, devices)
-        second = session.olympus_sweep(FIG3_MAJOR_ABSORBER, devices)
-        a, b = first["alveo-u55c"], second["alveo-u55c"]
-        assert a is not b
-        a.key = "mutated"
-        assert b.key != "mutated"
+        args = {"execute": (FIG3_MAJOR_ABSORBER, {}),
+                "format_sweep": (FIG3_MAJOR_ABSORBER, FORMATS)}.get(
+                    method, (FIG3_MAJOR_ABSORBER,))
+        with pytest.raises(TypeError, match=keyword):
+            getattr(session, method)(*args, **{keyword: value})
+        assert len(session.cache) == 0
+
+    def test_register_builtins_is_a_type_error(self):
+        with pytest.raises(TypeError, match="register_builtins"):
+            PipelineSession(register_builtins=False)
+
+    def test_there_is_no_olympus_sweep(self):
+        # One device per call: TestParallelDSE.test_olympus_over_devices.
+        assert not hasattr(PipelineSession(), "olympus_sweep")
 
 
 class TestRawLoweringIsNotCached:
@@ -687,14 +718,14 @@ class TestRawLoweringIsNotCached:
         entered = threading.Event()
         release = threading.Event()
 
-        def gated(kernel, **params):
+        def gated(kernel):
             calls.append(kernel.name)
             if len(calls) == 1:
                 entered.set()
                 assert release.wait(timeout=10)
                 if fail_first:
                     raise LoweringError("lowering failed")
-            return stage_dialect_lowering(kernel, **params)
+            return stage_dialect_lowering(kernel)
 
         session.register("dialect-lowering", gated, replace=True,
                          cacheable=False)
@@ -748,25 +779,6 @@ class TestRawLoweringIsNotCached:
         assert len(session.cache) == 1  # the parse only
         assert session.lower(FIG3_MAJOR_ABSORBER).module is not None
         assert len(calls) == 2
-
-    @pytest.mark.parametrize("opt_level", [2, -1, 7])
-    def test_opt_level_outside_0_and_1_is_refused(self, opt_level):
-        session = PipelineSession()
-        with pytest.raises(PipelineError, match="opt_level"):
-            session.lower(FIG3_MAJOR_ABSORBER, opt_level=opt_level)
-        with pytest.raises(PipelineError, match="opt_level"):
-            session.execute(FIG3_MAJOR_ABSORBER, {}, opt_level=opt_level)
-        assert len(session.cache) == 0
-
-    def test_other_opt_levels_leave_the_cached_module_alone(self):
-        session = PipelineSession()
-        cached = session.lower(FIG3_MAJOR_ABSORBER, opt_level=1).module
-        text = print_module(cached)
-        assert session.lower(FIG3_MAJOR_ABSORBER,
-                             opt_level=0).module is not cached
-        assert session.lower(FIG3_MAJOR_ABSORBER,
-                             opt_level=1).module is cached
-        assert print_module(cached) == text
 
     def test_the_cache_holds_no_raw_module(self):
         session = PipelineSession()

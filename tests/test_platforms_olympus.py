@@ -18,6 +18,7 @@ from repro.platforms import (
     cloudfpga_node,
     device_by_name,
 )
+from repro.platforms.device import CATALOG
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 from repro.tensorpipe.arena import plan_arena
 
@@ -273,6 +274,21 @@ class TestOlympus:
                    if op.name == "olympus.kernel"]
         assert kernels[0].attr("callee") == "tau_major"
         assert kernels[0].attr("replicas") == 2
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_replicas_go_up_to_the_device_channels(self, rrtmg_report,
+                                                   name):
+        """The design space doubles the replicas up to the device's
+        memory channels, four buffering/packing points per count."""
+        device = device_by_name(name)
+        channels = device.default_memory().channels
+        generator = OlympusGenerator(device)
+        configs = generator.candidate_configs()
+        counts = sorted({config.replicas for config in configs})
+        assert counts == [2 ** n for n in range(channels.bit_length())]
+        assert len(configs) == 4 * len(counts)
+        for config, _, _ in generator.explore(rrtmg_report):
+            assert config.replicas <= channels
 
     def test_kernel_without_a_config_is_named(self, rrtmg_report):
         # generate() selects nothing itself: a report with no config is

@@ -330,24 +330,31 @@ class TestService:
         with pytest.raises(EverestError, match="source"):
             BasecampService().handle("compile", {})
 
-    def test_bad_opt_level_rejected(self):
-        """An EverestError is the daemon's 400; 2 was the inliner's level
-        and -1 used to run as 0."""
+    def test_compile_misses_three_stages(self):
         service = BasecampService()
-        for level in (9, 2, -1):
-            for endpoint in ("compile", "execute"):
-                with pytest.raises(EverestError,
-                                   match=r"'opt_level' must be in \[0, 1\]"):
-                    service.handle(endpoint, {"source": ADD,
-                                              "opt_level": level})
-
-    def test_default_opt_level_is_the_explicit_one(self):
-        service = BasecampService()
-        default = service.handle("compile", {"source": ADD})
-        explicit = service.handle("compile", {"source": ADD, "opt_level": 1})
-        assert default["key"] == explicit["key"]
+        first = service.handle("compile", {"source": ADD})
+        assert service.handle("compile", {"source": ADD})["key"] == \
+            first["key"]
         # parse, canonicalize, hls: the raw lowering is not a cache entry.
         assert service.session.cache.stats.misses == 3
+
+    @pytest.mark.parametrize("endpoint", ["compile", "execute"])
+    def test_an_opt_level_key_is_ignored(self, endpoint):
+        """``opt_level`` is no field: like any undeclared key nothing
+        reads it, whatever its value, and it selects no cache entry."""
+        service = BasecampService()
+        body = {"source": ADD, "random_seed": 0} \
+            if endpoint == "execute" else {"source": ADD}
+        plain = service.handle(endpoint, body)
+        misses = service.session.cache.stats.misses
+        for value in (0, 1, "zzz"):
+            reply = service.handle(endpoint, dict(body, opt_level=value))
+            assert reply["key"] == plain["key"]
+            if endpoint == "execute":
+                assert reply["outputs"] == plain["outputs"]
+            else:
+                assert reply == plain
+        assert service.session.cache.stats.misses == misses
 
     def test_sizing_validated(self):
         with pytest.raises(EverestError):
@@ -474,11 +481,10 @@ class TestHTTP:
         pytest.param("compile", {"source": ADD, "number_format": "posit<16>"},
                      "unknown number format spec: 'posit<16>'",
                      id="number_format-malformed"),
-        # 1.0 == 1 used to pass a membership test and be fingerprinted
-        # by its repr, one cache entry per spelling (``true`` too: that
-        # one is a generated case).
-        pytest.param("compile", {"source": ADD, "opt_level": 1.0},
-                     "'opt_level'", id="opt_level-float"),
+        # 1.0 == 1, but a float is no int field's value (``true`` is a
+        # generated case).
+        pytest.param("execute", {"source": ADD, "random_seed": 1.0},
+                     "'random_seed'", id="random_seed-float"),
         # A described workflow: the reason names the task and the field.
         pytest.param("runtime", {"tasks": {"name": "a"}},
                      "'tasks' must be of type int", id="tasks-not-a-list"),

@@ -212,8 +212,8 @@ def generate_module(seed: int) -> Module:
 # elementwise arithmetic (with denominators bounded away from zero),
 # broadcasting over named axes, min/max, transcendentals on bounded
 # arguments, select/compare, reductions and gather subscripts with
-# in-range indices.  ``check_executor(seed)`` then compiles the kernel at
-# opt levels 0/1/2 and requires the compiled executor
+# in-range indices.  ``check_executor(seed)`` then compiles the kernel
+# raw (-O0) and optimized (-O1) and requires the compiled executor
 # (:mod:`repro.tensorpipe.codegen`) to agree *bit-for-bit* with
 # :class:`~repro.tensorpipe.affine_interp.AffineInterpreter`, and both to
 # agree with the EKL interpreter (language semantics) to tolerance.
@@ -330,16 +330,36 @@ def generate_ekl_case(seed: int):
     return source, inputs
 
 
+def lower_raw(kernel) -> Module:
+    """The raw lowering chain (-O0): ekl -> esn -> teil -> affine with no
+    canonicalization at any step, the reference the optimized module is
+    held to."""
+    from repro.frontends.ekl.lower import (
+        lower_ekl_to_esn,
+        lower_kernel_to_ekl,
+    )
+    from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
+
+    return lower_teil_to_affine(
+        lower_esn_to_teil(
+            lower_ekl_to_esn(lower_kernel_to_ekl(kernel),
+                             canonicalize=False),
+            canonicalize=False,
+        ),
+        canonicalize=False,
+    )
+
+
 def check_executor(seed: int, backend: str = "compiled") -> None:
     """Differential executor check for one seed; raises on violation.
 
     ``backend`` (any name registered in
     :mod:`repro.tensorpipe.backends`) must match the affine interpreter
-    bit-for-bit at opt levels 0, 1 and 2 — levels 1+ run the fusion
-    pass after canonicalization, so fused regions are covered — and
-    must match the EKL interpreter's language semantics to float64
-    tolerance (the EKL interpreter sums with numpy pairwise reduction,
-    so bitwise equality is not expected there).  The ``cbackend`` may
+    bit-for-bit on the raw lowering (-O0) and on the optimized one (-O1,
+    which runs the fusion pass after canonicalization, so fused regions
+    are covered) — and must match the EKL interpreter's language
+    semantics to float64 tolerance (the EKL interpreter sums with numpy
+    pairwise reduction, so bitwise equality is not expected there).  The ``cbackend`` may
     record a fallback (probe-rejected op, no compiler) — that is a
     clean degradation, not a failure; every other backend must compile
     for real.  No run may change a byte of the inputs, and no output may
@@ -348,26 +368,14 @@ def check_executor(seed: int, backend: str = "compiled") -> None:
     import numpy as np
 
     from repro.frontends.ekl import Interpreter, parse_kernel
-    from repro.frontends.ekl.lower import (
-        lower_ekl_to_esn,
-        lower_kernel_to_ekl,
-    )
     from repro.ir import CanonicalizePass, FusionPass
-    from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
     from repro.tensorpipe.affine_interp import run_affine
     from repro.tensorpipe.codegen import compile_affine
 
     source, inputs = generate_ekl_case(seed)
     kernel = parse_kernel(source)
     expected = Interpreter(kernel).run(inputs)
-    raw = lower_teil_to_affine(
-        lower_esn_to_teil(
-            lower_ekl_to_esn(lower_kernel_to_ekl(kernel),
-                             canonicalize=False),
-            canonicalize=False,
-        ),
-        canonicalize=False,
-    )
+    raw = lower_raw(kernel)
     verify(raw)
     snapshot = {name: value.tobytes() for name, value in inputs.items()}
     for opt_level in (0, 1):
@@ -517,11 +525,13 @@ def compile_dump(start: int, count: int) -> str:
 
     Cases: the Fig. 3 kernel, the 40 shapes of ``bench/gen.py`` (constants
     drawn from ``random.Random(shape index)``) and the EKL kernels of
-    seeds ``start .. start + count - 1``.  Per case and per opt level 0-1:
-    the IR after ``dialect-lowering`` and after ``canonicalize``, the HLS
-    report (its full ``repr``) under f64 and f32, and the generated numpy
-    and C sources.  The C source is emitted as if every probed op passed
-    the probe, so the text does not depend on the C compiler.
+    seeds ``start .. start + count - 1``.  Per case, for the raw chain
+    (``O0``, :func:`lower_raw`, printed twice because nothing optimizes
+    it) and for the session's stages (``O1``): the IR after
+    ``dialect-lowering`` and after ``canonicalize``, the HLS report (its
+    full ``repr``) under f64 and f32, and the generated numpy and C
+    sources.  The C source is emitted as if every probed op passed the
+    probe, so the text does not depend on the C compiler.
     """
     import os
 
@@ -545,12 +555,13 @@ def compile_dump(start: int, count: int) -> str:
     out: List[str] = []
     for label, source in cases:
         kernel = stage_frontend_parse(source)
-        for opt_level in (0, 1):
-            head = f"==== {label} O{opt_level}"
-            module = stage_dialect_lowering(kernel,
-                                            canonicalize=opt_level > 0)
+        for level, lower, optimize in (
+                ("O0", lower_raw, lambda module: module),
+                ("O1", stage_dialect_lowering, stage_canonicalize)):
+            head = f"==== {label} {level}"
+            module = lower(kernel)
             out += [f"{head} dialect-lowering", print_module(module)]
-            stage_canonicalize(module, opt_level=opt_level)
+            optimize(module)
             out += [f"{head} canonicalize", print_module(module)]
             for fmt in ("f64", "f32"):
                 report = stage_hls((kernel, module), number_format=fmt)
