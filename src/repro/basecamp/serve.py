@@ -474,9 +474,11 @@ class _Handler(BaseHTTPRequestHandler):
         # BaseHTTPRequestHandler writes straight to stderr; route the
         # per-request chatter through the structured logger instead so
         # one --log-level flag governs it (info when chatty was asked
-        # for, debug otherwise — invisible at the default warning).
-        _LOG.log(logging.DEBUG if self.quiet else logging.INFO,
-                 "%s %s", self.address_string(), fmt % args)
+        # for, debug otherwise — invisible at the default warning, where
+        # the line is not formatted at all).
+        level = logging.DEBUG if self.quiet else logging.INFO
+        if _LOG.isEnabledFor(level):
+            _LOG.log(level, "%s %s", self.address_string(), fmt % args)
 
     def _reply(self, status: int, body: Union[Dict[str, Any], str],
                headers: Optional[Dict[str, str]] = None,

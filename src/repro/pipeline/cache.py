@@ -15,6 +15,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.telemetry.trace import get_tracer
+
 
 #: Exact classes whose ``repr`` is their canonical text; a subclass
 #: (``np.float64``) takes :func:`_canonical` and its own ``repr``.
@@ -88,10 +90,13 @@ class StageCache:
 
     Cached values are returned by reference: callers must treat cached
     payloads (IR modules, reports) as immutable, exactly as they would the
-    result of a repeated compile.
+    result of a repeated compile.  The *warm index* maps a finished
+    flow's request to the values and key its chain returned, each value
+    also an entry here, so that a warm request is one lookup.
     """
 
     _entries: Dict[str, Any] = field(default_factory=dict)
+    _warm: Dict[tuple, tuple] = field(default_factory=dict)
     stats: CacheStats = field(default_factory=CacheStats)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
@@ -107,6 +112,27 @@ class StageCache:
     def store(self, key: str, value: Any) -> None:
         with self._lock:
             self._entries[key] = value
+
+    def warm(self, request: tuple, epoch: int, hits: int) -> Optional[tuple]:
+        """The values a chain that started at registry ``epoch`` stored
+        for ``request``, counted as its ``hits`` stage hits and traced as
+        one ``stage:warm`` span; None if there are none."""
+        entry = self._warm.get(request)  # one atomic read: no lock
+        if entry is None or entry[0] != epoch:
+            return None
+        with self._lock:
+            self.stats.hits += hits
+        tracer = get_tracer()
+        if tracer.enabled:
+            with tracer.span("stage:warm", category="stage",
+                             attrs={"cached": True, "detail": request[0]}):
+                pass
+        return entry[1:]
+
+    def remember(self, request: tuple, epoch: int, *values: Any) -> None:
+        """Index a finished chain's ``values`` under ``request``."""
+        with self._lock:
+            self._warm[request] = (epoch, *values)
 
     def peek(self, key: str) -> Tuple[bool, Optional[Any]]:
         """Like :meth:`lookup` but without touching the counters.

@@ -112,28 +112,26 @@ class PipelineSession:
 
         Returns ``(stage_key, result)``.
         """
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return self._run_stage(name, payload, key=key, params=params,
-                                   span=None, upstream=upstream)
-        with tracer.span(f"stage:{name}", category="stage") as span:
-            if detail:
-                span.attrs["detail"] = detail
-            return self._run_stage(name, payload, key=key, params=params,
-                                   span=span, upstream=upstream)
-
-    def _run_stage(self, name: str, payload: Any, *, key: str,
-                   params: Optional[Dict[str, Any]], span: Optional[Any],
-                   upstream: Optional[Callable]) -> Tuple[str, Any]:
-        """The cache/single-flight/execute core behind :meth:`run_stage`.
-
-        ``span`` is the caller's open stage span (None when tracing is
-        off); this method only annotates it — cache outcome and
-        single-flight role — so the trace explains where the time went.
-        """
-        stage = self.registry.get(name)
         params = dict(params or {})
-        stage_key = self.stage_key(name, params, key)
+        return self._run_stage(name, payload, self.stage_key(
+            name, params, key), params, detail, upstream)
+
+    def _run_stage(self, name: str, payload: Any, stage_key: str,
+                   params: Dict[str, Any], detail: str, upstream:
+                   Optional[Callable], span: Any = None) -> Tuple[str, Any]:
+        """:meth:`run_stage` once the stage key is known: the cache,
+        single-flight and execute core.  With tracing on, a call without
+        ``span`` reruns itself in a new stage span, which it annotates
+        with the cache outcome and single-flight role."""
+        if span is None:
+            tracer = get_tracer()
+            if tracer.enabled:
+                with tracer.span(f"stage:{name}", category="stage") as span:
+                    if detail:
+                        span.attrs["detail"] = detail
+                    return self._run_stage(name, payload, stage_key,
+                                           params, detail, upstream, span)
+        stage = self.registry.get(name)
         flight: Optional[_Flight] = None
         if stage.cacheable:
             hit, value = self.cache.lookup(stage_key)
@@ -220,7 +218,8 @@ class PipelineSession:
     #
     # Every ``source`` below is EKL text, never a path: the serve daemon
     # hands tenants' strings straight through, and the CLI reads kernel
-    # files itself.
+    # files itself.  ``lower``, ``compile`` and ``execute_lowered`` try
+    # the warm index first, and index a chain's values after it ran.
 
     def frontend(self, source: str) -> Tuple[str, Any]:
         """Parse EKL source; returns ``(key, kernel)``."""
@@ -236,12 +235,17 @@ class PipelineSession:
         runs the uncached ``dialect-lowering`` and optimizes that module
         in place.
         """
+        request, epoch = ("lower", source), self.registry.epoch
+        if (warm := self.cache.warm(request, epoch, 2)) is not None:
+            return CompileResult(source, *warm)
         parse_key, kernel = self.frontend(source)
+        raw_key = self.stage_key("dialect-lowering", None, parse_key)
         key, module = self.run_stage(
-            "canonicalize", None,
-            key=self.stage_key("dialect-lowering", None, parse_key),
-            upstream=lambda: self.run_stage(
-                "dialect-lowering", kernel, key=parse_key)[1])
+            "canonicalize", None, key=raw_key,
+            upstream=lambda: self._run_stage(
+                "dialect-lowering", kernel, raw_key, {}, "", None)[1])
+        if not {"frontend-parse", "canonicalize"} & self.registry.uncached:
+            self.cache.remember(request, epoch, kernel, module, None, key)
         return CompileResult(source, kernel, module, key=key)
 
     def execute(self, source: str, inputs, *,
@@ -265,9 +269,17 @@ class PipelineSession:
         """The ``execute`` stage and one kernel run on what :meth:`lower`
         returned — for a caller that lowered first to learn the kernel's
         argument list (``basecamp run``, ``POST /execute``)."""
-        key, kernel = self.run_stage(
-            "execute", (lowered.kernel, lowered.module), key=lowered.key,
-            params={"backend": backend}, detail=backend)
+        request, epoch = ("execute", lowered.key, backend), \
+            self.registry.epoch
+        if (warm := self.cache.warm(request, epoch, 1)) is not None:
+            kernel, key = warm
+        else:
+            key, kernel = self.run_stage(
+                "execute", (lowered.kernel, lowered.module),
+                key=lowered.key, params={"backend": backend},
+                detail=backend)
+            if "execute" not in self.registry.uncached:
+                self.cache.remember(request, epoch, kernel, key)
         tracer = get_tracer()
         with tracer.span("execute/run", category="exec",
                          attrs={"backend": kernel.backend}
@@ -284,18 +296,20 @@ class PipelineSession:
         ``number_format`` is a compact spec (``"f32"``, ``"fixed<8.8>"``,
         ``"posit<16,1>"``); ``None`` synthesizes in f64.
         """
-        result = self.lower(source)
         spec = _format_spec(number_format)
+        request, epoch = ("hls", source, spec), self.registry.epoch
+        if (warm := self.cache.warm(request, epoch, 3)) is not None:
+            return CompileResult(source, *warm)
+        result = self.lower(source)
         key, report = self.run_stage("hls", (result.kernel, result.module),
                                      key=result.key,
                                      params={"number_format": spec},
                                      detail=spec or "f64")
-        # `result` is this call's own CompileResult (lower() builds a
-        # fresh one); attaching the cached report to it never mutates a
-        # cache-shared object.
-        result.report = report
-        result.key = key
-        return result
+        values = (result.kernel, result.module, report, key)
+        if not {"frontend-parse", "canonicalize", "hls"} \
+                & self.registry.uncached:
+            self.cache.remember(request, epoch, *values)
+        return CompileResult(source, *values)
 
     def olympus(self, source: str, *, device: str = "alveo-u55c",
                 number_format: Optional[str] = None) -> OlympusResult:

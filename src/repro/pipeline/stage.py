@@ -11,7 +11,7 @@ and skips re-execution on a cache hit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Set
 
 from repro.errors import PipelineError
 
@@ -41,11 +41,14 @@ class StageRegistry:
 
     Each registration bumps the stage's *generation*; the session folds
     it into cache keys so replacing a stage (``replace=True``) never
-    serves results cached from the previous implementation.
+    serves results cached from the previous implementation.  It also
+    bumps ``epoch``, which invalidates the session's whole warm index.
     """
 
     _stages: Dict[str, Stage] = field(default_factory=dict)
     _generations: Dict[str, int] = field(default_factory=dict)
+    epoch: int = 0
+    uncached: Set[str] = field(default_factory=set)  # cacheable=False
 
     def register(self, stage: Stage, *, replace: bool = False) -> Stage:
         if stage.name in self._stages and not replace:
@@ -56,6 +59,9 @@ class StageRegistry:
         self._stages[stage.name] = stage
         self._generations[stage.name] = \
             self._generations.get(stage.name, -1) + 1
+        self.epoch += 1
+        self.uncached = {name for name, registered in self._stages.items()
+                         if not registered.cacheable}
         return stage
 
     def generation(self, name: str) -> int:

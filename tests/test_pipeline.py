@@ -793,3 +793,118 @@ class TestRawLoweringIsNotCached:
             raw_key = session.stage_key("dialect-lowering",
                                         {"canonicalize": True}, parse_key)
             assert session.cache.peek(raw_key) == (False, None)
+
+
+class TestWarmIndex:
+    """A warm ``lower``/``compile``/``execute`` is one warm-index lookup;
+    a replaced stage is never served from it."""
+
+    SOURCE = """
+    kernel warm {
+      index i: 6
+      input a[i]: f64
+      output y
+      y = a * 2.0 + 1.0
+    }
+    """
+
+    def test_cold_compile_computes_each_stage_key_once(self, monkeypatch):
+        import repro.pipeline.session as session_module
+
+        computed = []
+
+        def counted(*parts):
+            computed.append(parts[0])
+            return fingerprint(*parts)
+
+        monkeypatch.setattr(session_module, "fingerprint", counted)
+        PipelineSession().compile(FIG3_MAJOR_ABSORBER)
+        assert computed == ["ekl-source", "frontend-parse",
+                            "dialect-lowering", "canonicalize", "hls"]
+
+    def test_warm_compile_computes_no_key(self, monkeypatch):
+        import repro.pipeline.session as session_module
+
+        session = PipelineSession()
+        first = session.compile(FIG3_MAJOR_ABSORBER, number_format="f32")
+        monkeypatch.setattr(session_module, "fingerprint", None)
+        again = session.compile(FIG3_MAJOR_ABSORBER, number_format=" f32")
+        assert (again.key, again.report, again.module, again.kernel) == \
+            (first.key, first.report, first.module, first.kernel)
+        assert again is not first
+
+    @staticmethod
+    def _spy(session, name, ran, cacheable=None):
+        """Replace stage ``name`` by one that runs the original and
+        appends each value it returns to ``ran``."""
+        original = session.registry.get(name)
+
+        def replacement(payload, **params):
+            ran.append(original.fn(payload, **params))
+            return ran[-1]
+
+        session.register(name, replacement, replace=True,
+                         cacheable=original.cacheable if cacheable is None
+                         else cacheable)
+
+    def _calls(self, session, stage):
+        """Calls that each return what ``stage`` produced for them."""
+        inputs = {"a": np.arange(6.0)}
+        if stage == "execute":
+            return [lambda backend=backend: session.execute(
+                self.SOURCE, inputs, backend=backend).kernel
+                for backend in ("compiled", "cbackend")]
+        served = {"frontend-parse": "kernel", "hls": "report"}.get(
+            stage, "module")
+        return [lambda: getattr(session.compile(self.SOURCE), served)]
+
+    @pytest.mark.parametrize("stage", ["frontend-parse", "dialect-lowering",
+                                       "canonicalize", "hls", "execute"])
+    def test_replaced_stage_runs_on_the_next_call(self, stage):
+        session = PipelineSession()
+        calls = self._calls(session, stage)
+        for call in calls * 2:  # cold, then warm
+            call()
+        ran = []
+        self._spy(session, stage, ran)
+        for call in calls:
+            assert call() is ran[-1]
+        for call in calls:  # the replacement's values are warm now
+            call()
+        assert len(ran) == len(calls)
+
+    @pytest.mark.parametrize("stage", ["frontend-parse", "canonicalize",
+                                       "hls", "execute"])
+    def test_uncacheable_stage_runs_on_every_call(self, stage):
+        """The warm index holds only stage-cache values: a chain with an
+        uncacheable stage is not indexed."""
+        session = PipelineSession()
+        calls = self._calls(session, stage)
+        ran = []
+        self._spy(session, stage, ran, cacheable=False)
+        for call in calls * 3:
+            assert call() is ran[-1]
+        assert len(ran) == 3 * len(calls)
+
+    def test_replacement_registered_mid_run_is_not_served_stale(self):
+        """A replacement registered while a chain runs invalidates the
+        entry that very chain writes."""
+        from repro.pipeline.stages import stage_hls
+
+        session = PipelineSession()
+        session.compile(self.SOURCE)
+        replaced = []
+
+        def fresh_hls(payload, **params):
+            replaced.append(stage_hls(payload, **params))
+            return replaced[-1]
+
+        def replacing_hls(payload, **params):
+            session.register("hls", fresh_hls, replace=True)
+            return stage_hls(payload, **params)
+
+        session.register("hls", replacing_hls, replace=True)
+        stale = session.compile(self.SOURCE).report
+        fresh = session.compile(self.SOURCE).report
+        assert replaced == [fresh] and fresh is not stale
+        assert session.compile(self.SOURCE).report is fresh

@@ -10,6 +10,7 @@ when the executor saturates.
 import builtins
 import http.client
 import json
+import logging
 import statistics
 import threading
 import time
@@ -373,8 +374,8 @@ class TestService:
 
     def test_warm_execute_lowers_once(self, tracer):
         """The lowering that names the kernel's inputs is the one the
-        ``execute`` stage runs on: one cache probe per cached stage a
-        request, and the uncached raw lowering is not run at all."""
+        ``execute`` stage runs on: a warm request is one warm-index hit
+        for the lowering and one for the kernel, and no stage runs."""
         service = BasecampService()
         request = {"source": ADD, "random_seed": 0}
         service.handle("execute", request)
@@ -385,8 +386,29 @@ class TestService:
         assert all(span.attrs.get("cached") for span in warm
                    if span.category == "stage")
         assert Counter(span.name for span in warm) == {
-            "stage:frontend-parse": 1, "stage:canonicalize": 1,
-            "stage:execute": 1, "execute/run": 1}
+            "stage:warm": 2, "execute/run": 1}
+        assert [span.attrs["detail"] for span in warm
+                if span.name == "stage:warm"] == ["lower", "execute"]
+
+    def test_cache_counters_count_warm_hits_as_stage_hits(self):
+        """A warm request counts the stage hits it stands for: after this
+        sequence ``/stats`` reads what the stage chain alone would count,
+        and every reply carries the key the chain computes."""
+        service = BasecampService()
+        keys = [service.handle("compile", body)["key"] for body in (
+            {"source": ADD}, {"source": ADD},
+            {"source": ADD, "number_format": "f32"})]
+        keys += [service.handle("execute", {"source": ADD,
+                                            "random_seed": 0})["key"]
+                 for _ in range(2)]
+        cache = service.stats()["cache"]
+        assert (cache["hits"], cache["misses"], cache["entries"]) == \
+            (10, 5, 5)
+        f64, f32, executed = (
+            "8c81eca282328056e5332aabd7c740279a5a27d06fd9e27d2817abe16e099344",
+            "8f2f03a6a0d96637f612aa816c46b4eb7118a8051470bc508c6fc144bed48ba9",
+            "efe0502eba464d303995e6724d82434887957098d46d57f4b10cc80b7664d06e")
+        assert keys == [f64, f64, f32, executed, executed]
 
     def test_warm_daemon_keeps_no_per_request_record(self):
         """A long-lived daemon's memory does not grow with its request
@@ -426,6 +448,34 @@ class TestHTTP:
         status, body = get(server.url, "/stats")
         assert status == 200
         assert body["server"]["requests"] == 0
+
+    @pytest.mark.parametrize("level", [logging.DEBUG, logging.WARNING])
+    def test_request_line_is_formatted_only_when_logged(
+            self, shared_server, caplog, monkeypatch, level):
+        """The per-request line is logged at DEBUG; at the default
+        WARNING it is dropped before the client address is looked up."""
+        from repro.basecamp import serve
+
+        looked_up = []
+        address_string = serve._Handler.address_string
+        monkeypatch.setattr(
+            serve._Handler, "address_string",
+            lambda handler: looked_up.append(1) or address_string(handler))
+        logger = logging.getLogger("repro.serve")
+        caplog.set_level(level, logger=logger.name)
+        logger.addHandler(caplog.handler)  # "repro" may not propagate
+        try:
+            assert get(shared_server.url, "/healthz")[0] == 200
+        finally:
+            logger.removeHandler(caplog.handler)
+        lines = [record.getMessage() for record in caplog.records
+                 if record.name == logger.name]
+        if level == logging.DEBUG:
+            assert any('"GET /healthz HTTP/1.1" 200' in line
+                       for line in lines), lines
+            assert looked_up
+        else:
+            assert lines == [] and looked_up == []
 
     def test_unknown_path_404(self, server):
         status, body = get(server.url, "/nope")

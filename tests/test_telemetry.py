@@ -548,16 +548,17 @@ class TestServeTelemetry:
         result = service.handle("compile", {"source": ADD})
         assert "span_id" not in result
 
-    @pytest.mark.parametrize("endpoint, budget", [("execute", 8),
-                                                  ("compile", 4)])
+    @pytest.mark.parametrize("endpoint, budget", [("execute", 6),
+                                                  ("compile", 1)])
     def test_disabled_tracing_is_a_pinned_number_of_calls(self, endpoint,
                                                           budget):
         """The disabled contract as a count, not a wall-clock share: with
         the null tracer installed, one warm request runs ``budget``
         Python functions of ``telemetry/trace.py`` (a ``get_tracer`` per
-        stage, plus the null ``execute/run`` span) out of a few hundred
-        calls in all.  A new instrumentation site on the request path
-        raises the count and has to re-pin it here."""
+        warm-index hit and one before the kernel run, plus the null
+        ``execute/run`` span) out of a few hundred calls in all.  A new
+        instrumentation site on the request path raises the count and
+        has to re-pin it here."""
         service = BasecampService()
         payload = {"source": ADD, "random_seed": 0}
         service.handle(endpoint, payload)  # warm: every stage a cache hit
