@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -63,6 +64,9 @@ DEFAULT_QUEUE_LIMIT = 16
 #: request holds one of the ``max_workers`` slots until it is planned.
 MAX_RUNTIME_TASKS = 10_000
 MAX_RUNTIME_NODES = 256
+
+#: The version of a request line: digits only, at most ten per number.
+_HTTP_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
 def _no_result(*dependencies) -> None:
@@ -463,12 +467,8 @@ class _Handler(BaseHTTPRequestHandler):
     service: BasecampService
     quiet = True
     protocol_version = "HTTP/1.1"
-    # Buffer the reply so status line, headers and body leave in one
-    # send: written as two small segments, every reply on a keep-alive
-    # connection waits out Nagle plus the client's ~40 ms delayed ACK.
-    # 64 KiB holds every summary reply; a larger body fills whole
-    # segments on its own.
-    wbufsize = 1 << 16
+    #: ``(second, text)`` of the last ``Date`` header: one format a second.
+    _date = (0, "")
 
     def log_message(self, fmt, *args):  # noqa: D102 (stdlib signature)
         # BaseHTTPRequestHandler writes straight to stderr; route the
@@ -480,23 +480,101 @@ class _Handler(BaseHTTPRequestHandler):
         if _LOG.isEnabledFor(level):
             _LOG.log(level, "%s %s", self.address_string(), fmt % args)
 
+    def parse_request(self) -> bool:
+        """The stdlib's request-line checks, then the header fields into
+        ``self.headers``, a dict keyed by lower-case name; a head the
+        daemon cannot frame is a 400 (a 431 past 100 fields or 64 KiB)."""
+        self.command, self.request_version = None, "HTTP/0.9"
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline,
+                               "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            match = _HTTP_VERSION.fullmatch(version)
+            if match is None:
+                return self.send_error(
+                    400, f"Bad request version ({version!r})")
+            number = int(match[1]), int(match[2])
+            if number >= (2, 0):
+                return self.send_error(
+                    505, f"Invalid HTTP version ({version[5:]})")
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            return self.send_error(
+                400, f"Bad request syntax ({self.requestline!r})")
+        self.command, self.path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if self.command != "GET":
+                return self.send_error(
+                    400, f"Bad HTTP/0.9 request type ({self.command!r})")
+        if self.path.startswith("//"):  # not an absolute URI (gh-87389)
+            self.path = "/" + self.path.lstrip("/")
+        self.headers = headers = {}
+        for _ in range(101):
+            line = self.rfile.readline(65537)
+            if len(line) > 65536:
+                return self.send_error(431, "Line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            text = line.decode("iso-8859-1")
+            name, colon, value = text.partition(":")
+            key = name.lower()
+            if not colon or not name or name != name.strip():
+                problem = (f"malformed header line {text.rstrip()!r}: a "
+                           "field is 'Name: value' on one line")
+            elif key == "transfer-encoding":
+                problem = f"{name} is not supported; send Content-Length"
+            elif key == "content-length" and key in headers:
+                problem = "more than one Content-Length header"
+            else:
+                headers.setdefault(key, value.strip())
+                continue
+            return self.send_error(400, problem)
+        else:
+            return self.send_error(431, "Too many headers")
+        self.close_connection = {"close": True, "keep-alive": False}.get(
+            headers.get("connection", "").lower(), self.close_connection)
+        if headers.get("expect", "").lower() == "100-continue" \
+                and self.request_version >= "HTTP/1.1":
+            self.handle_expect_100()
+        return True
+
+    def send_error(self, code, message=None, explain=None) -> bool:
+        """Any refusal (the stdlib's 414 and 501 too) as JSON, closing the
+        connection; False, what a refused :meth:`parse_request` returns."""
+        self.close_connection = True
+        self._reply(code, {"error": message or self.responses[code][0]},
+                    headers={"Connection": "close"})
+        return False
+
     def _reply(self, status: int, body: Union[Dict[str, Any], str],
                headers: Optional[Dict[str, str]] = None,
                content_type: str = "application/json") -> None:
-        """Send one reply; a dict body is JSON-encoded, a str goes out
-        verbatim under ``content_type``."""
+        """Send one reply, head and body in one write (as two segments, a
+        keep-alive reply waits out Nagle plus a ~40 ms delayed ACK); a
+        dict body is JSON-encoded, a str goes out verbatim under
+        ``content_type``."""
         text = body if isinstance(body, str) else json.dumps(body)
         data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
+        self.log_request(status)
+        now = int(time.time())
+        if self._date[0] != now:
+            _Handler._date = (now, self.date_time_string(now))
+        head = (f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\nDate: {self._date[1]}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(data)}\r\n")
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-        # Flushed here rather than left to handle_one_request so a
-        # vanished client raises inside the caller's try block.
-        self.wfile.flush()
+            head += f"{name}: {value}\r\n"
+        # Unbuffered (the stdlib's ``wbufsize = 0``): a vanished client
+        # raises here, inside the caller's try block.
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + data)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
         if self.path == "/healthz":
@@ -522,20 +600,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _do_post(self, endpoint: str, span) -> None:
         try:
-            declared = self.headers.get("Content-Length") or 0
+            declared = self.headers.get("content-length") or 0
             try:
                 length = int(declared)
             except ValueError:
                 length = -1
             if not 0 <= length <= MAX_BODY_BYTES:
-                # Body left unread: drop the connection after replying.
+                # Body left unread: send_error drops the connection.
                 status, reason = (413, "request body too large") \
                     if length > 0 else \
                     (400, f"invalid Content-Length header {declared!r}")
                 span.set("status", status)
-                self._reply(status, {"error": reason},
-                            headers={"Connection": "close"})
-                self.close_connection = True
+                self.send_error(status, reason)
                 return
             raw = self.rfile.read(length) if length else b"{}"
             try:

@@ -11,6 +11,7 @@ import builtins
 import http.client
 import json
 import logging
+import socket
 import statistics
 import threading
 import time
@@ -887,3 +888,143 @@ kernel hog {
         error = ServiceSaturated("full", retry_after=7)
         assert isinstance(error, EverestError)
         assert error.retry_after == 7
+
+
+def head(*fields, line="POST /compile HTTP/1.1", body=b""):
+    """A raw request: ``line``, a ``Host`` field, ``fields``, the blank
+    line and ``body``."""
+    return "".join(f"{text}\r\n" for text in (line, "Host: test") + fields
+                   ).encode("latin-1") + b"\r\n" + body
+
+
+def field_line(size):
+    """One header field line of ``size`` bytes, its CRLF included."""
+    return b"X-Pad: " + b"a" * (size - 9) + b"\r\n"
+
+
+def read_reply(reader):
+    """(status, fields by lower-case name, body) of one reply, which must
+    open with a status line."""
+    status_line = reader.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    fields = {}
+    for line in iter(reader.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        fields[name.lower()] = value.strip()
+    return int(status_line.split()[1]), fields, \
+        reader.read(int(fields["content-length"]))
+
+
+_ADD_BODY = json.dumps({"source": ADD}).encode()
+_CHUNKED = b"%x\r\n%s\r\n0\r\n\r\n" % (len(_ADD_BODY), _ADD_BODY)
+
+#: (raw request, status, text the JSON error must hold).  A head cut off
+#: where the daemon stops reading leaves nothing unread behind a refusal.
+REFUSED_HEADS = {
+    "transfer-encoding": (head("Transfer-Encoding: chunked", body=_CHUNKED),
+                          400, "Transfer-Encoding is not supported"),
+    "two-content-lengths": (head("Content-Length: 2",
+                                 f"Content-Length: {len(_ADD_BODY)}",
+                                 body=_ADD_BODY),
+                            400, "more than one Content-Length"),
+    "space-before-colon": (head(f"Content-Length : {len(_ADD_BODY)}",
+                                body=_ADD_BODY),
+                           400, "'Content-Length :"),
+    "obs-fold": (head("X-Note: one", " two"), 400, "' two'"),
+    "no-colon": (head("not a field"), 400, "'not a field'"),
+    "request-line": (b"GET\r\n\r\n", 400, "Bad request syntax ('GET')"),
+    "version": (b"GET /healthz HTTP/1.x\r\n\r\n", 400,
+                "Bad request version ('HTTP/1.x')"),
+    "http-0.9-post": (b"POST /compile\r\n\r\n", 400,
+                      "Bad HTTP/0.9 request type ('POST')"),
+    "414": (b"GET /" + b"a" * (65537 - 16) + b" HTTP/1.1\r\n", 414,
+            "Request-URI Too Long"),
+    "431-line": (b"GET /healthz HTTP/1.1\r\n" + field_line(65537), 431,
+                 "Line too long"),
+    "431-fields": (b"GET /healthz HTTP/1.1\r\n" + b"".join(
+        b"X-%d: 1\r\n" % index for index in range(101)), 431,
+                   "Too many headers"),
+    "501": (head(line="PUT /compile HTTP/1.1"), 501,
+            "Unsupported method ('PUT')"),
+    "505": (b"GET /healthz HTTP/2.0\r\n\r\n", 505,
+            "Invalid HTTP version (2.0)"),
+}
+
+
+class TestRequestHead:
+    """The daemon reads its own request head: raw requests over a socket,
+    each followed by a ``/healthz`` that must still answer."""
+
+    @pytest.fixture(autouse=True)
+    def _still_healthy(self, shared_server):
+        yield
+        assert get(shared_server.url, "/healthz")[0] == 200
+
+    @staticmethod
+    def connect(server):
+        sock = socket.create_connection(server.address, timeout=30)
+        return sock, sock.makefile("rb")
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_HEADS))
+    def test_refusal_is_json_and_closes(self, shared_server, case):
+        data, status, named = REFUSED_HEADS[case]
+        sock, reader = self.connect(shared_server)
+        with sock, reader:
+            sock.sendall(data)
+            got, fields, body = read_reply(reader)
+            assert (got, fields["connection"], fields["content-type"]) \
+                == (status, "close", "application/json")
+            assert named in json.loads(body)["error"]
+            assert reader.read(1) == b""
+
+    @pytest.mark.parametrize("name", ["content-length", "CoNtEnT-LeNgTh"])
+    def test_field_names_are_case_insensitive(self, shared_server, name):
+        sock, reader = self.connect(shared_server)
+        with sock, reader:
+            sock.sendall(head(f"{name}: {len(_ADD_BODY)}", body=_ADD_BODY))
+            status, _, body = read_reply(reader)
+            assert (status, json.loads(body)["kernel"]) == (200, "add")
+
+    @pytest.mark.parametrize("version, connection, closes", [
+        ("HTTP/1.0", None, True),
+        ("HTTP/1.0", "keep-alive", False),
+        ("HTTP/1.1", None, False),
+        ("HTTP/1.1", "close", True),
+    ])
+    def test_connection_persists_by_version_and_field(
+            self, shared_server, version, connection, closes):
+        fields = (f"Connection: {connection}",) if connection else ()
+        sock, reader = self.connect(shared_server)
+        with sock, reader:
+            sock.sendall(head(*fields, line=f"GET /healthz {version}"))
+            assert read_reply(reader)[0] == 200
+            if closes:
+                assert reader.read(1) == b""
+            else:
+                sock.sendall(head(line="GET /healthz HTTP/1.1"))
+                assert read_reply(reader)[0] == 200
+
+    def test_expect_100_continue_gets_the_interim_reply(self, shared_server):
+        sock, reader = self.connect(shared_server)
+        with sock, reader:
+            sock.sendall(head("Expect: 100-continue",
+                              f"Content-Length: {len(_ADD_BODY)}"))
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(_ADD_BODY)
+            status, _, body = read_reply(reader)
+            assert (status, json.loads(body)["kernel"]) == (200, "add")
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param([b"X-%d: 1\r\n" % index for index in range(99)],
+                     id="100-fields"),
+        pytest.param([field_line(65536)], id="65536-byte-line"),
+    ])
+    def test_a_head_at_the_limits_is_accepted(self, shared_server, fields):
+        """With ``Host``, 100 fields; the 101st, or one byte more on the
+        line, is a 431 (``REFUSED_HEADS``)."""
+        sock, reader = self.connect(shared_server)
+        with sock, reader:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                         + b"".join(fields) + b"\r\n")
+            assert read_reply(reader)[0] == 200

@@ -19,18 +19,27 @@ kernel call, the runtime engine, or ``other``.  A warm call is one
 warm-index lookup per flow, so the stage keys and the stage bookkeeping
 read 0 here: a call charged to either means a warm request walks the
 stage chain again.
+
+``/compile over a socket`` is the same ``/compile`` sent to a live
+daemon on a keep-alive connection: the calls on its handler thread from
+the request line to the written reply, so the HTTP plumbing (the
+request head, the reply) is inside the count.
 """
 
 import copy
 import functools
 import gc
+import json
+import os
+import socket
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.basecamp.serve import BasecampService
+from repro.basecamp.serve import BasecampServer, BasecampService, _Handler
 from repro.pipeline import PipelineSession, cache
 from repro.runtime.engine import RuntimeEngine, synthetic_workflow
 from repro.tensorpipe import affine_interp, codegen
@@ -59,6 +68,7 @@ BUDGETS = {
     "/compile": (84, 88),
     "/execute": (137, 143),
     "/runtime": (1_173, 1_231),
+    "/compile over a socket": (174, 182),
 }
 
 #: The request body of each daemon endpoint.
@@ -79,12 +89,15 @@ _PIECE_OF_CODE = {fn.__code__: piece for fn, piece in (
     (codegen.CompiledKernel.run, "kernel call"),
     (synthetic_workflow, "runtime engine"),
     (RuntimeEngine.run, "runtime engine"),
+    (_Handler.parse_request, "request head"),
+    (_Handler._reply, "reply"),
 )}
 
 
-def _count_calls(call, argument):
-    """Calls per innermost piece (``other``: under none)."""
-    charged = Counter()
+def _charging(charged, files):
+    """A profile hook that counts calls per innermost piece (``other``:
+    under none) into ``charged`` and adds each Python callee's file to
+    ``files``."""
     under = ["other"]
 
     def hook(frame, event, arg):
@@ -93,11 +106,19 @@ def _count_calls(call, argument):
             if piece is not None:
                 under.append(piece)
             charged[under[-1]] += 1
+            files.add(frame.f_code.co_filename)
         elif event == "c_call":
             charged[under[-1]] += 1
         elif event == "return" and frame.f_code in _PIECE_OF_CODE:
             under.pop()
 
+    return hook
+
+
+def _count_calls(call, argument):
+    """Calls per innermost piece."""
+    charged = Counter()
+    hook = _charging(charged, set())
     # A collection in the middle would run whatever ``gc.callbacks`` other
     # tests' libraries registered (hypothesis does), and those are calls.
     gc.collect()
@@ -135,7 +156,76 @@ def _warm_call(name):
 
 
 @functools.lru_cache(maxsize=None)
+def _socket_compile():
+    """``(charged, files)`` of one warm keep-alive ``/compile`` on the
+    daemon's handler thread, which inherits a ``threading.setprofile``
+    hook that counts inside ``handle_one_request`` only.
+
+    The stdlib formats the ``Date`` header (in ``email.utils``) once a
+    wall-clock second; of three requests in a row, the two cheapest
+    repeat exactly and are the ones read."""
+    requests = []
+    counting = []
+
+    def hook(frame, event, arg):
+        if frame.f_code is _Handler.handle_one_request.__code__:
+            if event == "call":
+                requests.append((Counter(), set()))
+                counting.append(_charging(*requests[-1]))
+            elif event == "return":
+                counting.clear()
+                return
+        if counting:
+            counting[0](frame, event, arg)
+
+    server = BasecampServer(port=0).start()
+    threading.setprofile(hook)
+    connection = socket.create_connection(server.address, timeout=30)
+    reader = connection.makefile("rb")
+    body = json.dumps(BODIES["/compile"]).encode()
+    # One send: a head and body sent apart may reach the handler in one
+    # read or two.
+    request = b"POST /compile HTTP/1.1\r\nHost: budget\r\n" \
+        b"Content-Type: application/json\r\n" \
+        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+
+    def send():
+        connection.sendall(request)
+        assert reader.readline().startswith(b"HTTP/1.1 200 "), request
+        length = 0
+        for line in iter(reader.readline, b"\r\n"):
+            if line.lower().startswith(b"content-length:"):
+                length = int(line.split(b":")[1])
+        reader.read(length)
+
+    try:
+        send()  # the cold request; the handler thread is running now
+        threading.setprofile(None)
+        send()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                send()
+        finally:
+            gc.enable()
+    finally:
+        threading.setprofile(None)
+        reader.close()
+        connection.close()
+        server.shutdown()
+    # requests[0] and [1] are the cold and first warm ones, and the
+    # handler may already be reading the line of a next one.
+    measured = sorted(requests[2:5], key=lambda counted: sum(
+        counted[0].values()))
+    assert measured[0][0] == measured[1][0], "the count must repeat exactly"
+    return measured[0]
+
+
+@functools.lru_cache(maxsize=None)
 def _counts(name):
+    if name == "/compile over a socket":
+        return _socket_compile()[0]
     call, make = _warm_call(name)
     call(make())  # the cold call: compile, lazy imports, metric labels
     call(make())
@@ -164,3 +254,13 @@ def test_warm_call_computes_no_stage_key(name):
     charged = _counts(name)
     assert charged["stage keys"] == charged["stage bookkeeping"] == 0, \
         dict(charged)
+
+
+def test_warm_socket_request_skips_the_stdlib_header_parser():
+    """The daemon reads its own request head and writes its own reply
+    head: no ``email`` parser, no ``http.client`` header reader."""
+    _, files = _socket_compile()
+    stdlib = [name for name in files
+              if f"{os.sep}email{os.sep}" in name
+              or name.endswith(os.path.join("http", "client.py"))]
+    assert stdlib == [], stdlib

@@ -11,6 +11,10 @@ multi-tenant contract end to end:
   request schema (``serve.SCHEMA`` and ``serve.TASK``), is a 400 that
   names the field, and the ``/stats`` counters still add up;
 * a malformed ``Content-Length`` is a 400, not a 500;
+* a head the daemon cannot frame (``Transfer-Encoding``, two
+  ``Content-Length`` fields, whitespace before a colon, a folded line, a
+  line without a colon) is a 400 naming the header, and ``/healthz``
+  still answers;
 * the shared stage cache serves the repeats (hit rate over /stats);
 * identical concurrent compiles deduplicate (single-flight counters);
 * SIGINT produces a clean shutdown (exit status 0, shutdown banner).
@@ -24,6 +28,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -60,6 +65,16 @@ WORKFLOW = {"policy": "all", "nodes": 2, "tasks": [
     {"name": "predict", "after": ["simulate"], "fpga": True,
      "fpga_seconds": 1e-3},
 ]}
+
+#: (header lines of a ``POST /compile`` with a 2-byte body, text its
+#: 400 must hold): one head per framing refusal.
+FRAMING = [
+    ("Transfer-Encoding: chunked", "Transfer-Encoding"),
+    ("Content-Length: 2\r\nContent-Length: 2", "Content-Length"),
+    ("Content-Length : 2", "'Content-Length :"),
+    ("X-Note: one\r\n two", "' two'"),
+    ("not a field", "'not a field'"),
+]
 
 N_REQUESTS = 80
 N_CLIENTS = 8
@@ -113,6 +128,20 @@ def content_length_probe(url: str, declared: str) -> int:
         connection.close()
 
 
+def framing_refusal(url: str, fields: str):
+    """The (status, error message) of a ``POST /compile`` whose head
+    holds ``fields``, read until the daemon closes the connection."""
+    host, port = url.split("//")[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=60) as sock:
+        sock.sendall(f"POST /compile HTTP/1.1\r\nHost: smoke\r\n{fields}"
+                     "\r\n\r\n{}".encode("latin-1"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)["error"]
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (
@@ -152,6 +181,14 @@ def main() -> int:
               "schema row, each a 400 naming its field")
         probes = [content_length_probe(url, bad) for bad in ("abc", "-5")]
         assert probes == [400, 400], f"malformed Content-Length: {probes}"
+        for fields, named in FRAMING:
+            status, message = framing_refusal(url, fields)
+            assert status == 400 and named in message, \
+                f"{fields!r}: {status} {message!r}"
+        with urllib.request.urlopen(f"{url}/healthz", timeout=30) as response:
+            assert response.status == 200
+        print(f"serve-smoke: {len(FRAMING)} heads the daemon cannot frame, "
+              "each a 400 naming the header")
 
         with urllib.request.urlopen(f"{url}/stats", timeout=30) as response:
             stats = json.loads(response.read())
