@@ -5,10 +5,15 @@ The paper lists CFDlang (Rink et al., RWDSL 2018) among the DSLs the SDK
 EKL.  The subset implemented here covers the published language core:
 
 * declarations: ``var input u : [m n]`` / ``var output v : [m]`` /
-  ``var t : [m n]`` (dimensions are extents; scalars use ``[]``);
+  ``var t : [m n]`` (dimensions are integer extents; scalars use
+  ``[]``; ``var``, ``input`` and ``output`` are keywords);
 * assignments ``v = expr``;
 * elementwise ``+ - * /``, outer product ``#``, and contraction
-  ``expr . [[i j] [k l]]`` over 1-based dimension pairs.
+  ``expr . [[i j] [k l]]`` over 1-based integer dimension pairs.
+
+Bad text (a float extent or pair, a declaration named by a number, a
+character outside the language) is a :class:`~repro.errors.FrontendError`
+that starts with its ``line:column``.
 
 Example (a matrix-vector product)::
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import FrontendError
+from repro.frontends.lexer import Cursor
 
 
 @dataclass
@@ -52,133 +53,95 @@ class Program:
         raise FrontendError(f"undeclared tensor {name!r}")
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<comment>//[^\n]*)|(?P<num>\d+\.\d*|\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/#.:=\[\]()])|(?P<ws>\s+)|(?P<bad>.)"
-)
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.tokens: List[Tuple[str, str, int]] = []
-        line = 1
-        for m in _TOKEN_RE.finditer(source):
-            kind, text = m.lastgroup, m.group(0)
-            if kind in ("ws", "comment"):
-                line += text.count("\n")
-                continue
-            if kind == "bad":
-                raise FrontendError(f"bad character {text!r}", line, 0)
-            self.tokens.append((kind, text, line))
-        self.tokens.append(("eof", "", line))
-        self.pos = 0
-
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        kind, got, line = self.next()
-        if got != text:
-            raise FrontendError(f"expected {text!r}, found {got!r}", line, 0)
+class _Parser(Cursor):
+    pattern = re.compile(
+        r"(?P<comment>//[^\n]*)|(?P<float>\d+\.\d*)|(?P<int>\d+)"
+        r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+        r"|(?P<op>[-+*/#.:=\[\]()])|(?P<ws>\s+)|(?P<bad>.)"
+    )
+    keywords = frozenset({"var", "input", "output"})
 
     def parse(self) -> Program:
         program = Program()
-        while self.peek()[0] != "eof":
-            kind, text, line = self.peek()
-            if text == "var":
+        while not self.at("eof"):
+            if self.at("kw", "var"):
                 program.decls.append(self._parse_decl())
             else:
                 program.assigns.append(self._parse_assign())
         return program
 
     def _parse_decl(self) -> Decl:
-        _, _, line = self.next()  # 'var'
-        kind, text, _ = self.peek()
+        line = self.expect("kw", "var").line
         io = "var"
-        if text in ("input", "output"):
-            io = text
-            self.next()
-        name = self.next()[1]
-        self.expect(":")
-        self.expect("[")
+        if self.at("kw", "input") or self.at("kw", "output"):
+            io = self.advance().text
+        name = self.expect("ident").text
+        self.expect("op", ":")
+        self.expect("op", "[")
         shape: List[int] = []
-        while self.peek()[1] != "]":
-            kind, text, tline = self.next()
-            if kind != "num":
-                raise FrontendError(f"expected extent, found {text!r}",
-                                    tline, 0)
-            shape.append(int(text))
-        self.expect("]")
+        while not self.accept("op", "]"):
+            shape.append(int(self.expect("int").text))
         return Decl(name, io, tuple(shape), line)
 
     def _parse_assign(self) -> Assign:
-        kind, name, line = self.next()
-        if kind != "ident":
-            raise FrontendError(f"expected assignment target, got {name!r}",
-                                line, 0)
-        self.expect("=")
+        if not self.at("ident"):
+            raise self.error(
+                f"expected assignment target, got {self.current.text!r}")
+        target = self.advance()
+        self.expect("op", "=")
         value = self._parse_expr()
-        return Assign(name, value, line)
+        return Assign(target.text, value, target.line)
 
     # precedence: contraction (postfix) > '#' > '*' '/' > '+' '-'
     def _parse_expr(self) -> Expr:
         lhs = self._parse_term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+        while self.at("op", "+") or self.at("op", "-"):
+            op = self.advance().text
             rhs = self._parse_term()
             lhs = Expr("add" if op == "+" else "sub", children=[lhs, rhs])
         return lhs
 
     def _parse_term(self) -> Expr:
         lhs = self._parse_product()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
+        while self.at("op", "*") or self.at("op", "/"):
+            op = self.advance().text
             rhs = self._parse_product()
             lhs = Expr("mul" if op == "*" else "div", children=[lhs, rhs])
         return lhs
 
     def _parse_product(self) -> Expr:
         lhs = self._parse_postfix()
-        while self.peek()[1] == "#":
-            self.next()
+        while self.accept("op", "#"):
             rhs = self._parse_postfix()
             lhs = Expr("product", children=[lhs, rhs])
         return lhs
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
-        while self.peek()[1] == ".":
-            self.next()
-            self.expect("[")
+        while self.accept("op", "."):
+            self.expect("op", "[")
             pairs: List[Tuple[int, int]] = []
-            while self.peek()[1] == "[":
-                self.next()
-                a = int(self.next()[1])
-                b = int(self.next()[1])
-                self.expect("]")
+            while self.accept("op", "["):
+                a = int(self.expect("int").text)
+                b = int(self.expect("int").text)
+                self.expect("op", "]")
                 pairs.append((a, b))
-            self.expect("]")
+            self.expect("op", "]")
             expr = Expr("contract", children=[expr], pairs=pairs)
         return expr
 
     def _parse_primary(self) -> Expr:
-        kind, text, line = self.next()
-        if text == "(":
+        tok = self.current
+        if self.accept("op", "("):
             inner = self._parse_expr()
-            self.expect(")")
+            self.expect("op", ")")
             return inner
-        if kind == "num":
-            return Expr("num", value=float(text))
-        if kind == "ident":
-            return Expr("name", name=text)
-        raise FrontendError(f"unexpected token {text!r}", line, 0)
+        if tok.kind in ("int", "float"):
+            self.advance()
+            return Expr("num", value=float(tok.text))
+        if self.accept("ident"):
+            return Expr("name", name=tok.text)
+        raise self.error(f"unexpected token {tok.text!r}")
 
 
 def parse_program(source: str) -> Program:

@@ -1,99 +1,35 @@
-"""Tokenizer and parser for the ConDRust subset (Rust-like syntax)."""
+"""Parser for the ConDRust subset (Rust-like syntax)."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.errors import FrontendError
 from repro.frontends.condrust import ast
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<comment>//[^\n]*)
-  | (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?)
-  | (?P<int>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>->|\#\[|[(){}\[\],;:=.&])
-  | (?P<ws>[\s]+)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = frozenset({"fn", "let", "mut", "true", "false"})
+from repro.frontends.lexer import Cursor
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(source: str) -> List[Token]:
-    tokens: List[Token] = []
-    line = 1
-    line_start = 0
-    for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        text = match.group(0)
-        column = match.start() - line_start + 1
-        if kind in ("ws", "comment"):
-            line += text.count("\n")
-            if "\n" in text:
-                line_start = match.start() + text.rfind("\n") + 1
-            continue
-        if kind == "bad":
-            raise FrontendError(f"unexpected character {text!r}", line, column)
-        if kind == "ident" and text in _KEYWORDS:
-            kind = "kw"
-        tokens.append(Token(kind, text, line, column))
-    tokens.append(Token("eof", "", line, 1))
-    return tokens
-
-
-class CondrustParser:
-    def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def error(self, message: str) -> FrontendError:
-        tok = self.current
-        return FrontendError(message, tok.line, tok.column)
-
-    def advance(self) -> Token:
-        tok = self.current
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.current
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.accept(kind, text)
-        if tok is None:
-            raise self.error(
-                f"expected {text or kind!r}, found {self.current.text!r}"
-            )
-        return tok
+class CondrustParser(Cursor):
+    pattern = re.compile(
+        r"""
+        (?P<comment>//[^\n]*)
+      | (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?)
+      | (?P<int>\d+)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>->|\#\[|[(){}\[\],;:=.&])
+      | (?P<ws>[\s]+)
+      | (?P<bad>.)
+        """,
+        re.VERBOSE,
+    )
+    keywords = frozenset({"fn", "let", "mut", "true", "false"})
 
     # -- grammar ---------------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
         program = ast.Program()
-        while self.current.kind != "eof":
+        while not self.at("eof"):
             program.functions.append(self.parse_function())
         if not program.functions:
             raise self.error("no functions found")
@@ -104,7 +40,7 @@ class CondrustParser:
         name = self.expect("ident").text
         self.expect("op", "(")
         params: List[ast.Param] = []
-        if not (self.current.kind == "op" and self.current.text == ")"):
+        if not self.at("op", ")"):
             while True:
                 pname = self.expect("ident").text
                 self.expect("op", ":")
@@ -120,11 +56,11 @@ class CondrustParser:
         self.expect("op", "{")
         body: List[ast.LetStmt] = []
         tail: Optional[ast.Expr] = None
-        while not (self.current.kind == "op" and self.current.text == "}"):
+        while not self.at("op", "}"):
             attr = None
-            if self.current.kind == "op" and self.current.text == "#[":
+            if self.at("op", "#["):
                 attr = self._parse_attr()
-            if self.current.kind == "kw" and self.current.text == "let":
+            if self.at("kw", "let"):
                 stmt = self._parse_let()
                 stmt.attr = attr
                 body.append(stmt)
@@ -172,7 +108,7 @@ class CondrustParser:
         if tok.kind == "op" and tok.text == "[":
             self.advance()
             values = []
-            if not (self.current.kind == "op" and self.current.text == "]"):
+            if not self.at("op", "]"):
                 while True:
                     values.append(self._parse_attr_value())
                     if not self.accept("op", ","):
@@ -222,11 +158,9 @@ class CondrustParser:
             return ast.TupleExpr(elements, line=tok.line, column=tok.column)
         if tok.kind == "ident":
             self.advance()
-            if self.current.kind == "op" and self.current.text == "(":
-                self.advance()
+            if self.accept("op", "("):
                 args: List[ast.Expr] = []
-                if not (self.current.kind == "op" and
-                        self.current.text == ")"):
+                if not self.at("op", ")"):
                     while True:
                         self.accept("op", "&")
                         args.append(self._parse_expr())

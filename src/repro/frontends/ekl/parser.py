@@ -1,12 +1,18 @@
-"""Recursive-descent parser for the EVEREST Kernel Language."""
+"""Recursive-descent parser for the EVEREST Kernel Language.
+
+Statements are newline-terminated (like the paper's Fig. 3 listing);
+newlines inside parentheses or brackets are insignificant, so multi-line
+parenthesized expressions work naturally.  Semicolons are accepted as
+explicit statement terminators as well.
+"""
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
-from repro.errors import FrontendError
 from repro.frontends.ekl import ast
-from repro.frontends.ekl.lexer import Token, tokenize
+from repro.frontends.lexer import Cursor
 
 # Binary operator precedence (higher binds tighter).
 _PRECEDENCE = {
@@ -19,47 +25,32 @@ _INTRINSICS = frozenset({"exp", "log", "sqrt", "sin", "cos", "tanh", "abs",
                          "min", "max", "pow"})
 
 
-class EKLParser:
+class EKLParser(Cursor):
     """Parses one ``kernel name { ... }`` definition."""
 
-    def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
+    pattern = re.compile(
+        r"""
+        (?P<comment>//[^\n]*|\#[^\n]*)
+      | (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+      | (?P<int>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op><=|>=|==|!=|->|[-+*/%<>=(){}\[\],:;])
+      | (?P<newline>\n)
+      | (?P<ws>[ \t\r]+)
+      | (?P<bad>.)
+        """,
+        re.VERBOSE,
+    )
+    keywords = frozenset({"kernel", "const", "index", "input", "output",
+                          "select", "sum", "f64", "f32", "i64", "i32"})
 
-    # -- token helpers ---------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def error(self, message: str) -> FrontendError:
-        tok = self.current
-        return FrontendError(message, tok.line, tok.column)
-
-    def advance(self) -> Token:
-        tok = self.current
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    # -- statements --------------------------------------------------------------
 
     def skip_newlines(self) -> None:
         while self.current.kind == "newline" or (
             self.current.kind == "op" and self.current.text == ";"
         ):
             self.advance()
-
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.current
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.accept(kind, text)
-        if tok is None:
-            want = text or kind
-            raise self.error(f"expected {want!r}, found {self.current.text!r}")
-        return tok
 
     def end_statement(self) -> None:
         if self.current.kind == "eof":

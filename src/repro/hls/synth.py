@@ -80,25 +80,16 @@ class KernelReport:
     #: it by their element widths.
     planned_arena_bytes: int = 0
     planned_arena_slots: int = 0
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(nest.cycles for nest in self.nests)
-
-    @property
-    def latency_seconds(self) -> float:
-        return self.total_cycles / (self.clock_mhz * 1e6)
-
-    @property
-    def flops(self) -> int:
-        """Floating-point operations per kernel invocation.
-
-        Derived from the nest model (trip counts x float body ops); the
-        compiled CPU executor computes the same quantity independently
-        from the loop tree (:func:`repro.tensorpipe.codegen.count_flops`)
-        and the two are cross-checked by the test suite.
-        """
-        return sum(nest.flops for nest in self.nests)
+    #: Sum of the nests' cycles, and that latency at ``clock_mhz``.
+    #: These totals are out of the repr, which lists the nests they sum.
+    total_cycles: int = field(default=0, repr=False)
+    latency_seconds: float = field(default=0.0, repr=False)
+    #: Floating-point operations per kernel invocation, from the nest
+    #: model (trip counts x float body ops); the compiled CPU executor
+    #: computes the same quantity independently from the loop tree
+    #: (:func:`repro.tensorpipe.codegen.count_flops`) and the two are
+    #: cross-checked by the test suite.
+    flops: int = field(default=0, repr=False)
 
     def summary(self) -> str:
         lines = [
@@ -184,6 +175,8 @@ class HLSEngine:
             if op.name == "affine.for":
                 nest = self._synthesize_nest(op)
                 report.nests.append(nest)
+                report.total_cycles += nest.cycles
+                report.flops += nest.flops
                 # Shared units (muls, dividers, memory ports) are sized for
                 # the achieved II; everything else is one unit per body op.
                 for family, count in nest.units.items():
@@ -202,6 +195,7 @@ class HLSEngine:
             for a in args if isinstance(a.type, T.MemRefType)
         ]
         report.port_width_bits = max(widths, default=64)
+        report.latency_seconds = report.total_cycles / (self.clock_mhz * 1e6)
         plan = plan_arena(func, element_bytes=self._arena_element_bytes)
         report.planned_arena_bytes = plan.total_bytes
         report.planned_arena_slots = len(plan.slots)

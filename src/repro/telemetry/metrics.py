@@ -63,14 +63,15 @@ class Metric:
         self.name = _check_name(name)
         self.help = help
         self.label_names = _check_labels(labels)
+        self._label_set = frozenset(self.label_names)
         self._lock = threading.Lock()
 
     def _key(self, labels: Dict[str, object]) -> LabelKey:
-        if set(labels) != set(self.label_names):
+        if labels.keys() != self._label_set:
             raise EverestError(
                 f"metric {self.name!r} wants labels "
                 f"{list(self.label_names)}, got {sorted(labels)}")
-        return tuple(str(labels[name]) for name in self.label_names)
+        return tuple(map(str, map(labels.__getitem__, self.label_names)))
 
 
 class Counter(Metric):

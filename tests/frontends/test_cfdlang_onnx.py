@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TypeCheckError
+from repro.errors import FrontendError, TypeCheckError
 from repro.frontends.cfdlang import (
     lower_cfdlang_to_teil,
     lower_program_to_cfdlang,
@@ -66,6 +66,26 @@ class TestCFDlangInterp:
         """)
         with pytest.raises(TypeCheckError):
             run_program(program, {"A": np.zeros((3, 4))})
+
+
+class TestCFDlangRefusals:
+    """Bad CFDlang text is a :class:`FrontendError` at the offending
+    token: extents and contraction pairs are integers, and a declared
+    name is an identifier."""
+
+    @pytest.mark.parametrize("source, message", [
+        ("var input a : [2.5]", "1:16: expected 'int', found '2.5'"),
+        ("var input a : [2 2]\nvar output b : []\nb = a . [[x 1]]",
+         "3:11: expected 'int', found 'x'"),
+        ("var input 3 : [2]", "1:11: expected 'ident', found '3'"),
+        ("var input a : [2]\nvar output b : [2]\nb = a $ a",
+         "3:7: unexpected character '$'"),
+    ], ids=["float-extent", "name-in-contraction", "numeric-name",
+            "bad-character"])
+    def test_refusal_names_line_and_column(self, source, message):
+        with pytest.raises(FrontendError) as err:
+            parse_program(source)
+        assert str(err.value) == message
 
 
 class TestCFDlangCompiled:

@@ -81,6 +81,7 @@ BUDGET = {
     "repro.frontends.condrust": (
         "import repro.frontends.condrust", _IR + """
         repro repro.errors repro.frontends repro.frontends.condrust
+        repro.frontends.lexer
         repro.frontends.condrust.ast repro.frontends.condrust.execute
         repro.frontends.condrust.lower repro.frontends.condrust.ownership
         repro.frontends.condrust.parser

@@ -65,10 +65,10 @@ INPUTS = {"a": _RNG.normal(size=(16, 4)), "b": _RNG.normal(size=(16, 4))}
 BUDGETS = {
     "execute[compiled]": (36, 37),
     "execute[cbackend]": (34, 35),
-    "/compile": (84, 88),
-    "/execute": (137, 143),
-    "/runtime": (1_173, 1_231),
-    "/compile over a socket": (174, 182),
+    "/compile": (56, 58),
+    "/execute": (134, 140),
+    "/runtime": (1_170, 1_228),
+    "/compile over a socket": (146, 153),
 }
 
 #: The request body of each daemon endpoint.
