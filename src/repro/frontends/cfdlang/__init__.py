@@ -13,7 +13,10 @@ EKL.  The subset implemented here covers the published language core:
 
 Bad text (a float extent or pair, a declaration named by a number, a
 character outside the language) is a :class:`~repro.errors.FrontendError`
-that starts with its ``line:column``.
+that starts with its ``line:column``.  A program that parses is shape
+checked by :func:`~repro.frontends.cfdlang.check.check_program` before it
+is interpreted or lowered, so the two refuse the same programs, with the
+same :class:`~repro.errors.TypeCheckError` for a shape error.
 
 Example (a matrix-vector product)::
 

@@ -2,67 +2,31 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.errors import FrontendError, TypeCheckError
+from repro.errors import FrontendError
+from repro.frontends.cfdlang.check import check_program
 from repro.frontends.cfdlang.parser import Expr, Program
 
 
-def _shape_of(expr: Expr, program: Program,
-              env_shapes: Dict[str, Tuple[int, ...]]) -> Tuple[int, ...]:
+def _eval(expr: Expr, env: Dict[str, np.ndarray]):
     if expr.kind == "name":
-        if expr.name in env_shapes:
-            return env_shapes[expr.name]
-        return program.decl(expr.name).shape
-    if expr.kind == "num":
-        return ()
-    if expr.kind in ("add", "sub", "mul", "div"):
-        lhs = _shape_of(expr.children[0], program, env_shapes)
-        rhs = _shape_of(expr.children[1], program, env_shapes)
-        if lhs and rhs and lhs != rhs:
-            raise TypeCheckError(
-                f"elementwise {expr.kind} on mismatched shapes {lhs} vs {rhs}"
-            )
-        return lhs or rhs
-    if expr.kind == "product":
-        lhs = _shape_of(expr.children[0], program, env_shapes)
-        rhs = _shape_of(expr.children[1], program, env_shapes)
-        return lhs + rhs
-    if expr.kind == "contract":
-        inner = _shape_of(expr.children[0], program, env_shapes)
-        dropped = set()
-        for a, b in expr.pairs:
-            if not (1 <= a <= len(inner) and 1 <= b <= len(inner)):
-                raise TypeCheckError(f"contraction pair ({a} {b}) out of range")
-            if inner[a - 1] != inner[b - 1]:
-                raise TypeCheckError(
-                    f"contraction pair ({a} {b}) over unequal extents"
-                )
-            dropped.update((a - 1, b - 1))
-        return tuple(e for i, e in enumerate(inner) if i not in dropped)
-    raise FrontendError(f"unknown expression kind {expr.kind!r}")
-
-
-def _eval(expr: Expr, program: Program, env: Dict[str, np.ndarray]):
-    if expr.kind == "name":
-        if expr.name not in env:
-            raise FrontendError(f"value {expr.name!r} not available")
         return env[expr.name]
     if expr.kind == "num":
         return np.float64(expr.value)
     if expr.kind in ("add", "sub", "mul", "div"):
-        a = _eval(expr.children[0], program, env)
-        b = _eval(expr.children[1], program, env)
+        a = _eval(expr.children[0], env)
+        b = _eval(expr.children[1], env)
         return {"add": np.add, "sub": np.subtract, "mul": np.multiply,
                 "div": np.divide}[expr.kind](a, b)
     if expr.kind == "product":
-        a = _eval(expr.children[0], program, env)
-        b = _eval(expr.children[1], program, env)
+        a = _eval(expr.children[0], env)
+        b = _eval(expr.children[1], env)
         return np.tensordot(a, b, axes=0)
     if expr.kind == "contract":
-        inner = np.asarray(_eval(expr.children[0], program, env))
+        inner = np.asarray(_eval(expr.children[0], env))
         # Contract each 1-based dimension pair via an einsum: paired
         # dimensions share a letter; unpaired dimensions survive in order.
         letters = [chr(ord("a") + i) for i in range(inner.ndim)]
@@ -79,8 +43,8 @@ def _eval(expr: Expr, program: Program, env: Dict[str, np.ndarray]):
 def run_program(program: Program,
                 inputs: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Execute the program; returns its output tensors."""
+    check_program(program)
     env: Dict[str, np.ndarray] = {}
-    shapes: Dict[str, Tuple[int, ...]] = {}
     for decl in program.decls:
         if decl.io == "input":
             if decl.name not in inputs:
@@ -92,21 +56,7 @@ def run_program(program: Program,
                     f"got {tuple(array.shape)}"
                 )
             env[decl.name] = array
-            shapes[decl.name] = decl.shape
     for assign in program.assigns:
-        shape = _shape_of(assign.value, program, shapes)
-        declared = program.decl(assign.target).shape
-        if shape != declared:
-            raise TypeCheckError(
-                f"assignment to {assign.target!r}: expression shape {shape} "
-                f"does not match declaration {declared}"
-            )
-        env[assign.target] = np.asarray(_eval(assign.value, program, env))
-        shapes[assign.target] = shape
-    outputs = {}
-    for decl in program.decls:
-        if decl.io == "output":
-            if decl.name not in env:
-                raise FrontendError(f"output {decl.name!r} never assigned")
-            outputs[decl.name] = env[decl.name]
-    return outputs
+        env[assign.target] = np.asarray(_eval(assign.value, env))
+    return {decl.name: env[decl.name] for decl in program.decls
+            if decl.io == "output"}

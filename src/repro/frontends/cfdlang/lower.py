@@ -13,6 +13,7 @@ from typing import Dict, List
 
 from repro.dialects import register_lowering
 from repro.errors import LoweringError
+from repro.frontends.cfdlang.check import check_program
 from repro.frontends.cfdlang.parser import Expr, Program
 from repro.ir import Builder, Module, Operation, Value, types as T
 from repro.ir.core import Block, Region
@@ -21,6 +22,7 @@ from repro.ir.core import Block, Region
 @register_lowering("cfdlang-frontend", "cfdlang")
 def lower_program_to_cfdlang(program: Program, name: str = "cfd") -> Module:
     """Lower a parsed program into a module holding one cfdlang.program."""
+    check_program(program)
     module = Module()
     body = Block()
     program_op = Operation.create(
@@ -40,8 +42,6 @@ def lower_program_to_cfdlang(program: Program, name: str = "cfd") -> Module:
 
     def lower_expr(expr: Expr) -> Value:
         if expr.kind == "name":
-            if expr.name not in env:
-                raise LoweringError(f"value {expr.name!r} unavailable")
             return env[expr.name]
         if expr.kind == "num":
             op = builder.create("arith.constant", [],

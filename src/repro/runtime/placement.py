@@ -127,8 +127,8 @@ class _FitArray:
     def _band(self, duration: float) -> int:
         if self.dmin <= 0.0 or duration <= self.dmin:
             return 0
-        return min(self.BANDS - 1,
-                   int(math.log2(duration / self.dmin)))
+        band = int(math.log2(duration / self.dmin))
+        return band if band < self.BANDS else self.BANDS - 1
 
     def observe(self, pos: int, ready: float, duration: float,
                 start: float) -> None:
@@ -156,7 +156,7 @@ class _FitArray:
     def bounds(self, ready: float, duration: float) -> np.ndarray:
         """Per-node start lower bounds, valid for this query."""
         ok = (self.marks <= ready) & (self.durations <= duration)
-        best = np.where(ok, self.fits, 0.0).max(axis=0)
+        best = np.maximum.reduce(np.where(ok, self.fits, 0.0), axis=0)
         return np.maximum(np.maximum(best, self.base), ready)
 
 

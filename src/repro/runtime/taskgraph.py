@@ -113,19 +113,30 @@ class TaskGraph:
         return Future(self.results, task_id)
 
     def topological_order(self) -> List[Task]:
+        tasks = self.tasks
+        # Submission order puts dependencies first, so the dict order is
+        # normally topological already, and then it is exactly the order
+        # the DFS below would emit.
+        order = list(tasks.values())
+        position = {task_id: i for i, task_id in enumerate(tasks)}
+        settled = True
+        for i, task in enumerate(order):
+            for dep in task.deps:
+                if dep not in position or position[dep] >= i:
+                    settled = False
+        if settled:
+            return order
         # Iterative post-order DFS (same order a recursive visit would
         # produce) — a 100k-task dependency chain must not hit the
         # interpreter recursion limit.  ``emitted`` maps a visited task
         # to whether it is out (False: still on the current DFS path, so
         # between two roots every key is out).
-        tasks = self.tasks
-        order: List[Task] = []
+        order = []
         emitted: Dict[int, bool] = {}
         for root, task in list(tasks.items()):
             if root in emitted:
                 continue
-            # Submission order puts dependencies first, so a root's are
-            # normally all out already: the DFS would emit it at once.
+            # A root whose dependencies are all out is emitted at once.
             for dep in task.deps:
                 if dep not in emitted:
                     break

@@ -6,9 +6,10 @@ start for a task needing C cores for D seconds?*  The seed implementation
 rescanned the full interval list for every candidate start — O(intervals²)
 per query.  This module replaces it with an **event-sweep free-slot
 index**: commitments are folded into a sorted breakpoint array holding the
-core-usage level of every segment, so a query is a single bisect plus one
-forward sweep (O(intervals) worst case, O(log intervals) to locate the
-first segment), and a commit is a bisect-insert.
+core-usage level of every segment, ended by a permanent ``+inf``
+breakpoint at level 0.  A query is one bisect plus a forward sweep
+(O(intervals) worst case) that the sentinel ends, and a commit is one
+bisect per endpoint plus a coalescing test at each of the two.
 
 The :class:`~repro.runtime.engine.RuntimeEngine` owns one timeline per
 node and is the only thing that creates them; every policy
@@ -31,12 +32,16 @@ from repro.errors import RuntimeSchedulingError
 class NodeTimeline:
     """Event-sweep index of committed core usage on one node.
 
-    Invariants: ``_times`` is sorted and unique; ``_levels[i]`` is the
-    number of cores in use over ``[_times[i], _times[i+1])`` (the last
-    segment extends to infinity and always has level 0, because every
-    committed interval eventually ends); adjacent segments always have
-    *different* levels (redundant breakpoints are coalesced away, so the
-    index cannot grow without bound under commit/release churn).
+    Invariants: ``_times`` is sorted and unique and always ends with the
+    sentinel ``+inf``, whose level ``_levels[-1]`` is 0; ``_levels[i]`` is
+    the number of cores in use over ``[_times[i], _times[i+1])``, and the
+    usage before ``_times[0]`` is 0, which is the sentinel's level, so
+    ``_levels[i - 1]`` is right at ``i = 0`` too.  Every commitment is
+    finite (the engine refuses non-finite task costs), so the segment
+    before the sentinel has level 0 and a sweep stops there at the
+    latest.  Adjacent segments always have *different* levels (redundant
+    breakpoints are coalesced away, so the index cannot grow without
+    bound under commit/release churn).
 
     ``version`` increments on every :meth:`commit`/:meth:`release`; the
     incremental HEFT placer (:mod:`repro.runtime.placement`) compares it
@@ -46,8 +51,8 @@ class NodeTimeline:
     def __init__(self, node):
         self.node = node
         self.version = 0
-        self._times: List[float] = []
-        self._levels: List[int] = []
+        self._times: List[float] = [math.inf]
+        self._levels: List[int] = [0]
         # Every commitment as (end, start, cores), sorted: the record
         # release() validates against, ordered by end time so
         # load_after() can bisect to the still-outstanding suffix
@@ -64,24 +69,16 @@ class NodeTimeline:
         """How many commitments are outstanding (commits less releases)."""
         return len(self._by_end)
 
-    def _ensure_breakpoint(self, t: float) -> int:
-        """Index of the breakpoint at ``t``, splitting a segment if needed."""
-        i = bisect_left(self._times, t)
-        if i < len(self._times) and self._times[i] == t:
-            return i
-        level = self._levels[i - 1] if i > 0 else 0
-        self._times.insert(i, t)
-        self._levels.insert(i, level)
-        return i
-
     def peak_usage(self, t0: float, t1: float) -> int:
-        """Peak core usage over ``[t0, t1)``."""
-        if not self._times:
+        """Peak core usage over ``[t0, t1)`` (0 if it is empty)."""
+        if t1 <= t0:
             return 0
-        i = max(0, bisect_right(self._times, t0) - 1)
-        peak = 0
-        while i < len(self._times) and self._times[i] < t1:
-            peak = max(peak, self._levels[i])
+        times, levels = self._times, self._levels
+        i = bisect_right(times, t0)
+        peak = levels[i - 1]
+        while times[i] < t1:
+            if levels[i] > peak:
+                peak = levels[i]
             i += 1
         return peak
 
@@ -94,30 +91,21 @@ class NodeTimeline:
         is *never* silently overcommitted; an infeasible one — more cores
         than the node physically has — raises instead of being placed.
         """
-        capacity = self.node.cores
-        if cores > capacity:
+        limit = self.node.cores - cores
+        if limit < 0:
             raise RuntimeSchedulingError(
                 f"task needs {cores} cores but node {self.node.name!r} "
-                f"only has {capacity}"
+                f"only has {self.node.cores}"
             )
-        n = len(self._times)
-        if n == 0:
-            return ready
+        times, levels = self._times, self._levels
         start = ready
-        i = bisect_right(self._times, start) - 1
+        # ``start`` lies in the segment ending at ``times[i]``, at level
+        # ``levels[i - 1]``.
+        i = bisect_right(times, start)
         while True:
-            if i >= n:
-                return start  # past every breakpoint: the node is idle
-            if i < 0:
-                level, seg_end = 0, self._times[0]
-            else:
-                level = self._levels[i]
-                seg_end = self._times[i + 1] if i + 1 < n else math.inf
-            if level + cores > capacity:
-                start = seg_end  # blocked: resume where this segment ends
-                i += 1
-                continue
-            if start + duration <= seg_end:
+            if levels[i - 1] > limit:
+                start = times[i]  # blocked: resume where this segment ends
+            elif start + duration <= times[i]:
                 return start
             i += 1
 
@@ -143,19 +131,31 @@ class NodeTimeline:
     def _apply(self, start: float, end: float, cores: int) -> None:
         if end <= start or cores == 0:
             return
-        i0 = self._ensure_breakpoint(start)
-        i1 = self._ensure_breakpoint(end)
+        times, levels = self._times, self._levels
+        # Split the segments holding ``start`` and ``end`` (the sentinel
+        # guarantees a breakpoint at or after each).
+        i0 = bisect_left(times, start)
+        if times[i0] != start:
+            times.insert(i0, start)
+            levels.insert(i0, levels[i0 - 1])
+        i1 = bisect_left(times, end, i0)
+        if times[i1] != end:
+            times.insert(i1, end)
+            levels.insert(i1, levels[i1 - 1])
         for i in range(i0, i1):
-            self._levels[i] += cores
-        # Coalesce breakpoints made redundant by this update — a segment
-        # whose level now equals its predecessor's, or a leading segment
-        # at the implicit level 0.  Without this, commit/release churn
-        # (mid-run failure recovery) leaves stale breakpoints behind and
-        # the index drifts away from a freshly-built timeline.
-        for i in range(min(i1, len(self._times) - 1), i0 - 1, -1):
-            if self._levels[i] == (self._levels[i - 1] if i > 0 else 0):
-                del self._times[i]
-                del self._levels[i]
+            levels[i] += cores
+        # Adding one amount over [i0, i1) keeps every difference inside
+        # the range, so only the breakpoints at its two ends can have
+        # become redundant (a level equal to its predecessor's).  Without
+        # this, commit/release churn (mid-run failure recovery) leaves
+        # stale breakpoints behind and the index drifts away from a
+        # freshly-built timeline.
+        if levels[i1] == levels[i1 - 1]:
+            del times[i1]
+            del levels[i1]
+        if levels[i0] == levels[i0 - 1]:
+            del times[i0]
+            del levels[i0]
 
     def clone(self) -> "NodeTimeline":
         """An independent copy (scratch planning that may be discarded)."""

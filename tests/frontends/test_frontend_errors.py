@@ -6,15 +6,17 @@ EKL, ConDRust and CFDlang share one lexer and token cursor
 mutation corpus follows BigFuzz (arXiv:2103.05118): small edits of a
 valid program reach the error paths a hand-written case list misses.
 Each mutant either parses or is refused with a :class:`FrontendError`;
-a CFDlang program that parses is also lowered, where the only other
-refusal is the lowering's :class:`LoweringError`.
+a CFDlang program that parses is also lowered and interpreted, and the
+two refuse the same programs with the same error, because both call
+:func:`repro.frontends.cfdlang.check.check_program` first.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.errors import FrontendError, LoweringError
+from repro.errors import FrontendError, LoweringError, TypeCheckError
 from repro.frontends import cfdlang, condrust
 from repro.frontends.condrust import FIG4_MAP_MATCHING
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
@@ -28,15 +30,35 @@ y = (A # x) . [[2 3]]
 """
 
 
-def _parse_and_lower_cfdlang(source):
-    cfdlang.lower_program_to_cfdlang(cfdlang.parse_program(source))
+def _refusal(step):
+    """``None`` if ``step()`` returns, else the error it raised."""
+    try:
+        step()
+    except (FrontendError, LoweringError) as exc:
+        return exc
+    return None
+
+
+def _parse_lower_and_run_cfdlang(source):
+    """Parse; lower and interpret what parses, and raise the refusal
+    the two share (an ``AssertionError`` if they disagree)."""
+    program = cfdlang.parse_program(source)
+    inputs = {decl.name: np.ones(decl.shape) for decl in program.decls
+              if decl.io == "input"}
+    lowered = _refusal(lambda: cfdlang.lower_program_to_cfdlang(program))
+    with np.errstate(all="ignore"):  # a mutant may divide by zero
+        ran = _refusal(lambda: cfdlang.run_program(program, inputs))
+    assert repr(lowered) == repr(ran), \
+        f"lowering refused {lowered!r}, the interpreter {ran!r}"
+    if lowered is not None:
+        raise lowered
 
 
 #: language -> (golden program, what runs on a mutant of it)
 LANGUAGES = {
     "ekl": (FIG3_MAJOR_ABSORBER, parse_kernel),
     "condrust": (FIG4_MAP_MATCHING, condrust.parse_program),
-    "cfdlang": (MATVEC, _parse_and_lower_cfdlang),
+    "cfdlang": (MATVEC, _parse_lower_and_run_cfdlang),
 }
 
 #: Characters a mutation inserts or substitutes: some of every
@@ -88,3 +110,19 @@ def test_mutants_parse_or_raise_frontend_error(language):
         except Exception as exc:  # anything else escaped the frontend
             escapes.append(f"{type(exc).__name__}: {exc}\n{source}")
     assert not escapes, f"{len(escapes)} escapes; first:\n{escapes[0]}"
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ("[[2 9]]", "contraction pair (2 9) out of range"),
+    ("[[0 1]]", "contraction pair (0 1) out of range"),
+    ("[[1 1]]", "assignment to 'y': expression shape (5, 5) does not "
+                "match declaration (4,)"),
+])
+def test_cfdlang_lowering_refuses_what_the_interpreter_refuses(pairs,
+                                                               message):
+    """Contraction pairs past the rank, below 1, or leaving the wrong
+    shape are refused by the lowering with the interpreter's error."""
+    source = MATVEC.replace("[[2 3]]", pairs)
+    with pytest.raises(TypeCheckError) as err:
+        _parse_lower_and_run_cfdlang(source)
+    assert str(err.value) == message

@@ -5,12 +5,14 @@ the policy protocol, streaming submission, in-loop monitoring, and the
 failure-handling edge cases of §VI-A duty 4.
 """
 
+import math
 import os
 import random
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RuntimeSchedulingError
 from repro.platforms import alveo_u55c
@@ -752,6 +754,88 @@ class TestTimelineCoalescing:
             == pytest.approx(rebuilt.load_after(10.0))
 
 
+#: Times and durations on a half-second grid: exact in binary, and dense
+#: enough that intervals abut and commits start or end on breakpoints.
+_HALVES = st.integers(0, 40).map(lambda k: k / 2)
+_SPANS = st.integers(0, 12).map(lambda k: k / 2)  # zero included
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("commit"), _HALVES, _SPANS, st.integers(1, 4)),
+    st.tuples(st.just("release"), st.integers(0, 1000)),
+), max_size=40)
+_QUERIES = st.lists(st.tuples(_HALVES, _SPANS, st.integers(1, 6)),
+                    min_size=1, max_size=6)
+
+
+class TestTimelineIndexDifferential:
+    """Random commit/release sequences on a :class:`NodeTimeline`, checked
+    after every step against what its live intervals define: the
+    interval-scanning ``ScanTimeline``'s answers, a brute-force peak,
+    and the index a fresh timeline builds from them."""
+
+    CORES = 6
+
+    @staticmethod
+    def _peak(intervals, t0, t1):
+        points = [t0] + [s for s, _, _ in intervals if t0 <= s < t1]
+        return max((sum(c for s, e, c in intervals if s <= p < e)
+                    for p in points if p < t1), default=0)
+
+    def _check(self, timeline, queries):
+        node = timeline.node
+        live = timeline.intervals
+        scan = ScanTimeline(node)
+        scan.intervals = list(live)
+        rebuilt = NodeTimeline(node)
+        for start, end, cores in live:
+            rebuilt.commit(start, end - start, cores)
+        assert (timeline._times, timeline._levels) \
+            == (rebuilt._times, rebuilt._levels)
+        for ready, duration, cores in queries:
+            assert timeline.earliest_start(ready, duration, cores) \
+                == scan.earliest_start(ready, duration, cores), \
+                (live, ready, duration, cores)
+            assert timeline.peak_usage(ready, ready + duration) \
+                == self._peak(live, ready, ready + duration)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_STEPS, _QUERIES)
+    def test_matches_the_interval_scan_and_a_fresh_rebuild(self, steps,
+                                                            queries):
+        timeline = NodeTimeline(Node("n", cores=self.CORES, fpgas=[]))
+        live = []
+        for step in steps:
+            if step[0] == "commit":
+                interval = step[1:]
+                timeline.commit(*interval)
+                live.append(interval)
+            elif live:
+                timeline.release(*live.pop(step[1] % len(live)))
+            self._check(timeline, queries)
+        while live:  # release back to empty
+            timeline.release(*live.pop())
+            self._check(timeline, queries)
+        assert (timeline._times, timeline._levels) == ([math.inf], [0])
+        assert timeline.committed == 0
+
+    def test_abutting_zero_length_and_on_breakpoint_commits(self):
+        timeline = NodeTimeline(Node("n", cores=4, fpgas=[]))
+        for interval in ((0.0, 2.0, 1), (2.0, 2.0, 1), (1.0, 3.0, 2),
+                         (4.0, 0.0, 3), (4.0, 1.0, 1)):
+            timeline.commit(*interval)
+        # Levels 1, 3, 3, 1 over [0,1), [1,2), [2,4), [4,5): the abutting
+        # pair meeting at t = 2 sum to one level there, so 2 is no
+        # breakpoint, and the zero-length commit adds none at 4.
+        assert timeline._times == [0.0, 1.0, 4.0, 5.0, math.inf]
+        assert timeline._levels == [1, 3, 1, 0, 0]
+        assert timeline.earliest_start(1.0, 1.0, 1) == 1.0
+        assert timeline.earliest_start(1.0, 1.0, 2) == 4.0
+        assert timeline.earliest_start(2.0, 0.0, 2) == 4.0
+        # Both ends of the released range coalesce away.
+        timeline.release(1.0, 3.0, 2)
+        assert timeline._times == [0.0, 5.0, math.inf]
+        assert timeline._levels == [1, 0, 0]
+
+
 class TestEventDeterminism:
     """Identical timestamps must resolve deterministically (push order
     within a kind, kind priority across kinds)."""
@@ -949,6 +1033,27 @@ class TestOrderingShortcuts:
                      lambda: dependency_respecting_walk(order)):
             with pytest.raises(RuntimeSchedulingError, match="cycle"):
                 walk()
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_a_dependency_edited_after_submission(self, policy):
+        """Submission order is no longer topological once a dependency
+        is edited in: the order is the full walk's, every policy runs
+        the graph in it, and an edit that closes a cycle is refused."""
+        engine = RuntimeEngine(default_cluster(2), policy=policy)
+        a, b = (engine.submit(lambda: None, name=n) for n in "ab")
+        c = engine.submit(lambda _: None, b, name="c")
+        graph = engine.graph
+        graph.tasks[a.task_id].deps.append(c.task_id)
+        order = [t.task_id for t in graph.topological_order()]
+        assert order == [t.task_id for t in topological_order_dfs(graph)] \
+            == [b.task_id, c.task_id, a.task_id]
+        schedule = engine.run()
+        assert schedule.placements[a.task_id].start \
+            >= schedule.placements[c.task_id].finish
+        graph.tasks[b.task_id].deps.append(a.task_id)
+        with pytest.raises(RuntimeSchedulingError,
+                           match="task graph has a cycle"):
+            graph.topological_order()
 
 
 class TestIncrementalHEFTEquivalence:

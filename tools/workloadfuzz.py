@@ -20,8 +20,9 @@ invariant suite of :func:`check_invariants`:
   placements, core usage never exceeds the node's capacity at any
   instant, cross-checked against the *live*
   :meth:`~repro.runtime.timeline.NodeTimeline.peak_usage` of the
-  engine's own timelines (which must hold exactly the same intervals —
-  commit/release churn from failure recovery must not leave drift);
+  engine's own timelines (which must hold exactly the same intervals and
+  the same breakpoint index — commit/release churn from failure
+  recovery must not leave drift);
 * **dependencies respected** — no task starts before every dependency's
   finish;
 * **simulated order** — every function runs with the engine's clock at
@@ -336,15 +337,21 @@ def check_no_overcommit(case, policy, engine, schedule, calls) -> None:
     by_node: Dict[str, list] = {}
     for placement in schedule.placements.values():
         by_node.setdefault(placement.node, []).append(placement)
-    for name, placements in by_node.items():
+    for name, live in engine.timelines.items():
         node = engine.cluster.node(name)
+        placements = by_node.get(name, [])
         rebuilt = NodeTimeline(node)
         for p in placements:
             rebuilt.commit(p.start, p.duration, p.cores)
-        live = engine.timelines[name]
         assert sorted(live.intervals) == sorted(rebuilt.intervals), (
             f"{tag}: node {name} live timeline drifted from the final "
             f"placements (stale commit/release state)")
+        # Equal intervals with an unequal breakpoint index: a commit or
+        # release left a redundant or wrong breakpoint behind.
+        assert (live._times, live._levels) \
+            == (rebuilt._times, rebuilt._levels), (
+            f"{tag}: node {name} live timeline index {live._times} "
+            f"{live._levels} differs from its rebuild's")
         for p in placements:
             for timeline, origin in ((rebuilt, "rebuilt"),
                                      (live, "live")):
