@@ -76,15 +76,14 @@ bench-selftest:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-# A quick fuzz campaign in both modes (the full 200-seed runs are in
-# tier-1 tests; `python tools/irfuzz.py --count N [--mode exec]` goes
-# deeper).  Then the compile dump (`--dump PATH`: the IR after every
+# A quick executor fuzz campaign (the full 200-seed runs are in tier-1
+# tests; `python tools/irfuzz.py --count N` goes deeper).  Then the
+# compile dump (`--dump PATH`: the IR after every
 # stage, the HLS reports and the generated numpy and C sources of Fig. 3,
 # the benchmark's corpus shapes and the fuzz kernels) twice: the two
 # files must be byte-identical, as must the dumps of a change and its
 # parent commit (`make fuzz-ir-parent`).
 fuzz-smoke:
-	$(PYTHON) tools/irfuzz.py --count 20 --quiet
 	$(PYTHON) tools/irfuzz.py --mode exec --count 20 --quiet
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(PYTHON) tools/irfuzz.py --count 20 --dump $$dir/a.txt && \

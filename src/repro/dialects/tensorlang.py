@@ -27,7 +27,6 @@ from repro.ir.analysis import (
 )
 from repro.ir.core import Operation
 from repro.ir.dialect import register_dialect
-from repro.ir.rewrite import PatternRewriter, RewritePattern
 from repro.ir.types import TensorType
 
 
@@ -213,24 +212,6 @@ def _transfer_esn_iota(op, operands, analysis):
     return [AbstractValue(shape, None)]
 
 
-def _transfer_transpose(op, operands, analysis):
-    src = operands[0]
-    perm = op.attr("perm")
-    if not isinstance(perm, (list, tuple)) or not all(_is_int(p) for p in perm):
-        return None
-    if sorted(perm) != list(range(len(perm))):
-        raise AnalysisError(f"perm {list(perm)!r} is not a permutation")
-    shape = None
-    if src.shape is not None:
-        if len(src.shape) != len(perm):
-            raise AnalysisError(
-                f"perm has {len(perm)} entries for operand rank "
-                f"{len(src.shape)}"
-            )
-        shape = tuple(src.shape[p] for p in perm)
-    return [AbstractValue(shape, src.dtype)]
-
-
 def _transfer_gather(op, operands, analysis):
     base = operands[0]
     base_axes = op.attr("base_axes")
@@ -291,14 +272,6 @@ def _transfer_cfd_contract(op, operands, analysis):
 
 
 # -- canonicalization ------------------------------------------------------------
-
-
-def _fold_identity_transpose(op: Operation):
-    perm = op.attr("perm")
-    if perm == list(range(len(perm or []))) and \
-            op.operands[0].type == op.results[0].type:
-        return op.operands[0]
-    return None
 
 
 def _fold_identity_broadcast(op: Operation):
@@ -362,35 +335,6 @@ def _fold_map_identity(op: Operation):
             _broadcast_source_const(lhs) == left_id:
         return rhs
     return None
-
-
-class _TransposeOfTranspose(RewritePattern):
-    """``transpose(transpose(x, p), q)`` -> one transpose with ``p∘q``
-    (or just ``x`` when the composition is the identity)."""
-
-    op_name = "teil.transpose"
-
-    def match_and_rewrite(self, op: Operation,
-                          rewriter: PatternRewriter) -> bool:
-        inner = op.operands[0].owner_op()
-        if inner is None or inner.name != "teil.transpose":
-            return False
-        p, q = inner.attr("perm"), op.attr("perm")
-        if not p or not q or len(p) != len(q):
-            return False
-        combined = [p[j] for j in q]
-        source = inner.operands[0]
-        if combined == list(range(len(combined))):
-            if source.type != op.results[0].type:
-                return False
-            rewriter.replace_op(op, [source])
-            return True
-        merged = rewriter.builder_before(op).create(
-            "teil.transpose", [source], [op.results[0].type],
-            {"perm": combined},
-        )
-        rewriter.replace_op(op, [merged.result])
-        return True
 
 
 def register() -> None:
@@ -475,7 +419,6 @@ def register() -> None:
 
     teil = register_dialect("teil", "Tensor Intermediate Language")
     if "reduce" not in teil:
-        teil.add_canonical_pattern(_TransposeOfTranspose())
         teil.op("reduce", "reduction over trailing axes", num_operands=1,
                 num_results=1,
                 required_attrs={"axes": "axes to reduce", "kind": "add/mul/max"},
@@ -488,9 +431,6 @@ def register() -> None:
                 traits=("pure",), transfer=_transfer_gather)
         teil.op("stack", "stack along new trailing axis", num_results=1,
                 traits=("pure",), transfer=_transfer_stack)
-        teil.op("transpose", "permute axes", num_operands=1, num_results=1,
-                required_attrs={"perm": "axis permutation"}, traits=("pure",),
-                fold=_fold_identity_transpose, transfer=_transfer_transpose)
         teil.op("broadcast", "broadcast to shape", num_operands=1,
                 num_results=1, traits=("pure",),
                 fold=_fold_identity_broadcast, transfer=_transfer_broadcast)

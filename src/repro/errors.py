@@ -16,17 +16,6 @@ class IRError(EverestError):
     """Malformed IR: failed verification, bad construction, bad traversal."""
 
 
-class IRParseError(IRError):
-    """The textual IR parser rejected its input."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        self.line = line
-        self.column = column
-        if line:
-            message = f"{line}:{column}: {message}"
-        super().__init__(message)
-
-
 class FrontendError(EverestError):
     """A language frontend (EKL, ConDRust, CFDlang) rejected a program."""
 

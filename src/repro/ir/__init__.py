@@ -2,8 +2,9 @@
 
 This package provides the IR substrate the EVEREST SDK reproduction is built
 on: types, attributes, generic operations with regions, a builder, a textual
-printer/parser pair that round-trips, a verifier driven by declarative
-dialect definitions, and a pass/pattern-rewrite infrastructure.
+printer (MLIR's generic form; the IR is built, never read back from text),
+a verifier driven by declarative dialect definitions, and a
+pass/pattern-rewrite infrastructure.
 
 Quick tour::
 
@@ -29,14 +30,11 @@ from repro.ir.attributes import (
     ArrayAttr,
     Attribute,
     BoolAttr,
-    DenseAttr,
     DictAttr,
     FloatAttr,
     IntAttr,
     StrAttr,
-    SymbolRefAttr,
     TypeAttr,
-    UnitAttr,
     attr,
     unwrap,
 )
@@ -60,7 +58,6 @@ from repro.ir.core import (
 )
 from repro.ir.dialect import REGISTRY, Dialect, DialectRegistry, OpDef, register_dialect
 from repro.ir.fusion import FusionPass
-from repro.ir.parser import parse_module, parse_type
 from repro.ir.passes import CommonSubexpressionElimination, Pass
 from repro.ir.printer import print_module, print_op
 from repro.ir.rewrite import (
@@ -84,12 +81,9 @@ __all__ = [
     "FloatAttr",
     "BoolAttr",
     "StrAttr",
-    "UnitAttr",
     "TypeAttr",
-    "SymbolRefAttr",
     "ArrayAttr",
     "DictAttr",
-    "DenseAttr",
     "attr",
     "unwrap",
     "Builder",
@@ -106,8 +100,6 @@ __all__ = [
     "OpDef",
     "REGISTRY",
     "register_dialect",
-    "parse_module",
-    "parse_type",
     "print_module",
     "print_op",
     "verify",

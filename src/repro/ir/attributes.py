@@ -1,22 +1,17 @@
 """Attributes: compile-time constant data attached to operations.
 
 Attributes mirror MLIR's: integers, floats, strings, booleans, arrays,
-dictionaries, types, dense tensor constants and symbol references.  They are
-immutable and hashable (``DenseAttr`` hashes by identity of its bytes).
+dictionaries and types.  They are immutable and hashable.
 
-Printing follows MLIR's style closely enough for round-tripping through
-:mod:`repro.ir.parser`::
+The printer writes them in MLIR's style::
 
     42 : i64            IntAttr
     3.5 : f64           FloatAttr
     "hello"             StrAttr
     true / false        BoolAttr
-    unit                UnitAttr
     [1 : i64, 2 : i64]  ArrayAttr
     {a = 1 : i64}       DictAttr
     f32                 TypeAttr
-    @kernel_name        SymbolRefAttr
-    dense<[1.0, 2.0]> : tensor<2xf64>   DenseAttr
 """
 
 from __future__ import annotations
@@ -26,10 +21,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping, Sequence, Set, Tuple, Union
 
-import numpy as np
-
 from repro.errors import IRError
-from repro.ir.types import TensorType, Type, f64, fields_key, i64, kept
+from repro.ir.types import Type, f64, fields_key, i64, kept
 
 #: ``Attribute`` and every subclass: an exact-class test that stands in
 #: for ``isinstance(x, Attribute)`` where IR is built.
@@ -43,7 +36,7 @@ class Attribute:
     floats by their bits.  Attribute equality is Python equality of the
     payload, so ``FloatAttr(0.0) == FloatAttr(-0.0)``: a CSE that merged
     those two constants would flip the sign of an infinity downstream.
-    It is kept on the attribute, but for a dense payload's.
+    It is kept on the attribute.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -100,29 +93,11 @@ class StrAttr(Attribute):
 
 
 @dataclass(frozen=True)
-class UnitAttr(Attribute):
-    """Presence-only attribute (e.g. marking an op as offloaded)."""
-
-    def __str__(self) -> str:
-        return "unit"
-
-
-@dataclass(frozen=True)
 class TypeAttr(Attribute):
     value: Type
 
     def __str__(self) -> str:
         return str(self.value)
-
-
-@dataclass(frozen=True)
-class SymbolRefAttr(Attribute):
-    """Reference to a symbol (a named op such as a function)."""
-
-    name: str
-
-    def __str__(self) -> str:
-        return f"@{self.name}"
 
 
 class ArrayAttr(Attribute):
@@ -189,50 +164,6 @@ class DictAttr(Attribute):
     def __contains__(self, key: str) -> bool:
         return any(k == key for k, _ in self.entries)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-
-class DenseAttr(Attribute):
-    """A dense tensor constant backed by a numpy array."""
-
-    __slots__ = ("array", "type")
-
-    def __init__(self, array: np.ndarray, type: TensorType):
-        array = np.asarray(array)
-        if tuple(array.shape) != tuple(type.shape):
-            raise IRError(
-                f"dense data shape {array.shape} does not match type {type}"
-            )
-        array.setflags(write=False)
-        self.array = array
-        self.type = type
-
-    @property
-    def exact_key(self) -> tuple:  # not kept: it copies the payload
-        array = self.array
-        return (DenseAttr, self.type._key, array.dtype.str, array.tobytes())
-
-    def __str__(self) -> str:
-        flat = self.array.reshape(-1)
-        if np.issubdtype(self.array.dtype, np.floating):
-            body = ", ".join(repr(float(x)) for x in flat)
-        elif self.array.dtype == np.bool_:
-            body = ", ".join("true" if x else "false" for x in flat)
-        else:
-            body = ", ".join(str(int(x)) for x in flat)
-        return f"dense<[{body}]> : {self.type}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DenseAttr)
-            and self.type == other.type
-            and np.array_equal(self.array, other.array)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.type, self.array.tobytes()))
-
 
 AttrLike = Union[Attribute, int, float, bool, str, Type, Sequence, Mapping]
 
@@ -292,15 +223,9 @@ def unwrap(attribute: Attribute):
         return attribute.value
     if kind is ArrayAttr:
         return list(map(unwrap, attribute.elements))
-    if isinstance(attribute, UnitAttr):
-        return True
-    if isinstance(attribute, SymbolRefAttr):
-        return attribute.name
     if isinstance(attribute, ArrayAttr):
         return [unwrap(e) for e in attribute.elements]
     if isinstance(attribute, DictAttr):
         return {k: unwrap(v) for k, v in attribute.entries}
-    if isinstance(attribute, DenseAttr):
-        return attribute.array
     raise IRError(f"cannot unwrap attribute {attribute!r}")
 

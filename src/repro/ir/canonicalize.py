@@ -1,6 +1,6 @@
-"""The canonicalization engine: fold hooks, canonical patterns and the pass.
+"""The canonicalization engine: fold hooks, dead-op erasure and the pass.
 
-Three layers, mirroring MLIR's design:
+Two pattern layers and a pass, mirroring MLIR's design:
 
 * **fold hooks** — per-op simplifications declared on the
   :class:`~repro.ir.dialect.OpDef` (``fold=``).  A hook returns ``None``
@@ -8,13 +8,12 @@ Three layers, mirroring MLIR's design:
   op's single result, or a constant (Attribute / int / float / bool) that
   the driver materializes as an ``arith.constant``.  Hooks never create or
   mutate IR themselves, which keeps them cheap and composable.
-* **canonical patterns** — :class:`~repro.ir.rewrite.RewritePattern`
-  instances registered per dialect (``Dialect.add_canonical_pattern``) for
-  rewrites that must build new ops (e.g. collapsing ``transpose`` chains).
-* **CanonicalizePass** — composes fold + trivial-dead-op erasure +
-  the dialect patterns (all through the worklist driver) with CSE,
-  iterating to a fixpoint.  The pipeline's ``canonicalize`` stage times
-  the whole pass as its ``canonicalize/rewrite`` span.
+* **trivially-dead erasure** — :class:`EraseTriviallyDead` drops a pure op
+  whose results have no use.
+* **CanonicalizePass** — composes the two (both through the worklist
+  driver) with CSE, iterating to a fixpoint.  The pipeline's
+  ``canonicalize`` stage times the whole pass as its
+  ``canonicalize/rewrite`` span.
 
 The pass is a *fixpoint* procedure: running it on an already-canonical
 module changes nothing, which is what lets the lowering chain canonicalize
@@ -130,16 +129,13 @@ class EraseTriviallyDead(RewritePattern):
 def canonical_pattern_set(
     registry: Optional[DialectRegistry] = None,
 ) -> List[RewritePattern]:
-    """The full canonicalization pattern set: folds, dead-op erasure and
-    every dialect-contributed pattern."""
+    """The full canonicalization pattern set: folds and dead-op erasure."""
     registry = registry or REGISTRY
-    return [FoldPatterns(registry), EraseTriviallyDead(registry)] \
-        + registry.canonical_patterns()
+    return [FoldPatterns(registry), EraseTriviallyDead(registry)]
 
 
 class CanonicalizePass(Pass):
-    """Fold + dead-op erasure + canonical patterns, then CSE, iterated to
-    a fixpoint.
+    """Fold + dead-op erasure, then CSE, iterated to a fixpoint.
 
     Dead ops go in the worklist driver (:class:`EraseTriviallyDead`, which
     revisits the producers of every op it erases), so no separate

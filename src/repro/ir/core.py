@@ -295,11 +295,6 @@ class Block:
         self.operations.insert(index, op)
         return op
 
-    def add_argument(self, type: Type) -> BlockArgument:
-        arg = BlockArgument(self, len(self.args), type)
-        self.args.append(arg)
-        return arg
-
     def __iter__(self) -> Iterator[Operation]:
         return iter(self.operations)
 

@@ -94,9 +94,6 @@ class Dialect:
         self.name = name
         self.description = description
         self.ops: Dict[str, OpDef] = {}
-        # RewritePattern instances contributed to CanonicalizePass (for
-        # rewrites that create ops and therefore cannot be fold hooks).
-        self.canonical_patterns: list = []
         # The ``opdefs`` tables of the registries holding this dialect.
         self._opdef_tables: list = []
 
@@ -134,10 +131,6 @@ class Dialect:
             table[full] = opdef
         return opdef
 
-    def add_canonical_pattern(self, pattern) -> None:
-        """Contribute a rewrite pattern to the canonicalization pass."""
-        self.canonical_patterns.append(pattern)
-
     def __contains__(self, opname: str) -> bool:
         return opname in self.ops
 
@@ -173,13 +166,6 @@ class DialectRegistry:
 
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.dialects))
-
-    def canonical_patterns(self) -> list:
-        """All canonicalization patterns contributed by registered dialects."""
-        patterns: list = []
-        for name in sorted(self.dialects):
-            patterns.extend(self.dialects[name].canonical_patterns)
-        return patterns
 
 
 # The default global registry.  ``repro.dialects`` populates it on import.

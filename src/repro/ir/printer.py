@@ -7,8 +7,8 @@ The printer emits every operation in the fully generic syntax::
     "func.return"(%1#0) : (f64) -> ()
 
 Values are numbered in encounter order with a single namespace (block
-arguments included), which keeps the grammar trivial and guarantees that
-:mod:`repro.ir.parser` round-trips the output exactly.
+arguments included), so a module prints the same text on every run: the
+golden files and ``make fuzz-ir-parent`` compare that text byte for byte.
 """
 
 from __future__ import annotations
@@ -121,5 +121,5 @@ def print_op(op: Operation) -> str:
 
 
 def print_module(module: Module) -> str:
-    """Print a whole module; the inverse of ``parser.parse_module``."""
+    """Print a whole module, ending in a newline."""
     return print_op(module.op) + "\n"

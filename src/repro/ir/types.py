@@ -5,8 +5,8 @@ MLIR: ``i32``, ``f64``, ``index``, ``tensor<4x?xf64>``, ``memref<16xf32,
 "hbm0">``, ``(f64, i32) -> f64``.  Dialect types use the ``!dialect.name<...>``
 form, e.g. ``!base2.fixed<8, 8, signed>`` and ``!dfg.stream<f64>``.
 
-The parser for this syntax lives in :mod:`repro.ir.parser`; every type knows
-how to print itself via ``str()`` and the parser round-trips that output.
+Every type prints itself in this syntax via ``str()``; types are built in
+code, never read back from text.
 """
 
 from __future__ import annotations
@@ -203,8 +203,9 @@ class FunctionType(Type):
         ins = ", ".join(str(t) for t in self.inputs)
         if len(self.results) == 1:
             result = self.results[0]
-            # A bare function-type result is ambiguous to the parser
-            # ("(...) -> (...) -> ..."); parenthesize it.
+            # A bare function-type result would print as "(i64) -> (f64)
+            # -> f64", which reads as either grouping; parenthesize it,
+            # as MLIR does.
             if isinstance(result, FunctionType):
                 return f"({ins}) -> ({result})"
             return f"({ins}) -> {result}"

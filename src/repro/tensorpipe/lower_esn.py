@@ -2,7 +2,9 @@
 
 ``esn.einsum`` is decomposed into explicit broadcasts, an elementwise
 product chain and a reduction — the classic sum-of-products normal form
-TeIL uses; all other esn ops map 1:1 onto their teil counterparts.
+TeIL uses; all other esn ops map 1:1 onto their teil counterparts.  The
+output keeps the factors' letters in the order they first appear (how EKL
+builds every einsum); a spec that reorders them is a ``LoweringError``.
 """
 
 from __future__ import annotations
@@ -120,6 +122,13 @@ def _convert_einsum(op: Operation, builder: Builder,
         for letter in fs:
             if letter not in union:
                 union.append(letter)
+    # The kept letters come out in union order; nothing reorders them.
+    remaining = [letter for letter in union if letter in out_spec]
+    if remaining != list(out_spec):
+        raise LoweringError(
+            f"einsum {spec!r}: output {out_spec!r} is not in the order the "
+            f"factors first name its letters ({''.join(remaining)!r})"
+        )
     # Extents per letter, from the factor operand types.
     extents: Dict[str, int] = {}
     for fs, operand in zip(factor_specs, op.operands):
@@ -150,7 +159,6 @@ def _convert_einsum(op: Operation, builder: Builder,
                              {"fn": "mulf", "axes": list(union)})
         product = mop.results[0]
     # Reduce the letters not in the output.
-    remaining = [letter for letter in union if letter in out_spec]
     reduce_positions = [i for i, letter in enumerate(union)
                         if letter not in out_spec]
     if reduce_positions:
@@ -163,10 +171,4 @@ def _convert_einsum(op: Operation, builder: Builder,
              "out_axes": remaining},
         )
         product = rop.results[0]
-    # Transpose if the remaining order differs from the requested output.
-    if remaining != list(out_spec):
-        perm = [remaining.index(letter) for letter in out_spec]
-        top = builder.create("teil.transpose", [product],
-                             [op.results[0].type], {"perm": perm})
-        product = top.results[0]
     mapping[op.results[0]] = product

@@ -11,7 +11,7 @@ pipelining, memory partitioning, double buffering — on this canonical form.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dialects import register_lowering
 from repro.errors import LoweringError
@@ -180,7 +180,6 @@ class _LoopGenerator:
             "teil.broadcast": self._lower_broadcast,
             "teil.reduce": self._lower_reduce,
             "teil.gather": self._lower_gather,
-            "teil.transpose": self._lower_transpose,
             "teil.iota": self._lower_iota,
         }.get(name)
         if handler is None:
@@ -288,16 +287,6 @@ class _LoopGenerator:
                 base_indices.append(cast)
         value = self._load(body, base, base_indices)
         body.create("memref.store", [value, buf] + ivs, [])
-
-    def _lower_transpose(self, op: Operation) -> None:
-        ty, buf = self._result_info(op)
-        perm = op.attr("perm")
-        ivs, body = self._nest(ty.shape)
-        src_ivs: List[Optional[Value]] = [None] * len(perm)
-        for j, p in enumerate(perm):
-            src_ivs[p] = ivs[j]
-        loaded = self._load(body, op.operands[0], src_ivs)  # type: ignore
-        body.create("memref.store", [loaded, buf] + ivs, [])
 
     def _lower_iota(self, op: Operation) -> None:
         ty, buf = self._result_info(op)

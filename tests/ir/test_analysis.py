@@ -24,7 +24,6 @@ Three layers of coverage:
 
 import os
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -34,6 +33,7 @@ sys.path.insert(
 
 from irfuzz import check_analysis, generate_ekl_case  # noqa: E402
 from oracles import analysis_mismatches, analyze_module_fixpoint  # noqa: E402
+from test_golden import GOLDEN_DIR, golden_modules  # noqa: E402
 
 from repro.errors import IRError  # noqa: E402
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel  # noqa: E402
@@ -49,7 +49,7 @@ from repro.ir import (  # noqa: E402
     Module,
     from_type,
     op_path,
-    parse_module,
+    print_module,
     types as T,
     verify,
     verify_typed,
@@ -211,7 +211,7 @@ def test_declared_result_type_mismatch_is_rejected():
     b = _esn_func(module)
     a = b.create("ekl.arg", [], [T.TensorType((4, 5), T.f64)],
                  {"axes": ["i", "j"], "name": "a"}).result
-    # Declared transpose result shape contradicts the permutation.
+    # Declared result shape contradicts the operands'.
     out = b.create("esn.map", [a, a], [T.TensorType((4, 6), T.f64)],
                    {"axes": ["i", "j"], "fn": "mulf"}).result
     b.create("func.return", [out], [], {"names": ["out"]})
@@ -338,11 +338,18 @@ def test_terminator_mid_block_message_has_path():
 # -- one forward pass vs the run-to-fixpoint oracle --------------------------
 
 
+@pytest.fixture(scope="module")
+def goldens():
+    return golden_modules()
+
+
 @pytest.mark.parametrize("golden", sorted(
-    path.name for path in (Path(__file__).parent / "golden").glob("*.mlir")))
-def test_single_pass_matches_fixpoint_oracle_on_goldens(golden):
-    module = parse_module(
-        (Path(__file__).parent / "golden" / golden).read_text())
+    path.name for path in GOLDEN_DIR.glob("*.mlir")))
+def test_single_pass_matches_fixpoint_oracle_on_goldens(goldens, golden):
+    """The modules the golden files pin, lowered afresh: each prints
+    exactly its file, so this analyses what the files show."""
+    module = goldens[golden[:-len(".mlir")]]
+    assert print_module(module) == (GOLDEN_DIR / golden).read_text()
     typed = verify_typed(module)
     assert analyze_module_fixpoint(module).iterations == 2
     assert analysis_mismatches(module, typed) == []

@@ -68,16 +68,53 @@ def _check(request, name: str, text: str) -> None:
     )
 
 
-@pytest.fixture(scope="module")
-def ekl_stages():
-    kernel = parse_kernel(EKL_SAMPLE)
-    ekl = lower_kernel_to_ekl(kernel)
+def ekl_sample_stages():
+    """The EKL sample at its four stages, each lowered from the last."""
+    ekl = lower_kernel_to_ekl(parse_kernel(EKL_SAMPLE))
     esn = lower_ekl_to_esn(ekl)
     teil = lower_esn_to_teil(esn)
     affine = lower_teil_to_affine(teil)
-    for module in (ekl, esn, teil, affine):
-        verify(module)
     return {"ekl": ekl, "esn": esn, "teil": teil, "affine": affine}
+
+
+def ekl_sample_raw():
+    """The EKL sample through the un-canonicalized chain."""
+    return lower_teil_to_affine(
+        lower_esn_to_teil(
+            lower_ekl_to_esn(lower_kernel_to_ekl(parse_kernel(EKL_SAMPLE)),
+                             canonicalize=False),
+            canonicalize=False,
+        ),
+        canonicalize=False,
+    )
+
+
+def cfd_sample_stages():
+    """The CFDlang sample at its three stages, each lowered afresh."""
+    def cfdlang():
+        return lower_program_to_cfdlang(parse_program(CFD_SAMPLE), "matvec")
+
+    return {"cfdlang": cfdlang(),
+            "teil": lower_cfdlang_to_teil(cfdlang()),
+            "affine": lower_teil_to_affine(lower_cfdlang_to_teil(cfdlang()))}
+
+
+def golden_modules():
+    """Every pinned module, by the name of its golden file."""
+    modules = {f"fig5_demo_{stage}": module
+               for stage, module in ekl_sample_stages().items()}
+    modules["fig5_demo_affine_raw"] = ekl_sample_raw()
+    modules.update((f"cfd_matvec_{stage}", module)
+                   for stage, module in cfd_sample_stages().items())
+    return modules
+
+
+@pytest.fixture(scope="module")
+def ekl_stages():
+    stages = ekl_sample_stages()
+    for module in stages.values():
+        verify(module)
+    return stages
 
 
 class TestEKLGolden:
@@ -89,15 +126,7 @@ class TestEKLGolden:
     def test_raw_lowering_snapshot(self, request):
         """The un-canonicalized chain, pinned so the optimizer's effect
         stays visible as the diff between the raw and canonical files."""
-        kernel = parse_kernel(EKL_SAMPLE)
-        raw = lower_teil_to_affine(
-            lower_esn_to_teil(
-                lower_ekl_to_esn(lower_kernel_to_ekl(kernel),
-                                 canonicalize=False),
-                canonicalize=False,
-            ),
-            canonicalize=False,
-        )
+        raw = ekl_sample_raw()
         verify(raw)
         _check(request, "fig5_demo_affine_raw", print_module(raw))
 
@@ -109,23 +138,23 @@ class TestEKLGolden:
             assert dce_sweep(ekl_stages[stage].clone()) is False, stage
 
 
+@pytest.fixture(scope="module")
+def cfd_stages():
+    stages = cfd_sample_stages()
+    for module in stages.values():
+        verify(module)
+    return stages
+
+
 class TestCFDlangGolden:
-    def test_cfdlang_dialect_snapshot(self, request):
-        module = lower_program_to_cfdlang(parse_program(CFD_SAMPLE), "matvec")
-        verify(module)
-        _check(request, "cfd_matvec_cfdlang", print_module(module))
+    def test_cfdlang_dialect_snapshot(self, request, cfd_stages):
+        _check(request, "cfd_matvec_cfdlang",
+               print_module(cfd_stages["cfdlang"]))
 
-    def test_teil_snapshot(self, request):
-        module = lower_cfdlang_to_teil(
-            lower_program_to_cfdlang(parse_program(CFD_SAMPLE), "matvec")
-        )
-        verify(module)
-        _check(request, "cfd_matvec_teil", print_module(module))
+    def test_teil_snapshot(self, request, cfd_stages):
+        _check(request, "cfd_matvec_teil", print_module(cfd_stages["teil"]))
 
-    def test_affine_snapshot(self, request):
-        module = lower_teil_to_affine(lower_cfdlang_to_teil(
-            lower_program_to_cfdlang(parse_program(CFD_SAMPLE), "matvec")
-        ))
-        verify(module)
+    def test_affine_snapshot(self, request, cfd_stages):
+        module = cfd_stages["affine"]
         _check(request, "cfd_matvec_affine", print_module(module))
         assert dce_sweep(module) is False

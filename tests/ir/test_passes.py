@@ -19,7 +19,7 @@ from repro.ir import (
     types as T,
     verify_typed,
 )
-from repro.ir.attributes import DenseAttr, FloatAttr
+from repro.ir.attributes import FloatAttr
 from repro.tensorpipe.affine_interp import run_affine
 
 sys.path.insert(
@@ -172,14 +172,12 @@ class TestCSEKeepsDistinctConstantsApart:
         assert keep.operands[0] is not keep.operands[1]
         assert keep.operands[1] is keep.operands[2]
 
-    def test_signed_zeros_inside_arrays_and_dense_constants(self):
+    def test_signed_zeros_inside_arrays_and_dicts(self):
         vec = T.tensor_of(T.f64, 1)
         m = Module()
         b = Builder.at_end(m.body)
         values = [[0.0], [-0.0], [0.0],
-                  DenseAttr(np.array([0.0]), vec),
-                  DenseAttr(np.array([-0.0]), vec),
-                  DenseAttr(np.array([0.0]), vec)]
+                  {"v": 0.0}, {"v": -0.0}, {"v": 0.0}]
         consts = [b.create("arith.constant", [], [vec], {"value": value})
                   for value in values]
         keep = b.create("test.keep", [c.result for c in consts], [])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IRError
-from repro.ir import parse_type, types as T
+from repro.ir import types as T
 
 
 class TestScalarTypes:
@@ -106,19 +106,28 @@ class TestBitwidth:
         assert not T.is_scalar(T.tensor_of(T.f64, 2))
 
 
-class TestTypeParsing:
-    @pytest.mark.parametrize("text", [
-        "i32", "ui8", "f64", "bf16", "index", "none",
-        "tensor<4x?xf64>", "tensor<f32>", 'memref<2x3xf64, "plm">',
-        "(f64, i32) -> f64", "() -> (f64, f64)",
-        "!base2.fixed<8, 8, signed>", "!base2.posit<16, 1>",
-        "!dfg.stream<f64>",
-    ])
-    def test_roundtrip(self, text):
-        assert str(parse_type(text)) == text
+_FN = T.FunctionType((T.f64,), (T.f64,))
 
-    def test_trailing_garbage_rejected(self):
-        from repro.errors import IRParseError
+#: Constructed types and the text each prints.
+PRINTED = [
+    (T.i32, "i32"), (T.IntegerType(8, signed=False), "ui8"),
+    (T.f64, "f64"), (T.bf16, "bf16"), (T.index, "index"), (T.none, "none"),
+    (T.tensor_of(T.f64, 4, None), "tensor<4x?xf64>"),
+    (T.tensor_of(T.f32), "tensor<f32>"),
+    (T.memref_of(T.f64, 2, 3, space="plm"), 'memref<2x3xf64, "plm">'),
+    (T.FunctionType((T.f64, T.i32), (T.f64,)), "(f64, i32) -> f64"),
+    (T.FunctionType((), (T.f64, T.f64)), "() -> (f64, f64)"),
+    (T.FixedPointType(8, 8), "!base2.fixed<8, 8, signed>"),
+    (T.PositType(16, 1), "!base2.posit<16, 1>"),
+    (T.StreamType(T.f64), "!dfg.stream<f64>"),
+    # A function-type result is parenthesized, so the text has one
+    # grouping.
+    (T.FunctionType((T.i64,), (_FN,)), "(i64) -> ((f64) -> f64)"),
+]
 
-        with pytest.raises(IRParseError):
-            parse_type("i32 garbage")
+
+class TestTypePrinting:
+    @pytest.mark.parametrize("ty, text", PRINTED,
+                             ids=[text for _, text in PRINTED])
+    def test_prints(self, ty, text):
+        assert str(ty) == text

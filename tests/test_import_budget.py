@@ -60,8 +60,8 @@ _PIPELINE = _TELEMETRY + """
 _IR = """
     repro.ir repro.ir.analysis repro.ir.attributes repro.ir.builder
     repro.ir.canonicalize repro.ir.core repro.ir.dialect repro.ir.fusion
-    repro.ir.parser repro.ir.passes repro.ir.printer repro.ir.rewrite
-    repro.ir.types repro.ir.verifier
+    repro.ir.passes repro.ir.printer repro.ir.rewrite repro.ir.types
+    repro.ir.verifier
     repro.dialects repro.dialects.builtin repro.dialects.system
     repro.dialects.tensorlang
 """

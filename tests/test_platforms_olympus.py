@@ -8,7 +8,7 @@ from repro.errors import OlympusError, PlatformError
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
 from repro.hls import synthesize_kernel
-from repro.ir.parser import parse_module
+from repro.ir import Module, build_func, types as T
 from repro.olympus import ArchConfig, OlympusGenerator, pack_stream
 from repro.platforms import (
     MemoryChannelModel,
@@ -124,43 +124,29 @@ class TestPacking:
         assert efficiency == per_beat * bits / 512
 
 
-def _lifetimes_func(buffers, element="f64"):
+def _lifetimes_func(buffers, element=T.f64):
     """An affine function with one top-level ``memref.alloc`` per
     ``(elements, start, end)`` in ``buffers``, live over the step interval
     ``[start, end]``: each step first allocates the buffers born there,
     then copies each buffer that dies there onto itself, so two buffers'
     statement ranges overlap exactly when their step intervals do.
-    ``element`` is one element type for all buffers, or one per buffer."""
-    types = [element] * len(buffers) if isinstance(element, str) \
-        else element
-    lines = []
-    names = {}
+    ``element`` is one element type for all buffers, or one per buffer;
+    ``elements`` is None for a dynamic extent."""
+    types = element if isinstance(element, list) else [element] * len(buffers)
+    module = Module()
+    func, _, b = build_func(module, "lifetimes", [], [])
+    allocs = {}
     last = max(end for _, _, end in buffers)
     for step in range(last + 1):
         for index, (elements, start, _) in enumerate(buffers):
             if start == step:
-                names[index] = f"%{len(names)}"
-                lines.append(f'{names[index]} = "memref.alloc"() : () -> '
-                             f"memref<{elements}x{types[index]}>")
-        for index, (elements, _, end) in enumerate(buffers):
+                ref = T.memref_of(types[index], elements)
+                allocs[index] = b.create("memref.alloc", [], [ref]).result
+        for index, (_, _, end) in enumerate(buffers):
             if end == step:
-                ref = f"memref<{elements}x{types[index]}>"
-                lines.append(f'"memref.copy"({names[index]}, {names[index]})'
-                             f" : ({ref}, {ref}) -> ()")
-    body = "\n    ".join(lines)
-    module = parse_module(f"""\
-"builtin.module"() (
-{{
-  "func.func"() (
-  {{
-  ^bb0():
-    {body}
-    "func.return"() : () -> ()
-  }}
-  ) {{sym_name = "lifetimes"}} : () -> ()
-}}
-) : () -> ()""")
-    return module.lookup("lifetimes")
+                b.create("memref.copy", [allocs[index], allocs[index]], [])
+    b.create("func.return", [])
+    return func
 
 
 def _one_byte(_element):
@@ -197,7 +183,7 @@ class TestPLMSharing:
         """A 3-byte i1 buffer pads the f64 buffer live beside it to offset
         8; once it is dead, a later f64 buffer takes offset 0."""
         plan = plan_arena(_lifetimes_func([(3, 0, 1), (2, 1, 2), (1, 2, 2)],
-                                          element=["i1", "f64", "f64"]))
+                                          element=[T.i1, T.f64, T.f64]))
         assert [slot.offset for slot in plan.slots] == [0, 8, 0]
         assert (plan.total_bytes, plan.unshared_bytes) == (24, 32)
 
@@ -212,7 +198,7 @@ class TestPLMSharing:
         assert plan.total_bytes == 2000
 
     def test_a_dynamic_buffer_keeps_its_own_allocation(self):
-        plan = plan_arena(_lifetimes_func([(4, 0, 1), ("?", 0, 1)]),
+        plan = plan_arena(_lifetimes_func([(4, 0, 1), (None, 0, 1)]),
                           element_bytes=_one_byte)
         assert [slot.shape for slot in plan.slots] == [(4,)]
         assert plan.total_bytes == plan.unshared_bytes == 4

@@ -7,9 +7,10 @@ produce the same numbers as the EKL interpreter (the language semantics).
 import numpy as np
 import pytest
 
+from repro.errors import LoweringError
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, Interpreter, parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
-from repro.ir import verify
+from repro.ir import Module, build_func, types as T, verify
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 from repro.tensorpipe.affine_interp import run_affine
 from repro.tensorpipe.codegen import compile_affine
@@ -161,3 +162,16 @@ class TestLoweringStructure:
         einsums = [op for op in m_esn.walk() if op.name == "esn.einsum"]
         assert len(einsums) == 1
         assert einsums[0].attr("spec") == "ab,ab->a"
+
+    def test_einsum_that_reorders_its_output_is_refused(self):
+        """EKL emits every einsum's output letters in first-use order;
+        one that permutes them has no lowering and says so."""
+        module = Module()
+        _, _, b = build_func(module, "k", [], [])
+        a = b.create("ekl.arg", [], [T.tensor_of(T.f64, 2, 3)],
+                     {"axes": ["i", "j"], "name": "a"}).result
+        out = b.create("esn.einsum", [a], [T.tensor_of(T.f64, 3, 2)],
+                       {"axes": ["j", "i"], "spec": "ab->ba"}).result
+        b.create("func.return", [out], [], {"names": ["out"]})
+        with pytest.raises(LoweringError, match="'ab->ba'"):
+            lower_esn_to_teil(module, canonicalize=False)

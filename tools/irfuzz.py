@@ -1,23 +1,20 @@
-"""Generative IR fuzzing: seeded random well-typed modules.
+"""Generative IR fuzzing: seeded random well-typed modules and kernels.
 
 ``generate_module(seed)`` builds a random — but structurally valid —
 module: a mix of unregistered ``fuzz.*`` ops (arbitrary arity/attributes),
 well-typed registered ops (``arith``/``math``), nested regions
 (``affine.for`` loops with their terminators, generic ``fuzz.region`` ops
-with block arguments, occasionally multi-block) and the full attribute
-menu (ints with widths, special floats, escaped strings, booleans, unit,
-arrays, dicts, type refs, symbol refs, dense tensors).
+with block arguments, occasionally multi-block) and every attribute kind
+(ints with widths, special floats, escaped strings, booleans, arrays,
+dicts, type refs).  ``tests/ir/test_canonicalize.py`` verifies each
+module and canonicalizes it.
 
-Each module must satisfy two properties, checked by
-:func:`check_roundtrip` and by ``tests/ir/test_roundtrip_fuzz.py``:
-
-* ``verify()`` passes (structure and registered-op constraints hold);
-* print -> parse -> print is a *fixpoint* of the textual form.
-
-Two more modes reuse the generator for differential validation:
-``--mode exec`` (compiled executor vs. interpreter, bit-for-bit) and
-``--mode analyze`` (abstract shape/dtype inference vs. the arrays the
-executor really produces — see :func:`check_analysis`).
+``generate_ekl_case(seed)`` builds a random executable EKL kernel, which
+two modes use for differential validation: ``--mode exec``, the default
+(compiled executor vs. interpreter, bit-for-bit — see
+:func:`check_executor`) and ``--mode analyze`` (abstract shape/dtype
+inference vs. the arrays the executor really produces — see
+:func:`check_analysis`).
 
 Run standalone for a longer campaign::
 
@@ -37,10 +34,8 @@ import random
 import sys
 from typing import List
 
-import numpy as np
-
 import repro.dialects  # noqa: F401 (registration side effect)
-from repro.ir import Builder, DenseAttr, Module, parse_module, print_module, verify
+from repro.ir import Builder, Module, print_module, verify
 from repro.ir import types as T
 from repro.ir.core import Block, Operation, Region, Value
 
@@ -83,7 +78,7 @@ def _random_type(rng: random.Random, depth: int = 0) -> T.Type:
 
 
 def _random_attr(rng: random.Random, depth: int = 0):
-    kind = rng.randrange(9 if depth == 0 else 7)
+    kind = rng.randrange(7 if depth == 0 else 5)
     if kind == 0:
         return rng.randrange(-1000, 1000)
     if kind == 1:
@@ -96,19 +91,6 @@ def _random_attr(rng: random.Random, depth: int = 0):
     if kind == 4:
         return _random_type(rng)
     if kind == 5:
-        from repro.ir import SymbolRefAttr, UnitAttr
-
-        return rng.choice([UnitAttr(), SymbolRefAttr("some_symbol")])
-    if kind == 6:
-        shape = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 3)))
-        element = rng.choice([T.f64, T.i64])
-        dtype = np.float64 if element is T.f64 else np.int64
-        count = int(np.prod(shape)) if shape else 1
-        data = np.array(
-            [rng.randrange(-9, 9) for _ in range(count)], dtype=dtype
-        ).reshape(shape)
-        return DenseAttr(data, T.TensorType(shape, element))
-    if kind == 7:
         return [_random_attr(rng, depth + 1)
                 for _ in range(rng.randrange(0, 4))]
     return {f"k{i}": _random_attr(rng, depth + 1)
@@ -505,21 +487,6 @@ def check_analysis(seed: int) -> None:
                     f"contract in the analysis\n{source}")
 
 
-def check_roundtrip(seed: int) -> None:
-    """Assert the two fuzz properties for one seed; raises on violation."""
-    module = generate_module(seed)
-    verify(module)
-    text = print_module(module)
-    reparsed = parse_module(text)
-    verify(reparsed)
-    again = print_module(reparsed)
-    if again != text:
-        raise AssertionError(
-            f"seed {seed}: print->parse->print is not a fixpoint\n"
-            f"--- first ---\n{text}\n--- second ---\n{again}"
-        )
-
-
 def compile_dump(start: int, count: int) -> str:
     """The compile output of every dump case, as one text.
 
@@ -581,16 +548,15 @@ def compile_dump(start: int, count: int) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="fuzz the IR printer/parser/verifier (roundtrip mode) "
-                    "or the compiled affine executor (exec mode)")
+        description="fuzz the compiled affine executor (exec mode) or the "
+                    "typed verifier's analysis (analyze mode)")
     parser.add_argument("--count", type=int, default=200,
                         help="number of seeds to run")
     parser.add_argument("--start", type=int, default=0,
                         help="first seed")
-    parser.add_argument("--mode", choices=["roundtrip", "exec", "analyze"],
-                        default="roundtrip",
-                        help="roundtrip: print->parse->print fixpoint; "
-                             "exec: compiled executor vs. interpreter "
+    parser.add_argument("--mode", choices=["exec", "analyze"],
+                        default="exec",
+                        help="exec: compiled executor vs. interpreter "
                              "differential; analyze: abstract "
                              "shape/dtype inference vs. executor arrays")
     parser.add_argument("--backend", default="compiled",
@@ -613,10 +579,7 @@ def main(argv=None) -> int:
 
     configure_logging("error" if args.quiet else "info")
     log = get_logger("irfuzz")
-    if args.mode == "roundtrip":
-        check = check_roundtrip
-        label = args.mode
-    elif args.mode == "analyze":
+    if args.mode == "analyze":
         check = check_analysis
         label = args.mode
     else:

@@ -51,10 +51,6 @@ PYTEST = ["-q", "-p", "no:cacheprovider"]
 # Dunder protocol methods need no entry; constructors do (an unreached
 # one is an unused class).
 CONSTRUCTORS = {"__init__", "__post_init__", "__new__"}
-_NO_GENERATOR = (
-    "compile path no irfuzz case reaches yet: a generated case or its "
-    "deletion is ROADMAP's \"Compile-path code that no generator "
-    "reaches\"")
 ALLOWLIST: Dict[str, str] = {
     "repro.anomaly.detectors:Detector.fit": "abstract; detectors override",
     "repro.anomaly.detectors:Detector.scores": "abstract; detectors override",
@@ -74,9 +70,6 @@ ALLOWLIST: Dict[str, str] = {
         "null-object parity with Tracer.record_span",
     "repro.telemetry.trace:NullTracer.clear":
         "null-object parity with Tracer.clear",
-    "repro.dialects.tensorlang:_transfer_transpose": _NO_GENERATOR,
-    "repro.tensorpipe.lower_teil:_LoopGenerator._lower_transpose":
-        _NO_GENERATOR,
 }
 
 Key = Tuple[str, int, str]      # (real path, first line, name)
