@@ -65,8 +65,7 @@ def main() -> None:
     spec.add(WorkflowTask("power_forecast", lambda f: result.mae_mw,
                           after=["wrf_member"], cpu_flops=1e9))
     spec.mark_for_fpga("wrf_member", fpga_seconds=2e-3)
-    client = platform.deploy(spec)
-    schedule = client.compute()
+    schedule = platform.deploy(spec).run()
     print(f"workflow deployed: makespan {schedule.makespan * 1e3:.2f} ms "
           f"(simulated), results: {platform.results('weather-energy')}")
     print("weather/energy forecast OK")

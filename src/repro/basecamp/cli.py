@@ -322,17 +322,10 @@ def cmd_serve(args) -> int:
     from repro.basecamp.serve import BasecampServer
     from repro.telemetry.log import configure_logging
 
-    # --verbose is sugar for per-request access logging: it marks the
-    # handler chatty (info-level) and raises the default log level so
-    # the lines actually surface.  An explicit --log-level always wins.
-    level = args.log_level
-    if args.verbose and level == "warning":
-        level = "info"
-    configure_logging(level)
+    configure_logging(args.log_level)
     server = BasecampServer(host=args.host, port=args.port,
                             max_workers=args.max_workers,
-                            queue_limit=args.queue_limit,
-                            quiet=not args.verbose)
+                            queue_limit=args.queue_limit)
     host, port = server.address
     print(f"basecamp serve: listening on http://{host}:{port} "
           f"({args.max_workers} worker(s), queue {args.queue_limit}); "
@@ -463,12 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max concurrently executing requests")
     p.add_argument("--queue-limit", type=int, default=16, metavar="N",
                    help="max queued requests before 429 rejection")
-    p.add_argument("--verbose", action="store_true",
-                   help="log every request (shorthand for --log-level "
-                        "info plus per-request access lines)")
     p.add_argument("--log-level", default="warning",
                    choices=["debug", "info", "warning", "error"],
-                   help="threshold for the repro.* structured logger")
+                   help="threshold for the repro.* structured logger "
+                        "(debug adds one access line per request)")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("info", help="platform catalog")

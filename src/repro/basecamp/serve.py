@@ -386,7 +386,7 @@ class BasecampService:
         for name in policies:
             cluster = default_cluster(nodes)
             if spec is not None:
-                engine = lexis.LexisPlatform(cluster, name).deploy(spec).engine
+                engine = lexis.LexisPlatform(cluster, name).deploy(spec)
             else:
                 engine = RuntimeEngine(cluster, policy=name)
                 synthetic_workflow(engine, n_tasks=tasks, seed=fields["seed"],
@@ -465,20 +465,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Set by the server factory.
     service: BasecampService
-    quiet = True
     protocol_version = "HTTP/1.1"
     #: ``(second, text)`` of the last ``Date`` header: one format a second.
     _date = (0, "")
 
     def log_message(self, fmt, *args):  # noqa: D102 (stdlib signature)
         # BaseHTTPRequestHandler writes straight to stderr; route the
-        # per-request chatter through the structured logger instead so
-        # one --log-level flag governs it (info when chatty was asked
-        # for, debug otherwise — invisible at the default warning, where
-        # the line is not formatted at all).
-        level = logging.DEBUG if self.quiet else logging.INFO
-        if _LOG.isEnabledFor(level):
-            _LOG.log(level, "%s %s", self.address_string(), fmt % args)
+        # per-request chatter through the structured logger at debug
+        # instead, so --log-level governs it (at the default warning the
+        # line is not formatted at all).
+        if _LOG.isEnabledFor(logging.DEBUG):
+            _LOG.debug("%s %s", self.address_string(), fmt % args)
 
     def parse_request(self) -> bool:
         """The stdlib's request-line checks, then the header fields into
@@ -666,13 +663,12 @@ class BasecampServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 8642, *,
                  session: Optional[PipelineSession] = None,
                  max_workers: int = DEFAULT_MAX_WORKERS,
-                 queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                 quiet: bool = True):
+                 queue_limit: int = DEFAULT_QUEUE_LIMIT):
         self.service = BasecampService(session=session,
                                        max_workers=max_workers,
                                        queue_limit=queue_limit)
         handler = type("BoundHandler", (_Handler,),
-                       {"service": self.service, "quiet": quiet})
+                       {"service": self.service})
         self._httpd = _Server((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 

@@ -2,14 +2,16 @@
 
 * :mod:`repro.runtime.cluster` — heterogeneous nodes (CPU + FPGA) and the
   data-center network;
-* :mod:`repro.runtime.taskgraph` — the Dask-like API with EVEREST resource
-  requests;
+* :mod:`repro.runtime.taskgraph` — the task graph behind the Dask-like
+  API, EVEREST resource requests, and the one topological walk;
 * :mod:`repro.runtime.timeline` — the event-sweep core-capacity index
   behind every placement query;
 * :mod:`repro.runtime.engine` — the event-driven runtime engine, the one
-  planner: scheduling policies (HEFT, round-robin, min-load) and their
-  cost model, streaming submission, and in-loop rescheduling of the work
-  a failed node loses (a node's liveness is its ``alive`` flag).
+  way in (``RuntimeEngine.submit`` returns a ``Future``, ``run`` places
+  and executes the tasks) and the one planner: scheduling policies
+  (HEFT, round-robin, min-load) and their cost model, streaming
+  submission, and in-loop rescheduling of the work a failed node loses
+  (a node's liveness is its ``alive`` flag).
 
 An FPGA task's time includes ``cluster.SRIOV_OVERHEAD``, the SR-IOV access
 path of Fig. 6's virtualization environment.
@@ -32,7 +34,6 @@ from repro.runtime.engine.policies import (
     UtilizationReport,
 )
 from repro.runtime.taskgraph import (
-    EverestClient,
     Future,
     ResourceRequest,
     Task,
@@ -56,7 +57,6 @@ __all__ = [
     "NodeTimeline",
     "Placement",
     "ScheduleResult",
-    "EverestClient",
     "Future",
     "ResourceRequest",
     "Task",

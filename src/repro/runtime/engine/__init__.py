@@ -4,7 +4,7 @@ One discrete-event loop unifies the resource manager's four duties —
 dependency-aware scheduling, load balancing, data transfers, and
 monitoring with mid-run rescheduling — behind pluggable policies:
 
-* :class:`RuntimeEngine` — the engine: simulated clock, real execution
+* :class:`RuntimeEngine` — the engine: simulated time, real execution
   on the event loop at each task's simulated start, streaming
   submission, in-loop failure recovery;
 * :class:`SchedulingPolicy` — the policy contract, one method each:
@@ -16,7 +16,6 @@ monitoring with mid-run rescheduling — behind pluggable policies:
 """
 
 from repro.runtime.engine.core import RuntimeEngine
-from repro.runtime.engine.events import SimClock
 from repro.runtime.engine.policies import (
     POLICIES,
     HEFTScheduler,
@@ -29,7 +28,6 @@ from repro.runtime.engine.workloads import synthetic_workflow
 
 __all__ = [
     "RuntimeEngine",
-    "SimClock",
     "POLICIES",
     "HEFTScheduler",
     "MinLoadPolicy",

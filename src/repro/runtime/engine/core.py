@@ -94,7 +94,10 @@ class RuntimeEngine:
         self.policy = policy
         self._online = policy.online
         self.graph = TaskGraph()
-        self.clock = ev.SimClock()
+        # Simulated time: the time of the last event popped.  No event is
+        # queued earlier than it (_push_at refuses a call_at time, and
+        # _admit a policy's placement), so it never runs backwards.
+        self.now = 0.0
         self.timelines: Dict[str, NodeTimeline] = {
             name: NodeTimeline(node)
             for name, node in cluster.nodes.items()
@@ -112,7 +115,6 @@ class RuntimeEngine:
         # streamed tasks that rescan is itself O(tasks²).
         self._pending: Set[int] = set()
         self._failed: Optional[RuntimeSchedulingError] = None
-        self._unfinished = 0
         self._handled_failures: Set[str] = set()
         # The cluster's liveness generation _detect_failures last read.
         self._liveness = -1
@@ -145,7 +147,6 @@ class RuntimeEngine:
         records = self._records
         record = records[tid] = _TaskRecord(task)
         self._pending.add(tid)
-        self._unfinished += 1
         for dep in task.deps:
             if dep in records:
                 producer = records[dep]
@@ -156,7 +157,7 @@ class RuntimeEngine:
         if record.blockers == 0:
             self._ready.append(tid)
         if self._running:
-            self._push(self.clock.now, ev.DISPATCH)
+            self._push(self.now, ev.DISPATCH)
         return future
 
     def submit_at(self, time: float, fn: Callable, *args, **kwargs) -> None:
@@ -166,7 +167,7 @@ class RuntimeEngine:
     def call_at(self, time: float, callback: Callable[[], Any]) -> None:
         """Run an arbitrary callback at a simulated time.
 
-        The callback executes on the event loop with the clock at
+        The callback executes on the event loop with ``now`` at
         ``time``; it may submit tasks, fail nodes, or inspect state.
         """
         self._push_at(time, ev.CALLBACK, callback)
@@ -180,9 +181,9 @@ class RuntimeEngine:
     def _push_at(self, time: float, kind: int, subject: Any) -> None:
         # Refused here, where the caller is, and not when the event
         # fires mid-run with part of the workflow already executed.
-        if not time >= self.clock.now:
+        if not time >= self.now:
             raise RuntimeSchedulingError(
-                f"time={time!r} is earlier than clock.now ({self.clock.now})")
+                f"time={time!r} is earlier than engine.now ({self.now})")
         self._push(time, kind, subject)
 
     def _push(self, time: float, kind: int, subject: Any = None) -> None:
@@ -190,9 +191,6 @@ class RuntimeEngine:
         # (_record_all, _start), with the task's epoch in the last slot.
         self._seq += 1
         heappush(self._events, (time, kind, self._seq, subject, 0))
-
-    def has_pending(self) -> bool:
-        return self._unfinished > 0
 
     # ------------------------------------------------------------------
     # The event loop
@@ -212,14 +210,14 @@ class RuntimeEngine:
             raise self._failed
         self._running = True
         self._tracer = get_tracer()
-        events, clock = self._events, self.clock
+        events = self._events
         try:
-            self._detect_failures(clock.now)
-            self._dispatch(clock.now)
+            self._detect_failures(self.now)
+            self._dispatch(self.now)
             while events:
                 if until is not None and events[0][0] > until:
                     break
-                clock.now, kind, _, subject, epoch = heappop(events)
+                self.now, kind, _, subject, epoch = heappop(events)
                 if kind == ev.TASK_START:
                     self._start(subject, epoch)
                 elif kind == ev.TASK_FINISH:
@@ -247,7 +245,7 @@ class RuntimeEngine:
 
     def _handle(self, kind: int, subject: Any) -> None:
         """Every event but a task's start and finish."""
-        now = self.clock.now
+        now = self.now
         if kind == ev.NODE_FAILURE:
             self.cluster.fail_node(subject)
             self._detect_failures(now)
@@ -290,19 +288,12 @@ class RuntimeEngine:
                               pending=len(self._pending), sim_now=now)
             dispatch(now)
 
-    def _finish_of(self, dep: int) -> float:
-        if dep not in self.placements:
-            raise RuntimeSchedulingError(
-                f"dependency on unknown or unplaced task {dep}"
-            )
-        return self.placements[dep].finish
-
     def _dispatch_offline(self, now: float) -> None:
         """Plan the whole pending subgraph with the offline policy."""
         if not self._pending:
             return
         subgraph, ready = build_replan_subgraph(
-            self.graph, set(self._pending), now, self._finish_of,
+            self.graph, set(self._pending), now, self.placements,
         )
         # The policy commits what it places into scratch copies, so a
         # plan that raises partway (e.g. an unplaceable FPGA task) leaves
@@ -407,8 +398,13 @@ class RuntimeEngine:
             results[a.task_id] if isinstance(a, Future) else a
             for a in task.args
         ]
+        kwargs = task.kwargs
+        if kwargs:
+            kwargs = {key: results[value.task_id]
+                      if isinstance(value, Future) else value
+                      for key, value in kwargs.items()}
         try:
-            record.outcome = (True, task.fn(*args, **task.kwargs))
+            record.outcome = (True, task.fn(*args, **kwargs))
         except Exception as error:
             record.outcome = (False, error)
         record.state = RUNNING
@@ -418,7 +414,7 @@ class RuntimeEngine:
         # The body may have failed or restored a node (its own included,
         # which loses this very task).
         if self.cluster.liveness != self._liveness:
-            self._detect_failures(self.clock.now)
+            self._detect_failures(self.now)
 
     def _finish(self, record: _TaskRecord, epoch: int) -> None:
         if record.epoch != epoch or record.state != RUNNING:
@@ -432,7 +428,6 @@ class RuntimeEngine:
             raise self._failed from result
         self.graph.results[task.task_id] = result
         record.state = DONE
-        self._unfinished -= 1
         tracer = self._tracer
         if tracer.enabled:
             # Task execution lives on the *simulated* clock: the span is
@@ -450,7 +445,7 @@ class RuntimeEngine:
                 if dependent.blockers == 0 and dependent.state == PENDING:
                     self._ready.append(dependent.task.task_id)
         if self._online:
-            self._dispatch_online(self.clock.now)
+            self._dispatch_online(self.now)
 
     # ------------------------------------------------------------------
     # Failure handling (§VI-A duty 4, in-loop)

@@ -1,7 +1,7 @@
-"""Discrete-event machinery: the simulated clock and the event order.
+"""Discrete-event machinery: the event order.
 
-The :class:`~repro.runtime.engine.RuntimeEngine` advances a simulated
-clock from event to event.  An event is a plain tuple
+The :class:`~repro.runtime.engine.RuntimeEngine` advances its simulated
+time ``now`` from event to event.  An event is a plain tuple
 ``(time, kind, seq, subject, epoch)`` on a :mod:`heapq` list, so queueing
 one costs one ``heappush`` and taking it one ``heappop``: no event
 object is built and no queue method is called.  ``subject`` is the
@@ -35,15 +35,3 @@ CALLBACK = 2
 DISPATCH = 3
 TASK_START = 4
 
-
-class SimClock:
-    """Monotonic simulated time.
-
-    The engine sets ``now`` to the time of each event it pops.  It
-    refuses to queue an event earlier than ``now`` (a ``call_at`` time,
-    a policy's placement), so the heap hands times out in
-    non-decreasing order and the clock never runs backwards.
-    """
-
-    def __init__(self, start: float = 0.0):
-        self.now = start

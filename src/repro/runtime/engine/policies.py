@@ -24,7 +24,6 @@ engine run with everything submitted at time zero.  What a run returns
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from math import inf
 from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, \
@@ -33,7 +32,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, \
 from repro.errors import RuntimeSchedulingError
 from repro.runtime.cluster import SRIOV_OVERHEAD, Cluster, Node
 from repro.runtime.placement import CandidateIndex, ClassKey, node_classes
-from repro.runtime.taskgraph import Task, TaskGraph
+from repro.runtime.taskgraph import Task, TaskGraph, dependency_order
 from repro.runtime.timeline import NodeTimeline
 
 
@@ -100,12 +99,13 @@ class ScheduleResult:
 
 def task_runtime(task: Task, node: Node) -> float:
     """Execution time of a task on a node, honouring resource requests."""
-    if task.resources.fpga:
+    resources = task.resources
+    if resources.fpga:
         if not node.has_fpga:
             return inf
         # Overheads of the virtualized access path (Fig. 6).
-        return task.resources.fpga_seconds * SRIOV_OVERHEAD
-    return task.runtime_on_cpu(node)
+        return resources.fpga_seconds * SRIOV_OVERHEAD
+    return node.cpu_seconds(resources.cpu_flops, resources.cores)
 
 
 def can_host(task: Task, node: Node) -> bool:
@@ -166,16 +166,16 @@ class PlanCosts(NamedTuple):
 
 def build_replan_subgraph(graph: TaskGraph, subset: set,
                           ready_floor: float,
-                          finish_of: Callable[[int], float]):
+                          placements: Dict[int, Placement]):
     """A planning subgraph for re-placing ``subset`` of ``graph``.
 
     Tasks keep their ids.  Dependencies inside the subset stay subgraph
     edges (so the policy models their data transfers per candidate
-    node); dependencies outside it are folded into per-task ready times
-    via ``finish_of``, floored at ``ready_floor``.  Cross-boundary edges
-    therefore bound the start by the producer's *finish* only — the
-    eventual placement node isn't known while planning, so their
-    transfer time is not charged.
+    node); dependencies outside it, all placed, are folded into per-task
+    ready times via their finish in ``placements``, floored at
+    ``ready_floor``.  Cross-boundary edges therefore bound the start by
+    the producer's *finish* only — the eventual placement node isn't
+    known while planning, so their transfer time is not charged.
 
     Returns ``(subgraph, ready)``.
     """
@@ -189,7 +189,7 @@ def build_replan_subgraph(graph: TaskGraph, subset: set,
         for dep in task.deps:
             if dep not in subset:
                 outside = True
-                ready_time = max(ready_time, finish_of(dep))
+                ready_time = max(ready_time, placements[dep].finish)
         # A policy only reads the tasks it plans, so one whose deps all
         # lie inside the subset is shared, not copied.
         subgraph.tasks[task.task_id] = replace(
@@ -241,9 +241,9 @@ class HEFTScheduler:
         tasks = graph.topological_order()
         costs = PlanCosts.of(tasks, nodes, cluster)
         ranks = self._upward_ranks(tasks, costs)
-        order = sorted(tasks, key=lambda t: -ranks[t.task_id])
-        # Respect dependencies: stable-sort by rank but never before deps.
-        order = self._dependency_respecting(order)
+        # Stable-sort by rank, but never a task before its dependencies.
+        order = dependency_order(
+            sorted(tasks, key=lambda t: -ranks[t.task_id]))
         result = ScheduleResult()
         self._place(order, graph, cluster, nodes, timelines, ready,
                     result, costs)
@@ -393,46 +393,6 @@ class HEFTScheduler:
                 if rank > below[dep]:
                     below[dep] = rank
         return ranks
-
-    @staticmethod
-    def _dependency_respecting(order: List[Task]) -> List[Task]:
-        """Kahn's algorithm preferring the given (rank-sorted) order.
-
-        Upward ranks strictly decrease along dependency edges, so the
-        sorted order is normally already dependency-respecting and one
-        pass over it returns it as it is — the walk would rebuild the
-        same list.  Otherwise the O(E + n log n) indegree walk replaces
-        the seed's repeated-sweep emitter, whose list scans and removals
-        were O(n^2) — minutes of pure bookkeeping at 100k tasks.
-        """
-        position = {task.task_id: i for i, task in enumerate(order)}
-        settled = True
-        for i, task in enumerate(order):
-            for dep in task.deps:
-                if dep not in position or position[dep] > i:
-                    settled = False
-        if settled:
-            return order
-        indegree: Dict[int, int] = {}
-        dependents: Dict[int, List[int]] = {}
-        for task in order:
-            indegree[task.task_id] = len(task.deps)
-            for dep in task.deps:
-                dependents.setdefault(dep, []).append(task.task_id)
-        ready = [position[tid] for tid, degree in indegree.items()
-                 if degree == 0]
-        heapq.heapify(ready)
-        result: List[Task] = []
-        while ready:
-            task = order[heapq.heappop(ready)]
-            result.append(task)
-            for successor in dependents.get(task.task_id, ()):
-                indegree[successor] -= 1
-                if indegree[successor] == 0:
-                    heapq.heappush(ready, position[successor])
-        if len(result) != len(order):
-            raise RuntimeSchedulingError("cycle in task graph")
-        return result
 
 
 class RoundRobinScheduler:

@@ -1,4 +1,4 @@
-"""Synthetic workload generators shared by the CLI, tests and benchmarks.
+"""The synthetic workflow the CLI, the daemon, tests and benchmarks submit.
 
 The shape mirrors the EVEREST use-case workflows (§VII): wide layers of
 independent kernels with a sliding dependency window between layers —
@@ -13,15 +13,15 @@ from typing import List, Optional
 from repro.runtime.taskgraph import Future, ResourceRequest
 
 
-def synthetic_workflow(target, n_tasks: int = 60, seed: int = 0, *,
+def synthetic_workflow(engine, n_tasks: int = 60, seed: int = 0, *,
                        width: Optional[int] = None,
                        fpga_fraction: float = 0.0,
                        label: str = "t") -> List[Future]:
-    """Submit a layered random workflow to anything with ``.submit``.
+    """Submit a layered random workflow to a
+    :class:`~repro.runtime.engine.RuntimeEngine`.
 
-    ``target`` is a :class:`~repro.runtime.engine.RuntimeEngine` or an
-    :class:`~repro.runtime.taskgraph.EverestClient`.  Returns the futures
-    of the final layer (gathering them implies the whole workflow ran).
+    Returns the futures of the final layer (their results imply the
+    whole workflow ran).
     """
     rng = random.Random(seed)
     # Wide enough that one layer oversubscribes a 32-core node, so the
@@ -45,7 +45,7 @@ def synthetic_workflow(target, n_tasks: int = 60, seed: int = 0, *,
                 cpu_flops=rng.uniform(1e9, 5e10),
                 fpga_seconds=rng.uniform(1e-4, 2e-3) if fpga else 0.0,
             )
-            layer.append(target.submit(
+            layer.append(engine.submit(
                 lambda *a, i=submitted: i, *deps,
                 resources=resources,
                 name=f"{label}{layer_index}_{i}",

@@ -5,16 +5,21 @@ Dask-like API, requiring only minimal modifications.  The original Dask API
 is extended with EVEREST-specific features, mainly to specify the resource
 requests and the possibility of kernel fine-tuning."
 
-* :class:`EverestClient.submit` is the eager-ish entry point returning a
-  :class:`Future`;
+* :meth:`RuntimeEngine.submit <repro.runtime.engine.RuntimeEngine.submit>`
+  is the one entry point: it adds a :class:`Task` to the engine's
+  :class:`TaskGraph` and returns its :class:`Future`, and a ``Future``
+  passed as an argument, positional or keyword, is a dependency;
 * **resource requests** (:class:`ResourceRequest`) carry core counts, FPGA
-  needs and cost estimates — the EVEREST extension.
+  needs and cost estimates — the EVEREST extension;
+* :func:`dependency_order` is the one topological walk, shared by
+  :meth:`TaskGraph.topological_order` and HEFT's rank order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -59,10 +64,6 @@ class Task:
     resources: ResourceRequest
     output_bytes: int = 8192
 
-    def runtime_on_cpu(self, node) -> float:
-        return node.cpu_seconds(self.resources.cpu_flops,
-                                self.resources.cores)
-
 
 class Future:
     """A handle to a task's eventual result.
@@ -79,7 +80,7 @@ class Future:
     def result(self):
         if self.task_id not in self._results:
             raise RuntimeSchedulingError(
-                "task graph not executed yet; call client.compute() first"
+                "task graph not executed yet; call engine.run() first"
             )
         return self._results[self.task_id]
 
@@ -98,7 +99,20 @@ class TaskGraph:
         if not 0 <= output_bytes < inf:
             raise RuntimeSchedulingError(
                 _BAD_COST.format("output_bytes", output_bytes))
-        deps = [arg.task_id for arg in args if isinstance(arg, Future)]
+        # A Future of another graph would read whichever task of this
+        # one has its id: it is marked None here and refused below, so
+        # the check costs a submit no call.
+        results = self.results
+        values = (*args, *kwargs.values()) if kwargs else args
+        deps = [arg.task_id if arg._results is results else None
+                for arg in values if isinstance(arg, Future)]
+        if None in deps:
+            where = next(
+                key for key, arg in (*enumerate(args), *kwargs.items())
+                if isinstance(arg, Future) and arg._results is not results)
+            raise RuntimeSchedulingError(
+                f"argument {where!r} is a Future of another task graph; "
+                "pass its result() instead")
         task_id = next(self._ids)
         self.tasks[task_id] = Task(
             task_id=task_id,
@@ -113,100 +127,50 @@ class TaskGraph:
         return Future(self.results, task_id)
 
     def topological_order(self) -> List[Task]:
-        tasks = self.tasks
-        # Submission order puts dependencies first, so the dict order is
-        # normally topological already, and then it is exactly the order
-        # the DFS below would emit.
-        order = list(tasks.values())
-        position = {task_id: i for i, task_id in enumerate(tasks)}
-        settled = True
-        for i, task in enumerate(order):
-            for dep in task.deps:
-                if dep not in position or position[dep] >= i:
-                    settled = False
-        if settled:
-            return order
-        # Iterative post-order DFS (same order a recursive visit would
-        # produce) — a 100k-task dependency chain must not hit the
-        # interpreter recursion limit.  ``emitted`` maps a visited task
-        # to whether it is out (False: still on the current DFS path, so
-        # between two roots every key is out).
-        order = []
-        emitted: Dict[int, bool] = {}
-        for root, task in list(tasks.items()):
-            if root in emitted:
-                continue
-            # A root whose dependencies are all out is emitted at once.
-            for dep in task.deps:
-                if dep not in emitted:
-                    break
-            else:
-                emitted[root] = True
-                order.append(task)
-                continue
-            emitted[root] = False
-            stack = [(root, iter(task.deps))]
-            while stack:
-                task_id, deps = stack[-1]
-                for dep in deps:
-                    state = emitted.get(dep)
-                    if state is False:
-                        raise RuntimeSchedulingError(
-                            "task graph has a cycle")
-                    if state:
-                        continue
-                    emitted[dep] = False
-                    stack.append((dep, iter(tasks[dep].deps)))
-                    break
-                else:
-                    emitted[task_id] = True
-                    order.append(tasks[task_id])
-                    stack.pop()
-        return order
+        return dependency_order(list(self.tasks.values()))
 
 
-class EverestClient:
-    """The application-facing client (the Dask ``Client`` analogue).
+def dependency_order(order: List[Task]) -> List[Task]:
+    """``order`` with every task after its dependencies.
 
-    A thin wrapper over the event-driven
-    :class:`~repro.runtime.engine.RuntimeEngine`, the only planner there
-    is: submission builds the engine's task graph, :meth:`compute` runs
-    the engine (simulated placement + real execution in one event loop),
-    and :meth:`gather` re-dispatches anything submitted since the last
-    run — the seed client silently ignored tasks submitted after
-    ``compute()``.
-
-    ``scheduler`` accepts a policy instance or a registry name
-    (``"heft"``, ``"round-robin"``, ``"min-load"``); the default is HEFT.
+    Kahn's walk that, of the tasks whose dependencies are all out, emits
+    the one earliest in ``order``.  Submission order (``submit`` and
+    ``build_replan_subgraph`` put every dependency first) and HEFT's
+    rank order (upward ranks fall along every edge) already respect the
+    dependencies, and then the walk would emit ``order`` itself: one
+    pass that finds no dependency at or after its task returns it as it
+    is.  A cycle, or a dependency on a task that is not in ``order``, is
+    a :class:`RuntimeSchedulingError`.
     """
-
-    def __init__(self, cluster, scheduler=None):
-        from repro.runtime.engine import RuntimeEngine
-
-        self.cluster = cluster
-        self.engine = RuntimeEngine(cluster, policy=scheduler)
-        self.scheduler = self.engine.policy
-        self.graph = self.engine.graph
-        self.last_schedule = None
-
-    def submit(self, fn: Callable, *args,
-               resources: Optional[ResourceRequest] = None,
-               output_bytes: int = 8192,
-               name: Optional[str] = None, **kwargs) -> Future:
-        """Add one task; ``Future`` arguments become dependencies."""
-        return self.engine.submit(fn, *args, resources=resources,
-                                  output_bytes=output_bytes, name=name,
-                                  **kwargs)
-
-    def compute(self):
-        """Dispatch pending tasks on the cluster (simulated time) and
-        execute them (real results).  Returns the cumulative
-        :class:`~repro.runtime.ScheduleResult`.
-        """
-        self.last_schedule = self.engine.run()
-        return self.last_schedule
-
-    def gather(self, futures: List[Future]) -> list:
-        if self.last_schedule is None or self.engine.has_pending():
-            self.compute()
-        return [f.result() for f in futures]
+    position = {task.task_id: i for i, task in enumerate(order)}
+    settled = True
+    for i, task in enumerate(order):
+        for dep in task.deps:
+            if dep not in position or position[dep] >= i:
+                settled = False
+    if settled:
+        return order
+    indegree: Dict[int, int] = {}
+    dependents: Dict[int, List[int]] = {}
+    for task in order:
+        indegree[task.task_id] = len(task.deps)
+        for dep in task.deps:
+            if dep not in position:
+                raise RuntimeSchedulingError(
+                    f"task {task.name!r} depends on task {dep}, which is "
+                    "not in the graph")
+            dependents.setdefault(dep, []).append(task.task_id)
+    ready = [position[tid] for tid, degree in indegree.items()
+             if degree == 0]
+    heapify(ready)
+    result: List[Task] = []
+    while ready:
+        task = order[heappop(ready)]
+        result.append(task)
+        for successor in dependents.get(task.task_id, ()):
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heappush(ready, position[successor])
+    if len(result) != len(order):
+        raise RuntimeSchedulingError("task graph has a cycle")
+    return result

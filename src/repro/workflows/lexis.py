@@ -5,9 +5,9 @@ which has been extended to offload the execution of selected kernels to
 FPGA.  Once a task (or one of its parts) is marked for FPGA acceleration,
 its execution is set to be offloaded to FPGA-based clusters."
 
-A :class:`WorkflowSpec` is a location-annotated DAG; ``deploy`` maps it
-onto the EVEREST runtime's Dask-like client, turning FPGA-marked tasks
-into FPGA resource requests.
+A :class:`WorkflowSpec` is a location-annotated DAG; ``deploy`` submits it
+to a new EVEREST runtime engine, turning FPGA-marked tasks into FPGA
+resource requests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import WorkflowError
 from repro.runtime.cluster import Cluster
-from repro.runtime.taskgraph import EverestClient, Future, ResourceRequest
+from repro.runtime.engine import RuntimeEngine
+from repro.runtime.taskgraph import Future, ResourceRequest
 
 
 @dataclass
@@ -70,7 +71,7 @@ class LexisPlatform:
 
     ``policy`` selects the engine's scheduling policy for every
     deployment (a name like ``"heft"``/``"min-load"`` or a policy
-    instance); ``deploy`` may also override it per workflow.
+    instance).
     """
 
     def __init__(self, cluster: Cluster, policy=None):
@@ -78,10 +79,9 @@ class LexisPlatform:
         self.policy = policy
         self.deployments: Dict[str, Dict[str, Future]] = {}
 
-    def deploy(self, spec: WorkflowSpec, policy=None) -> EverestClient:
-        """Submit the whole DAG; returns the client for result gathering."""
-        client = EverestClient(self.cluster,
-                               scheduler=policy or self.policy)
+    def deploy(self, spec: WorkflowSpec) -> RuntimeEngine:
+        """Submit the whole DAG to a new engine, which the caller runs."""
+        engine = RuntimeEngine(self.cluster, policy=self.policy)
         futures: Dict[str, Future] = {}
         # One pass: a task whose dependencies are not all submitted yet
         # waits under each missing name and is released by its last one.
@@ -102,7 +102,7 @@ class LexisPlatform:
                     cpu_flops=task.cpu_flops,
                     fpga_seconds=task.fpga_seconds,
                 )
-                futures[task.name] = client.submit(
+                futures[task.name] = engine.submit(
                     task.fn, *task.args, *deps, resources=resources,
                     output_bytes=task.output_bytes, name=task.name,
                 )
@@ -116,7 +116,7 @@ class LexisPlatform:
                 f"{[t.name for t in spec.tasks if blockers[t.name]]}"
             )
         self.deployments[spec.name] = futures
-        return client
+        return engine
 
     def results(self, spec_name: str) -> Dict[str, object]:
         if spec_name not in self.deployments:

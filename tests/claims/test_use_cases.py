@@ -155,9 +155,9 @@ def test_ptdr_runs_on_the_virtualized_fpga_node(policy):
     platform = LexisPlatform(Cluster([Node("host0", fpgas=[]),
                                       Node("acc0", fpgas=[alveo_u55c()])]),
                              policy)
-    client = platform.deploy(spec)
-    schedule = client.compute()
-    placed = {client.graph.tasks[task_id].name: placement
+    engine = platform.deploy(spec)
+    schedule = engine.run()
+    placed = {engine.graph.tasks[task_id].name: placement
               for task_id, placement in schedule.placements.items()}
     assert placed["ptdr"].node == "acc0"
     assert placed["ptdr"].duration == pytest.approx(2e-3 * SRIOV_OVERHEAD)

@@ -11,25 +11,26 @@ import repro
 from repro.errors import RuntimeSchedulingError
 from repro.platforms import alveo_u55c
 from repro.runtime import (
+    POLICIES,
     Cluster,
-    EverestClient,
     Node,
     Placement,
     ResourceRequest,
+    RuntimeEngine,
     ScheduleResult,
     default_cluster,
 )
 from repro.runtime.cluster import SRIOV_OVERHEAD
 
 
-def _diamond_graph(client):
-    a = client.submit(lambda: 1, name="a",
+def _diamond_graph(engine):
+    a = engine.submit(lambda: 1, name="a",
                       resources=ResourceRequest(cpu_flops=1e9))
-    b = client.submit(lambda x: x + 1, a, name="b",
+    b = engine.submit(lambda x: x + 1, a, name="b",
                       resources=ResourceRequest(cpu_flops=4e9))
-    c = client.submit(lambda x: x * 2, a, name="c",
+    c = engine.submit(lambda x: x * 2, a, name="c",
                       resources=ResourceRequest(cpu_flops=4e9))
-    d = client.submit(lambda x, y: x + y, b, c, name="d",
+    d = engine.submit(lambda x, y: x + y, b, c, name="d",
                       resources=ResourceRequest(cpu_flops=1e9))
     return d
 
@@ -47,17 +48,18 @@ class TestTaskCosts:
 
     @pytest.mark.parametrize("value", [-5, float("nan"), float("inf")])
     def test_submit_refuses_bad_output_bytes(self, value):
-        client = EverestClient(default_cluster(1))
+        engine = RuntimeEngine(default_cluster(1))
         with pytest.raises(RuntimeSchedulingError, match="output_bytes"):
-            client.submit(lambda: 0, output_bytes=value)
-        assert client.graph.tasks == {}
+            engine.submit(lambda: 0, output_bytes=value)
+        assert engine.graph.tasks == {}
 
     def test_zero_costs_are_legal(self):
-        client = EverestClient(default_cluster(1))
-        future = client.submit(
+        engine = RuntimeEngine(default_cluster(1))
+        future = engine.submit(
             lambda: 7, output_bytes=0,
             resources=ResourceRequest(cpu_flops=0.0, fpga_seconds=0.0))
-        assert client.gather([future]) == [7]
+        engine.run()
+        assert future.result() == 7
 
     def test_sriov_overhead_is_near_native(self):
         """Fig. 6: an FPGA behind an SR-IOV virtual function runs within
@@ -79,19 +81,19 @@ class TestTaskCosts:
 
     def test_fpga_task_pays_the_sriov_overhead(self):
         cluster = Cluster([Node("acc0", fpgas=[alveo_u55c()])])
-        client = EverestClient(cluster)
-        f = client.submit(lambda: 0, resources=ResourceRequest(
+        engine = RuntimeEngine(cluster)
+        f = engine.submit(lambda: 0, resources=ResourceRequest(
             fpga=True, fpga_seconds=0.25))
-        placement = client.compute().placements[f.task_id]
+        placement = engine.run().placements[f.task_id]
         assert placement.duration \
             == pytest.approx(0.25 * SRIOV_OVERHEAD)
 
     def test_cpu_task_pays_no_sriov_overhead(self):
         node = Node("acc0", fpgas=[alveo_u55c()])
-        client = EverestClient(Cluster([node]))
-        f = client.submit(lambda: 0, resources=ResourceRequest(
+        engine = RuntimeEngine(Cluster([node]))
+        f = engine.submit(lambda: 0, resources=ResourceRequest(
             cpu_flops=4e9, cores=2))
-        placement = client.compute().placements[f.task_id]
+        placement = engine.run().placements[f.task_id]
         assert placement.duration \
             == pytest.approx(node.cpu_seconds(4e9, 2))
 
@@ -109,32 +111,70 @@ class TestCluster:
 
 class TestTaskGraph:
     def test_functional_results(self):
-        client = EverestClient(default_cluster(2))
-        d = _diamond_graph(client)
-        client.compute()
+        engine = RuntimeEngine(default_cluster(2))
+        d = _diamond_graph(engine)
+        engine.run()
         assert d.result() == (1 + 1) + (1 * 2)
 
     def test_result_before_compute_rejected(self):
-        client = EverestClient(default_cluster(1))
-        future = client.submit(lambda: 1)
-        with pytest.raises(RuntimeSchedulingError):
+        engine = RuntimeEngine(default_cluster(1))
+        future = engine.submit(lambda: 1)
+        with pytest.raises(RuntimeSchedulingError, match=r"engine\.run\(\)"):
             future.result()
 
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_future_of_another_engine_is_refused(self, policy):
+        """A ``Future`` names its task by id only, so one from another
+        engine used to bind to whichever task here has the same id: 13
+        (3 + 10) instead of 15, or a false cycle under HEFT."""
+        a = RuntimeEngine(default_cluster(1), policy=policy)
+        a.submit(lambda: 0)
+        five = a.submit(lambda: 5)
+        c = RuntimeEngine(default_cluster(1), policy=policy)
+        c.submit(lambda: 0)
+        c.submit(lambda: 3)
+        with pytest.raises(RuntimeSchedulingError,
+                           match="argument 0 is a Future of another"):
+            c.submit(lambda x: x + 10, five)
+        with pytest.raises(RuntimeSchedulingError, match="argument 'x'"):
+            c.submit(lambda x=0: x + 10, 1, x=five)
+        assert len(c.graph.tasks) == 2
+        a.run()
+        assert c.submit(lambda x: x + 10, five.result()) is not None
+        c.run()
+        assert [c.graph.results[i] for i in sorted(c.graph.results)] \
+            == [0, 3, 15]
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_keyword_future_is_a_dependency(self, policy):
+        """A ``Future`` passed by keyword is waited for and resolved like
+        a positional one; it used to reach the task body as the
+        ``Future`` itself, from a task that could start first."""
+        engine = RuntimeEngine(default_cluster(2), policy=policy)
+        first = engine.submit(lambda: 5,
+                              resources=ResourceRequest(cpu_flops=4e9))
+        second = engine.submit(lambda scale, x=0: scale * x, 3, x=first)
+        assert engine.graph.tasks[second.task_id].deps == [first.task_id]
+        schedule = engine.run()
+        assert second.result() == 15
+        assert schedule.placements[second.task_id].start \
+            >= schedule.placements[first.task_id].finish
+
     def test_cycle_detection(self):
-        client = EverestClient(default_cluster(1))
-        a = client.submit(lambda x: x, 1)
-        client.graph.tasks[a.task_id].deps.append(a.task_id)
+        engine = RuntimeEngine(default_cluster(1))
+        a = engine.submit(lambda x: x, 1)
+        engine.graph.tasks[a.task_id].deps.append(a.task_id)
         with pytest.raises(RuntimeSchedulingError):
-            client.compute()
+            engine.run()
 
 
 class TestScheduling:
     def test_dependencies_respected_in_time(self):
-        client = EverestClient(default_cluster(3))
-        _diamond_graph(client)
-        schedule = client.compute()
+        engine = RuntimeEngine(default_cluster(3))
+        _diamond_graph(engine)
+        schedule = engine.run()
         placements = schedule.placements
-        tasks = client.graph.tasks
+        tasks = engine.graph.tasks
         for task in tasks.values():
             for dep in task.deps:
                 assert placements[dep].finish \
@@ -143,46 +183,46 @@ class TestScheduling:
     def test_fpga_task_placed_on_fpga_node(self):
         cluster = Cluster([Node("cpu0", fpgas=[]),
                            Node("acc0", fpgas=[alveo_u55c()])])
-        client = EverestClient(cluster)
-        f = client.submit(lambda: 0,
+        engine = RuntimeEngine(cluster)
+        f = engine.submit(lambda: 0,
                           resources=ResourceRequest(fpga=True,
                                                     fpga_seconds=1e-3))
-        schedule = client.compute()
+        schedule = engine.run()
         assert schedule.placements[f.task_id].node == "acc0"
 
     def test_fpga_without_node_rejected(self):
         cluster = Cluster([Node("cpu0", fpgas=[])])
-        client = EverestClient(cluster)
-        client.submit(lambda: 0, resources=ResourceRequest(fpga=True))
+        engine = RuntimeEngine(cluster)
+        engine.submit(lambda: 0, resources=ResourceRequest(fpga=True))
         with pytest.raises(RuntimeSchedulingError):
-            client.compute()
+            engine.run()
 
     def test_heft_not_worse_than_round_robin(self):
         def makespan(policy):
-            client = EverestClient(default_cluster(4), scheduler=policy)
+            engine = RuntimeEngine(default_cluster(4), policy=policy)
             rng = np.random.default_rng(0)
-            layer = [client.submit(
+            layer = [engine.submit(
                 lambda i=i: i, name=f"src{i}",
                 resources=ResourceRequest(
                     cpu_flops=float(rng.uniform(1e9, 4e10)),
                     cores=int(rng.integers(1, 8))))
                 for i in range(16)]
             for i in range(8):
-                client.submit(lambda x, y: 0, layer[2 * i],
+                engine.submit(lambda x, y: 0, layer[2 * i],
                               layer[2 * i + 1],
                               resources=ResourceRequest(cpu_flops=2e10))
-            return client.compute().makespan
+            return engine.run().makespan
 
         assert makespan("heft") <= makespan("round-robin") * 1.05
 
     def test_core_capacity_never_exceeded(self):
         cluster = default_cluster(2)
-        client = EverestClient(cluster)
+        engine = RuntimeEngine(cluster)
         for i in range(20):
-            client.submit(lambda: 0, name=f"t{i}",
+            engine.submit(lambda: 0, name=f"t{i}",
                           resources=ResourceRequest(cores=16,
                                                     cpu_flops=1e10))
-        schedule = client.compute()
+        schedule = engine.run()
         for node_name, node in cluster.nodes.items():
             events = [p for p in schedule.placements.values()
                       if p.node == node_name]
@@ -197,17 +237,17 @@ class TestFailureRecovery:
     def test_lost_tasks_rescheduled_off_failed_node(self):
         """The engine's in-loop repair (§VI-A duty 4): a node failure
         injected mid-run re-places the lost work on the survivors."""
-        baseline_client = EverestClient(default_cluster(3))
-        _diamond_graph(baseline_client)
-        schedule = baseline_client.compute()
+        unfailed = RuntimeEngine(default_cluster(3))
+        _diamond_graph(unfailed)
+        schedule = unfailed.run()
         victim = schedule.placements[0].node
         fail_time = schedule.makespan * 0.25
 
         cluster = default_cluster(3)
-        client = EverestClient(cluster)
-        final = _diamond_graph(client)
-        client.engine.fail_node_at(fail_time, victim)
-        repaired = client.compute()
+        engine = RuntimeEngine(cluster)
+        final = _diamond_graph(engine)
+        engine.fail_node_at(fail_time, victim)
+        repaired = engine.run()
         assert repaired.rescheduled_tasks > 0
         for placement in repaired.placements.values():
             if placement.node == victim:
@@ -226,9 +266,9 @@ class TestMonitor:
         """A node's liveness is its ``alive`` flag: two nodes taken down by
         side effect in one callback are both detected, the survivor
         reruns their lost work, and nothing on either finishes later."""
-        baseline_client = EverestClient(default_cluster(3))
-        _diamond_graph(baseline_client)
-        baseline = baseline_client.compute()
+        unfailed = RuntimeEngine(default_cluster(3))
+        _diamond_graph(unfailed)
+        baseline = unfailed.run()
         first = baseline.placements[0].node
         survivor = next(name for name in ("node0", "node1", "node2")
                         if name != first)
@@ -237,11 +277,11 @@ class TestMonitor:
         fail_time = baseline.makespan * 0.25
 
         cluster = default_cluster(3)
-        client = EverestClient(cluster)
-        final = _diamond_graph(client)
-        client.engine.call_at(fail_time, lambda: [
+        engine = RuntimeEngine(cluster)
+        final = _diamond_graph(engine)
+        engine.call_at(fail_time, lambda: [
             cluster.fail_node(name) for name in victims])
-        schedule = client.compute()
+        schedule = engine.run()
         assert schedule.rescheduled_tasks > 0
         for placement in schedule.placements.values():
             if placement.node != survivor:
@@ -252,10 +292,10 @@ class TestMonitor:
 
     def test_utilization_normalized_by_cores(self):
         cluster = default_cluster(2)
-        client = EverestClient(cluster)
-        client.submit(lambda: 0,
+        engine = RuntimeEngine(cluster)
+        engine.submit(lambda: 0,
                       resources=ResourceRequest(cores=32, cpu_flops=1e10))
-        schedule = client.compute()
+        schedule = engine.run()
         report = schedule.utilization(cluster)
         assert max(report.utilization.values()) <= 1.0 + 1e-9
 

@@ -20,7 +20,6 @@ from repro.platforms.network import LinkModel
 from repro.runtime import (
     POLICIES,
     Cluster,
-    EverestClient,
     HEFTScheduler,
     MinLoadPolicy,
     Node,
@@ -32,8 +31,9 @@ from repro.runtime import (
     resolve_policy,
     synthetic_workflow,
 )
+from repro.runtime.engine.policies import task_runtime
 from repro.runtime.placement import CandidateIndex
-from repro.runtime.taskgraph import TaskGraph
+from repro.runtime.taskgraph import TaskGraph, dependency_order
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "tools")
@@ -44,7 +44,6 @@ from oracles import (  # noqa: E402
     ScanTimeline,
     dependency_respecting_walk,
     fresh_timelines,
-    topological_order_dfs,
 )
 from workloadfuzz import engine_plan_op  # noqa: E402
 
@@ -166,22 +165,22 @@ class TestSchedulerOvercommitRegression:
     def test_task_wider_than_every_node_rejected(self):
         cluster = Cluster([Node("small0", cores=2, fpgas=[]),
                            Node("small1", cores=2, fpgas=[])])
-        client = EverestClient(cluster)
-        client.submit(lambda: 0, resources=ResourceRequest(cores=4))
+        engine = RuntimeEngine(cluster)
+        engine.submit(lambda: 0, resources=ResourceRequest(cores=4))
         with pytest.raises(RuntimeSchedulingError):
-            client.compute()
+            engine.run()
 
     @pytest.mark.parametrize("scheduler_cls",
                              [HEFTScheduler, RoundRobinScheduler])
     def test_wide_task_placed_only_on_capable_node(self, scheduler_cls):
         cluster = Cluster([Node("small", cores=2, fpgas=[]),
                            Node("big", cores=8, fpgas=[])])
-        client = EverestClient(cluster, scheduler=scheduler_cls())
+        engine = RuntimeEngine(cluster, policy=scheduler_cls())
         for i in range(6):
-            client.submit(lambda: 0, name=f"wide{i}",
+            engine.submit(lambda: 0, name=f"wide{i}",
                           resources=ResourceRequest(cores=4,
                                                     cpu_flops=1e9))
-        schedule = client.compute()
+        schedule = engine.run()
         assert {p.node for p in schedule.placements.values()} == {"big"}
         _assert_capacity_respected(schedule, cluster)
 
@@ -262,12 +261,12 @@ class TestPolicyProtocol:
     def test_min_load_balances_identical_tasks(self):
         cluster = default_cluster(2)
         policy = MinLoadPolicy()
-        client = EverestClient(cluster, scheduler=policy)
+        engine = RuntimeEngine(cluster, policy=policy)
         for i in range(8):
-            client.submit(lambda: 0, name=f"t{i}",
+            engine.submit(lambda: 0, name=f"t{i}",
                           resources=ResourceRequest(cores=32,
                                                     cpu_flops=1e10))
-        schedule = client.compute()
+        schedule = engine.run()
         busy = schedule.utilization(cluster).busy
         # Eight node-filling tasks over two nodes: a 50/50 split.
         assert len(busy) == 2
@@ -458,17 +457,17 @@ class TestStreamingSubmission:
         assert all(t in engine.graph.results for t in ids["a"] | ids["b"])
         _assert_capacity_respected(schedule, engine.cluster)
 
-    def test_client_gather_redispatches_new_tasks(self):
+    def test_a_later_run_dispatches_new_tasks(self):
         """Regression for the seed stale-schedule bug: tasks submitted
-        after ``compute()`` were silently ignored by ``gather()``."""
-        client = EverestClient(default_cluster(2))
-        first = client.submit(lambda: 10)
-        client.compute()
-        second = client.submit(lambda x: x + 5, first)
-        third = client.submit(lambda: 100)
-        assert client.gather([first, second, third]) == [10, 15, 100]
+        after a run were silently ignored by the next one."""
+        engine = RuntimeEngine(default_cluster(2))
+        first = engine.submit(lambda: 10)
+        engine.run()
+        second = engine.submit(lambda x: x + 5, first)
+        third = engine.submit(lambda: 100)
+        schedule = engine.run()
+        assert [f.result() for f in (first, second, third)] == [10, 15, 100]
         # The late tasks were really scheduled, not just executed.
-        schedule = client.last_schedule
         assert second.task_id in schedule.placements
         assert third.task_id in schedule.placements
         # And they run no earlier than the first batch's timeline.
@@ -500,7 +499,7 @@ class TestStreamingSubmission:
             with pytest.raises(RuntimeSchedulingError,
                                match="time=.* is earlier than"):
                 call()
-        engine.call_at(engine.clock.now, lambda: None)  # now is not past
+        engine.call_at(engine.now, lambda: None)  # now is not past
         engine.run()
         assert len(engine.graph.tasks) == 1
         assert engine.cluster.node("node1").alive
@@ -545,7 +544,7 @@ class TestFailureHandling:
         calls = []
 
         def body():
-            calls.append(engine.clock.now)
+            calls.append(engine.now)
             return len(calls)
 
         future = engine.submit(
@@ -848,7 +847,7 @@ class TestEventDeterminism:
         seen = []
         a = engine.submit(lambda: seen.append("a") or 1, name="a",
                           resources=ResourceRequest(cpu_flops=1e10))
-        engine.submit(lambda x: seen.append(("b", engine.clock.now)),
+        engine.submit(lambda x: seen.append(("b", engine.now)),
                       a, name="b")
         engine.call_at(4.0, lambda: seen.append(
             ("callback", a.task_id in engine.graph.results,
@@ -872,7 +871,7 @@ class TestEventDeterminism:
         engine.run()
         assert [i for i, _ in seen] == list(range(1, 20))
         assert [alive for _, alive in seen[:3]] == [1, 1, 1]
-        assert engine.clock.now == 2.0
+        assert engine.now == 2.0
 
     def test_submit_at_identical_timestamps_run_in_submission_order(self):
         engine = RuntimeEngine(default_cluster(1), policy="min-load")
@@ -1005,19 +1004,19 @@ def _random_dag(seed):
 
 
 class TestOrderingShortcuts:
-    """``topological_order`` emits a root whose deps are already out and
-    ``_dependency_respecting`` returns an order that already respects
-    deps; both must give what their plain walks give."""
+    """``dependency_order`` returns an order that already respects deps
+    as it is; in the graph's order (``topological_order``) and in a
+    ranked one (HEFT's) it must give what the full walk gives."""
 
     @pytest.mark.parametrize("seed", range(200))
-    def test_match_the_plain_walks(self, seed):
+    def test_match_the_plain_walk(self, seed):
         graph, rng = _random_dag(seed)
         order = graph.topological_order()
-        assert [t.task_id for t in order] \
-            == [t.task_id for t in topological_order_dfs(graph)]
+        assert order == dependency_respecting_walk(
+            list(graph.tasks.values()))
         ranked = sorted(order, key=lambda t: rng.randrange(4))
         for candidate in (order, ranked):
-            assert HEFTScheduler._dependency_respecting(candidate) \
+            assert dependency_order(candidate) \
                 == dependency_respecting_walk(candidate)
 
     @pytest.mark.parametrize("seed", range(0, 200, 10))
@@ -1028,8 +1027,7 @@ class TestOrderingShortcuts:
         first.deps.append(last.task_id)
         last.deps.append(first.task_id)
         for walk in (graph.topological_order,
-                     lambda: topological_order_dfs(graph),
-                     lambda: HEFTScheduler._dependency_respecting(order),
+                     lambda: dependency_order(order),
                      lambda: dependency_respecting_walk(order)):
             with pytest.raises(RuntimeSchedulingError, match="cycle"):
                 walk()
@@ -1044,8 +1042,10 @@ class TestOrderingShortcuts:
         c = engine.submit(lambda _: None, b, name="c")
         graph = engine.graph
         graph.tasks[a.task_id].deps.append(c.task_id)
-        order = [t.task_id for t in graph.topological_order()]
-        assert order == [t.task_id for t in topological_order_dfs(graph)] \
+        order = graph.topological_order()
+        assert order == dependency_respecting_walk(
+            list(graph.tasks.values()))
+        assert [t.task_id for t in order] \
             == [b.task_id, c.task_id, a.task_id]
         schedule = engine.run()
         assert schedule.placements[a.task_id].start \
@@ -1054,6 +1054,19 @@ class TestOrderingShortcuts:
         with pytest.raises(RuntimeSchedulingError,
                            match="task graph has a cycle"):
             graph.topological_order()
+
+    @pytest.mark.parametrize("policy", ["heft", "round-robin"])
+    def test_a_dependency_outside_the_graph_is_named(self, policy):
+        """A dependency on a task the graph does not hold used to be a
+        raw ``KeyError`` out of the walk."""
+        engine = RuntimeEngine(default_cluster(1), policy=policy)
+        a = engine.submit(lambda: None, name="a")
+        engine.graph.tasks[a.task_id].deps.append(7)
+        for walk in (engine.graph.topological_order, engine.run):
+            with pytest.raises(RuntimeSchedulingError,
+                               match="task 'a' depends on task 7, which "
+                                     "is not in the graph"):
+                walk()
 
 
 class TestIncrementalHEFTEquivalence:
@@ -1173,7 +1186,7 @@ class TestIncrementalHEFTEquivalence:
         graph = self._chain(ResourceRequest(), ResourceRequest(),
                             output_bytes=0)
         root_id, successor_id = sorted(graph.tasks)
-        runtime = graph.tasks[root_id].runtime_on_cpu(cluster.node("n0"))
+        runtime = task_runtime(graph.tasks[root_id], cluster.node("n0"))
 
         def warm():
             timelines = fresh_timelines(cluster)

@@ -653,11 +653,11 @@ class TestHTTP:
                                               "fpga_seconds", "output_bytes")
                    if key in task}))
         cluster = default_cluster(3)
-        client = LexisPlatform(cluster, policy).deploy(spec)
-        schedule = client.compute()
+        engine = LexisPlatform(cluster, policy).deploy(spec)
+        schedule = engine.run()
         [row] = body["results"]
         assert repr(row["placements"]) == repr({
-            client.graph.tasks[task_id].name: {
+            engine.graph.tasks[task_id].name: {
                 "node": placed.node, "start": placed.start,
                 "finish": placed.finish, "cores": placed.cores}
             for task_id, placed in schedule.placements.items()})

@@ -67,7 +67,7 @@ BUDGETS = {
     "execute[cbackend]": (34, 35),
     "/compile": (56, 58),
     "/execute": (134, 140),
-    "/runtime": (1_042, 1_094),
+    "/runtime": (1_033, 1_084),
     "/compile over a socket": (146, 153),
 }
 

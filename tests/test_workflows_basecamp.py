@@ -23,8 +23,7 @@ class TestLexis:
 
     def test_deploy_and_results(self):
         platform = LexisPlatform(default_cluster(2))
-        client = platform.deploy(self._spec())
-        client.compute()
+        platform.deploy(self._spec()).run()
         results = platform.results("forecast")
         assert results["predict"] == 21
 
@@ -33,22 +32,21 @@ class TestLexis:
         spec.mark_for_fpga("simulate", fpga_seconds=1e-3)
         assert spec.task("simulate").location == "fpga"
         platform = LexisPlatform(default_cluster(2))
-        client = platform.deploy(spec)
-        schedule = client.compute()
-        task = next(t for t in client.graph.tasks.values()
+        engine = platform.deploy(spec)
+        schedule = engine.run()
+        task = next(t for t in engine.graph.tasks.values()
                     if t.name == "simulate")
         node = schedule.placements[task.task_id].node
-        assert client.cluster.node(node).has_fpga
+        assert engine.cluster.node(node).has_fpga
 
     def test_deploy_with_policy_selection(self):
         platform = LexisPlatform(default_cluster(2), policy="min-load")
-        client = platform.deploy(self._spec())
-        assert client.scheduler.name == "min-load"
-        client.compute()
+        engine = platform.deploy(self._spec())
+        assert engine.policy.name == "min-load"
+        engine.run()
         assert platform.results("forecast")["predict"] == 21
-        # Per-deploy override beats the platform default.
-        override = platform.deploy(self._spec(), policy="round-robin")
-        assert override.scheduler.name == "round-robin"
+        # Every deployment runs under the platform's policy.
+        assert platform.deploy(self._spec()).policy.name == "min-load"
 
     def test_cyclic_workflow_rejected(self):
         spec = WorkflowSpec("bad")
@@ -103,8 +101,7 @@ class TestLexisDeployOrder:
         cost = {len(spec.tasks): self._calls(lambda: platform.deploy(spec))
                 for spec in (small, large)}
         assert cost[2000] < 2.2 * cost[1000], cost
-        client = platform.deploy(self._chain(50))
-        client.compute()
+        platform.deploy(self._chain(50)).run()
         assert platform.results("chain50")["t49"] == 49
 
     def test_adding_tasks_costs_linear_calls(self):
@@ -126,8 +123,8 @@ class TestLexisDeployOrder:
         spec.add(WorkflowTask("b", lambda x: x + 1, after=["a"]))
         spec.add(WorkflowTask("c", lambda x: x * 3, after=["a"]))
         spec.add(WorkflowTask("d", lambda x, y: x + y, after=["b", "c"]))
-        client = LexisPlatform(default_cluster(2)).deploy(spec)
-        assert [t.name for t in client.graph.tasks.values()] \
+        engine = LexisPlatform(default_cluster(2)).deploy(spec)
+        assert [t.name for t in engine.graph.tasks.values()] \
             == ["a", "b", "c", "d"]
 
     @pytest.mark.parametrize("after, stuck", [
@@ -294,6 +291,14 @@ class TestBasecampCLI(object):
     def test_runtime_bad_policy_rejected(self, capsys):
         assert main(["runtime", "--policy", "bogus"]) == 1
         assert "unknown scheduling policy" in capsys.readouterr().err
+
+    def test_serve_verbose_is_a_usage_error(self, capsys):
+        """Per-request access lines are ``--log-level debug``; the
+        ``--verbose`` alias for them is gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--verbose"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         ("--tasks -1", "argument --tasks: must be at least 0"),

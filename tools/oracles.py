@@ -28,11 +28,10 @@ or the daemon.
   :class:`repro.runtime.engine.HEFTScheduler`'s pruned candidate
   search superseded (``tools/workloadfuzz.py`` invariant 5,
   ``tests/test_runtime_engine.py``, ``benchmarks/bench_runtime_engine.py``);
-* :func:`topological_order_dfs` and :func:`dependency_respecting_walk`
-  — the full walks behind
-  :meth:`repro.runtime.taskgraph.TaskGraph.topological_order` and
-  ``HEFTScheduler._dependency_respecting``, which skip the walk where
-  submission or rank order already settles it (200 random DAGs in
+* :func:`dependency_respecting_walk` — the full walk behind
+  :func:`repro.runtime.taskgraph.dependency_order` (the order of
+  ``TaskGraph.topological_order`` and of HEFT), which skips the walk
+  where submission or rank order already settles it (200 random DAGs in
   ``tests/test_runtime_engine.py``);
 * :class:`ScanTimeline` — the per-node placement timeline that re-scans
   every committed interval on each query, which the event-sweep index
@@ -260,34 +259,6 @@ def list_schedule_scan(dfg: BodyDFG,
             remaining.discard(i)
         cycle += 1
     return schedule_from(dfg, start, limits)
-
-
-def topological_order_dfs(graph: TaskGraph) -> List[Task]:
-    """Post-order DFS from every task in submission order, with no
-    shortcut for a root whose dependencies are already out."""
-    order: List[Task] = []
-    visited: Dict[int, int] = {}  # 1 = on the DFS path, 2 = emitted
-    for root in list(graph.tasks):
-        if visited.get(root, 0) == 2:
-            continue
-        visited[root] = 1
-        stack = [(root, iter(graph.tasks[root].deps))]
-        while stack:
-            task_id, deps = stack[-1]
-            for dep in deps:
-                state = visited.get(dep, 0)
-                if state == 1:
-                    raise RuntimeSchedulingError("task graph has a cycle")
-                if state == 2:
-                    continue
-                visited[dep] = 1
-                stack.append((dep, iter(graph.tasks[dep].deps)))
-                break
-            else:
-                visited[task_id] = 2
-                order.append(graph.tasks[task_id])
-                stack.pop()
-    return order
 
 
 def dependency_respecting_walk(order: List[Task]) -> List[Task]:

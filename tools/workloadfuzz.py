@@ -25,7 +25,7 @@ invariant suite of :func:`check_invariants`:
   recovery must not leave drift);
 * **dependencies respected** — no task starts before every dependency's
   finish;
-* **simulated order** — every function runs with the engine's clock at
+* **simulated order** — every function runs with ``engine.now`` at
   its placement's start (for a task re-placed after a failure: its last
   call, at its final placement's start), and the clock never runs
   backwards from one call to the next;
@@ -259,7 +259,7 @@ def run_case(case: WorkloadCase, policy: str):
 
     def make_fn(index: int):
         def fn(*args):  # on the engine's event loop: one thread
-            calls.append((index, engine.clock.now))
+            calls.append((index, engine.now))
             return index
         return fn
 
