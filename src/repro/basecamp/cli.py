@@ -9,9 +9,9 @@ Subcommands mirror the SDK's phases (paper §IV):
   architecture generation with DSE;
 * ``basecamp pipeline <kernel.ekl>`` — the full Fig. 2 flow with the
   per-stage timing/caching table, read off its telemetry spans;
-* ``basecamp run <kernel.ekl> --random-seed 0 --time`` — compile to the
-  vectorized-numpy CPU executor and run it (optionally racing the
-  reference interpreter);
+* ``basecamp run <kernel.ekl> --random-seed 0 --time`` — compile to a CPU
+  executor backend and run it (optionally racing the reference
+  interpreter);
 * ``basecamp dialects`` — the registered dialect graph (Fig. 5);
 * ``basecamp condrust <program.rs>`` — parse/check/lower a coordination
   program;
@@ -24,6 +24,13 @@ Subcommands mirror the SDK's phases (paper §IV):
   admission control — see :mod:`repro.basecamp.serve`);
 * ``basecamp info`` — platform catalog.
 
+``run`` and ``runtime`` are the daemon's ``/execute`` and ``/runtime``
+requests, made in process: each flag is the request field of its name
+(``--input`` binds ``inputs``), a flag not given is a field not sent,
+and :meth:`repro.basecamp.serve.BasecampService.handle` validates and
+answers.  A field the schema refuses is a usage error (exit 2) carrying
+the daemon's 400 message.
+
 The EKL-compiling subcommands all run through one process-wide
 :class:`repro.pipeline.PipelineSession`, so invoking several of them on
 the same kernel (or the same one twice) reuses the cached stages.
@@ -32,12 +39,11 @@ the same kernel (or the same one twice) reuses the cached stages.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional
 
-from repro.errors import EverestError
+from repro.errors import EverestError, RequestRefused
 
 if TYPE_CHECKING:
     from repro.telemetry.trace import Tracer
@@ -127,77 +133,76 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _gather_run_inputs(module, func_name: str, args):
-    """Build the input dict for ``basecamp run`` from --input/--random-seed.
+def _handle(endpoint: str, **fields) -> Dict[str, Any]:
+    """One in-process request to the daemon's service, the body made of
+    the flags given: a flag not given is a key not sent, so the schema's
+    default holds and its refusal is the message."""
+    from repro.basecamp.serve import BasecampService
 
-    ``--input name=file.npy`` loads arrays; the actual assembly (and the
-    seed-filling of unbound inputs) is the same
-    :func:`repro.basecamp.inputs.gather_inputs` the serve daemon uses.
-    """
-    import numpy as np
+    body = {name: value for name, value in fields.items()
+            if value is not None}
+    return BasecampService(session=_session()).handle(endpoint, body)
 
-    from repro.basecamp.inputs import gather_inputs
 
-    explicit = {}
-    for spec in args.input or []:
-        name, sep, path = spec.partition("=")
-        if not sep or not name or not path:
-            raise EverestError(f"--input wants NAME=FILE.npy, got {spec!r}")
-        explicit[name] = np.load(path)
-    return gather_inputs(
-        module, func_name, explicit, args.random_seed,
-        missing_hint="pass --input {name}=file.npy or --random-seed N",
-        unknown_label="--input")
+def _number(text: str) -> Any:
+    """A flag's value as a JSON number: an int, else a float, else the
+    text itself, which the schema refuses as the wrong type."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def cmd_run(args) -> int:
-    with _tracing(args.trace):
-        return _cmd_run(args)
-
-
-def _cmd_run(args) -> int:
     import numpy as np
 
-    session = _session()
-    lowered = session.lower(_kernel_text(args.source))
-    inputs = _gather_run_inputs(lowered.module, lowered.kernel.name, args)
-    result = session.execute_lowered(lowered, inputs, backend=args.backend)
-    kernel = result.kernel
-    note = f" [fell back: {kernel.fallback}]" if kernel.fallback else ""
-    arena = f", arena={kernel.arena_bytes}B/{kernel.arena_slots} slots" \
-        if kernel.arena_bytes else ""
-    nests = (f"{kernel.fused_groups} fused group(s) / "
-             f"{kernel.contracted_buffers} contracted buffer(s)"
-             if kernel.backend == "cbackend" else
-             f"{kernel.vectorized_nests} vectorized / "
-             f"{kernel.scalar_nests} scalar nest(s)")
-    print(f"kernel {kernel.func_name}: backend={kernel.backend} "
-          f"({nests}, {kernel.flops} flops{arena}){note}")
-    for name, value in result.outputs.items():
-        value = np.asarray(value)
+    inputs = {}
+    for spec in args.input:
+        name, sep, path = spec.partition("=")
+        if not sep or not name or not path:
+            raise EverestError(f"--input wants NAME=FILE.npy, got {spec!r}")
+        inputs[name] = np.load(path)
+    request = dict(source=_kernel_text(args.source), inputs=inputs or None,
+                   random_seed=args.random_seed, full_outputs=True)
+    with _tracing(args.trace):
+        reply = _handle("execute", backend=args.backend, **request)
+        reference = _handle("execute", backend="interpreter", **request) \
+            if args.time else None
+    note = f" [fell back: {reply['fallback']}]" if reply["fallback"] else ""
+    arena = f", arena={reply['arena_bytes']}B/{reply['arena_slots']} slots" \
+        if reply["arena_bytes"] else ""
+    nests = (f"{reply['fused_groups']} fused group(s) / "
+             f"{reply['contracted_buffers']} contracted buffer(s)"
+             if reply["backend"] == "cbackend" else
+             f"{reply['vectorized_nests']} vectorized / "
+             f"{reply['scalar_nests']} scalar nest(s)")
+    print(f"kernel {reply['kernel']}: backend={reply['backend']} "
+          f"({nests}, {reply['flops']} flops{arena}){note}")
+    for name, entry in reply["outputs"].items():
+        value = np.asarray(entry["values"], dtype=entry["dtype"])
         flat = np.array2string(value.ravel()[:6], precision=6,
                                separator=", ")
         suffix = " ..." if value.size > 6 else ""
         print(f"  {name}: shape={tuple(value.shape)} dtype={value.dtype} "
               f"mean={value.mean():.6g}")
         print(f"    {flat}{suffix}")
-    if args.time:
-        reference = session.execute_lowered(lowered, inputs,
-                                            backend="interpreter")
-        for name, value in result.outputs.items():
-            got = np.asarray(value)
-            ref = np.asarray(reference.outputs[name])
+        if reference is not None:
+            ref = reference["outputs"][name]
             # Bit-identical NaNs count as agreement (equal_nan trips on
             # integer dtypes, so only request it for floats).
-            equal_nan = bool(np.issubdtype(got.dtype, np.floating))
-            if not np.array_equal(got, ref, equal_nan=equal_nan):
+            equal_nan = bool(np.issubdtype(value.dtype, np.floating))
+            if not np.array_equal(value, np.asarray(ref["values"]),
+                                  equal_nan=equal_nan):
                 raise EverestError(
                     f"executor backends disagree on output {name!r}")
-        speedup = reference.seconds / result.seconds \
-            if result.seconds else float("inf")
-        print(f"  run time: {result.seconds * 1e3:.3f} ms "
-              f"({args.backend}) vs {reference.seconds * 1e3:.3f} ms "
-              f"(interpreter): {speedup:.1f}x")
+    if reference is not None:
+        seconds = reply["seconds"]
+        speedup = reference["seconds"] / seconds if seconds else float("inf")
+        print(f"  run time: {seconds * 1e3:.3f} ms ({reply['backend']}) vs "
+              f"{reference['seconds'] * 1e3:.3f} ms (interpreter): "
+              f"{speedup:.1f}x")
     return 0
 
 
@@ -248,73 +253,22 @@ def cmd_detect(args) -> int:
 
 
 def cmd_runtime(args) -> int:
+    fail = None
+    if args.fail is not None:
+        node, _, at = args.fail.partition("@")
+        fail = {"node": node, "at": _number(at)}
     with _tracing(args.trace):
-        return _cmd_runtime(args)
-
-
-def _at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer of at least ``low``."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {low}, got {value}")
-        return value
-    return count
-
-
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
-    return value
-
-
-def _failure(text: str) -> Tuple[str, float]:
-    """``NODE@SIM_SECONDS`` -> ``(node, time)``, the time finite and >= 0."""
-    node, _, at = text.partition("@")
-    try:
-        time = float(at)
-    except ValueError:
-        time = None
-    if not node or time is None:
-        raise argparse.ArgumentTypeError(
-            f"wants NODE@SIM_SECONDS, got {text!r}")
-    if not (math.isfinite(time) and time >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"time must be finite and at least 0, got {at}")
-    return node, time
-
-
-def _cmd_runtime(args) -> int:
-    from repro.runtime import default_cluster
-    from repro.runtime.engine import (
-        POLICIES,
-        RuntimeEngine,
-        synthetic_workflow,
-    )
-
-    policies = sorted(POLICIES) if args.policy == "all" else [args.policy]
-    failure = args.fail         # (node, time) or None
-    print(f"runtime engine: {args.tasks} tasks on {args.nodes} node(s)"
-          + (f", failing {failure[0]} at t={failure[1]:g}s" if failure
-             else ""))
-    for policy in policies:
-        cluster = default_cluster(args.nodes)
-        engine = RuntimeEngine(cluster, policy=policy)
-        synthetic_workflow(engine, n_tasks=args.tasks, seed=args.seed,
-                           fpga_fraction=args.fpga_fraction)
-        if failure:
-            engine.fail_node_at(failure[1], failure[0])
-        result = engine.run()
-        report = result.utilization(cluster)
-        print(f"  {policy:12s} makespan={result.makespan:9.3f}s"
-              f"  transfers={result.transfers_seconds * 1e3:7.2f}ms"
-              f"  imbalance={report.imbalance:5.2f}"
-              f"  rescheduled={result.rescheduled_tasks}")
+        reply = _handle("runtime", policy=args.policy, nodes=args.nodes,
+                        tasks=args.tasks, seed=args.seed,
+                        fpga_fraction=args.fpga_fraction,
+                        fail=fail and [fail])
+    print(f"runtime engine: {reply['tasks']} tasks on {reply['nodes']} "
+          "node(s)" + (f", failing {fail['node']} at t={fail['at']:g}s"
+                       if fail else ""))
+    for row in reply["results"]:
+        print(f"  {row['policy']:12s} makespan={row['makespan']:9.3f}s"
+              f"  transfers={row['transfers_seconds'] * 1e3:7.2f}ms"
+              f"  rescheduled={row['rescheduled']}")
     return 0
 
 
@@ -399,11 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=FILE.npy",
                    help="bind one kernel input to a .npy file "
                         "(repeatable)")
-    p.add_argument("--random-seed", type=int, default=None,
+    p.add_argument("--random-seed", type=_number,
                    help="fill unbound inputs: floats uniform [0,1), "
                         "integers zero")
-    p.add_argument("--backend", default="compiled",
-                   help="executor backend name (resolved through the "
+    p.add_argument("--backend",
+                   help="executor backend name, compiled when not given "
+                        "(resolved through the "
                         "registry: interpreter, compiled, "
                         "compiled-parallel, compiled-arena, cbackend, "
                         "...); an unknown name lists the registered ones")
@@ -433,13 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "runtime engine")
     p.add_argument("--policy", default="all",
                    help="heft | round-robin | min-load | all")
-    p.add_argument("--nodes", type=_at_least(1), default=4)
-    p.add_argument("--tasks", type=_at_least(0), default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fpga-fraction", type=_fraction, default=0.0,
+    p.add_argument("--nodes", type=_number)
+    p.add_argument("--tasks", type=_number)
+    p.add_argument("--seed", type=_number)
+    p.add_argument("--fpga-fraction", type=_number,
                    help="fraction of tasks marked for FPGA offload")
-    p.add_argument("--fail", type=_failure, default=None,
-                   metavar="NODE@SIM_SECONDS",
+    p.add_argument("--fail", metavar="NODE@SIM_SECONDS",
                    help="inject a node failure mid-run at a finite "
                         "simulated time >= 0, e.g. node1@5.0")
     p.add_argument("--trace", default=None, metavar="OUT.json",
@@ -464,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="platform catalog")
     p.set_defaults(fn=cmd_info)
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
@@ -472,6 +428,8 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except RequestRefused as error:
+        args.usage_error(str(error))  # prints usage, exits 2
     except EverestError as error:
         print(f"basecamp: error: {error}", file=sys.stderr)
         return 1

@@ -19,9 +19,12 @@ many tenants share one process:
 
 Endpoints (all JSON): ``POST /compile``, ``/execute`` and ``/runtime``
 take the fields :data:`SCHEMA` declares (one described task's are
-:data:`TASK`) and reply with HLS report scalars, output summaries and
+:data:`TASK`, one injected node failure's :data:`FAILURE`) and reply
+with HLS report scalars, the kernel's facts and output summaries, and
 per-policy schedules; ``GET /stats``, ``/metrics`` and ``/healthz``
-report counters and liveness.
+report counters and liveness.  ``basecamp run`` and ``basecamp
+runtime`` are in-process :meth:`BasecampService.handle` calls, so both
+transports share one validator and one set of messages.
 
 Every counter lives in one service-private
 :class:`~repro.telemetry.metrics.MetricsRegistry` that ``/stats`` (JSON)
@@ -43,7 +46,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, NamedTuple, Optional, Tuple, Union
 
-from repro.errors import EverestError
+from repro.errors import EverestError, RequestRefused
 from repro.pipeline import PipelineSession
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.log import get_logger
@@ -110,6 +113,17 @@ TASK = (
     Field("output_bytes", int, 8192, 0),
 )
 
+#: One node failure a ``/runtime`` request injects, into the synthetic
+#: and the described workflow alike: ``node`` goes down ``at`` simulated
+#: seconds, and the engine reschedules what it held.
+FAILURE = (
+    Field("node", str, ..., 1, error="every failure must be an object "
+                                     "with a string 'node', got {!r}"),
+    Field("at", float, ..., 0.0, error="every failure needs a finite "
+                                       "'at' >= 0 (simulated seconds), "
+                                       "got {!r}"),
+)
+
 _SOURCE = Field("source", str, ..., 1,
                 error="request needs a non-empty 'source' (EKL kernel text)")
 
@@ -126,18 +140,20 @@ SCHEMA = {
                 Field("tasks", (int, list), 60, 1, MAX_RUNTIME_TASKS,
                       entries=(TASK, "task")),
                 Field("seed", int, 0, 0),
-                Field("fpga_fraction", float, 0.0, 0.0, 1.0)),
+                Field("fpga_fraction", float, 0.0, 0.0, 1.0),
+                Field("fail", list, [], entries=(FAILURE, "failure"))),
 }
 
 
 def checked(table: Tuple[Field, ...], body: Dict[str, Any],
             within: str = "") -> Dict[str, Any]:
     """The fields ``table`` declares, read from ``body`` and checked;
-    other keys are ignored.  A refusal is an :class:`EverestError` (a
-    400) naming the field and, for an entry ``within`` a list, its key.
+    other keys are ignored.  A refusal is a :class:`RequestRefused` (a
+    400, or the CLI's usage error) naming the field and, for an entry
+    ``within`` a list, its key.
     """
     if type(body) is not dict:  # an entry of a list of objects
-        raise EverestError(table[0].error.format(body))
+        raise RequestRefused(table[0].error.format(body))
     fields: Dict[str, Any] = {}
     for row in table:
         value = body.get(row.name, row.default)
@@ -171,12 +187,63 @@ def checked(table: Tuple[Field, ...], body: Dict[str, Any],
                 problem = "must be " + (f">= {low}" if high is None
                                         else f"in [{low}, {high}]")
         if problem and row.default is ...:
-            raise EverestError(row.error.format(body))
+            raise RequestRefused(row.error.format(body))
         if problem:
             where = f"{within} {fields[table[0].name]!r}: " if within else ""
-            raise EverestError(f"{where}{row.name!r} {problem}, got {value!r}")
+            raise RequestRefused(
+                f"{where}{row.name!r} {problem}, got {value!r}")
         fields[row.name] = value
     return fields
+
+
+def gather_inputs(module: Any, func_name: str,
+                  explicit: Optional[Dict[str, Any]] = None,
+                  random_seed: Optional[int] = None) -> Dict[str, Any]:
+    """The input dict of one ``/execute`` run of ``func_name``.
+
+    ``explicit`` binds arrays by argument name; with ``random_seed``
+    every remaining float input is drawn uniform [0, 1) and every
+    integer input is zero-filled (always in-range for gather tables).
+    Unknown or missing names, and a bound value that is ragged or not
+    numeric, raise :class:`EverestError`.
+    """
+    import numpy as np
+
+    from repro.ir import types as T
+
+    func = module.lookup(func_name)
+    entry = func.regions[0].entry
+    arg_names = func.attr("arg_names")
+    num_outputs = func.attr("num_outputs") or 0
+    explicit = dict(explicit or {})
+    rng = np.random.default_rng(random_seed) \
+        if random_seed is not None else None
+    inputs: Dict[str, Any] = {}
+    for i, arg in enumerate(entry.args[:len(entry.args) - num_outputs]):
+        name = arg_names[i]
+        ref = arg.type
+        if name in explicit:
+            try:
+                value = np.asarray(explicit.pop(name))
+            except ValueError:  # nested lists of unequal length
+                value = None
+            if value is None or value.dtype.kind not in "biuf":
+                raise EverestError(
+                    f"input {name!r} must be a rectangular array of numbers")
+            inputs[name] = value
+            continue
+        if rng is None:
+            raise EverestError(f"missing input {name!r} "
+                               "(add it to 'inputs' or pass 'random_seed')")
+        shape = tuple(ref.shape)
+        if isinstance(ref.element, T.FloatType):
+            inputs[name] = rng.uniform(0.0, 1.0, shape)
+        else:
+            inputs[name] = np.zeros(shape, dtype=np.int64)
+    if explicit:
+        raise EverestError("unknown input name(s): "
+                           + ", ".join(sorted(explicit)))
+    return inputs
 
 
 class ServiceSaturated(EverestError):
@@ -196,8 +263,8 @@ class BasecampService:
     """Endpoint logic, independent of the HTTP plumbing.
 
     Owns the shared :class:`PipelineSession` and the admission-control
-    state; the HTTP handler (and the tests, directly) call
-    :meth:`handle`.
+    state.  Both transports call :meth:`handle`: the HTTP handler for a
+    POST, and ``basecamp run`` and ``basecamp runtime`` in process.
     """
 
     def __init__(self, *, session: Optional[PipelineSession] = None,
@@ -326,16 +393,13 @@ class BasecampService:
     def _execute(self, fields: Dict[str, Any]) -> Dict[str, Any]:
         import numpy as np
 
-        from repro.basecamp.inputs import gather_inputs
-
         lowered = self.session.lower(fields["source"])
-        inputs = gather_inputs(
-            lowered.module, lowered.kernel.name, fields["inputs"],
-            fields["random_seed"],
-            missing_hint="add it to 'inputs' or pass 'random_seed'")
+        inputs = gather_inputs(lowered.module, lowered.kernel.name,
+                               fields["inputs"], fields["random_seed"])
         # A null or missing backend is the default one.
         result = self.session.execute_lowered(
             lowered, inputs, backend=fields["backend"] or "compiled")
+        kernel = result.kernel
         outputs: Dict[str, Any] = {}
         for name, value in result.outputs.items():
             value = np.asarray(value)
@@ -348,11 +412,18 @@ class BasecampService:
                 entry["values"] = value.tolist()
             outputs[name] = entry
         return {
-            "kernel": result.kernel.func_name,
+            "kernel": kernel.func_name,
             "key": result.key,
-            "backend": result.kernel.backend,
-            "fallback": result.kernel.fallback or "",
+            "backend": kernel.backend,
+            "fallback": kernel.fallback or "",
             "seconds": result.seconds,
+            "flops": kernel.flops,
+            "arena_bytes": kernel.arena_bytes,
+            "arena_slots": kernel.arena_slots,
+            "fused_groups": kernel.fused_groups,
+            "contracted_buffers": kernel.contracted_buffers,
+            "vectorized_nests": kernel.vectorized_nests,
+            "scalar_nests": kernel.scalar_nests,
             "outputs": outputs,
         }
 
@@ -364,8 +435,8 @@ class BasecampService:
             synthetic_workflow,
         )
 
-        nodes, tasks, policy = fields["nodes"], fields["tasks"], \
-            fields["policy"]
+        nodes, tasks, policy, failures = fields["nodes"], fields["tasks"], \
+            fields["policy"], fields["fail"]
         policies = sorted(POLICIES) if policy == "all" else [policy]
         spec = None
         if type(tasks) is list:
@@ -391,6 +462,8 @@ class BasecampService:
                 engine = RuntimeEngine(cluster, policy=name)
                 synthetic_workflow(engine, n_tasks=tasks, seed=fields["seed"],
                                    fpga_fraction=fields["fpga_fraction"])
+            for failure in failures:
+                engine.fail_node_at(failure["at"], failure["node"])
             outcome = engine.run()
             row = {
                 "policy": name,
@@ -664,6 +737,8 @@ class BasecampServer:
                  session: Optional[PipelineSession] = None,
                  max_workers: int = DEFAULT_MAX_WORKERS,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT):
+        if not 0 <= port <= 65535:
+            raise EverestError(f"port must be in [0, 65535], got {port}")
         self.service = BasecampService(session=session,
                                        max_workers=max_workers,
                                        queue_limit=queue_limit)

@@ -69,3 +69,8 @@ class AnomalyError(EverestError):
 
 class WorkflowError(EverestError):
     """Workflow description or deployment error."""
+
+
+class RequestRefused(EverestError):
+    """A request field that breaks its row of ``basecamp serve``'s schema:
+    the daemon's 400, the ``basecamp`` CLI's usage error."""

@@ -10,13 +10,11 @@ HEFT against round-robin and failure rescheduling in
 """
 
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.basecamp.cli import main
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
 from repro.ir import types as T
 from repro.olympus import OlympusGenerator
@@ -110,19 +108,22 @@ def test_plm_sharing_saves_bram():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_online_policies_balance_a_120_task_workflow(seed, capsys):
+def test_online_policies_balance_a_120_task_workflow(seed):
     """§VI-A's load balancing: on `basecamp runtime`'s 120-task workflow
     over four nodes, the online min-load policy stays within 10 % of
     round-robin's makespan, and HEFT and min-load keep the busiest node
     under three times the mean load."""
-    assert main(["runtime", "--policy", "all", "--tasks", "120",
-                 "--nodes", "4", "--seed", str(seed)]) == 0
-    rows = {match["policy"]: (float(match["makespan"]),
-                              float(match["imbalance"]))
-            for match in re.finditer(
-                r"^  (?P<policy>\S+) +makespan= *(?P<makespan>\S+)s"
-                r".*imbalance= *(?P<imbalance>\S+)",
-                capsys.readouterr().out, re.MULTILINE)}
+    from repro.runtime import default_cluster
+    from repro.runtime.engine import RuntimeEngine, synthetic_workflow
+
+    rows = {}
+    for policy in POLICIES:
+        cluster = default_cluster(4)
+        engine = RuntimeEngine(cluster, policy=policy)
+        synthetic_workflow(engine, n_tasks=120, seed=seed)
+        result = engine.run()
+        rows[policy] = (result.makespan,
+                        result.utilization(cluster).imbalance)
     assert sorted(rows) == ["heft", "min-load", "round-robin"]
     assert rows["min-load"][0] <= rows["round-robin"][0] * 1.10
     assert rows["heft"][1] < 3.0

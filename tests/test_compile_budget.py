@@ -10,7 +10,9 @@ plus the ``execute`` stage on a session that has never seen it, under
 what the benchmark counts.
 
 The budgets are the measured counts plus 5 %, for the whole compile and
-for each compiler stage.  When a change makes the path cheaper, lower
+for each compiler stage, with one exception: the two ``hls`` rows carry
+4.4 % (4,778 / 4,988 and 2,355 / 2,459), and are not raised to 5 %,
+which would loosen the gate.  When a change makes the path cheaper, lower
 them to the new count plus 5 % (a budget of 0 makes the failure message
 print it); when a test fails, the message shows which stage grew and
 which IR primitive the calls were charged to: each call goes to the

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.basecamp.serve import (
+    FAILURE,
     MAX_BODY_BYTES,
     MAX_RUNTIME_NODES,
     MAX_RUNTIME_TASKS,
@@ -36,6 +37,7 @@ from repro.basecamp.serve import (
 from repro.errors import EverestError
 from repro.pipeline import PipelineSession
 from repro.runtime import default_cluster
+from repro.runtime.engine import RuntimeEngine
 from repro.workflows import LexisPlatform, WorkflowSpec, WorkflowTask
 
 ADD = """
@@ -81,6 +83,15 @@ WORKFLOW = [
 ]
 
 
+#: Six tasks in a chain, 0.4 simulated seconds each on a default node.
+STEPS = [{"name": "t0"}] + [{"name": f"t{i}", "after": [f"t{i - 1}"]}
+                            for i in range(1, 6)]
+
+#: The ``CompiledKernel`` facts an ``/execute`` reply carries.
+FACTS = ("flops", "arena_bytes", "arena_slots", "fused_groups",
+         "contracted_buffers", "vectorized_nests", "scalar_nests")
+
+
 def described(*tasks, **fields):
     """A ``/runtime`` body listing ``tasks`` (dicts; a bare string is a
     task of that name with every default)."""
@@ -122,9 +133,11 @@ def _breakages(row):
 
 def schema_cases():
     """One refused body per way to break each row of the declared
-    request schema (``serve.SCHEMA``, and ``serve.TASK`` for a task of a
-    described ``/runtime`` workflow), with the whole message it gets."""
-    for owner, table in [*SCHEMA.items(), ("task", TASK)]:
+    request schema (``serve.SCHEMA``, ``serve.TASK`` for a task of a
+    described ``/runtime`` workflow and ``serve.FAILURE`` for a failure it
+    injects), with the whole message it gets."""
+    for owner, table in [*SCHEMA.items(), ("task", TASK),
+                         ("failure", FAILURE)]:
         for row in table:
             for label, value, reason, got in _breakages(row):
                 if owner == "task":
@@ -132,6 +145,9 @@ def schema_cases():
                     holder[row.name] = value
                     endpoint, body, where = "runtime", described(holder), \
                         "task 'a': "
+                elif owner == "failure":
+                    holder = {"node": "node0", "at": 1.0, row.name: value}
+                    endpoint, body = "runtime", {"fail": [holder]}
                 else:
                     endpoint, where = owner, ""
                     body = holder = dict(
@@ -235,6 +251,19 @@ class TestService:
         assert result["backend"] == "compiled"
         assert result["outputs"]["c"]["shape"] == [6]
 
+    @pytest.mark.parametrize("backend", ["compiled", "compiled-arena"])
+    def test_execute_reply_carries_the_kernel_facts(self, backend):
+        """What ``basecamp run`` prints of the kernel is in the reply."""
+        service = BasecampService()
+        reply = service.handle("execute", {
+            "source": CHAIN, "random_seed": 0, "backend": backend})
+        kernel = PipelineSession().execute(
+            CHAIN, _seeded_inputs(service, CHAIN, 0), backend=backend).kernel
+        assert {name: reply[name] for name in FACTS} == {
+            name: getattr(kernel, name) for name in FACTS}
+        assert reply["flops"] > 0
+        assert (reply["arena_bytes"] > 0) == (backend == "compiled-arena")
+
     def test_execute_with_explicit_inputs(self):
         service = BasecampService()
         a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
@@ -300,6 +329,38 @@ class TestService:
             assert row["rescheduled"] == 0
         assert service.stats()["server"]["ok"] == 1
 
+    @pytest.mark.parametrize("policy", ["heft", "min-load", "round-robin"])
+    def test_described_workflow_survives_an_injected_failure(self, policy):
+        """A ``fail`` entry takes ``node`` down ``at`` simulated seconds:
+        what it held is rescheduled, and no placement left on it runs at
+        or after that time."""
+        failure = {"node": "node0", "at": 1.0}
+        body = described(*STEPS, policy=policy, nodes=2)
+        calm = BasecampService().handle("runtime", body)
+        [row] = BasecampService().handle(
+            "runtime", dict(body, fail=[failure]))["results"]
+        assert row["rescheduled"] > 0
+        assert row["makespan"] > calm["results"][0]["makespan"]
+        placed = row["placements"]
+        assert list(placed) == [step["name"] for step in STEPS]
+        kept = [name for name, where in placed.items()
+                if where["node"] == failure["node"]]
+        assert kept and all(placed[name]["finish"] < failure["at"]
+                            for name in kept)
+
+    def test_failing_an_unknown_node_is_refused_before_the_run(
+            self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(RuntimeEngine, "run", ran)
+        for body in (described(*STEPS), {"tasks": 8}):
+            with pytest.raises(EverestError,
+                               match="name='node9': unknown node"):
+                BasecampService().handle("runtime", dict(
+                    body, policy="all", nodes=2,
+                    fail=[{"node": "node9", "at": 1.0}]))
+
     def test_task_defaults_are_workflow_tasks(self):
         """The daemon imports ``repro.workflows`` only once a described
         workflow arrives, so the task table spells its defaults out."""
@@ -363,6 +424,15 @@ class TestService:
             BasecampService(max_workers=0)
         with pytest.raises(EverestError):
             BasecampService(queue_limit=-1)
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_out_of_range_is_refused(self, port):
+        """Like ``max_workers=0``, an error naming the option (so
+        ``basecamp serve --port 70000`` exits 1); it used to be bind()'s
+        raw OverflowError traceback."""
+        with pytest.raises(EverestError) as error:
+            BasecampServer(port=port)
+        assert str(error.value) == f"port must be in [0, 65535], got {port}"
 
     def test_stats_shape(self):
         service = BasecampService()
@@ -436,7 +506,7 @@ class TestService:
 
 
 def _seeded_inputs(service, source, seed):
-    from repro.basecamp.inputs import gather_inputs
+    from repro.basecamp.serve import gather_inputs
 
     lowered = service.session.lower(source)
     return gather_inputs(lowered.module, lowered.kernel.name, {}, seed)

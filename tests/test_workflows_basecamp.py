@@ -1,10 +1,13 @@
 """Tests for workflows and the basecamp CLI."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.basecamp.cli import main
-from repro.errors import WorkflowError
+from repro.basecamp.serve import BasecampService
+from repro.errors import RequestRefused, WorkflowError
 from repro.frontends.condrust import FIG4_MAP_MATCHING
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER
 from repro.runtime import default_cluster
@@ -143,6 +146,19 @@ class TestLexisDeployOrder:
         assert f"unsatisfiable dependencies: {stuck}" in str(error.value)
 
 
+_AT = "every failure needs a finite 'at' >= 0 (simulated seconds), got {!r}"
+
+#: Each malformed ``--fail``: (spec, the ``fail`` entry it sends).
+FAILURES = [
+    ("node1@inf", {"node": "node1", "at": math.inf}),
+    ("node1@nan", {"node": "node1", "at": math.nan}),
+    ("node1@-1", {"node": "node1", "at": -1}),
+    ("node1", {"node": "node1", "at": ""}),
+    ("node1@fast", {"node": "node1", "at": "fast"}),
+    ("@2.0", {"node": "", "at": 2.0}),
+]
+
+
 class TestBasecampCLI(object):
     def test_compile_report(self, tmp_path, capsys):
         source = tmp_path / "k.ekl"
@@ -214,7 +230,7 @@ class TestBasecampCLI(object):
         np.save(data, np.arange(4.0))
         assert main(["run", str(source), "--random-seed", "0",
                      "--input", f"b={data}"]) == 1
-        assert "unknown --input" in capsys.readouterr().err
+        assert "unknown input name(s): b" in capsys.readouterr().err
 
     def test_dialects_graph(self, capsys):
         # Every Fig. 5 edge is printed, and none as [--] (no lowering).
@@ -301,29 +317,67 @@ class TestBasecampCLI(object):
         assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        ("--tasks -1", "argument --tasks: must be at least 0"),
-        ("--nodes 0", "argument --nodes: must be at least 1"),
-        ("--fpga-fraction 2", "argument --fpga-fraction: must be in"),
-        ("--fpga-fraction -0.1", "argument --fpga-fraction: must be in"),
-        ("--fpga-fraction nan", "argument --fpga-fraction: must be in"),
-        ("--fail node1@inf", "argument --fail: time must be finite"),
-        ("--fail node1@nan", "argument --fail: time must be finite"),
-        ("--fail node1@-1", "argument --fail: time must be finite"),
-        ("--fail node1", "argument --fail: wants NODE@SIM_SECONDS"),
-        ("--fail node1@fast", "argument --fail: wants NODE@SIM_SECONDS"),
-        ("--fail @2.0", "argument --fail: wants NODE@SIM_SECONDS"),
+        ("--tasks -1", "'tasks' must be in [1, 10000], got -1"),
+        ("--nodes 0", "'nodes' must be in [1, 256], got 0"),
+        ("--fpga-fraction 2", "'fpga_fraction' must be in [0.0, 1.0], got 2"),
+        ("--fpga-fraction -0.1",
+         "'fpga_fraction' must be in [0.0, 1.0], got -0.1"),
+        ("--fpga-fraction nan", "'fpga_fraction' must be finite, got nan"),
+        ("--fail node1@inf", _AT.format({"node": "node1", "at": math.inf})),
+        ("--fail node1@nan", _AT.format({"node": "node1", "at": math.nan})),
+        ("--fail node1@-1", _AT.format({"node": "node1", "at": -1})),
+        ("--fail node1", _AT.format({"node": "node1", "at": ""})),
+        ("--fail node1@fast", _AT.format({"node": "node1", "at": "fast"})),
+        ("--fail @2.0", "every failure must be an object with a string "
+                        "'node', got {'node': '', 'at': 2.0}"),
     ])
     def test_runtime_bad_argument_is_a_usage_error(self, capsys, argv,
                                                    message):
-        """A usage error (exit 2) naming the flag, before the banner.
-        ``--tasks -1`` used to print makespan=0.000s, ``--fpga-fraction
-        2`` and ``node1@inf`` (no failure at all) ran, and ``node1@nan``
-        was refused as "earlier than clock.now"."""
+        """A usage error (exit 2) carrying the schema's message, before
+        the banner.  ``--tasks -1`` used to print makespan=0.000s,
+        ``--fpga-fraction 2`` and ``node1@inf`` (no failure at all) ran,
+        and ``node1@nan`` was refused as "earlier than clock.now"."""
         with pytest.raises(SystemExit) as exit_info:
             main(["runtime", *argv.split()])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert message in captured.err
+        assert captured.err.endswith(
+            f"basecamp runtime: error: {message}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, endpoint, body", [
+        ("runtime --tasks 0", "runtime", {"tasks": 0}),
+        ("runtime --tasks -1", "runtime", {"tasks": -1}),
+        ("runtime --tasks 10001", "runtime", {"tasks": 10001}),
+        ("runtime --nodes 0", "runtime", {"nodes": 0}),
+        ("runtime --nodes 257", "runtime", {"nodes": 257}),
+        ("runtime --seed -1", "runtime", {"seed": -1}),
+        ("runtime --fpga-fraction 2", "runtime", {"fpga_fraction": 2}),
+        ("runtime --fpga-fraction nan", "runtime",
+         {"fpga_fraction": math.nan}),
+        *[(f"runtime --fail {spec}", "runtime", {"fail": [failure]})
+          for spec, failure in FAILURES],
+        ("run {ekl} --random-seed -1", "execute", {"random_seed": -1}),
+    ])
+    def test_a_refusal_is_the_daemons_on_both_transports(
+            self, capsys, tmp_path, argv, endpoint, body):
+        """One schema validates both: the CLI's usage error carries the
+        message ``BasecampService.handle`` refuses the same request with.
+        ``--tasks 0``, ``10001``, ``--nodes 257`` and ``--seed -1`` used
+        to run, and ``--random-seed -1`` ended in numpy's traceback."""
+        source = tmp_path / "k.ekl"
+        source.write_text(self.SMALL_KERNEL)
+        if endpoint == "execute":
+            body = dict(body, source=self.SMALL_KERNEL)
+        with pytest.raises(RequestRefused) as refused:
+            BasecampService().handle(endpoint, body)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.format(ekl=source).split())
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        verb = argv.split()[0]
+        assert captured.err.endswith(
+            f"basecamp {verb}: error: {refused.value}\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("level", ["0", "1"])

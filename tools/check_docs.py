@@ -11,9 +11,10 @@ and, for each block:
    builtin.
 
 It then compares the request-field tables of docs/serve.md with the
-schema the daemon checks bodies against (``repro.basecamp.serve.SCHEMA``
-and ``TASK``): one table per POST endpoint and one for a described task,
-each row the field's name, kind, default and bounds in schema order.
+schema the daemon checks bodies against (``repro.basecamp.serve.SCHEMA``,
+``TASK`` and ``FAILURE``): one table per POST endpoint, one for a
+described task and one for an injected failure, each row the field's
+name, kind, default and bounds in schema order.
 
 Exit status is nonzero on the first failing block or table, with the
 file and block or table in the message.  Run via ``make docs-check``.
@@ -128,11 +129,12 @@ def schema_row(row) -> list:
 def check_schema_tables() -> str:
     """'' when docs/serve.md shows the request schema, else the first
     difference."""
-    from repro.basecamp.serve import SCHEMA, TASK
+    from repro.basecamp.serve import FAILURE, SCHEMA, TASK
 
     tables = markdown_tables(SERVE_DOC.read_text())
     declared = [(f"POST /{endpoint}", table)
-                for endpoint, table in SCHEMA.items()] + [("task", TASK)]
+                for endpoint, table in SCHEMA.items()] \
+        + [("task", TASK), ("failure", FAILURE)]
     for title, table in declared:
         if title not in tables:
             return f"no table headed `{title}`"

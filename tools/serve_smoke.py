@@ -6,10 +6,12 @@ at it over a mixed compile/execute workload, then asserts the
 multi-tenant contract end to end:
 
 * every request succeeds (no 5xx, no rejection at this load), a
-  described workflow with an FPGA step among them;
+  described workflow with an FPGA step among them, and the same
+  workflow with a node failure injected is rescheduled;
 * a body with one field of the wrong type, one per row of the declared
-  request schema (``serve.SCHEMA`` and ``serve.TASK``), is a 400 that
-  names the field, and the ``/stats`` counters still add up;
+  request schema (``serve.SCHEMA``, ``serve.TASK`` and
+  ``serve.FAILURE``), is a 400 that names the field, and the ``/stats``
+  counters still add up;
 * a malformed ``Content-Length`` is a 400, not a 500;
 * a head the daemon cannot frame (``Transfer-Encoding``, two
   ``Content-Length`` fields, whitespace before a colon, a folded line, a
@@ -40,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.basecamp.serve import SCHEMA, TASK  # noqa: E402
+from repro.basecamp.serve import FAILURE, SCHEMA, TASK  # noqa: E402
 
 KERNELS = ["""
 kernel smoke_a {
@@ -66,6 +68,10 @@ WORKFLOW = {"policy": "all", "nodes": 2, "tasks": [
      "fpga_seconds": 1e-3},
 ]}
 
+#: A node failure halfway through ``ingest``, which every policy places
+#: on ``node0`` (0 s to 0.8 s).
+FAIL = {"node": "node0", "at": 0.4}
+
 #: (header lines of a ``POST /compile`` with a 2-byte body, text its
 #: 400 must hold): one head per framing refusal.
 FRAMING = [
@@ -81,12 +87,16 @@ N_CLIENTS = 8
 
 
 def post(url: str, endpoint: str, payload: dict) -> int:
+    return post_reply(url, endpoint, payload)[0]
+
+
+def post_reply(url: str, endpoint: str, payload: dict):
+    """The (status, decoded reply) of one POST."""
     request = urllib.request.Request(
         f"{url}/{endpoint}", data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(request, timeout=60) as response:
-        json.loads(response.read())
-        return response.status
+        return response.status, json.loads(response.read())
 
 
 def wrong_type_bodies():
@@ -102,6 +112,9 @@ def wrong_type_bodies():
             yield endpoint, {**base, row.name: wrong(row)}, row.name
     for row in TASK:
         yield "runtime", {"tasks": [{"name": "a", row.name: wrong(row)}]}, \
+            row.name
+    for row in FAILURE:
+        yield "runtime", {"fail": [dict(FAIL, **{row.name: wrong(row)})]}, \
             row.name
 
 
@@ -179,6 +192,15 @@ def main() -> int:
                 f"/{endpoint} {payload}: {status} {message!r}"
         print(f"serve-smoke: {len(bad_bodies)} wrong-type bodies, one per "
               "schema row, each a 400 naming its field")
+        status, reply = post_reply(url, "runtime", dict(WORKFLOW, fail=[FAIL]))
+        assert status == 200 and all(
+            row["rescheduled"] > 0
+            and all(placed["finish"] < FAIL["at"]
+                    for placed in row["placements"].values()
+                    if placed["node"] == FAIL["node"])
+            for row in reply["results"]), f"failure not handled: {reply}"
+        print("serve-smoke: a workflow failing node0 at t=0.4s is "
+              "rescheduled under every policy")
         probes = [content_length_probe(url, bad) for bad in ("abc", "-5")]
         assert probes == [400, 400], f"malformed Content-Length: {probes}"
         for fields, named in FRAMING:
@@ -196,7 +218,8 @@ def main() -> int:
         flight = stats["singleflight"]
         server = stats["server"]
         assert (server["requests"], server["ok"], server["errors"]) \
-            == (N_REQUESTS + len(bad_bodies), N_REQUESTS, len(bad_bodies))
+            == (N_REQUESTS + len(bad_bodies) + 1, N_REQUESTS + 1,
+                len(bad_bodies))
         assert server["requests"] \
             == server["ok"] + server["errors"] + server["rejected"]
         assert hit_rate > 0.8, \
